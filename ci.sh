@@ -6,70 +6,50 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q
 
-# The batch layer's determinism contract must hold at both extremes of the
-# HUM_THREADS override (BatchOptions::default() reads it). The obs suite
-# additionally checks that traces and registry counters are thread-count-
-# invariant and that tracing never changes an answer.
-HUM_THREADS=1 cargo test -q -p hum-core --test batch
-HUM_THREADS=8 cargo test -q -p hum-core --test batch
-HUM_THREADS=1 cargo test -q -p hum-core --test obs
-HUM_THREADS=8 cargo test -q -p hum-core --test obs
-HUM_THREADS=1 cargo test -q -p hum-integration-tests --test batch_determinism
-HUM_THREADS=8 cargo test -q -p hum-integration-tests --test batch_determinism
+# Suites whose contract is invariance under the HUM_THREADS override
+# (BatchOptions::default() and the scatter fanout both read it): each runs
+# at both extremes. One line per suite — package, then the test selector.
+#   batch, batch_determinism  deterministic chunked fan-out
+#   obs                       traces and registry counters thread-invariant
+#   segment, store            memtable-over-segments view bit-identical to
+#                             the monolithic build; reloads, compactions and
+#                             removals durable
+#   server_*, session*        bit-identity, overload, deadlines, drain, wire
+#                             fuzz; refinements equal one-shot prefixes
+#   shard, sharding           matches bit-identical at every shard count, in
+#                             process, over the wire, and through a store
+#   plan, plan_store          planner is a pure function of seeded inputs; a
+#                             planned store reopens with the identical plan
+THREAD_INVARIANT_SUITES=(
+    "hum-core --test batch"
+    "hum-core --test obs"
+    "hum-integration-tests --test batch_determinism"
+    "hum-core --lib segment"
+    "hum-qbh --test store"
+    "hum-qbh --test server_integration"
+    "hum-qbh --test server_fuzz"
+    "hum-core --test session"
+    "hum-qbh --test session_server"
+    "hum-core --test shard"
+    "hum-qbh --test sharding"
+    "hum-core --test plan"
+    "hum-qbh --test plan_store"
+)
+for suite in "${THREAD_INVARIANT_SUITES[@]}"; do
+    for threads in 1 8; do
+        # shellcheck disable=SC2086 # the suite string is package + selector words
+        HUM_THREADS=$threads cargo test -q -p $suite
+    done
+done
 
 # Storage durability: exhaustive fault-injection, truncation, and bit-flip
-# matrices over both snapshot formats, plus the compaction crash-state
-# enumeration for the segmented store. Every fault must surface as a typed
-# StorageError — never a panic, never silently wrong data.
+# matrices over the segment and manifest formats, plus the compaction
+# crash-state enumeration. Every fault must surface as a typed StorageError
+# — never a panic, never silently wrong data.
 cargo test -q -p hum-qbh --test storage_faults
 
-# Segmented storage engine: the memtable-over-segments view must answer
-# bit-identically to the monolithic build at every segment layout x shard
-# count, reloads and compactions must change nothing, and removals must be
-# durable — at both extremes of the scatter fanout override.
-HUM_THREADS=1 cargo test -q -p hum-core --lib segment
-HUM_THREADS=8 cargo test -q -p hum-core --lib segment
-HUM_THREADS=1 cargo test -q -p hum-qbh --test store
-HUM_THREADS=8 cargo test -q -p hum-qbh --test store
-
-# Serving: transport-level tests against a mock service, then end-to-end
-# bit-identity/overload/deadline/drain tests and the wire-protocol fuzz
-# matrix against the real system, at both extremes of the thread override.
+# Serving transport against a mock service.
 cargo test -q -p hum-server
-HUM_THREADS=1 cargo test -q -p hum-qbh --test server_integration
-HUM_THREADS=8 cargo test -q -p hum-qbh --test server_integration
-HUM_THREADS=1 cargo test -q -p hum-qbh --test server_fuzz
-HUM_THREADS=8 cargo test -q -p hum-qbh --test server_fuzz
-
-# Streaming sessions: refining a session must be bit-identical to a
-# one-shot query over the same prefix — in process (every shard count x
-# kernel mode) and over the wire — and the lifecycle matrix (eviction,
-# byte caps, deadlines, post-close ops, sessionful fuzz) must answer
-# with typed errors, at both extremes of the thread override.
-HUM_THREADS=1 cargo test -q -p hum-core --test session
-HUM_THREADS=8 cargo test -q -p hum-core --test session
-HUM_THREADS=1 cargo test -q -p hum-qbh --test session_server
-HUM_THREADS=8 cargo test -q -p hum-qbh --test session_server
-
-# Sharding: matches must be bit-identical to the monolithic engine at
-# every shard count — in process, through the batch API, over the wire,
-# and after a snapshot round trip with a shard-count override — at both
-# extremes of the scatter fanout default (HUM_THREADS caps it).
-HUM_THREADS=1 cargo test -q -p hum-core --test shard
-HUM_THREADS=8 cargo test -q -p hum-core --test shard
-HUM_THREADS=1 cargo test -q -p hum-qbh --test sharding
-HUM_THREADS=8 cargo test -q -p hum-qbh --test sharding
-
-# Transform planning: the planner must be a pure function of its seeded
-# inputs (property suite), and a store or snapshot created with
-# TransformChoice::Auto must reopen with the identical persisted plan and
-# answer bit-identically to a Fixed rebuild — at both extremes of the
-# thread override, since planning happens once at build time and must not
-# depend on parallelism.
-HUM_THREADS=1 cargo test -q -p hum-core --test plan
-HUM_THREADS=8 cargo test -q -p hum-core --test plan
-HUM_THREADS=1 cargo test -q -p hum-qbh --test plan_store
-HUM_THREADS=8 cargo test -q -p hum-qbh --test plan_store
 
 # Kernel layer: the `simd` feature (and the KernelMode it selects) may
 # change speed but never bits. The property suite runs under both feature
@@ -80,17 +60,16 @@ cargo test -q -p hum-core --test kernel
 cargo test -q -p hum-core --features simd --test kernel
 DIGEST_DIR=$(mktemp -d)
 trap 'rm -rf "$DIGEST_DIR"' EXIT
-HUM_THREADS=1 cargo run -q --release -p hum-core --example engine_digest \
-    > "$DIGEST_DIR/scalar_t1.txt"
-HUM_THREADS=8 cargo run -q --release -p hum-core --example engine_digest \
-    > "$DIGEST_DIR/scalar_t8.txt"
-HUM_THREADS=1 cargo run -q --release -p hum-core --features simd --example engine_digest \
-    > "$DIGEST_DIR/simd_t1.txt"
-HUM_THREADS=8 cargo run -q --release -p hum-core --features simd --example engine_digest \
-    > "$DIGEST_DIR/simd_t8.txt"
-cmp "$DIGEST_DIR/scalar_t1.txt" "$DIGEST_DIR/scalar_t8.txt"
-cmp "$DIGEST_DIR/scalar_t1.txt" "$DIGEST_DIR/simd_t1.txt"
-cmp "$DIGEST_DIR/scalar_t1.txt" "$DIGEST_DIR/simd_t8.txt"
+for features in "" "--features simd"; do
+    for threads in 1 8; do
+        # shellcheck disable=SC2086 # empty or two words
+        HUM_THREADS=$threads cargo run -q --release -p hum-core $features \
+            --example engine_digest > "$DIGEST_DIR/digest_${features:+simd_}t$threads.txt"
+    done
+done
+for digest in "$DIGEST_DIR"/digest_*.txt; do
+    cmp "$DIGEST_DIR/digest_t1.txt" "$digest"
+done
 echo "engine_digest bit-identical across simd x threads"
 
 # Scale harness smoke: the planner-vs-fixed decade sweep at quick scale,
@@ -99,17 +78,20 @@ echo "engine_digest bit-identical across simd x threads"
 # dir, not results/ (the committed baseline is regenerated deliberately).
 cargo run -q --release -p hum-bench --bin repro -- scale --quick --out "$DIGEST_DIR/scale"
 
+# The repo benchmark (BENCHMARK.json) is a workspace of its own: its unit
+# tests, then every workload at smoke scale — each checks its answers
+# against the brute-force oracle and that it prints exactly the declared
+# metrics.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+bash benchmark/run.sh --smoke
+
 # Every panic!() in library code must be a documented wrapper around a
 # try_ API (tools/panic_allowlist.txt); hum-qbh and hum-server are
 # additionally scanned for .unwrap()/.expect() since they parse untrusted
-# bytes (snapshots and wire frames respectively). The kernel layer is held
+# bytes (store files and wire frames respectively). The kernel layer is held
 # to the same standard (it additionally contains the only unsafe in the
 # workspace, each block SAFETY-annotated).
 ./tools/check_panics.sh
-
-# The deprecated panicking entry points must gain no new first-party
-# callers (tools/deprecated_allowlist.txt pins the frozen set).
-./tools/check_deprecated.sh
 
 cargo clippy --all-targets -- -D warnings
 cargo clippy -p hum-core --all-targets --features simd -- -D warnings

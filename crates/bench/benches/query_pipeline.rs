@@ -70,7 +70,12 @@ fn bench_range_by_width(c: &mut Criterion) {
     group.bench_function("brute_force_scan", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(new_paa.engine().scan_range(q, band, radius));
+                black_box(new_paa.engine().query(
+                    &QueryRequest::range(radius)
+                        .with_series(q.clone())
+                        .with_band(band)
+                        .with_scan(true),
+                ));
             }
         })
     });
@@ -96,7 +101,9 @@ fn bench_knn(c: &mut Criterion) {
     group.bench_function("scan", |b| {
         b.iter(|| {
             for q in &queries {
-                black_box(new_paa.engine().scan_knn(q, band, 10));
+                black_box(new_paa.engine().query(
+                    &QueryRequest::knn(10).with_series(q.clone()).with_band(band).with_scan(true),
+                ));
             }
         })
     });

@@ -28,8 +28,8 @@
 //! banded DTW, f32 prefilter) against naive sequential references, with
 //! bit-identity and conservativeness enforced by its shape check.
 //! [`ingest`] measures durable bytes per insert and throughput for the
-//! segmented store against the full-snapshot-rewrite baseline, with a
-//! reload bit-identity check. [`scale`] streams synthetic corpora across
+//! segmented store across memtable capacities, with a reload bit-identity
+//! check. [`scale`] streams synthetic corpora across
 //! size decades (up to 10^6 melodies) and compares the build-time transform
 //! planner against every fixed transform on build cost, candidate ratio,
 //! and query tail latency.

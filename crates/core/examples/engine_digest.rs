@@ -79,7 +79,14 @@ fn digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I, mode: usize, stable
                     r.matches.len()
                 );
             }
-            let s = engine.scan_range(q, band, radius);
+            let s = engine
+                .query(
+                    &QueryRequest::range(radius)
+                        .with_series(q.clone())
+                        .with_band(band)
+                        .with_scan(true),
+                )
+                .result;
             let sbits = match_bits(&s.matches);
             println!("{name} refine={refine} q{qi} scanrange b{band}: m={} bits={sbits:x}", s.matches.len());
         }
@@ -99,7 +106,9 @@ fn digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I, mode: usize, stable
                     r.matches.len()
                 );
             }
-            let s = engine.scan_knn(q, band, k);
+            let s = engine
+                .query(&QueryRequest::knn(k).with_series(q.clone()).with_band(band).with_scan(true))
+                .result;
             let sbits = match_bits(&s.matches);
             println!("{name} refine={refine} q{qi} scanknn b{band} k{k}: m={} bits={sbits:x}", s.matches.len());
         }

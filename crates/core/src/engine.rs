@@ -34,10 +34,8 @@
 //! [`QueryRequest`] ([`QueryRequest::range`] / [`QueryRequest::knn`], with
 //! optional band override, per-query trace toggle, and brute-force scan
 //! fallback) and execute it with [`DtwIndexEngine::query`] (panicking) or
-//! [`DtwIndexEngine::try_query`] (returning [`EngineError`]). The legacy
-//! entry points — `range_query{,_with}`, `knn{,_with}`, `scan_range`,
-//! `scan_knn`, `query_batch` — are thin delegates over the same path and
-//! return bit-identical results.
+//! [`DtwIndexEngine::try_query`] (returning [`EngineError`]); batches go
+//! through [`DtwIndexEngine::try_query_batch`].
 //!
 //! # Observability
 //!
@@ -139,7 +137,7 @@ impl EngineStats {
 /// A rejected input, reported at the engine boundary before any state is
 /// touched (failed calls never mutate the engine or the index).
 ///
-/// The panicking entry points (`insert`, `query`, `range_query`, ...) format
+/// The panicking entry points (`insert`, `query`, `query_with`) format
 /// these with `Display`, so the legacy panic messages — "must be in normal
 /// form", "non-finite sample ...", "duplicate id ..." — are unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -765,39 +763,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             && (self.config.envelope_refinement || self.config.lb_improved_refinement)
     }
 
-    /// ε-range query: all series whose band-`k` DTW distance to `query` is
-    /// at most `radius`. Guaranteed free of false negatives.
-    ///
-    /// # Panics
-    /// Panics if `query.len()` differs from the normal-form length or the
-    /// query contains NaN/infinite samples.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a QueryRequest::range and use try_query (typed errors) or query"
-    )]
-    pub fn range_query(&self, query: &[f64], band: usize, radius: f64) -> QueryResult {
-        #[allow(deprecated)]
-        self.range_query_with(query, band, radius, &mut QueryScratch::new())
-    }
-
-    /// [`DtwIndexEngine::range_query`] computing in caller-provided scratch.
-    /// Results and counters are identical to a fresh-scratch call — reuse
-    /// only avoids the per-query row allocations.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a QueryRequest::range and use try_query_with (typed errors) or query_with"
-    )]
-    pub fn range_query_with(
-        &self,
-        query: &[f64],
-        band: usize,
-        radius: f64,
-        scratch: &mut QueryScratch,
-    ) -> QueryResult {
-        let request = QueryRequest::range(radius).with_series(query).with_band(band);
-        self.query_with(&request, scratch).result
-    }
-
     /// The indexed range path. Input already validated. `Err` carries the
     /// partial counters when the budget's deadline passes between
     /// candidates.
@@ -841,37 +806,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         stats.matches = matches.len() as u64;
         stats.dp_cells = ws.cells() - cells_before;
         Ok(QueryResult { matches, stats })
-    }
-
-    /// k-NN query under band-`k` DTW via the optimal multi-step scheme.
-    ///
-    /// # Panics
-    /// Panics if `query.len()` differs from the normal-form length or the
-    /// query contains NaN/infinite samples.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a QueryRequest::knn and use try_query (typed errors) or query"
-    )]
-    pub fn knn(&self, query: &[f64], band: usize, k: usize) -> QueryResult {
-        #[allow(deprecated)]
-        self.knn_with(query, band, k, &mut QueryScratch::new())
-    }
-
-    /// [`DtwIndexEngine::knn`] computing in caller-provided scratch. Results
-    /// and counters are identical to a fresh-scratch call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a QueryRequest::knn and use try_query_with (typed errors) or query_with"
-    )]
-    pub fn knn_with(
-        &self,
-        query: &[f64],
-        band: usize,
-        k: usize,
-        scratch: &mut QueryScratch,
-    ) -> QueryResult {
-        let request = QueryRequest::knn(k).with_series(query).with_band(band);
-        self.query_with(&request, scratch).result
     }
 
     /// The indexed k-NN path. Input already validated. `Err` carries the
@@ -1104,21 +1038,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         Ok((survivors, stats))
     }
 
-    /// Brute-force ε-range query (no index): the slow baseline the paper's
-    /// related work resorted to. Exact by construction; used for validation
-    /// and speed comparisons. Runs the same verification cascade as
-    /// [`DtwIndexEngine::range_query`], over every stored series in id order
-    /// (so the work counters are deterministic).
-    ///
-    /// # Panics
-    /// Panics if `query.len()` differs from the normal-form length or the
-    /// query contains NaN/infinite samples.
-    pub fn scan_range(&self, query: &[f64], band: usize, radius: f64) -> QueryResult {
-        let request =
-            QueryRequest::range(radius).with_series(query).with_band(band).with_scan(true);
-        self.query(&request).result
-    }
-
     /// The brute-force range path. Input already validated. `Err` carries
     /// the partial counters when the budget's deadline passes between
     /// candidates.
@@ -1158,19 +1077,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         stats.matches = matches.len() as u64;
         stats.dp_cells = ws.cells() - cells_before;
         Ok(QueryResult { matches, stats })
-    }
-
-    /// Brute-force k-NN (no index). Exact by construction. Visits series in
-    /// id order, threading the best-so-far `k`-th distance through the
-    /// early-abandoning kernel (no lower-bound stages: this is the
-    /// what-if-there-were-no-envelopes baseline).
-    ///
-    /// # Panics
-    /// Panics if `query.len()` differs from the normal-form length or the
-    /// query contains NaN/infinite samples.
-    pub fn scan_knn(&self, query: &[f64], band: usize, k: usize) -> QueryResult {
-        let request = QueryRequest::knn(k).with_series(query).with_band(band).with_scan(true);
-        self.query(&request).result
     }
 
     /// The brute-force k-NN path. Input already validated. `Err` carries
@@ -1245,53 +1151,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     }
 }
 
-/// One query of a [`DtwIndexEngine::query_batch`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BatchQuery {
-    /// ε-range query, as in [`DtwIndexEngine::range_query`].
-    Range {
-        /// Normal-form query series.
-        query: Vec<f64>,
-        /// Sakoe-Chiba band half-width.
-        band: usize,
-        /// Query radius.
-        radius: f64,
-    },
-    /// k-NN query, as in [`DtwIndexEngine::knn`].
-    Knn {
-        /// Normal-form query series.
-        query: Vec<f64>,
-        /// Sakoe-Chiba band half-width.
-        band: usize,
-        /// Neighbors requested.
-        k: usize,
-    },
-}
-
-impl BatchQuery {
-    /// The equivalent [`QueryRequest`] (indexed path, no trace).
-    pub fn to_request(&self) -> QueryRequest {
-        match self {
-            BatchQuery::Range { query, band, radius } => {
-                QueryRequest::range(*radius).with_series(query.clone()).with_band(*band)
-            }
-            BatchQuery::Knn { query, band, k } => {
-                QueryRequest::knn(*k).with_series(query.clone()).with_band(*band)
-            }
-        }
-    }
-}
-
-/// Result of a batched query execution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchResult {
-    /// Per-query results, in the order the queries were submitted. Each is
-    /// bit-identical to the corresponding single-query call.
-    pub results: Vec<QueryResult>,
-    /// All per-query counters merged in submission order.
-    pub stats: EngineStats,
-}
-
 /// Result of a batched [`QueryRequest`] execution.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchOutcome {
@@ -1304,37 +1163,17 @@ pub struct BatchOutcome {
 }
 
 impl<T: EnvelopeTransform + Sync, I: SpatialIndex + Sync> DtwIndexEngine<T, I> {
-    /// Executes a batch of queries, fanning fixed-size chunks out across
-    /// [`BatchOptions::threads`] scoped workers and merging results in
-    /// deterministic chunk order.
+    /// Executes a batch of [`QueryRequest`]s, fanning fixed-size chunks out
+    /// across [`BatchOptions::threads`] scoped workers and merging results
+    /// in deterministic chunk order.
     ///
-    /// Every per-query result — matches *and* counters — is bit-identical
+    /// Every per-request outcome — matches *and* counters — is bit-identical
     /// to the corresponding single-request [`DtwIndexEngine::try_query`]
-    /// call, for every thread count: each query runs
-    /// the unmodified sequential code path against the immutable index, each
-    /// worker owns a private [`QueryScratch`] (so PR 1's allocation-free
-    /// kernel carries over), and the merge order is a function of the batch
-    /// alone. `threads = 1` processes the chunks in order on the calling
-    /// thread.
-    ///
-    /// # Panics
-    /// Panics if any query has the wrong length or non-finite samples.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build QueryRequests and use try_query_batch (typed errors, traces, budgets)"
-    )]
-    pub fn query_batch(&self, batch: &[BatchQuery], options: &BatchOptions) -> BatchResult {
-        let requests: Vec<QueryRequest> = batch.iter().map(BatchQuery::to_request).collect();
-        let outcome =
-            self.try_query_batch(&requests, options).unwrap_or_else(|e| panic!("{e}"));
-        BatchResult {
-            results: outcome.outcomes.into_iter().map(|o| o.result).collect(),
-            stats: outcome.stats,
-        }
-    }
-
-    /// Executes a batch of [`QueryRequest`]s with the same deterministic
-    /// fan-out as [`DtwIndexEngine::query_batch`]. Per-request traces (where
+    /// call, for every thread count: each query runs the unmodified
+    /// sequential code path against the immutable index, each worker owns a
+    /// private [`QueryScratch`], and the merge order is a function of the
+    /// batch alone. `threads = 1` processes the chunks in order on the
+    /// calling thread. Per-request traces (where
     /// enabled) ride inside the outcomes, which are merged in submission
     /// order — so the trace stream, like every counter, is permutation- and
     /// thread-count-invariant.
@@ -1495,6 +1334,15 @@ mod tests {
         engine.query(&QueryRequest::range(radius).with_series(query).with_band(band)).result
     }
 
+    fn scan_of<T: EnvelopeTransform, I: SpatialIndex>(
+        engine: &DtwIndexEngine<T, I>,
+        request: QueryRequest,
+        query: &[f64],
+        band: usize,
+    ) -> QueryResult {
+        engine.query(&request.with_series(query).with_band(band).with_scan(true)).result
+    }
+
     fn knn_of<T: EnvelopeTransform, I: SpatialIndex>(
         engine: &DtwIndexEngine<T, I>,
         query: &[f64],
@@ -1511,7 +1359,7 @@ mod tests {
         let query = &series[17];
         for (band, radius) in [(0usize, 1.0), (3, 2.0), (6, 4.0)] {
             let fast = range_of(&engine, query, band, radius);
-            let slow = engine.scan_range(query, band, radius);
+            let slow = scan_of(&engine, QueryRequest::range(radius), query, band);
             assert_eq!(fast.matches, slow.matches, "band={band} r={radius}");
         }
     }
@@ -1556,7 +1404,7 @@ mod tests {
         let query = lcg_series(1, 64, 777).remove(0);
         for band in [0usize, 2, 5] {
             let fast = knn_of(&engine, &query, band, 10);
-            let slow = engine.scan_knn(&query, band, 10);
+            let slow = scan_of(&engine, QueryRequest::knn(10), &query, band);
             assert_eq!(fast.matches.len(), 10);
             for (f, s) in fast.matches.iter().zip(&slow.matches) {
                 assert!((f.1 - s.1).abs() < 1e-9, "band={band}");
@@ -1781,41 +1629,32 @@ mod tests {
         }
     }
 
-    // The deprecated BatchQuery delegate must keep matching single queries
-    // until it is removed.
-    #[allow(deprecated)]
     #[test]
     fn query_batch_matches_single_queries_for_every_thread_count() {
         let series = lcg_series(90, 64, 77);
         let engine = build_engine(&series);
         let queries = lcg_series(9, 64, 31337);
-        let batch: Vec<BatchQuery> = queries
+        let batch: Vec<QueryRequest> = queries
             .iter()
             .enumerate()
             .map(|(i, q)| {
                 if i % 2 == 0 {
-                    BatchQuery::Knn { query: q.clone(), band: 3, k: 7 }
+                    QueryRequest::knn(7).with_series(q.clone()).with_band(3)
                 } else {
-                    BatchQuery::Range { query: q.clone(), band: 2, radius: 2.5 }
+                    QueryRequest::range(2.5).with_series(q.clone()).with_band(2)
                 }
             })
             .collect();
-        let expected: Vec<QueryResult> = batch
-            .iter()
-            .map(|q| match q {
-                BatchQuery::Range { query, band, radius } => {
-                    engine.range_query(query, *band, *radius)
-                }
-                BatchQuery::Knn { query, band, k } => engine.knn(query, *band, *k),
-            })
-            .collect();
+        let expected: Vec<QueryOutcome> = batch.iter().map(|r| engine.query(r)).collect();
         let mut expected_stats = EngineStats::default();
-        for r in &expected {
-            expected_stats.absorb(&r.stats);
+        for outcome in &expected {
+            expected_stats.absorb(&outcome.result.stats);
         }
         for threads in [1, 2, 8] {
-            let got = engine.query_batch(&batch, &crate::batch::BatchOptions::new(threads, 2));
-            assert_eq!(got.results, expected, "threads={threads}");
+            let got = engine
+                .try_query_batch(&batch, &crate::batch::BatchOptions::new(threads, 2))
+                .unwrap();
+            assert_eq!(got.outcomes, expected, "threads={threads}");
             assert_eq!(got.stats, expected_stats, "threads={threads}");
         }
     }
@@ -1916,27 +1755,6 @@ mod tests {
         assert!(messages[1].contains("non-finite sample"));
         assert!(messages[1].contains("index 3"));
         assert!(messages[2].contains("duplicate id 7"));
-    }
-
-    // The deprecated positional delegates must stay bit-identical to the
-    // request API until they are removed.
-    #[allow(deprecated)]
-    #[test]
-    fn request_api_reproduces_legacy_entry_points() {
-        let series = lcg_series(100, 64, 50);
-        let engine = build_engine(&series);
-        let query = lcg_series(1, 64, 808).remove(0);
-        let range = engine.query(&QueryRequest::range(2.5).with_series(query.clone()).with_band(3));
-        assert_eq!(range.result, engine.range_query(&query, 3, 2.5));
-        assert!(range.trace.is_none(), "trace is opt-in");
-        let knn = engine.query(&QueryRequest::knn(7).with_series(query.clone()).with_band(3));
-        assert_eq!(knn.result, engine.knn(&query, 3, 7));
-        let scan = engine
-            .query(&QueryRequest::range(2.5).with_series(query.clone()).with_band(3).with_scan(true));
-        assert_eq!(scan.result, engine.scan_range(&query, 3, 2.5));
-        let scan_knn = engine
-            .query(&QueryRequest::knn(7).with_series(query.clone()).with_band(3).with_scan(true));
-        assert_eq!(scan_knn.result, engine.scan_knn(&query, 3, 7));
     }
 
     #[test]

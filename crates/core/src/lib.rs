@@ -25,7 +25,7 @@
 //! * [`engine`] — the GEMINI query engine (§4.3): feature extraction, spatial
 //!   indexing via any [`hum_index::SpatialIndex`] backend, ε-range and k-NN
 //!   queries with exact-DTW refinement and full access accounting, plus a
-//!   batched execution layer ([`engine::BatchQuery`]) that fans queries out
+//!   batched execution layer ([`engine::BatchOutcome`]) that fans queries out
 //!   across threads with bit-identical, thread-count-invariant results.
 //! * [`batch`] — the deterministic chunked fan-out underneath batched
 //!   execution (fixed-size chunks, chunk-order merge, per-worker scratch).

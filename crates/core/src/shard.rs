@@ -73,7 +73,7 @@ use hum_index::{ItemId, SpatialIndex};
 
 use crate::batch::{parallel_map_chunked, BatchOptions};
 use crate::engine::{
-    assemble_knn_matches, BatchOutcome, BatchQuery, BatchResult, DtwIndexEngine, EngineError,
+    assemble_knn_matches, BatchOutcome, DtwIndexEngine, EngineError,
     EngineStats, QueryOutcome, QueryRequest, QueryResult, QueryScratch, RequestKind,
 };
 use crate::obs::{
@@ -85,8 +85,8 @@ use crate::transform::EnvelopeTransform;
 ///
 /// The splitmix64 finalizer decorrelates clustered id ranges so shards stay
 /// balanced, while remaining a pure function — the same id lands on the
-/// same shard in every process, which is what lets a persisted database
-/// validate its shard membership on load.
+/// same shard in every process, so a reopened store rebuilds the same
+/// partition it was serving before.
 ///
 /// # Panics
 /// Panics if `shard_count` is zero.
@@ -307,63 +307,6 @@ impl<T: EnvelopeTransform + Sync, I: SpatialIndex + Sync> ShardedEngine<T, I> {
         self.try_query_with(request, scratch).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// ε-range query across all shards; merged matches are bit-identical
-    /// to [`DtwIndexEngine::range_query`] on the whole corpus.
-    ///
-    /// # Panics
-    /// Panics if the query is malformed (wrong length, non-finite samples,
-    /// band too wide).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a QueryRequest::range and use try_query (typed errors) or query"
-    )]
-    pub fn range_query(&self, query: &[f64], band: usize, radius: f64) -> QueryResult {
-        let request = QueryRequest::range(radius).with_series(query).with_band(band);
-        self.query(&request).result
-    }
-
-    /// k-NN query across all shards via the two-phase radius schedule;
-    /// merged matches are bit-identical to [`DtwIndexEngine::knn`] on the
-    /// whole corpus.
-    ///
-    /// # Panics
-    /// Panics if the query is malformed (wrong length, non-finite samples,
-    /// band too wide).
-    #[deprecated(
-        since = "0.1.0",
-        note = "build a QueryRequest::knn and use try_query (typed errors) or query"
-    )]
-    pub fn knn(&self, query: &[f64], band: usize, k: usize) -> QueryResult {
-        let request = QueryRequest::knn(k).with_series(query).with_band(band);
-        self.query(&request).result
-    }
-
-    /// Brute-force ε-range scan across all shards (no index); merged
-    /// matches are bit-identical to [`DtwIndexEngine::scan_range`] on the
-    /// whole corpus.
-    ///
-    /// # Panics
-    /// Panics if the query is malformed (wrong length, non-finite samples,
-    /// band too wide).
-    pub fn scan_range(&self, query: &[f64], band: usize, radius: f64) -> QueryResult {
-        let request =
-            QueryRequest::range(radius).with_series(query).with_band(band).with_scan(true);
-        self.query(&request).result
-    }
-
-    /// Brute-force k-NN scan across all shards (no index); merged matches
-    /// are bit-identical to [`DtwIndexEngine::scan_knn`] on the whole
-    /// corpus (each shard's scan returns its exact sub-corpus top-k, so the
-    /// k best of the union are the global top-k).
-    ///
-    /// # Panics
-    /// Panics if the query is malformed (wrong length, non-finite samples,
-    /// band too wide).
-    pub fn scan_knn(&self, query: &[f64], band: usize, k: usize) -> QueryResult {
-        let request = QueryRequest::knn(k).with_series(query).with_band(band).with_scan(true);
-        self.query(&request).result
-    }
-
     /// Executes a batch of requests: the batch fans out across
     /// [`BatchOptions::threads`] workers exactly like
     /// [`DtwIndexEngine::try_query_batch`], and each request walks its
@@ -407,24 +350,6 @@ impl<T: EnvelopeTransform + Sync, I: SpatialIndex + Sync> ShardedEngine<T, I> {
         self.metrics.add(Metric::Batches, 1);
         self.metrics.observe_since(Timer::Batch, started);
         Ok(BatchOutcome { outcomes, stats })
-    }
-
-    /// Executes a batch of [`BatchQuery`]s (panicking form), mirroring
-    /// [`DtwIndexEngine::query_batch`].
-    ///
-    /// # Panics
-    /// Panics if any query has the wrong length or non-finite samples.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build QueryRequests and use try_query_batch (typed errors, traces, budgets)"
-    )]
-    pub fn query_batch(&self, batch: &[BatchQuery], options: &BatchOptions) -> BatchResult {
-        let requests: Vec<QueryRequest> = batch.iter().map(BatchQuery::to_request).collect();
-        let outcome = self.try_query_batch(&requests, options).unwrap_or_else(|e| panic!("{e}"));
-        BatchResult {
-            results: outcome.outcomes.into_iter().map(|o| o.result).collect(),
-            stats: outcome.stats,
-        }
     }
 
     /// Validates, scatters, and gathers one request. `fanout` bounds the
@@ -702,9 +627,8 @@ mod tests {
 
     #[test]
     fn shard_for_is_stable_and_in_range() {
-        // Pinned values: the assignment function is part of the persistence
-        // format (HUMIDX03 validates membership on load), so it must never
-        // drift.
+        // The assignment must be a pure function of (id, shard count): a
+        // store reopened in another process routes every id the same way.
         assert_eq!(shard_for(0, 4), shard_for(0, 4));
         for id in 0..1000u64 {
             for n in 1..9usize {

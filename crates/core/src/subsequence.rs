@@ -160,11 +160,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> SubsequenceIndex<T, I> {
 
     /// Removes every window of `source` from the engine and the index.
     /// Returns `true` if the source was present.
-    /// `true` when `source` is currently indexed.
-    pub fn contains_source(&self, source: ItemId) -> bool {
-        self.source_windows.contains_key(&source)
-    }
-
     pub fn remove_source(&mut self, source: ItemId) -> bool {
         let Some(wids) = self.source_windows.remove(&source) else {
             return false;

@@ -264,7 +264,7 @@ proptest! {
             let outputs = (
                 engine.query_with(&range, &mut scratch).result,
                 engine.query_with(&knn, &mut scratch).result,
-                engine.scan_range(&query, band, radius),
+                engine.query(&range.clone().with_scan(true)).result,
                 linear.query(&range).result,
                 linear.query(&knn).result,
             );

@@ -3,28 +3,26 @@
 //! ```text
 //! qbh generate <dir> [--songs N] [--seed S]   write a melody corpus as .mid files
 //! qbh info     <dir>                          corpus statistics
-//! qbh index    <dir> <out.humidx>             persist the corpus as one binary file
-//!              [--store] [--memtable N] [--compact-at N]
-//!                                             or, with --store, ingest it
-//!                                             incrementally into a segmented
-//!                                             store directory at <out>
+//! qbh index    <dir> <store-dir> [--shards N] [--memtable N] [--compact-at N]
+//!              [--transform newpaa|keoghpaa|dft|dwt|auto]
+//!                                             ingest the corpus into a
+//!                                             segmented store directory
 //! qbh hum      <dir> <name.mid> <out.wav>     synthesize a hum of one melody
 //!              [--singer good|poor] [--seed S]
 //!              [--stream ADDR] [--top K] [--chunk-frames N]
 //!                                             and/or stream it to a running
 //!                                             server, printing the top-k as
 //!                                             it refines with each chunk
-//! qbh query    <dir|file.humidx> <hum.wav> [--top K]
-//!                                             find a hummed melody in the corpus
-//! qbh serve    <file.humidx|store-dir> [--addr A] [--workers N]
+//! qbh query    <dir|store-dir> <hum.wav> [--top K]
+//!                                             find a hummed melody in a MIDI
+//!                                             directory or an indexed store
+//! qbh serve    <store-dir> [--addr A] [--workers N]
 //!              [--queue-depth D] [--max-sessions N]
-//!              [--default-deadline-ms MS] [--shards N]
-//!              [--store] [--memtable N] [--compact-at N]
+//!              [--default-deadline-ms MS]
+//!              [--memtable N] [--compact-at N]
 //!              [--maintenance-ms MS]
-//!              [--allow-remote-shutdown]      serve the index over TCP;
-//!                                             with --store the path is a
-//!                                             segmented store directory and
-//!                                             inserts are durable
+//!              [--allow-remote-shutdown]      serve a store over TCP; inserts
+//!                                             become durable at each flush
 //! ```
 //!
 //! Results go to stdout; progress and diagnostics go to stderr, so scripted
@@ -47,13 +45,13 @@ use hum_qbh::storage::StorageError;
 use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions, TransformChoice, TransformKind};
 
 /// CLI failure modes, each with its own exit code so scripts can tell a
-/// misused invocation (2) from a corrupt or unwritable snapshot (3) or a
+/// misused invocation (2) from a corrupt or unwritable store (3) or a
 /// serving failure such as an unbindable address (4).
 enum CliError {
     /// Bad arguments or an unreadable corpus directory.
     Usage(String),
-    /// A typed storage failure: corrupt snapshot, checksum mismatch,
-    /// interrupted save, unrepresentable database.
+    /// A typed storage failure: corrupt store, checksum mismatch,
+    /// interrupted save, unrepresentable configuration.
     Storage(StorageError),
     /// A serving failure: the listen address cannot be bound.
     Server(String),
@@ -127,14 +125,14 @@ fn main() -> ExitCode {
 
 fn usage_text() -> &'static str {
     "usage:\n  qbh generate <dir> [--songs N] [--seed S]\n  qbh info <dir>\n  \
-     qbh index <dir> <out.humidx> [--store] [--memtable N] [--compact-at N]\n          \
-[--transform newpaa|keoghpaa|dft|dwt|svd|auto]\n  \
+     qbh index <dir> <store-dir> [--shards N] [--memtable N] [--compact-at N]\n          \
+[--transform newpaa|keoghpaa|dft|dwt|auto]\n  \
      qbh hum <dir> <name.mid> <out.wav> [--singer good|poor] [--seed S]\n          \
 [--stream ADDR] [--top K] [--chunk-frames N]\n  \
-     qbh query <dir|file.humidx> <hum.wav> [--top K]\n  \
-     qbh serve <file.humidx|store-dir> [--addr A] [--workers N] [--queue-depth D]\n          \
-[--default-deadline-ms MS] [--shards N] [--max-sessions N]\n          \
-[--store] [--memtable N] [--compact-at N] [--maintenance-ms MS]\n          \
+     qbh query <dir|store-dir> <hum.wav> [--top K]\n  \
+     qbh serve <store-dir> [--addr A] [--workers N] [--queue-depth D]\n          \
+[--default-deadline-ms MS] [--max-sessions N]\n          \
+[--memtable N] [--compact-at N] [--maintenance-ms MS]\n          \
 [--allow-remote-shutdown]"
 }
 
@@ -350,10 +348,9 @@ fn transform_flag(args: &[String]) -> Result<TransformChoice, CliError> {
         Some("keoghpaa") => Ok(TransformKind::KeoghPaa.into()),
         Some("dft") => Ok(TransformKind::Dft.into()),
         Some("dwt") => Ok(TransformKind::Dwt.into()),
-        Some("svd") => Ok(TransformKind::Svd.into()),
         Some("auto") => Ok(TransformChoice::Auto(PlannerOptions::default())),
         Some(other) => {
-            Err(format!("--transform must be newpaa|keoghpaa|dft|dwt|svd|auto, got {other}").into())
+            Err(format!("--transform must be newpaa|keoghpaa|dft|dwt|auto, got {other}").into())
         }
     }
 }
@@ -419,59 +416,33 @@ fn plan_sample(db: &hum_qbh::corpus::MelodyDatabase, config: &QbhConfig) -> Vec<
 
 fn cmd_index(args: &[String]) -> Result<(), CliError> {
     let dir = PathBuf::from(args.first().ok_or("index needs a directory")?);
-    let out = PathBuf::from(args.get(1).ok_or("index needs an output path")?);
+    let out = PathBuf::from(args.get(1).ok_or("index needs a store directory")?);
     let corpus = load_corpus(&dir)?;
     let db = hum_qbh::corpus::MelodyDatabase::from_melodies(
         corpus.values().cloned().collect::<Vec<_>>(),
     );
-    let config = QbhConfig { transform: transform_flag(args)?, ..QbhConfig::default() };
-    if args.iter().any(|a| a == "--store") {
-        return index_into_store(&db, &out, store_options(args)?, &config);
-    }
-    // Resolve `--transform auto` once, here at build time: the snapshot then
-    // carries the pinned choice plus the plan evidence, so loads never re-plan.
+    // The manifest pins the partition every segment engine is built with,
+    // so the shard count is chosen here, not at serve time.
+    let config = QbhConfig {
+        transform: transform_flag(args)?,
+        shards: flag_value(args, "--shards")?.map_or(1, |n| n.max(1) as usize),
+        ..QbhConfig::default()
+    };
+    // `--transform auto` is resolved once, here: the manifest then carries
+    // the pinned choice plus the plan evidence, so opens never re-plan.
     let metrics = MetricsSink::enabled();
     let sample = plan_sample(&db, &config);
-    let (config, plan) = QbhSystem::resolve_transform(&config, &sample, &metrics)?;
-    if let Some(plan) = &plan {
-        report_plan(plan, &metrics);
-    }
-    // Atomic, checksummed save: either the complete snapshot lands at `out`
-    // or a typed error is reported and any previous file stays intact.
-    let bytes = hum_qbh::storage::save_planned(&out, &db, &config, plan.as_ref(), &metrics)?;
-    println!("Persisted {} melodies to {} ({bytes} bytes).", db.len(), out.display());
-    println!("Note: melody names are not stored; query hits report database ids.");
-    Ok(())
-}
-
-/// Incremental ingest: every melody goes through the memtable, flushing a
-/// bounded segment whenever it fills, so durable cost per insert stays
-/// proportional to the memtable — not to the corpus.
-fn index_into_store(
-    db: &hum_qbh::corpus::MelodyDatabase,
-    out: &Path,
-    options: StoreOptions,
-    config: &QbhConfig,
-) -> Result<(), CliError> {
-    std::fs::create_dir_all(out)
-        .map_err(|e| CliError::Usage(format!("cannot create {}: {e}", out.display())))?;
-    let metrics = MetricsSink::enabled();
-    let sample = plan_sample(db, config);
-    let mut system =
-        QbhSystem::try_create_store_planned(out, config, options, &sample, &metrics)?;
+    let mut system = QbhSystem::try_create_store_planned(
+        &out,
+        &config,
+        store_options(args)?,
+        &sample,
+        &metrics,
+    )?;
     if let Some(plan) = system.plan() {
         report_plan(plan, &metrics);
     }
-    let config = *system.config();
-    for entry in db.entries() {
-        let series = entry.melody().to_time_series(config.samples_per_beat);
-        system
-            .try_insert_melody(entry.id(), entry.song(), entry.phrase(), &series)
-            .map_err(|e| CliError::Usage(format!("melody #{}: {e}", entry.id())))?;
-        system.maintain()?;
-    }
-    // Final flush so the tail of the corpus is durable too.
-    system.flush()?;
+    system.try_ingest(&db)?;
     let stats = system.store_stats().unwrap_or_default();
     println!(
         "Ingested {} melodies into {} ({} segments, {} flushes, {} compactions, {} bytes).",
@@ -482,26 +453,29 @@ fn index_into_store(
         stats.compactions,
         stats.bytes_written
     );
-    println!("Note: melody names are not stored; query hits report database ids.");
+    println!("Note: melody names are not stored; query hits report melody ids.");
     Ok(())
 }
 
 fn cmd_query(args: &[String]) -> Result<(), CliError> {
-    let source = PathBuf::from(args.first().ok_or("query needs a directory or .humidx file")?);
+    let source = PathBuf::from(args.first().ok_or("query needs a MIDI or store directory")?);
     let wav_path = PathBuf::from(args.get(1).ok_or("query needs a .wav file")?);
     let top = flag_value(args, "--top")?.unwrap_or(5) as usize;
 
-    let (system, names) = if source.extension().and_then(|e| e.to_str()) == Some("humidx") {
-        // The fallible load validates checksums and the configuration, so a
-        // corrupt or truncated snapshot is a typed error (exit code 3)
-        // rather than a panic somewhere inside the build.
-        let system = QbhSystem::try_load(&source)?;
+    // A store is told from a MIDI directory by the manifest it holds. File
+    // names exist only for a MIDI directory (whose ids are positions in the
+    // sorted listing); a store holds arbitrary ids, so its hits are labelled
+    // by the id itself.
+    let (system, names) = if hum_qbh::store::manifest_path(&source).is_file() {
+        // The fallible open validates checksums and the configuration, so a
+        // corrupt or truncated store is a typed error (exit code 3) rather
+        // than a panic somewhere inside the build.
+        let system = QbhSystem::try_open_store(&source)?;
         // Progress goes to stderr: stdout carries only the match list, so
         // scripted consumers never see it polluted — even on a run that
         // fails after this point.
-        eprintln!("Loaded {} melodies from {}...", system.len(), source.display());
-        let names = (0..system.len()).map(|i| format!("melody #{i}")).collect();
-        (system, names)
+        eprintln!("Opened {} melodies from {}...", system.len(), source.display());
+        (system, Vec::new())
     } else {
         let corpus = load_corpus(&source)?;
         eprintln!("Indexing {} melodies from {}...", corpus.len(), source.display());
@@ -521,12 +495,11 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     }
     println!("\nTop matches:");
     for (rank, m) in results.matches.iter().enumerate() {
-        println!(
-            "  {}. {}  (DTW distance {:.3})",
-            rank + 1,
-            names[m.id as usize],
-            m.distance
-        );
+        let label = usize::try_from(m.id)
+            .ok()
+            .and_then(|i| names.get(i).cloned())
+            .unwrap_or_else(|| format!("melody #{}", m.id));
+        println!("  {}. {label}  (DTW distance {:.3})", rank + 1, m.distance);
     }
     eprintln!(
         "\n({} candidates from the index, {} exact DTW computations, {} page accesses.)",
@@ -538,68 +511,41 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let path =
-        PathBuf::from(args.first().ok_or("serve needs a .humidx snapshot or store directory")?);
+    let path = PathBuf::from(args.first().ok_or("serve needs a store directory")?);
     let addr = string_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7700".to_string());
     let workers = flag_value(args, "--workers")?.unwrap_or(4).max(1) as usize;
     let queue_depth = flag_value(args, "--queue-depth")?.unwrap_or(64).max(1) as usize;
     let default_deadline =
         flag_value(args, "--default-deadline-ms")?.map(std::time::Duration::from_millis);
-    let shards = flag_value(args, "--shards")?.map(|n| n.max(1) as usize);
     let allow_remote_shutdown = args.iter().any(|a| a == "--allow-remote-shutdown");
     let max_sessions = flag_value(args, "--max-sessions")?
         .map(|n| n.max(1) as usize)
         .unwrap_or(ServerConfig::default().max_sessions);
-    let store_backed = args.iter().any(|a| a == "--store");
     let maintenance_interval =
         flag_value(args, "--maintenance-ms")?.map(std::time::Duration::from_millis);
 
     // One shared registry records both server counters (connections, queue
     // high water, rejections) and engine counters (queries, DP cells).
     let metrics = MetricsSink::enabled();
-    let system = if store_backed {
-        if shards.is_some() {
-            // The manifest pins the shard count: every segment engine was
-            // sharded with it, and re-sharding would have to re-index every
-            // segment. Refuse rather than silently ignore.
-            return Err("--shards cannot be combined with --store".into());
-        }
-        let system = QbhSystem::try_open_store_with(&path, store_options(args)?, &metrics)?;
-        let stats = system.store_stats().unwrap_or_default();
+    let system = QbhSystem::try_open_store_with(&path, store_options(args)?, &metrics)?;
+    let stats = system.store_stats().unwrap_or_default();
+    eprintln!(
+        "Opened store {} ({} melodies, {} segments, {} tombstones, {} shard{}).",
+        path.display(),
+        system.len(),
+        stats.segments,
+        stats.tombstones,
+        system.shard_count(),
+        if system.shard_count() == 1 { "" } else { "s" }
+    );
+    if let Some(family) = stats.plan_family {
         eprintln!(
-            "Opened store {} ({} melodies, {} segments, {} tombstones, {} shard{}).",
-            path.display(),
-            system.len(),
-            stats.segments,
-            stats.tombstones,
-            system.shard_count(),
-            if system.shard_count() == 1 { "" } else { "s" }
+            "Planned transform (persisted): {} d={} mean-tightness {:.4}.",
+            family.name(),
+            stats.plan_dims,
+            stats.plan_tightness_ppm as f64 / 1e6
         );
-        if let Some(family) = stats.plan_family {
-            eprintln!(
-                "Planned transform (persisted): {} d={} mean-tightness {:.4}.",
-                family.name(),
-                stats.plan_dims,
-                stats.plan_tightness_ppm as f64 / 1e6
-            );
-        }
-        system
-    } else {
-        if maintenance_interval.is_some() {
-            return Err("--maintenance-ms needs --store (snapshots have no background work)".into());
-        }
-        // `--shards` overrides the persisted shard count: the snapshot format
-        // pins shard assignment, but serving topology is an operator decision.
-        let system = QbhSystem::try_load_with_shards(&path, &metrics, shards)?;
-        eprintln!(
-            "Loaded {} melodies from {} ({} shard{}).",
-            system.len(),
-            path.display(),
-            system.shard_count(),
-            if system.shard_count() == 1 { "" } else { "s" }
-        );
-        system
-    };
+    }
 
     let config = ServerConfig {
         workers,

@@ -92,18 +92,9 @@ impl MelodyDatabase {
     /// Builds the database from bare melodies. Used when the corpus comes
     /// from external files rather than a songbook: each melody is treated
     /// as its own single-phrase song (`song = position`, `phrase = 0`), so
-    /// every entry keeps a distinct `(song, phrase)` provenance pair — the
-    /// uniqueness [`crate::storage`] enforces. (Databases persisted before
-    /// provenance was assigned carry `(0, 0)` everywhere; the storage
-    /// reader still accepts that legacy case for `HUMIDX01` files.)
+    /// every entry keeps a distinct `(song, phrase)` provenance pair.
     pub fn from_melodies(melodies: Vec<Melody>) -> Self {
         Self::from_phrases(melodies.into_iter().enumerate().map(|(i, m)| (i, 0, m)).collect())
-    }
-
-    /// Builds the database from `(song, phrase, melody)` triples, e.g. as
-    /// deserialized by [`crate::storage`].
-    pub fn from_provenanced(phrases: Vec<(usize, usize, Melody)>) -> Self {
-        Self::from_phrases(phrases)
     }
 
     fn from_phrases(phrases: Vec<(usize, usize, Melody)>) -> Self {

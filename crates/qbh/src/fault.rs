@@ -6,8 +6,8 @@
 //! silently wrong data — is only worth stating if it is exercised. This
 //! module provides the harness: [`FailingWriter`] and [`FailingReader`]
 //! wrap any `Write`/`Read` and inject a fault once a byte budget is spent,
-//! [`flip_bit`] corrupts serialized images in place, and [`TempFile`] hands
-//! out collision-free self-cleaning temp paths for file-level tests.
+//! [`flip_bit`] corrupts serialized images in place, and [`TempPath`] hands
+//! out collision-free self-cleaning temp paths for file- and store-level tests.
 //!
 //! The adapters live in the library (not under `#[cfg(test)]`) so both the
 //! crate's unit tests and the `tests/storage_faults.rs` integration suite —
@@ -112,24 +112,24 @@ pub fn flip_bit(bytes: &mut [u8], index: usize, bit: u8) {
     bytes[at] ^= 1 << (bit % 8);
 }
 
-/// A unique temp-file path that removes the file on drop — including on
-/// panic, so a failing test never leaves a stale snapshot behind for the
-/// next run (or the next test in the same process) to collide with.
+/// A unique temp path that removes whatever was created there — a file or
+/// a store directory — on drop, including on panic, so a failing test
+/// never leaves stale state behind for the next run (or the next test in
+/// the same process) to collide with.
 #[derive(Debug)]
-pub struct TempFile {
+pub struct TempPath {
     path: PathBuf,
 }
 
-impl TempFile {
+impl TempPath {
     /// A fresh path under the system temp dir, unique across tests in this
     /// process (atomic counter) and across processes (pid). Nothing is
     /// created on disk yet.
     pub fn unique(tag: &str) -> Self {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir()
-            .join(format!("humidx-{tag}-{}-{n}.humidx", std::process::id()));
-        TempFile { path }
+        let path = std::env::temp_dir().join(format!("hum-{tag}-{}-{n}", std::process::id()));
+        TempPath { path }
     }
 
     /// The path.
@@ -138,9 +138,10 @@ impl TempFile {
     }
 }
 
-impl Drop for TempFile {
+impl Drop for TempPath {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
+        let _ = std::fs::remove_file(&self.path)
+            .or_else(|_| std::fs::remove_dir_all(&self.path));
     }
 }
 
@@ -192,12 +193,13 @@ mod tests {
 
     #[test]
     fn temp_files_are_unique_and_cleaned_up() {
-        let a = TempFile::unique("fault-unit");
-        let b = TempFile::unique("fault-unit");
+        let a = TempPath::unique("fault-unit");
+        let b = TempPath::unique("fault-unit");
         assert_ne!(a.path(), b.path());
         std::fs::write(a.path(), b"x").unwrap();
-        let kept = a.path().to_path_buf();
-        drop(a);
-        assert!(!kept.exists());
+        std::fs::create_dir_all(b.path().join("nested")).unwrap();
+        let kept = [a.path().to_path_buf(), b.path().to_path_buf()];
+        drop((a, b));
+        assert!(kept.iter().all(|path| !path.exists()));
     }
 }

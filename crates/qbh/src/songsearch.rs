@@ -11,22 +11,15 @@
 //! (users who start mid-verse), at the cost the paper predicts: many more
 //! indexed windows than melodies.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
-
 use hum_core::batch::BatchOptions;
 use hum_core::dtw::band_for_warping_width;
 use hum_core::engine::{EngineError, EngineStats};
 use hum_core::normal::NormalForm;
-use hum_core::obs::MetricsSink;
 use hum_core::shard::shard_for;
 use hum_core::subsequence::{SubsequenceConfig, SubsequenceIndex, SubsequenceResult};
 use hum_core::transform::paa::NewPaa;
 use hum_index::RStarTree;
-use hum_music::{Melody, Song, Songbook};
-
-use crate::storage::StorageError;
-use crate::store;
+use hum_music::{Song, Songbook};
 
 /// Song-search configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -95,10 +88,6 @@ pub struct SongSearch {
     config: SongSearchConfig,
     band: usize,
     songs: usize,
-    /// Durable removal-log sidecar (`HUMRML01`): the path and the set of
-    /// removed song indices it holds. `None` until attached — removals are
-    /// then in-memory only, as before.
-    removal_log: Option<(PathBuf, BTreeSet<u64>)>,
 }
 
 impl SongSearch {
@@ -135,7 +124,6 @@ impl SongSearch {
             config: *config,
             band: band_for_warping_width(config.warping_width, config.normal_length),
             songs: book.songs.len(),
-            removal_log: None,
         }
     }
 
@@ -144,128 +132,18 @@ impl SongSearch {
         shard_for(song_idx as u64, self.shards.len())
     }
 
-    /// Loads a persisted melody snapshot (either `HUMIDX` version) and
-    /// builds whole-song subsequence search over it: entries are grouped by
-    /// their `song` provenance (renumbered densely in ascending order) and
-    /// each song's phrases are concatenated in phrase order. Reconstructed
-    /// songs carry placeholder names/keys — the snapshot stores melodies,
-    /// not song metadata.
-    ///
-    /// # Errors
-    /// Any [`StorageError`] from [`crate::storage::load`], plus
-    /// [`StorageError::Corrupt`] for a snapshot that holds zero melodies.
-    pub fn try_load(
-        path: &std::path::Path,
-        config: &SongSearchConfig,
-    ) -> Result<Self, StorageError> {
-        Self::try_load_with(path, config, &MetricsSink::Disabled)
-    }
-
-    /// [`SongSearch::try_load`], recording the load outcome and byte count
-    /// into a metrics sink.
-    pub fn try_load_with(
-        path: &std::path::Path,
-        config: &SongSearchConfig,
-        metrics: &MetricsSink,
-    ) -> Result<Self, StorageError> {
-        let (db, _) = crate::storage::load_with(path, metrics)?;
-        if db.is_empty() {
-            return Err(StorageError::Corrupt(
-                "snapshot holds no melodies; cannot build song search".into(),
-            ));
-        }
-        let mut by_song: BTreeMap<usize, Vec<(usize, Melody)>> = BTreeMap::new();
-        for entry in db.entries() {
-            by_song
-                .entry(entry.song())
-                .or_default()
-                .push((entry.phrase(), entry.melody().clone()));
-        }
-        let songs = by_song
-            .into_iter()
-            .map(|(song, mut phrases)| {
-                phrases.sort_by_key(|(phrase, _)| *phrase);
-                Song {
-                    name: format!("Song {song}"),
-                    tonic: 60,
-                    major: true,
-                    phrases: phrases.into_iter().map(|(_, melody)| melody).collect(),
-                }
-            })
-            .collect();
-        Ok(Self::build(&Songbook { songs }, config))
-    }
-
-    /// [`SongSearch::try_load_with`] plus a durable removal log: songs
-    /// logged in `log_path` are dropped after the rebuild (the snapshot
-    /// still contains them — song removal does not rewrite it), and
-    /// subsequent [`SongSearch::try_remove_song`] calls append to the log
-    /// *before* removing in memory, so a crash-and-reload never resurrects
-    /// a removed song. A missing log file is an empty log.
-    ///
-    /// Song indices here are the dense rebuild indices, which are
-    /// deterministic for a given snapshot — the log stays meaningful
-    /// across reloads as long as the snapshot is unchanged.
-    ///
-    /// # Errors
-    /// As [`SongSearch::try_load_with`], plus any [`StorageError`] reading
-    /// the log.
-    pub fn try_load_durable(
-        path: &Path,
-        log_path: &Path,
-        config: &SongSearchConfig,
-        metrics: &MetricsSink,
-    ) -> Result<Self, StorageError> {
-        let mut search = Self::try_load_with(path, config, metrics)?;
-        search.attach_removal_log(log_path)?;
-        Ok(search)
-    }
-
-    /// Attaches a removal-log sidecar at `log_path` and applies it: songs
-    /// the log names are dropped from the in-memory index now (they were
-    /// durably removed in a previous life), and future removals write
-    /// through the log. Returns how many currently-indexed songs the log
-    /// dropped.
-    ///
-    /// # Errors
-    /// Any [`StorageError`] reading an existing log (a missing file is an
-    /// empty log, not an error).
-    pub fn attach_removal_log(&mut self, log_path: &Path) -> Result<usize, StorageError> {
-        let logged = store::load_removal_log(log_path)?;
-        let mut dropped = 0;
-        for &idx in &logged {
-            let home = self.home(idx as usize);
-            if self.shards[home].remove_source(idx) {
-                self.songs -= 1;
-                dropped += 1;
-            }
-        }
-        self.removal_log = Some((log_path.to_path_buf(), logged));
-        Ok(dropped)
-    }
-
     /// Live insert: renders a song (its phrases concatenated in order) to
     /// one time series and indexes its sliding windows under `song_idx`.
     /// On error nothing changes.
     ///
     /// # Errors
-    /// [`EngineError::DuplicateId`] when `song_idx` is already indexed or
-    /// reserved by the attached removal log (a durably-removed index is
-    /// never re-used), [`EngineError::EmptyQuery`] for a song with no
-    /// renderable samples, and [`EngineError::NonFiniteSample`] for
-    /// NaN/infinite samples.
+    /// [`EngineError::DuplicateId`] when `song_idx` is already indexed,
+    /// [`EngineError::EmptyQuery`] for a song with no renderable samples,
+    /// and [`EngineError::NonFiniteSample`] for NaN/infinite samples.
     pub fn try_insert_song(&mut self, song_idx: usize, song: &Song) -> Result<(), EngineError> {
         let mut series = Vec::new();
         for phrase in &song.phrases {
             series.extend(phrase.to_time_series(self.config.samples_per_beat));
-        }
-        // A logged index stays reserved: re-using it would desynchronize
-        // the in-memory view from what a reload reconstructs (the log
-        // would kill the fresh copy along with the old one). Mirrors the
-        // tombstone reservation in [`crate::system::QbhSystem`].
-        if self.removal_log.as_ref().is_some_and(|(_, logged)| logged.contains(&(song_idx as u64)))
-        {
-            return Err(EngineError::DuplicateId(song_idx as u64));
         }
         // A song index always hashes to the same shard, so the per-shard
         // duplicate check is a global one.
@@ -276,31 +154,14 @@ impl SongSearch {
     }
 
     /// Live removal: drops every window of `song_idx` from its home shard.
-    /// Returns `Ok(true)` if the song was indexed.
-    ///
-    /// With a removal log attached ([`SongSearch::attach_removal_log`] /
-    /// [`SongSearch::try_load_durable`]) the removal is written to the log
-    /// **before** the in-memory drop, so a crash-and-reload can never
-    /// resurrect the song; without one the removal is in-memory only and
-    /// this never errors.
-    ///
-    /// # Errors
-    /// Any I/O or encoding failure writing the log; the song stays indexed
-    /// and queryable on error.
-    pub fn try_remove_song(&mut self, song_idx: usize) -> Result<bool, StorageError> {
+    /// Returns `true` if the song was indexed.
+    pub fn remove_song(&mut self, song_idx: usize) -> bool {
         let home = self.home(song_idx);
-        if !self.shards[home].contains_source(song_idx as u64) {
-            return Ok(false);
+        let removed = self.shards[home].remove_source(song_idx as u64);
+        if removed {
+            self.songs -= 1;
         }
-        if let Some((path, logged)) = self.removal_log.as_mut() {
-            let mut next = logged.clone();
-            next.insert(song_idx as u64);
-            store::save_removal_log(path, &next)?;
-            *logged = next;
-        }
-        self.shards[home].remove_source(song_idx as u64);
-        self.songs -= 1;
-        Ok(true)
+        removed
     }
 
     /// Number of indexed songs.
@@ -511,8 +372,8 @@ mod tests {
         assert_eq!(top.song, 7, "live-inserted song must be findable");
         assert!(top.distance < 1e-9);
 
-        assert!(search.try_remove_song(7).unwrap());
-        assert!(!search.try_remove_song(7).unwrap());
+        assert!(search.remove_song(7));
+        assert!(!search.remove_song(7));
         assert_eq!(search.song_count(), 7);
         assert!(
             search.query(window, 8).matches.iter().all(|m| m.song != 7),

@@ -1,117 +1,58 @@
-//! Binary persistence for melody databases.
+//! The framing every on-disk format in this crate shares.
 //!
-//! A production QBH service builds its database once and serves many
-//! queries. This module defines a small versioned binary format (`HUMIDX`)
-//! holding the melody database together with the [`QbhConfig`] it should be
-//! indexed under; loading rebuilds the (main-memory) index deterministically
-//! with [`crate::system::QbhSystem::build`]. Melody content — not index pages — is what is
-//! persisted: the index is cheap to rebuild and its in-memory layout is not
-//! a stable contract.
+//! A corpus reaches and leaves disk in exactly one form: the segmented
+//! store of [`crate::store`] (immutable segment files plus one manifest).
+//! This module holds what both of its file formats are built from:
 //!
-//! # Format versions
-//!
-//! * **`HUMIDX01`** (legacy, read-only here): magic, raw config fields,
-//!   entry count, entries. No checksums; [`save`] no longer produces it but
-//!   [`read_database`] still accepts it, and [`write_database_v1`] keeps the
-//!   writer around for compatibility tests.
-//! * **`HUMIDX02`** (previous): the same logical content, framed for
-//!   durability —
-//!
-//!   ```text
-//!   [ magic "HUMIDX02"                        8 bytes ]
-//!   [ config section body                    26 bytes ]
-//!   [ CRC32(config body)                      4 bytes ]
-//!   [ entries section: count u64, entries…     varies ]
-//!   [ CRC32(entries section body)             4 bytes ]
-//!   [ CRC32(every preceding byte)             4 bytes ]  ← whole-file footer
-//!   ```
-//!
-//!   Every section carries its own CRC32 (IEEE) so corruption is localized
-//!   in error messages, and the footer checksums the entire file so *any*
-//!   single-bit corruption — including inside the section CRCs themselves —
-//!   fails loudly instead of round-tripping different data. Trailing bytes
-//!   after the footer are rejected. [`write_database_v2`] keeps the writer
-//!   for compatibility tests; the reader still accepts the format (as one
-//!   shard).
-//! * **`HUMIDX03`** (current): the v2 framing with the corpus partitioned
-//!   into per-shard sections, so a sharded server can persist and reload the
-//!   exact partition it serves from —
-//!
-//!   ```text
-//!   [ magic "HUMIDX03"                        8 bytes ]
-//!   [ config section body (v2 body + shards) 30 bytes ]
-//!   [ CRC32(config body)                      4 bytes ]
-//!   per shard 0..shards, in shard order:
-//!   [ shard section: count u64, entries…       varies ]
-//!   [ CRC32(shard section body)               4 bytes ]
-//!   [ CRC32(every preceding byte)             4 bytes ]  ← whole-file footer
-//!   ```
-//!
-//!   v3 entries carry an explicit `u64` melody id before the v1/v2 entry
-//!   body (ids are positional in v1/v2, but a shard holds a non-contiguous
-//!   id subset). The reader verifies every id against
-//!   [`hum_core::shard::shard_for`]`(id, shards)` — membership in the wrong
-//!   section is corruption, not a re-partition — and requires the union of
-//!   ids to be exactly `0..count` so the rebuilt database assigns the same
-//!   positional ids the file was written with. v1/v2 files load with
-//!   `shards = 1`.
+//! * [`StorageError`] — the typed failure every reader and writer returns;
+//! * the checksummed framing (`SnapshotWriter` / `SnapshotReader`): a
+//!   file is a magic, then sections each followed by the CRC32 (IEEE) of
+//!   its body, then a footer CRC32 of every preceding byte. Section CRCs
+//!   localize corruption in error messages; the footer makes *any*
+//!   single-bit corruption — including inside a section CRC — fail loudly
+//!   instead of round-tripping different data. Trailing bytes after the
+//!   footer are rejected;
+//! * the configuration section codec with `validate_config`, which
+//!   enforces every constraint engine construction would otherwise assert
+//!   on, so an untrusted file can never turn into a panic after a
+//!   successful read;
+//! * the transform-plan section codec (`write_plan_section` /
+//!   `read_plan_section`);
+//! * `atomic_write` — durable file replacement.
 //!
 //! # Durability
 //!
-//! [`save`] is atomic: it writes to a sibling temp file named with the pid
-//! *and* a process-wide sequence number (so concurrent saves — even to the
-//! same path — never share a temp file), flushes and `sync_all`s it, then
+//! `atomic_write` writes to a sibling temp file named with the pid *and*
+//! a process-wide sequence number (so concurrent saves — even to the same
+//! path — never share a temp file), flushes and `sync_all`s it, then
 //! `rename`s it into place. A crash at any point leaves either the
-//! previous complete snapshot or the new one — never a torn file; an
-//! orphaned temp from a crashed writer is ignored by loads and never
-//! adopted or overwritten by later saves (each save owns a fresh name and
-//! cleans up only its own temp on error).
+//! previous complete file or the new one — never a torn file; an orphaned
+//! temp from a crashed writer is ignored by readers and never adopted or
+//! overwritten by later saves (each save owns a fresh name and cleans up
+//! only its own temp on error).
 //!
 //! # Robustness
 //!
 //! Readers never trust header counts: preallocation is clamped to a small
-//! constant and vectors grow only as entries actually parse, so a 30-byte
+//! constant and vectors grow only as entries actually parse, so a 50-byte
 //! file claiming 100 million melodies cannot reserve gigabytes. Every
 //! injected fault — short write, I/O error at byte N, bit flip, truncation —
 //! surfaces as a typed [`StorageError`] (see `tests/storage_faults.rs` and
 //! [`crate::fault`]); library code here never panics on untrusted input.
 
-use std::collections::HashSet;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use hum_core::obs::{Metric, MetricsSink};
 use hum_core::plan::{CandidateEvidence, PlanFamily, TransformPlan};
-use hum_core::shard::shard_for;
-use hum_music::{Melody, Note};
 
-use crate::corpus::{MelodyDatabase, MelodyEntry};
 use crate::system::{Backend, QbhConfig, TransformChoice, TransformKind};
-
-/// Legacy file magic (8 bytes): name plus format version 1.
-const MAGIC_V1: &[u8; 8] = b"HUMIDX01";
-
-/// Previous file magic (8 bytes): name plus format version 2.
-const MAGIC_V2: &[u8; 8] = b"HUMIDX02";
-
-/// Current file magic (8 bytes): name plus format version 3 (sharded).
-const MAGIC_V3: &[u8; 8] = b"HUMIDX03";
-
-/// File magic (8 bytes) for version 4: the v3 layout plus a trailing
-/// transform-plan section (see [`write_plan_section`]). Only produced when
-/// there is plan evidence to persist; plan-free snapshots stay `HUMIDX03`.
-const MAGIC_V4: &[u8; 8] = b"HUMIDX04";
 
 /// Hard cap on the candidate-evidence rows a persisted plan may claim
 /// (4 families × a handful of grid dimensions in practice).
 const MAX_PLAN_CANDIDATES: u32 = 1024;
 
-/// Serialized size of the fixed config section body (v1/v2).
-const CONFIG_BODY_LEN: usize = 26;
-
-/// Serialized size of the fixed config section body (v3): the v2 body plus
-/// the `u32` shard count.
-pub(crate) const CONFIG_BODY_LEN_V3: usize = CONFIG_BODY_LEN + 4;
+/// Serialized size of the fixed config section body.
+pub(crate) const CONFIG_BODY_LEN: usize = 30;
 
 /// Hard cap on the shard count a file may claim (far above any sensible
 /// serving fan-out; bounds per-shard bookkeeping on untrusted files).
@@ -120,35 +61,26 @@ const MAX_SHARDS: usize = 4096;
 /// Hard cap on the melody count a file may claim.
 pub(crate) const MAX_MELODIES: u64 = 100_000_000;
 
-/// Hard cap on the note count of a single melody.
-const MAX_NOTES: u32 = 1_000_000;
-
-/// Hard cap on a single note's duration in beats.
-const MAX_NOTE_BEATS: f64 = 1e6;
-
-/// Hard cap on a melody's total duration in beats (bounds the time-series
-/// length [`crate::system::QbhSystem::build`] will render).
-const MAX_MELODY_BEATS: f64 = 1e7;
-
 /// Upper bound on speculative preallocation from untrusted header counts.
 /// Vectors grow past this only as entries actually parse.
-const PREALLOC_CAP: usize = 1024;
+pub(crate) const PREALLOC_CAP: usize = 1024;
 
-/// Errors while reading or writing a `HUMIDX` file.
+/// Errors while reading or writing a store file (segment or manifest).
 #[derive(Debug)]
 pub enum StorageError {
     /// Underlying I/O failure (includes short writes and truncated reads).
     Io(io::Error),
-    /// Not a `HUMIDX` file, or an unsupported version.
+    /// Not a file of the expected format.
     BadMagic,
     /// Structurally invalid content.
     Corrupt(String),
     /// A section or the whole-file footer failed its CRC32 check; the
-    /// payload names the section ("config", "entries", or "file").
+    /// payload names the section ("config", "entries", "plan", "file", …).
     Checksum(&'static str),
-    /// The in-memory database or configuration cannot be represented in the
-    /// format (field overflows `u32`, duplicate provenance, invalid note…).
-    /// Returned by writers instead of silently truncating.
+    /// The in-memory corpus or configuration cannot be represented in the
+    /// format (field overflows `u32`, ids out of order, non-finite sample,
+    /// SVD or unresolved-`Auto` transform…). Returned by writers instead of
+    /// silently truncating.
     Unrepresentable(String),
 }
 
@@ -156,13 +88,13 @@ impl std::fmt::Display for StorageError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             StorageError::Io(e) => write!(f, "I/O error: {e}"),
-            StorageError::BadMagic => write!(f, "not a HUMIDX file (or unsupported version)"),
-            StorageError::Corrupt(msg) => write!(f, "corrupt HUMIDX file: {msg}"),
+            StorageError::BadMagic => write!(f, "not a hum store file (bad magic)"),
+            StorageError::Corrupt(msg) => write!(f, "corrupt store file: {msg}"),
             StorageError::Checksum(section) => {
-                write!(f, "corrupt HUMIDX file: {section} checksum mismatch")
+                write!(f, "corrupt store file: {section} checksum mismatch")
             }
             StorageError::Unrepresentable(msg) => {
-                write!(f, "cannot serialize database: {msg}")
+                write!(f, "cannot persist: {msg}")
             }
         }
     }
@@ -220,8 +152,8 @@ impl Crc32 {
     }
 }
 
-/// CRC32 (IEEE) of a byte slice — the checksum the `HUMIDX02` sections and
-/// footer use. Public so tests and tools can recompute checksums when
+/// CRC32 (IEEE) of a byte slice — the checksum every section and footer
+/// uses. Public so tests and tools can recompute checksums when
 /// crafting or repairing files.
 pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = Crc32::new();
@@ -288,20 +220,18 @@ impl<'a, W: Write> SnapshotWriter<'a, W> {
 /// Read adapter mirroring [`SnapshotWriter`].
 pub(crate) struct SnapshotReader<'a, R: Read> {
     inner: &'a mut R,
-    bytes: u64,
     file_crc: Crc32,
     section_crc: Crc32,
 }
 
 impl<'a, R: Read> SnapshotReader<'a, R> {
     pub(crate) fn new(inner: &'a mut R) -> Self {
-        SnapshotReader { inner, bytes: 0, file_crc: Crc32::new(), section_crc: Crc32::new() }
+        SnapshotReader { inner, file_crc: Crc32::new(), section_crc: Crc32::new() }
     }
 
     /// Reads bytes that belong to the current section.
     pub(crate) fn take(&mut self, buf: &mut [u8]) -> Result<(), StorageError> {
         self.inner.read_exact(buf)?;
-        self.bytes += buf.len() as u64;
         self.file_crc.update(buf);
         self.section_crc.update(buf);
         Ok(())
@@ -317,7 +247,6 @@ impl<'a, R: Read> SnapshotReader<'a, R> {
         let expected = self.section_crc.finish();
         let mut buf = [0u8; 4];
         self.inner.read_exact(&mut buf)?;
-        self.bytes += 4;
         self.file_crc.update(&buf);
         self.section_crc = Crc32::new();
         if u32::from_le_bytes(buf) != expected {
@@ -332,7 +261,6 @@ impl<'a, R: Read> SnapshotReader<'a, R> {
         let expected = self.file_crc.finish();
         let mut buf = [0u8; 4];
         self.inner.read_exact(&mut buf)?;
-        self.bytes += 4;
         if u32::from_le_bytes(buf) != expected {
             return Err(StorageError::Checksum("file"));
         }
@@ -432,217 +360,96 @@ pub(crate) fn as_u32(value: usize, what: &str) -> Result<u32, StorageError> {
         .map_err(|_| StorageError::Unrepresentable(format!("{what} {value} overflows u32")))
 }
 
-/// Checks one note against the invariants both reader and writer enforce.
-fn validate_note(pitch: u8, beats: f64) -> Result<(), String> {
-    if pitch > 127 {
-        return Err(format!("invalid note (pitch {pitch})"));
-    }
-    if !beats.is_finite() || beats <= 0.0 || beats > MAX_NOTE_BEATS {
-        return Err(format!("invalid note (pitch {pitch}, beats {beats})"));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Writers.
-
-/// Serializes a database and its indexing configuration in the current
-/// (`HUMIDX03`) format: one section per shard, entries routed by
-/// [`shard_for`]`(id, config.shards)`. Returns the number of bytes written.
+/// Writes the checksummed configuration section every store file opens
+/// with (after its magic):
+///
+/// ```text
+/// [ normal_length u32, feature_dims u32, samples_per_beat u32 ]
+/// [ warping_width f64, transform tag u8, backend tag u8       ]
+/// [ page_bytes u32, shards u32                                ]
+/// [ CRC32(section body)                               4 bytes ]
+/// ```
 ///
 /// # Errors
-/// [`StorageError::Unrepresentable`] when a field would overflow its on-disk
-/// width (no silent `as u32` truncation), when provenance pairs collide, or
-/// when a melody is empty/invalid; [`StorageError::Io`] on write failures.
-pub fn write_database<W: Write>(
-    out: &mut W,
-    db: &MelodyDatabase,
-    config: &QbhConfig,
-) -> Result<u64, StorageError> {
-    write_database_planned(out, db, config, None)
-}
-
-/// [`write_database`] with optional transform-plan evidence. With a plan the
-/// file is written as `HUMIDX04`: the exact v3 layout plus one trailing plan
-/// section (before the footer); without one it is byte-identical `HUMIDX03`.
-///
-/// # Errors
-/// As [`write_database`], plus [`StorageError::Unrepresentable`] for a plan
-/// with more than [`MAX_PLAN_CANDIDATES`] evidence rows.
-pub fn write_database_planned<W: Write>(
-    out: &mut W,
-    db: &MelodyDatabase,
-    config: &QbhConfig,
-    plan: Option<&TransformPlan>,
-) -> Result<u64, StorageError> {
-    validate_config(config).map_err(StorageError::Unrepresentable)?;
-    if db.len() as u64 > MAX_MELODIES {
-        return Err(StorageError::Unrepresentable(format!(
-            "melody count {} exceeds the format cap {MAX_MELODIES}",
-            db.len()
-        )));
-    }
-    let mut seen = HashSet::with_capacity(db.len().min(PREALLOC_CAP));
-    for entry in db.entries() {
-        if !seen.insert((entry.song(), entry.phrase())) {
-            return Err(StorageError::Unrepresentable(format!(
-                "duplicate provenance (song {}, phrase {})",
-                entry.song(),
-                entry.phrase()
-            )));
-        }
-    }
-    // Partition by id hash; database order is ascending id, so every bucket
-    // comes out id-sorted too.
-    let mut buckets: Vec<Vec<&MelodyEntry>> = vec![Vec::new(); config.shards];
-    for entry in db.entries() {
-        buckets[shard_for(entry.id(), config.shards)].push(entry);
-    }
-
-    let mut dst = SnapshotWriter::new(out);
-    dst.put(if plan.is_some() { MAGIC_V4 } else { MAGIC_V3 })?;
-    dst.begin_section();
-    write_config(&mut dst, config)?;
-    dst.put(&as_u32(config.shards, "shard count")?.to_le_bytes())?;
-    dst.finish_section()?;
-    for bucket in &buckets {
-        dst.begin_section();
-        dst.put(&(bucket.len() as u64).to_le_bytes())?;
-        for entry in bucket {
-            dst.put(&entry.id().to_le_bytes())?;
-            write_entry(&mut dst, entry)?;
-        }
-        dst.finish_section()?;
-    }
-    if let Some(plan) = plan {
-        write_plan_section(&mut dst, plan)?;
-    }
-    dst.finish_file()?;
-    Ok(dst.bytes)
-}
-
-/// Serializes in the previous `HUMIDX02` format (single entries section, no
-/// per-id routing), returning the number of bytes written. Kept for
-/// compatibility tests; [`save`] always writes `HUMIDX03`.
-///
-/// # Errors
-/// As [`write_database`], plus [`StorageError::Unrepresentable`] when
-/// `config.shards > 1` — the v2 format cannot record a partition.
-pub fn write_database_v2<W: Write>(
-    out: &mut W,
-    db: &MelodyDatabase,
-    config: &QbhConfig,
-) -> Result<u64, StorageError> {
-    validate_config(config).map_err(StorageError::Unrepresentable)?;
-    if config.shards > 1 {
-        return Err(StorageError::Unrepresentable(format!(
-            "HUMIDX02 cannot represent a corpus sharded {} ways",
-            config.shards
-        )));
-    }
-    let mut dst = SnapshotWriter::new(out);
-    dst.put(MAGIC_V2)?;
-
-    dst.begin_section();
-    write_config(&mut dst, config)?;
-    dst.finish_section()?;
-
-    dst.begin_section();
-    if db.len() as u64 > MAX_MELODIES {
-        return Err(StorageError::Unrepresentable(format!(
-            "melody count {} exceeds the format cap {MAX_MELODIES}",
-            db.len()
-        )));
-    }
-    dst.put(&(db.len() as u64).to_le_bytes())?;
-    let mut seen = HashSet::with_capacity(db.len().min(PREALLOC_CAP));
-    for entry in db.entries() {
-        if !seen.insert((entry.song(), entry.phrase())) {
-            return Err(StorageError::Unrepresentable(format!(
-                "duplicate provenance (song {}, phrase {})",
-                entry.song(),
-                entry.phrase()
-            )));
-        }
-        write_entry(&mut dst, entry)?;
-    }
-    dst.finish_section()?;
-    dst.finish_file()?;
-    Ok(dst.bytes)
-}
-
-/// Serializes in the legacy `HUMIDX01` format (no checksums, no duplicate-
-/// provenance rejection), returning the number of bytes written. Kept for
-/// compatibility tests; [`save`] always writes `HUMIDX03`.
-///
-/// # Errors
-/// Same overflow and note-validity errors as [`write_database`], plus
-/// [`StorageError::Unrepresentable`] when `config.shards > 1`.
-pub fn write_database_v1<W: Write>(
-    out: &mut W,
-    db: &MelodyDatabase,
-    config: &QbhConfig,
-) -> Result<u64, StorageError> {
-    validate_config(config).map_err(StorageError::Unrepresentable)?;
-    if config.shards > 1 {
-        return Err(StorageError::Unrepresentable(format!(
-            "HUMIDX01 cannot represent a corpus sharded {} ways",
-            config.shards
-        )));
-    }
-    let mut dst = SnapshotWriter::new(out);
-    dst.put(MAGIC_V1)?;
-    write_config(&mut dst, config)?;
-    dst.put(&(db.len() as u64).to_le_bytes())?;
-    for entry in db.entries() {
-        write_entry(&mut dst, entry)?;
-    }
-    Ok(dst.bytes)
-}
-
-/// Writes the 26-byte config body (identical field layout in v1 and v2).
-pub(crate) fn write_config<W: Write>(
+/// [`StorageError::Unrepresentable`] when the configuration fails
+/// [`validate_config`] or a field overflows its on-disk width.
+pub(crate) fn write_config_section<W: Write>(
     dst: &mut SnapshotWriter<'_, W>,
     config: &QbhConfig,
 ) -> Result<(), StorageError> {
-    dst.put(&as_u32(config.normal_length, "normal length")?.to_le_bytes())?;
-    dst.put(&as_u32(config.feature_dims, "feature dims")?.to_le_bytes())?;
-    dst.put(&as_u32(config.samples_per_beat, "samples per beat")?.to_le_bytes())?;
-    dst.put(&config.warping_width.to_le_bytes())?;
+    validate_config(config).map_err(StorageError::Unrepresentable)?;
     let kind = config.fixed_transform().ok_or_else(|| {
         StorageError::Unrepresentable(
             "cannot persist an unresolved TransformChoice::Auto configuration".into(),
         )
     })?;
+    dst.begin_section();
+    dst.put(&as_u32(config.normal_length, "normal length")?.to_le_bytes())?;
+    dst.put(&as_u32(config.feature_dims, "feature dims")?.to_le_bytes())?;
+    dst.put(&as_u32(config.samples_per_beat, "samples per beat")?.to_le_bytes())?;
+    dst.put(&config.warping_width.to_le_bytes())?;
     dst.put(&[transform_tag(kind), backend_tag(config.backend)])?;
     dst.put(&as_u32(config.page_bytes, "page size")?.to_le_bytes())?;
-    Ok(())
+    dst.put(&as_u32(config.shards, "shard count")?.to_le_bytes())?;
+    dst.finish_section()
 }
 
-/// Writes one checksummed transform-plan section: the chosen `(family,
-/// dims)` with its measured evidence, then every candidate row. Shared by
-/// the `HUMIDX04` snapshot and the `HUMMAN02` store manifest.
+/// Reads, checksums, and validates the configuration section (see
+/// [`write_config_section`]).
+pub(crate) fn read_config_section<R: Read>(
+    src: &mut SnapshotReader<'_, R>,
+) -> Result<QbhConfig, StorageError> {
+    src.begin_section();
+    let mut body = [0u8; CONFIG_BODY_LEN];
+    src.take(&mut body)?;
+    src.verify_section("config")?;
+    let le_u32 = |at: usize| u32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
+    let mut ww = [0u8; 8];
+    ww.copy_from_slice(&body[12..20]);
+    let config = QbhConfig {
+        normal_length: le_u32(0) as usize,
+        feature_dims: le_u32(4) as usize,
+        samples_per_beat: le_u32(8) as usize,
+        warping_width: f64::from_le_bytes(ww),
+        transform: TransformChoice::Fixed(transform_from_tag(body[20])?),
+        backend: backend_from_tag(body[21])?,
+        page_bytes: le_u32(22) as usize,
+        shards: le_u32(26) as usize,
+    };
+    validate_config(&config).map_err(StorageError::Corrupt)?;
+    Ok(config)
+}
+
+/// Writes the checksummed transform-plan section that closes a manifest.
+/// The section is always present; its first byte says whether evidence
+/// follows, so a planned and an unplanned store share one format:
 ///
 /// ```text
-/// [ family u8, dims u32, input_len u32, band u32          ]
-/// [ seed u64, sample_len u32, pairs u64                   ]
-/// [ mean_tightness f64, est_candidate_ratio f64, score f64]
-/// [ candidate count u32, then per candidate:              ]
-/// [   family u8, dims u32, tightness f64, ratio f64,      ]
-/// [   projection_cost f64, score f64                      ]
-/// [ CRC32(section body)                           4 bytes ]
+/// [ present u8: 0 = no plan (section ends here), 1 = plan  ]
+/// [ family u8, dims u32, input_len u32, band u32           ]
+/// [ seed u64, sample_len u32, pairs u64                    ]
+/// [ mean_tightness f64, est_candidate_ratio f64, score f64 ]
+/// [ candidate count u32, then per candidate:               ]
+/// [   family u8, dims u32, tightness f64, ratio f64,       ]
+/// [   projection_cost f64, score f64                       ]
+/// [ CRC32(section body)                            4 bytes ]
 /// ```
 pub(crate) fn write_plan_section<W: Write>(
     dst: &mut SnapshotWriter<'_, W>,
-    plan: &TransformPlan,
+    plan: Option<&TransformPlan>,
 ) -> Result<(), StorageError> {
+    dst.begin_section();
+    let Some(plan) = plan else {
+        dst.put(&[0])?;
+        return dst.finish_section();
+    };
     if plan.candidates.len() as u64 > u64::from(MAX_PLAN_CANDIDATES) {
         return Err(StorageError::Unrepresentable(format!(
             "plan candidate count {} exceeds the format cap {MAX_PLAN_CANDIDATES}",
             plan.candidates.len()
         )));
     }
-    dst.begin_section();
+    dst.put(&[1])?;
     dst.put(&[plan_family_tag(plan.family)])?;
     dst.put(&as_u32(plan.dims, "plan dims")?.to_le_bytes())?;
     dst.put(&as_u32(plan.input_len, "plan input length")?.to_le_bytes())?;
@@ -665,17 +472,26 @@ pub(crate) fn write_plan_section<W: Write>(
     dst.finish_section()
 }
 
-/// Reads and validates one transform-plan section (see
-/// [`write_plan_section`]): family tags, dimension bounds, `[0, 1]` ranges
-/// on tightness and candidate ratio, finite scores, the candidate-count
-/// cap, and the presence of the chosen `(family, dims)` among the
-/// candidates are all enforced, so untrusted plan bytes surface as typed
-/// [`StorageError::Corrupt`] — never a panic, never an inconsistent plan.
+/// Reads and validates the transform-plan section (see
+/// [`write_plan_section`]): the presence byte, family tags, dimension
+/// bounds, `[0, 1]` ranges on tightness and candidate ratio, finite scores,
+/// the candidate-count cap, and the presence of the chosen `(family, dims)`
+/// among the candidates are all enforced, so untrusted plan bytes surface
+/// as typed [`StorageError::Corrupt`] — never a panic, never an
+/// inconsistent plan.
 pub(crate) fn read_plan_section<R: Read>(
     src: &mut SnapshotReader<'_, R>,
-) -> Result<TransformPlan, StorageError> {
+) -> Result<Option<TransformPlan>, StorageError> {
     src.begin_section();
     let mut tag = [0u8; 1];
+    src.take(&mut tag)?;
+    if tag[0] == 0 {
+        src.verify_section("plan")?;
+        return Ok(None);
+    }
+    if tag[0] != 1 {
+        return Err(StorageError::Corrupt(format!("unknown plan presence byte {}", tag[0])));
+    }
     src.take(&mut tag)?;
     let family = plan_family_from_tag(tag[0])?;
     let dims = src.u32()? as usize;
@@ -749,7 +565,7 @@ pub(crate) fn read_plan_section<R: Read>(
             plan.dims
         )));
     }
-    Ok(plan)
+    Ok(Some(plan))
 }
 
 /// Reads one `f64` that must land in `[0, 1]`.
@@ -790,328 +606,6 @@ fn plan_family_from_tag(tag: u8) -> Result<PlanFamily, StorageError> {
         3 => PlanFamily::Dwt,
         other => return Err(StorageError::Corrupt(format!("unknown plan family tag {other}"))),
     })
-}
-
-/// Writes one entry (identical layout in v1 and v2), validating every field
-/// instead of truncating.
-fn write_entry<W: Write>(
-    dst: &mut SnapshotWriter<'_, W>,
-    entry: &MelodyEntry,
-) -> Result<(), StorageError> {
-    dst.put(&as_u32(entry.song(), "song index")?.to_le_bytes())?;
-    dst.put(&as_u32(entry.phrase(), "phrase index")?.to_le_bytes())?;
-    let melody = entry.melody();
-    let notes = as_u32(melody.len(), "melody length")?;
-    if notes == 0 {
-        return Err(StorageError::Unrepresentable(format!(
-            "empty melody (song {}, phrase {})",
-            entry.song(),
-            entry.phrase()
-        )));
-    }
-    if notes > MAX_NOTES {
-        return Err(StorageError::Unrepresentable(format!(
-            "melody of {notes} notes exceeds the format cap {MAX_NOTES}"
-        )));
-    }
-    dst.put(&notes.to_le_bytes())?;
-    let mut total_beats = 0.0;
-    for note in melody.notes() {
-        validate_note(note.pitch, note.beats).map_err(StorageError::Unrepresentable)?;
-        total_beats += note.beats;
-        dst.put(&[note.pitch])?;
-        dst.put(&note.beats.to_le_bytes())?;
-    }
-    if total_beats > MAX_MELODY_BEATS {
-        return Err(StorageError::Unrepresentable(format!(
-            "melody of {total_beats} total beats exceeds the format cap {MAX_MELODY_BEATS}"
-        )));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Readers.
-
-/// Deserializes a database and configuration, accepting `HUMIDX01` (legacy,
-/// unchecksummed), `HUMIDX02` (checksummed, loads as one shard), `HUMIDX03`
-/// (checksummed, per-shard sections), and `HUMIDX04` (v3 plus plan
-/// evidence, which this form discards) files.
-pub fn read_database<R: Read>(input: &mut R) -> Result<(MelodyDatabase, QbhConfig), StorageError> {
-    read_database_counted(input).map(|(db, config, _, _)| (db, config))
-}
-
-/// [`read_database`], also returning the transform-plan evidence a
-/// `HUMIDX04` file carries (`None` for every earlier version).
-pub fn read_database_planned<R: Read>(
-    input: &mut R,
-) -> Result<(MelodyDatabase, QbhConfig, Option<TransformPlan>), StorageError> {
-    read_database_counted(input).map(|(db, config, plan, _)| (db, config, plan))
-}
-
-/// The full read: database, configuration, optional plan, bytes consumed.
-type CountedRead = (MelodyDatabase, QbhConfig, Option<TransformPlan>, u64);
-
-fn read_database_counted<R: Read>(input: &mut R) -> Result<CountedRead, StorageError> {
-    let mut src = SnapshotReader::new(input);
-    let mut magic = [0u8; 8];
-    src.take(&mut magic)?;
-    if &magic == MAGIC_V1 {
-        read_v1(&mut src).map(|(db, config, bytes)| (db, config, None, bytes))
-    } else if &magic == MAGIC_V2 {
-        read_v2(&mut src).map(|(db, config, bytes)| (db, config, None, bytes))
-    } else if &magic == MAGIC_V3 {
-        read_v3(&mut src, false)
-    } else if &magic == MAGIC_V4 {
-        read_v3(&mut src, true)
-    } else {
-        Err(StorageError::BadMagic)
-    }
-}
-
-fn read_v1<R: Read>(
-    src: &mut SnapshotReader<'_, R>,
-) -> Result<(MelodyDatabase, QbhConfig, u64), StorageError> {
-    let mut body = [0u8; CONFIG_BODY_LEN];
-    src.take(&mut body)?;
-    let config = parse_config(&body)?;
-    let count = src.u64()?;
-    if count > MAX_MELODIES {
-        return Err(StorageError::Corrupt(format!("implausible melody count {count}")));
-    }
-    // v1 files written by `MelodyDatabase::from_melodies` before provenance
-    // was assigned carry (0, 0) for every entry; tolerate exactly that
-    // legacy duplicate so old snapshots keep loading.
-    let phrases = read_entries(src, count, true)?;
-    Ok((MelodyDatabase::from_provenanced(phrases), config, src.bytes))
-}
-
-fn read_v2<R: Read>(
-    src: &mut SnapshotReader<'_, R>,
-) -> Result<(MelodyDatabase, QbhConfig, u64), StorageError> {
-    src.begin_section();
-    let mut body = [0u8; CONFIG_BODY_LEN];
-    src.take(&mut body)?;
-    src.verify_section("config")?;
-    let config = parse_config(&body)?;
-
-    src.begin_section();
-    let count = src.u64()?;
-    if count > MAX_MELODIES {
-        return Err(StorageError::Corrupt(format!("implausible melody count {count}")));
-    }
-    let phrases = read_entries(src, count, false)?;
-    src.verify_section("entries")?;
-    src.verify_footer()?;
-    Ok((MelodyDatabase::from_provenanced(phrases), config, src.bytes))
-}
-
-/// Reads the shared v3/v4 body after the magic: config section, per-shard
-/// sections, then (for v4) the trailing plan section.
-fn read_v3<R: Read>(
-    src: &mut SnapshotReader<'_, R>,
-    with_plan: bool,
-) -> Result<CountedRead, StorageError> {
-    src.begin_section();
-    let mut body = [0u8; CONFIG_BODY_LEN_V3];
-    src.take(&mut body)?;
-    src.verify_section("config")?;
-    let config = parse_config_v3(&body)?;
-
-    let mut entries: Vec<(u64, usize, usize, Melody)> = Vec::new();
-    let mut seen_prov: HashSet<(usize, usize)> = HashSet::new();
-    let mut seen_ids: HashSet<u64> = HashSet::new();
-    let mut total: u64 = 0;
-    for shard in 0..config.shards {
-        src.begin_section();
-        let count = src.u64()?;
-        total = total.saturating_add(count);
-        if total > MAX_MELODIES {
-            return Err(StorageError::Corrupt(format!("implausible melody count {total}")));
-        }
-        for _ in 0..count {
-            let id = src.u64()?;
-            if shard_for(id, config.shards) != shard {
-                return Err(StorageError::Corrupt(format!(
-                    "melody id {id} does not belong in shard {shard} of {}",
-                    config.shards
-                )));
-            }
-            if !seen_ids.insert(id) {
-                return Err(StorageError::Corrupt(format!("duplicate melody id {id}")));
-            }
-            let (song, phrase, melody) = read_entry_body(src, &mut seen_prov, false)?;
-            entries.push((id, song, phrase, melody));
-        }
-        src.verify_section("shard")?;
-    }
-    let plan = if with_plan { Some(read_plan_section(src)?) } else { None };
-    src.verify_footer()?;
-
-    // Rebuilding goes through `MelodyDatabase::from_provenanced`, which
-    // assigns *positional* ids — so the persisted ids must be exactly
-    // 0..count once sorted, or the rebuilt corpus would silently re-id
-    // (and therefore re-shard) every melody.
-    entries.sort_by_key(|&(id, ..)| id);
-    for (position, &(id, ..)) in entries.iter().enumerate() {
-        if id != position as u64 {
-            return Err(StorageError::Corrupt(format!(
-                "melody ids are not dense: expected {position}, found {id}"
-            )));
-        }
-    }
-    let phrases = entries.into_iter().map(|(_, song, phrase, melody)| (song, phrase, melody));
-    Ok((MelodyDatabase::from_provenanced(phrases.collect()), config, plan, src.bytes))
-}
-
-/// Parses and validates the 26-byte v1/v2 config body (always one shard).
-fn parse_config(body: &[u8; CONFIG_BODY_LEN]) -> Result<QbhConfig, StorageError> {
-    let le_u32 = |at: usize| u32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
-    let mut ww = [0u8; 8];
-    ww.copy_from_slice(&body[12..20]);
-    let config = QbhConfig {
-        normal_length: le_u32(0) as usize,
-        feature_dims: le_u32(4) as usize,
-        samples_per_beat: le_u32(8) as usize,
-        warping_width: f64::from_le_bytes(ww),
-        transform: TransformChoice::Fixed(transform_from_tag(body[20])?),
-        backend: backend_from_tag(body[21])?,
-        page_bytes: le_u32(22) as usize,
-        shards: 1,
-    };
-    validate_config(&config).map_err(StorageError::Corrupt)?;
-    Ok(config)
-}
-
-/// Parses and validates the 30-byte v3 config body (v2 body + shard count).
-pub(crate) fn parse_config_v3(body: &[u8; CONFIG_BODY_LEN_V3]) -> Result<QbhConfig, StorageError> {
-    let mut base = [0u8; CONFIG_BODY_LEN];
-    base.copy_from_slice(&body[..CONFIG_BODY_LEN]);
-    let mut config = parse_config(&base)?;
-    let mut shards = [0u8; 4];
-    shards.copy_from_slice(&body[CONFIG_BODY_LEN..]);
-    config.shards = u32::from_le_bytes(shards) as usize;
-    validate_config(&config).map_err(StorageError::Corrupt)?;
-    Ok(config)
-}
-
-/// Streams `count` entries, validating each one. Preallocation from the
-/// untrusted `count` is clamped to [`PREALLOC_CAP`]; vectors grow only as
-/// entries actually parse.
-fn read_entries<R: Read>(
-    src: &mut SnapshotReader<'_, R>,
-    count: u64,
-    allow_legacy_zero_duplicates: bool,
-) -> Result<Vec<(usize, usize, Melody)>, StorageError> {
-    let clamped = usize::try_from(count).unwrap_or(usize::MAX).min(PREALLOC_CAP);
-    let mut phrases = Vec::with_capacity(clamped);
-    let mut seen: HashSet<(usize, usize)> = HashSet::with_capacity(clamped);
-    for _ in 0..count {
-        phrases.push(read_entry_body(src, &mut seen, allow_legacy_zero_duplicates)?);
-    }
-    Ok(phrases)
-}
-
-/// Parses one entry body (song, phrase, notes) — the layout shared by every
-/// format version — enforcing the per-entry invariants.
-fn read_entry_body<R: Read>(
-    src: &mut SnapshotReader<'_, R>,
-    seen: &mut HashSet<(usize, usize)>,
-    allow_legacy_zero_duplicates: bool,
-) -> Result<(usize, usize, Melody), StorageError> {
-    let song = src.u32()? as usize;
-    let phrase = src.u32()? as usize;
-    let notes = src.u32()?;
-    if notes == 0 {
-        return Err(StorageError::Corrupt(format!(
-            "empty melody (song {song}, phrase {phrase})"
-        )));
-    }
-    if notes > MAX_NOTES {
-        return Err(StorageError::Corrupt(format!("implausible note count {notes}")));
-    }
-    let legacy_zero = allow_legacy_zero_duplicates && song == 0 && phrase == 0;
-    if !seen.insert((song, phrase)) && !legacy_zero {
-        return Err(StorageError::Corrupt(format!(
-            "duplicate provenance (song {song}, phrase {phrase})"
-        )));
-    }
-    let mut melody = Melody::default();
-    let mut total_beats = 0.0;
-    for _ in 0..notes {
-        let mut pitch = [0u8; 1];
-        src.take(&mut pitch)?;
-        let beats = src.f64()?;
-        validate_note(pitch[0], beats).map_err(StorageError::Corrupt)?;
-        total_beats += beats;
-        if total_beats > MAX_MELODY_BEATS {
-            return Err(StorageError::Corrupt(format!(
-                "melody exceeds {MAX_MELODY_BEATS} total beats"
-            )));
-        }
-        melody.push(Note::new(pitch[0], beats));
-    }
-    Ok((song, phrase, melody))
-}
-
-// ---------------------------------------------------------------------------
-// File-level save/load.
-
-/// Saves to a file path atomically in the current (`HUMIDX03`) format,
-/// returning the number of bytes written.
-///
-/// The snapshot is written to a sibling temp file, flushed and fsynced,
-/// then renamed into place: a crash at any point leaves either the old or
-/// the new complete snapshot, never a torn file. On error the temp file is
-/// removed (best effort) and any previous snapshot at `path` is untouched.
-pub fn save(path: &Path, db: &MelodyDatabase, config: &QbhConfig) -> Result<u64, StorageError> {
-    save_with(path, db, config, &MetricsSink::Disabled)
-}
-
-/// [`save`], recording the outcome and byte count into a metrics sink
-/// (`storage.saves` / `storage.save_errors` / `storage.bytes_written`).
-pub fn save_with(
-    path: &Path,
-    db: &MelodyDatabase,
-    config: &QbhConfig,
-    metrics: &MetricsSink,
-) -> Result<u64, StorageError> {
-    let result = save_atomic(path, db, config);
-    match &result {
-        Ok(bytes) => {
-            metrics.add(Metric::StorageSaves, 1);
-            metrics.add(Metric::StorageBytesWritten, *bytes);
-        }
-        Err(_) => metrics.add(Metric::StorageSaveErrors, 1),
-    }
-    result
-}
-
-fn save_atomic(path: &Path, db: &MelodyDatabase, config: &QbhConfig) -> Result<u64, StorageError> {
-    atomic_write(path, |out| write_database(out, db, config))
-}
-
-/// [`save_with`] carrying transform-plan evidence: writes `HUMIDX04` when a
-/// plan is present, byte-identical `HUMIDX03` otherwise.
-///
-/// # Errors
-/// As [`save_with`] / [`write_database_planned`].
-pub fn save_planned(
-    path: &Path,
-    db: &MelodyDatabase,
-    config: &QbhConfig,
-    plan: Option<&TransformPlan>,
-    metrics: &MetricsSink,
-) -> Result<u64, StorageError> {
-    let result = atomic_write(path, |out| write_database_planned(out, db, config, plan));
-    match &result {
-        Ok(bytes) => {
-            metrics.add(Metric::StorageSaves, 1);
-            metrics.add(Metric::StorageBytesWritten, *bytes);
-        }
-        Err(_) => metrics.add(Metric::StorageSaveErrors, 1),
-    }
-    result
 }
 
 /// Process-wide sequence for temp-file names. The pid alone is *not*
@@ -1175,43 +669,6 @@ pub(crate) fn atomic_write(
     result
 }
 
-/// Loads from a file path (either format version).
-pub fn load(path: &Path) -> Result<(MelodyDatabase, QbhConfig), StorageError> {
-    load_with(path, &MetricsSink::Disabled)
-}
-
-/// [`load`], recording the outcome and byte count into a metrics sink
-/// (`storage.loads` / `storage.load_errors` / `storage.bytes_read`).
-pub fn load_with(
-    path: &Path,
-    metrics: &MetricsSink,
-) -> Result<(MelodyDatabase, QbhConfig), StorageError> {
-    load_planned(path, metrics).map(|(db, config, _plan)| (db, config))
-}
-
-/// [`load_with`], also returning the transform-plan evidence a `HUMIDX04`
-/// snapshot carries (`None` for earlier versions).
-pub fn load_planned(
-    path: &Path,
-    metrics: &MetricsSink,
-) -> Result<(MelodyDatabase, QbhConfig, Option<TransformPlan>), StorageError> {
-    let result = (|| {
-        let mut input = io::BufReader::new(std::fs::File::open(path)?);
-        read_database_counted(&mut input)
-    })();
-    match result {
-        Ok((db, config, plan, bytes)) => {
-            metrics.add(Metric::StorageLoads, 1);
-            metrics.add(Metric::StorageBytesRead, bytes);
-            Ok((db, config, plan))
-        }
-        Err(e) => {
-            metrics.add(Metric::StorageLoadErrors, 1);
-            Err(e)
-        }
-    }
-}
-
 fn transform_tag(t: TransformKind) -> u8 {
     match t {
         TransformKind::NewPaa => 0,
@@ -1250,388 +707,350 @@ fn backend_from_tag(tag: u8) -> Result<Backend, StorageError> {
     })
 }
 
-/// Round-trip aid for [`MelodyEntry`]-level assertions in tests.
-pub fn entries_equal(a: &MelodyEntry, b: &MelodyEntry) -> bool {
-    a.song() == b.song() && a.phrase() == b.phrase() && a.melody() == b.melody()
-}
 
 #[cfg(test)]
 mod tests {
+    //! The framing has no format of its own, so these tests drive it through
+    //! the two formats built from it: the segment and the manifest.
+
     use super::*;
-    use crate::fault::TempFile;
+    use crate::corpus::MelodyDatabase;
+    use crate::fault::TempPath;
+    use crate::store::{
+        load_manifest, load_segment, manifest_path, read_manifest, read_segment, save_manifest,
+        save_segment, segment_path, write_manifest, write_segment, Manifest, SegmentEntry,
+        SegmentRef,
+    };
+    use crate::system::{QbhSystem, StoreOptions};
+    use hum_core::obs::{Metric, MetricsSink};
     use hum_music::SongbookConfig;
 
-    fn sample() -> (MelodyDatabase, QbhConfig) {
-        let db = MelodyDatabase::from_songbook(&SongbookConfig {
-            songs: 4,
-            phrases_per_song: 3,
-            ..SongbookConfig::default()
-        });
+    /// Byte offsets shared by both formats: magic, then the config section.
+    const CONFIG_AT: usize = 8;
+    const CONFIG_CRC_AT: usize = CONFIG_AT + CONFIG_BODY_LEN;
+    /// Where the first count (entries / segments) sits.
+    const COUNT_AT: usize = CONFIG_CRC_AT + 4;
+
+    fn sample() -> (QbhConfig, Vec<SegmentEntry>, Manifest) {
         let config = QbhConfig {
             transform: TransformKind::Dft.into(),
             backend: Backend::Grid,
             warping_width: 0.07,
             ..QbhConfig::default()
         };
-        (db, config)
+        let entries = (0..12usize)
+            .map(|i| SegmentEntry {
+                id: (i * 7 + 3) as u64,
+                song: i / 3,
+                phrase: i % 3,
+                series: (0..config.normal_length)
+                    .map(|t| 60.0 + ((t * (i + 1)) as f64 * 0.17).sin())
+                    .collect(),
+            })
+            .collect();
+        let plan = TransformPlan {
+            family: PlanFamily::Dft,
+            dims: config.feature_dims,
+            input_len: config.normal_length,
+            band: 4,
+            seed: 99,
+            sample_len: 40,
+            pairs: 780,
+            mean_tightness: 0.62,
+            est_candidate_ratio: 0.2,
+            score: 0.6,
+            candidates: vec![CandidateEvidence {
+                family: PlanFamily::Dft,
+                dims: config.feature_dims,
+                mean_tightness: 0.62,
+                est_candidate_ratio: 0.2,
+                projection_cost: 0.4,
+                score: 0.6,
+            }],
+        };
+        let manifest = Manifest {
+            config,
+            segments: vec![SegmentRef { id: 0, count: 12 }, SegmentRef { id: 3, count: 5 }],
+            tombstones: vec![10, 24],
+            plan: Some(plan),
+        };
+        (config, entries, manifest)
     }
 
-    fn assert_same(db: &MelodyDatabase, config: &QbhConfig, back: &(MelodyDatabase, QbhConfig)) {
-        assert_eq!(&back.1, config);
-        assert_eq!(back.0.len(), db.len());
-        for (a, b) in db.entries().iter().zip(back.0.entries()) {
-            assert!(entries_equal(a, b));
-            assert_eq!(a.id(), b.id());
-        }
+    fn segment_image(config: &QbhConfig, entries: &[SegmentEntry]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_segment(&mut bytes, config, entries).unwrap();
+        bytes
+    }
+
+    fn manifest_image(manifest: &Manifest) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        write_manifest(&mut bytes, manifest).unwrap();
+        bytes
+    }
+
+    /// Both images, each with a reader that forgets the parsed value.
+    type Reader = fn(&mut &[u8]) -> Result<(), StorageError>;
+    fn images() -> [(&'static str, Vec<u8>, Reader); 2] {
+        let (config, entries, manifest) = sample();
+        [
+            ("segment", segment_image(&config, &entries), |b| read_segment(b).map(|_| ())),
+            ("manifest", manifest_image(&manifest), |b| read_manifest(b).map(|_| ())),
+        ]
+    }
+
+    /// Recomputes a patched segment image's config, entries, and footer
+    /// CRCs, so only the structural checks stand between it and a load.
+    fn reseal_segment(bytes: &mut [u8]) {
+        let len = bytes.len();
+        let crc = crc32(&bytes[CONFIG_AT..CONFIG_CRC_AT]).to_le_bytes();
+        bytes[CONFIG_CRC_AT..COUNT_AT].copy_from_slice(&crc);
+        let crc = crc32(&bytes[COUNT_AT..len - 8]).to_le_bytes();
+        bytes[len - 8..len - 4].copy_from_slice(&crc);
+        let crc = crc32(&bytes[..len - 4]).to_le_bytes();
+        bytes[len - 4..].copy_from_slice(&crc);
     }
 
     #[test]
     fn roundtrip_preserves_everything() {
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database(&mut bytes, &db, &config).unwrap();
-        let back = read_database(&mut bytes.as_slice()).unwrap();
-        assert_same(&db, &config, &back);
-    }
-
-    #[test]
-    fn v1_roundtrip_still_supported() {
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database_v1(&mut bytes, &db, &config).unwrap();
-        let back = read_database(&mut bytes.as_slice()).unwrap();
-        assert_same(&db, &config, &back);
-        assert_eq!(back.1.shards, 1, "legacy files load as one shard");
-    }
-
-    #[test]
-    fn v2_roundtrip_still_supported() {
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database_v2(&mut bytes, &db, &config).unwrap();
-        let back = read_database(&mut bytes.as_slice()).unwrap();
-        assert_same(&db, &config, &back);
-        assert_eq!(back.1.shards, 1, "v2 files load as one shard");
+        let (config, entries, manifest) = sample();
+        let (back_config, back) =
+            read_segment(&mut segment_image(&config, &entries).as_slice()).unwrap();
+        assert_eq!(back_config, config);
+        assert_eq!(back, entries);
+        assert_eq!(read_manifest(&mut manifest_image(&manifest).as_slice()).unwrap(), manifest);
+        // The plan is optional inside the one manifest format.
+        let plain = Manifest { plan: None, ..manifest };
+        assert_eq!(read_manifest(&mut manifest_image(&plain).as_slice()).unwrap(), plain);
     }
 
     #[test]
     fn sharded_roundtrip_preserves_partition_and_ids() {
-        let (db, config) = sample();
+        let (config, entries, manifest) = sample();
         for shards in [2usize, 5] {
             let config = QbhConfig { shards, ..config };
-            let mut bytes = Vec::new();
-            write_database(&mut bytes, &db, &config).unwrap();
-            let back = read_database(&mut bytes.as_slice()).unwrap();
-            assert_same(&db, &config, &back);
-            assert_eq!(back.1.shards, shards);
+            let (back_config, back) =
+                read_segment(&mut segment_image(&config, &entries).as_slice()).unwrap();
+            assert_eq!(back_config.shards, shards);
+            assert!(back.iter().map(|e| e.id).eq(entries.iter().map(|e| e.id)));
+            let manifest = Manifest { config, ..manifest.clone() };
+            let back = read_manifest(&mut manifest_image(&manifest).as_slice()).unwrap();
+            assert_eq!(back.config.shards, shards);
         }
-    }
-
-    #[test]
-    fn legacy_writers_cannot_claim_a_partition() {
-        let (db, config) = sample();
-        let config = QbhConfig { shards: 2, ..config };
-        for result in [
-            write_database_v1(&mut Vec::new(), &db, &config),
-            write_database_v2(&mut Vec::new(), &db, &config),
-        ] {
-            assert!(matches!(result, Err(StorageError::Unrepresentable(_))));
-        }
-    }
-
-    #[test]
-    fn misplaced_and_nondense_ids_rejected() {
-        let (db, config) = sample();
-        let config = QbhConfig { shards: 2, ..config };
-        // Hand-craft a v3 file whose shard-0 section holds an id hashing to
-        // shard 1 — every checksum is valid, so only the membership check
-        // can catch it.
-        // One entry with `id`, placed in `placed` (whether or not that is
-        // its home shard); all checksums valid.
-        let craft = |id: u64, placed: usize| -> Vec<u8> {
-            let mut bytes = Vec::new();
-            let mut dst = SnapshotWriter::new(&mut bytes);
-            dst.put(MAGIC_V3).unwrap();
-            dst.begin_section();
-            write_config(&mut dst, &config).unwrap();
-            dst.put(&2u32.to_le_bytes()).unwrap();
-            dst.finish_section().unwrap();
-            for shard in 0..2 {
-                dst.begin_section();
-                if shard == placed {
-                    dst.put(&1u64.to_le_bytes()).unwrap();
-                    dst.put(&id.to_le_bytes()).unwrap();
-                    write_entry(&mut dst, &db.entries()[0]).unwrap();
-                } else {
-                    dst.put(&0u64.to_le_bytes()).unwrap();
-                }
-                dst.finish_section().unwrap();
-            }
-            dst.finish_file().unwrap();
-            bytes
-        };
-        let foreign_id = (1u64..).find(|&id| shard_for(id, 2) != shard_for(0, 2)).unwrap();
-        // Misplaced: an id stored outside its home shard.
-        let misplaced = craft(foreign_id, shard_for(0, 2));
-        match read_database(&mut misplaced.as_slice()) {
-            Err(StorageError::Corrupt(msg)) => {
-                assert!(msg.contains("does not belong"), "{msg}")
-            }
-            other => panic!("expected membership corruption, got {other:?}"),
-        }
-        // Non-dense: the same id in its real home shard passes membership
-        // but must fail the density check (the only id is not 0).
-        let nondense = craft(foreign_id, shard_for(foreign_id, 2));
-        match read_database(&mut nondense.as_slice()) {
-            Err(StorageError::Corrupt(msg)) => assert!(msg.contains("dense"), "{msg}"),
-            other => panic!("expected density corruption, got {other:?}"),
-        }
-        // Sanity: id 0 in its home shard parses.
-        let dense = craft(0, shard_for(0, 2));
-        let (back, _) = read_database(&mut dense.as_slice()).unwrap();
-        assert_eq!(back.len(), 1);
     }
 
     #[test]
     fn file_roundtrip() {
-        let (db, config) = sample();
-        let path = TempFile::unique("storage-roundtrip");
-        save(path.path(), &db, &config).unwrap();
-        let back = load(path.path()).unwrap();
-        assert_same(&db, &config, &back);
+        let (config, entries, manifest) = sample();
+        let dir = TempPath::unique("storage-roundtrip");
+        std::fs::create_dir_all(dir.path()).unwrap();
+        save_segment(dir.path(), 4, &config, &entries).unwrap();
+        save_manifest(dir.path(), &manifest).unwrap();
+        let (back_config, back) =
+            load_segment(&segment_path(dir.path(), 4)).unwrap();
+        assert_eq!((back_config, back), (config, entries));
+        assert_eq!(load_manifest(&manifest_path(dir.path())).unwrap(), manifest);
     }
 
     #[test]
     fn save_is_atomic_over_an_existing_snapshot() {
-        let (db, config) = sample();
-        let path = TempFile::unique("storage-atomic");
-        save(path.path(), &db, &config).unwrap();
+        let (_, _, manifest) = sample();
+        let dir = TempPath::unique("storage-atomic");
+        std::fs::create_dir_all(dir.path()).unwrap();
+        save_manifest(dir.path(), &manifest).unwrap();
 
-        // A database the writer must reject (song index overflows u32)
-        // leaves the previous snapshot untouched and no temp file behind.
-        let bad = MelodyDatabase::from_provenanced(vec![(
-            u32::MAX as usize + 1,
-            0,
-            db.entries()[0].melody().clone(),
-        )]);
-        let err = save(path.path(), &bad, &config).unwrap_err();
+        // A manifest the writer must reject (tombstones out of order) leaves
+        // the previous one untouched and no temp file behind.
+        let bad = Manifest { tombstones: vec![9, 2], ..manifest.clone() };
+        let err = save_manifest(dir.path(), &bad).unwrap_err();
         assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
-        let back = load(path.path()).unwrap();
-        assert_same(&db, &config, &back);
-        let dir = path.path().parent().unwrap();
-        let leftovers = std::fs::read_dir(dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains("storage-atomic"))
-            .count();
-        assert_eq!(leftovers, 1, "temp files must be cleaned up after a failed save");
+        assert_eq!(load_manifest(&manifest_path(dir.path())).unwrap(), manifest);
+        let files = std::fs::read_dir(dir.path()).unwrap().count();
+        assert_eq!(files, 1, "temp files must be cleaned up after a failed save");
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let err = read_database(&mut &b"NOTHUMIDX....."[..]).unwrap_err();
-        assert!(matches!(err, StorageError::BadMagic), "{err}");
+        for (name, image, read) in images() {
+            let err = read(&mut &b"NOTASTORE....."[..]).unwrap_err();
+            assert!(matches!(err, StorageError::BadMagic), "{name}: {err}");
+            // The other format's image is foreign too.
+            let mut swapped = image.clone();
+            swapped[..8].copy_from_slice(if name == "segment" { b"HUMMAN01" } else { b"HUMSEG01" });
+            let err = read(&mut swapped.as_slice()).unwrap_err();
+            assert!(matches!(err, StorageError::BadMagic), "{name}: {err}");
+        }
     }
 
     #[test]
     fn truncation_rejected_at_every_prefix() {
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database(&mut bytes, &db, &config).unwrap();
-        // Every strict prefix must fail cleanly (never panic, never succeed).
-        for cut in [0, 4, 8, 12, 30, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                read_database(&mut &bytes[..cut]).is_err(),
-                "prefix of {cut} bytes parsed"
-            );
+        for (name, image, read) in images() {
+            // Every strict prefix must fail cleanly (never panic, never succeed).
+            for cut in [0, 4, 8, 12, 30, 42, image.len() / 2, image.len() - 1] {
+                assert!(read(&mut &image[..cut]).is_err(), "{name}: prefix of {cut} bytes parsed");
+            }
         }
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database(&mut bytes, &db, &config).unwrap();
-        bytes.push(0);
-        assert!(matches!(
-            read_database(&mut bytes.as_slice()),
-            Err(StorageError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn corrupt_tags_and_notes_rejected() {
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database(&mut bytes, &db, &config).unwrap();
-        // The transform/backend tags live at offsets 28/29 (inside the v3
-        // config section body at [8, 38)). A bare patch trips the section
-        // checksum; with the section CRC recomputed, the typed tag error
-        // surfaces instead (the config section is parsed before the
-        // footer is reached).
-        for tag_at in [28usize, 29] {
-            let mut bad = bytes.clone();
-            bad[tag_at] = 99;
-            assert!(matches!(
-                read_database(&mut bad.as_slice()),
-                Err(StorageError::Checksum("config"))
-            ));
-            let crc = crc32(&bad[8..38]).to_le_bytes();
-            bad[38..42].copy_from_slice(&crc);
-            assert!(matches!(
-                read_database(&mut bad.as_slice()),
-                Err(StorageError::Corrupt(_))
-            ));
+        for (name, mut image, read) in images() {
+            image.push(0);
+            let err = read(&mut image.as_slice()).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{name}: {err}");
         }
     }
 
     #[test]
+    fn corrupt_tags_and_notes_rejected() {
+        // The transform/backend tags live at offsets 28/29 (inside the config
+        // section body). A bare patch trips the section checksum; with the
+        // section CRC recomputed, the typed tag error surfaces instead (the
+        // config section is parsed before the footer is reached).
+        for (name, image, read) in images() {
+            for tag_at in [CONFIG_AT + 20, CONFIG_AT + 21] {
+                let mut bad = image.clone();
+                bad[tag_at] = 99;
+                let err = read(&mut bad.as_slice()).unwrap_err();
+                assert!(matches!(err, StorageError::Checksum("config")), "{name}: {err}");
+                let crc = crc32(&bad[CONFIG_AT..CONFIG_CRC_AT]).to_le_bytes();
+                bad[CONFIG_CRC_AT..COUNT_AT].copy_from_slice(&crc);
+                let err = read(&mut bad.as_slice()).unwrap_err();
+                assert!(matches!(err, StorageError::Corrupt(_)), "{name}: {err}");
+            }
+        }
+        // A non-finite sample behind valid checksums: only the per-sample
+        // check can catch it. The first entry's series starts after the
+        // count (8) and its id/song/phrase header (16).
+        let (config, entries, _) = sample();
+        let mut bad = segment_image(&config, &entries);
+        let sample_at = COUNT_AT + 8 + 16;
+        bad[sample_at..sample_at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        reseal_segment(&mut bad);
+        let err = read_segment(&mut bad.as_slice()).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
     fn checksum_catches_a_flipped_payload_byte() {
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database(&mut bytes, &db, &config).unwrap();
-        let mut bad = bytes.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0x01;
-        assert!(read_database(&mut bad.as_slice()).is_err(), "flipped byte {mid} parsed");
+        for (name, image, read) in images() {
+            let mut bad = image.clone();
+            let mid = bad.len() / 2;
+            bad[mid] ^= 0x01;
+            assert!(read(&mut bad.as_slice()).is_err(), "{name}: flipped byte {mid} parsed");
+        }
     }
 
     #[test]
     fn lying_header_count_is_rejected_without_preallocating() {
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database_v1(&mut bytes, &db, &config).unwrap();
-        // Patch the count (offset 34 in v1) to claim 99,999,999 melodies,
-        // then truncate right after the header: the reader must fail with a
-        // typed error instead of reserving gigabytes up front.
-        let mut lying = bytes[..42].to_vec();
-        lying[34..42].copy_from_slice(&99_999_999u64.to_le_bytes());
-        let err = read_database(&mut lying.as_slice()).unwrap_err();
-        assert!(matches!(err, StorageError::Io(_)), "{err}");
-        // And a count over the cap is rejected before any entry is read
-        // (v3: the first shard section's count sits at offset 42).
-        let mut bytes2 = Vec::new();
-        write_database(&mut bytes2, &db, &config).unwrap();
-        let mut absurd = bytes2[..50].to_vec();
-        absurd[42..50].copy_from_slice(&u64::MAX.to_le_bytes());
-        let err = read_database(&mut absurd.as_slice()).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        for (name, image, read) in images() {
+            // Patch the count to claim a million entries, then truncate right
+            // after it: the reader must fail with a typed error instead of
+            // reserving memory for entries that never arrive.
+            let mut lying = image[..COUNT_AT + 8].to_vec();
+            lying[COUNT_AT..].copy_from_slice(&1_000_000u64.to_le_bytes());
+            let err = read(&mut lying.as_slice()).unwrap_err();
+            assert!(matches!(err, StorageError::Io(_)), "{name}: {err}");
+            // And a count over the cap is rejected before any entry is read.
+            lying[COUNT_AT..].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = read(&mut lying.as_slice()).unwrap_err();
+            assert!(matches!(err, StorageError::Corrupt(_)), "{name}: {err}");
+        }
     }
 
     #[test]
     fn write_overflow_is_an_error_not_a_truncation() {
-        let (db, config) = sample();
-        // Oversized song index.
-        let bad = MelodyDatabase::from_provenanced(vec![(
-            u32::MAX as usize + 1,
-            0,
-            db.entries()[0].melody().clone(),
-        )]);
-        let err = write_database(&mut Vec::new(), &bad, &config).unwrap_err();
+        let (config, entries, _) = sample();
+        let overflow = u32::MAX as usize + 1;
+        for bad in [
+            SegmentEntry { song: overflow, ..entries[0].clone() },
+            SegmentEntry { phrase: overflow, ..entries[0].clone() },
+        ] {
+            let err = write_segment(&mut Vec::new(), &config, &[bad]).unwrap_err();
+            assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
+        }
+        let bad_config = QbhConfig { samples_per_beat: overflow, ..config };
+        let err = write_segment(&mut Vec::new(), &bad_config, &[]).unwrap_err();
         assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
-        // Oversized phrase index.
-        let bad = MelodyDatabase::from_provenanced(vec![(
-            0,
-            u32::MAX as usize + 1,
-            db.entries()[0].melody().clone(),
-        )]);
-        let err = write_database(&mut Vec::new(), &bad, &config).unwrap_err();
-        assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
-        // Oversized configuration field.
-        let bad_config = QbhConfig { samples_per_beat: u32::MAX as usize + 1, ..config };
-        let err = write_database(&mut Vec::new(), &db, &bad_config).unwrap_err();
-        assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
-    }
-
-    #[test]
-    fn duplicate_provenance_rejected_on_write_and_read() {
-        let (db, config) = sample();
-        let melody = db.entries()[0].melody().clone();
-        let dup = MelodyDatabase::from_provenanced(vec![
-            (1, 2, melody.clone()),
-            (1, 2, melody.clone()),
-        ]);
-        // The v2 writer refuses to produce such a file…
-        let err = write_database(&mut Vec::new(), &dup, &config).unwrap_err();
-        assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
-        // …and the reader rejects one crafted through the legacy writer.
-        let mut bytes = Vec::new();
-        write_database_v1(&mut bytes, &dup, &config).unwrap();
-        let err = read_database(&mut bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
-    }
-
-    #[test]
-    fn legacy_all_zero_provenance_still_loads() {
-        // Old `from_melodies` databases carried (0, 0) for every entry;
-        // v1 files like that must keep loading.
-        let (db, config) = sample();
-        let zeroed = MelodyDatabase::from_provenanced(
-            db.entries().iter().map(|e| (0, 0, e.melody().clone())).collect(),
-        );
-        let mut bytes = Vec::new();
-        write_database_v1(&mut bytes, &zeroed, &config).unwrap();
-        let (back, _) = read_database(&mut bytes.as_slice()).unwrap();
-        assert_eq!(back.len(), db.len());
-        assert!(back.entries().iter().all(|e| e.song() == 0 && e.phrase() == 0));
     }
 
     #[test]
     fn unbuildable_configs_rejected_at_read() {
-        let (db, _) = sample();
         // PAA dims that do not divide the normal length would panic inside
-        // QbhSystem::build; the reader must reject them instead.
+        // engine construction; writer and reader must both reject them.
         let bad = QbhConfig {
             transform: TransformKind::NewPaa.into(),
             normal_length: 100,
             feature_dims: 7,
             ..QbhConfig::default()
         };
-        let err = write_database(&mut Vec::new(), &db, &bad).unwrap_err();
+        let err = write_segment(&mut Vec::new(), &bad, &[]).unwrap_err();
         assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
         // Craft the same config through the byte layout to hit the reader.
-        let ok = QbhConfig { transform: TransformKind::Dft.into(), ..QbhConfig::default() };
-        let mut bytes = Vec::new();
-        write_database_v1(&mut bytes, &db, &ok).unwrap();
-        bytes[8..12].copy_from_slice(&100u32.to_le_bytes()); // normal_length
-        bytes[12..16].copy_from_slice(&7u32.to_le_bytes()); // feature_dims
-        bytes[28] = 0; // transform tag -> NewPaa
-        let err = read_database(&mut bytes.as_slice()).unwrap_err();
+        let (config, _, _) = sample();
+        let mut bytes = segment_image(&config, &[]);
+        bytes[CONFIG_AT..CONFIG_AT + 4].copy_from_slice(&100u32.to_le_bytes()); // normal_length
+        bytes[CONFIG_AT + 4..CONFIG_AT + 8].copy_from_slice(&7u32.to_le_bytes()); // feature_dims
+        bytes[CONFIG_AT + 20] = 0; // transform tag -> NewPaa
+        reseal_segment(&mut bytes);
+        let err = read_segment(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+    }
+
+    /// A small database ingested into a fresh store at `dir` in two segments.
+    fn ingest(dir: &Path, metrics: &MetricsSink) -> (MelodyDatabase, QbhSystem) {
+        let db = MelodyDatabase::from_songbook(&SongbookConfig {
+            songs: 4,
+            phrases_per_song: 3,
+            ..SongbookConfig::default()
+        });
+        let config = QbhConfig::default();
+        let options = StoreOptions { memtable_capacity: 6, ..StoreOptions::default() };
+        let mut system =
+            QbhSystem::try_create_store_planned(dir, &config, options, &[], metrics).unwrap();
+        system.try_ingest(&db).unwrap();
+        (db, system)
     }
 
     #[test]
     fn metrics_record_save_and_load_outcomes() {
-        use hum_core::obs::Metric;
-        let (db, config) = sample();
         let sink = MetricsSink::enabled();
-        let path = TempFile::unique("storage-metrics");
-        let written = save_with(path.path(), &db, &config, &sink).unwrap();
-        load_with(path.path(), &sink).unwrap();
-        let missing = TempFile::unique("storage-missing");
-        assert!(load_with(missing.path(), &sink).is_err());
+        let dir = TempPath::unique("storage-metrics");
+        let (_, system) = ingest(dir.path(), &sink);
+        let written = system.store_stats().unwrap().bytes_written;
+        drop(system);
+        QbhSystem::try_open_store_with(dir.path(), StoreOptions::default(), &sink).unwrap();
+        let missing = TempPath::unique("storage-missing");
+        assert!(
+            QbhSystem::try_open_store_with(missing.path(), StoreOptions::default(), &sink).is_err()
+        );
+        // A flush that cannot reach its directory is a booked save error.
+        let doomed = TempPath::unique("storage-doomed");
+        let (_, mut system) = ingest(doomed.path(), &sink);
+        std::fs::remove_dir_all(doomed.path()).unwrap();
+        system.try_insert_melody(9_000, 0, 0, &[60.0, 62.0, 64.0]).unwrap();
+        assert!(matches!(system.flush(), Err(StorageError::Io(_))));
+        let written = written + system.store_stats().unwrap().bytes_written;
         let reg = sink.registry().unwrap();
-        assert_eq!(reg.get(Metric::StorageSaves), 1);
-        assert_eq!(reg.get(Metric::StorageSaveErrors), 0);
-        assert_eq!(reg.get(Metric::StorageLoads), 1);
+        assert_eq!(reg.get(Metric::StorageSaves), 4, "one per successful flush");
+        assert_eq!(reg.get(Metric::StorageSaveErrors), 1);
+        // Each create opens the empty store it initialized; then the reopen.
+        assert_eq!(reg.get(Metric::StorageLoads), 3);
         assert_eq!(reg.get(Metric::StorageLoadErrors), 1);
         assert_eq!(reg.get(Metric::StorageBytesWritten), written);
-        assert_eq!(reg.get(Metric::StorageBytesRead), written);
     }
 
     #[test]
     fn loaded_database_builds_an_equivalent_system() {
-        use crate::system::QbhSystem;
-        let (db, config) = sample();
-        let mut bytes = Vec::new();
-        write_database(&mut bytes, &db, &config).unwrap();
-        let (back_db, back_config) = read_database(&mut bytes.as_slice()).unwrap();
-
-        let original = QbhSystem::build(&db, &config);
-        let restored = QbhSystem::build(&back_db, &back_config);
+        let dir = TempPath::unique("storage-equivalent");
+        let (db, system) = ingest(dir.path(), &MetricsSink::Disabled);
+        drop(system);
+        let original = QbhSystem::build(&db, &QbhConfig::default());
+        let restored = QbhSystem::try_open_store(dir.path()).unwrap();
         let query = db.entry(5).unwrap().melody().to_time_series(4);
-        let a: Vec<u64> = original.query_series(&query, 4).matches.iter().map(|m| m.id).collect();
-        let b: Vec<u64> = restored.query_series(&query, 4).matches.iter().map(|m| m.id).collect();
-        assert_eq!(a, b);
+        assert_eq!(
+            original.query_series(&query, 4).matches,
+            restored.query_series(&query, 4).matches
+        );
     }
 }

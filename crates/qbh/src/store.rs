@@ -1,38 +1,39 @@
-//! The on-disk layer of the LSM-style storage engine.
+//! The one on-disk form of an indexed corpus: the LSM-style store.
 //!
 //! A store directory holds:
 //!
 //! * **Segment files** (`seg-<id>.humseg`, format `HUMSEG01`) — immutable,
 //!   checksummed batches of *normal-form* melodies flushed from the
-//!   memtable. Unlike the `HUMIDX` snapshot (which persists notes and
-//!   re-renders on load), segments persist the normalized series directly:
-//!   live inserts arrive as pitch series with no note representation, and
+//!   memtable. Segments persist the normalized series, not notes: live
+//!   inserts arrive as pitch series with no note representation, and
 //!   storing the exact `f64` bits is what keeps a reloaded store
 //!   bit-identical to the memtable it was flushed from.
-//! * **One manifest** (`MANIFEST`, format `HUMMAN01`, or `HUMMAN02` when
-//!   the store carries transform-plan evidence — the same layout plus one
-//!   trailing plan section) — the authoritative, atomically-replaced list
-//!   of live segments and tombstoned melody ids.
+//! * **One manifest** (`MANIFEST`, format `HUMMAN01`) — the authoritative,
+//!   atomically-replaced list of live segments and tombstoned melody ids,
+//!   plus the transform-plan evidence of a store created under
+//!   [`crate::system::TransformChoice::Auto`].
 //!   A segment file not named by the manifest does not exist as far as the
 //!   store is concerned (it is a crash leftover and is ignored), so every
 //!   multi-file state change reduces to one atomic manifest rename.
 //!
-//! Both formats reuse the `HUMIDX` framing: per-section CRC32s plus a
-//! whole-file footer CRC, bounded reads, and typed [`StorageError`]s —
-//! untrusted bytes can never panic this module.
+//! Both formats are built from the framing in [`crate::storage`]:
+//! per-section CRC32s plus a whole-file footer CRC, bounded reads, and
+//! typed [`StorageError`]s — untrusted bytes can never panic this module.
 //!
 //! # File formats
 //!
 //! ```text
 //! HUMSEG01:                              HUMMAN01:
 //! [ magic "HUMSEG01"          8 bytes ]  [ magic "HUMMAN01"          8 bytes ]
-//! [ config body (v3)         30 bytes ]  [ config body (v3)         30 bytes ]
+//! [ config body              30 bytes ]  [ config body              30 bytes ]
 //! [ CRC32(config)             4 bytes ]  [ CRC32(config)             4 bytes ]
 //! [ entries: count u64,               ]  [ segments: count u64,              ]
 //! [   id u64, song u32, phrase u32,   ]  [   (id u64, melodies u64)…         ]
 //! [   series normal_length × f64 …    ]  [ CRC32(segments)           4 bytes ]
 //! [ CRC32(entries)            4 bytes ]  [ tombstones: count u64, id u64…    ]
 //! [ CRC32(file)               4 bytes ]  [ CRC32(tombstones)         4 bytes ]
+//!                                        [ plan: present u8, evidence…       ]
+//!                                        [ CRC32(plan)               4 bytes ]
 //!                                        [ CRC32(file)               4 bytes ]
 //! ```
 //!
@@ -42,12 +43,12 @@
 //!
 //! # Load-time validation
 //!
-//! [`open_store`] validates the manifest's segment list the way the
-//! `HUMIDX03` reader validates shard membership: out-of-order or duplicate
-//! segment ids, a missing segment file, a segment whose config or entry
-//! count disagrees with the manifest, melody ids overlapping across
-//! segments, and tombstones that reference no stored melody are all typed
-//! [`StorageError::Corrupt`] — never a panic, never a silent skip.
+//! [`open_store`] cross-validates the manifest against the segments it
+//! names: out-of-order or duplicate segment ids, a missing segment file, a
+//! segment whose config or entry count disagrees with the manifest, melody
+//! ids overlapping across segments, and tombstones that reference no
+//! stored melody are all typed [`StorageError::Corrupt`] — never a panic,
+//! never a silent skip.
 
 use std::collections::BTreeSet;
 use std::io::{self, Read, Write};
@@ -56,9 +57,9 @@ use std::path::{Path, PathBuf};
 use hum_core::plan::TransformPlan;
 
 use crate::storage::{
-    as_u32, atomic_write, parse_config_v3, read_plan_section, validate_config, write_config,
-    write_plan_section, SnapshotReader, SnapshotWriter, StorageError, CONFIG_BODY_LEN_V3,
-    MAX_MELODIES,
+    as_u32, atomic_write, read_config_section, read_plan_section, validate_config,
+    write_config_section, write_plan_section, SnapshotReader, SnapshotWriter, StorageError,
+    MAX_MELODIES, PREALLOC_CAP,
 };
 use crate::system::QbhConfig;
 
@@ -68,22 +69,11 @@ const MAGIC_SEG: &[u8; 8] = b"HUMSEG01";
 /// Manifest file magic (8 bytes).
 const MAGIC_MAN: &[u8; 8] = b"HUMMAN01";
 
-/// Manifest file magic (8 bytes) for version 2: the v1 layout plus a
-/// trailing transform-plan section. Only produced when there is plan
-/// evidence to persist; plan-free manifests stay `HUMMAN01`.
-const MAGIC_MAN2: &[u8; 8] = b"HUMMAN02";
-
-/// Removal-log file magic (8 bytes) — see [`write_removal_log`].
-const MAGIC_RML: &[u8; 8] = b"HUMRML01";
-
 /// The manifest's file name inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
 
 /// Hard cap on the segment count a manifest may claim.
 const MAX_SEGMENTS: u64 = 1 << 20;
-
-/// Upper bound on speculative preallocation from untrusted header counts.
-const PREALLOC_CAP: usize = 1024;
 
 /// One melody inside a segment file: provenance plus the normal-form
 /// series (exact `f64` bits, already rendered and normalized).
@@ -121,9 +111,8 @@ pub struct Manifest {
     pub tombstones: Vec<u64>,
     /// Transform-plan evidence for stores created under
     /// [`crate::system::TransformChoice::Auto`] (`None` for fixed-transform
-    /// stores and pre-plan manifests). Rewritten verbatim on every flush,
-    /// removal, and compaction, so the evidence survives the store's whole
-    /// lifecycle.
+    /// stores). Rewritten verbatim on every flush, removal, and compaction,
+    /// so the evidence survives the store's whole lifecycle.
     pub plan: Option<TransformPlan>,
 }
 
@@ -157,7 +146,6 @@ pub fn write_segment<W: Write>(
     config: &QbhConfig,
     entries: &[SegmentEntry],
 ) -> Result<u64, StorageError> {
-    validate_config(config).map_err(StorageError::Unrepresentable)?;
     if entries.len() as u64 > MAX_MELODIES {
         return Err(StorageError::Unrepresentable(format!(
             "melody count {} exceeds the format cap {MAX_MELODIES}",
@@ -166,10 +154,7 @@ pub fn write_segment<W: Write>(
     }
     let mut dst = SnapshotWriter::new(out);
     dst.put(MAGIC_SEG)?;
-    dst.begin_section();
-    write_config(&mut dst, config)?;
-    dst.put(&as_u32(config.shards, "shard count")?.to_le_bytes())?;
-    dst.finish_section()?;
+    write_config_section(&mut dst, config)?;
 
     dst.begin_section();
     dst.put(&(entries.len() as u64).to_le_bytes())?;
@@ -225,11 +210,7 @@ pub fn read_segment<R: Read>(
     if &magic != MAGIC_SEG {
         return Err(StorageError::BadMagic);
     }
-    src.begin_section();
-    let mut body = [0u8; CONFIG_BODY_LEN_V3];
-    src.take(&mut body)?;
-    src.verify_section("config")?;
-    let config = parse_config_v3(&body)?;
+    let config = read_config_section(&mut src)?;
 
     src.begin_section();
     let count = src.u64()?;
@@ -275,7 +256,6 @@ pub fn read_segment<R: Read>(
 /// [`StorageError::Unrepresentable`] on violations;
 /// [`StorageError::Io`] on write failures.
 pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64, StorageError> {
-    validate_config(&manifest.config).map_err(StorageError::Unrepresentable)?;
     if manifest.segments.len() as u64 > MAX_SEGMENTS {
         return Err(StorageError::Unrepresentable(format!(
             "segment count {} exceeds the format cap {MAX_SEGMENTS}",
@@ -283,11 +263,8 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
         )));
     }
     let mut dst = SnapshotWriter::new(out);
-    dst.put(if manifest.plan.is_some() { MAGIC_MAN2 } else { MAGIC_MAN })?;
-    dst.begin_section();
-    write_config(&mut dst, &manifest.config)?;
-    dst.put(&as_u32(manifest.config.shards, "shard count")?.to_le_bytes())?;
-    dst.finish_section()?;
+    dst.put(MAGIC_MAN)?;
+    write_config_section(&mut dst, &manifest.config)?;
 
     dst.begin_section();
     dst.put(&(manifest.segments.len() as u64).to_le_bytes())?;
@@ -318,9 +295,7 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
         dst.put(&id.to_le_bytes())?;
     }
     dst.finish_section()?;
-    if let Some(plan) = &manifest.plan {
-        write_plan_section(&mut dst, plan)?;
-    }
+    write_plan_section(&mut dst, manifest.plan.as_ref())?;
     dst.finish_file()?;
     Ok(dst.bytes())
 }
@@ -335,16 +310,10 @@ pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
     let mut src = SnapshotReader::new(input);
     let mut magic = [0u8; 8];
     src.take(&mut magic)?;
-    let with_plan = match &magic {
-        m if m == MAGIC_MAN => false,
-        m if m == MAGIC_MAN2 => true,
-        _ => return Err(StorageError::BadMagic),
-    };
-    src.begin_section();
-    let mut body = [0u8; CONFIG_BODY_LEN_V3];
-    src.take(&mut body)?;
-    src.verify_section("config")?;
-    let config = parse_config_v3(&body)?;
+    if &magic != MAGIC_MAN {
+        return Err(StorageError::BadMagic);
+    }
+    let config = read_config_section(&mut src)?;
 
     src.begin_section();
     let segment_count = src.u64()?;
@@ -395,7 +364,7 @@ pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
         tombstones.push(id);
     }
     src.verify_section("tombstones")?;
-    let plan = if with_plan { Some(read_plan_section(&mut src)?) } else { None };
+    let plan = read_plan_section(&mut src)?;
     src.verify_footer()?;
     Ok(Manifest { config, segments, tombstones, plan })
 }
@@ -421,8 +390,19 @@ pub fn save_segment(
 /// # Errors
 /// As [`read_segment`].
 pub fn load_segment(path: &Path) -> Result<(QbhConfig, Vec<SegmentEntry>), StorageError> {
-    let mut input = io::BufReader::new(std::fs::File::open(path)?);
-    read_segment(&mut input)
+    load_counted(path, read_segment).map(|(segment, _)| segment)
+}
+
+/// Decodes one whole store file through `read`, also returning the file's
+/// length — which, because every reader ends by rejecting trailing bytes,
+/// is exactly the number of bytes a successful `read` consumed.
+fn load_counted<T>(
+    path: &Path,
+    read: impl FnOnce(&mut io::BufReader<std::fs::File>) -> Result<T, StorageError>,
+) -> Result<(T, u64), StorageError> {
+    let file = std::fs::File::open(path)?;
+    let len = file.metadata()?.len();
+    Ok((read(&mut io::BufReader::new(file))?, len))
 }
 
 /// Atomically replaces the manifest in `dir`. This is the store's commit
@@ -441,29 +421,20 @@ pub fn save_manifest(dir: &Path, manifest: &Manifest) -> Result<u64, StorageErro
 /// # Errors
 /// As [`read_manifest`].
 pub fn load_manifest(path: &Path) -> Result<Manifest, StorageError> {
-    let mut input = io::BufReader::new(std::fs::File::open(path)?);
-    read_manifest(&mut input)
+    load_counted(path, read_manifest).map(|(manifest, _)| manifest)
 }
 
 /// Creates a new empty store: the directory (if missing) and an initial
-/// manifest with no segments and no tombstones.
+/// manifest with no segments and no tombstones, carrying `plan` (the
+/// evidence a [`crate::system::TransformChoice::Auto`] creation resolved
+/// `config` from) so every later manifest rewrite — which copies the plan
+/// verbatim — and every reopen sees it.
 ///
 /// # Errors
 /// [`StorageError::Io`] with [`io::ErrorKind::AlreadyExists`] when `dir`
 /// already holds a manifest (an existing store is opened, never silently
 /// re-initialized), plus any validation or I/O error.
-pub fn init_store(dir: &Path, config: &QbhConfig) -> Result<(), StorageError> {
-    init_store_planned(dir, config, None)
-}
-
-/// [`init_store`] carrying transform-plan evidence: the initial manifest is
-/// written as `HUMMAN02` with the plan section when a plan is present, so
-/// every later manifest rewrite (which copies the plan verbatim) and every
-/// reopen sees the same evidence the store was created under.
-///
-/// # Errors
-/// As [`init_store`].
-pub fn init_store_planned(
+pub fn init_store(
     dir: &Path,
     config: &QbhConfig,
     plan: Option<TransformPlan>,
@@ -492,6 +463,8 @@ pub struct LoadedStore {
     /// entries are *included* (the caller skips them when building
     /// engines); their ids are in `manifest.tombstones`.
     pub segments: Vec<Vec<SegmentEntry>>,
+    /// Bytes read from disk: the manifest plus every segment it names.
+    pub bytes_read: u64,
 }
 
 /// Opens a store directory: loads the manifest, loads every segment it
@@ -505,13 +478,16 @@ pub struct LoadedStore {
 /// reference no stored melody. Plus every per-file error of
 /// [`load_manifest`] / [`load_segment`].
 pub fn open_store(dir: &Path) -> Result<LoadedStore, StorageError> {
-    let manifest = load_manifest(&manifest_path(dir))?;
+    let (manifest, mut bytes_read) = load_counted(&manifest_path(dir), read_manifest)?;
     let mut segments = Vec::with_capacity(manifest.segments.len());
     let mut seen_ids: BTreeSet<u64> = BTreeSet::new();
     for segment_ref in &manifest.segments {
         let path = segment_path(dir, segment_ref.id);
-        let (config, entries) = match load_segment(&path) {
-            Ok(loaded) => loaded,
+        let (config, entries) = match load_counted(&path, read_segment) {
+            Ok((segment, len)) => {
+                bytes_read += len;
+                segment
+            }
             Err(StorageError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
                 return Err(StorageError::Corrupt(format!(
                     "manifest names segment {} but {} is missing",
@@ -552,101 +528,7 @@ pub fn open_store(dir: &Path) -> Result<LoadedStore, StorageError> {
             )));
         }
     }
-    Ok(LoadedStore { manifest, segments })
-}
-
-// ---------------------------------------------------------------------------
-// Removal log (durable removals for corpora persisted as one snapshot).
-
-/// Serializes a removal log: a checksummed, strictly-ascending set of
-/// removed source ids. [`crate::songsearch::SongSearch`] rewrites it
-/// atomically on every removal so a crash-and-reload never resurrects a
-/// removed song.
-///
-/// # Errors
-/// [`StorageError::Unrepresentable`] when ids are not strictly ascending;
-/// [`StorageError::Io`] on write failures.
-pub fn write_removal_log<W: Write>(out: &mut W, ids: &[u64]) -> Result<u64, StorageError> {
-    if ids.len() as u64 > MAX_MELODIES {
-        return Err(StorageError::Unrepresentable(format!(
-            "removal count {} exceeds the format cap {MAX_MELODIES}",
-            ids.len()
-        )));
-    }
-    let mut dst = SnapshotWriter::new(out);
-    dst.put(MAGIC_RML)?;
-    dst.begin_section();
-    dst.put(&(ids.len() as u64).to_le_bytes())?;
-    let mut previous: Option<u64> = None;
-    for &id in ids {
-        if previous.is_some_and(|p| p >= id) {
-            return Err(StorageError::Unrepresentable(format!(
-                "removal-log ids must be strictly ascending (id {id})"
-            )));
-        }
-        previous = Some(id);
-        dst.put(&id.to_le_bytes())?;
-    }
-    dst.finish_section()?;
-    dst.finish_file()?;
-    Ok(dst.bytes())
-}
-
-/// Deserializes and validates a removal log.
-///
-/// # Errors
-/// As the other readers here: typed, never a panic.
-pub fn read_removal_log<R: Read>(input: &mut R) -> Result<Vec<u64>, StorageError> {
-    let mut src = SnapshotReader::new(input);
-    let mut magic = [0u8; 8];
-    src.take(&mut magic)?;
-    if &magic != MAGIC_RML {
-        return Err(StorageError::BadMagic);
-    }
-    src.begin_section();
-    let count = src.u64()?;
-    if count > MAX_MELODIES {
-        return Err(StorageError::Corrupt(format!("implausible removal count {count}")));
-    }
-    let mut ids = Vec::with_capacity((count as usize).min(PREALLOC_CAP));
-    let mut previous: Option<u64> = None;
-    for _ in 0..count {
-        let id = src.u64()?;
-        if previous.is_some_and(|p| p >= id) {
-            return Err(StorageError::Corrupt(format!(
-                "removal-log ids are not strictly ascending (id {id})"
-            )));
-        }
-        previous = Some(id);
-        ids.push(id);
-    }
-    src.verify_section("removals")?;
-    src.verify_footer()?;
-    Ok(ids)
-}
-
-/// Atomically rewrites the removal log at `path`.
-///
-/// # Errors
-/// As [`write_removal_log`].
-pub fn save_removal_log(path: &Path, ids: &BTreeSet<u64>) -> Result<u64, StorageError> {
-    let sorted: Vec<u64> = ids.iter().copied().collect();
-    atomic_write(path, |out| write_removal_log(out, &sorted))
-}
-
-/// Loads a removal log; a missing file is an empty log (nothing was ever
-/// removed), any other failure is a typed error.
-///
-/// # Errors
-/// As [`read_removal_log`].
-pub fn load_removal_log(path: &Path) -> Result<BTreeSet<u64>, StorageError> {
-    let file = match std::fs::File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(BTreeSet::new()),
-        Err(e) => return Err(StorageError::Io(e)),
-    };
-    let mut input = io::BufReader::new(file);
-    Ok(read_removal_log(&mut input)?.into_iter().collect())
+    Ok(LoadedStore { manifest, segments, bytes_read })
 }
 
 #[cfg(test)]
@@ -692,18 +574,6 @@ mod tests {
     }
 
     #[test]
-    fn removal_log_roundtrip_and_missing_file() {
-        let ids: BTreeSet<u64> = [9u64, 2, 40].into_iter().collect();
-        let sorted: Vec<u64> = ids.iter().copied().collect();
-        let mut image = Vec::new();
-        write_removal_log(&mut image, &sorted).unwrap();
-        assert_eq!(read_removal_log(&mut image.as_slice()).unwrap(), sorted);
-        let missing = std::env::temp_dir().join("hum-store-removal-log-missing");
-        let _ = std::fs::remove_file(&missing);
-        assert!(load_removal_log(&missing).unwrap().is_empty());
-    }
-
-    #[test]
     fn unsorted_ids_are_rejected_on_write_and_read() {
         let config = QbhConfig::default();
         let mut entries = sample_entries(&config, 3);
@@ -711,7 +581,25 @@ mod tests {
         let mut image = Vec::new();
         let err = write_segment(&mut image, &config, &entries).unwrap_err();
         assert!(matches!(err, StorageError::Unrepresentable(_)), "{err:?}");
-        let err = write_removal_log(&mut Vec::new(), &[5, 5]).unwrap_err();
-        assert!(matches!(err, StorageError::Unrepresentable(_)), "{err:?}");
+
+        // The same entries framed by hand: every checksum is valid, so only
+        // the reader's ordering check can catch them.
+        let mut image = Vec::new();
+        let mut dst = SnapshotWriter::new(&mut image);
+        dst.put(MAGIC_SEG).unwrap();
+        write_config_section(&mut dst, &config).unwrap();
+        dst.begin_section();
+        dst.put(&(entries.len() as u64).to_le_bytes()).unwrap();
+        for entry in &entries {
+            dst.put(&entry.id.to_le_bytes()).unwrap();
+            dst.put(&[0u8; 8]).unwrap(); // song, phrase
+            for sample in &entry.series {
+                dst.put(&sample.to_le_bytes()).unwrap();
+            }
+        }
+        dst.finish_section().unwrap();
+        dst.finish_file().unwrap();
+        let err = read_segment(&mut image.as_slice()).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err:?}");
     }
 }

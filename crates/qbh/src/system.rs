@@ -4,6 +4,10 @@
 //! time series rendering (§3.2), pitch-series normal forms (§3.3), audio
 //! ingestion through the pitch tracker (§3.1), and provenance-aware results
 //! (which song, which phrase).
+//!
+//! A system lives in memory ([`QbhSystem::build`]) or over the one
+//! persistent form, the segmented store of [`crate::store`]
+//! ([`QbhSystem::try_create_store`] / [`QbhSystem::try_open_store`]).
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
@@ -65,10 +69,9 @@ impl TransformKind {
 /// How the system picks its envelope transform: pinned by the caller, or
 /// measured per corpus by the build-time planner ([`hum_core::plan`]).
 ///
-/// `Auto` exists only at build/create time: every persisted artifact
-/// (snapshot or store manifest) carries the *resolved* `Fixed` kind plus
-/// the [`TransformPlan`] evidence in its own checksummed section, so a
-/// reopened index can never silently re-plan.
+/// `Auto` exists only at build/create time: a store manifest carries the
+/// *resolved* `Fixed` kind plus the [`TransformPlan`] evidence in its own
+/// checksummed section, so a reopened store can never silently re-plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TransformChoice {
     /// Use exactly this transform.
@@ -149,8 +152,7 @@ impl Default for QbhConfig {
 impl QbhConfig {
     /// The pinned transform kind, or `None` while the choice is still
     /// [`TransformChoice::Auto`]. Persisted configurations are always
-    /// resolved, so loaded snapshots and opened stores always return
-    /// `Some`.
+    /// resolved, so opened stores always return `Some`.
     pub fn fixed_transform(&self) -> Option<TransformKind> {
         match self.transform {
             TransformChoice::Fixed(kind) => Some(kind),
@@ -326,7 +328,7 @@ fn planner_dims_grid(config: &QbhConfig) -> Vec<usize> {
 
 /// The typed mismatch between persisted plan evidence and the configuration
 /// it rode in with: the plan must describe exactly the transform the
-/// artifact was built under, or a reopen could silently serve an index the
+/// store was created under, or a reopen could silently serve an index the
 /// evidence never measured.
 fn validate_plan_against_config(
     plan: &TransformPlan,
@@ -363,6 +365,16 @@ fn svd_store_error() -> StorageError {
          incremental store; choose NewPaa, KeoghPaa, Dft, or Dwt"
             .into(),
     )
+}
+
+/// Books a failed durable write as `storage.save_errors` before handing
+/// the result on (successes are booked by the flush or compaction they
+/// complete).
+fn booked(metrics: &MetricsSink, written: Result<u64, StorageError>) -> Result<u64, StorageError> {
+    if written.is_err() {
+        metrics.add(Metric::StorageSaveErrors, 1);
+    }
+    written
 }
 
 /// Builds an empty engine for one storage unit (memtable or segment) of a
@@ -576,13 +588,11 @@ impl QbhSystem {
         config: &QbhConfig,
         options: StoreOptions,
     ) -> Result<Self, StorageError> {
-        match config.fixed_transform() {
-            Some(TransformKind::Svd) => return Err(svd_store_error()),
-            Some(_) => {}
-            None => return Err(auto_unresolved_error()),
+        // Without a planning sample there is nothing to resolve `Auto` from.
+        if config.fixed_transform().is_none() {
+            return Err(auto_unresolved_error());
         }
-        store::init_store(dir, config)?;
-        Self::try_open_store_with(dir, options, &MetricsSink::Disabled)
+        Self::try_create_store_planned(dir, config, options, &[], &MetricsSink::Disabled)
     }
 
     /// [`QbhSystem::try_create_store`] for [`TransformChoice::Auto`]
@@ -605,12 +615,10 @@ impl QbhSystem {
         metrics: &MetricsSink,
     ) -> Result<Self, StorageError> {
         let (resolved, plan) = Self::resolve_transform(config, plan_sample, metrics)?;
-        match resolved.fixed_transform() {
-            Some(TransformKind::Svd) => return Err(svd_store_error()),
-            Some(_) => {}
-            None => return Err(auto_unresolved_error()),
+        if resolved.fixed_transform() == Some(TransformKind::Svd) {
+            return Err(svd_store_error());
         }
-        store::init_store_planned(dir, &resolved, plan)?;
+        store::init_store(dir, &resolved, plan)?;
         Self::try_open_store_with(dir, options, metrics)
     }
 
@@ -663,11 +671,32 @@ impl QbhSystem {
     /// [`StorageError::Unrepresentable`] if the manifest asks for the SVD
     /// transform (stores are created through [`QbhSystem::try_create_store`],
     /// which refuses it; a foreign manifest could still claim it).
+    ///
+    /// The outcome is recorded into `metrics`: one `storage.loads` plus the
+    /// manifest and segment bytes as `storage.bytes_read` on success, one
+    /// `storage.load_errors` on any failure.
     pub fn try_open_store_with(
         dir: &Path,
         options: StoreOptions,
         metrics: &MetricsSink,
     ) -> Result<Self, StorageError> {
+        let opened = Self::open_store_units(dir, options, metrics);
+        match &opened {
+            Ok((_, bytes_read)) => {
+                metrics.add(Metric::StorageLoads, 1);
+                metrics.add(Metric::StorageBytesRead, *bytes_read);
+            }
+            Err(_) => metrics.add(Metric::StorageLoadErrors, 1),
+        }
+        opened.map(|(system, _)| system)
+    }
+
+    /// The open itself: the system plus the bytes read from disk.
+    fn open_store_units(
+        dir: &Path,
+        options: StoreOptions,
+        metrics: &MetricsSink,
+    ) -> Result<(Self, u64), StorageError> {
         let loaded = store::open_store(dir)?;
         let config = loaded.manifest.config;
         if let Some(plan) = &loaded.manifest.plan {
@@ -705,7 +734,7 @@ impl QbhSystem {
         }
         let mut memtable = store_engine(&config)?;
         memtable.set_metrics(metrics.clone());
-        Ok(QbhSystem {
+        let system = QbhSystem {
             memtable,
             segments,
             normal: NormalForm::with_length(config.normal_length),
@@ -724,62 +753,8 @@ impl QbhSystem {
                 bytes_written: 0,
             }),
             plan: loaded.manifest.plan,
-        })
-    }
-
-    /// Loads a persisted snapshot (either `HUMIDX` version) and builds the
-    /// system over it.
-    ///
-    /// # Errors
-    /// Any [`StorageError`] from [`crate::storage::load`], plus
-    /// [`StorageError::Corrupt`] for a snapshot that holds zero melodies
-    /// (structurally valid, but no system can be built over it). The
-    /// configuration itself is validated during the read, so this never
-    /// panics on untrusted files.
-    pub fn try_load(path: &std::path::Path) -> Result<Self, StorageError> {
-        Self::try_load_with(path, &MetricsSink::Disabled)
-    }
-
-    /// [`QbhSystem::try_load`], recording the load outcome and byte count
-    /// into `metrics` and installing the same sink on the built engine so
-    /// subsequent queries are recorded too.
-    pub fn try_load_with(
-        path: &std::path::Path,
-        metrics: &MetricsSink,
-    ) -> Result<Self, StorageError> {
-        Self::try_load_with_shards(path, metrics, None)
-    }
-
-    /// [`QbhSystem::try_load_with`] with an optional shard-count override
-    /// (the serving layer's `--shards` knob). `Some(n)` re-shards the loaded
-    /// corpus into `n` shards regardless of what the snapshot was persisted
-    /// with; `None` keeps the snapshot's own shard count (always 1 for
-    /// `HUMIDX01`/`HUMIDX02` files). Query results are bit-identical either
-    /// way.
-    ///
-    /// # Errors
-    /// Same as [`QbhSystem::try_load_with`].
-    pub fn try_load_with_shards(
-        path: &std::path::Path,
-        metrics: &MetricsSink,
-        shards: Option<usize>,
-    ) -> Result<Self, StorageError> {
-        let (db, mut config, plan) = crate::storage::load_planned(path, metrics)?;
-        if db.is_empty() {
-            return Err(StorageError::Corrupt(
-                "snapshot holds no melodies; cannot build a query system".into(),
-            ));
-        }
-        if let Some(plan) = &plan {
-            validate_plan_against_config(plan, &config)?;
-        }
-        if let Some(n) = shards {
-            config.shards = n.max(1);
-        }
-        let mut system = Self::build(&db, &config);
-        system.plan = plan;
-        system.set_metrics(metrics.clone());
-        Ok(system)
+        };
+        Ok((system, loaded.bytes_read))
     }
 
     /// Number of indexed melodies, across the memtable and every segment.
@@ -986,6 +961,29 @@ impl QbhSystem {
         Ok(())
     }
 
+    /// Ingests a whole melody database into a store-backed system: every
+    /// entry is rendered and inserted under its own id and provenance with
+    /// a [`QbhSystem::maintain`] tick after each (so the memtable flushes
+    /// and segments compact as they fill), then the tail is flushed — on
+    /// return the entire database is durable.
+    ///
+    /// # Errors
+    /// [`StorageError::Unrepresentable`] naming the melody an insert
+    /// rejected (duplicate id, empty or non-finite rendering), plus
+    /// anything [`QbhSystem::maintain`] and [`QbhSystem::flush`] report;
+    /// melodies ingested before the failure stay in the store.
+    pub fn try_ingest(&mut self, db: &MelodyDatabase) -> Result<(), StorageError> {
+        for entry in db.entries() {
+            let series = entry.melody().to_time_series(self.config.samples_per_beat);
+            self.try_insert_melody(entry.id(), entry.song(), entry.phrase(), &series).map_err(
+                |e| StorageError::Unrepresentable(format!("melody #{}: {e}", entry.id())),
+            )?;
+            self.maintain()?;
+        }
+        self.flush()?;
+        Ok(())
+    }
+
     /// Live removal: drops the melody stored under `id` from whichever
     /// storage unit holds it. Returns `Ok(true)` if it was present.
     ///
@@ -994,9 +992,8 @@ impl QbhSystem {
     /// removal, so a crash-and-reload can never resurrect it; the
     /// tombstoned entry physically disappears at the next compaction.
     /// Memtable-resident melodies were never durable, so their removal is
-    /// purely in-memory. For in-memory builds this degrades to the old
-    /// behavior (durability comes from the next full snapshot save) and
-    /// never returns an error.
+    /// purely in-memory, as is every removal from an in-memory build
+    /// (which never returns an error).
     ///
     /// # Errors
     /// Any I/O or encoding failure writing the updated manifest; the
@@ -1034,7 +1031,8 @@ impl QbhSystem {
             tombstones: tombstones.iter().copied().collect(),
             plan: self.plan.clone(),
         };
-        state.bytes_written += store::save_manifest(&state.dir, &manifest)?;
+        state.bytes_written +=
+            booked(&self.metrics, store::save_manifest(&state.dir, &manifest))?;
         state.tombstones = tombstones;
         self.segments[seg_index].engine.remove(id);
         self.provenance.remove(&id);
@@ -1156,7 +1154,7 @@ impl QbhSystem {
 
     /// The transform plan this system was built, created, or opened under —
     /// `None` unless the configuration was [`TransformChoice::Auto`] (or the
-    /// on-disk artifact carried persisted plan evidence).
+    /// store's manifest carried persisted plan evidence).
     pub fn plan(&self) -> Option<&TransformPlan> {
         self.plan.as_ref()
     }
@@ -1216,7 +1214,10 @@ impl QbhSystem {
             entries.push(SegmentEntry { id, song, phrase, series });
         }
         let segment_id = state.next_segment_id;
-        let mut written = store::save_segment(&state.dir, segment_id, &self.config, &entries)?;
+        let mut written = booked(
+            &self.metrics,
+            store::save_segment(&state.dir, segment_id, &self.config, &entries),
+        )?;
         let mut segment_refs: Vec<SegmentRef> =
             self.segments.iter().map(StoreSegment::to_ref).collect();
         segment_refs.push(SegmentRef { id: segment_id, count: entries.len() as u64 });
@@ -1226,7 +1227,7 @@ impl QbhSystem {
             tombstones: state.tombstones.iter().copied().collect(),
             plan: self.plan.clone(),
         };
-        written += store::save_manifest(&state.dir, &manifest)?;
+        written += booked(&self.metrics, store::save_manifest(&state.dir, &manifest))?;
         // Durably committed: seal the memtable as the new segment.
         let mut meta = SegmentMeta::new(entries.len());
         {
@@ -1296,7 +1297,10 @@ impl QbhSystem {
         let mut segment_refs = Vec::new();
         if !entries.is_empty() {
             let segment_id = state.next_segment_id;
-            written += store::save_segment(&state.dir, segment_id, &self.config, &entries)?;
+            written += booked(
+                &self.metrics,
+                store::save_segment(&state.dir, segment_id, &self.config, &entries),
+            )?;
             // Rebuild the merged engine with metrics detached: compaction
             // re-indexing is not a user-visible insert.
             let mut engine = store_engine(&self.config)?;
@@ -1328,7 +1332,7 @@ impl QbhSystem {
             tombstones: Vec::new(),
             plan: self.plan.clone(),
         };
-        written += store::save_manifest(&state.dir, &manifest)?;
+        written += booked(&self.metrics, store::save_manifest(&state.dir, &manifest))?;
         self.segments = new_segments;
         state.tombstones.clear();
         state.compactions += 1;

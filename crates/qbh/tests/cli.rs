@@ -60,7 +60,7 @@ fn generate_info_hum_query_pipeline() {
 
 #[test]
 fn index_file_query_matches_directory_query() {
-    let dir = temp_dir("humidx");
+    let dir = temp_dir("index");
     let dir_s = dir.to_str().unwrap();
     assert!(qbh(&["generate", dir_s, "--songs", "6", "--seed", "11"]).status.success());
 
@@ -69,13 +69,15 @@ fn index_file_query_matches_directory_query() {
         .status
         .success());
 
-    let idx = dir.join("corpus.humidx");
-    let indexed = qbh(&["index", dir_s, idx.to_str().unwrap()]);
+    let idx = dir.join("store");
+    let indexed = qbh(&["index", dir_s, idx.to_str().unwrap(), "--memtable", "50"]);
     assert!(indexed.status.success(), "{indexed:?}");
-    assert!(stdout(&indexed).contains("Persisted 120 melodies"));
+    assert!(stdout(&indexed).contains("Ingested 120 melodies"), "{}", stdout(&indexed));
 
-    // The directory query names the file; the humidx query names the dense
-    // id (BTreeMap order), which for song002_phrase03 is 2*20 + 3 = 43.
+    // The directory query names the file; the store query names the id the
+    // melody was ingested under (BTreeMap order), which for
+    // song002_phrase03 is 2*20 + 3 = 43. Nothing but the MANIFEST inside
+    // `idx` tells the two kinds of directory apart.
     let by_dir = qbh(&["query", dir_s, wav.to_str().unwrap(), "--top", "1"]);
     assert!(stdout(&by_dir).contains("1. song002_phrase03.mid"), "{}", stdout(&by_dir));
     let by_idx = qbh(&["query", idx.to_str().unwrap(), wav.to_str().unwrap(), "--top", "1"]);
@@ -145,8 +147,8 @@ fn serve_prints_the_bound_address_and_shuts_down_cleanly_over_the_wire() {
     let dir = temp_dir("serve");
     let dir_s = dir.to_str().unwrap();
     assert!(qbh(&["generate", dir_s, "--songs", "2", "--seed", "7"]).status.success());
-    let idx = dir.join("corpus.humidx");
-    assert!(qbh(&["index", dir_s, idx.to_str().unwrap()]).status.success());
+    let idx = dir.join("store");
+    assert!(qbh(&["index", dir_s, idx.to_str().unwrap(), "--shards", "2"]).status.success());
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_qbh"))
         .args([
@@ -155,8 +157,6 @@ fn serve_prints_the_bound_address_and_shuts_down_cleanly_over_the_wire() {
             "--addr",
             "127.0.0.1:0",
             "--workers",
-            "2",
-            "--shards",
             "2",
             "--allow-remote-shutdown",
         ])
@@ -186,6 +186,7 @@ fn serve_prints_the_bound_address_and_shuts_down_cleanly_over_the_wire() {
     assert!(rest.is_empty(), "stdout must stay clean after the address: {rest}");
     let mut err = String::new();
     child.stderr.take().unwrap().read_to_string(&mut err).expect("drain stderr");
+    assert!(err.contains("2 shards"), "the shard count chosen at index time is served: {err}");
     assert!(err.contains("draining in-flight requests"), "{err}");
     // Only queue-admitted work ops count; ping and shutdown are answered
     // inline on the connection thread.
@@ -201,7 +202,7 @@ fn serve_rejects_wire_shutdown_unless_explicitly_allowed() {
     let dir = temp_dir("serve-no-shutdown");
     let dir_s = dir.to_str().unwrap();
     assert!(qbh(&["generate", dir_s, "--songs", "1", "--seed", "3"]).status.success());
-    let idx = dir.join("corpus.humidx");
+    let idx = dir.join("store");
     assert!(qbh(&["index", dir_s, idx.to_str().unwrap()]).status.success());
 
     // No --allow-remote-shutdown: the wire shutdown op must be refused and
@@ -229,6 +230,46 @@ fn serve_rejects_wire_shutdown_unless_explicitly_allowed() {
 
     child.kill().expect("stop server");
     let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store holds whatever ids its writers chose — wire inserts far above
+/// the ingested range, holes left by removals — so a hit must be labelled
+/// from the id itself, never by indexing a dense name table with it.
+#[test]
+fn store_query_labels_hits_by_id_when_ids_are_sparse() {
+    use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions};
+
+    let dir = temp_dir("sparse-ids");
+    let dir_s = dir.to_str().unwrap();
+    assert!(qbh(&["generate", dir_s, "--songs", "1", "--seed", "13"]).status.success());
+    let wav = dir.join("hum.wav");
+    assert!(qbh(&["hum", dir_s, "song000_phrase05.mid", wav.to_str().unwrap()])
+        .status
+        .success());
+
+    // The hummed melody lives under id 1,000,000 in a store of three.
+    let bytes = std::fs::read(dir.join("song000_phrase05.mid")).unwrap();
+    let melody = hum_qbh::corpus::melody_from_smf(&hum_midi::parse_smf(&bytes).unwrap(), 0);
+    let config = QbhConfig::default();
+    let store = dir.join("store");
+    let mut system =
+        QbhSystem::try_create_store(&store, &config, StoreOptions::default()).unwrap();
+    let target = melody.to_time_series(config.samples_per_beat);
+    let decoy: Vec<f64> = target.iter().rev().map(|p| p + 7.0).collect();
+    system.try_insert_melody(7, 0, 0, &decoy).unwrap();
+    system.try_insert_melody(1_000_000, 0, 5, &target).unwrap();
+    system.try_insert_melody(u64::MAX, 0, 1, &decoy[1..]).unwrap();
+    system.flush().unwrap();
+    assert!(system.try_remove(7).unwrap());
+    drop(system);
+
+    let query = qbh(&["query", store.to_str().unwrap(), wav.to_str().unwrap(), "--top", "2"]);
+    assert!(query.status.success(), "{query:?}");
+    let out = stdout(&query);
+    assert!(out.contains("1. melody #1000000"), "{out}");
+    assert!(out.contains(&format!("2. melody #{}", u64::MAX)), "{out}");
+
     let _ = std::fs::remove_dir_all(&dir);
 }
 

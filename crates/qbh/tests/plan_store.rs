@@ -1,5 +1,5 @@
-//! The transform plan across the persistence boundary: a store or snapshot
-//! created with `TransformChoice::Auto` must reopen with the identical
+//! The transform plan across the persistence boundary: a store created
+//! with `TransformChoice::Auto` must reopen with the identical
 //! persisted plan (never silently re-planning), answer bit-identically to a
 //! rebuild that pins the planned transform as `Fixed`, and turn any
 //! corruption of the persisted plan into a typed [`StorageError`] — never a
@@ -12,8 +12,8 @@ use hum_core::plan::{PlanFamily, PlannerOptions, TransformPlan};
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::fault::flip_bit;
-use hum_qbh::storage::{self, StorageError};
-use hum_qbh::store::manifest_path;
+use hum_qbh::storage::StorageError;
+use hum_qbh::store::{self, manifest_path, Manifest};
 use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions, TransformChoice, TransformKind};
 
 fn database() -> MelodyDatabase {
@@ -77,14 +77,7 @@ fn build_auto_store(db: &MelodyDatabase, dir: &Path, memtable: usize) -> QbhSyst
         &MetricsSink::Disabled,
     )
     .unwrap();
-    for entry in db.entries() {
-        let series = entry.melody().to_time_series(config.samples_per_beat);
-        system.try_insert_melody(entry.id(), entry.song(), entry.phrase(), &series).unwrap();
-        if system.needs_flush() {
-            system.flush().unwrap();
-        }
-    }
-    system.flush().unwrap();
+    system.try_ingest(db).unwrap();
     system
 }
 
@@ -103,9 +96,10 @@ fn auto_store_reopens_with_the_identical_plan_and_never_replans() {
     assert_eq!(resolved.feature_dims, created_plan.dims);
     drop(system);
 
-    // The manifest of a planned store is the versioned HUMMAN02 form.
+    // Plan evidence does not fork the format: a planned manifest carries
+    // the one manifest magic, exactly like an unplanned one.
     let manifest = std::fs::read(manifest_path(&dir)).unwrap();
-    assert_eq!(&manifest[..8], b"HUMMAN02");
+    assert_eq!(&manifest[..8], b"HUMMAN01");
 
     let metrics = MetricsSink::enabled();
     let reopened =
@@ -143,14 +137,7 @@ fn auto_store_answers_bit_identically_to_a_fixed_rebuild() {
     let fixed_dir = temp_dir("auto-vs-fixed-f");
     let options = StoreOptions { memtable_capacity: 9, ..StoreOptions::default() };
     let mut fixed = QbhSystem::try_create_store(&fixed_dir, &resolved, options).unwrap();
-    for entry in db.entries() {
-        let series = entry.melody().to_time_series(resolved.samples_per_beat);
-        fixed.try_insert_melody(entry.id(), entry.song(), entry.phrase(), &series).unwrap();
-        if fixed.needs_flush() {
-            fixed.flush().unwrap();
-        }
-    }
-    fixed.flush().unwrap();
+    fixed.try_ingest(&db).unwrap();
 
     for (i, q) in queries.iter().enumerate() {
         let a = auto.query_series(q, 10);
@@ -186,73 +173,42 @@ fn auto_build_matches_fixed_build_at_every_shard_count() {
     }
 }
 
-#[test]
-fn snapshot_plan_roundtrips_and_gates_the_file_version() {
-    let db = database();
-    let dir = temp_dir("snapshot");
+/// The resolved configuration and plan for the test corpus, as a manifest
+/// of an empty store.
+fn planned_manifest(db: &MelodyDatabase) -> Manifest {
     let config = auto_config();
-    let sample = sample_series(&db, &config);
+    let sample = sample_series(db, &config);
     let (resolved, plan) =
         QbhSystem::resolve_transform(&config, &sample, &MetricsSink::Disabled).unwrap();
-    let plan = plan.expect("auto resolution produces a plan");
+    assert!(plan.is_some(), "auto resolution produces a plan");
+    Manifest { config: resolved, segments: Vec::new(), tombstones: Vec::new(), plan }
+}
 
-    // Plan present: the snapshot is the extended HUMIDX04 form and the
-    // plan comes back verbatim.
-    let planned = dir.join("planned.humidx");
-    storage::save_planned(&planned, &db, &resolved, Some(&plan), &MetricsSink::Disabled).unwrap();
-    let bytes = std::fs::read(&planned).unwrap();
-    assert_eq!(&bytes[..8], b"HUMIDX04");
-    let (loaded_db, loaded_config, loaded_plan) =
-        storage::load_planned(&planned, &MetricsSink::Disabled).unwrap();
-    assert_eq!(loaded_db.len(), db.len());
-    assert_eq!(loaded_config, resolved);
-    assert_eq!(loaded_plan.as_ref(), Some(&plan));
-
-    // No plan: byte-identical discipline — the file stays plain HUMIDX03
-    // and loads with no plan attached.
-    let plain = dir.join("plain.humidx");
-    storage::save_planned(&plain, &db, &resolved, None, &MetricsSink::Disabled).unwrap();
-    let bytes = std::fs::read(&plain).unwrap();
-    assert_eq!(&bytes[..8], b"HUMIDX03");
-    let (_, _, no_plan) = storage::load_planned(&plain, &MetricsSink::Disabled).unwrap();
-    assert_eq!(no_plan, None);
-
-    // A planned snapshot loads into a queryable system carrying the plan.
-    let system = QbhSystem::try_load(&planned).unwrap();
-    assert_eq!(system.plan(), Some(&plan));
-    let _ = std::fs::remove_dir_all(&dir);
+fn manifest_image(manifest: &Manifest) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    store::write_manifest(&mut bytes, manifest).unwrap();
+    bytes
 }
 
 #[test]
 fn corrupting_the_plan_section_is_a_typed_error_never_a_panic() {
-    let db = database();
-    let dir = temp_dir("corrupt");
-    let config = auto_config();
-    let sample = sample_series(&db, &config);
-    let (resolved, plan) =
-        QbhSystem::resolve_transform(&config, &sample, &MetricsSink::Disabled).unwrap();
-    let plan = plan.unwrap();
-
-    let planned = dir.join("planned.humidx");
-    let plain = dir.join("plain.humidx");
-    storage::save_planned(&planned, &db, &resolved, Some(&plan), &MetricsSink::Disabled).unwrap();
-    storage::save_planned(&plain, &db, &resolved, None, &MetricsSink::Disabled).unwrap();
-    let pristine = std::fs::read(&planned).unwrap();
-    let plan_extra = pristine.len() - std::fs::read(&plain).unwrap().len();
-    assert!(plan_extra > 0, "the plan section must occupy bytes");
+    let planned = planned_manifest(&database());
+    let pristine = manifest_image(&planned);
+    let plain = manifest_image(&Manifest { plan: None, ..planned.clone() });
+    let plan_extra = pristine.len() - plain.len();
+    assert!(plan_extra > 0, "the plan evidence must occupy bytes");
+    assert_eq!(store::read_manifest(&mut pristine.as_slice()).unwrap(), planned);
 
     // Flip a bit at every byte of the file tail that the plan section (and
     // the footer guarding it) occupies: each corruption must surface as a
-    // typed error from the load, never a panic and never a silent success.
-    let victim = dir.join("victim.humidx");
-    for offset in pristine.len() - plan_extra..pristine.len() {
+    // typed error from the read, never a panic and never a silent success.
+    let tail = plan_extra + 9; // presence byte, section CRC, footer CRC
+    for offset in pristine.len() - tail..pristine.len() {
         for bit in [0u8, 7] {
             let mut bytes = pristine.clone();
             flip_bit(&mut bytes, offset, bit);
-            std::fs::write(&victim, &bytes).unwrap();
-            let result = storage::load_planned(&victim, &MetricsSink::Disabled);
             assert!(
-                result.is_err(),
+                store::read_manifest(&mut bytes.as_slice()).is_err(),
                 "flipping byte {offset} bit {bit} of the plan tail went unnoticed"
             );
         }
@@ -260,10 +216,8 @@ fn corrupting_the_plan_section_is_a_typed_error_never_a_panic() {
 
     // Truncation anywhere inside the plan section is typed too.
     for keep in [pristine.len() - 1, pristine.len() - plan_extra / 2] {
-        std::fs::write(&victim, &pristine[..keep]).unwrap();
-        assert!(storage::load_planned(&victim, &MetricsSink::Disabled).is_err());
+        assert!(store::read_manifest(&mut &pristine[..keep]).is_err());
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -295,23 +249,18 @@ fn corrupting_the_manifest_plan_is_a_typed_error_on_open() {
 
 #[test]
 fn a_plan_that_contradicts_the_config_is_rejected_on_load() {
-    let db = database();
     let dir = temp_dir("mismatch");
-    let config = auto_config();
-    let sample = sample_series(&db, &config);
-    let (resolved, plan) =
-        QbhSystem::resolve_transform(&config, &sample, &MetricsSink::Disabled).unwrap();
-    let mut plan = plan.unwrap();
+    let mut manifest = planned_manifest(&database());
 
     // Tamper with the evidence so it no longer describes the config: a
     // well-formed plan for a different dimensionality.
-    plan.dims = if resolved.feature_dims == 4 { 8 } else { 4 };
+    let plan = manifest.plan.as_mut().unwrap();
+    plan.dims = if manifest.config.feature_dims == 4 { 8 } else { 4 };
     for c in &mut plan.candidates {
         c.dims = plan.dims;
     }
-    let path = dir.join("mismatch.humidx");
-    storage::save_planned(&path, &db, &resolved, Some(&plan), &MetricsSink::Disabled).unwrap();
-    match QbhSystem::try_load(&path).map(|_| ()) {
+    store::save_manifest(&dir, &manifest).unwrap();
+    match QbhSystem::try_open_store(&dir).map(|_| ()) {
         Err(StorageError::Corrupt(message)) => {
             assert!(message.contains("plan"), "unhelpful mismatch message: {message}")
         }
@@ -322,7 +271,6 @@ fn a_plan_that_contradicts_the_config_is_rejected_on_load() {
 
 #[test]
 fn unresolved_auto_is_a_typed_error_on_every_persistence_path() {
-    let db = database();
     let dir = temp_dir("unresolved");
     let config = auto_config();
 
@@ -336,9 +284,15 @@ fn unresolved_auto_is_a_typed_error_on_every_persistence_path() {
         other => panic!("expected Unrepresentable, got {other:?}"),
     }
 
-    // Direct snapshot persistence of an unresolved config: typed error.
+    // Direct persistence of an unresolved config, as a manifest or as a
+    // segment: typed error.
+    let manifest = Manifest { config, segments: Vec::new(), tombstones: Vec::new(), plan: None };
     assert!(matches!(
-        storage::save(&dir.join("auto.humidx"), &db, &config),
+        store::save_manifest(&dir, &manifest),
+        Err(StorageError::Unrepresentable(_))
+    ));
+    assert!(matches!(
+        store::save_segment(&dir, 0, &config, &[]),
         Err(StorageError::Unrepresentable(_))
     ));
     let _ = std::fs::remove_dir_all(&dir);

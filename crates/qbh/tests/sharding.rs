@@ -1,8 +1,8 @@
 //! Shard-count invariance, end to end: the same corpus partitioned into
 //! 1, 2, 4, or 8 shards must return **bit-identical** matches — in
 //! process, through the batch API at any thread count, over the wire at
-//! any worker count, and after a save/load round trip with or without a
-//! `--shards`-style override.
+//! any worker count, and after a round trip through a store created at
+//! each shard count.
 //!
 //! Stats are a function of (query, corpus, shard count) — invariant under
 //! fanout, threads, and workers, but *not* under shard count: a sharded
@@ -11,10 +11,10 @@
 
 use hum_core::batch::BatchOptions;
 use hum_core::engine::QueryRequest;
-use hum_core::obs::MetricsSink;
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::system::{QbhConfig, QbhMatch, QbhSystem};
+use hum_qbh::fault::TempPath;
+use hum_qbh::system::{QbhConfig, QbhMatch, QbhSystem, StoreOptions};
 use hum_server::{Client, QueryOptions, Server, ServerConfig, ServiceMatch};
 
 fn database() -> MelodyDatabase {
@@ -176,34 +176,35 @@ fn assert_wire_matches(wire: &[ServiceMatch], local: &[QbhMatch], context: &str)
 }
 
 #[test]
-fn storage_round_trip_preserves_results_under_any_shard_override() {
+fn store_round_trip_preserves_results_at_every_shard_count() {
     let db = database();
     let queries = hums(&db, 3);
     let monolithic = system_with_shards(&db, 1);
-    let expected: Vec<_> = queries.iter().map(|q| monolithic.query_series(q, 10)).collect();
+    let band = monolithic.band();
+    let range = |system: &QbhSystem, q: &[f64]| {
+        system.try_query_request(q, QueryRequest::range(6.0).with_band(band)).unwrap().0
+    };
 
-    let dir = std::env::temp_dir()
-        .join(format!("qbh-sharding-test-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("corpus.humidx");
-    let config = QbhConfig { shards: 4, ..QbhConfig::default() };
-    hum_qbh::storage::save(&path, &db, &config).expect("save sharded snapshot");
+    // The manifest pins the partition: a store created at `shards` reopens
+    // at `shards`, and answers like the in-memory build at any count.
+    for shards in [1usize, 2, 4, 8] {
+        let dir = TempPath::unique("sharding-store");
+        let config = QbhConfig { shards, ..QbhConfig::default() };
+        let options = StoreOptions { memtable_capacity: 25, ..StoreOptions::default() };
+        let mut store = QbhSystem::try_create_store(dir.path(), &config, options).unwrap();
+        store.try_ingest(&db).unwrap();
+        drop(store);
 
-    // None keeps the persisted shard count; Some(n) re-shards on load.
-    for (override_, want_shards) in [(None, 4usize), (Some(1), 1), (Some(8), 8)] {
-        let loaded =
-            QbhSystem::try_load_with_shards(&path, &MetricsSink::Disabled, override_)
-                .expect("load");
-        assert_eq!(loaded.shard_count(), want_shards, "override {override_:?}");
+        let reopened = QbhSystem::try_open_store(dir.path()).expect("reopen");
+        assert_eq!(reopened.shard_count(), shards);
+        assert_eq!(reopened.len(), db.len());
         for (i, q) in queries.iter().enumerate() {
-            let got = loaded.query_series(q, 10);
-            assert_bit_identical(
-                &got.matches,
-                &expected[i].matches,
-                &format!("loaded #{i} override {override_:?}"),
-            );
+            let context = format!("reopened #{i} x{shards}");
+            let got = reopened.query_series(q, 10);
+            let want = monolithic.query_series(q, 10);
+            assert_bit_identical(&got.matches, &want.matches, &format!("knn {context}"));
+            let (got, want) = (range(&reopened, q), range(&monolithic, q));
+            assert_bit_identical(&got.matches, &want.matches, &format!("range {context}"));
         }
     }
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

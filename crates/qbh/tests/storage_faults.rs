@@ -1,54 +1,154 @@
-//! Fault-injection and corruption-fuzzing suite for `hum_qbh::storage`.
+//! Fault-injection and corruption-fuzzing suite for the store's on-disk
+//! formats (`hum_qbh::store` segments and manifests, framed by
+//! `hum_qbh::storage`).
 //!
 //! The durability contract under test: every short write, injected I/O
-//! error, truncation, or bit flip surfaces as a typed
-//! [`StorageError`] — never a panic, and (for the checksummed `HUMIDX02`
-//! format) never silently wrong data. The matrices below are exhaustive
-//! over a small database image: every byte budget, every truncation
-//! length, every single-bit corruption.
+//! error, truncation, or bit flip surfaces as a typed [`StorageError`] —
+//! never a panic, and never silently wrong data. The matrices below are
+//! exhaustive over a small image of each format: every byte budget, every
+//! truncation length, every single-bit corruption. (Tests named `…_v2`
+//! exercise that checksummed framing; the suffix only keeps their ids
+//! stable.)
 
-use std::io;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use hum_music::{HummingSimulator, Melody, Note, SingerProfile, SongbookConfig};
+use hum_core::plan::{CandidateEvidence, PlanFamily, TransformPlan};
+use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::fault::{flip_bit, FailingReader, FailingWriter, FaultMode, TempFile};
-use hum_qbh::songsearch::{SongSearch, SongSearchConfig};
-use hum_qbh::storage::{
-    self, entries_equal, read_database, write_database, write_database_v1, StorageError,
-};
+use hum_qbh::fault::{flip_bit, FailingReader, FailingWriter, FaultMode, TempPath};
+use hum_qbh::storage::StorageError;
 use hum_qbh::store::{self as segstore, Manifest, SegmentEntry, SegmentRef};
 use hum_qbh::system::{Backend, QbhConfig, QbhSystem, StoreOptions, TransformKind};
 use proptest::prelude::*;
 
-/// A small database so the O(bytes × bits) sweeps stay fast, but with
-/// several songs and phrases so provenance grouping is exercised.
-fn sample() -> (MelodyDatabase, QbhConfig) {
-    let db = MelodyDatabase::from_songbook(&SongbookConfig {
-        songs: 3,
-        phrases_per_song: 2,
-        min_notes: 4,
-        max_notes: 7,
-        ..SongbookConfig::default()
-    });
-    (db, QbhConfig::default())
+/// One image of each on-disk format. Every matrix below runs over both.
+#[derive(Debug, Clone, PartialEq)]
+struct Sample {
+    config: QbhConfig,
+    entries: Vec<SegmentEntry>,
+    manifest: Manifest,
 }
 
-fn v2_image(db: &MelodyDatabase, config: &QbhConfig) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    write_database(&mut bytes, db, config).expect("serialize v2");
-    bytes
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Format {
+    Segment,
+    Manifest,
 }
 
-fn v1_image(db: &MelodyDatabase, config: &QbhConfig) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    write_database_v1(&mut bytes, db, config).expect("serialize v1");
-    bytes
+const FORMATS: [Format; 2] = [Format::Segment, Format::Manifest];
+
+/// What a successful read decoded, for exact comparison.
+#[derive(Debug, PartialEq)]
+enum Decoded {
+    Segment(QbhConfig, Vec<SegmentEntry>),
+    Manifest(Manifest),
 }
 
-fn databases_equal(a: &MelodyDatabase, b: &MelodyDatabase) -> bool {
-    a.len() == b.len()
-        && a.entries().iter().zip(b.entries()).all(|(x, y)| entries_equal(x, y))
+impl Format {
+    fn write<W: Write>(self, out: &mut W, sample: &Sample) -> Result<u64, StorageError> {
+        match self {
+            Format::Segment => segstore::write_segment(out, &sample.config, &sample.entries),
+            Format::Manifest => segstore::write_manifest(out, &sample.manifest),
+        }
+    }
+
+    fn read<R: Read>(self, input: &mut R) -> Result<Decoded, StorageError> {
+        match self {
+            Format::Segment => {
+                segstore::read_segment(input).map(|(config, entries)| Decoded::Segment(config, entries))
+            }
+            Format::Manifest => segstore::read_manifest(input).map(Decoded::Manifest),
+        }
+    }
+
+    fn image(self, sample: &Sample) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.write(&mut bytes, sample).expect("serialize");
+        bytes
+    }
+
+    fn decoded(self, sample: &Sample) -> Decoded {
+        match self {
+            Format::Segment => Decoded::Segment(sample.config, sample.entries.clone()),
+            Format::Manifest => Decoded::Manifest(sample.manifest.clone()),
+        }
+    }
+
+    /// Atomically saves this format's file into the store directory `dir`.
+    fn save(self, dir: &Path, sample: &Sample) -> Result<u64, StorageError> {
+        match self {
+            Format::Segment => segstore::save_segment(dir, 0, &sample.config, &sample.entries),
+            Format::Manifest => segstore::save_manifest(dir, &sample.manifest),
+        }
+    }
+
+    fn path(self, dir: &Path) -> PathBuf {
+        match self {
+            Format::Segment => segstore::segment_path(dir, 0),
+            Format::Manifest => segstore::manifest_path(dir),
+        }
+    }
+
+    fn load(self, dir: &Path) -> Result<Decoded, StorageError> {
+        self.read(&mut io::BufReader::new(std::fs::File::open(self.path(dir))?))
+    }
+}
+
+/// A planned manifest and a segment over a short normal form, so the
+/// O(bytes × bits) sweeps stay fast while every section kind (config,
+/// entries, segments, tombstones, plan) is present.
+fn sample() -> Sample {
+    let config = QbhConfig { normal_length: 16, feature_dims: 4, ..QbhConfig::default() };
+    sample_with(config, 3, 1)
+}
+
+/// `count` entries under `config`; `salt` varies every payload byte.
+fn sample_with(config: QbhConfig, count: usize, salt: u64) -> Sample {
+    let entries = (0..count)
+        .map(|i| SegmentEntry {
+            id: (i as u64 + 1) * (salt + 2),
+            song: i,
+            phrase: (salt as usize + i) % 5,
+            series: (0..config.normal_length)
+                .map(|t| 55.0 + ((t as u64 + salt) as f64 * 0.37 * (i + 1) as f64).sin())
+                .collect(),
+        })
+        .collect();
+    let evidence = |family, dims| CandidateEvidence {
+        family,
+        dims,
+        mean_tightness: 0.5,
+        est_candidate_ratio: 0.25,
+        projection_cost: 0.125,
+        score: 0.75,
+    };
+    let plan = TransformPlan {
+        family: PlanFamily::NewPaa,
+        dims: config.feature_dims,
+        input_len: config.normal_length,
+        band: 1,
+        seed: salt,
+        sample_len: 8,
+        pairs: 28,
+        mean_tightness: 0.5,
+        est_candidate_ratio: 0.25,
+        score: 0.75,
+        candidates: vec![evidence(PlanFamily::NewPaa, config.feature_dims), evidence(PlanFamily::Dft, 2)],
+    };
+    let manifest = Manifest {
+        config,
+        segments: vec![SegmentRef { id: 0, count: count as u64 }, SegmentRef { id: salt + 1, count: 1 }],
+        tombstones: vec![salt + 2, salt + 40],
+        plan: Some(plan),
+    };
+    Sample { config, entries, manifest }
+}
+
+fn store_dir(tag: &str) -> TempPath {
+    let dir = TempPath::unique(tag);
+    std::fs::create_dir_all(dir.path()).unwrap();
+    dir
 }
 
 // ---------------------------------------------------------------------------
@@ -56,32 +156,23 @@ fn databases_equal(a: &MelodyDatabase, b: &MelodyDatabase) -> bool {
 
 #[test]
 fn every_write_budget_fails_typed_in_both_modes() {
-    let (db, config) = sample();
-    let len = v2_image(&db, &config).len() as u64;
-    for mode in [FaultMode::Error(io::ErrorKind::Other), FaultMode::Cutoff] {
-        for budget in 0..len {
-            let mut w = FailingWriter::new(Vec::new(), budget, mode);
-            let err = write_database(&mut w, &db, &config)
-                .expect_err("a write that cannot complete must error");
-            assert!(
-                matches!(err, StorageError::Io(_)),
-                "budget {budget} mode {mode:?}: expected Io, got {err:?}"
-            );
-            // Never more bytes on the device than the budget allowed.
-            assert!(w.into_inner().len() as u64 <= budget);
+    let sample = sample();
+    for format in FORMATS {
+        let len = format.image(&sample).len() as u64;
+        for mode in [FaultMode::Error(io::ErrorKind::Other), FaultMode::Cutoff] {
+            for budget in 0..len {
+                let mut w = FailingWriter::new(Vec::new(), budget, mode);
+                let err = format
+                    .write(&mut w, &sample)
+                    .expect_err("a write that cannot complete must error");
+                assert!(
+                    matches!(err, StorageError::Io(_)),
+                    "{format:?} budget {budget} mode {mode:?}: expected Io, got {err:?}"
+                );
+                // Never more bytes on the device than the budget allowed.
+                assert!(w.into_inner().len() as u64 <= budget);
+            }
         }
-    }
-}
-
-#[test]
-fn v1_writer_under_faults_also_fails_typed() {
-    let (db, config) = sample();
-    let len = v1_image(&db, &config).len() as u64;
-    // Sparse sweep: the v1 writer shares the fault path with v2.
-    for budget in (0..len).step_by(7) {
-        let mut w = FailingWriter::new(Vec::new(), budget, FaultMode::Cutoff);
-        let err = write_database_v1(&mut w, &db, &config).expect_err("short write");
-        assert!(matches!(err, StorageError::Io(_)), "budget {budget}: {err:?}");
     }
 }
 
@@ -90,31 +181,34 @@ fn v1_writer_under_faults_also_fails_typed() {
 
 #[test]
 fn every_read_budget_fails_typed_in_both_modes() {
-    let (db, config) = sample();
-    let image = v2_image(&db, &config);
-    for mode in [FaultMode::Error(io::ErrorKind::Other), FaultMode::Cutoff] {
-        for budget in 0..image.len() as u64 {
-            let mut r = FailingReader::new(image.as_slice(), budget, mode);
-            let err = read_database(&mut r)
-                .expect_err("a read that cannot complete must error");
-            assert!(
-                matches!(err, StorageError::Io(_) | StorageError::BadMagic),
-                "budget {budget} mode {mode:?}: got {err:?}"
-            );
+    let sample = sample();
+    for format in FORMATS {
+        let image = format.image(&sample);
+        for mode in [FaultMode::Error(io::ErrorKind::Other), FaultMode::Cutoff] {
+            for budget in 0..image.len() as u64 {
+                let mut r = FailingReader::new(image.as_slice(), budget, mode);
+                let err = format.read(&mut r).expect_err("a read that cannot complete must error");
+                assert!(
+                    matches!(err, StorageError::Io(_)),
+                    "{format:?} budget {budget} mode {mode:?}: got {err:?}"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn every_truncation_of_either_format_fails_typed() {
-    let (db, config) = sample();
-    for image in [v2_image(&db, &config), v1_image(&db, &config)] {
+    let sample = sample();
+    for format in FORMATS {
+        let image = format.image(&sample);
         for cut in 0..image.len() {
-            let err = read_database(&mut &image[..cut])
-                .expect_err("a strict prefix is never a valid snapshot");
+            let err = format
+                .read(&mut &image[..cut])
+                .expect_err("a strict prefix is never a valid file");
             assert!(
-                matches!(err, StorageError::Io(_) | StorageError::BadMagic),
-                "cut {cut}/{}: got {err:?}",
+                matches!(err, StorageError::Io(_)),
+                "{format:?} cut {cut}/{}: got {err:?}",
                 image.len()
             );
         }
@@ -123,223 +217,156 @@ fn every_truncation_of_either_format_fails_typed() {
 
 #[test]
 fn appended_trailing_bytes_are_rejected_for_v2() {
-    let (db, config) = sample();
-    let mut image = v2_image(&db, &config);
-    image.push(0);
-    let err = read_database(&mut image.as_slice()).expect_err("trailing byte");
-    assert!(matches!(err, StorageError::Corrupt(_)), "got {err:?}");
+    let sample = sample();
+    for format in FORMATS {
+        let mut image = format.image(&sample);
+        image.push(0);
+        let err = format.read(&mut image.as_slice()).expect_err("trailing byte");
+        assert!(matches!(err, StorageError::Corrupt(_)), "{format:?}: got {err:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Bit-flip matrices.
+// Bit-flip matrix.
 
-/// Every single-bit corruption of a `HUMIDX02` image must fail typed: the
+/// Every single-bit corruption of either image must fail typed: the
 /// whole-file CRC32 guarantees no single-bit flip can round-trip, and the
 /// per-section checksums plus bounded parsing guarantee it cannot panic or
 /// allocate absurdly on the way to that error.
 #[test]
 fn every_single_bit_flip_of_a_v2_image_fails_typed() {
-    let (db, config) = sample();
-    let image = v2_image(&db, &config);
-    for index in 0..image.len() {
-        for bit in 0..8u8 {
-            let mut corrupted = image.clone();
-            flip_bit(&mut corrupted, index, bit);
-            let err = read_database(&mut corrupted.as_slice()).expect_err("flipped bit");
+    let sample = sample();
+    for format in FORMATS {
+        let image = format.image(&sample);
+        for index in 0..image.len() {
+            for bit in 0..8u8 {
+                let mut corrupted = image.clone();
+                flip_bit(&mut corrupted, index, bit);
+                let err = format.read(&mut corrupted.as_slice()).expect_err("flipped bit");
+                assert!(
+                    matches!(
+                        err,
+                        StorageError::BadMagic
+                            | StorageError::Corrupt(_)
+                            | StorageError::Checksum(_)
+                            | StorageError::Io(_)
+                    ),
+                    "{format:?} byte {index} bit {bit}: got {err:?}"
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Interrupted saves and stale temp files, through `save_segment` and
+// `save_manifest` — the users of the atomic temp-file-then-rename write.
+
+#[test]
+fn failed_save_leaves_the_previous_snapshot_loadable() {
+    let good = sample();
+    // Out-of-order ids: files neither format can represent.
+    let mut bad = good.clone();
+    bad.entries.reverse();
+    bad.manifest.tombstones.reverse();
+    for format in FORMATS {
+        let dir = store_dir("faults-prev");
+        format.save(dir.path(), &good).expect("first save");
+        let err = format.save(dir.path(), &bad).expect_err("unsorted ids");
+        assert!(matches!(err, StorageError::Unrepresentable(_)), "{format:?}: got {err:?}");
+        assert_eq!(format.load(dir.path()).expect("old file intact"), format.decoded(&good));
+        let files = std::fs::read_dir(dir.path()).unwrap().count();
+        assert_eq!(files, 1, "{format:?}: the failed save left its temp file behind");
+    }
+}
+
+#[test]
+fn save_never_adopts_or_clobbers_a_foreign_temp_file() {
+    let sample = sample();
+    for format in FORMATS {
+        let dir = store_dir("faults-stale");
+        // Simulate a previous writer that died mid-save: a torn temp file is
+        // sitting next to the target path. Temp names are unique per writer
+        // (pid + sequence), so a new save must neither rename this garbage
+        // into place nor touch it — it writes through its own temp.
+        let target = format.path(dir.path());
+        let tmp = target.with_file_name(format!(
+            "{}.tmp.{}.0",
+            target.file_name().unwrap().to_string_lossy(),
+            std::process::id().wrapping_add(1)
+        ));
+        let garbage: &[u8] = b"HUMSEG01 torn garbage from a crashed writer";
+        std::fs::write(&tmp, garbage).unwrap();
+
+        format.save(dir.path(), &sample).expect("save next to stale temp");
+        assert_eq!(format.load(dir.path()).expect("file loads"), format.decoded(&sample));
+        // The foreign temp was never adopted (the file is valid, not the
+        // garbage) and never deleted (it is not this writer's to clean up).
+        assert_eq!(std::fs::read(&tmp).unwrap(), garbage, "foreign temp must be untouched");
+    }
+}
+
+#[test]
+fn concurrent_saves_to_one_path_never_tear_the_snapshot() {
+    // Were temps named `{path}.tmp.{pid}`, two threads saving the same path
+    // would interleave writes through one temp file and could rename a torn
+    // mixture into place. Unique per-save temps make the last rename win
+    // with a complete file; either writer's file always loads.
+    let a = sample();
+    let b = sample_with(a.config, 5, 9);
+    for format in FORMATS {
+        let dir = store_dir("faults-concurrent");
+        for round in 0..8 {
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                let saves = [&a, &b].map(|sample| {
+                    let (barrier, path) = (&barrier, dir.path());
+                    scope.spawn(move || {
+                        barrier.wait();
+                        format.save(path, sample)
+                    })
+                });
+                for save in saves {
+                    save.join().expect("thread").expect("save");
+                }
+            });
+            // Whichever rename landed last, the file is one complete image.
+            let loaded = format
+                .load(dir.path())
+                .unwrap_or_else(|e| panic!("{format:?} round {round}: {e}"));
             assert!(
-                matches!(
-                    err,
-                    StorageError::BadMagic
-                        | StorageError::Corrupt(_)
-                        | StorageError::Checksum(_)
-                        | StorageError::Io(_)
-                ),
-                "byte {index} bit {bit}: got {err:?}"
+                loaded == format.decoded(&a) || loaded == format.decoded(&b),
+                "{format:?} round {round}: loaded file is neither writer's"
             );
         }
     }
 }
 
-/// `HUMIDX01` has no checksums, so a flip may load (possibly as different
-/// data — that is the legacy format's documented weakness) or fail typed;
-/// what it must never do is panic. A flip that *does* load must at least
-/// not masquerade as the original database with a different byte image.
-#[test]
-fn every_single_bit_flip_of_a_v1_image_loads_or_fails_without_panicking() {
-    let (db, config) = sample();
-    let image = v1_image(&db, &config);
-    let (original, original_config) =
-        read_database(&mut image.as_slice()).expect("clean v1 loads");
-    let mut silent = 0usize;
-    for index in 0..image.len() {
-        for bit in 0..8u8 {
-            let mut corrupted = image.clone();
-            flip_bit(&mut corrupted, index, bit);
-            // Reaching the next iteration at all is the assertion: no panic,
-            // no unbounded allocation, regardless of outcome.
-            if let Ok((loaded, config)) = read_database(&mut corrupted.as_slice()) {
-                if databases_equal(&loaded, &original) && config == original_config {
-                    silent += 1;
-                }
-            }
-        }
-    }
-    // Every byte of the v1 layout is semantically live, so even without
-    // checksums a single flip cannot reproduce the original (db, config)
-    // pair — it either changes what loads or fails the bounds checks.
-    assert_eq!(silent, 0, "{silent} flips round-tripped as the original snapshot");
-}
-
-// ---------------------------------------------------------------------------
-// Interrupted saves and stale temp files.
-
-#[test]
-fn failed_save_leaves_the_previous_snapshot_loadable() {
-    let (db, config) = sample();
-    let file = TempFile::unique("faults-prev");
-    storage::save(file.path(), &db, &config).expect("first save");
-
-    // A database the format cannot represent: colliding provenance.
-    let melody: Melody = vec![Note::new(60, 1.0), Note::new(62, 0.5)].into_iter().collect();
-    let bad = MelodyDatabase::from_provenanced(vec![
-        (1, 1, melody.clone()),
-        (1, 1, melody),
-    ]);
-    let err = storage::save(file.path(), &bad, &config).expect_err("duplicate provenance");
-    assert!(matches!(err, StorageError::Unrepresentable(_)), "got {err:?}");
-
-    let (loaded, loaded_config) = storage::load(file.path()).expect("old snapshot intact");
-    assert!(databases_equal(&loaded, &db));
-    assert_eq!(loaded_config, config);
-}
-
-#[test]
-fn save_never_adopts_or_clobbers_a_foreign_temp_file() {
-    let (db, config) = sample();
-    let file = TempFile::unique("faults-stale");
-    // Simulate a previous writer that died mid-save: a torn temp file is
-    // sitting next to the target path. Temp names are unique per writer
-    // (pid + sequence), so a new save must neither rename this garbage
-    // into place nor touch it — it writes through its own temp.
-    let tmp = file.path().with_file_name(format!(
-        "{}.tmp.{}.0",
-        file.path().file_name().unwrap().to_string_lossy(),
-        std::process::id().wrapping_add(1)
-    ));
-    let garbage: &[u8] = b"HUMIDX02 torn garbage from a crashed writer";
-    std::fs::write(&tmp, garbage).unwrap();
-
-    storage::save(file.path(), &db, &config).expect("save next to stale temp");
-    let (loaded, _) = storage::load(file.path()).expect("snapshot loads");
-    assert!(databases_equal(&loaded, &db));
-    // The foreign temp was never adopted (the snapshot is valid, not the
-    // garbage) and never deleted (it is not this writer's to clean up).
-    assert_eq!(std::fs::read(&tmp).unwrap(), garbage, "foreign temp must be untouched");
-}
-
-#[test]
-fn concurrent_saves_to_one_path_never_tear_the_snapshot() {
-    // The old scheme named temps `{path}.tmp.{pid}` — two threads saving
-    // the same path interleaved writes through one temp file and could
-    // rename a torn mixture into place. Unique per-save temps make the
-    // last rename win with a complete file; both snapshots always load.
-    let (db_a, config) = sample();
-    let songbook = SongbookConfig { songs: 5, phrases_per_song: 2, ..SongbookConfig::default() };
-    let db_b = MelodyDatabase::from_songbook(&songbook);
-    let file = TempFile::unique("faults-concurrent");
-
-    for round in 0..8 {
-        let barrier = std::sync::Barrier::new(2);
-        std::thread::scope(|scope| {
-            let path_a = file.path().to_path_buf();
-            let path_b = file.path().to_path_buf();
-            let (barrier_a, barrier_b) = (&barrier, &barrier);
-            let (db_a, db_b, config) = (&db_a, &db_b, &config);
-            let a = scope.spawn(move || {
-                barrier_a.wait();
-                storage::save(&path_a, db_a, config)
-            });
-            let b = scope.spawn(move || {
-                barrier_b.wait();
-                storage::save(&path_b, db_b, config)
-            });
-            a.join().expect("thread a").expect("save a");
-            b.join().expect("thread b").expect("save b");
-        });
-        // Whichever rename landed last, the file is one complete snapshot.
-        let (loaded, _) =
-            storage::load(file.path()).unwrap_or_else(|e| panic!("round {round}: {e}"));
-        assert!(
-            databases_equal(&loaded, &db_a) || databases_equal(&loaded, &db_b),
-            "round {round}: loaded snapshot is neither writer's database"
-        );
-    }
-}
-
 #[test]
 fn torn_file_at_the_target_path_is_a_typed_error_not_a_panic() {
-    let (db, config) = sample();
-    let image = v2_image(&db, &config);
-    let file = TempFile::unique("faults-torn");
-    // What a non-atomic writer would have left after a crash.
-    std::fs::write(file.path(), &image[..image.len() / 2]).unwrap();
-    let err = storage::load(file.path()).expect_err("torn file");
-    assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
-}
-
-// ---------------------------------------------------------------------------
-// Cross-version compatibility: legacy files keep answering queries.
-
-#[test]
-fn v1_and_v2_snapshots_yield_identical_query_results() {
-    let (db, config) = sample();
-    let v1 = TempFile::unique("faults-compat-v1");
-    let v2 = TempFile::unique("faults-compat-v2");
-    std::fs::write(v1.path(), v1_image(&db, &config)).unwrap();
-    storage::save(v2.path(), &db, &config).expect("v2 save");
-
-    let direct = QbhSystem::build(&db, &config);
-    let from_v1 = QbhSystem::try_load(v1.path()).expect("legacy snapshot loads");
-    let from_v2 = QbhSystem::try_load(v2.path()).expect("current snapshot loads");
-
-    for (i, entry) in db.entries().iter().enumerate().take(3) {
-        let mut singer = HummingSimulator::new(SingerProfile::good(), 400 + i as u64);
-        let hum = singer.sing_series(entry.melody(), 0.01);
-        let expected = direct.query_series(&hum, 3);
-        let got_v1 = from_v1.query_series(&hum, 3);
-        let got_v2 = from_v2.query_series(&hum, 3);
-        assert_eq!(got_v1.matches, expected.matches, "v1 diverged on hum {i}");
-        assert_eq!(got_v2.matches, expected.matches, "v2 diverged on hum {i}");
+    let sample = sample();
+    for format in FORMATS {
+        let dir = store_dir("faults-torn");
+        let image = format.image(&sample);
+        // What a non-atomic writer would have left after a crash.
+        std::fs::write(format.path(dir.path()), &image[..image.len() / 2]).unwrap();
+        let err = format.load(dir.path()).expect_err("torn file");
+        assert!(matches!(err, StorageError::Io(_)), "{format:?}: got {err:?}");
     }
 }
 
 #[test]
-fn song_search_loads_either_format_and_groups_by_provenance() {
-    let (db, config) = sample();
-    let file = TempFile::unique("faults-songsearch");
-    storage::save(file.path(), &db, &config).expect("save");
-    let search = SongSearch::try_load(file.path(), &SongSearchConfig::default())
-        .expect("song search from snapshot");
-    assert_eq!(search.song_count(), 3, "one reconstructed song per provenance group");
-    assert!(search.window_count() > 0);
-}
-
-#[test]
-fn try_load_propagates_typed_errors_with_no_partial_state() {
-    let missing = TempFile::unique("faults-missing");
-    let Err(err) = QbhSystem::try_load(missing.path()) else {
-        panic!("loading a missing file must fail");
+fn try_open_store_propagates_typed_errors_with_no_partial_state() {
+    let missing = TempPath::unique("faults-missing");
+    let Err(err) = QbhSystem::try_open_store(missing.path()) else {
+        panic!("opening a missing store must fail");
     };
     assert!(matches!(err, StorageError::Io(_)), "got {err:?}");
 
-    let garbage = TempFile::unique("faults-garbage");
-    std::fs::write(garbage.path(), b"not a snapshot at all").unwrap();
-    let Err(err) = QbhSystem::try_load(garbage.path()) else {
-        panic!("loading garbage must fail");
-    };
-    assert!(matches!(err, StorageError::BadMagic), "got {err:?}");
-    let Err(err) = SongSearch::try_load(garbage.path(), &SongSearchConfig::default()) else {
-        panic!("loading garbage must fail");
+    let garbage = store_dir("faults-garbage");
+    std::fs::write(segstore::manifest_path(garbage.path()), b"not a manifest at all").unwrap();
+    let Err(err) = QbhSystem::try_open_store(garbage.path()) else {
+        panic!("opening garbage must fail");
     };
     assert!(matches!(err, StorageError::BadMagic), "got {err:?}");
 }
@@ -401,14 +428,7 @@ fn every_compaction_crash_state_opens_and_answers_identically() {
     let base = crash_temp_dir("compaction-base");
     let options = StoreOptions { memtable_capacity: 6, compact_at: usize::MAX };
     let mut system = QbhSystem::try_create_store(&base, &config, options).unwrap();
-    for entry in db.entries() {
-        let series = entry.melody().to_time_series(config.samples_per_beat);
-        system.try_insert_melody(entry.id(), entry.song(), entry.phrase(), &series).unwrap();
-        if system.needs_flush() {
-            system.flush().unwrap();
-        }
-    }
-    system.flush().unwrap();
+    system.try_ingest(&db).unwrap();
     let victim = db.entries()[4].id();
     assert!(system.try_remove(victim).unwrap());
     let expected_len = system.len();
@@ -559,20 +579,8 @@ fn segment_and_manifest_codecs_fail_typed_under_faults() {
 }
 
 // ---------------------------------------------------------------------------
-// Property tests: round-trips over arbitrary databases and configurations,
+// Property tests: round-trips over arbitrary configurations and payloads,
 // plus randomized corruption beyond the exhaustive single-bit matrix.
-
-fn melody_strategy() -> impl Strategy<Value = Melody> {
-    proptest::collection::vec((30u8..100, 1u32..=16), 1..10)
-        .prop_map(|notes| {
-            notes.into_iter().map(|(pitch, q)| Note::new(pitch, f64::from(q) * 0.25)).collect()
-        })
-}
-
-fn database_strategy() -> impl Strategy<Value = MelodyDatabase> {
-    proptest::collection::vec(melody_strategy(), 1..6)
-        .prop_map(MelodyDatabase::from_melodies)
-}
 
 fn config_strategy() -> impl Strategy<Value = QbhConfig> {
     (
@@ -609,67 +617,66 @@ fn config_strategy() -> impl Strategy<Value = QbhConfig> {
         })
 }
 
+fn sample_strategy() -> impl Strategy<Value = Sample> {
+    (config_strategy(), 0usize..6, 0u64..1_000_000, any::<bool>()).prop_map(
+        |(config, count, salt, planned)| {
+            let mut sample = sample_with(config, count, salt);
+            if !planned {
+                sample.manifest.plan = None;
+            }
+            sample
+        },
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn arbitrary_databases_round_trip_in_both_formats(
-        db in database_strategy(),
-        config in config_strategy(),
-    ) {
-        for v1 in [false, true] {
-            let mut bytes = Vec::new();
-            // The legacy format cannot record a partition: round-trip it at
-            // one shard and expect exactly that back.
-            let expected = if v1 { QbhConfig { shards: 1, ..config } } else { config };
-            if v1 {
-                write_database_v1(&mut bytes, &db, &expected).expect("serialize v1");
-            } else {
-                write_database(&mut bytes, &db, &expected).expect("serialize v3");
-            }
-            let (loaded, loaded_config) =
-                read_database(&mut bytes.as_slice()).expect("round-trip read");
-            prop_assert!(databases_equal(&loaded, &db), "v1={v1}: entries diverged");
-            prop_assert_eq!(loaded_config, expected);
+    fn arbitrary_databases_round_trip_in_both_formats(sample in sample_strategy()) {
+        for format in FORMATS {
+            let image = format.image(&sample);
+            let loaded = format.read(&mut image.as_slice()).expect("round-trip read");
+            prop_assert_eq!(loaded, format.decoded(&sample));
         }
     }
 
     #[test]
     fn random_multi_bit_corruption_of_v2_never_round_trips(
-        db in database_strategy(),
-        config in config_strategy(),
+        sample in sample_strategy(),
         flips in proptest::collection::vec((0usize..4096, 0u8..8), 1..5),
     ) {
-        let mut image = Vec::new();
-        write_database(&mut image, &db, &config).expect("serialize v2");
-        let pristine = image.clone();
-        for (index, bit) in flips {
-            flip_bit(&mut image, index, bit);
+        for format in FORMATS {
+            let pristine = format.image(&sample);
+            let mut image = pristine.clone();
+            for &(index, bit) in &flips {
+                flip_bit(&mut image, index, bit);
+            }
+            if image == pristine {
+                // Flip pairs can cancel (same byte, same bit, twice).
+                continue;
+            }
+            let result = format.read(&mut image.as_slice());
+            prop_assert!(result.is_err(), "{:?}: corrupted image must not parse", format);
         }
-        if image == pristine {
-            // Flip pairs can cancel (same byte, same bit, twice).
-            return Ok(());
-        }
-        let result = read_database(&mut image.as_slice());
-        prop_assert!(result.is_err(), "corrupted image must not parse");
     }
 
     #[test]
     fn random_truncation_of_v2_fails_typed(
-        db in database_strategy(),
-        config in config_strategy(),
+        sample in sample_strategy(),
         fraction in 0.0f64..1.0,
     ) {
-        let mut image = Vec::new();
-        write_database(&mut image, &db, &config).expect("serialize v2");
-        let cut = ((image.len() as f64) * fraction) as usize;
-        if cut == image.len() {
-            return Ok(());
+        for format in FORMATS {
+            let image = format.image(&sample);
+            let cut = ((image.len() as f64) * fraction) as usize;
+            if cut == image.len() {
+                continue;
+            }
+            let err = format.read(&mut &image[..cut]).expect_err("truncated image");
+            prop_assert!(
+                matches!(err, StorageError::Io(_)),
+                "{:?} cut {}/{}: {:?}", format, cut, image.len(), err
+            );
         }
-        let err = read_database(&mut &image[..cut]).expect_err("truncated image");
-        prop_assert!(
-            matches!(err, StorageError::Io(_) | StorageError::BadMagic),
-            "cut {}/{}: {:?}", cut, image.len(), err
-        );
     }
 }

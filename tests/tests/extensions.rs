@@ -1,5 +1,5 @@
 //! Integration tests for the extensions beyond the paper's headline
-//! experiments: subsequence song search, binary persistence, retrieval
+//! experiments: subsequence song search, store persistence, retrieval
 //! metrics, the L1 variant, key finding, and the HPS tracker — each
 //! exercised across crate boundaries.
 
@@ -7,9 +7,9 @@ use hum_core::dtw::band_for_warping_width;
 use hum_music::{HummingSimulator, SingerProfile, Songbook, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::eval::{generate_hums, retrieval_metrics, target_ranks};
-use hum_qbh::fault::TempFile;
+use hum_qbh::fault::TempPath;
 use hum_qbh::songsearch::{SongSearch, SongSearchConfig};
-use hum_qbh::system::{QbhConfig, QbhSystem};
+use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions};
 
 fn songbook_config() -> SongbookConfig {
     SongbookConfig { songs: 10, phrases_per_song: 5, ..SongbookConfig::default() }
@@ -19,15 +19,17 @@ fn songbook_config() -> SongbookConfig {
 fn persisted_database_serves_the_same_hums() {
     let db = MelodyDatabase::from_songbook(&songbook_config());
     let config = QbhConfig::default();
-    // TempFile paths are unique per test *and* per process, and the file is
+    // TempPath paths are unique per test *and* per process, and the store is
     // removed on drop even when an assertion below panics — a pid-only name
     // collides when the test harness runs files in one process.
-    let file = TempFile::unique("ext-test");
-    hum_qbh::storage::save(file.path(), &db, &config).expect("save");
-    let (restored_db, restored_config) = hum_qbh::storage::load(file.path()).expect("load");
+    let dir = TempPath::unique("ext-test");
+    let options = StoreOptions { memtable_capacity: 20, ..StoreOptions::default() };
+    let mut store = QbhSystem::try_create_store(dir.path(), &config, options).expect("create");
+    store.try_ingest(&db).expect("ingest");
+    drop(store);
 
     let original = QbhSystem::build(&db, &config);
-    let restored = QbhSystem::build(&restored_db, &restored_config);
+    let restored = QbhSystem::try_open_store(dir.path()).expect("reopen");
     let hums = generate_hums(&db, SingerProfile::good(), 6, 77);
     for hum in &hums {
         let a: Vec<u64> =
