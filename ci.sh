@@ -7,24 +7,29 @@ cargo build --release
 cargo test -q
 
 # Suites whose contract is invariance under the HUM_THREADS override
-# (BatchOptions::default() and the scatter fanout both read it): each runs
-# at both extremes. One line per suite — package, then the test selector.
+# (BatchOptions::default() — a batch's workers and a single query's scatter
+# width — reads it): each runs at both extremes. One line per suite —
+# package, then the test selector.
 #   batch, batch_determinism  deterministic chunked fan-out
 #   obs                       traces and registry counters thread-invariant
-#   segment, store            memtable-over-segments view bit-identical to
+#   exec                      the executor's layout matrix: every leaf layout
+#                             (shards, storage units) bit-identical to brute
+#                             force at every scatter width
+#   store                     memtable-over-segments systems bit-identical to
 #                             the monolithic build; reloads, compactions and
 #                             removals durable
 #   server_*, session*        bit-identity, overload, deadlines, drain, wire
 #                             fuzz; refinements equal one-shot prefixes
-#   shard, sharding           matches bit-identical at every shard count, in
-#                             process, over the wire, and through a store
+#   shard, sharding           routing and batches; matches bit-identical at
+#                             every shard count, in process, over the wire,
+#                             and through a store
 #   plan, plan_store          planner is a pure function of seeded inputs; a
 #                             planned store reopens with the identical plan
 THREAD_INVARIANT_SUITES=(
     "hum-core --test batch"
     "hum-core --test obs"
     "hum-integration-tests --test batch_determinism"
-    "hum-core --lib segment"
+    "hum-core --test exec"
     "hum-qbh --test store"
     "hum-qbh --test server_integration"
     "hum-qbh --test server_fuzz"
@@ -54,8 +59,9 @@ cargo test -q -p hum-server
 # Kernel layer: the `simd` feature (and the KernelMode it selects) may
 # change speed but never bits. The property suite runs under both feature
 # states, then the engine digest — answers and counters over a fixed
-# workload on every backend, including the f32-prefilter on/off sections —
-# is diffed byte-for-byte across simd off/on × HUM_THREADS 1/8.
+# workload on every backend, including the f32-prefilter on/off sections
+# and a 4-shard section with every multi-leaf counter — is diffed
+# byte-for-byte across simd off/on × HUM_THREADS 1/8.
 cargo test -q -p hum-core --test kernel
 cargo test -q -p hum-core --features simd --test kernel
 DIGEST_DIR=$(mktemp -d)

@@ -12,9 +12,6 @@
 //! * [`pitch`] — an autocorrelation pitch tracker over 10 ms frames with
 //!   voicing detection and median smoothing, producing the pitch time
 //!   series the query engine consumes;
-//! * [`pitch_hps`] — an independent spectral tracker (Harmonic Product
-//!   Spectrum over the workspace FFT), for cross-checking and
-//!   harmonic-rich voices;
 //! * [`wav`] — mono PCM16 WAV read/write so hums can be persisted and
 //!   inspected.
 //!
@@ -23,12 +20,10 @@
 //! note transitions that defeat naive note segmentation.
 
 pub mod pitch;
-pub mod pitch_hps;
 pub mod synth;
 pub mod wav;
 
 pub use pitch::{track_pitch, PitchTrack, PitchTrackerConfig};
-pub use pitch_hps::track_pitch_hps;
 pub use synth::{HumNote, HumSynthesizer, SynthConfig};
 pub use wav::{read_wav_mono, write_wav_mono, WavError};
 

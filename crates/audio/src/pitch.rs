@@ -185,12 +185,6 @@ fn analyze_frame(
 }
 
 /// In-place median filter over voiced runs; unvoiced frames are untouched
-/// and excluded from windows. Shared with the HPS tracker.
-pub(crate) fn median_filter_public(frames: &mut [Option<f64>], half_width: usize) {
-    median_filter(frames, half_width);
-}
-
-/// In-place median filter over voiced runs; unvoiced frames are untouched
 /// and excluded from windows.
 fn median_filter(frames: &mut [Option<f64>], half_width: usize) {
     let snapshot: Vec<Option<f64>> = frames.to_vec();

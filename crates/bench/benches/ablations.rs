@@ -6,7 +6,7 @@
 //! * pitch-tracking cost per second of audio.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hum_audio::{track_pitch, track_pitch_hps, HumNote, HumSynthesizer, PitchTrackerConfig, SynthConfig};
+use hum_audio::{track_pitch, HumNote, HumSynthesizer, PitchTrackerConfig, SynthConfig};
 use hum_core::dtw::band_for_warping_width;
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
 use hum_core::envelope::Envelope;
@@ -106,9 +106,6 @@ fn bench_pitch_tracking(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("autocorrelation", |b| {
         b.iter(|| track_pitch(black_box(&audio), &PitchTrackerConfig::default()))
-    });
-    group.bench_function("harmonic_product_spectrum", |b| {
-        b.iter(|| track_pitch_hps(black_box(&audio), &PitchTrackerConfig::default()))
     });
     group.finish();
 }

@@ -6,10 +6,14 @@
 //! kernel layer (and the f32 prefilter, exercised by the mode-2 vs mode-3
 //! sections) may change speed but never bits. GridFile's internal
 //! counters depend on `HashMap` iteration order, so its lines print
-//! matches and match-bits only.
+//! matches and match-bits only. The final 4-shard section prints every
+//! `EngineStats` counter of multi-leaf queries, single (scattered across
+//! `HUM_THREADS` workers) and batched, so the executor's fixed-leaf-order
+//! absorption is under the same byte-diff.
 
 use hum_core::batch::BatchOptions;
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
+use hum_core::shard::ShardedEngine;
 use hum_core::transform::paa::NewPaa;
 use hum_index::{GridFile, ItemId, LinearScan, RStarTree, SpatialIndex};
 
@@ -118,7 +122,7 @@ fn digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I, mode: usize, stable
 /// Batched execution digest under `BatchOptions::default()`, which honors
 /// `HUM_THREADS` — so the ci.sh thread-count sweep exercises the parallel
 /// fan-out path, whose results must be thread-count-invariant.
-fn batch_digest<I: SpatialIndex + Sync>(name: &str, make: impl Fn() -> I) {
+fn batch_digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I) {
     let series = lcg_series(400, 64, 11);
     let queries = lcg_series(12, 64, 777);
     let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), make(), EngineConfig::default());
@@ -141,6 +145,40 @@ fn batch_digest<I: SpatialIndex + Sync>(name: &str, make: impl Fn() -> I) {
     println!("{name} batch: m={m} bits={bits:x}");
 }
 
+/// Multi-leaf digest: the same workload over a 4-shard engine, printing
+/// every counter — they depend on the shard layout, never on the scatter
+/// width or thread count.
+fn sharded_digest() {
+    let series = lcg_series(400, 64, 11);
+    let queries = lcg_series(12, 64, 777);
+    let mut engine = ShardedEngine::build(4, |_| {
+        DtwIndexEngine::new(
+            NewPaa::new(64, 8),
+            RStarTree::with_page_size(8, 1024),
+            EngineConfig::default(),
+        )
+    });
+    for (i, s) in series.iter().enumerate() {
+        engine.insert(i as ItemId, s.clone());
+    }
+    let mut batch = Vec::new();
+    for q in &queries {
+        for scan in [false, true] {
+            let shape = |r: QueryRequest| r.with_series(q.clone()).with_scan(scan);
+            batch.push(shape(QueryRequest::range(2.0).with_band(3)));
+            batch.push(shape(QueryRequest::knn(9).with_band(6)));
+        }
+    }
+    for (i, request) in batch.iter().enumerate() {
+        let r = engine.query(request).result;
+        println!("rstar shards=4 r{i}: bits={:x} {:?}", match_bits(&r.matches), r.stats);
+    }
+    let out = engine
+        .try_query_batch(&batch, &BatchOptions::default())
+        .expect("digest workload is well-formed");
+    println!("rstar shards=4 batch: {:?}", out.stats);
+}
+
 fn main() {
     // mode 0: no cascade; 1: envelope filter only (the pre-cascade default);
     // 2: the full cascade (current default config, f32 prefilter on);
@@ -154,4 +192,5 @@ fn main() {
     batch_digest("rstar", || RStarTree::with_page_size(8, 1024));
     batch_digest("grid", || GridFile::with_params(8, 4, 32, 1024));
     batch_digest("linear", || LinearScan::with_page_size(8, 1024));
+    sharded_digest();
 }

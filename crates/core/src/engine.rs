@@ -35,7 +35,11 @@
 //! optional band override, per-query trace toggle, and brute-force scan
 //! fallback) and execute it with [`DtwIndexEngine::query`] (panicking) or
 //! [`DtwIndexEngine::try_query`] (returning [`EngineError`]); batches go
-//! through [`DtwIndexEngine::try_query_batch`].
+//! through [`DtwIndexEngine::try_query_batch`]. All of them are thin
+//! callers of the one executor in [`crate::exec`], which runs this engine
+//! as a single *leaf*; the engine itself contributes the per-leaf
+//! primitives (indexed range, the two k-NN phases, the two scans) and no
+//! orchestration of its own.
 //!
 //! # Observability
 //!
@@ -52,12 +56,13 @@ use std::time::{Duration, Instant};
 
 use hum_index::{ItemId, Query, QueryStats, SpatialIndex};
 
-use crate::batch::{parallel_map_chunked, BatchOptions};
+use crate::batch::BatchOptions;
 use crate::dtw::{ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
 use crate::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
+use crate::exec::{execute, execute_batch, Leaf};
 use crate::kernel::prefilter::{prefilter_exceeds, PrefilterEnvelope, SeriesMirror};
 use crate::kernel::KernelMode;
-use crate::obs::{debug_assert_trace_consistent, Metric, MetricsSink, QueryKind, QueryTrace, Timer};
+use crate::obs::{Metric, MetricsSink, QueryTrace};
 use crate::transform::EnvelopeTransform;
 
 /// Engine tuning knobs.
@@ -137,7 +142,7 @@ impl EngineStats {
 /// A rejected input, reported at the engine boundary before any state is
 /// touched (failed calls never mutate the engine or the index).
 ///
-/// The panicking entry points (`insert`, `query`, `query_with`) format
+/// The panicking entry points (`insert`, `query`) format
 /// these with `Display`, so the legacy panic messages — "must be in normal
 /// form", "non-finite sample ...", "duplicate id ..." — are unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -233,6 +238,11 @@ pub struct QueryResult {
     /// Work counters for the query.
     pub stats: EngineStats,
 }
+
+/// What every per-leaf query primitive returns: `(id, distance)` pairs plus
+/// this leaf's counters, or — when the budget's deadline passed between
+/// candidates — the partial counters alone.
+pub(crate) type LeafRun = Result<(Vec<(ItemId, f64)>, EngineStats), EngineStats>;
 
 /// Result of one [`QueryRequest`]: the matches and counters, plus the
 /// cascade trace when the request asked for one.
@@ -573,10 +583,9 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         true
     }
 
-    /// Rejects malformed query input; every query path calls this before
-    /// touching the index, so failed queries observe nothing and count
-    /// nothing. `pub(crate)` so the sharded engine can validate once before
-    /// fanning a request out.
+    /// Rejects malformed query input. The executor calls this once per
+    /// request before touching any leaf, so failed queries observe nothing
+    /// and count nothing.
     pub(crate) fn validate_query(&self, query: &[f64], band: usize) -> Result<(), EngineError> {
         if query.is_empty() {
             return Err(EngineError::EmptyQuery);
@@ -595,15 +604,15 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         Ok(())
     }
 
-    /// Executes a request against this engine. The single entry point every
-    /// other query method delegates to.
+    /// Executes a request against this engine.
     ///
     /// # Errors
     /// [`EngineError::EmptyQuery`], [`EngineError::LengthMismatch`],
     /// [`EngineError::NonFiniteSample`], or [`EngineError::BandTooWide`] —
     /// all reported before any work (or metrics recording) happens — plus
     /// [`EngineError::DeadlineExceeded`] when the request carries a
-    /// [`QueryBudget`] whose deadline passes mid-query.
+    /// [`QueryBudget`] whose deadline passes mid-query (carrying the partial
+    /// counters; not recorded as a completed query in the metrics sink).
     pub fn try_query(&self, request: &QueryRequest) -> Result<QueryOutcome, EngineError> {
         self.try_query_with(request, &mut QueryScratch::new())
     }
@@ -616,8 +625,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         request: &QueryRequest,
         scratch: &mut QueryScratch,
     ) -> Result<QueryOutcome, EngineError> {
-        self.validate_query(&request.series, request.band)?;
-        self.run_request(request, scratch)
+        execute(&[Leaf { engine: self, meta: None }], request, scratch, 1, &self.metrics)
     }
 
     /// Panicking form of [`DtwIndexEngine::try_query`].
@@ -628,61 +636,20 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         self.try_query(request).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Panicking form of [`DtwIndexEngine::try_query_with`].
+    /// Executes a batch of [`QueryRequest`]s across
+    /// [`BatchOptions::threads`] workers; see [`execute_batch`] for the
+    /// determinism and error contract (every request is validated before any
+    /// runs; outcomes are bit-identical to [`DtwIndexEngine::try_query`] at
+    /// every thread count).
     ///
-    /// # Panics
-    /// Panics on any [`EngineError`] the `try_` form would return.
-    pub fn query_with(&self, request: &QueryRequest, scratch: &mut QueryScratch) -> QueryOutcome {
-        self.try_query_with(request, scratch).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Dispatches a *validated* request, records it into the metrics sink,
-    /// and builds the trace if asked. Shared by the single-query and batch
-    /// paths, and by the sharded engine's per-shard fan-out (hence
-    /// `pub(crate)`). A deadline abort surfaces as
-    /// [`EngineError::DeadlineExceeded`] with the partial counters and is
-    /// *not* recorded as a completed query in the metrics sink (the serving
-    /// layer counts aborts separately).
-    pub(crate) fn run_request(
+    /// # Errors
+    /// As [`execute_batch`].
+    pub fn try_query_batch(
         &self,
-        request: &QueryRequest,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryOutcome, EngineError> {
-        let started = self.metrics.start_timer();
-        let query = request.series.as_slice();
-        let band = request.band;
-        let budget = request.budget;
-        let (kind, run) = match (request.kind, request.scan) {
-            (RequestKind::Range { radius }, false) => {
-                (QueryKind::Range, self.run_range(query, band, radius, budget, scratch))
-            }
-            (RequestKind::Knn { k }, false) => {
-                (QueryKind::Knn, self.run_knn(query, band, k, budget, scratch))
-            }
-            (RequestKind::Range { radius }, true) => {
-                (QueryKind::ScanRange, self.run_scan_range(query, band, radius, budget, scratch))
-            }
-            (RequestKind::Knn { k }, true) => {
-                (QueryKind::ScanKnn, self.run_scan_knn(query, band, k, budget, scratch))
-            }
-        };
-        let result = match run {
-            Ok(result) => result,
-            Err(stats) => return Err(EngineError::DeadlineExceeded { stats }),
-        };
-        self.metrics.record_query(kind, &result.stats, started);
-        let trace = request.trace.then(|| {
-            let candidates_in = match kind {
-                // Indexed paths: the cascade sees the index's candidate set.
-                QueryKind::Range | QueryKind::Knn => result.stats.index.candidates,
-                // Scan paths: the cascade sees the whole database.
-                QueryKind::ScanRange | QueryKind::ScanKnn => self.series.len() as u64,
-            };
-            let trace = QueryTrace::from_stats(kind, band, candidates_in, &result.stats);
-            debug_assert_trace_consistent(&trace, &result.stats);
-            trace
-        });
-        Ok(QueryOutcome { result, trace })
+        requests: &[QueryRequest],
+        options: &BatchOptions,
+    ) -> Result<BatchOutcome, EngineError> {
+        execute_batch(&[Leaf { engine: self, meta: None }], requests, options, &self.metrics)
     }
 
     /// Runs the post-index verification cascade for one candidate at a fixed
@@ -763,17 +730,17 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             && (self.config.envelope_refinement || self.config.lb_improved_refinement)
     }
 
-    /// The indexed range path. Input already validated. `Err` carries the
-    /// partial counters when the budget's deadline passes between
-    /// candidates.
-    fn run_range(
+    /// The indexed range path: matches within `radius`, sorted by
+    /// `(distance, id)`. Like every per-leaf primitive below, it takes
+    /// input the executor has already validated.
+    pub(crate) fn run_range(
         &self,
         query: &[f64],
         band: usize,
         radius: f64,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> Result<QueryResult, EngineStats> {
+    ) -> LeafRun {
         let cells_before = scratch.ws.cells();
         let radius_sq = radius * radius;
         let envelope = Envelope::compute(query, band);
@@ -805,64 +772,16 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         sort_by_distance(&mut matches);
         stats.matches = matches.len() as u64;
         stats.dp_cells = ws.cells() - cells_before;
-        Ok(QueryResult { matches, stats })
-    }
-
-    /// The indexed k-NN path. Input already validated. `Err` carries the
-    /// partial counters when the budget's deadline passes between
-    /// candidates.
-    ///
-    /// Runs as two phases — probe, then close — so the sharded engine can
-    /// interleave a cross-shard radius barrier between them. With the local
-    /// probes as both heap seed and skip set, the two phases compose to
-    /// exactly the pre-split single-pass code: matches and every counter are
-    /// bit-identical.
-    fn run_knn(
-        &self,
-        query: &[f64],
-        band: usize,
-        k: usize,
-        budget: QueryBudget,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryResult, EngineStats> {
-        if k == 0 || self.series.is_empty() {
-            return Ok(QueryResult::default());
-        }
-        // Steps 1-2: probes by ascending feature lower bound, with exact
-        // distances; the provisional radius is their maximum.
-        let (probes, mut stats) = self.knn_probe_phase(query, band, k, budget, scratch)?;
-        let radius_sq = probes.iter().fold(0.0f64, |acc, &(_, d_sq)| acc.max(d_sq));
-        let known: std::collections::HashSet<ItemId> =
-            probes.iter().map(|&(id, _)| id).collect();
-        // Steps 3-4: closing range query at the provisional radius, verified
-        // best-first under the shrinking top-k threshold.
-        let (survivors, close_stats) =
-            match self.knn_close_phase(query, band, k, radius_sq, &probes, &known, budget, scratch)
-            {
-                Ok(done) => done,
-                Err(partial) => {
-                    stats.absorb(&partial);
-                    return Err(stats);
-                }
-            };
-        stats.absorb(&close_stats);
-        // Survivors hold the top-k of everything verified (seeds included);
-        // folding the probe pool back in and deduping by id is a no-op for
-        // the top-k but lets the sharded caller use the same assembly.
-        let matches = assemble_knn_matches(vec![probes, survivors], k);
-        stats.matches = matches.len() as u64;
-        Ok(QueryResult { matches, stats })
+        Ok((matches, stats))
     }
 
     /// Phase 1 of the optimal multi-step k-NN scheme: probe the index for
     /// the `k` nearest feature lower bounds and compute their exact squared
     /// distances (cached so the close phase never recomputes a probe).
     ///
-    /// Returns `(probes, stats)` where `probes` are `(id, exact squared
-    /// distance)` pairs in index probe order. `pub(crate)` so the sharded
-    /// engine can scatter this phase across shards, take the global k-th
-    /// probe distance as the closing radius, and only then run the close
-    /// phase. `Err` carries the partial counters on deadline expiry.
+    /// Returns the probes as `(id, exact squared distance)` pairs in index
+    /// probe order; the executor takes the global k-th probe distance over
+    /// every leaf as the closing radius before running the close phase.
     pub(crate) fn knn_probe_phase(
         &self,
         query: &[f64],
@@ -870,7 +789,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         k: usize,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> Result<(Vec<(ItemId, f64)>, EngineStats), EngineStats> {
+    ) -> LeafRun {
         if k == 0 || self.series.is_empty() {
             return Ok((Vec::new(), EngineStats::default()));
         }
@@ -909,12 +828,11 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     ///
     /// The best-so-far max-heap starts from `seed` — `(id, exact squared
     /// distance)` pairs that need not be stored in *this* engine (the
-    /// sharded caller seeds every shard with the global best probes, so
-    /// later shards prune against earlier results). Ids in `known` already
+    /// executor seeds every leaf with the global best probes, so each prunes
+    /// against the globally tightest threshold). Ids in `known` already
     /// have exact distances (this engine's own probes) and are skipped.
-    /// Returns the final heap contents ascending by `(d², id)` plus this
-    /// phase's counters; `Err` carries the partial counters on deadline
-    /// expiry.
+    /// Returns the final heap contents ascending by `(d², id)`, distances
+    /// still squared.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn knn_close_phase(
         &self,
@@ -926,7 +844,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         known: &std::collections::HashSet<ItemId>,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> Result<(Vec<(ItemId, f64)>, EngineStats), EngineStats> {
+    ) -> LeafRun {
         if k == 0 || self.series.is_empty() {
             return Ok((Vec::new(), EngineStats::default()));
         }
@@ -1038,17 +956,16 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         Ok((survivors, stats))
     }
 
-    /// The brute-force range path. Input already validated. `Err` carries
-    /// the partial counters when the budget's deadline passes between
-    /// candidates.
-    fn run_scan_range(
+    /// The brute-force range path: the verification cascade over every
+    /// stored series, sorted by `(distance, id)`.
+    pub(crate) fn run_scan_range(
         &self,
         query: &[f64],
         band: usize,
         radius: f64,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> Result<QueryResult, EngineStats> {
+    ) -> LeafRun {
         let cells_before = scratch.ws.cells();
         let radius_sq = radius * radius;
         let envelope = Envelope::compute(query, band);
@@ -1076,20 +993,19 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         sort_by_distance(&mut matches);
         stats.matches = matches.len() as u64;
         stats.dp_cells = ws.cells() - cells_before;
-        Ok(QueryResult { matches, stats })
+        Ok((matches, stats))
     }
 
-    /// The brute-force k-NN path. Input already validated. `Err` carries
-    /// the partial counters when the budget's deadline passes between
-    /// candidates.
-    fn run_scan_knn(
+    /// The brute-force k-NN path: exact DTW against every stored series,
+    /// the `k` best sorted by `(distance, id)`.
+    pub(crate) fn run_scan_knn(
         &self,
         query: &[f64],
         band: usize,
         k: usize,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> Result<QueryResult, EngineStats> {
+    ) -> LeafRun {
         let cells_before = scratch.ws.cells();
         let ws = &mut scratch.ws;
         let mut stats = EngineStats::default();
@@ -1140,7 +1056,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         sort_by_distance(&mut matches);
         stats.matches = matches.len() as u64;
         stats.dp_cells = ws.cells() - cells_before;
-        Ok(QueryResult { matches, stats })
+        Ok((matches, stats))
     }
 
     /// All stored ids, ascending — a deterministic scan order.
@@ -1160,75 +1076,6 @@ pub struct BatchOutcome {
     pub outcomes: Vec<QueryOutcome>,
     /// All per-request counters merged in submission order.
     pub stats: EngineStats,
-}
-
-impl<T: EnvelopeTransform + Sync, I: SpatialIndex + Sync> DtwIndexEngine<T, I> {
-    /// Executes a batch of [`QueryRequest`]s, fanning fixed-size chunks out
-    /// across [`BatchOptions::threads`] scoped workers and merging results
-    /// in deterministic chunk order.
-    ///
-    /// Every per-request outcome — matches *and* counters — is bit-identical
-    /// to the corresponding single-request [`DtwIndexEngine::try_query`]
-    /// call, for every thread count: each query runs the unmodified
-    /// sequential code path against the immutable index, each worker owns a
-    /// private [`QueryScratch`], and the merge order is a function of the
-    /// batch alone. `threads = 1` processes the chunks in order on the
-    /// calling thread. Per-request traces (where
-    /// enabled) ride inside the outcomes, which are merged in submission
-    /// order — so the trace stream, like every counter, is permutation- and
-    /// thread-count-invariant.
-    ///
-    /// # Errors
-    /// Validates every request up front and returns the first
-    /// [`EngineError`] before running anything: a batch that fails
-    /// validation does no work and records no metrics. A request whose
-    /// [`QueryBudget`] deadline passes mid-run fails the whole batch with
-    /// the [`EngineError::DeadlineExceeded`] of the earliest such request
-    /// in submission order (other requests may already have completed and
-    /// recorded their per-query metrics; the batch-level counters are
-    /// skipped).
-    pub fn try_query_batch(
-        &self,
-        requests: &[QueryRequest],
-        options: &BatchOptions,
-    ) -> Result<BatchOutcome, EngineError> {
-        for request in requests {
-            self.validate_query(&request.series, request.band)?;
-        }
-        let started = self.metrics.start_timer();
-        let runs = parallel_map_chunked(
-            requests,
-            options,
-            QueryScratch::new,
-            |scratch, _i, request| self.run_request(request, scratch),
-        );
-        let mut outcomes = Vec::with_capacity(runs.len());
-        for run in runs {
-            outcomes.push(run?);
-        }
-        let mut stats = EngineStats::default();
-        for outcome in &outcomes {
-            stats.absorb(&outcome.result.stats);
-        }
-        // Drift guard (debug builds): when every request carries a trace,
-        // the merged stats must equal the sum of the per-query trace totals
-        // — `EngineStats::absorb` and `QueryTrace::totals` can never
-        // disagree silently.
-        #[cfg(debug_assertions)]
-        if !outcomes.is_empty() && outcomes.iter().all(|o| o.trace.is_some()) {
-            let mut from_traces = EngineStats::default();
-            for outcome in &outcomes {
-                from_traces.absorb(&outcome.trace.as_ref().expect("all traced").totals());
-            }
-            debug_assert_eq!(
-                from_traces, stats,
-                "batch trace totals drifted from merged EngineStats"
-            );
-        }
-        self.metrics.add(Metric::Batches, 1);
-        self.metrics.observe_since(Timer::Batch, started);
-        Ok(BatchOutcome { outcomes, stats })
-    }
 }
 
 /// Max-heap entry for the k-NN best-so-far set: orders by squared distance,
@@ -1257,30 +1104,12 @@ impl PartialOrd for Cand {
     }
 }
 
-fn sort_by_distance(matches: &mut [(ItemId, f64)]) {
+/// Sorts `(id, distance)` pairs by `(distance, id)` — the one total order
+/// every sort, heap and merge in the query path uses.
+pub(crate) fn sort_by_distance(matches: &mut [(ItemId, f64)]) {
     matches.sort_by(|a, b| {
         a.1.partial_cmp(&b.1).expect("finite distances").then_with(|| a.0.cmp(&b.0))
     });
-}
-
-/// Final k-NN assembly shared by the single-engine path and the sharded
-/// gather: pools of `(id, exact squared distance)` candidates — probe sets
-/// and close-phase survivors — are merged, deduplicated by id (duplicates
-/// always carry the same exact distance), ordered by `(d², id)` (the same
-/// total order every heap and sort in the k-NN path uses; `(d, id)` orders
-/// identically since `sqrt` is monotone), and cut to the `k` best, with one
-/// square root per reported match.
-pub(crate) fn assemble_knn_matches(
-    pools: Vec<Vec<(ItemId, f64)>>,
-    k: usize,
-) -> Vec<(ItemId, f64)> {
-    let mut pool: Vec<(ItemId, f64)> = pools.into_iter().flatten().collect();
-    pool.sort_by(|a, b| {
-        a.1.partial_cmp(&b.1).expect("finite distances").then_with(|| a.0.cmp(&b.0))
-    });
-    pool.dedup_by_key(|&mut (id, _)| id);
-    pool.truncate(k);
-    pool.into_iter().map(|(id, d_sq)| (id, d_sq.sqrt())).collect()
 }
 
 #[cfg(test)]
@@ -1623,9 +1452,9 @@ mod tests {
         let mut scratch = QueryScratch::new();
         for q in &queries {
             let range = QueryRequest::range(2.0).with_series(q.clone()).with_band(3);
-            assert_eq!(engine.query(&range), engine.query_with(&range, &mut scratch));
+            assert_eq!(engine.query(&range), engine.try_query_with(&range, &mut scratch).unwrap());
             let knn = QueryRequest::knn(5).with_series(q.clone()).with_band(3);
-            assert_eq!(engine.query(&knn), engine.query_with(&knn, &mut scratch));
+            assert_eq!(engine.query(&knn), engine.try_query_with(&knn, &mut scratch).unwrap());
         }
     }
 

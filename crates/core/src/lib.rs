@@ -23,22 +23,22 @@
 //! * [`tightness`] — the tightness-of-lower-bound metric used throughout the
 //!   paper's evaluation (§5.2).
 //! * [`engine`] — the GEMINI query engine (§4.3): feature extraction, spatial
-//!   indexing via any [`hum_index::SpatialIndex`] backend, ε-range and k-NN
-//!   queries with exact-DTW refinement and full access accounting, plus a
-//!   batched execution layer ([`engine::BatchOutcome`]) that fans queries out
-//!   across threads with bit-identical, thread-count-invariant results.
+//!   indexing via any [`hum_index::SpatialIndex`] backend, and the per-leaf
+//!   query primitives (indexed ε-range, the two k-NN phases, the scans)
+//!   with exact-DTW refinement and full access accounting.
+//! * [`exec`] — the one query executor: validates a request, fans it over a
+//!   flat list of engine *leaves* (one engine, a sharded engine's shards, or
+//!   every storage unit of a store), runs the two-phase k-NN radius
+//!   schedule, merges hits in fixed leaf order — bit-identical to a
+//!   brute-force sweep for every layout and thread count — and batches
+//!   requests ([`engine::BatchOutcome`]).
 //! * [`batch`] — the deterministic chunked fan-out underneath batched
 //!   execution (fixed-size chunks, chunk-order merge, per-worker scratch).
-//! * [`shard`] — scatter-gather serving over a hash-partitioned corpus:
-//!   [`shard::ShardedEngine`] fans each query across independent engine
-//!   shards (k-NN via a deterministic two-phase radius schedule) and merges
-//!   hits in fixed shard order, bit-identical to the monolithic engine.
-//! * [`segment`] — the segmented storage view for LSM-style stores: one
-//!   query fanned over a memtable plus immutable segments (each a
-//!   [`shard::ShardedEngine`] over its sub-corpus) and k-way-merged back,
-//!   bit-identical to a monolithic engine over the union corpus, with
-//!   conservative per-segment pruning (feature-space bounding boxes,
-//!   bloom-style id filters).
+//! * [`shard`] — hash routing over a partitioned corpus:
+//!   [`shard::ShardedEngine`] owns `N` independent engine shards and the
+//!   id → shard assignment; its queries are the executor over those shards.
+//! * [`segment`] — per-segment pruning metadata for LSM-style stores
+//!   (feature-space bounding boxes, bloom-style id filters).
 //! * [`obs`] — observability: a registry of named monotonic counters and
 //!   duration histograms, opt-in per-query cascade traces
 //!   ([`obs::QueryTrace`]), and text/JSON exporters. Counters are
@@ -49,8 +49,6 @@
 //!   [`plan::TransformPlan`] (tightness-first, cost model breaks ties).
 //! * [`subsequence`] — sliding-window subsequence matching over long series,
 //!   the §3.2 alternative to whole-sequence matching.
-//! * [`l1`] — the same framework under the L1 metric, the "other distance
-//!   metrics" extension §4 mentions.
 //! * [`kernel`] — the SIMD-friendly inner loops under [`dtw`], [`envelope`]
 //!   and the engine's verification cascade: aligned structure-of-arrays
 //!   buffers, blocked lower-bound accumulation, an unrolled banded-DTW row
@@ -59,8 +57,8 @@
 //!   bit-identical either way.
 //! * [`session`] — incremental query sessions (query-as-you-hum):
 //!   [`session::QuerySession`] buffers raw frames, maintains a compensated
-//!   running mean and an extend-on-append envelope, and `refine()`s through
-//!   the same cascade — bit-identical to a one-shot query over the prefix.
+//!   running mean and an extend-on-append envelope, and builds the request a
+//!   refinement executes — bit-identical to a one-shot query over the prefix.
 //!
 //! # Quick example
 //!
@@ -91,8 +89,8 @@ pub mod batch;
 pub mod dtw;
 pub mod engine;
 pub mod envelope;
+pub mod exec;
 pub mod kernel;
-pub mod l1;
 pub mod normal;
 pub mod obs;
 pub mod plan;

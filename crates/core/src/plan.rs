@@ -91,11 +91,7 @@ impl PlanFamily {
     /// Builds the transform, or `None` when [`PlanFamily::supports`] says
     /// the shape is invalid (the constructors themselves panic on invalid
     /// shapes; this wrapper is the non-panicking gate the planner uses).
-    pub fn build(
-        self,
-        input_len: usize,
-        dims: usize,
-    ) -> Option<Box<dyn EnvelopeTransform + Send + Sync>> {
+    pub fn build(self, input_len: usize, dims: usize) -> Option<Box<dyn EnvelopeTransform>> {
         if !self.supports(input_len, dims) {
             return None;
         }

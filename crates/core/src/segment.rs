@@ -1,46 +1,14 @@
-//! Segmented storage view: one query over many engine units.
+//! Per-segment pruning metadata for LSM-style stores.
 //!
-//! The LSM-style store in `hum-qbh` keeps the corpus as a write-optimized
-//! *memtable* (recent inserts) over a list of immutable *segments* (flushed
-//! batches). Each unit is a full [`ShardedEngine`] over its sub-corpus, so
-//! per-unit answers inherit the sharding layer's bit-identity contract; this
-//! module adds the cross-unit layer:
-//!
-//! * [`query_segmented`] fans a request over every unit and merges the
-//!   per-unit sorted match lists with the same k-way `(distance, id, shard)`
-//!   heap the sharding layer uses. Ids are unique across units, so the merge
-//!   reproduces exactly the matches a monolithic engine over the union
-//!   corpus would return — at every segment count × shard count × thread
-//!   count. (Counters follow the sharding convention: absorbed in unit
-//!   order; wall-clock-dependent fields never appear in results.)
-//! * [`SegmentMeta`] carries per-segment pruning metadata: a feature-space
-//!   bounding box over the segment's projected features and a bloom-style
-//!   id filter. For an indexed ε-range query the engine admits a candidate
-//!   only when `feature_box.min_dist_point(features) <= radius`
-//!   (the GEMINI lower-bound filter), and for every feature inside the
-//!   segment's box `min_dist_point >= min_dist_rect(box)` — so a segment
-//!   with `min_dist_rect(box) > radius` cannot contribute a candidate, let
-//!   alone a match, and is skipped without being touched. k-NN and the
-//!   scan paths are never pruned (their thresholds are not known up
-//!   front), keeping the no-false-negative guarantee trivial.
-//!
-//! # Deadlines
-//!
-//! A budget expiry inside any unit aborts the whole query with
-//! [`EngineError::DeadlineExceeded`] carrying the absorbed partial counters
-//! of every unit visited so far — the same contract as the sharding layer.
+//! The store in `hum-qbh` keeps the corpus as a write-optimized *memtable*
+//! (recent inserts) over a list of immutable *segments* (flushed batches).
+//! Each segment carries a [`SegmentMeta`]: a feature-space bounding box over
+//! its projected features, which lets the executor ([`crate::exec`]) skip
+//! the segment's leaves for an indexed ε-range query that cannot reach it,
+//! and a bloom-style [`IdFilter`], which lets point operations (duplicate
+//! checks, removals, lookups) skip segments that cannot hold an id.
 
-use hum_index::{Rect, SpatialIndex};
-
-use crate::batch::{parallel_map_chunked, BatchOptions};
-use crate::engine::{
-    BatchOutcome, EngineError, EngineStats, QueryOutcome, QueryRequest, QueryResult,
-    QueryScratch, RequestKind,
-};
-use crate::envelope::Envelope;
-use crate::obs::{Metric, MetricsSink, QueryKind, QueryTrace, Timer};
-use crate::shard::{merge_sorted_matches, query_kind, ShardedEngine};
-use crate::transform::EnvelopeTransform;
+use hum_index::Rect;
 
 /// The splitmix64 finalizer (same mixing steps as [`crate::shard::shard_for`]):
 /// decorrelates clustered id ranges before they index bloom-filter bits.
@@ -151,182 +119,6 @@ impl SegmentMeta {
             None => false,
         }
     }
-}
-
-/// One storage unit in a segmented query: an engine over a sub-corpus,
-/// with optional pruning metadata (the memtable carries `None` — it is
-/// always queried).
-pub struct SegmentUnit<'a, T, I> {
-    /// The unit's engine (memtable or segment), sharded like every other.
-    pub engine: &'a ShardedEngine<T, I>,
-    /// Pruning metadata, when the unit is an immutable segment.
-    pub meta: Option<&'a SegmentMeta>,
-}
-
-/// Executes one request across every unit and merges the results; records
-/// the merged query once into `metrics`. With a single unit this delegates
-/// wholesale to that unit's scatter-gather, so matches, counters, *and*
-/// trace are exactly the sharded engine's own (and with one shard, the
-/// monolithic engine's own).
-///
-/// # Errors
-/// The validation errors of the underlying engines, plus
-/// [`EngineError::DeadlineExceeded`] carrying partial counters when the
-/// request's budget expires inside any unit.
-pub fn query_segmented<T, I>(
-    units: &[SegmentUnit<'_, T, I>],
-    request: &QueryRequest,
-    scratch: &mut QueryScratch,
-    metrics: &MetricsSink,
-) -> Result<QueryOutcome, EngineError>
-where
-    T: EnvelopeTransform + Sync,
-    I: SpatialIndex + Sync,
-{
-    let started = metrics.start_timer();
-    let outcome = run_segmented(units, request, scratch, None)?;
-    metrics.record_query(query_kind(request), &outcome.result.stats, started);
-    Ok(outcome)
-}
-
-/// Batched [`query_segmented`]: every request runs against every unit,
-/// fanned across [`BatchOptions::threads`] in deterministic fixed-size
-/// chunks (per-unit fan-out is 1 — the only parallelism is across
-/// requests, mirroring the sharded batch path). Results are bit-identical
-/// to sequential [`query_segmented`] calls at every thread count.
-///
-/// # Errors
-/// The first validation error among the requests, or the earliest
-/// [`EngineError::DeadlineExceeded`] in submission order.
-pub fn query_segmented_batch<T, I>(
-    units: &[SegmentUnit<'_, T, I>],
-    requests: &[QueryRequest],
-    options: &BatchOptions,
-    metrics: &MetricsSink,
-) -> Result<BatchOutcome, EngineError>
-where
-    T: EnvelopeTransform + Sync,
-    I: SpatialIndex + Sync,
-{
-    let started = metrics.start_timer();
-    let runs = parallel_map_chunked(requests, options, QueryScratch::new, |scratch, _i, request| {
-        let per_query = metrics.start_timer();
-        let outcome = run_segmented(units, request, scratch, Some(1))?;
-        metrics.record_query(query_kind(request), &outcome.result.stats, per_query);
-        Ok(outcome)
-    });
-    let mut outcomes = Vec::with_capacity(runs.len());
-    for run in runs {
-        outcomes.push(run?);
-    }
-    let mut stats = EngineStats::default();
-    for outcome in &outcomes {
-        stats.absorb(&outcome.result.stats);
-    }
-    metrics.add(Metric::Batches, 1);
-    metrics.observe_since(Timer::Batch, started);
-    Ok(BatchOutcome { outcomes, stats })
-}
-
-/// The fan-and-merge core. `fanout_override` caps each unit's internal
-/// scatter width (the batch path pins it to 1).
-fn run_segmented<T, I>(
-    units: &[SegmentUnit<'_, T, I>],
-    request: &QueryRequest,
-    scratch: &mut QueryScratch,
-    fanout_override: Option<usize>,
-) -> Result<QueryOutcome, EngineError>
-where
-    T: EnvelopeTransform + Sync,
-    I: SpatialIndex + Sync,
-{
-    let Some(first) = units.first() else {
-        // No units at all (not even a memtable): an empty corpus answers
-        // with no matches and untouched counters.
-        return Ok(QueryOutcome { result: QueryResult::default(), trace: None });
-    };
-    let unit_fanout = |unit: &SegmentUnit<'_, T, I>| {
-        fanout_override.unwrap_or_else(|| unit.engine.fanout())
-    };
-    if units.len() == 1 {
-        // Single unit: the layer is the identity; matches, counters, and
-        // trace are the unit engine's own.
-        return first.engine.run_sharded(request, scratch, unit_fanout(first));
-    }
-
-    // Validate once up front so a malformed request errors even when
-    // pruning would skip every prunable unit.
-    if let Some(shard) = first.engine.shards().first() {
-        shard.validate_query(request.series(), request.band())?;
-    }
-
-    // Conservative segment pruning, indexed ε-range only: a segment whose
-    // feature box sits farther than `radius` from the query's envelope box
-    // cannot contribute an index candidate (see the module docs).
-    let feature_box = match request.kind() {
-        RequestKind::Range { .. } if !request.scan_enabled() => {
-            let envelope = Envelope::compute(request.series(), request.band());
-            Some(first.engine.transform().project_envelope(&envelope))
-        }
-        _ => None,
-    };
-    let survives = |unit: &SegmentUnit<'_, T, I>| match (&feature_box, unit.meta, request.kind()) {
-        (Some(fb), Some(meta), RequestKind::Range { radius }) => {
-            meta.may_intersect_range(fb, radius)
-        }
-        _ => true,
-    };
-
-    // Per-unit runs share the request with tracing off; the merged trace is
-    // built once at the top from the absorbed counters.
-    let sub = request.clone().with_trace(false);
-    let mut stats = EngineStats::default();
-    let mut pools = Vec::with_capacity(units.len());
-    let mut expired = false;
-    for unit in units {
-        if !survives(unit) {
-            continue;
-        }
-        match unit.engine.run_sharded(&sub, scratch, unit_fanout(unit)) {
-            Ok(outcome) => {
-                stats.absorb(&outcome.result.stats);
-                pools.push(outcome.result.matches);
-            }
-            Err(EngineError::DeadlineExceeded { stats: partial }) => {
-                stats.absorb(&partial);
-                expired = true;
-            }
-            Err(other) => return Err(other),
-        }
-    }
-    if expired {
-        stats.matches = 0;
-        return Err(EngineError::DeadlineExceeded { stats });
-    }
-
-    // Ids are unique across units, so merging the per-unit sorted lists
-    // (each exact over its sub-corpus) reproduces the monolithic order; a
-    // k-NN keeps the k global best — every unit reported its own k best,
-    // so no global top-k item can be missing from the merge.
-    let mut matches = merge_sorted_matches(pools);
-    if let RequestKind::Knn { k } = request.kind() {
-        matches.truncate(k);
-    }
-    stats.matches = matches.len() as u64;
-    let result = QueryResult { matches, stats };
-
-    let trace = request.trace_enabled().then(|| {
-        let kind = query_kind(request);
-        let candidates_in = match kind {
-            QueryKind::Range | QueryKind::Knn => result.stats.index.candidates,
-            // Scan paths are never pruned, so the cascade saw every unit.
-            QueryKind::ScanRange | QueryKind::ScanKnn => {
-                units.iter().map(|u| u.engine.len() as u64).sum()
-            }
-        };
-        QueryTrace::from_stats(kind, request.band(), candidates_in, &result.stats)
-    });
-    Ok(QueryOutcome { result, trace })
 }
 
 #[cfg(test)]

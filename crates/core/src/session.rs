@@ -2,15 +2,17 @@
 //!
 //! A [`QuerySession`] is the first-class query object for interactive
 //! retrieval: the hum grows frame by frame (`append`), and each
-//! [`QuerySession::refine`] call answers the query over everything appended
-//! so far, reusing the existing verification cascade and
-//! [`QueryBudget`]/deadline machinery so every refinement is bounded work.
+//! *refinement* — [`QuerySession::to_request`] handed to any engine's
+//! `try_query_with` — answers the query over everything appended so far,
+//! through the same executor, verification cascade and
+//! [`QueryBudget`]/deadline machinery as every other query, so every
+//! refinement is bounded work.
 //!
 //! # The prefix bit-identity invariant
 //!
 //! The contract that makes streaming trustworthy:
 //!
-//! > `refine()` after any sequence of appends returns **bit-identical
+//! > A refinement after any sequence of appends returns **bit-identical
 //! > matches and counters** to a one-shot query over the same prefix —
 //! > at every shard count, thread count, and [`KernelMode`].
 //!
@@ -49,15 +51,9 @@
 
 use std::collections::VecDeque;
 
-use crate::engine::{
-    check_finite, DtwIndexEngine, EngineError, QueryBudget, QueryOutcome, QueryRequest,
-    QueryScratch,
-};
+use crate::engine::{check_finite, EngineError, QueryBudget, QueryRequest};
 use crate::envelope::Envelope;
 use crate::normal::NormalForm;
-use crate::shard::ShardedEngine;
-use crate::transform::EnvelopeTransform;
-use hum_index::SpatialIndex;
 
 /// Kahan-compensated accumulator: sums `f64`s with an error-compensation
 /// term so the running total does not drift the way a naive accumulation
@@ -240,9 +236,10 @@ impl IncrementalEnvelope {
 /// Build one from a [`QueryRequest`] template (kind, band, trace, scan —
 /// any series on the template is ignored) plus the [`NormalForm`] the
 /// serving system normalizes hums with; then interleave
-/// [`append`](Self::append) and [`refine`](Self::refine) as frames
-/// arrive. A one-shot query is the degenerate session: open → one append
-/// → one refine → drop, and `QbhSystem::try_query_request` is implemented
+/// [`append`](Self::append) and refinements (execute
+/// [`to_request`](Self::to_request) on an engine) as frames arrive. A
+/// one-shot query is the degenerate session: open → one append → one
+/// refinement → drop, and `QbhSystem::try_query_request` is implemented
 /// exactly that way.
 ///
 /// ```
@@ -368,54 +365,14 @@ impl QuerySession {
 
     /// Builds the [`QueryRequest`] a refinement executes: the template
     /// with the canonical view of the current prefix and `budget`
-    /// attached. Exposed so callers with exotic engines can execute it
-    /// themselves; [`Self::refine`] is the common path.
+    /// attached. Execute it with `try_query_with` on any engine (or
+    /// `QbhSystem::try_refine_session`) — the session adds no query path of
+    /// its own.
     ///
     /// # Errors
     /// [`EngineError::EmptyQuery`] before the first append.
     pub fn to_request(&self, budget: QueryBudget) -> Result<QueryRequest, EngineError> {
         Ok(self.template.clone().with_series(self.normalized_view()?).with_budget(budget))
-    }
-
-    /// Refines against a sharded engine: answers the session's query over
-    /// everything appended so far, within `budget`. Reuses the existing
-    /// cascade and deadline machinery — bit-identical (matches *and*
-    /// counters) to a one-shot query over the same prefix at every shard
-    /// count, thread count, and kernel mode.
-    ///
-    /// # Errors
-    /// [`EngineError::EmptyQuery`] before the first append, plus anything
-    /// [`ShardedEngine::try_query_with`] reports —
-    /// [`EngineError::DeadlineExceeded`] carries the partial counters when
-    /// `budget` expires mid-refinement.
-    pub fn refine<T, I>(
-        &self,
-        engine: &ShardedEngine<T, I>,
-        budget: QueryBudget,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryOutcome, EngineError>
-    where
-        T: EnvelopeTransform + Sync,
-        I: SpatialIndex + Sync,
-    {
-        engine.try_query_with(&self.to_request(budget)?, scratch)
-    }
-
-    /// [`Self::refine`] against a monolithic engine.
-    ///
-    /// # Errors
-    /// As [`Self::refine`].
-    pub fn refine_monolithic<T, I>(
-        &self,
-        engine: &DtwIndexEngine<T, I>,
-        budget: QueryBudget,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryOutcome, EngineError>
-    where
-        T: EnvelopeTransform,
-        I: SpatialIndex,
-    {
-        engine.try_query_with(&self.to_request(budget)?, scratch)
     }
 }
 

@@ -1,14 +1,14 @@
-//! Corpus sharding: scatter-gather query serving over independent engine
-//! shards.
+//! Corpus sharding: hash routing over independent engine shards.
 //!
 //! A [`ShardedEngine`] partitions the corpus into `N` independent
 //! [`DtwIndexEngine`]s — each with its own R\*-tree (or other
-//! [`hum_index::SpatialIndex`] backend), series store, and per-worker
-//! [`QueryScratch`] — and fans every query out across them, merging hits in
-//! a deterministic order. Sharding exists for the serving layer: `N` shards
-//! turn one big tree into `N` small ones that `N` workers can walk
-//! concurrently for a *single* query, cutting tail latency without touching
-//! the per-shard engine code.
+//! [`hum_index::SpatialIndex`] backend) and series store. `N` shards turn
+//! one big tree into `N` small ones that `N` workers can walk concurrently
+//! for a *single* query. This module owns only the routing: which shard an
+//! id lives in, and insert / remove / lookup through it. Queries hand the
+//! shards to the executor in [`crate::exec`] as its leaf list; the
+//! determinism contract and the two-phase k-NN schedule are documented
+//! there.
 //!
 //! # Shard assignment
 //!
@@ -18,67 +18,16 @@
 //! for instance) while staying reproducible across processes — a persisted
 //! database reloads into exactly the shards it was built with, and two
 //! builds of the same corpus at the same shard count are identical.
-//!
-//! # Determinism contract
-//!
-//! * **Matches are bit-identical to the monolithic engine** at every shard
-//!   count and every fan-out width. Range queries merge per-shard sorted
-//!   hits with a k-way heap in fixed shard order; k-NN propagates the
-//!   best-so-far radius across shards in the deterministic two-phase
-//!   schedule below. Both produce exactly the `(id, distance)` pairs — same
-//!   `f64` bits, same order — as a single engine holding the whole corpus.
-//! * **Stats and traces are functions of `(query, corpus, shard count)`**:
-//!   per-shard counters are absorbed in fixed shard order, so they never
-//!   vary with the fan-out thread count or timing. They *do* vary with the
-//!   shard count for `N > 1` — `N` trees have different node structure than
-//!   one tree, and the k-NN probe phase touches up to `N·k` probes — which
-//!   is inherent to scatter-gather, not an accounting bug. At `N = 1` the
-//!   sharded engine delegates to its only shard and everything (matches,
-//!   stats, traces, metrics) is trivially identical to the monolithic
-//!   engine.
-//!
-//! # Two-phase k-NN
-//!
-//! The monolithic k-NN is the optimal multi-step scheme: probe the index
-//! for `k` candidates, take the worst exact probe distance as a provisional
-//! radius, and close with a range query under a shrinking best-so-far
-//! threshold. Sharding splits it at the natural barrier:
-//!
-//! 1. **Probe phase (scatter):** every shard runs
-//!    `knn_probe_phase` — its own `k` index probes with exact distances.
-//! 2. **Radius barrier (gather):** the global closing radius is the k-th
-//!    smallest `(d², id)` pair of the probe union. At least `k` real items
-//!    sit within it (the `k` best probes), so the true k-th neighbor does
-//!    too — the closing range query keeps the no-false-negative guarantee.
-//!    With one shard the union *is* the shard's probe set and the radius
-//!    reduces to the monolithic provisional radius.
-//! 3. **Close phase (scatter):** every shard runs `knn_close_phase` at the
-//!    global radius, its best-so-far heap *seeded with the global best
-//!    probes* — so every shard prunes against the globally tightest known
-//!    threshold from the first candidate on — and its own probes as the
-//!    skip set (their exact distances are already in hand).
-//! 4. **Assembly (gather):** probe pools and close survivors merge through
-//!    the same `(d², id)`-ordered, id-deduplicated, top-`k` assembly the
-//!    monolithic path uses.
-//!
-//! The merged result is exact: any true k-th-or-better neighbor survives
-//! its shard's close phase because the shard's shrinking threshold is
-//! always at least the true global k-th `(d², id)` pair (the heap holds at
-//! most `k` *real* exact distances, so its worst entry can never be
-//! strictly better than the true k-th item).
-
-use std::collections::HashSet;
 
 use hum_index::{ItemId, SpatialIndex};
 
-use crate::batch::{parallel_map_chunked, BatchOptions};
+use crate::batch::BatchOptions;
 use crate::engine::{
-    assemble_knn_matches, BatchOutcome, DtwIndexEngine, EngineError,
-    EngineStats, QueryOutcome, QueryRequest, QueryResult, QueryScratch, RequestKind,
+    BatchOutcome, DtwIndexEngine, EngineError, QueryOutcome, QueryRequest, QueryScratch,
 };
-use crate::obs::{
-    debug_assert_trace_consistent, Metric, MetricsSink, QueryKind, QueryTrace, Timer,
-};
+use crate::exec::{execute, execute_batch, Leaf};
+use crate::obs::{Metric, MetricsSink};
+use crate::segment::SegmentMeta;
 use crate::transform::EnvelopeTransform;
 
 /// Maps an item id to its shard: `splitmix64(id) % shard_count`.
@@ -100,15 +49,13 @@ pub fn shard_for(id: ItemId, shard_count: usize) -> usize {
     (z % shard_count as u64) as usize
 }
 
-/// A corpus partitioned across independent [`DtwIndexEngine`] shards with
-/// scatter-gather query execution. See the [module docs](self) for the
-/// assignment function, the determinism contract, and the two-phase k-NN
-/// schedule.
+/// A corpus partitioned across independent [`DtwIndexEngine`] shards. See
+/// the [module docs](self) for the assignment function and
+/// [`crate::exec`] for how queries run over the shards.
 #[derive(Debug, Clone)]
 pub struct ShardedEngine<T, I> {
     shards: Vec<DtwIndexEngine<T, I>>,
     metrics: MetricsSink,
-    fanout: usize,
 }
 
 impl<T: EnvelopeTransform, I: SpatialIndex> ShardedEngine<T, I> {
@@ -132,8 +79,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> ShardedEngine<T, I> {
             );
             shard.set_metrics(MetricsSink::Disabled);
         }
-        let fanout = BatchOptions::default().threads;
-        ShardedEngine { shards, metrics: MetricsSink::Disabled, fanout }
+        ShardedEngine { shards, metrics: MetricsSink::Disabled }
     }
 
     /// Builds `shard_count` shards from a factory (index backends are not
@@ -145,26 +91,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> ShardedEngine<T, I> {
     pub fn build(shard_count: usize, mut make: impl FnMut(usize) -> DtwIndexEngine<T, I>) -> Self {
         assert!(shard_count > 0, "shard_count must be positive");
         ShardedEngine::new((0..shard_count).map(&mut make).collect())
-    }
-
-    /// Builder form of [`ShardedEngine::set_fanout`].
-    #[must_use]
-    pub fn with_fanout(mut self, fanout: usize) -> Self {
-        self.set_fanout(fanout);
-        self
-    }
-
-    /// Sets how many threads a *single* query may fan out across (clamped
-    /// to at least 1; capped by the shard count at execution time). Fan-out
-    /// width never changes matches, stats, or traces — only wall-clock
-    /// time. Defaults to [`BatchOptions::default`]'s thread count.
-    pub fn set_fanout(&mut self, fanout: usize) {
-        self.fanout = fanout.max(1);
-    }
-
-    /// The configured per-query fan-out width.
-    pub fn fanout(&self) -> usize {
-        self.fanout
     }
 
     /// Builder form of [`ShardedEngine::set_metrics`].
@@ -257,38 +183,42 @@ impl<T: EnvelopeTransform, I: SpatialIndex> ShardedEngine<T, I> {
             false
         }
     }
-}
 
-impl<T: EnvelopeTransform + Sync, I: SpatialIndex + Sync> ShardedEngine<T, I> {
-    /// Executes a request with scatter-gather across the shards. Semantics
-    /// (matches, errors) are identical to [`DtwIndexEngine::try_query`] on
-    /// a monolithic engine holding the same corpus; see the
-    /// [module docs](self) for what the counters mean at `N > 1`.
+    /// The shards as executor leaves, in fixed shard order, each tagged
+    /// with `meta` — the pruning metadata of the storage unit this engine
+    /// backs (`None` outside a store, and for a memtable).
+    pub fn leaves<'a>(
+        &'a self,
+        meta: Option<&'a SegmentMeta>,
+    ) -> impl Iterator<Item = Leaf<'a, T, I>> {
+        self.shards.iter().map(move |engine| Leaf { engine, meta })
+    }
+
+    /// Executes a request over the shards. Matches and errors are
+    /// identical to [`DtwIndexEngine::try_query`] on one engine holding the
+    /// same corpus; see [`crate::exec`] for what the counters mean at
+    /// `N > 1`.
     ///
     /// # Errors
-    /// The validation errors of [`DtwIndexEngine::try_query`], plus
-    /// [`EngineError::DeadlineExceeded`] carrying the partial counters of
-    /// *every* shard (absorbed in shard order) when the request's budget
-    /// expires mid-query.
+    /// As [`execute`].
     pub fn try_query(&self, request: &QueryRequest) -> Result<QueryOutcome, EngineError> {
         self.try_query_with(request, &mut QueryScratch::new())
     }
 
     /// [`ShardedEngine::try_query`] computing in caller-provided scratch.
-    /// With more than one shard and fan-out above 1, worker threads use
-    /// their own scratch; results and counters are identical either way.
+    /// The shards fan out across up to [`BatchOptions::default`]'s thread
+    /// count (worker threads use their own scratch; results and counters
+    /// are identical at every width).
     ///
     /// # Errors
-    /// As [`ShardedEngine::try_query`].
+    /// As [`execute`].
     pub fn try_query_with(
         &self,
         request: &QueryRequest,
         scratch: &mut QueryScratch,
     ) -> Result<QueryOutcome, EngineError> {
-        let started = self.metrics.start_timer();
-        let outcome = self.run_sharded(request, scratch, self.fanout)?;
-        self.metrics.record_query(query_kind(request), &outcome.result.stats, started);
-        Ok(outcome)
+        let leaves: Vec<_> = self.leaves(None).collect();
+        execute(&leaves, request, scratch, BatchOptions::default().threads, &self.metrics)
     }
 
     /// Panicking form of [`ShardedEngine::try_query`].
@@ -299,326 +229,19 @@ impl<T: EnvelopeTransform + Sync, I: SpatialIndex + Sync> ShardedEngine<T, I> {
         self.try_query(request).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Panicking form of [`ShardedEngine::try_query_with`].
-    ///
-    /// # Panics
-    /// Panics on any [`EngineError`] the `try_` form would return.
-    pub fn query_with(&self, request: &QueryRequest, scratch: &mut QueryScratch) -> QueryOutcome {
-        self.try_query_with(request, scratch).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Executes a batch of requests: the batch fans out across
-    /// [`BatchOptions::threads`] workers exactly like
-    /// [`DtwIndexEngine::try_query_batch`], and each request walks its
-    /// shards *sequentially* on its worker (one level of parallelism, never
-    /// nested). Per-request outcomes are bit-identical to
-    /// [`ShardedEngine::try_query`] for every thread count.
+    /// Executes a batch of requests across [`BatchOptions::threads`]
+    /// workers, each request walking the shards sequentially on its worker.
     ///
     /// # Errors
-    /// Validates every request up front and returns the first
-    /// [`EngineError`] before running anything. A deadline expiry fails the
-    /// whole batch with the [`EngineError::DeadlineExceeded`] of the
-    /// earliest such request in submission order.
+    /// As [`execute_batch`].
     pub fn try_query_batch(
         &self,
         requests: &[QueryRequest],
         options: &BatchOptions,
     ) -> Result<BatchOutcome, EngineError> {
-        for request in requests {
-            self.shards[0].validate_query(request.series(), request.band())?;
-        }
-        let started = self.metrics.start_timer();
-        let runs = parallel_map_chunked(
-            requests,
-            options,
-            QueryScratch::new,
-            |scratch, _i, request| {
-                let per_query = self.metrics.start_timer();
-                let outcome = self.run_sharded(request, scratch, 1)?;
-                self.metrics.record_query(query_kind(request), &outcome.result.stats, per_query);
-                Ok(outcome)
-            },
-        );
-        let mut outcomes = Vec::with_capacity(runs.len());
-        for run in runs {
-            outcomes.push(run?);
-        }
-        let mut stats = EngineStats::default();
-        for outcome in &outcomes {
-            stats.absorb(&outcome.result.stats);
-        }
-        self.metrics.add(Metric::Batches, 1);
-        self.metrics.observe_since(Timer::Batch, started);
-        Ok(BatchOutcome { outcomes, stats })
+        let leaves: Vec<_> = self.leaves(None).collect();
+        execute_batch(&leaves, requests, options, &self.metrics)
     }
-
-    /// Validates, scatters, and gathers one request. `fanout` bounds the
-    /// threads this one query may use (the batch path passes 1 so the only
-    /// parallelism is across requests). Crate-visible so the segmented
-    /// store view ([`crate::segment`]) can run each storage unit through
-    /// the exact same scatter-gather and merge unit results itself.
-    pub(crate) fn run_sharded(
-        &self,
-        request: &QueryRequest,
-        scratch: &mut QueryScratch,
-        fanout: usize,
-    ) -> Result<QueryOutcome, EngineError> {
-        self.shards[0].validate_query(request.series(), request.band())?;
-        // Single shard: the scatter-gather is the identity; delegate so
-        // matches, stats, *and* trace are the monolithic engine's own.
-        if self.shards.len() == 1 {
-            return self.shards[0].run_request(request, scratch);
-        }
-        let result = match request.kind() {
-            RequestKind::Knn { k } if !request.scan_enabled() => {
-                self.run_sharded_knn(request, k, scratch, fanout)?
-            }
-            _ => self.run_sharded_merge(request, scratch, fanout)?,
-        };
-        let trace = request.trace_enabled().then(|| {
-            let kind = query_kind(request);
-            let candidates_in = match kind {
-                // Indexed paths: the cascade saw the merged candidate sets.
-                QueryKind::Range | QueryKind::Knn => result.stats.index.candidates,
-                // Scan paths: the cascade saw the whole corpus.
-                QueryKind::ScanRange | QueryKind::ScanKnn => self.len() as u64,
-            };
-            let trace =
-                QueryTrace::from_stats(kind, request.band(), candidates_in, &result.stats);
-            debug_assert_trace_consistent(&trace, &result.stats);
-            trace
-        });
-        Ok(QueryOutcome { result, trace })
-    }
-
-    /// Scatter-gather for every path whose per-shard results merge
-    /// directly: range queries (indexed and scan) and scan k-NN. Each
-    /// shard's matches over its sub-corpus are exact, so the k-way merge of
-    /// the sorted per-shard lists — truncated to `k` for k-NN — is exactly
-    /// the monolithic result.
-    fn run_sharded_merge(
-        &self,
-        request: &QueryRequest,
-        scratch: &mut QueryScratch,
-        fanout: usize,
-    ) -> Result<QueryResult, EngineError> {
-        // Same request, trace off: the merged trace is built once at the top.
-        let sub = request.clone().with_trace(false);
-        let runs = self.scatter(fanout, scratch, |shard, scratch| {
-            shard.run_request(&sub, scratch)
-        });
-        let mut stats = EngineStats::default();
-        let mut pools = Vec::with_capacity(runs.len());
-        let mut expired = false;
-        for run in runs {
-            match run {
-                Ok(outcome) => {
-                    stats.absorb(&outcome.result.stats);
-                    pools.push(outcome.result.matches);
-                }
-                Err(EngineError::DeadlineExceeded { stats: partial }) => {
-                    stats.absorb(&partial);
-                    expired = true;
-                }
-                // Validation already passed for every shard (same normal
-                // form); run_request has no other error.
-                Err(other) => return Err(other),
-            }
-        }
-        if expired {
-            stats.matches = 0;
-            return Err(EngineError::DeadlineExceeded { stats });
-        }
-        let mut matches = merge_sorted_matches(pools);
-        if let RequestKind::Knn { k } = request.kind() {
-            matches.truncate(k);
-        }
-        stats.matches = matches.len() as u64;
-        Ok(QueryResult { matches, stats })
-    }
-
-    /// The two-phase sharded k-NN (see the [module docs](self)): scatter
-    /// the probe phase, gather the global radius and seed, scatter the
-    /// close phase, and assemble.
-    fn run_sharded_knn(
-        &self,
-        request: &QueryRequest,
-        k: usize,
-        scratch: &mut QueryScratch,
-        fanout: usize,
-    ) -> Result<QueryResult, EngineError> {
-        let query = request.series();
-        let band = request.band();
-        let budget = request.budget();
-        if k == 0 || self.is_empty() {
-            return Ok(QueryResult::default());
-        }
-
-        // Phase 1: probe every shard.
-        let probe_runs = self.scatter(fanout, scratch, |shard, scratch| {
-            shard.knn_probe_phase(query, band, k, budget, scratch)
-        });
-        let mut stats = EngineStats::default();
-        let mut probe_pools: Vec<Vec<(ItemId, f64)>> = Vec::with_capacity(self.shards.len());
-        let mut expired = false;
-        for run in probe_runs {
-            match run {
-                Ok((probes, probe_stats)) => {
-                    stats.absorb(&probe_stats);
-                    probe_pools.push(probes);
-                }
-                Err(partial) => {
-                    stats.absorb(&partial);
-                    expired = true;
-                }
-            }
-        }
-        if expired {
-            stats.matches = 0;
-            return Err(EngineError::DeadlineExceeded { stats });
-        }
-
-        // Radius barrier: the k-th smallest (d², id) probe pair bounds the
-        // true k-th neighbor, and the best min(k, total) probes seed every
-        // shard's close-phase heap.
-        let mut seed: Vec<(ItemId, f64)> =
-            probe_pools.iter().flatten().copied().collect();
-        seed.sort_by(|a, b| {
-            a.1.partial_cmp(&b.1).expect("finite distances").then_with(|| a.0.cmp(&b.0))
-        });
-        seed.truncate(k);
-        let radius_sq = seed.last().map_or(0.0, |&(_, d_sq)| d_sq);
-        let known: Vec<HashSet<ItemId>> = probe_pools
-            .iter()
-            .map(|probes| probes.iter().map(|&(id, _)| id).collect())
-            .collect();
-
-        // Phase 2: close every shard at the global radius.
-        let close_runs = self.scatter_indexed(fanout, scratch, |i, shard, scratch| {
-            shard.knn_close_phase(query, band, k, radius_sq, &seed, &known[i], budget, scratch)
-        });
-        let mut pools = probe_pools;
-        for run in close_runs {
-            match run {
-                Ok((survivors, close_stats)) => {
-                    stats.absorb(&close_stats);
-                    pools.push(survivors);
-                }
-                Err(partial) => {
-                    stats.absorb(&partial);
-                    expired = true;
-                }
-            }
-        }
-        if expired {
-            stats.matches = 0;
-            return Err(EngineError::DeadlineExceeded { stats });
-        }
-
-        let matches = assemble_knn_matches(pools, k);
-        stats.matches = matches.len() as u64;
-        Ok(QueryResult { matches, stats })
-    }
-
-    /// Runs `f` once per shard, returning results in fixed shard order.
-    /// With `fanout > 1` the shards run on scoped worker threads, each
-    /// owning a private scratch; with `fanout == 1` they run in-order on
-    /// the calling thread reusing the caller's scratch. The results are
-    /// identical either way (scratch reuse never changes a counter).
-    fn scatter<R: Send>(
-        &self,
-        fanout: usize,
-        scratch: &mut QueryScratch,
-        f: impl Fn(&DtwIndexEngine<T, I>, &mut QueryScratch) -> R + Sync,
-    ) -> Vec<R> {
-        self.scatter_indexed(fanout, scratch, |_i, shard, scratch| f(shard, scratch))
-    }
-
-    /// [`ShardedEngine::scatter`] with the shard index passed through.
-    fn scatter_indexed<R: Send>(
-        &self,
-        fanout: usize,
-        scratch: &mut QueryScratch,
-        f: impl Fn(usize, &DtwIndexEngine<T, I>, &mut QueryScratch) -> R + Sync,
-    ) -> Vec<R> {
-        let fanout = fanout.min(self.shards.len());
-        if fanout <= 1 {
-            return self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, shard)| f(i, shard, scratch))
-                .collect();
-        }
-        // Chunk size 1: shard i is item i, so work steals at shard
-        // granularity and the merge order is the shard order.
-        let options = BatchOptions::new(fanout, 1);
-        parallel_map_chunked(&self.shards, &options, QueryScratch::new, |scratch, i, shard| {
-            f(i, shard, scratch)
-        })
-    }
-}
-
-/// The trace/metrics kind for a request (same mapping as the monolithic
-/// dispatch).
-pub(crate) fn query_kind(request: &QueryRequest) -> QueryKind {
-    match (request.kind(), request.scan_enabled()) {
-        (RequestKind::Range { .. }, false) => QueryKind::Range,
-        (RequestKind::Knn { .. }, false) => QueryKind::Knn,
-        (RequestKind::Range { .. }, true) => QueryKind::ScanRange,
-        (RequestKind::Knn { .. }, true) => QueryKind::ScanKnn,
-    }
-}
-
-/// K-way merge of per-shard match lists, each already sorted by
-/// `(distance, id)`, into one list sorted the same way. Heads are compared
-/// by `(distance, id, shard)` — ids are unique across shards, so the shard
-/// component never decides between *different* items; it only fixes a total
-/// order for the heap.
-pub(crate) fn merge_sorted_matches(pools: Vec<Vec<(ItemId, f64)>>) -> Vec<(ItemId, f64)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    #[derive(PartialEq)]
-    struct Head {
-        distance: f64,
-        id: ItemId,
-        shard: usize,
-        pos: usize,
-    }
-    impl Eq for Head {}
-    impl Ord for Head {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.distance
-                .partial_cmp(&other.distance)
-                .expect("finite distances")
-                .then_with(|| self.id.cmp(&other.id))
-                .then_with(|| self.shard.cmp(&other.shard))
-        }
-    }
-    impl PartialOrd for Head {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let total: usize = pools.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    let mut heap: BinaryHeap<Reverse<Head>> = pools
-        .iter()
-        .enumerate()
-        .filter_map(|(shard, pool)| {
-            pool.first().map(|&(id, distance)| Reverse(Head { distance, id, shard, pos: 0 }))
-        })
-        .collect();
-    while let Some(Reverse(head)) = heap.pop() {
-        merged.push((head.id, head.distance));
-        let next = head.pos + 1;
-        if let Some(&(id, distance)) = pools[head.shard].get(next) {
-            heap.push(Reverse(Head { distance, id, shard: head.shard, pos: next }));
-        }
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -650,20 +273,6 @@ mod tests {
         assert!(
             *min * 10 >= *max * 7,
             "shard skew too high: min {min}, max {max} over {counts:?}"
-        );
-    }
-
-    #[test]
-    fn merge_sorted_matches_interleaves_in_order() {
-        let pools = vec![
-            vec![(0, 0.5), (2, 1.5)],
-            vec![],
-            vec![(1, 1.0), (3, 1.5)],
-        ];
-        // Tie at 1.5 resolves by id.
-        assert_eq!(
-            merge_sorted_matches(pools),
-            vec![(0, 0.5), (1, 1.0), (2, 1.5), (3, 1.5)]
         );
     }
 }

@@ -246,11 +246,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> SubsequenceIndex<T, I> {
         k: usize,
         dedupe_sources: bool,
         options: &BatchOptions,
-    ) -> Vec<SubsequenceResult>
-    where
-        T: Sync,
-        I: Sync,
-    {
+    ) -> Vec<SubsequenceResult> {
         parallel_map_chunked(queries, options, || (), |(), _i, q| {
             self.knn(q, band, k, dedupe_sources)
         })
@@ -264,11 +260,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> SubsequenceIndex<T, I> {
         band: usize,
         radius: f64,
         options: &BatchOptions,
-    ) -> Vec<SubsequenceResult>
-    where
-        T: Sync,
-        I: Sync,
-    {
+    ) -> Vec<SubsequenceResult> {
         parallel_map_chunked(queries, options, || (), |(), _i, q| {
             self.range_query(q, band, radius)
         })

@@ -48,7 +48,10 @@ use crate::envelope::Envelope;
 /// projects into the box returned by [`EnvelopeTransform::project_envelope`].
 /// Together (Theorem 1) these guarantee the index phase never drops a true
 /// match.
-pub trait EnvelopeTransform {
+///
+/// Transforms are immutable once built and shared by every thread a query
+/// fans out across, hence the `Send + Sync` supertraits.
+pub trait EnvelopeTransform: Send + Sync {
     /// Expected input series length.
     fn input_len(&self) -> usize;
 

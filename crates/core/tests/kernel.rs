@@ -262,8 +262,8 @@ proptest! {
             let range = QueryRequest::range(radius).with_series(query.clone()).with_band(band);
             let knn = QueryRequest::knn(k).with_series(query.clone()).with_band(band);
             let outputs = (
-                engine.query_with(&range, &mut scratch).result,
-                engine.query_with(&knn, &mut scratch).result,
+                engine.try_query_with(&range, &mut scratch).unwrap().result,
+                engine.try_query_with(&knn, &mut scratch).unwrap().result,
                 engine.query(&range.clone().with_scan(true)).result,
                 linear.query(&range).result,
                 linear.query(&knn).result,
@@ -293,13 +293,13 @@ fn scratch_reuse_across_mixed_queries_is_invisible() {
     let mut first = Vec::new();
     for (band, radius) in [(0usize, 2.0), (5, 8.0), (2, 4.0), (7, 1.0)] {
         let request = QueryRequest::range(radius).with_series(query.clone()).with_band(band);
-        first.push(engine.query_with(&request, &mut scratch).result);
+        first.push(engine.try_query_with(&request, &mut scratch).unwrap().result);
     }
     // Same queries, fresh scratch each: must agree exactly.
     for ((band, radius), want) in [(0usize, 2.0), (5, 8.0), (2, 4.0), (7, 1.0)].iter().zip(&first)
     {
         let request = QueryRequest::range(*radius).with_series(query.clone()).with_band(*band);
-        let got = engine.query_with(&request, &mut QueryScratch::new()).result;
+        let got = engine.query(&request).result;
         assert_eq!(&got, want);
     }
 }

@@ -1,4 +1,4 @@
-//! The linchpin invariant of streaming sessions: `refine()` after any
+//! The linchpin invariant of streaming sessions: a refinement after any
 //! sequence of appends is **bit-identical** — matches, counters, and trace
 //! — to a one-shot query over the same prefix, at every shard count and
 //! [`KernelMode`], for range and k-NN alike. Plus the compensated-mean and
@@ -61,6 +61,17 @@ fn sharded(
     engine
 }
 
+/// A refinement: the session's request over everything appended so far,
+/// executed like any other query.
+fn refine(
+    session: &QuerySession,
+    engine: &ShardedEngine<NewPaa, RStarTree>,
+    budget: QueryBudget,
+    scratch: &mut QueryScratch,
+) -> Result<hum_core::engine::QueryOutcome, EngineError> {
+    engine.try_query_with(&session.to_request(budget)?, scratch)
+}
+
 /// The one-shot path a non-streaming caller takes: normalize the whole
 /// prefix, build a request, query.
 fn one_shot(
@@ -103,8 +114,7 @@ fn refine_is_bit_identical_to_one_shot_over_every_prefix() {
                     let end = (consumed + chunk).min(query_hum.len());
                     session.append(&query_hum[consumed..end]).expect("finite frames");
                     consumed = end;
-                    let refined = session
-                        .refine(&engine, QueryBudget::unlimited(), &mut scratch)
+                    let refined = refine(&session, &engine, QueryBudget::unlimited(), &mut scratch)
                         .expect("refine");
                     let reference = one_shot(&engine, &normal, template, &query_hum[..consumed])
                         .expect("one-shot");
@@ -129,11 +139,11 @@ fn refine_on_empty_session_is_a_typed_error() {
     let mut session = QuerySession::new(QueryRequest::knn(3).with_band(BAND), normal);
     let mut scratch = QueryScratch::new();
     assert_eq!(
-        session.refine(&engine, QueryBudget::unlimited(), &mut scratch).unwrap_err(),
+        refine(&session, &engine, QueryBudget::unlimited(), &mut scratch).unwrap_err(),
         EngineError::EmptyQuery
     );
     session.append(&corpus[0]).expect("finite frames");
-    assert!(session.refine(&engine, QueryBudget::unlimited(), &mut scratch).is_ok());
+    assert!(refine(&session, &engine, QueryBudget::unlimited(), &mut scratch).is_ok());
 }
 
 /// An already-expired budget aborts the refinement with the partial work
@@ -146,7 +156,7 @@ fn expired_budget_mid_refine_returns_partial_stats() {
     let mut session = QuerySession::new(QueryRequest::knn(4).with_band(BAND), normal);
     let mut scratch = QueryScratch::new();
     session.append(&corpus[7]).expect("finite frames");
-    match session.refine(&engine, QueryBudget::within(Duration::ZERO), &mut scratch) {
+    match refine(&session, &engine, QueryBudget::within(Duration::ZERO), &mut scratch) {
         Err(EngineError::DeadlineExceeded { stats }) => {
             // Partial counters report work-so-far; matches are never
             // partially reported.
@@ -154,31 +164,8 @@ fn expired_budget_mid_refine_returns_partial_stats() {
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    let ok = session.refine(&engine, QueryBudget::unlimited(), &mut scratch).expect("refine");
+    let ok = refine(&session, &engine, QueryBudget::unlimited(), &mut scratch).expect("refine");
     assert_eq!(ok.result.matches.len(), 4);
-}
-
-/// Monolithic refinement equals sharded refinement (the session adds no
-/// engine-shape dependence of its own).
-#[test]
-fn monolithic_and_sharded_refinement_agree() {
-    let corpus = raw_hums(25, 11);
-    let normal = NormalForm::with_length(LEN);
-    let config = EngineConfig::default();
-    let mut mono =
-        DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 1024), config);
-    for (i, hum) in corpus.iter().enumerate() {
-        mono.try_insert(i as ItemId, normal.apply(hum)).expect("insert");
-    }
-    let engine = sharded(&corpus, &normal, 4, KernelMode::default());
-    let mut session = QuerySession::new(QueryRequest::knn(6).with_band(BAND), normal);
-    let mut scratch = QueryScratch::new();
-    session.append(&corpus[12]).expect("finite frames");
-    let via_mono =
-        session.refine_monolithic(&mono, QueryBudget::unlimited(), &mut scratch).expect("mono");
-    let via_shards =
-        session.refine(&engine, QueryBudget::unlimited(), &mut scratch).expect("sharded");
-    assert_eq!(via_mono.result.matches, via_shards.result.matches);
 }
 
 proptest! {

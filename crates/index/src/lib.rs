@@ -35,8 +35,10 @@ pub use stats::QueryStats;
 /// Identifier of an indexed item (assigned by the caller).
 pub type ItemId = u64;
 
-/// A point-set spatial index over fixed-dimension `f64` vectors.
-pub trait SpatialIndex {
+/// A point-set spatial index over fixed-dimension `f64` vectors. Queries
+/// take `&self` and may run from several threads at once, hence the
+/// `Send + Sync` supertraits.
+pub trait SpatialIndex: Send + Sync {
     /// Dimensionality of indexed points.
     fn dims(&self) -> usize;
 

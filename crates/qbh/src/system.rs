@@ -16,13 +16,14 @@ use hum_audio::{track_pitch, PitchTrackerConfig};
 use hum_core::batch::BatchOptions;
 use hum_core::dtw::band_for_warping_width;
 use hum_core::engine::{
-    check_finite, DtwIndexEngine, EngineConfig, EngineError, EngineStats, QueryOutcome,
-    QueryRequest, QueryScratch,
+    check_finite, DtwIndexEngine, EngineConfig, EngineError, EngineStats, QueryRequest,
+    QueryScratch,
 };
 use hum_core::normal::NormalForm;
 use hum_core::obs::{Metric, MetricsSink, QueryTrace};
 use hum_core::plan::{plan_transform, record_plan, PlanFamily, PlannerOptions, TransformPlan};
-use hum_core::segment::{query_segmented, query_segmented_batch, SegmentMeta, SegmentUnit};
+use hum_core::exec::{execute, execute_batch, Leaf};
+use hum_core::segment::SegmentMeta;
 use hum_core::session::QuerySession;
 use hum_core::shard::ShardedEngine;
 use hum_core::transform::dft::Dft;
@@ -128,9 +129,9 @@ pub struct QbhConfig {
     pub backend: Backend,
     /// Page size in bytes for the backend.
     pub page_bytes: usize,
-    /// Number of corpus shards for scatter-gather serving (1 = monolithic).
-    /// Matches are bit-identical at every shard count; see
-    /// [`hum_core::shard`] for the determinism contract.
+    /// Number of corpus shards per storage unit (1 = monolithic). Matches
+    /// are bit-identical at every shard count; see [`hum_core::exec`] for
+    /// the determinism contract.
     pub shards: usize,
 }
 
@@ -195,18 +196,15 @@ pub struct QbhResults {
     pub stats: EngineStats,
 }
 
-/// The engine type the system assembles: a sharded scatter-gather engine
-/// over trait objects for the configured transform and backend, `Send +
-/// Sync` so batched queries can fan out across threads. With
+/// The engine type of one storage unit: a sharded engine over trait
+/// objects for the configured transform and backend. With
 /// [`QbhConfig::shards`]` == 1` (the default) the single shard *is* the
 /// monolithic engine.
-pub type QbhEngine =
-    ShardedEngine<Box<dyn EnvelopeTransform + Send + Sync>, Box<dyn SpatialIndex + Send + Sync>>;
+pub type QbhEngine = ShardedEngine<Box<dyn EnvelopeTransform>, Box<dyn SpatialIndex>>;
 
-/// The storage-unit view the system fans queries over (see
-/// [`hum_core::segment`]).
-type QbhUnit<'a> =
-    SegmentUnit<'a, Box<dyn EnvelopeTransform + Send + Sync>, Box<dyn SpatialIndex + Send + Sync>>;
+/// One leaf of the list the system hands the executor (see
+/// [`hum_core::exec`]).
+type QbhLeaf<'a> = Leaf<'a, Box<dyn EnvelopeTransform>, Box<dyn SpatialIndex>>;
 
 /// One immutable on-disk segment, resident in memory: its own sharded
 /// engine over the segment's live (non-tombstoned) melodies, plus pruning
@@ -295,7 +293,7 @@ pub struct StoreMaintenance {
 }
 
 /// Builds the spatial index backend for one engine shard.
-fn make_index(config: &QbhConfig) -> Box<dyn SpatialIndex + Send + Sync> {
+fn make_index(config: &QbhConfig) -> Box<dyn SpatialIndex> {
     match config.backend {
         Backend::RStar => {
             Box::new(RStarTree::with_page_size(config.feature_dims, config.page_bytes))
@@ -391,7 +389,7 @@ fn store_engine(config: &QbhConfig) -> Result<QbhEngine, StorageError> {
     };
     let mut shards = Vec::with_capacity(config.shards.max(1));
     for _ in 0..config.shards.max(1) {
-        let transform: Box<dyn EnvelopeTransform + Send + Sync> = match kind {
+        let transform: Box<dyn EnvelopeTransform> = match kind {
             TransformKind::NewPaa => {
                 Box::new(NewPaa::new(config.normal_length, config.feature_dims))
             }
@@ -411,15 +409,14 @@ fn store_engine(config: &QbhConfig) -> Result<QbhEngine, StorageError> {
 ///
 /// Storage-wise the system is a one-level LSM tree: a mutable **memtable**
 /// engine absorbing live inserts, over zero or more immutable **segments**
-/// (each a [`StoreSegment`] with its own engine). Every query fans over all
-/// units through [`hum_core::segment::query_segmented`] and k-way-merges
-/// the per-unit hits, so matches are bit-identical to a monolithic engine
-/// over the union corpus at every segment count, shard count, and thread
-/// count. Systems built in memory ([`QbhSystem::build`]) have exactly one
-/// unit (the memtable) and behave as before; store-backed systems
-/// ([`QbhSystem::try_create_store`] / [`QbhSystem::try_open_store`]) add
-/// the durable segment lifecycle ([`QbhSystem::flush`],
-/// [`QbhSystem::compact`], [`QbhSystem::maintain`]).
+/// (each a [`StoreSegment`] with its own engine). Every query runs through
+/// the one executor ([`hum_core::exec`]) over the shards of every unit, so
+/// matches are bit-identical to a monolithic engine over the union corpus
+/// at every segment count, shard count, and thread count. Systems built in
+/// memory ([`QbhSystem::build`]) have exactly one unit (the memtable);
+/// store-backed systems ([`QbhSystem::try_create_store`] /
+/// [`QbhSystem::try_open_store`]) add the durable segment lifecycle
+/// ([`QbhSystem::flush`], [`QbhSystem::compact`], [`QbhSystem::maintain`]).
 pub struct QbhSystem {
     memtable: QbhEngine,
     segments: Vec<StoreSegment>,
@@ -474,7 +471,7 @@ impl QbhSystem {
         // Feature vectors are therefore shard-count-invariant, which the
         // bit-identical-results contract depends on.
         let mut svd: Option<SvdTransform> = None;
-        let mut make_transform = || -> Box<dyn EnvelopeTransform + Send + Sync> {
+        let mut make_transform = || -> Box<dyn EnvelopeTransform> {
             match config.transform {
                 TransformChoice::Auto(_) => {
                     // Resolved right above; the arm exists only because the
@@ -793,8 +790,8 @@ impl QbhSystem {
     /// Points the system at a metrics sink; pass [`MetricsSink::enabled`]
     /// to start recording every query into a shared registry. The sink is
     /// installed on every storage unit's engine (they record inserts and
-    /// removals); queries are recorded exactly once by the segmented query
-    /// path, regardless of unit count.
+    /// removals); queries are recorded exactly once by the executor,
+    /// regardless of unit count.
     pub fn set_metrics(&mut self, sink: MetricsSink) {
         self.memtable.set_metrics(sink.clone());
         for seg in &mut self.segments {
@@ -808,27 +805,12 @@ impl QbhSystem {
         &self.metrics
     }
 
-    /// The storage units queries fan over, in fixed order: segments oldest
-    /// to newest, then the memtable. The order is deterministic so merged
+    /// The executor's leaf list: the shards of every storage unit, in fixed
+    /// order — segments oldest to newest, then the memtable — so merged
     /// counters are reproducible (matches are order-independent).
-    fn units(&self) -> Vec<QbhUnit<'_>> {
-        let mut units = Vec::with_capacity(self.segments.len() + 1);
-        for seg in &self.segments {
-            units.push(SegmentUnit { engine: &seg.engine, meta: Some(&seg.meta) });
-        }
-        units.push(SegmentUnit { engine: &self.memtable, meta: None });
-        units
-    }
-
-    /// Every query surface funnels through here: one segmented fan-out
-    /// over all storage units. With a single unit (every in-memory build)
-    /// this is exactly the monolithic sharded query, traces included.
-    fn run_request(
-        &self,
-        request: &QueryRequest,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryOutcome, EngineError> {
-        query_segmented(&self.units(), request, scratch, &self.metrics)
+    fn leaves(&self) -> Vec<QbhLeaf<'_>> {
+        let segments = self.segments.iter().flat_map(|seg| seg.engine.leaves(Some(&seg.meta)));
+        segments.chain(self.memtable.leaves(None)).collect()
     }
 
     /// Opens an incremental query session: the request template's kind,
@@ -872,9 +854,9 @@ impl QbhSystem {
         session: &QuerySession,
         scratch: &mut QueryScratch,
     ) -> Result<(QbhResults, Option<QueryTrace>), EngineError> {
-        let budget = session.template().budget();
-        let request = session.to_request(budget)?;
-        let outcome = self.run_request(&request, scratch)?;
+        let request = session.to_request(session.template().budget())?;
+        let width = BatchOptions::default().threads;
+        let outcome = execute(&self.leaves(), &request, scratch, width, &self.metrics)?;
         Ok((self.annotate(outcome.result), outcome.trace))
     }
 
@@ -887,11 +869,13 @@ impl QbhSystem {
     ///
     /// Implemented as a degenerate session — open, append everything,
     /// refine once — so the one-shot and streaming surfaces cannot drift:
-    /// there is exactly one path from raw frames to the engine.
+    /// there is exactly one path from raw frames to the engine, and every
+    /// other query method of the system is a caller of it.
     ///
     /// # Errors
-    /// [`EngineError::EmptyQuery`] on an empty pitch series, plus anything
-    /// [`DtwIndexEngine::try_query`] reports.
+    /// [`EngineError::EmptyQuery`] on an empty pitch series,
+    /// [`EngineError::NonFiniteSample`] at the raw frame index, plus
+    /// anything [`DtwIndexEngine::try_query`] reports.
     pub fn try_query_request(
         &self,
         pitch_series: &[f64],
@@ -913,11 +897,45 @@ impl QbhSystem {
         request: QueryRequest,
         scratch: &mut QueryScratch,
     ) -> Result<(QbhResults, Option<QueryTrace>), EngineError> {
+        self.try_refine_session_with(&self.session_over(pitch_series, request)?, scratch)
+    }
+
+    /// The degenerate session of a one-shot query: everything appended at
+    /// once. An empty series leaves the session empty; refinement reports
+    /// `EmptyQuery` before `NormalForm::apply` could see it.
+    fn session_over(
+        &self,
+        pitch_series: &[f64],
+        request: QueryRequest,
+    ) -> Result<QuerySession, EngineError> {
         let mut session = self.open_session(request);
-        // An empty series leaves the session empty; refinement reports
-        // `EmptyQuery` before `NormalForm::apply` could see it.
         session.append(pitch_series)?;
-        self.try_refine_session_with(&session, scratch)
+        Ok(session)
+    }
+
+    /// Batched [`QbhSystem::try_query_request`]: the same `request` template
+    /// over each of `n` hummed pitch series, executed across
+    /// [`BatchOptions::threads`] worker threads in deterministic fixed-size
+    /// chunks. Results — matches, counters *and* traces — are bit-identical
+    /// to `n` sequential [`QbhSystem::try_query_request`] calls for every
+    /// thread count.
+    ///
+    /// # Errors
+    /// Every series is validated before any query runs: a batch with one
+    /// malformed hum returns its [`EngineError`], does no work and records
+    /// no metrics. Otherwise as [`hum_core::exec::execute_batch`].
+    pub fn try_query_request_batch(
+        &self,
+        pitch_series: &[Vec<f64>],
+        request: &QueryRequest,
+        options: &BatchOptions,
+    ) -> Result<Vec<(QbhResults, Option<QueryTrace>)>, EngineError> {
+        let requests = pitch_series
+            .iter()
+            .map(|series| self.session_over(series, request.clone())?.to_request(request.budget()))
+            .collect::<Result<Vec<_>, _>>()?;
+        let batch = execute_batch(&self.leaves(), &requests, options, &self.metrics)?;
+        Ok(batch.outcomes.into_iter().map(|o| (self.annotate(o.result), o.trace)).collect())
     }
 
     /// Live insert: renders a raw (hummed-scale) pitch series to normal
@@ -1039,71 +1057,41 @@ impl QbhSystem {
         Ok(true)
     }
 
-    /// Panicking form of [`QbhSystem::try_query_request`].
-    ///
-    /// # Panics
-    /// Panics on any [`EngineError`] the `try_` form would return.
-    pub fn query_request(
-        &self,
-        pitch_series: &[f64],
-        request: QueryRequest,
-    ) -> (QbhResults, Option<QueryTrace>) {
-        self.try_query_request(pitch_series, request).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Top-`k` matches for a hummed pitch series (fractional MIDI values,
     /// silence already removed), at the configured warping width.
+    ///
+    /// # Panics
+    /// As [`QbhSystem::query_series_banded`].
     pub fn query_series(&self, pitch_series: &[f64], k: usize) -> QbhResults {
         self.query_series_banded(pitch_series, self.band, k)
     }
 
-    /// Top-`k` matches at an explicit DTW band.
+    /// Top-`k` matches at an explicit DTW band: the panicking form of
+    /// [`QbhSystem::try_query_request`] with a k-NN request.
     ///
     /// # Panics
-    /// Panics on an empty pitch series.
+    /// Panics on any [`EngineError`] the `try_` form would return (an empty
+    /// or non-finite pitch series, a band at least the normal length).
     pub fn query_series_banded(&self, pitch_series: &[f64], band: usize, k: usize) -> QbhResults {
-        let query = self.normal.apply(pitch_series);
-        let request = QueryRequest::knn(k).with_series(query).with_band(band);
-        let outcome = self
-            .run_request(&request, &mut QueryScratch::new())
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.annotate(outcome.result)
+        let request = QueryRequest::knn(k).with_band(band);
+        self.try_query_request(pitch_series, request).unwrap_or_else(|e| panic!("{e}")).0
     }
 
-    /// ε-range query on the normal-form DTW distance (used by the candidate
-    /// and page-access experiments).
-    pub fn range_query(&self, pitch_series: &[f64], band: usize, radius: f64) -> QbhResults {
-        let query = self.normal.apply(pitch_series);
-        let request = QueryRequest::range(radius).with_series(query).with_band(band);
-        let outcome = self
-            .run_request(&request, &mut QueryScratch::new())
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.annotate(outcome.result)
-    }
-
-    /// Batched [`QbhSystem::query_series`]: top-`k` matches for each of `n`
-    /// hummed pitch series at the configured warping width, executed across
-    /// [`BatchOptions::threads`] worker threads in deterministic fixed-size
-    /// chunks. Results — matches *and* counters — are bit-identical to `n`
-    /// sequential [`QbhSystem::query_series`] calls for every thread count.
+    /// Batched [`QbhSystem::query_series`]: the panicking form of
+    /// [`QbhSystem::try_query_request_batch`] with a k-NN request at the
+    /// configured warping width.
+    ///
+    /// # Panics
+    /// Panics on any [`EngineError`] the `try_` form would return.
     pub fn query_series_batch(
         &self,
         pitch_series: &[Vec<f64>],
         k: usize,
         options: &BatchOptions,
     ) -> Vec<QbhResults> {
-        let batch: Vec<QueryRequest> = pitch_series
-            .iter()
-            .map(|series| {
-                QueryRequest::knn(k).with_series(self.normal.apply(series)).with_band(self.band)
-            })
-            .collect();
-        query_segmented_batch(&self.units(), &batch, options, &self.metrics)
-            .unwrap_or_else(|e| panic!("{e}"))
-            .outcomes
-            .into_iter()
-            .map(|o| self.annotate(o.result))
-            .collect()
+        let request = QueryRequest::knn(k).with_band(self.band);
+        let batch = self.try_query_request_batch(pitch_series, &request, options);
+        batch.unwrap_or_else(|e| panic!("{e}")).into_iter().map(|(results, _)| results).collect()
     }
 
     /// Full pipeline from raw microphone audio: pitch-track at 10 ms frames,
@@ -1476,9 +1464,10 @@ mod tests {
                         mono.query_series(&series, 5).matches,
                         "{transform:?} shards={shards} id={id}"
                     );
+                    let range = QueryRequest::range(2.0).with_band(system.band());
                     assert_eq!(
-                        system.range_query(&series, system.band(), 2.0).matches,
-                        mono.range_query(&series, mono.band(), 2.0).matches,
+                        system.try_query_request(&series, range.clone()).unwrap().0.matches,
+                        mono.try_query_request(&series, range).unwrap().0.matches,
                         "{transform:?} shards={shards} id={id}"
                     );
                 }
@@ -1522,6 +1511,40 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_with_one_malformed_hum_runs_nothing_and_records_nothing() {
+        let db = small_db();
+        let mut system = QbhSystem::build(&db, &QbhConfig::default());
+        system.set_metrics(MetricsSink::enabled());
+        let mut hums: Vec<Vec<f64>> =
+            (0..4).map(|i| db.entry(i * 7).unwrap().melody().to_time_series(4)).collect();
+        hums[3][5] = f64::NAN;
+        let request = QueryRequest::knn(5).with_band(system.band());
+        for threads in [1, 8] {
+            // Chunk size 1: the good hums sit in chunks of their own, so a
+            // lazily validating batch would have run and recorded them.
+            let options = BatchOptions::new(threads, 1);
+            match system.try_query_request_batch(&hums, &request, &options) {
+                Err(EngineError::NonFiniteSample { index: 5, .. }) => {}
+                other => panic!("expected the NaN frame to be reported, got {other:?}"),
+            }
+            // A request only the engine boundary can reject (band as wide as
+            // the normal form) is caught up front as well.
+            let wide = request.clone().with_band(system.config().normal_length);
+            assert_eq!(
+                system.try_query_request_batch(&hums[..3], &wide, &options).unwrap_err(),
+                EngineError::BandTooWide { band: 128, len: 128 }
+            );
+            let snapshot = system.metrics().registry().expect("enabled").snapshot();
+            assert_eq!(snapshot.counter(Metric::KnnQueries), 0, "threads={threads}");
+            assert_eq!(snapshot.counter(Metric::Batches), 0, "threads={threads}");
+        }
+        let ran = system.try_query_request_batch(&hums[..3], &request, &BatchOptions::default());
+        assert_eq!(ran.expect("well-formed batch").len(), 3);
+        let snapshot = system.metrics().registry().expect("enabled").snapshot();
+        assert_eq!(snapshot.counter(Metric::KnnQueries), 3);
+    }
+
+    #[test]
     fn silent_audio_returns_empty() {
         let db = small_db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
@@ -1534,10 +1557,12 @@ mod tests {
         let db = small_db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
         let series = db.entry(2).unwrap().melody().to_time_series(4);
-        let tight = system.range_query(&series, system.band(), 1e-6);
-        assert_eq!(tight.matches.len(), 1);
-        let loose = system.range_query(&series, system.band(), 1e6);
-        assert_eq!(loose.matches.len(), db.len());
+        let range = |radius: f64| {
+            let request = QueryRequest::range(radius).with_band(system.band());
+            system.try_query_request(&series, request).unwrap().0
+        };
+        assert_eq!(range(1e-6).matches.len(), 1);
+        assert_eq!(range(1e6).matches.len(), db.len());
     }
 
     #[test]
@@ -1551,10 +1576,12 @@ mod tests {
         let db = small_db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
         let series = db.entry(12).unwrap().melody().to_time_series(4);
-        let (results, trace) = system.query_request(
-            &series,
-            QueryRequest::knn(5).with_band(system.band()).with_trace(true),
-        );
+        let (results, trace) = system
+            .try_query_request(
+                &series,
+                QueryRequest::knn(5).with_band(system.band()).with_trace(true),
+            )
+            .unwrap();
         assert_eq!(results, system.query_series(&series, 5));
         let trace = trace.expect("trace requested");
         assert_eq!(trace.totals(), results.stats);

@@ -10,6 +10,7 @@
 //! cargo run --release -p hum-qbh --example index_tuning
 //! ```
 
+use hum_core::engine::QueryRequest;
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::system::{Backend, QbhConfig, QbhSystem, TransformKind};
@@ -95,7 +96,8 @@ fn main() {
         let band = hum_core::band_for_warping_width(delta, 128);
         let (mut cand, mut matches) = (0u64, 0u64);
         for hum in &hums {
-            let r = system.range_query(hum, band, 5.0);
+            let request = QueryRequest::range(5.0).with_band(band);
+            let (r, _) = system.try_query_request(hum, request).expect("well-formed hum");
             cand += r.stats.index.candidates;
             matches += r.stats.matches;
         }

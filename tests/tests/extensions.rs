@@ -1,9 +1,7 @@
 //! Integration tests for the extensions beyond the paper's headline
 //! experiments: subsequence song search, store persistence, retrieval
-//! metrics, the L1 variant, key finding, and the HPS tracker — each
-//! exercised across crate boundaries.
+//! metrics, and key finding — each exercised across crate boundaries.
 
-use hum_core::dtw::band_for_warping_width;
 use hum_music::{HummingSimulator, SingerProfile, Songbook, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::eval::{generate_hums, retrieval_metrics, target_ranks};
@@ -80,33 +78,6 @@ fn phrase_system_and_song_search_agree_on_the_source_song() {
 }
 
 #[test]
-fn l1_lower_bound_chain_holds_on_real_hums() {
-    // The L1 extension's no-false-negative chain, exercised end-to-end on
-    // simulated hums against the melody corpus:
-    //   L1Paa feature bound  <=  L1 envelope bound  <=  L1 banded DTW.
-    let db = MelodyDatabase::from_songbook(&songbook_config());
-    let normal = hum_core::normal::NormalForm::with_length(128);
-    let paa = hum_core::l1::L1Paa::new(128, 8);
-    let band = band_for_warping_width(0.1, 128);
-
-    for (i, target) in [3u64, 19, 36].iter().enumerate() {
-        let mut singer = HummingSimulator::new(SingerProfile::poor(), 900 + i as u64);
-        let hum = singer.sing_series(db.entry(*target).unwrap().melody(), 0.01);
-        let query = normal.apply(&hum);
-        let env = hum_core::envelope::Envelope::compute(&query, band);
-        let image = paa.project_envelope(&env);
-        for entry in db.entries().iter().take(25) {
-            let series = normal.apply(&entry.melody().to_time_series(4));
-            let dtw = hum_core::l1::l1_ldtw(&query, &series, band);
-            let lb_env = hum_core::l1::l1_envelope_distance(&env, &series);
-            let lb_feat = paa.lower_bound(&image, &paa.project(&series));
-            assert!(lb_env <= dtw + 1e-9, "envelope bound violated for id {}", entry.id());
-            assert!(lb_feat <= lb_env + 1e-9, "feature bound violated for id {}", entry.id());
-        }
-    }
-}
-
-#[test]
 fn key_estimates_are_stable_across_midi_roundtrip() {
     let direct = MelodyDatabase::from_songbook(&songbook_config());
     let round = MelodyDatabase::from_midi_roundtrip(&songbook_config());
@@ -115,25 +86,4 @@ fn key_estimates_are_stable_across_midi_roundtrip() {
         let kb = hum_music::key::estimate_key(b.melody());
         assert_eq!(ka, kb, "id {}", a.id());
     }
-}
-
-#[test]
-fn both_pitch_trackers_feed_the_same_search_answer() {
-    let db = MelodyDatabase::from_songbook(&songbook_config());
-    let system = QbhSystem::build(&db, &QbhConfig::default());
-    let target = 18u64;
-    let mut singer = HummingSimulator::new(SingerProfile::good(), 13);
-    let sung = singer.sing_notes(db.entry(target).unwrap().melody());
-    let notes: Vec<hum_audio::HumNote> =
-        sung.iter().map(|n| hum_audio::HumNote { midi: n.midi, seconds: n.seconds }).collect();
-    let audio = hum_audio::HumSynthesizer::new(hum_audio::SynthConfig::default()).render(&notes);
-
-    let cfg = hum_audio::PitchTrackerConfig::default();
-    let acf_series = hum_audio::track_pitch(&audio, &cfg).voiced_series();
-    let hps_series = hum_audio::track_pitch_hps(&audio, &cfg).voiced_series();
-    assert!(!acf_series.is_empty() && !hps_series.is_empty());
-    let acf_top = system.query_series(&acf_series, 3);
-    let hps_top = system.query_series(&hps_series, 3);
-    assert!(acf_top.matches.iter().any(|m| m.id == target), "ACF route missed");
-    assert!(hps_top.matches.iter().any(|m| m.id == target), "HPS route missed");
 }

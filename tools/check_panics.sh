@@ -17,7 +17,7 @@
 # debugging hazard out of proportion to its size. The streaming-session
 # module (crates/core/src/session.rs) is strict too: it buffers
 # caller-controlled frames, the same trust level as wire bytes — as is the
-# segmented-query module (crates/core/src/segment.rs), which sits on the
+# segment-metadata module (crates/core/src/segment.rs), which sits on the
 # storage engine's load path and must never turn disk corruption into a
 # panic. The transform planner (crates/core/src/plan.rs) is strict as
 # well: its output is persisted and re-read from untrusted snapshot
