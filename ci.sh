@@ -56,27 +56,25 @@ cargo test -q -p hum-qbh --test storage_faults
 # Serving transport against a mock service.
 cargo test -q -p hum-server
 
-# Kernel layer: the `simd` feature (and the KernelMode it selects) may
-# change speed but never bits. The property suite runs under both feature
-# states, then the engine digest — answers and counters over a fixed
-# workload on every backend, including the f32-prefilter on/off sections
-# and a 4-shard section with every multi-leaf counter — is diffed
-# byte-for-byte across simd off/on × HUM_THREADS 1/8.
+# Kernel layer: the shape everyone runs (unrolled lanes, AVX2 where the CPU
+# has it) against its scalar reference — a shape may change speed but never
+# bits. The property suite runs in debug and in release (the arithmetic and
+# the `unsafe` run optimised everywhere else); then the engine digest —
+# answers and counters over a fixed workload on every backend, including
+# the f32-prefilter on/off sections and a 4-shard section with every
+# multi-leaf counter — builds each section under both kernel modes in one
+# process, failing if their bytes differ, and is diffed byte-for-byte
+# across HUM_THREADS 1/8.
 cargo test -q -p hum-core --test kernel
-cargo test -q -p hum-core --features simd --test kernel
+cargo test -q --release -p hum-core --test kernel
 DIGEST_DIR=$(mktemp -d)
 trap 'rm -rf "$DIGEST_DIR"' EXIT
-for features in "" "--features simd"; do
-    for threads in 1 8; do
-        # shellcheck disable=SC2086 # empty or two words
-        HUM_THREADS=$threads cargo run -q --release -p hum-core $features \
-            --example engine_digest > "$DIGEST_DIR/digest_${features:+simd_}t$threads.txt"
-    done
+for threads in 1 8; do
+    HUM_THREADS=$threads cargo run -q --release -p hum-core \
+        --example engine_digest > "$DIGEST_DIR/digest_t$threads.txt"
 done
-for digest in "$DIGEST_DIR"/digest_*.txt; do
-    cmp "$DIGEST_DIR/digest_t1.txt" "$digest"
-done
-echo "engine_digest bit-identical across simd x threads"
+cmp "$DIGEST_DIR/digest_t1.txt" "$DIGEST_DIR/digest_t8.txt"
+echo "engine_digest bit-identical across kernel modes x threads"
 
 # Scale harness smoke: the planner-vs-fixed decade sweep at quick scale,
 # including its shape check that the chosen transform's measured tightness
@@ -100,4 +98,3 @@ bash benchmark/run.sh --smoke
 ./tools/check_panics.sh
 
 cargo clippy --all-targets -- -D warnings
-cargo clippy -p hum-core --all-targets --features simd -- -D warnings

@@ -2,8 +2,8 @@
 //! kernel measured as a naive sequential reference vs `KernelMode::Scalar`
 //! (blocked, cache-conscious) vs `KernelMode::Unrolled` (explicit 4/8-lane
 //! unrolling), plus the conservative f32 prefilter pass against the exact
-//! f64 envelope bound it fronts. Build with `--features simd` to make
-//! `KernelMode::default()` pick the unrolled shapes engine-wide; here both
+//! f64 envelope bound it fronts. `KernelMode::default()` is the unrolled
+//! shape engine-wide and scalar is its reference; here both
 //! modes are always measured explicitly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

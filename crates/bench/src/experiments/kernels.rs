@@ -168,7 +168,7 @@ pub fn run(params: &Params) -> Output {
         push("prefilter", &format!("{mode:?}").to_lowercase(), ns, env_ref_ns, conservative);
     }
 
-    // --- LB_Improved second pass (projection + envelope recompute + LB). ---
+    // --- LB_Improved second pass (projection + window min/max + LB). ---
     let mut scratch = LbScratch::new();
     let lb_bits: Vec<u64> = database
         .iter()
@@ -177,8 +177,8 @@ pub fn run(params: &Params) -> Output {
                 .to_bits()
         })
         .collect();
-    // The scalar shape doubles as this kernel's reference: its dominant
-    // cost (deque envelope recompute) predates the kernel layer.
+    // The scalar shape doubles as this kernel's reference: the window
+    // min/max both modes share has no pre-kernel-layer form to time.
     let mut lb_ref_ns = 0.0;
     for (i, mode) in MODES.iter().enumerate() {
         let (ns, _) = time_best(params.passes, params.candidates, || {

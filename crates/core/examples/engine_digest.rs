@@ -1,18 +1,24 @@
 //! Prints a bit-exact digest of engine answers and counters over a fixed
 //! pseudo-random workload, for before/after comparison of engine changes.
 //!
-//! `ci.sh` runs this with the `simd` feature off and on, under
-//! `HUM_THREADS=1` and `8`, and diffs the four outputs byte-for-byte: the
-//! kernel layer (and the f32 prefilter, exercised by the mode-2 vs mode-3
-//! sections) may change speed but never bits. GridFile's internal
-//! counters depend on `HashMap` iteration order, so its lines print
-//! matches and match-bits only. The final 4-shard section prints every
-//! `EngineStats` counter of multi-leaf queries, single (scattered across
-//! `HUM_THREADS` workers) and batched, so the executor's fixed-leaf-order
-//! absorption is under the same byte-diff.
+//! Every section is built twice in one process — under
+//! [`KernelMode::Unrolled`], the shape everyone runs, and under
+//! [`KernelMode::Scalar`], its reference — and the run fails unless the
+//! two digests are byte-identical: the kernel layer (and the f32
+//! prefilter, exercised by the mode-2 vs mode-3 sections) may change speed
+//! but never bits. `ci.sh` additionally runs this under `HUM_THREADS=1`
+//! and `8` and diffs the outputs. GridFile's internal counters depend on
+//! `HashMap` iteration order, so its lines print matches and match-bits
+//! only. The final 4-shard section prints every `EngineStats` counter of
+//! multi-leaf queries, single (scattered across `HUM_THREADS` workers) and
+//! batched, so the executor's fixed-leaf-order absorption is under the
+//! same byte-diff.
+
+use std::fmt::Write as _;
 
 use hum_core::batch::BatchOptions;
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
+use hum_core::kernel::KernelMode;
 use hum_core::shard::ShardedEngine;
 use hum_core::transform::paa::NewPaa;
 use hum_index::{GridFile, ItemId, LinearScan, RStarTree, SpatialIndex};
@@ -26,7 +32,12 @@ fn lcg_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
     (0..n)
         .map(|_| {
             let mut acc = 0.0;
-            let mut s: Vec<f64> = (0..len).map(|_| { acc += next(); acc }).collect();
+            let mut s: Vec<f64> = (0..len)
+                .map(|_| {
+                    acc += next();
+                    acc
+                })
+                .collect();
             hum_linalg::vec_ops::center(&mut s);
             s
         })
@@ -39,8 +50,8 @@ fn match_bits(matches: &[(ItemId, f64)]) -> u64 {
         .fold(0u64, |h, (id, d)| h.wrapping_mul(31).wrapping_add(id.wrapping_add(d.to_bits())))
 }
 
-fn config_for(mode: usize) -> EngineConfig {
-    match mode {
+fn config_for(mode: usize, kernel: KernelMode) -> EngineConfig {
+    let config = match mode {
         0 => EngineConfig {
             envelope_refinement: false,
             lb_improved_refinement: false,
@@ -55,14 +66,22 @@ fn config_for(mode: usize) -> EngineConfig {
         },
         3 => EngineConfig { prefilter: false, ..EngineConfig::default() },
         _ => EngineConfig::default(),
-    }
+    };
+    EngineConfig { kernel, ..config }
 }
 
-fn digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I, mode: usize, stable_counters: bool) {
+fn digest<I: SpatialIndex>(
+    out: &mut String,
+    kernel: KernelMode,
+    name: &str,
+    make: impl Fn() -> I,
+    mode: usize,
+    stable_counters: bool,
+) {
     let refine = mode;
     let series = lcg_series(400, 64, 11);
     let queries = lcg_series(12, 64, 777);
-    let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), make(), config_for(mode));
+    let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), make(), config_for(mode, kernel));
     for (i, s) in series.iter().enumerate() {
         engine.insert(i as ItemId, s.clone());
     }
@@ -73,12 +92,14 @@ fn digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I, mode: usize, stable
                 .result;
             let mbits = match_bits(&r.matches);
             if stable_counters {
-                println!(
+                let _ = writeln!(
+                    out,
                     "{name} refine={refine} q{qi} range b{band} r{radius}: m={} bits={mbits:x} cand={} pages={} pts={}",
                     r.matches.len(), r.stats.index.candidates, r.stats.index.node_accesses, r.stats.index.points_examined
                 );
             } else {
-                println!(
+                let _ = writeln!(
+                    out,
                     "{name} refine={refine} q{qi} range b{band} r{radius}: m={} bits={mbits:x}",
                     r.matches.len()
                 );
@@ -92,20 +113,25 @@ fn digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I, mode: usize, stable
                 )
                 .result;
             let sbits = match_bits(&s.matches);
-            println!("{name} refine={refine} q{qi} scanrange b{band}: m={} bits={sbits:x}", s.matches.len());
+            let _ = writeln!(
+                out,
+                "{name} refine={refine} q{qi} scanrange b{band}: m={} bits={sbits:x}",
+                s.matches.len()
+            );
         }
         for (band, k) in [(0usize, 1), (3, 5), (6, 17)] {
-            let r = engine
-                .query(&QueryRequest::knn(k).with_series(q.clone()).with_band(band))
-                .result;
+            let r =
+                engine.query(&QueryRequest::knn(k).with_series(q.clone()).with_band(band)).result;
             let mbits = match_bits(&r.matches);
             if stable_counters {
-                println!(
+                let _ = writeln!(
+                    out,
                     "{name} refine={refine} q{qi} knn b{band} k{k}: m={} bits={mbits:x} cand={} pages={} pts={}",
                     r.matches.len(), r.stats.index.candidates, r.stats.index.node_accesses, r.stats.index.points_examined
                 );
             } else {
-                println!(
+                let _ = writeln!(
+                    out,
                     "{name} refine={refine} q{qi} knn b{band} k{k}: m={} bits={mbits:x}",
                     r.matches.len()
                 );
@@ -114,7 +140,11 @@ fn digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I, mode: usize, stable
                 .query(&QueryRequest::knn(k).with_series(q.clone()).with_band(band).with_scan(true))
                 .result;
             let sbits = match_bits(&s.matches);
-            println!("{name} refine={refine} q{qi} scanknn b{band} k{k}: m={} bits={sbits:x}", s.matches.len());
+            let _ = writeln!(
+                out,
+                "{name} refine={refine} q{qi} scanknn b{band} k{k}: m={} bits={sbits:x}",
+                s.matches.len()
+            );
         }
     }
 }
@@ -122,10 +152,15 @@ fn digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I, mode: usize, stable
 /// Batched execution digest under `BatchOptions::default()`, which honors
 /// `HUM_THREADS` — so the ci.sh thread-count sweep exercises the parallel
 /// fan-out path, whose results must be thread-count-invariant.
-fn batch_digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I) {
+fn batch_digest<I: SpatialIndex>(
+    out: &mut String,
+    kernel: KernelMode,
+    name: &str,
+    make: impl Fn() -> I,
+) {
     let series = lcg_series(400, 64, 11);
     let queries = lcg_series(12, 64, 777);
-    let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), make(), EngineConfig::default());
+    let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), make(), config_for(2, kernel));
     for (i, s) in series.iter().enumerate() {
         engine.insert(i as ItemId, s.clone());
     }
@@ -134,28 +169,28 @@ fn batch_digest<I: SpatialIndex>(name: &str, make: impl Fn() -> I) {
         batch.push(QueryRequest::range(2.0).with_series(q.clone()).with_band(3));
         batch.push(QueryRequest::knn(9).with_series(q.clone()).with_band(6));
     }
-    let out = engine
+    let batched = engine
         .try_query_batch(&batch, &BatchOptions::default())
         .expect("digest workload is well-formed");
-    let bits = out
+    let bits = batched
         .outcomes
         .iter()
         .fold(0u64, |h, o| h.wrapping_mul(37).wrapping_add(match_bits(&o.result.matches)));
-    let m: usize = out.outcomes.iter().map(|o| o.result.matches.len()).sum();
-    println!("{name} batch: m={m} bits={bits:x}");
+    let m: usize = batched.outcomes.iter().map(|o| o.result.matches.len()).sum();
+    let _ = writeln!(out, "{name} batch: m={m} bits={bits:x}");
 }
 
 /// Multi-leaf digest: the same workload over a 4-shard engine, printing
 /// every counter — they depend on the shard layout, never on the scatter
 /// width or thread count.
-fn sharded_digest() {
+fn sharded_digest(out: &mut String, kernel: KernelMode) {
     let series = lcg_series(400, 64, 11);
     let queries = lcg_series(12, 64, 777);
     let mut engine = ShardedEngine::build(4, |_| {
         DtwIndexEngine::new(
             NewPaa::new(64, 8),
             RStarTree::with_page_size(8, 1024),
-            EngineConfig::default(),
+            config_for(2, kernel),
         )
     });
     for (i, s) in series.iter().enumerate() {
@@ -171,26 +206,46 @@ fn sharded_digest() {
     }
     for (i, request) in batch.iter().enumerate() {
         let r = engine.query(request).result;
-        println!("rstar shards=4 r{i}: bits={:x} {:?}", match_bits(&r.matches), r.stats);
+        let _ =
+            writeln!(out, "rstar shards=4 r{i}: bits={:x} {:?}", match_bits(&r.matches), r.stats);
     }
-    let out = engine
+    let batched = engine
         .try_query_batch(&batch, &BatchOptions::default())
         .expect("digest workload is well-formed");
-    println!("rstar shards=4 batch: {:?}", out.stats);
+    let _ = writeln!(out, "rstar shards=4 batch: {:?}", batched.stats);
 }
 
-fn main() {
+/// Every section of the digest with the kernels in one mode.
+fn full_digest(kernel: KernelMode) -> String {
+    let mut out = String::new();
     // mode 0: no cascade; 1: envelope filter only (the pre-cascade default);
     // 2: the full cascade (current default config, f32 prefilter on);
     // 3: the full cascade with the f32 prefilter off — answers AND counters
     // must digest identically to mode 2 apart from the refine= label.
     for mode in [1, 0, 2, 3] {
-        digest("rstar", || RStarTree::with_page_size(8, 1024), mode, true);
-        digest("grid", || GridFile::with_params(8, 4, 32, 1024), mode, false);
-        digest("linear", || LinearScan::with_page_size(8, 1024), mode, true);
+        digest(&mut out, kernel, "rstar", || RStarTree::with_page_size(8, 1024), mode, true);
+        digest(&mut out, kernel, "grid", || GridFile::with_params(8, 4, 32, 1024), mode, false);
+        digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024), mode, true);
     }
-    batch_digest("rstar", || RStarTree::with_page_size(8, 1024));
-    batch_digest("grid", || GridFile::with_params(8, 4, 32, 1024));
-    batch_digest("linear", || LinearScan::with_page_size(8, 1024));
-    sharded_digest();
+    batch_digest(&mut out, kernel, "rstar", || RStarTree::with_page_size(8, 1024));
+    batch_digest(&mut out, kernel, "grid", || GridFile::with_params(8, 4, 32, 1024));
+    batch_digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024));
+    sharded_digest(&mut out, kernel);
+    out
+}
+
+fn main() {
+    assert_eq!(KernelMode::default(), KernelMode::Unrolled);
+    let digest = full_digest(KernelMode::Unrolled);
+    let reference = full_digest(KernelMode::Scalar);
+    for (i, (got, want)) in digest.lines().zip(reference.lines()).enumerate() {
+        if got != want {
+            eprintln!("line {}: unrolled and scalar kernels disagree", i + 1);
+            eprintln!("  unrolled: {got}");
+            eprintln!("  scalar:   {want}");
+            std::process::exit(1);
+        }
+    }
+    assert_eq!(digest.len(), reference.len(), "digests differ in length");
+    print!("{digest}");
 }

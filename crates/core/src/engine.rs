@@ -50,17 +50,18 @@
 //! free when disabled; traces carry counters only (never wall-clock time),
 //! so they are bit-identical across runs and thread counts.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use hum_index::{ItemId, Query, QueryStats, SpatialIndex};
+use hum_index::{ItemId, Query, QueryStats, Rect, SpatialIndex};
 
+use crate::arena::SeriesArena;
 use crate::batch::BatchOptions;
 use crate::dtw::{ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
 use crate::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
 use crate::exec::{execute, execute_batch, Leaf};
-use crate::kernel::prefilter::{prefilter_exceeds, PrefilterEnvelope, SeriesMirror};
+use crate::kernel::prefilter::{prefilter_exceeds_planes, PrefilterEnvelope};
 use crate::kernel::KernelMode;
 use crate::obs::{Metric, MetricsSink, QueryTrace};
 use crate::transform::EnvelopeTransform;
@@ -89,8 +90,8 @@ pub struct EngineConfig {
     /// stage a candidate dies in).
     pub prefilter: bool,
     /// Which [`KernelMode`] the verification kernels run in. Bit-identical
-    /// results in every mode; defaults to the unrolled forms when the
-    /// crate is built with the `simd` feature.
+    /// results in every mode; the default is the unrolled shape, and
+    /// [`KernelMode::Scalar`] exists as the reference to compare it with.
     pub kernel: KernelMode,
 }
 
@@ -259,7 +260,9 @@ pub struct QueryOutcome {
 ///
 /// The default ([`QueryBudget::unlimited`]) never expires and costs nothing:
 /// no clock is read anywhere in the engine. With a deadline set, the run
-/// paths poll [`QueryBudget::expired`] once per *candidate* — never inside
+/// paths poll [`QueryBudget::expired`] once per *candidate* in every
+/// stage that walks candidates (the envelope sweeps and the verification
+/// loops alike) — never inside
 /// the distance kernels — so a query that finishes before its deadline does
 /// exactly the same arithmetic in exactly the same order as an unbudgeted
 /// one and returns bit-identical matches and counters. A query that hits
@@ -431,16 +434,14 @@ impl QueryRequest {
     }
 }
 
-/// Reusable per-query scratch: the DTW workspace, the `LB_Improved`
-/// scratch, and the staged `f32` prefilter envelope. One per worker thread
-/// amortizes the row allocations across an entire batch; the engine
-/// reports `dp_cells` as a per-query delta, so reuse never changes any
-/// counter.
+/// Reusable per-query scratch: the DTW workspace and the `LB_Improved`
+/// scratch. One per worker thread amortizes the row allocations across an
+/// entire batch; the engine reports `dp_cells` as a per-query delta, so
+/// reuse never changes any counter.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     ws: DtwWorkspace,
     lb: LbScratch,
-    pf: PrefilterEnvelope,
 }
 
 impl QueryScratch {
@@ -450,20 +451,58 @@ impl QueryScratch {
     }
 }
 
-/// A stored series plus (when the engine's prefilter is enabled) its
-/// directed-rounded `f32` mirror, built once at insert time.
-#[derive(Debug, Clone)]
-struct StoredSeries {
-    samples: Vec<f64>,
-    mirror: Option<SeriesMirror>,
+/// What every leaf of one request shares, computed once by the executor:
+/// the query, its `k`-envelope, the envelope's feature-space image (as a
+/// box, for leaf pruning, and as the shape every index is queried with),
+/// and the envelope staged for the `f32` prefilter.
+#[derive(Debug)]
+pub(crate) struct PreparedQuery<'a> {
+    series: &'a [f64],
+    band: usize,
+    envelope: Envelope,
+    feature_box: Rect,
+    shape: Query,
+    prefilter: PrefilterEnvelope,
 }
+
+impl<'a> PreparedQuery<'a> {
+    /// Prepares a *validated* query for engines built on `transform`.
+    pub(crate) fn new<T: EnvelopeTransform>(transform: &T, series: &'a [f64], band: usize) -> Self {
+        let envelope = Envelope::compute(series, band);
+        let feature_box = transform.project_envelope(&envelope);
+        let shape = Query::Rect(feature_box.clone());
+        let mut prefilter = PrefilterEnvelope::new();
+        prefilter.stage(&envelope);
+        PreparedQuery { series, band, envelope, feature_box, shape, prefilter }
+    }
+
+    /// The envelope's feature-space image.
+    pub(crate) fn feature_box(&self) -> &Rect {
+        &self.feature_box
+    }
+}
+
+/// The budget's deadline passed between two candidates.
+struct Expired;
+
+/// A candidate that survived the envelope stages, with its envelope bound.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    lb_sq: f64,
+    id: ItemId,
+    slot: u32,
+}
+
+/// How many candidates ahead of the one being examined the sweeps request
+/// cache lines for.
+const PREFETCH_AHEAD: usize = 4;
 
 /// A DTW similarity-search engine over a spatial index backend.
 #[derive(Debug, Clone)]
 pub struct DtwIndexEngine<T, I> {
     transform: T,
     index: I,
-    series: HashMap<ItemId, StoredSeries>,
+    series: SeriesArena,
     config: EngineConfig,
     metrics: MetricsSink,
 }
@@ -480,13 +519,8 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             transform.output_dims(),
             "index dimensionality must match the transform output"
         );
-        DtwIndexEngine {
-            transform,
-            index,
-            series: HashMap::new(),
-            config,
-            metrics: MetricsSink::Disabled,
-        }
+        let series = SeriesArena::new(transform.input_len(), config.prefilter);
+        DtwIndexEngine { transform, index, series, config, metrics: MetricsSink::Disabled }
     }
 
     /// Builder form of [`DtwIndexEngine::set_metrics`].
@@ -537,7 +571,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
 
     /// Looks up a stored series.
     pub fn get(&self, id: ItemId) -> Option<&[f64]> {
-        self.series.get(&id).map(|s| s.samples.as_slice())
+        self.series.slot_of(id).map(|slot| self.series.samples(slot))
     }
 
     /// Inserts a normal-form series under `id` (replacing nothing: ids must
@@ -551,12 +585,11 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             });
         }
         check_finite(&series, "inserted series")?;
-        if self.series.contains_key(&id) {
+        if self.series.slot_of(id).is_some() {
             return Err(EngineError::DuplicateId(id));
         }
         let features = self.transform.project(&series);
-        let mirror = self.config.prefilter.then(|| SeriesMirror::build(&series));
-        self.series.insert(id, StoredSeries { samples: series, mirror });
+        self.series.insert(id, &series);
         self.index.insert(id, features);
         self.metrics.add(Metric::Inserts, 1);
         Ok(())
@@ -574,7 +607,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     /// Removes the series stored under `id` from both the store and the
     /// index. Returns `true` if it was present.
     pub fn remove(&mut self, id: ItemId) -> bool {
-        if self.series.remove(&id).is_none() {
+        if !self.series.remove(id) {
             return false;
         }
         let removed = self.index.remove(id);
@@ -652,69 +685,139 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         execute_batch(&[Leaf { engine: self, meta: None }], requests, options, &self.metrics)
     }
 
-    /// Runs the post-index verification cascade for one candidate at a fixed
-    /// squared threshold. Returns `Some(d_sq)` when the candidate's exact
-    /// squared distance was computed and is `≤ threshold_sq`… or when exact
-    /// DTW ran un-abandoned and produced any finite value (callers compare
-    /// against their own threshold); `None` when a stage pruned it.
-    #[allow(clippy::too_many_arguments)]
-    fn cascade_verify(
+    /// `true` when either envelope-based refinement stage is configured, so
+    /// candidates carry an envelope bound.
+    fn envelope_stages(&self) -> bool {
+        self.config.envelope_refinement || self.config.lb_improved_refinement
+    }
+
+    /// Whether queries consult the `f32` prefilter: it fronts the `f64`
+    /// envelope stage, so it runs only when that stage does (keeping
+    /// counters identical with the prefilter off).
+    fn prefilter_active(&self) -> bool {
+        self.config.prefilter && self.envelope_stages()
+    }
+
+    /// Resolves index candidates to arena slots — one id → slot lookup per
+    /// candidate for the whole query — dropping the ids in `skip` (sorted
+    /// ascending). Slots come back ascending, so the sweeps walk the arena
+    /// front to back.
+    fn resolve_slots(&self, candidates: &[ItemId], skip: &[ItemId]) -> Vec<u32> {
+        let mut slots: Vec<u32> = candidates
+            .iter()
+            .filter(|id| skip.binary_search(id).is_err())
+            .map(|&id| self.series.slot_of(id).expect("series and index must stay in lockstep"))
+            .collect();
+        slots.sort_unstable();
+        slots
+    }
+
+    /// The cascade's two streaming stages over `slots` at a fixed
+    /// `threshold_sq`: the conservative `f32` prefilter over the mirror
+    /// planes, then the `f64` envelope bound over the samples of its
+    /// survivors, each requesting the lines of the candidates a few places
+    /// ahead while it works on the current one. Returns the survivors with
+    /// their bounds, in `slots` order; everything else is booked as
+    /// `lb_pruned` (a prefilter prune is exactly a candidate whose `f64`
+    /// bound would come back above the threshold — same counter, same
+    /// survivors, with or without it). With both envelope-based refinement
+    /// stages off there is nothing to compute and every slot survives.
+    fn envelope_sweep(
         &self,
-        query: &[f64],
-        envelope: &Envelope,
-        band: usize,
-        stored: &StoredSeries,
+        prepared: &PreparedQuery<'_>,
+        mut slots: Vec<u32>,
         threshold_sq: f64,
-        precomputed_lb_sq: Option<f64>,
-        pf: Option<&PrefilterEnvelope>,
+        budget: QueryBudget,
         stats: &mut EngineStats,
-        ws: &mut DtwWorkspace,
-        scratch: &mut LbScratch,
-    ) -> Option<f64> {
+    ) -> Result<Vec<Pending>, Expired> {
+        let arena = &self.series;
+        let pending_at = |slot: u32, lb_sq: f64| Pending { lb_sq, id: arena.id_at(slot), slot };
+        if !self.envelope_stages() {
+            return Ok(slots.into_iter().map(|slot| pending_at(slot, 0.0)).collect());
+        }
         let mode = self.config.kernel;
-        let series = stored.samples.as_slice();
-        let use_env = self.config.envelope_refinement || self.config.lb_improved_refinement;
-        let mut lb_sq = 0.0;
-        if use_env {
-            lb_sq = match precomputed_lb_sq {
-                Some(lb) => lb,
-                None => {
-                    // Conservative f32 prefilter: its bound never exceeds
-                    // the f64 envelope bound below, so a prune here is a
-                    // prune the envelope stage was about to make — booked
-                    // under the same counter, skipping the f64 pass.
-                    if let (Some(pf), Some(mirror)) = (pf, stored.mirror.as_ref()) {
-                        if prefilter_exceeds(mode, pf, mirror, threshold_sq) {
-                            stats.lb_pruned += 1;
-                            return None;
-                        }
-                    }
-                    envelope.distance_sq_bounded_mode(series, threshold_sq, mode)
+        if self.prefilter_active() {
+            let mut kept = 0;
+            for i in 0..slots.len() {
+                if budget.expired() {
+                    return Err(Expired);
                 }
-            };
+                if let Some(&ahead) = slots.get(i + PREFETCH_AHEAD) {
+                    arena.prefetch_mirror(ahead);
+                }
+                let slot = slots[i];
+                let (down, up) =
+                    arena.mirror(slot).expect("mirrors are kept with the prefilter on");
+                if prefilter_exceeds_planes(mode, &prepared.prefilter, down, up, threshold_sq) {
+                    stats.lb_pruned += 1;
+                } else {
+                    slots[kept] = slot;
+                    kept += 1;
+                }
+            }
+            slots.truncate(kept);
+        }
+        let mut pending = Vec::with_capacity(slots.len());
+        for (i, &slot) in slots.iter().enumerate() {
+            if budget.expired() {
+                return Err(Expired);
+            }
+            if let Some(&ahead) = slots.get(i + PREFETCH_AHEAD) {
+                arena.prefetch_samples(ahead);
+            }
+            let lb_sq =
+                prepared.envelope.distance_sq_bounded_mode(arena.samples(slot), threshold_sq, mode);
             if lb_sq > threshold_sq {
                 stats.lb_pruned += 1;
-                return None;
+            } else {
+                pending.push(pending_at(slot, lb_sq));
             }
         }
+        Ok(pending)
+    }
+
+    /// The cascade's two per-candidate stages for a survivor of the
+    /// envelope stages, at a fixed squared threshold: two-pass
+    /// `LB_Improved` on top of the candidate's envelope bound, then exact
+    /// banded DTW. Returns `Some(d_sq)` when exact DTW ran to completion
+    /// (callers compare against their own threshold); `None` when a stage
+    /// pruned or abandoned it.
+    fn verify(
+        &self,
+        prepared: &PreparedQuery<'_>,
+        candidate: Pending,
+        threshold_sq: f64,
+        stats: &mut EngineStats,
+        scratch: &mut QueryScratch,
+    ) -> Option<f64> {
+        let mode = self.config.kernel;
+        let (query, band) = (prepared.series, prepared.band);
+        let series = self.series.samples(candidate.slot);
         if self.config.lb_improved_refinement {
             let tail = lb_improved_tail_sq_mode(
                 query,
-                envelope,
+                &prepared.envelope,
                 series,
                 band,
-                threshold_sq - lb_sq,
-                scratch,
+                threshold_sq - candidate.lb_sq,
+                &mut scratch.lb,
                 mode,
             );
-            if lb_sq + tail > threshold_sq {
+            if candidate.lb_sq + tail > threshold_sq {
                 stats.lb_improved_pruned += 1;
                 return None;
             }
         }
         stats.exact_computations += 1;
         let dtw_threshold = if self.config.early_abandon { threshold_sq } else { f64::INFINITY };
-        let d_sq = ldtw_distance_sq_bounded_with_mode(ws, query, series, band, dtw_threshold, mode);
+        let d_sq = ldtw_distance_sq_bounded_with_mode(
+            &mut scratch.ws,
+            query,
+            series,
+            band,
+            dtw_threshold,
+            mode,
+        );
         if d_sq.is_infinite() {
             stats.early_abandoned += 1;
             return None;
@@ -722,57 +825,57 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         Some(d_sq)
     }
 
-    /// Whether this query should stage and consult the `f32` prefilter: it
-    /// fronts the `f64` envelope stage, so it runs only when that stage
-    /// does (keeping counters identical with the prefilter off).
-    fn prefilter_active(&self) -> bool {
-        self.config.prefilter
-            && (self.config.envelope_refinement || self.config.lb_improved_refinement)
-    }
-
-    /// The indexed range path: matches within `radius`, sorted by
-    /// `(distance, id)`. Like every per-leaf primitive below, it takes
-    /// input the executor has already validated.
-    pub(crate) fn run_range(
+    /// The ε-range cascade over `slots`: envelope stages, then every
+    /// survivor verified at the fixed radius. Matches sorted by
+    /// `(distance, id)`; every decision is per candidate at one threshold,
+    /// so neither they nor any counter depend on the order of `slots`.
+    fn range_over_slots(
         &self,
-        query: &[f64],
-        band: usize,
-        radius: f64,
+        prepared: &PreparedQuery<'_>,
+        slots: Vec<u32>,
+        radius_sq: f64,
         budget: QueryBudget,
+        stats: &mut EngineStats,
         scratch: &mut QueryScratch,
-    ) -> LeafRun {
-        let cells_before = scratch.ws.cells();
-        let radius_sq = radius * radius;
-        let envelope = Envelope::compute(query, band);
-        let feature_box = self.transform.project_envelope(&envelope);
-        let (candidates, index_stats) =
-            self.index.range_query(&Query::Rect(feature_box), radius);
-
-        let mut stats = EngineStats { index: index_stats, ..EngineStats::default() };
-        let QueryScratch { ws, lb, pf } = scratch;
-        if self.prefilter_active() {
-            pf.stage(&envelope);
-        }
-        let pf: Option<&PrefilterEnvelope> = self.prefilter_active().then_some(&*pf);
+    ) -> Result<Vec<(ItemId, f64)>, Expired> {
+        let pending = self.envelope_sweep(prepared, slots, radius_sq, budget, stats)?;
         let mut matches = Vec::new();
-        for id in candidates {
+        for (i, &candidate) in pending.iter().enumerate() {
             if budget.expired() {
-                stats.dp_cells = ws.cells() - cells_before;
-                return Err(stats);
+                return Err(Expired);
             }
-            let stored = &self.series[&id];
-            if let Some(d_sq) = self.cascade_verify(
-                query, &envelope, band, stored, radius_sq, None, pf, &mut stats, ws, lb,
-            ) {
+            if let Some(next) = pending.get(i + 1) {
+                self.series.prefetch_samples(next.slot);
+            }
+            if let Some(d_sq) = self.verify(prepared, candidate, radius_sq, stats, scratch) {
                 if d_sq <= radius_sq {
-                    matches.push((id, d_sq.sqrt()));
+                    matches.push((candidate.id, d_sq.sqrt()));
                 }
             }
         }
         sort_by_distance(&mut matches);
         stats.matches = matches.len() as u64;
-        stats.dp_cells = ws.cells() - cells_before;
-        Ok((matches, stats))
+        Ok(matches)
+    }
+
+    /// The indexed range path: matches within `radius`, sorted by
+    /// `(distance, id)`. Like every per-leaf primitive below, it takes
+    /// input the executor has already validated and prepared.
+    pub(crate) fn run_range(
+        &self,
+        prepared: &PreparedQuery<'_>,
+        radius: f64,
+        budget: QueryBudget,
+        scratch: &mut QueryScratch,
+    ) -> LeafRun {
+        let cells_before = scratch.ws.cells();
+        let (candidates, index_stats) = self.index.range_query(&prepared.shape, radius);
+        let mut stats = EngineStats { index: index_stats, ..EngineStats::default() };
+        let slots = self.resolve_slots(&candidates, &[]);
+        let run =
+            self.range_over_slots(prepared, slots, radius * radius, budget, &mut stats, scratch);
+        stats.dp_cells = scratch.ws.cells() - cells_before;
+        run.map(|matches| (matches, stats)).map_err(|Expired| stats)
     }
 
     /// Phase 1 of the optimal multi-step k-NN scheme: probe the index for
@@ -784,8 +887,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     /// every leaf as the closing radius before running the close phase.
     pub(crate) fn knn_probe_phase(
         &self,
-        query: &[f64],
-        band: usize,
+        prepared: &PreparedQuery<'_>,
         k: usize,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
@@ -794,12 +896,9 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             return Ok((Vec::new(), EngineStats::default()));
         }
         let cells_before = scratch.ws.cells();
-        let envelope = Envelope::compute(query, band);
-        let feature_box = self.transform.project_envelope(&envelope);
-        let shape = Query::Rect(feature_box);
         let ws = &mut scratch.ws;
 
-        let (probes, probe_stats) = self.index.knn(&shape, k);
+        let (probes, probe_stats) = self.index.knn(&prepared.shape, k);
         let mut stats = EngineStats { index: probe_stats, ..EngineStats::default() };
         let mut exact: Vec<(ItemId, f64)> = Vec::with_capacity(probes.len());
         for (id, _) in &probes {
@@ -810,9 +909,9 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             stats.exact_computations += 1;
             let d_sq = ldtw_distance_sq_bounded_with_mode(
                 ws,
-                query,
-                &self.series[id].samples,
-                band,
+                prepared.series,
+                self.get(*id).expect("series and index must stay in lockstep"),
+                prepared.band,
                 f64::INFINITY,
                 self.config.kernel,
             );
@@ -829,19 +928,18 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     /// The best-so-far max-heap starts from `seed` — `(id, exact squared
     /// distance)` pairs that need not be stored in *this* engine (the
     /// executor seeds every leaf with the global best probes, so each prunes
-    /// against the globally tightest threshold). Ids in `known` already
-    /// have exact distances (this engine's own probes) and are skipped.
-    /// Returns the final heap contents ascending by `(d², id)`, distances
-    /// still squared.
+    /// against the globally tightest threshold). Ids in `known` (sorted
+    /// ascending) already have exact distances (this engine's own probes)
+    /// and are skipped. Returns the final heap contents ascending by
+    /// `(d², id)`, distances still squared.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn knn_close_phase(
         &self,
-        query: &[f64],
-        band: usize,
+        prepared: &PreparedQuery<'_>,
         k: usize,
         radius_sq: f64,
         seed: &[(ItemId, f64)],
-        known: &std::collections::HashSet<ItemId>,
+        known: &[ItemId],
         budget: QueryBudget,
         scratch: &mut QueryScratch,
     ) -> LeafRun {
@@ -849,70 +947,52 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             return Ok((Vec::new(), EngineStats::default()));
         }
         let cells_before = scratch.ws.cells();
-        let envelope = Envelope::compute(query, band);
-        let feature_box = self.transform.project_envelope(&envelope);
-        let shape = Query::Rect(feature_box);
-        let QueryScratch { ws, lb: scratch, pf } = scratch;
-        if self.prefilter_active() {
-            pf.stage(&envelope);
-        }
-        let pf: Option<&PrefilterEnvelope> = self.prefilter_active().then_some(&*pf);
 
         // The closing range query. Any true top-k member has exact distance
         // ≤ radius, hence lower bound ≤ radius, hence appears here.
-        let radius = radius_sq.sqrt();
-        let (candidates, range_stats) = self.index.range_query(&shape, radius);
+        let (candidates, range_stats) = self.index.range_query(&prepared.shape, radius_sq.sqrt());
         let mut stats = EngineStats { index: range_stats, ..EngineStats::default() };
+        let slots = self.resolve_slots(&candidates, known);
+        let run =
+            self.close_over_slots(prepared, slots, k, radius_sq, seed, budget, &mut stats, scratch);
+        stats.dp_cells = scratch.ws.cells() - cells_before;
+        run.map(|survivors| (survivors, stats)).map_err(|Expired| stats)
+    }
+
+    /// The close phase over its resolved candidates: envelope stages at the
+    /// outer radius, then the survivors verified in ascending bound order
+    /// under the shrinking k-th best distance.
+    #[allow(clippy::too_many_arguments)]
+    fn close_over_slots(
+        &self,
+        prepared: &PreparedQuery<'_>,
+        slots: Vec<u32>,
+        k: usize,
+        radius_sq: f64,
+        seed: &[(ItemId, f64)],
+        budget: QueryBudget,
+        stats: &mut EngineStats,
+        scratch: &mut QueryScratch,
+    ) -> Result<Vec<(ItemId, f64)>, Expired> {
+        // Envelope bounds at the outer radius, so the expensive stages can
+        // visit the survivors in ascending lower-bound order: the likeliest
+        // true neighbors come first and shrink the radius fastest for
+        // everything after them.
+        let mut pending = self.envelope_sweep(prepared, slots, radius_sq, budget, stats)?;
+        pending.sort_by(|a, b| {
+            a.lb_sq
+                .partial_cmp(&b.lb_sq)
+                .expect("finite lower bounds")
+                .then_with(|| a.id.cmp(&b.id))
+        });
 
         // Best-so-far is a max-heap seeded with the probes (worst of the
         // current top-k on top); its top is the shrinking radius.
         let mut heap: BinaryHeap<Cand> =
             seed.iter().map(|&(id, d_sq)| Cand { d_sq, id }).collect();
-
-        // Envelope-bound pass over the remaining candidates at the outer
-        // radius, so the expensive stages can visit them in ascending
-        // lower-bound order: the likeliest true neighbors come first and
-        // shrink the radius fastest for everything after them.
-        let use_env = self.config.envelope_refinement || self.config.lb_improved_refinement;
-        let mut pending: Vec<(f64, ItemId)> = Vec::new();
-        for id in candidates {
-            if known.contains(&id) {
-                continue; // probe: exact distance already known
-            }
-            if use_env {
-                let stored = &self.series[&id];
-                // Prefilter prunes here are exactly the candidates whose
-                // f64 envelope bound would come back above the radius
-                // (hence infinite from the bounded kernel): same counter,
-                // same surviving `pending` set, with or without it.
-                if let (Some(pf), Some(mirror)) = (pf, stored.mirror.as_ref()) {
-                    if prefilter_exceeds(self.config.kernel, pf, mirror, radius_sq) {
-                        stats.lb_pruned += 1;
-                        continue;
-                    }
-                }
-                let lb_sq = envelope.distance_sq_bounded_mode(
-                    &stored.samples,
-                    radius_sq,
-                    self.config.kernel,
-                );
-                if lb_sq > radius_sq {
-                    stats.lb_pruned += 1;
-                    continue;
-                }
-                pending.push((lb_sq, id));
-            } else {
-                pending.push((0.0, id));
-            }
-        }
-        pending.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("finite lower bounds").then_with(|| a.1.cmp(&b.1))
-        });
-
-        for (lb_sq, id) in pending {
+        for (i, &candidate) in pending.iter().enumerate() {
             if budget.expired() {
-                stats.dp_cells = ws.cells() - cells_before;
-                return Err(stats);
+                return Err(Expired);
             }
             // The threshold an entrant must beat: the current k-th best when
             // the heap is full, the outer radius while it is not.
@@ -922,24 +1002,20 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             // verification must run to completion.
             let threshold_sq =
                 if full { heap.peek().expect("non-empty heap").d_sq } else { f64::INFINITY };
-            if full && lb_sq > threshold_sq {
-                stats.lb_pruned += 1;
-                continue;
+            if full && candidate.lb_sq > threshold_sq {
+                // Bounds ascend and a full heap's threshold only shrinks:
+                // this candidate and every later one is pruned.
+                stats.lb_pruned += (pending.len() - i) as u64;
+                break;
             }
-            let stored = &self.series[&id];
-            let verified = self.cascade_verify(
-                query,
-                &envelope,
-                band,
-                stored,
-                threshold_sq,
-                use_env.then_some(lb_sq),
-                pf,
-                &mut stats,
-                ws,
-                scratch,
-            );
-            let Some(d_sq) = verified else { continue };
+            // The next survivor's samples travel while this one is verified.
+            if let Some(next) = pending.get(i + 1) {
+                self.series.prefetch_samples(next.slot);
+            }
+            let Some(d_sq) = self.verify(prepared, candidate, threshold_sq, stats, scratch) else {
+                continue;
+            };
+            let id = candidate.id;
             if !full {
                 heap.push(Cand { d_sq, id });
             } else {
@@ -950,62 +1026,37 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
                 }
             }
         }
-        let survivors: Vec<(ItemId, f64)> =
-            heap.into_sorted_vec().into_iter().map(|c| (c.id, c.d_sq)).collect();
-        stats.dp_cells = ws.cells() - cells_before;
-        Ok((survivors, stats))
+        Ok(heap.into_sorted_vec().into_iter().map(|c| (c.id, c.d_sq)).collect())
     }
 
     /// The brute-force range path: the verification cascade over every
     /// stored series, sorted by `(distance, id)`.
     pub(crate) fn run_scan_range(
         &self,
-        query: &[f64],
-        band: usize,
+        prepared: &PreparedQuery<'_>,
         radius: f64,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
     ) -> LeafRun {
         let cells_before = scratch.ws.cells();
-        let radius_sq = radius * radius;
-        let envelope = Envelope::compute(query, band);
         let mut stats = EngineStats::default();
-        let QueryScratch { ws, lb, pf } = scratch;
-        if self.prefilter_active() {
-            pf.stage(&envelope);
-        }
-        let pf: Option<&PrefilterEnvelope> = self.prefilter_active().then_some(&*pf);
-        let mut matches = Vec::new();
-        for id in self.sorted_ids() {
-            if budget.expired() {
-                stats.dp_cells = ws.cells() - cells_before;
-                return Err(stats);
-            }
-            let stored = &self.series[&id];
-            if let Some(d_sq) = self.cascade_verify(
-                query, &envelope, band, stored, radius_sq, None, pf, &mut stats, ws, lb,
-            ) {
-                if d_sq <= radius_sq {
-                    matches.push((id, d_sq.sqrt()));
-                }
-            }
-        }
-        sort_by_distance(&mut matches);
-        stats.matches = matches.len() as u64;
-        stats.dp_cells = ws.cells() - cells_before;
-        Ok((matches, stats))
+        let slots = (0..self.series.len() as u32).collect();
+        let run =
+            self.range_over_slots(prepared, slots, radius * radius, budget, &mut stats, scratch);
+        stats.dp_cells = scratch.ws.cells() - cells_before;
+        run.map(|matches| (matches, stats)).map_err(|Expired| stats)
     }
 
     /// The brute-force k-NN path: exact DTW against every stored series,
     /// the `k` best sorted by `(distance, id)`.
     pub(crate) fn run_scan_knn(
         &self,
-        query: &[f64],
-        band: usize,
+        prepared: &PreparedQuery<'_>,
         k: usize,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
     ) -> LeafRun {
+        let (query, band) = (prepared.series, prepared.band);
         let cells_before = scratch.ws.cells();
         let ws = &mut scratch.ws;
         let mut stats = EngineStats::default();
@@ -1015,7 +1066,11 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         // `k = u64::MAX as usize` must not overflow `k + 1`).
         let mut heap: BinaryHeap<Cand> =
             BinaryHeap::with_capacity(k.min(self.series.len()) + 1);
-        for id in self.sorted_ids() {
+        // Ascending id: a deterministic order for the shrinking threshold
+        // (and with it the abandon and cell counters).
+        let mut order: Vec<(ItemId, u32)> = self.series.ids().iter().copied().zip(0..).collect();
+        order.sort_unstable();
+        for (id, slot) in order {
             if budget.expired() {
                 stats.dp_cells = ws.cells() - cells_before;
                 return Err(stats);
@@ -1030,7 +1085,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             let d_sq = ldtw_distance_sq_bounded_with_mode(
                 ws,
                 query,
-                &self.series[&id].samples,
+                self.series.samples(slot),
                 band,
                 threshold_sq,
                 self.config.kernel,
@@ -1057,13 +1112,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         stats.matches = matches.len() as u64;
         stats.dp_cells = ws.cells() - cells_before;
         Ok((matches, stats))
-    }
-
-    /// All stored ids, ascending — a deterministic scan order.
-    fn sorted_ids(&self) -> Vec<ItemId> {
-        let mut ids: Vec<ItemId> = self.series.keys().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 }
 
@@ -1668,6 +1716,37 @@ mod tests {
                 other => panic!("expected DeadlineExceeded (scan={scan}), got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn close_phase_sweep_honours_the_deadline() {
+        // The envelope sweep at the head of the close phase polls the
+        // budget too, from its first candidate on.
+        let series = lcg_series(300, 64, 59);
+        let engine = build_engine(&series);
+        let query = lcg_series(1, 64, 5050).remove(0);
+        let prepared = PreparedQuery::new(engine.transform(), &query, 3);
+        let mut scratch = QueryScratch::new();
+        let probes =
+            engine.knn_probe_phase(&prepared, 5, QueryBudget::unlimited(), &mut scratch).unwrap().0;
+        let radius_sq = probes.iter().map(|&(_, d_sq)| d_sq).fold(0.0, f64::max);
+        let mut known: Vec<ItemId> = probes.iter().map(|&(id, _)| id).collect();
+        known.sort_unstable();
+        let mut close = |budget| {
+            engine.knn_close_phase(&prepared, 5, radius_sq, &probes, &known, budget, &mut scratch)
+        };
+
+        let (_, unbudgeted) = close(QueryBudget::unlimited()).unwrap();
+        assert!(unbudgeted.lb_pruned > 0, "the sweep has work to do");
+        assert!(unbudgeted.dp_cells > 0);
+        let (_, roomy) = close(QueryBudget::within(Duration::from_secs(3600))).unwrap();
+        assert_eq!(roomy, unbudgeted, "an unexpired budget changes no counter");
+
+        let partial = close(QueryBudget::with_deadline(Instant::now())).unwrap_err();
+        assert_eq!(partial.index, unbudgeted.index, "the index walk precedes the first poll");
+        assert_eq!(partial.lb_pruned, 0);
+        assert_eq!(partial.dp_cells, 0);
+        assert_eq!(partial.exact_computations, 0);
     }
 
     #[test]

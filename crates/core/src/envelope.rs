@@ -6,6 +6,7 @@
 //! the band-`k` DTW distance between `x` and `y` — the foundation of every
 //! index transform in [`crate::transform`].
 
+use crate::kernel::window::{window_min_max, WindowScratch};
 use crate::kernel::KernelMode;
 
 /// The `k`-envelope of a time series: pointwise window minima and maxima.
@@ -25,14 +26,15 @@ pub struct Envelope {
 }
 
 impl Envelope {
-    /// Computes `Env_k(x)` with sliding-window minima/maxima via monotonic
-    /// deques — O(n) regardless of `k`.
+    /// Computes `Env_k(x)` with the sliding-window minima/maxima of
+    /// [`crate::kernel::window`].
     ///
     /// # Panics
     /// Panics if `x` is empty.
     pub fn compute(x: &[f64], k: usize) -> Self {
-        assert!(!x.is_empty(), "envelope of empty series");
-        Envelope { lower: sliding_extreme(x, k, false), upper: sliding_extreme(x, k, true) }
+        let mut env = Envelope { lower: vec![0.0; x.len()], upper: vec![0.0; x.len()] };
+        window_min_max(x, k, &mut WindowScratch::default(), &mut env.lower, &mut env.upper);
+        env
     }
 
     /// Builds an envelope from explicit bounds.
@@ -147,38 +149,24 @@ impl Envelope {
                 .map(|(v, (l, u))| v.clamp(*l, *u)),
         );
     }
-
-    /// Recomputes this envelope in place as `Env_k(x)`, reusing the bound
-    /// vectors' allocations (the per-candidate path of [`lb_improved_sq`]).
-    ///
-    /// # Panics
-    /// Panics if `x` is empty.
-    pub fn recompute(&mut self, x: &[f64], k: usize) {
-        assert!(!x.is_empty(), "envelope of empty series");
-        sliding_extreme_into(x, k, false, &mut self.lower);
-        sliding_extreme_into(x, k, true, &mut self.upper);
-    }
 }
 
 /// Reusable buffers for [`lb_improved_sq`] / [`lb_improved_tail_sq`]: the
-/// projection of a candidate onto the query envelope and that projection's
-/// own envelope.
-#[derive(Debug, Clone)]
+/// projection of a candidate onto the query envelope, that projection's
+/// own envelope, and the padded buffers its window pass works in. Once
+/// grown to the series length, a call allocates nothing.
+#[derive(Debug, Clone, Default)]
 pub struct LbScratch {
     projection: Vec<f64>,
-    env: Envelope,
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    window: WindowScratch,
 }
 
 impl LbScratch {
     /// Fresh scratch space; buffers grow on first use.
     pub fn new() -> Self {
-        LbScratch { projection: Vec::new(), env: Envelope::degenerate(&[0.0]) }
-    }
-}
-
-impl Default for LbScratch {
-    fn default() -> Self {
-        LbScratch::new()
+        LbScratch::default()
     }
 }
 
@@ -223,9 +211,12 @@ pub fn lb_improved_tail_sq_mode(
     scratch: &mut LbScratch,
     mode: KernelMode,
 ) -> f64 {
-    query_env.clamp_into(candidate, &mut scratch.projection);
-    scratch.env.recompute(&scratch.projection, k);
-    scratch.env.distance_sq_bounded_mode(query, budget_sq, mode)
+    let LbScratch { projection, lower, upper, window } = scratch;
+    query_env.clamp_into(candidate, projection);
+    lower.resize(projection.len(), 0.0);
+    upper.resize(projection.len(), 0.0);
+    window_min_max(projection, k, window, lower, upper);
+    crate::kernel::lb::env_lb_sq_bounded(mode, lower, upper, query, budget_sq)
 }
 
 /// Lemire's two-pass `LB_Improved` (squared): `LB_Keogh²(candidate, query)`
@@ -244,64 +235,70 @@ pub fn lb_improved_sq(query: &[f64], candidate: &[f64], k: usize) -> f64 {
     lb1 + lb_improved_tail_sq(query, &env, candidate, k, f64::INFINITY, &mut LbScratch::new())
 }
 
-/// Sliding-window maximum (or minimum) with window `[i−k, i+k]`, using a
-/// monotonic deque of indices.
-fn sliding_extreme(x: &[f64], k: usize, want_max: bool) -> Vec<f64> {
-    let mut out = Vec::with_capacity(x.len());
-    sliding_extreme_into(x, k, want_max, &mut out);
-    out
-}
-
-/// [`sliding_extreme`] writing into a caller-provided buffer.
-fn sliding_extreme_into(x: &[f64], k: usize, want_max: bool, out: &mut Vec<f64>) {
-    let n = x.len();
-    out.clear();
-    out.reserve(n);
-    let mut deque: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
-    let better = |a: f64, b: f64| if want_max { a >= b } else { a <= b };
-
-    // Pre-fill the first window [0, k].
-    for j in 0..=k.min(n - 1) {
-        while let Some(&back) = deque.back() {
-            if better(x[j], x[back]) {
-                deque.pop_back();
-            } else {
-                break;
-            }
-        }
-        deque.push_back(j);
-    }
-    for i in 0..n {
-        // Window for i is [i-k, i+k]; add the incoming right edge.
-        let incoming = i + k;
-        if i > 0 && incoming < n {
-            while let Some(&back) = deque.back() {
-                if better(x[incoming], x[back]) {
-                    deque.pop_back();
-                } else {
-                    break;
-                }
-            }
-            deque.push_back(incoming);
-        }
-        // Expire the left edge.
-        while let Some(&front) = deque.front() {
-            if front + k < i {
-                deque.pop_front();
-            } else {
-                break;
-            }
-        }
-        out.push(x[*deque.front().expect("window is never empty")]);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dtw::ldtw_distance_sq;
+    use crate::kernel::window::deque_extreme;
+    use proptest::prelude::*;
 
-    /// Reference O(nk) envelope for cross-checking the deque version.
+    /// The second pass as it was before the window kernel: the projection's
+    /// envelope from two monotonic-deque passes.
+    fn lb_improved_tail_sq_deque(
+        query: &[f64],
+        query_env: &Envelope,
+        candidate: &[f64],
+        k: usize,
+        budget_sq: f64,
+        mode: KernelMode,
+    ) -> f64 {
+        let mut projection = Vec::new();
+        query_env.clamp_into(candidate, &mut projection);
+        let env = Envelope {
+            lower: deque_extreme(&projection, k, false),
+            upper: deque_extreme(&projection, k, true),
+        };
+        env.distance_sq_bounded_mode(query, budget_sq, mode)
+    }
+
+    /// Samples on a coarse grid around zero, so runs of equal values, exact
+    /// ties with the envelope and zeros of both signs are common.
+    fn gridded_series(len: usize) -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(
+            prop_oneof![(-6i32..=6).prop_map(|v| v as f64 * 0.5), Just(-0.0f64), -3.0f64..3.0],
+            len..=len,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The allocation-free second pass returns the deque
+        /// implementation's bits, abandoned or not, in both kernel modes,
+        /// from one scratch reused across every case.
+        #[test]
+        fn lb_improved_tail_matches_the_deque_implementation(
+            query in gridded_series(48),
+            candidate in gridded_series(48),
+            k in prop_oneof![0usize..10, Just(47usize), Just(200usize)],
+            budget in prop_oneof![0.0f64..60.0, Just(f64::INFINITY)],
+        ) {
+            let env = Envelope::compute(&query, k);
+            let mut scratch = LbScratch::new();
+            for mode in [KernelMode::Scalar, KernelMode::Unrolled] {
+                for budget_sq in [budget, f64::INFINITY] {
+                    let want =
+                        lb_improved_tail_sq_deque(&query, &env, &candidate, k, budget_sq, mode);
+                    let got = lb_improved_tail_sq_mode(
+                        &query, &env, &candidate, k, budget_sq, &mut scratch, mode,
+                    );
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "{} vs {}", got, want);
+                }
+            }
+        }
+    }
+
+    /// Reference O(nk) envelope for cross-checking the windowed version.
     fn naive_envelope(x: &[f64], k: usize) -> Envelope {
         let n = x.len();
         let mut lower = Vec::with_capacity(n);
@@ -321,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn deque_envelope_matches_naive() {
+    fn envelope_matches_naive() {
         let x = wiggly(200);
         for k in [0, 1, 2, 5, 17, 199, 500] {
             assert_eq!(Envelope::compute(&x, k), naive_envelope(&x, k), "k={k}");

@@ -78,16 +78,13 @@
 //! of every leaf (`matches` forced to 0 — partial match sets are never
 //! reported); it is not recorded as a completed query.
 
-use std::collections::HashSet;
-
 use hum_index::{ItemId, SpatialIndex};
 
 use crate::batch::{parallel_map_chunked, BatchOptions};
 use crate::engine::{
     sort_by_distance, BatchOutcome, DtwIndexEngine, EngineError, EngineStats, LeafRun,
-    QueryOutcome, QueryRequest, QueryResult, QueryScratch, RequestKind,
+    PreparedQuery, QueryOutcome, QueryRequest, QueryResult, QueryScratch, RequestKind,
 };
-use crate::envelope::Envelope;
 use crate::obs::{
     debug_assert_trace_consistent, Metric, MetricsSink, QueryKind, QueryTrace, Timer,
 };
@@ -96,7 +93,10 @@ use crate::transform::EnvelopeTransform;
 
 /// One engine in a query's leaf list, with the pruning metadata of the
 /// storage unit it belongs to (`None` — never pruned — for a memtable or an
-/// engine outside any store).
+/// engine outside any store). Every leaf of one list is built from the same
+/// configuration — one normal form, one transform — so the first speaks
+/// for all: the query is validated against it and its envelope projected
+/// through its transform, once per request.
 pub struct Leaf<'a, T, I> {
     /// The engine over this leaf's sub-corpus.
     pub engine: &'a DtwIndexEngine<T, I>,
@@ -201,11 +201,14 @@ fn run<T: EnvelopeTransform, I: SpatialIndex>(
 ) -> Result<QueryOutcome, EngineError> {
     let started = metrics.start_timer();
     let (query, band, budget) = (request.series(), request.band(), request.budget());
+    // The query's envelope, its feature box and its staged prefilter form
+    // are the same for every leaf and every phase: computed here, once.
+    let prepared = PreparedQuery::new(leaves[0].engine.transform(), query, band);
     let mut stats = EngineStats::default();
     let (kind, matches) = match (request.kind(), request.scan_enabled()) {
         (RequestKind::Knn { k }, false) => {
             let probes = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
-                leaf.engine.knn_probe_phase(query, band, k, budget, scratch)
+                leaf.engine.knn_probe_phase(&prepared, k, budget, scratch)
             });
             let mut pools = gather(probes, &mut stats)?;
             // Radius barrier: the k-th smallest (d², id) probe pair bounds
@@ -215,18 +218,24 @@ fn run<T: EnvelopeTransform, I: SpatialIndex>(
             sort_by_distance(&mut seed);
             seed.truncate(k);
             let radius_sq = seed.last().map_or(0.0, |&(_, d_sq)| d_sq);
-            let known: Vec<HashSet<ItemId>> =
-                pools.iter().map(|probes| probes.iter().map(|&(id, _)| id).collect()).collect();
+            let known: Vec<Vec<ItemId>> = pools
+                .iter()
+                .map(|probes| {
+                    let mut ids: Vec<ItemId> = probes.iter().map(|&(id, _)| id).collect();
+                    ids.sort_unstable();
+                    ids
+                })
+                .collect();
             let closes = map_leaves(leaves, width, scratch, |i, leaf, scratch| {
                 leaf.engine
-                    .knn_close_phase(query, band, k, radius_sq, &seed, &known[i], budget, scratch)
+                    .knn_close_phase(&prepared, k, radius_sq, &seed, &known[i], budget, scratch)
             });
             pools.extend(gather(closes, &mut stats)?);
             (QueryKind::Knn, assemble_knn_matches(pools, k))
         }
         (RequestKind::Knn { k }, true) => {
             let runs = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
-                leaf.engine.run_scan_knn(query, band, k, budget, scratch)
+                leaf.engine.run_scan_knn(&prepared, k, budget, scratch)
             });
             let mut matches = merge_sorted_matches(gather(runs, &mut stats)?);
             matches.truncate(k);
@@ -234,23 +243,16 @@ fn run<T: EnvelopeTransform, I: SpatialIndex>(
         }
         (RequestKind::Range { radius }, true) => {
             let runs = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
-                leaf.engine.run_scan_range(query, band, radius, budget, scratch)
+                leaf.engine.run_scan_range(&prepared, radius, budget, scratch)
             });
             (QueryKind::ScanRange, merge_sorted_matches(gather(runs, &mut stats)?))
         }
         (RequestKind::Range { radius }, false) => {
-            // The query's feature box, needed only when some leaf can be
-            // pruned against it.
-            let feature_box = leaves.iter().any(|leaf| leaf.meta.is_some()).then(|| {
-                leaves[0].engine.transform().project_envelope(&Envelope::compute(query, band))
-            });
-            let runs = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
-                match (&feature_box, leaf.meta) {
-                    (Some(fb), Some(meta)) if !meta.may_intersect_range(fb, radius) => {
-                        Ok((Vec::new(), EngineStats::default()))
-                    }
-                    _ => leaf.engine.run_range(query, band, radius, budget, scratch),
+            let runs = map_leaves(leaves, width, scratch, |_, leaf, scratch| match leaf.meta {
+                Some(meta) if !meta.may_intersect_range(prepared.feature_box(), radius) => {
+                    Ok((Vec::new(), EngineStats::default()))
                 }
+                _ => leaf.engine.run_range(&prepared, radius, budget, scratch),
             });
             (QueryKind::Range, merge_sorted_matches(gather(runs, &mut stats)?))
         }

@@ -192,3 +192,62 @@ mod x86 {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lcg(seed: u64, n: usize) -> Vec<f64> {
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (s >> 11) as f64 / (1u64 << 53) as f64 * 8.0 - 4.0
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A sentinel-padded previous row with `count + 1` live cells, some of
+    /// them `+∞` (abandoned or out-of-band predecessors).
+    fn prev_row(count: usize, slot_lo: usize, seed: u64) -> Vec<f64> {
+        let mut prev = vec![f64::INFINITY; slot_lo + count + 3];
+        for (t, v) in lcg(seed, count + 1).into_iter().enumerate() {
+            if t % 5 != 3 {
+                prev[slot_lo + 1 + t] = v.abs();
+            }
+        }
+        prev
+    }
+
+    #[test]
+    fn portable_phase1_matches_scalar_and_dispatched_rows() {
+        // `Unrolled` dispatches phase 1 to the AVX2 shape wherever the CPU
+        // supports it, so `phase1_portable` runs only when called directly.
+        for count in [1usize, 3, 4, 5, 8, 13, 31] {
+            for slot_lo in [0usize, 1, 4] {
+                let y = lcg(count as u64, count);
+                let prev = prev_row(count, slot_lo, 77 + count as u64);
+                let x_i = 0.37;
+                let row = |mode| {
+                    let mut curr = vec![f64::INFINITY; prev.len()];
+                    let (mut dd, mut pm) = (vec![0.0; count], vec![0.0; count]);
+                    let min = band_row(mode, &prev, &mut curr, &mut dd, &mut pm, x_i, &y, slot_lo);
+                    (min.to_bits(), bits(&curr), bits(&dd), bits(&pm))
+                };
+                let scalar = row(KernelMode::Scalar);
+                assert_eq!(scalar, row(KernelMode::Unrolled), "count={count} slot_lo={slot_lo}");
+
+                let (mut dd, mut pm) = (vec![0.0; count], vec![0.0; count]);
+                let prev_a = &prev[slot_lo + 1..slot_lo + 1 + count];
+                let prev_b = &prev[slot_lo + 2..slot_lo + 2 + count];
+                phase1_portable(&mut dd, &mut pm, x_i, &y, prev_a, prev_b);
+                assert_eq!(bits(&dd), scalar.2, "count={count} slot_lo={slot_lo}");
+                assert_eq!(bits(&pm), scalar.3, "count={count} slot_lo={slot_lo}");
+            }
+        }
+    }
+}

@@ -9,8 +9,8 @@
 //! block as independent lane statements so the optimizer can map the lanes
 //! onto vector registers — and on x86-64 with AVX2 available it runs the
 //! recipe directly on 256-bit vectors (one lane per vector slot). Because
-//! the recipe — not the code shape — defines the rounding order, the `simd`
-//! feature can only change speed, never bits.
+//! the recipe — not the code shape — defines the rounding order, a shape
+//! can only change speed, never bits.
 //!
 //! Early abandonment is hoisted to block granularity: the running total is
 //! compared against the threshold once per [`CHECK_STRIDE`] elements
@@ -262,15 +262,19 @@ mod tests {
 
     #[test]
     fn portable_unrolled_matches_scalar() {
-        // The AVX2 shape is exercised through `Unrolled` wherever the CPU
-        // supports it; this pins the portable fallback to the same bits.
-        for n in [0, 1, 5, 16, 17, 64, 200] {
+        // `Unrolled` dispatches to the AVX2 shape wherever the CPU supports
+        // it, so the portable lane statements run only when called
+        // directly; this pins them to the bits of both other shapes.
+        for n in [0, 1, 5, 16, 17, 64, 128, 200] {
             let (lower, upper) = bounds(n, 13);
             let x = lcg(31, n);
-            for thr in [f64::INFINITY, 5.0, 0.0] {
+            let full = env_lb_sq(KernelMode::Scalar, &lower, &upper, &x);
+            for thr in [f64::INFINITY, full, full * 0.99, full * 0.5, 5.0, 0.0] {
                 let s = env_lb_sq_bounded(KernelMode::Scalar, &lower, &upper, &x, thr);
+                let u = env_lb_sq_bounded(KernelMode::Unrolled, &lower, &upper, &x, thr);
                 let p = env_lb_unrolled_portable(&lower, &upper, &x, thr);
                 assert_eq!(s.to_bits(), p.to_bits(), "n={n} thr={thr}");
+                assert_eq!(u.to_bits(), p.to_bits(), "n={n} thr={thr}");
             }
         }
     }

@@ -6,40 +6,36 @@
 //! row recurrence ([`dtw_row`]) — plus the conservative `f32` prefilter
 //! ([`prefilter`]) that runs before any `f64` work.
 //!
-//! ## The one rule: modes change speed, never bits
+//! [`window`] holds the sliding-window min/max behind every envelope.
 //!
-//! Every kernel takes a [`KernelMode`] and implements it twice: a portable
-//! scalar form and an explicitly unrolled form written so the optimizer
-//! can map independent lanes onto vector registers (no intrinsics — plain
-//! stable Rust). The floating-point *recipe* — lane counts, accumulation
-//! order, combine tree — is fixed per kernel and shared by both forms, so
-//! the two are bit-identical by construction. The `simd` cargo feature
-//! only flips [`KernelMode::default`]; `ci.sh` proves the whole engine
-//! digest is byte-identical with the feature on and off.
+//! ## The one rule: shapes change speed, never bits
+//!
+//! Every kernel has one shape everyone runs — [`KernelMode::Unrolled`]:
+//! explicit lane blocks, on x86-64 the same recipe on AVX2 vectors when
+//! the CPU has them (checked at run time), the portable lane statements
+//! otherwise — and a plain scalar loop, [`KernelMode::Scalar`], kept as
+//! the reference the property suite compares against (as the scan path is
+//! the reference for the index path). The floating-point *recipe* — lane
+//! counts, accumulation order, combine tree — is fixed per kernel and
+//! shared by every shape, so they are bit-identical by construction;
+//! `crates/core/tests/kernel.rs`, the in-module tests and the
+//! `engine_digest` example (which builds every section under both modes
+//! and compares bytes) hold them to it.
 
 pub mod dtw_row;
 pub mod lb;
 pub mod prefilter;
 pub mod soa;
+pub mod window;
 
 /// Which implementation shape the kernels run. Both produce identical
-/// bits; `Unrolled` is laid out for the autovectorizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
-    /// Portable scalar loops.
+    /// Portable scalar loops: the reference shape, selected only
+    /// explicitly (tests, the digest's cross-check).
     Scalar,
-    /// Explicit 4/8-lane unrolling (still stable Rust, no intrinsics).
+    /// Explicit 4/8-lane blocks, AVX2 where the CPU has it. The default.
+    #[default]
     Unrolled,
-}
-
-impl Default for KernelMode {
-    /// `Unrolled` when the crate is built with the `simd` feature,
-    /// `Scalar` otherwise.
-    fn default() -> Self {
-        if cfg!(feature = "simd") {
-            KernelMode::Unrolled
-        } else {
-            KernelMode::Scalar
-        }
-    }
 }

@@ -38,6 +38,17 @@
 //! sum fails [`prefilter_exceeds`]'s `is_finite` gate — the candidate just
 //! falls through to the exact pass.
 //!
+//! ## The early exit
+//!
+//! [`prefilter_exceeds`] stops at the first check boundary (every four lane
+//! blocks) where the deflated sum *so far* already exceeds the threshold.
+//! Partial sums only grow (non-negative terms, monotone rounding), so
+//! whenever the full sum is finite the decision is the full sum's; and a
+//! partial sum is itself a conservative bound, so in the one remaining
+//! case — a finite partial sum above the threshold ahead of a later `f32`
+//! overflow, where the full-sum gate would abstain — the prune is still
+//! one the exact pass makes.
+//!
 //! Counters stay bit-identical with the prefilter on or off: a prefilter
 //! prune implies the `f64` envelope pass would have pruned too, so the
 //! engine books it under the same `lb_pruned` statistic.
@@ -108,6 +119,16 @@ pub fn f32_up(v: f64) -> f32 {
     }
 }
 
+/// Writes the directed-rounded mirror of `series` into the heads of two
+/// planes at least as long: `down[i] ≤ series[i] ≤ up[i]`. Cells past the
+/// series are left as they are (zero, for a plane to be used as padding).
+pub(crate) fn mirror_into(series: &[f64], down: &mut [f32], up: &mut [f32]) {
+    for ((&v, d), u) in series.iter().zip(down).zip(up) {
+        *d = f32_down(v);
+        *u = f32_up(v);
+    }
+}
+
 /// Directed-rounded `f32` mirror of a stored series: `down[i] ≤ v[i] ≤
 /// up[i]` pointwise. Built once at insert time, padded with zeros (which
 /// contribute exactly `0` excursion against the zero-padded envelope).
@@ -124,10 +145,7 @@ impl SeriesMirror {
         let mut up = AlignedF32::new();
         down.reset(series.len(), 0.0);
         up.reset(series.len(), 0.0);
-        for (i, &v) in series.iter().enumerate() {
-            down.as_mut_slice()[i] = f32_down(v);
-            up.as_mut_slice()[i] = f32_up(v);
-        }
+        mirror_into(series, down.as_mut_slice(), up.as_mut_slice());
         SeriesMirror { down, up }
     }
 
@@ -199,61 +217,138 @@ impl PrefilterEnvelope {
 ///
 /// # Panics
 /// Panics if the staged envelope length differs from the mirror length.
-pub fn conservative_lb_sq(
+pub fn conservative_lb_sq(mode: KernelMode, env: &PrefilterEnvelope, mirror: &SeriesMirror) -> f64 {
+    assert_eq!(env.len(), mirror.len(), "length mismatch");
+    bounded_lb_sq(mode, env, mirror.down(), mirror.up(), f64::INFINITY)
+}
+
+/// Elements between early-exit checks (a whole number of lane blocks).
+const CHECK_STRIDE: usize = 4 * F32_LANES;
+
+/// The deflated lane sum over the first blocks of the padded planes: all of
+/// them, or — the early exit — up to the first [`CHECK_STRIDE`] boundary at
+/// which the deflated sum so far already exceeds `threshold_sq`.
+///
+/// Squared excursions are non-negative and rounding is monotone, so every
+/// lane accumulator, their [`horizontal`] combine and its deflated widening
+/// only grow from block to block: a partial sum above the threshold means
+/// the full sum is above it too, and a partial sum is itself a conservative
+/// bound (fewer rounded additions than the deflation allows for, fewer
+/// non-negative terms). Every shape checks at the same boundaries with the
+/// same arithmetic, so they stop at the same block and return the same
+/// bits.
+fn bounded_lb_sq(
     mode: KernelMode,
     env: &PrefilterEnvelope,
-    mirror: &SeriesMirror,
+    down: &[f32],
+    up: &[f32],
+    threshold_sq: f64,
 ) -> f64 {
-    assert_eq!(env.len(), mirror.len(), "length mismatch");
     let ld = env.lower_down.as_slice();
     let uu = env.upper_up.as_slice();
-    let cd = mirror.down();
-    let cu = mirror.up();
-    let p = ld.len();
-    let mut acc = [0.0f32; F32_LANES];
-    match mode {
-        KernelMode::Scalar => {
-            let mut i = 0;
-            while i + F32_LANES <= p {
-                for (lane, a) in acc.iter_mut().enumerate() {
-                    let t = i + lane;
-                    let e = (ld[t] - cu[t]).max(cd[t] - uu[t]).max(0.0);
-                    *a += e * e;
-                }
-                i += F32_LANES;
-            }
-        }
+    assert_eq!(ld.len(), down.len(), "padded length mismatch");
+    assert_eq!(ld.len(), up.len(), "padded length mismatch");
+    let acc = match mode {
+        KernelMode::Scalar => accumulate_scalar(ld, uu, down, up, env.deflate, threshold_sq),
         KernelMode::Unrolled => {
             #[cfg(target_arch = "x86_64")]
             if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                let acc = unsafe { x86::accumulate_avx2(ld, uu, cd, cu) };
-                return env.deflate * (horizontal(&acc) as f64);
+                // SAFETY: AVX2 support was just verified at runtime; the
+                // four slices have equal lengths (asserted above).
+                let acc =
+                    unsafe { x86::accumulate_avx2(ld, uu, down, up, env.deflate, threshold_sq) };
+                return deflated(env.deflate, &acc);
             }
-            let mut i = 0;
-            while i + F32_LANES <= p {
-                let e0 = (ld[i] - cu[i]).max(cd[i] - uu[i]).max(0.0);
-                let e1 = (ld[i + 1] - cu[i + 1]).max(cd[i + 1] - uu[i + 1]).max(0.0);
-                let e2 = (ld[i + 2] - cu[i + 2]).max(cd[i + 2] - uu[i + 2]).max(0.0);
-                let e3 = (ld[i + 3] - cu[i + 3]).max(cd[i + 3] - uu[i + 3]).max(0.0);
-                let e4 = (ld[i + 4] - cu[i + 4]).max(cd[i + 4] - uu[i + 4]).max(0.0);
-                let e5 = (ld[i + 5] - cu[i + 5]).max(cd[i + 5] - uu[i + 5]).max(0.0);
-                let e6 = (ld[i + 6] - cu[i + 6]).max(cd[i + 6] - uu[i + 6]).max(0.0);
-                let e7 = (ld[i + 7] - cu[i + 7]).max(cd[i + 7] - uu[i + 7]).max(0.0);
-                acc[0] += e0 * e0;
-                acc[1] += e1 * e1;
-                acc[2] += e2 * e2;
-                acc[3] += e3 * e3;
-                acc[4] += e4 * e4;
-                acc[5] += e5 * e5;
-                acc[6] += e6 * e6;
-                acc[7] += e7 * e7;
-                i += F32_LANES;
-            }
+            accumulate_portable(ld, uu, down, up, env.deflate, threshold_sq)
+        }
+    };
+    // Padded length is a multiple of F32_LANES, so there is no tail.
+    deflated(env.deflate, &acc)
+}
+
+/// The deflated, widened combine of the lane accumulators: the value every
+/// early-exit check and the final result are computed as.
+#[inline(always)]
+fn deflated(deflate: f64, acc: &[f32; F32_LANES]) -> f64 {
+    deflate * (horizontal(acc) as f64)
+}
+
+/// `true` at a [`CHECK_STRIDE`] boundary short of the end where the sum so
+/// far already exceeds the threshold.
+#[inline(always)]
+fn exits_at(
+    done: usize,
+    len: usize,
+    deflate: f64,
+    acc: &[f32; F32_LANES],
+    threshold_sq: f64,
+) -> bool {
+    done < len && done.is_multiple_of(CHECK_STRIDE) && deflated(deflate, acc) > threshold_sq
+}
+
+/// The reference shape: one lane at a time.
+fn accumulate_scalar(
+    ld: &[f32],
+    uu: &[f32],
+    cd: &[f32],
+    cu: &[f32],
+    deflate: f64,
+    threshold_sq: f64,
+) -> [f32; F32_LANES] {
+    let p = ld.len();
+    let mut acc = [0.0f32; F32_LANES];
+    let mut i = 0;
+    while i + F32_LANES <= p {
+        for (lane, a) in acc.iter_mut().enumerate() {
+            let t = i + lane;
+            let e = (ld[t] - cu[t]).max(cd[t] - uu[t]).max(0.0);
+            *a += e * e;
+        }
+        i += F32_LANES;
+        if exits_at(i, p, deflate, &acc, threshold_sq) {
+            break;
         }
     }
-    // Padded length is a multiple of F32_LANES, so there is no tail.
-    env.deflate * (horizontal(&acc) as f64)
+    acc
+}
+
+/// The unrolled shape for targets without AVX2: eight independent lane
+/// statements per block the optimizer can map onto whatever vectors the
+/// target has.
+fn accumulate_portable(
+    ld: &[f32],
+    uu: &[f32],
+    cd: &[f32],
+    cu: &[f32],
+    deflate: f64,
+    threshold_sq: f64,
+) -> [f32; F32_LANES] {
+    let p = ld.len();
+    let mut acc = [0.0f32; F32_LANES];
+    let mut i = 0;
+    while i + F32_LANES <= p {
+        let e0 = (ld[i] - cu[i]).max(cd[i] - uu[i]).max(0.0);
+        let e1 = (ld[i + 1] - cu[i + 1]).max(cd[i + 1] - uu[i + 1]).max(0.0);
+        let e2 = (ld[i + 2] - cu[i + 2]).max(cd[i + 2] - uu[i + 2]).max(0.0);
+        let e3 = (ld[i + 3] - cu[i + 3]).max(cd[i + 3] - uu[i + 3]).max(0.0);
+        let e4 = (ld[i + 4] - cu[i + 4]).max(cd[i + 4] - uu[i + 4]).max(0.0);
+        let e5 = (ld[i + 5] - cu[i + 5]).max(cd[i + 5] - uu[i + 5]).max(0.0);
+        let e6 = (ld[i + 6] - cu[i + 6]).max(cd[i + 6] - uu[i + 6]).max(0.0);
+        let e7 = (ld[i + 7] - cu[i + 7]).max(cd[i + 7] - uu[i + 7]).max(0.0);
+        acc[0] += e0 * e0;
+        acc[1] += e1 * e1;
+        acc[2] += e2 * e2;
+        acc[3] += e3 * e3;
+        acc[4] += e4 * e4;
+        acc[5] += e5 * e5;
+        acc[6] += e6 * e6;
+        acc[7] += e7 * e7;
+        i += F32_LANES;
+        if exits_at(i, p, deflate, &acc, threshold_sq) {
+            break;
+        }
+    }
+    acc
 }
 
 /// Pairwise combine of the eight lane accumulators — the one canonical
@@ -273,39 +368,46 @@ fn horizontal(acc: &[f32; F32_LANES]) -> f32 {
 /// the portable shape produces.
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::F32_LANES;
+    use super::{exits_at, CHECK_STRIDE, F32_LANES};
     use std::arch::x86_64::{
         _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_setzero_ps,
         _mm256_storeu_ps, _mm256_sub_ps,
     };
 
     /// # Safety
-    /// Caller must have verified AVX2 support at runtime.
+    /// Caller must have verified AVX2 support at runtime and that the four
+    /// slices have equal lengths.
     #[target_feature(enable = "avx2")]
     pub unsafe fn accumulate_avx2(
         ld: &[f32],
         uu: &[f32],
         cd: &[f32],
         cu: &[f32],
+        deflate: f64,
+        threshold_sq: f64,
     ) -> [f32; F32_LANES] {
+        let p = ld.len();
         let zero = _mm256_setzero_ps();
         let mut acc = zero;
+        let mut lanes = [0.0f32; F32_LANES];
         let mut i = 0;
-        while i + F32_LANES <= ld.len() {
+        while i + F32_LANES <= p {
             // SAFETY: i + F32_LANES <= len of all four padded slices (equal
-            // lengths asserted by the dispatching caller).
+            // lengths guaranteed by the caller).
             let l = _mm256_loadu_ps(ld.as_ptr().add(i));
             let u = _mm256_loadu_ps(uu.as_ptr().add(i));
             let d = _mm256_loadu_ps(cd.as_ptr().add(i));
             let c = _mm256_loadu_ps(cu.as_ptr().add(i));
-            let e = _mm256_max_ps(
-                _mm256_max_ps(_mm256_sub_ps(l, c), _mm256_sub_ps(d, u)),
-                zero,
-            );
+            let e = _mm256_max_ps(_mm256_max_ps(_mm256_sub_ps(l, c), _mm256_sub_ps(d, u)), zero);
             acc = _mm256_add_ps(acc, _mm256_mul_ps(e, e));
             i += F32_LANES;
+            if i % CHECK_STRIDE == 0 {
+                _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
+                if exits_at(i, p, deflate, &lanes, threshold_sq) {
+                    return lanes;
+                }
+            }
         }
-        let mut lanes = [0.0f32; F32_LANES];
         _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
         lanes
     }
@@ -313,14 +415,35 @@ mod x86 {
 
 /// `true` iff the conservative bound already exceeds `threshold_sq` — in
 /// which case the exact `f64` chain is guaranteed to prune this candidate
-/// too. Non-finite bounds (overflow) never prune.
+/// too. Non-finite bounds (overflow) never prune. Stops reading the
+/// mirror at the first check boundary where the partial sum decides it.
+///
+/// # Panics
+/// Panics if the staged envelope length differs from the mirror length.
 pub fn prefilter_exceeds(
     mode: KernelMode,
     env: &PrefilterEnvelope,
     mirror: &SeriesMirror,
     threshold_sq: f64,
 ) -> bool {
-    let lb = conservative_lb_sq(mode, env, mirror);
+    assert_eq!(env.len(), mirror.len(), "length mismatch");
+    prefilter_exceeds_planes(mode, env, mirror.down(), mirror.up(), threshold_sq)
+}
+
+/// [`prefilter_exceeds`] over bare mirror planes — zero-padded to the
+/// staged envelope's padded length, `down[i] ≤ v[i] ≤ up[i]` — as the
+/// engine's series arena stores them.
+///
+/// # Panics
+/// Panics if a plane's length differs from the staged padded length.
+pub(crate) fn prefilter_exceeds_planes(
+    mode: KernelMode,
+    env: &PrefilterEnvelope,
+    down: &[f32],
+    up: &[f32],
+    threshold_sq: f64,
+) -> bool {
+    let lb = bounded_lb_sq(mode, env, down, up, threshold_sq);
     lb.is_finite() && lb > threshold_sq
 }
 
@@ -392,6 +515,86 @@ mod tests {
         let a = conservative_lb_sq(KernelMode::Scalar, &staged, &mirror);
         let b = conservative_lb_sq(KernelMode::Unrolled, &staged, &mirror);
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    /// A staged random envelope and a random candidate's mirror.
+    fn staged_pair(n: usize, k: usize, seed: u64) -> (PrefilterEnvelope, SeriesMirror) {
+        let mut s = seed;
+        let mut next = move || {
+            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (s >> 11) as f64 / (1u64 << 53) as f64 * 6.0 - 3.0
+        };
+        let series: Vec<f64> = (0..n).map(|_| next()).collect();
+        let query: Vec<f64> = (0..n).map(|_| next()).collect();
+        let mut staged = PrefilterEnvelope::new();
+        staged.stage(&Envelope::compute(&query, k));
+        (staged, SeriesMirror::build(&series))
+    }
+
+    /// Thresholds at the full sum, one ulp and a few percent either side
+    /// of it, and at the extremes.
+    fn thresholds_around(full: f64) -> [f64; 9] {
+        [
+            full,
+            f64::from_bits(full.to_bits() + 1),
+            f64::from_bits(full.to_bits().saturating_sub(1)),
+            full * 0.97,
+            full * 1.03,
+            full * 0.5,
+            full * 0.1,
+            0.0,
+            f64::INFINITY,
+        ]
+    }
+
+    #[test]
+    fn portable_shape_matches_scalar_and_dispatched_bits() {
+        // On an AVX2 machine `Unrolled` dispatches to the vector shape, so
+        // the portable lane statements run only when called directly.
+        for n in [1usize, 7, 16, 33, 97, 128, 300] {
+            let (staged, mirror) = staged_pair(n, 3, n as u64);
+            let (ld, uu) = (staged.lower_down.as_slice(), staged.upper_up.as_slice());
+            let full = conservative_lb_sq(KernelMode::Scalar, &staged, &mirror);
+            for thr in thresholds_around(full) {
+                let portable =
+                    accumulate_portable(ld, uu, mirror.down(), mirror.up(), staged.deflate, thr);
+                let scalar =
+                    accumulate_scalar(ld, uu, mirror.down(), mirror.up(), staged.deflate, thr);
+                assert_eq!(portable.map(f32::to_bits), scalar.map(f32::to_bits), "n={n} thr={thr}");
+                let dispatched =
+                    bounded_lb_sq(KernelMode::Unrolled, &staged, mirror.down(), mirror.up(), thr);
+                assert_eq!(
+                    deflated(staged.deflate, &portable).to_bits(),
+                    dispatched.to_bits(),
+                    "n={n} thr={thr}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn early_exit_decides_as_the_full_sum() {
+        let mut exited_early = false;
+        for seed in 0..40u64 {
+            for (n, k) in [(128usize, 6usize), (32, 2), (100, 0), (16, 1)] {
+                let (staged, mirror) = staged_pair(n, k, seed * 7 + n as u64);
+                for mode in [KernelMode::Scalar, KernelMode::Unrolled] {
+                    let full = conservative_lb_sq(mode, &staged, &mirror);
+                    assert!(full.is_finite() && full > 0.0);
+                    for thr in thresholds_around(full) {
+                        assert_eq!(
+                            prefilter_exceeds(mode, &staged, &mirror, thr),
+                            full > thr,
+                            "n={n} k={k} seed={seed} thr={thr} full={full}"
+                        );
+                        let partial = bounded_lb_sq(mode, &staged, mirror.down(), mirror.up(), thr);
+                        assert!(partial <= full);
+                        exited_early |= partial < full;
+                    }
+                }
+            }
+        }
+        assert!(exited_early, "no case stopped before the last block");
     }
 
     #[test]

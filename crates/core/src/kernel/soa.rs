@@ -14,15 +14,38 @@
 //!   here once and relied on everywhere.
 //!
 //! Buffers are stored as a `Vec` of 64-byte-aligned chunks and exposed as
-//! ordinary slices; the two `unsafe` blocks below are the only unsafe code
-//! in the crate and do nothing but reinterpret a contiguous chunk array as
-//! the scalar slice it already is.
+//! ordinary slices; the `unsafe` blocks that do so reinterpret a contiguous
+//! chunk array as the scalar slice it already is. The module's one other
+//! `unsafe` is the cache [`prefetch`] hint.
 
 /// Scalars per [`AlignedF64`] chunk: one 64-byte cache line of `f64`.
 pub const F64_BLOCK: usize = 8;
 
 /// Scalars per [`AlignedF32`] chunk: one 64-byte cache line of `f32`.
 pub const F32_BLOCK: usize = 16;
+
+/// Bytes per cache line.
+const CACHE_LINE: usize = 64;
+
+/// Asks the CPU to start pulling `data`'s cache lines toward L1, for a
+/// caller that knows it will read them after the work it is about to do.
+/// A hint only: no effect on any value, a no-op off x86-64.
+#[inline]
+pub(crate) fn prefetch<T>(data: &[T]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        let base = data.as_ptr().cast::<i8>();
+        for offset in (0..std::mem::size_of_val(data)).step_by(CACHE_LINE) {
+            // SAFETY: `offset` is less than the slice's size in bytes, so
+            // the address lies inside `data`; the instruction itself is a
+            // hint that reads nothing observable and never faults.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(base.add(offset)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = data;
+}
 
 /// One cache line of doubles.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -52,9 +52,9 @@
 //! * [`kernel`] — the SIMD-friendly inner loops under [`dtw`], [`envelope`]
 //!   and the engine's verification cascade: aligned structure-of-arrays
 //!   buffers, blocked lower-bound accumulation, an unrolled banded-DTW row
-//!   recurrence, and a conservative `f32` prefilter. The `simd` cargo
-//!   feature selects the unrolled forms by default; results are
-//!   bit-identical either way.
+//!   recurrence, the sliding-window min/max behind every envelope, and a
+//!   conservative `f32` prefilter. One shape runs everywhere (AVX2 when
+//!   the CPU has it); a scalar reference shape is held to the same bits.
 //! * [`session`] — incremental query sessions (query-as-you-hum):
 //!   [`session::QuerySession`] buffers raw frames, maintains a compensated
 //!   running mean and an extend-on-append envelope, and builds the request a
@@ -85,6 +85,7 @@
 //! assert!(outcome.result.matches.iter().any(|(id, _)| *id == 3));
 //! ```
 
+mod arena;
 pub mod batch;
 pub mod dtw;
 pub mod engine;

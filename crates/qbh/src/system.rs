@@ -33,7 +33,7 @@ use hum_core::transform::svd::SvdTransform;
 use hum_core::transform::EnvelopeTransform;
 use hum_index::{GridFile, LinearScan, RStarTree, SpatialIndex};
 
-use crate::corpus::MelodyDatabase;
+use crate::corpus::{MelodyDatabase, MelodyEntry};
 use crate::storage::StorageError;
 use crate::store::{self, Manifest, SegmentEntry, SegmentRef};
 
@@ -450,16 +450,18 @@ impl QbhSystem {
     pub fn build(db: &MelodyDatabase, config: &QbhConfig) -> Self {
         assert!(!db.is_empty(), "cannot build over an empty melody database");
         let normal = NormalForm::with_length(config.normal_length);
-
-        let normals: Vec<Vec<f64>> = db
-            .entries()
-            .iter()
-            .map(|e| normal.apply(&e.melody().to_time_series(config.samples_per_beat)))
-            .collect();
+        // Normal forms are rendered where they are consumed and never held
+        // all at once: the engine copies each into its arena, so a corpus-
+        // sized buffer of them would only be freed again, piecemeal, under
+        // the arena as it grows.
+        let samples_per_beat = config.samples_per_beat;
+        let normal_of =
+            |e: &MelodyEntry| normal.apply(&e.melody().to_time_series(samples_per_beat));
 
         let (config, plan) = match config.transform {
             TransformChoice::Fixed(_) => (*config, None),
             TransformChoice::Auto(options) => {
+                let normals: Vec<Vec<f64>> = db.entries().iter().map(normal_of).collect();
                 Self::plan_over_normals(config, &normals, options, &MetricsSink::Disabled)
                     .unwrap_or_else(|e| panic!("{e}"))
             }
@@ -493,7 +495,7 @@ impl QbhSystem {
                 TransformChoice::Fixed(TransformKind::Svd) => {
                     let fitted = svd.get_or_insert_with(|| {
                         let sample: Vec<Vec<f64>> =
-                            normals.iter().take(500).cloned().collect();
+                            db.entries().iter().take(500).map(normal_of).collect();
                         SvdTransform::fit(&sample, config.feature_dims)
                     });
                     Box::new(fitted.clone())
@@ -504,8 +506,8 @@ impl QbhSystem {
             DtwIndexEngine::new(make_transform(), make_index(config), EngineConfig::default())
         });
         let mut provenance = HashMap::with_capacity(db.len());
-        for (entry, nf) in db.entries().iter().zip(normals) {
-            engine.insert(entry.id(), nf);
+        for entry in db.entries() {
+            engine.insert(entry.id(), normal_of(entry));
             provenance.insert(entry.id(), (entry.song(), entry.phrase()));
         }
         QbhSystem {

@@ -164,10 +164,15 @@ pub fn write_frame<W: Write>(
             format!("frame payload {} exceeds maximum {max_frame}", payload.len()),
         ));
     }
-    writer.write_all(&(payload.len() as u32).to_be_bytes())?;
-    writer.write_all(payload)?;
+    // Header and payload leave in one write: two would put the header in a
+    // segment of its own, and the payload behind it would wait for the
+    // peer's delayed ACK wherever Nagle's algorithm is on.
+    let mut frame = Vec::with_capacity(payload.len() + 4);
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    writer.write_all(&frame)?;
     writer.flush()?;
-    Ok(payload.len() as u64 + 4)
+    Ok(frame.len() as u64)
 }
 
 /// One parsed request.

@@ -371,6 +371,11 @@ fn connection_loop<S: QbhService>(mut stream: TcpStream, shared: &Arc<Shared<S>>
     if stream.set_read_timeout(Some(shared.poll_interval)).is_err() {
         return;
     }
+    // Replies are whole frames written at once; holding one back for the
+    // peer's ACK (Nagle) only adds a delayed-ACK timer to every round trip
+    // on a kept connection. A socket that refuses the option still serves,
+    // just slower.
+    let _ = stream.set_nodelay(true);
     loop {
         match protocol::read_frame(&mut stream, shared.max_frame_bytes, MID_FRAME_POLL_BUDGET) {
             Ok(FrameRead::Frame(payload)) => {
