@@ -60,11 +60,12 @@ cargo test -q -p hum-server
 # has it) against its scalar reference — a shape may change speed but never
 # bits. The property suite runs in debug and in release (the arithmetic and
 # the `unsafe` run optimised everywhere else); then the engine digest —
-# answers and counters over a fixed workload on every backend, including
-# the f32-prefilter on/off sections and a 4-shard section with every
-# multi-leaf counter — builds each section under both kernel modes in one
-# process, failing if their bytes differ, and is diffed byte-for-byte
-# across HUM_THREADS 1/8.
+# answers and counters over a fixed workload on every backend, including a
+# 4-shard section with every multi-leaf counter — builds each section under
+# both kernel modes in one process, failing if their bytes differ, is
+# diffed byte-for-byte across HUM_THREADS 1/8, and must hash to the
+# committed results/engine_digest.sha256: a change that moves an answer or
+# a counter re-baselines it on purpose, in the same commit.
 cargo test -q -p hum-core --test kernel
 cargo test -q --release -p hum-core --test kernel
 DIGEST_DIR=$(mktemp -d)
@@ -74,7 +75,26 @@ for threads in 1 8; do
         --example engine_digest > "$DIGEST_DIR/digest_t$threads.txt"
 done
 cmp "$DIGEST_DIR/digest_t1.txt" "$DIGEST_DIR/digest_t8.txt"
-echo "engine_digest bit-identical across kernel modes x threads"
+if ! sha256sum < "$DIGEST_DIR/digest_t1.txt" | cmp -s - results/engine_digest.sha256; then
+    echo "engine_digest differs from results/engine_digest.sha256; if intended, regenerate with:" >&2
+    echo "  cargo run -q --release -p hum-core --example engine_digest | sha256sum > results/engine_digest.sha256" >&2
+    exit 1
+fi
+echo "engine_digest bit-identical across kernel modes x threads, and to the committed hash"
+
+# The paper tables regenerate: counters and accuracy cells are deterministic
+# by design, so the six csv under results/ must equal a fresh run at the
+# default scale byte for byte (~30 s).
+PAPER_TABLES=(table2 table3 fig8 fig9 obs extras)
+cargo run -q --release -p hum-bench --bin repro -- "${PAPER_TABLES[@]}" --out "$DIGEST_DIR/tables" > /dev/null
+for table in "${PAPER_TABLES[@]}"; do
+    if ! cmp "$DIGEST_DIR/tables/$table.csv" "results/$table.csv"; then
+        echo "results/$table.csv does not regenerate; if intended, recommit with:" >&2
+        echo "  cargo run --release -p hum-bench --bin repro -- ${PAPER_TABLES[*]}" >&2
+        exit 1
+    fi
+done
+echo "paper tables regenerate byte-identically"
 
 # Scale harness smoke: the planner-vs-fixed decade sweep at quick scale,
 # including its shape check that the chosen transform's measured tightness

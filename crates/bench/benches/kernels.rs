@@ -1,10 +1,9 @@
 //! Micro-benchmarks for the kernel layer (`hum_core::kernel`): each hot
 //! kernel measured as a naive sequential reference vs `KernelMode::Scalar`
 //! (blocked, cache-conscious) vs `KernelMode::Unrolled` (explicit 4/8-lane
-//! unrolling), plus the conservative f32 prefilter pass against the exact
-//! f64 envelope bound it fronts. `KernelMode::default()` is the unrolled
-//! shape engine-wide and scalar is its reference; here both
-//! modes are always measured explicitly.
+//! unrolling). `KernelMode::default()` is the unrolled shape engine-wide
+//! and scalar is its reference; here both modes are always measured
+//! explicitly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hum_core::dtw::{
@@ -12,7 +11,6 @@ use hum_core::dtw::{
 };
 use hum_core::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
 use hum_core::kernel::lb::env_lb_sq;
-use hum_core::kernel::prefilter::{conservative_lb_sq, PrefilterEnvelope, SeriesMirror};
 use hum_core::kernel::KernelMode;
 use hum_datasets::{generate, DatasetFamily};
 use std::hint::black_box;
@@ -59,16 +57,6 @@ fn bench_envelope_lb(c: &mut Criterion) {
                         env_lb_sq(mode, black_box(env.lower()), black_box(env.upper()), black_box(&x))
                     })
                 },
-            );
-        }
-        let mut staged = PrefilterEnvelope::new();
-        staged.stage(&env);
-        let mirror = SeriesMirror::build(&x);
-        for mode in [KernelMode::Scalar, KernelMode::Unrolled] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("prefilter_{mode:?}").to_lowercase(), len),
-                &len,
-                |b, _| b.iter(|| conservative_lb_sq(mode, black_box(&staged), black_box(&mirror))),
             );
         }
     }

@@ -1,14 +1,12 @@
 //! Kernel-layer microbenchmark as a reproducible experiment: each hot
 //! kernel of the verification cascade (envelope lower bound, `LB_Improved`
 //! second pass, banded DTW) timed as a naive sequential reference vs the
-//! kernel layer's blocked scalar and unrolled shapes, plus the conservative
-//! f32 prefilter pass against the exact f64 envelope bound it fronts.
+//! kernel layer's blocked scalar and unrolled shapes.
 //!
 //! Two contracts are enforced by the shape check, not just reported:
 //!
 //! * **Bit-identity** — `KernelMode::Scalar` and `KernelMode::Unrolled`
-//!   return identical bits on every candidate, and the prefilter value
-//!   never exceeds the exact f64 envelope bound (conservativeness).
+//!   return identical bits on every candidate.
 //! * **Speedup** — at least one kernel variant reaches ≥ 2× over its
 //!   sequential reference. Wall-clock ratios are hardware-dependent, so
 //!   this is only enforced at paper scale (where per-variant time is long
@@ -21,7 +19,6 @@ use serde::Serialize;
 use hum_core::dtw::{band_for_warping_width, ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
 use hum_core::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
 use hum_core::kernel::lb::env_lb_sq;
-use hum_core::kernel::prefilter::{conservative_lb_sq, PrefilterEnvelope, SeriesMirror};
 use hum_core::kernel::KernelMode;
 use hum_datasets::{generate, DatasetFamily};
 
@@ -61,7 +58,7 @@ impl Params {
 /// One (kernel, variant) measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct KernelRow {
-    /// Kernel family: `env_lb`, `prefilter`, `lb_improved`, `dtw`.
+    /// Kernel family: `env_lb`, `lb_improved`, `dtw`.
     pub kernel: String,
     /// Variant: `reference`, `scalar`, `unrolled`.
     pub variant: String,
@@ -70,7 +67,7 @@ pub struct KernelRow {
     /// Speedup over the same kernel's `reference` row.
     pub speedup: f64,
     /// Whether this variant's outputs were bit-identical to the scalar
-    /// kernel shape (for `prefilter`: conservativeness vs the f64 bound).
+    /// kernel shape.
     pub identical: bool,
 }
 
@@ -110,10 +107,6 @@ pub fn run(params: &Params) -> Output {
     let query = generate(DatasetFamily::RandomWalk, 1, params.len, params.seed ^ 0xabcd).remove(0);
     let band = band_for_warping_width(params.delta, params.len);
     let env = Envelope::compute(&query, band);
-    let mut staged = PrefilterEnvelope::new();
-    staged.stage(&env);
-    let mirrors: Vec<SeriesMirror> =
-        database.iter().map(|s| SeriesMirror::build(s)).collect();
 
     let mut rows = Vec::new();
     let mut push = |kernel: &str, variant: &str, ns: f64, reference_ns: f64, identical: bool| {
@@ -154,18 +147,6 @@ pub fn run(params: &Params) -> Output {
             .zip(&scalar_bits)
             .all(|(s, &want)| env_lb_sq(mode, env.lower(), env.upper(), s).to_bits() == want);
         push("env_lb", &format!("{mode:?}").to_lowercase(), ns, env_ref_ns, identical);
-    }
-
-    // --- f32 prefilter pass, against the same f64 reference it fronts. ---
-    for mode in MODES {
-        let (ns, _) = time_best(params.passes, params.candidates, || {
-            mirrors.iter().map(|m| conservative_lb_sq(mode, &staged, m)).sum()
-        });
-        let conservative = database.iter().zip(&mirrors).all(|(s, m)| {
-            let lo = conservative_lb_sq(mode, &staged, m);
-            !lo.is_finite() || lo <= env_lb_sq(KernelMode::Scalar, env.lower(), env.upper(), s)
-        });
-        push("prefilter", &format!("{mode:?}").to_lowercase(), ns, env_ref_ns, conservative);
     }
 
     // --- LB_Improved second pass (projection + window min/max + LB). ---
@@ -251,9 +232,7 @@ pub fn render(output: &Output) -> (String, TextTable) {
     }
     let text = format!(
         "Kernel-layer microbenchmarks (len {}, {} candidates, band k={})\n\
-         speedup is vs the kernel's own reference row; `prefilter` rows are\n\
-         vs the exact f64 envelope bound they front, and their identical\n\
-         column asserts conservativeness (prefilter value ≤ f64 bound)\n\n{}",
+         speedup is vs the kernel's own reference row\n\n{}",
         output.len,
         output.candidates,
         output.band,
@@ -262,7 +241,7 @@ pub fn render(output: &Output) -> (String, TextTable) {
     (text, table)
 }
 
-/// Shape checks: bit-identity/conservativeness always; the ≥2× speedup only
+/// Shape checks: bit-identity always; the ≥2× speedup only
 /// when the run was configured to enforce it (paper scale).
 pub fn check(output: &Output) -> Vec<String> {
     let mut failures = Vec::new();
@@ -299,7 +278,7 @@ mod tests {
         let out = run(&Params::quick());
         assert!(out.rows.iter().all(|r| r.identical), "{out:?}");
         assert!(check(&out).is_empty());
-        assert_eq!(out.rows.len(), 9);
+        assert_eq!(out.rows.len(), 7);
     }
 
     #[test]

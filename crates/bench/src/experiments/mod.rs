@@ -25,8 +25,8 @@
 //! reporting refinement latency and top-k churn versus hum length with a
 //! per-prefix bit-identity check against in-process one-shot queries.
 //! [`kernels`] microbenchmarks the kernel layer (envelope LB, `LB_Improved`,
-//! banded DTW, f32 prefilter) against naive sequential references, with
-//! bit-identity and conservativeness enforced by its shape check.
+//! banded DTW) against naive sequential references, with bit-identity
+//! enforced by its shape check.
 //! [`ingest`] measures durable bytes per insert and throughput for the
 //! segmented store across memtable capacities, with a reload bit-identity
 //! check. [`scale`] streams synthetic corpora across

@@ -4,10 +4,10 @@
 //! Every section is built twice in one process — under
 //! [`KernelMode::Unrolled`], the shape everyone runs, and under
 //! [`KernelMode::Scalar`], its reference — and the run fails unless the
-//! two digests are byte-identical: the kernel layer (and the f32
-//! prefilter, exercised by the mode-2 vs mode-3 sections) may change speed
-//! but never bits. `ci.sh` additionally runs this under `HUM_THREADS=1`
-//! and `8` and diffs the outputs. GridFile's internal counters depend on
+//! two digests are byte-identical: the kernel layer may change speed but
+//! never bits. `ci.sh` additionally runs this under `HUM_THREADS=1` and
+//! `8`, diffs the outputs, and compares their sha256 with the committed
+//! `results/engine_digest.sha256`. GridFile's internal counters depend on
 //! `HashMap` iteration order, so its lines print matches and match-bits
 //! only. The final 4-shard section prints every `EngineStats` counter of
 //! multi-leaf queries, single (scattered across `HUM_THREADS` workers) and
@@ -64,7 +64,6 @@ fn config_for(mode: usize, kernel: KernelMode) -> EngineConfig {
             early_abandon: false,
             ..EngineConfig::default()
         },
-        3 => EngineConfig { prefilter: false, ..EngineConfig::default() },
         _ => EngineConfig::default(),
     };
     EngineConfig { kernel, ..config }
@@ -219,10 +218,8 @@ fn sharded_digest(out: &mut String, kernel: KernelMode) {
 fn full_digest(kernel: KernelMode) -> String {
     let mut out = String::new();
     // mode 0: no cascade; 1: envelope filter only (the pre-cascade default);
-    // 2: the full cascade (current default config, f32 prefilter on);
-    // 3: the full cascade with the f32 prefilter off — answers AND counters
-    // must digest identically to mode 2 apart from the refine= label.
-    for mode in [1, 0, 2, 3] {
+    // 2: the full cascade (the default config).
+    for mode in [1, 0, 2] {
         digest(&mut out, kernel, "rstar", || RStarTree::with_page_size(8, 1024), mode, true);
         digest(&mut out, kernel, "grid", || GridFile::with_params(8, 4, 32, 1024), mode, false);
         digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024), mode, true);

@@ -61,7 +61,6 @@ use crate::batch::BatchOptions;
 use crate::dtw::{ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
 use crate::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
 use crate::exec::{execute, execute_batch, Leaf};
-use crate::kernel::prefilter::{prefilter_exceeds_planes, PrefilterEnvelope};
 use crate::kernel::KernelMode;
 use crate::obs::{Metric, MetricsSink, QueryTrace};
 use crate::transform::EnvelopeTransform;
@@ -79,16 +78,6 @@ pub struct EngineConfig {
     /// Abandon exact DTW verification as soon as a DP row proves the
     /// distance exceeds the query radius (or the current k-NN best-so-far).
     pub early_abandon: bool,
-    /// Run the conservative `f32` prefilter
-    /// ([`crate::kernel::prefilter`]) ahead of the `f64` envelope bound.
-    /// Pruning decisions, matches and counters are bit-identical either
-    /// way (a prefilter prune is provably also an envelope prune, booked
-    /// under the same statistic); the flag only controls whether the
-    /// engine builds `f32` mirrors at insert time and consults them.
-    /// Ignored while both refinement stages are disabled (the prefilter
-    /// fronts the envelope stage, so without one it could change which
-    /// stage a candidate dies in).
-    pub prefilter: bool,
     /// Which [`KernelMode`] the verification kernels run in. Bit-identical
     /// results in every mode; the default is the unrolled shape, and
     /// [`KernelMode::Scalar`] exists as the reference to compare it with.
@@ -101,7 +90,6 @@ impl Default for EngineConfig {
             envelope_refinement: true,
             lb_improved_refinement: true,
             early_abandon: true,
-            prefilter: true,
             kernel: KernelMode::default(),
         }
     }
@@ -261,7 +249,7 @@ pub struct QueryOutcome {
 /// The default ([`QueryBudget::unlimited`]) never expires and costs nothing:
 /// no clock is read anywhere in the engine. With a deadline set, the run
 /// paths poll [`QueryBudget::expired`] once per *candidate* in every
-/// stage that walks candidates (the envelope sweeps and the verification
+/// stage that walks candidates (the envelope sweep and the verification
 /// loops alike) — never inside
 /// the distance kernels — so a query that finishes before its deadline does
 /// exactly the same arithmetic in exactly the same order as an unbudgeted
@@ -453,8 +441,7 @@ impl QueryScratch {
 
 /// What every leaf of one request shares, computed once by the executor:
 /// the query, its `k`-envelope, the envelope's feature-space image (as a
-/// box, for leaf pruning, and as the shape every index is queried with),
-/// and the envelope staged for the `f32` prefilter.
+/// box, for leaf pruning, and as the shape every index is queried with).
 #[derive(Debug)]
 pub(crate) struct PreparedQuery<'a> {
     series: &'a [f64],
@@ -462,7 +449,6 @@ pub(crate) struct PreparedQuery<'a> {
     envelope: Envelope,
     feature_box: Rect,
     shape: Query,
-    prefilter: PrefilterEnvelope,
 }
 
 impl<'a> PreparedQuery<'a> {
@@ -471,9 +457,7 @@ impl<'a> PreparedQuery<'a> {
         let envelope = Envelope::compute(series, band);
         let feature_box = transform.project_envelope(&envelope);
         let shape = Query::Rect(feature_box.clone());
-        let mut prefilter = PrefilterEnvelope::new();
-        prefilter.stage(&envelope);
-        PreparedQuery { series, band, envelope, feature_box, shape, prefilter }
+        PreparedQuery { series, band, envelope, feature_box, shape }
     }
 
     /// The envelope's feature-space image.
@@ -485,7 +469,7 @@ impl<'a> PreparedQuery<'a> {
 /// The budget's deadline passed between two candidates.
 struct Expired;
 
-/// A candidate that survived the envelope stages, with its envelope bound.
+/// A candidate that survived the envelope sweep, with its envelope bound.
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     lb_sq: f64,
@@ -493,8 +477,8 @@ struct Pending {
     slot: u32,
 }
 
-/// How many candidates ahead of the one being examined the sweeps request
-/// cache lines for.
+/// How many candidates ahead of the one being examined the envelope sweep
+/// requests cache lines for.
 const PREFETCH_AHEAD: usize = 4;
 
 /// A DTW similarity-search engine over a spatial index backend.
@@ -519,7 +503,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             transform.output_dims(),
             "index dimensionality must match the transform output"
         );
-        let series = SeriesArena::new(transform.input_len(), config.prefilter);
+        let series = SeriesArena::new(transform.input_len());
         DtwIndexEngine { transform, index, series, config, metrics: MetricsSink::Disabled }
     }
 
@@ -691,16 +675,9 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         self.config.envelope_refinement || self.config.lb_improved_refinement
     }
 
-    /// Whether queries consult the `f32` prefilter: it fronts the `f64`
-    /// envelope stage, so it runs only when that stage does (keeping
-    /// counters identical with the prefilter off).
-    fn prefilter_active(&self) -> bool {
-        self.config.prefilter && self.envelope_stages()
-    }
-
     /// Resolves index candidates to arena slots — one id → slot lookup per
     /// candidate for the whole query — dropping the ids in `skip` (sorted
-    /// ascending). Slots come back ascending, so the sweeps walk the arena
+    /// ascending). Slots come back ascending, so the sweep walks the arena
     /// front to back.
     fn resolve_slots(&self, candidates: &[ItemId], skip: &[ItemId]) -> Vec<u32> {
         let mut slots: Vec<u32> = candidates
@@ -712,20 +689,17 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         slots
     }
 
-    /// The cascade's two streaming stages over `slots` at a fixed
-    /// `threshold_sq`: the conservative `f32` prefilter over the mirror
-    /// planes, then the `f64` envelope bound over the samples of its
-    /// survivors, each requesting the lines of the candidates a few places
-    /// ahead while it works on the current one. Returns the survivors with
-    /// their bounds, in `slots` order; everything else is booked as
-    /// `lb_pruned` (a prefilter prune is exactly a candidate whose `f64`
-    /// bound would come back above the threshold — same counter, same
-    /// survivors, with or without it). With both envelope-based refinement
-    /// stages off there is nothing to compute and every slot survives.
+    /// The cascade's streaming stage over `slots` at a fixed `threshold_sq`:
+    /// the envelope bound over each candidate's samples, requesting the
+    /// lines of the candidates a few places ahead while it works on the
+    /// current one. Returns the survivors with their bounds, in `slots`
+    /// order; everything else is booked as `lb_pruned`. With both
+    /// envelope-based refinement stages off there is nothing to compute
+    /// and every slot survives.
     fn envelope_sweep(
         &self,
         prepared: &PreparedQuery<'_>,
-        mut slots: Vec<u32>,
+        slots: Vec<u32>,
         threshold_sq: f64,
         budget: QueryBudget,
         stats: &mut EngineStats,
@@ -736,27 +710,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             return Ok(slots.into_iter().map(|slot| pending_at(slot, 0.0)).collect());
         }
         let mode = self.config.kernel;
-        if self.prefilter_active() {
-            let mut kept = 0;
-            for i in 0..slots.len() {
-                if budget.expired() {
-                    return Err(Expired);
-                }
-                if let Some(&ahead) = slots.get(i + PREFETCH_AHEAD) {
-                    arena.prefetch_mirror(ahead);
-                }
-                let slot = slots[i];
-                let (down, up) =
-                    arena.mirror(slot).expect("mirrors are kept with the prefilter on");
-                if prefilter_exceeds_planes(mode, &prepared.prefilter, down, up, threshold_sq) {
-                    stats.lb_pruned += 1;
-                } else {
-                    slots[kept] = slot;
-                    kept += 1;
-                }
-            }
-            slots.truncate(kept);
-        }
         let mut pending = Vec::with_capacity(slots.len());
         for (i, &slot) in slots.iter().enumerate() {
             if budget.expired() {
@@ -777,7 +730,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     }
 
     /// The cascade's two per-candidate stages for a survivor of the
-    /// envelope stages, at a fixed squared threshold: two-pass
+    /// envelope sweep, at a fixed squared threshold: two-pass
     /// `LB_Improved` on top of the candidate's envelope bound, then exact
     /// banded DTW. Returns `Some(d_sq)` when exact DTW ran to completion
     /// (callers compare against their own threshold); `None` when a stage
@@ -825,7 +778,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         Some(d_sq)
     }
 
-    /// The ε-range cascade over `slots`: envelope stages, then every
+    /// The ε-range cascade over `slots`: envelope sweep, then every
     /// survivor verified at the fixed radius. Matches sorted by
     /// `(distance, id)`; every decision is per candidate at one threshold,
     /// so neither they nor any counter depend on the order of `slots`.
@@ -959,7 +912,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         run.map(|survivors| (survivors, stats)).map_err(|Expired| stats)
     }
 
-    /// The close phase over its resolved candidates: envelope stages at the
+    /// The close phase over its resolved candidates: envelope sweep at the
     /// outer radius, then the survivors verified in ascending bound order
     /// under the shrinking k-th best distance.
     #[allow(clippy::too_many_arguments)]

@@ -201,8 +201,8 @@ fn run<T: EnvelopeTransform, I: SpatialIndex>(
 ) -> Result<QueryOutcome, EngineError> {
     let started = metrics.start_timer();
     let (query, band, budget) = (request.series(), request.band(), request.budget());
-    // The query's envelope, its feature box and its staged prefilter form
-    // are the same for every leaf and every phase: computed here, once.
+    // The query's envelope and its feature box are the same for every leaf
+    // and every phase: computed here, once.
     let prepared = PreparedQuery::new(leaves[0].engine.transform(), query, band);
     let mut stats = EngineStats::default();
     let (kind, matches) = match (request.kind(), request.scan_enabled()) {

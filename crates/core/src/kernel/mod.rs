@@ -1,12 +1,10 @@
 //! SIMD-friendly, cache-conscious kernels for the verification cascade.
 //!
-//! This layer owns the flat data layouts ([`soa`]) and the three hot inner
-//! loops of candidate verification — the envelope-LB accumulation
-//! ([`lb`]), which also powers the LB_Improved second pass, the banded-DTW
-//! row recurrence ([`dtw_row`]) — plus the conservative `f32` prefilter
-//! ([`prefilter`]) that runs before any `f64` work.
-//!
-//! [`window`] holds the sliding-window min/max behind every envelope.
+//! This layer owns the flat data layouts ([`soa`]) and the hot inner loops
+//! of candidate verification: the envelope-LB accumulation ([`lb`]), which
+//! also powers the LB_Improved second pass, and the banded-DTW row
+//! recurrence ([`dtw_row`]). [`window`] holds the sliding-window min/max
+//! behind every envelope.
 //!
 //! ## The one rule: shapes change speed, never bits
 //!
@@ -24,6 +22,7 @@
 
 pub mod dtw_row;
 pub mod lb;
+#[doc(hidden)]
 pub mod prefilter;
 pub mod soa;
 pub mod window;

@@ -10,19 +10,16 @@
 //!   loops never need a scalar remainder;
 //! * **stability of the padding rule** — padded length is
 //!   `len.next_multiple_of(block)` with `block` = one cache line
-//!   ([`F64_BLOCK`] = 8 doubles, [`F32_BLOCK`] = 16 floats), documented
-//!   here once and relied on everywhere.
+//!   ([`F64_BLOCK`] = 8 doubles), documented here once and relied on
+//!   everywhere.
 //!
-//! Buffers are stored as a `Vec` of 64-byte-aligned chunks and exposed as
-//! ordinary slices; the `unsafe` blocks that do so reinterpret a contiguous
+//! The buffer is stored as a `Vec` of 64-byte-aligned chunks and exposed as
+//! an ordinary slice; the `unsafe` blocks that do so reinterpret a contiguous
 //! chunk array as the scalar slice it already is. The module's one other
 //! `unsafe` is the cache [`prefetch`] hint.
 
 /// Scalars per [`AlignedF64`] chunk: one 64-byte cache line of `f64`.
 pub const F64_BLOCK: usize = 8;
-
-/// Scalars per [`AlignedF32`] chunk: one 64-byte cache line of `f32`.
-pub const F32_BLOCK: usize = 16;
 
 /// Bytes per cache line.
 const CACHE_LINE: usize = 64;
@@ -51,11 +48,6 @@ pub(crate) fn prefetch<T>(data: &[T]) {
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[repr(C, align(64))]
 struct ChunkF64([f64; F64_BLOCK]);
-
-/// One cache line of floats.
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[repr(C, align(64))]
-struct ChunkF32([f32; F32_BLOCK]);
 
 /// A 64-byte-aligned, block-padded `f64` buffer.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -120,60 +112,6 @@ impl AlignedF64 {
     }
 }
 
-/// A 64-byte-aligned, block-padded `f32` buffer.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AlignedF32 {
-    chunks: Vec<ChunkF32>,
-    len: usize,
-}
-
-impl AlignedF32 {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        AlignedF32::default()
-    }
-
-    /// Resizes to logical length `len` (padded to a whole block) and fills
-    /// *every* slot — logical and padding alike — with `fill`.
-    pub fn reset(&mut self, len: usize, fill: f32) {
-        let blocks = len.div_ceil(F32_BLOCK);
-        self.chunks.clear();
-        self.chunks.resize(blocks, ChunkF32([fill; F32_BLOCK]));
-        self.len = len;
-    }
-
-    /// Logical (un-padded) length.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` if the logical length is zero.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Padded length: `len().next_multiple_of(F32_BLOCK)`.
-    pub fn padded_len(&self) -> usize {
-        self.chunks.len() * F32_BLOCK
-    }
-
-    /// The full padded storage as a scalar slice.
-    pub fn as_slice(&self) -> &[f32] {
-        // SAFETY: see `AlignedF64::as_slice`; identical layout argument
-        // with `F32_BLOCK` floats per 64-byte chunk.
-        unsafe {
-            std::slice::from_raw_parts(self.chunks.as_ptr().cast::<f32>(), self.padded_len())
-        }
-    }
-
-    /// The full padded storage as a mutable scalar slice.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        let n = self.padded_len();
-        // SAFETY: as in `as_slice`, plus exclusive access via `&mut self`.
-        unsafe { std::slice::from_raw_parts_mut(self.chunks.as_mut_ptr().cast::<f32>(), n) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -191,18 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_buffer_is_aligned_and_padded() {
-        let mut buf = AlignedF32::new();
-        buf.reset(17, 0.0);
-        assert_eq!(buf.len(), 17);
-        assert_eq!(buf.padded_len(), 32);
-        assert_eq!(buf.as_slice().as_ptr() as usize % 64, 0);
-        assert!(buf.as_slice().iter().all(|&v| v == 0.0));
-        buf.as_mut_slice()[16] = 2.5;
-        assert_eq!(buf.as_slice()[16], 2.5);
-    }
-
-    #[test]
     fn reset_overwrites_previous_contents() {
         let mut buf = AlignedF64::new();
         buf.stage(&[1.0, 2.0, 3.0], 0.0);
@@ -216,8 +142,5 @@ mod tests {
         let mut b64 = AlignedF64::new();
         b64.reset(F64_BLOCK * 3, 0.0);
         assert_eq!(b64.padded_len(), F64_BLOCK * 3);
-        let mut b32 = AlignedF32::new();
-        b32.reset(F32_BLOCK * 2, 0.0);
-        assert_eq!(b32.padded_len(), F32_BLOCK * 2);
     }
 }

@@ -52,13 +52,13 @@
 //! * [`kernel`] — the SIMD-friendly inner loops under [`dtw`], [`envelope`]
 //!   and the engine's verification cascade: aligned structure-of-arrays
 //!   buffers, blocked lower-bound accumulation, an unrolled banded-DTW row
-//!   recurrence, the sliding-window min/max behind every envelope, and a
-//!   conservative `f32` prefilter. One shape runs everywhere (AVX2 when
-//!   the CPU has it); a scalar reference shape is held to the same bits.
+//!   recurrence, and the sliding-window min/max behind every envelope. One
+//!   shape runs everywhere (AVX2 when the CPU has it); a scalar reference
+//!   shape is held to the same bits.
 //! * [`session`] — incremental query sessions (query-as-you-hum):
-//!   [`session::QuerySession`] buffers raw frames, maintains a compensated
-//!   running mean and an extend-on-append envelope, and builds the request a
-//!   refinement executes — bit-identical to a one-shot query over the prefix.
+//!   [`session::QuerySession`] buffers validated raw frames and builds the
+//!   request a refinement executes — bit-identical to a one-shot query over
+//!   the prefix.
 //!
 //! # Quick example
 //!

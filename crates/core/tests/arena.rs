@@ -30,8 +30,12 @@ const UNIVERSE: u64 = 24;
 type Engine = DtwIndexEngine<NewPaa, RStarTree>;
 type Model = HashMap<ItemId, Vec<f64>>;
 
-fn engine(config: EngineConfig) -> Engine {
-    DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 256), config)
+fn engine() -> Engine {
+    DtwIndexEngine::new(
+        NewPaa::new(LEN, DIMS),
+        RStarTree::with_page_size(DIMS, 256),
+        EngineConfig::default(),
+    )
 }
 
 /// A deterministic series for `(id, version)`: re-inserting an id stores
@@ -137,8 +141,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn engine_agrees_with_a_hashmap_model(ops in ops(), prefilter in any::<bool>()) {
-        let mut engine = engine(EngineConfig { prefilter, ..EngineConfig::default() });
+    fn engine_agrees_with_a_hashmap_model(ops in ops()) {
+        let mut engine = engine();
         let mut model = Model::new();
         let query = series_for(999, 0);
         let mut snapshot: Option<(Engine, Model)> = None;
@@ -166,7 +170,7 @@ proptest! {
 
 #[test]
 fn removing_the_only_the_last_and_a_middle_slot() {
-    let mut engine = engine(EngineConfig::default());
+    let mut engine = engine();
     let mut model = Model::new();
     let query = series_for(999, 1);
     let step = |engine: &mut Engine, model: &mut Model, op: Op| {

@@ -1,21 +1,13 @@
-//! Property tests for the kernel layer's two load-bearing contracts:
-//!
-//! 1. **Conservativeness** — the `f32` prefilter never exceeds the exact
-//!    `f64` envelope bound, so a prefilter prune is always an envelope
-//!    prune (zero false negatives), and the engine's answers *and
-//!    counters* are bit-identical with the prefilter on or off.
-//! 2. **Mode invariance** — `KernelMode::Scalar` and
-//!    `KernelMode::Unrolled` return identical bits from every kernel, and
-//!    the kernel-layer DTW matches a reference transcription of the
-//!    classic branchy row loop bit for bit.
+//! Property tests for the kernel layer's load-bearing contract, **mode
+//! invariance**: `KernelMode::Scalar` and `KernelMode::Unrolled` return
+//! identical bits from every kernel — so the engine's answers *and
+//! counters* do not depend on the mode — and the kernel-layer DTW matches a
+//! reference transcription of the classic branchy row loop bit for bit.
 
 use hum_core::dtw::{ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest, QueryScratch};
 use hum_core::envelope::Envelope;
 use hum_core::kernel::lb::env_lb_sq_bounded;
-use hum_core::kernel::prefilter::{
-    conservative_lb_sq, f32_down, f32_up, prefilter_exceeds, PrefilterEnvelope, SeriesMirror,
-};
 use hum_core::kernel::KernelMode;
 use hum_core::transform::paa::NewPaa;
 use hum_index::{LinearScan, RStarTree};
@@ -26,20 +18,6 @@ const MODES: [KernelMode; 2] = [KernelMode::Scalar, KernelMode::Unrolled];
 
 fn series() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(-20.0f64..20.0, LEN..=LEN)
-}
-
-/// Series drawn from a wide dynamic range, to stress the directed
-/// rounding far from 1.0.
-fn wild_series() -> impl Strategy<Value = Vec<f64>> {
-    proptest::collection::vec(
-        prop_oneof![
-            -20.0f64..20.0,
-            -1e-6f64..1e-6,
-            -1e12f64..1e12,
-            Just(0.0f64),
-        ],
-        LEN..=LEN,
-    )
 }
 
 /// Reference transcription of the pre-kernel-layer banded DTW row loop
@@ -94,78 +72,8 @@ fn ldtw_reference(x: &[f64], y: &[f64], k: usize, threshold_sq: f64) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    #[test]
-    fn directed_rounding_brackets_every_value(v in prop_oneof![
-        -1e300f64..1e300,
-        -20.0f64..20.0,
-        -1e-30f64..1e-30,
-        Just(0.0f64),
-        Just(-0.0f64),
-    ]) {
-        prop_assert!((f32_down(v) as f64) <= v, "down({v}) = {}", f32_down(v));
-        prop_assert!((f32_up(v) as f64) >= v, "up({v}) = {}", f32_up(v));
-        prop_assert!(f32_down(v) != f32::INFINITY);
-        prop_assert!(f32_up(v) != f32::NEG_INFINITY);
-    }
-
-    #[test]
-    fn mirror_and_staged_envelope_bracket(y in wild_series(), x in wild_series(), k in 0usize..10) {
-        let mirror = SeriesMirror::build(&x);
-        for (i, &v) in x.iter().enumerate() {
-            prop_assert!((mirror.down()[i] as f64) <= v);
-            prop_assert!((mirror.up()[i] as f64) >= v);
-        }
-        let env = Envelope::compute(&y, k);
-        let mut staged = PrefilterEnvelope::new();
-        staged.stage(&env);
-        prop_assert_eq!(staged.len(), env.len());
-    }
-
-    /// The linchpin: the deflated f32 sum never exceeds the f64 kernel's
-    /// envelope bound, for either mode.
-    #[test]
-    fn conservative_bound_below_f64_bound(y in wild_series(), x in wild_series(), k in 0usize..10) {
-        let env = Envelope::compute(&y, k);
-        let mut staged = PrefilterEnvelope::new();
-        staged.stage(&env);
-        let mirror = SeriesMirror::build(&x);
-        for mode in MODES {
-            let lo = conservative_lb_sq(mode, &staged, &mirror);
-            let exact = env.distance_sq_mode(&x, mode);
-            prop_assert!(
-                !lo.is_finite() || lo <= exact,
-                "mode {mode:?}: conservative {lo} > exact {exact}"
-            );
-        }
-    }
-
-    /// A prefilter prune implies the exact f64 chain prunes at the same
-    /// threshold (the bounded kernel reports the excess as +inf).
-    #[test]
-    fn prefilter_prune_implies_f64_prune(
-        y in series(),
-        x in series(),
-        k in 0usize..10,
-        radius in 0.0f64..50.0,
-    ) {
-        let threshold_sq = radius * radius;
-        let env = Envelope::compute(&y, k);
-        let mut staged = PrefilterEnvelope::new();
-        staged.stage(&env);
-        let mirror = SeriesMirror::build(&x);
-        for mode in MODES {
-            if prefilter_exceeds(mode, &staged, &mirror, threshold_sq) {
-                let exact = env.distance_sq_bounded_mode(&x, threshold_sq, mode);
-                prop_assert!(
-                    exact.is_infinite(),
-                    "prefilter pruned but exact bound {exact} ≤ {threshold_sq}"
-                );
-            }
-        }
-    }
-
-    /// Scalar and unrolled modes return identical bits from all three
-    /// kernels, bounded or not.
+    /// Scalar and unrolled modes return identical bits from both kernels,
+    /// bounded or not.
     #[test]
     fn modes_are_bit_identical(
         y in series(),
@@ -182,13 +90,6 @@ proptest! {
         let da = ldtw_distance_sq_bounded_with_mode(&mut ws, &x, &y, k, thr, KernelMode::Scalar);
         let db = ldtw_distance_sq_bounded_with_mode(&mut ws, &x, &y, k, thr, KernelMode::Unrolled);
         prop_assert_eq!(da.to_bits(), db.to_bits(), "dtw: {} vs {}", da, db);
-
-        let mut staged = PrefilterEnvelope::new();
-        staged.stage(&env);
-        let mirror = SeriesMirror::build(&x);
-        let pa = conservative_lb_sq(KernelMode::Scalar, &staged, &mirror);
-        let pb = conservative_lb_sq(KernelMode::Unrolled, &staged, &mirror);
-        prop_assert_eq!(pa.to_bits(), pb.to_bits(), "prefilter: {} vs {}", pa, pb);
     }
 
     /// The restructured DTW kernel is bit-identical to the classic branchy
@@ -208,11 +109,10 @@ proptest! {
         }
     }
 
-    /// Engine-level: answers AND counters are bit-identical with the
-    /// prefilter on and off, and across kernel modes, on indexed and scan
-    /// paths alike.
+    /// Engine-level: answers AND counters are bit-identical across kernel
+    /// modes, on indexed and scan paths alike.
     #[test]
-    fn engine_invariant_to_prefilter_and_mode(
+    fn engine_invariant_to_kernel_mode(
         seed in any::<u64>(),
         band in 0usize..6,
         k in 1usize..6,
@@ -234,19 +134,9 @@ proptest! {
             (0..LEN).map(|_| { acc += next(); acc }).collect()
         };
 
-        let configs = [
-            EngineConfig::default(),
-            EngineConfig { prefilter: false, ..EngineConfig::default() },
-            EngineConfig { kernel: KernelMode::Scalar, ..EngineConfig::default() },
-            EngineConfig { kernel: KernelMode::Unrolled, ..EngineConfig::default() },
-            EngineConfig {
-                kernel: KernelMode::Unrolled,
-                prefilter: false,
-                ..EngineConfig::default()
-            },
-        ];
         let mut reference = None;
-        for config in configs {
+        for kernel in MODES {
+            let config = EngineConfig { kernel, ..EngineConfig::default() };
             let mut engine =
                 DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::new(4), config);
             let mut linear = DtwIndexEngine::new(

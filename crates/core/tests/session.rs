@@ -1,9 +1,7 @@
 //! The linchpin invariant of streaming sessions: a refinement after any
 //! sequence of appends is **bit-identical** — matches, counters, and trace
 //! — to a one-shot query over the same prefix, at every shard count and
-//! [`KernelMode`], for range and k-NN alike. Plus the compensated-mean and
-//! incremental-envelope properties that keep the session's internal state
-//! honest over long streams.
+//! [`KernelMode`], for range and k-NN alike.
 
 use std::time::Duration;
 
@@ -12,12 +10,10 @@ use hum_core::engine::{
 };
 use hum_core::kernel::KernelMode;
 use hum_core::normal::NormalForm;
-use hum_core::session::{kahan_sum, IncrementalEnvelope, KahanSum, QuerySession};
+use hum_core::session::QuerySession;
 use hum_core::shard::ShardedEngine;
 use hum_core::transform::paa::NewPaa;
-use hum_core::Envelope;
 use hum_index::{ItemId, RStarTree};
-use proptest::prelude::*;
 
 const LEN: usize = 64;
 const DIMS: usize = 8;
@@ -166,92 +162,4 @@ fn expired_budget_mid_refine_returns_partial_stats() {
     }
     let ok = refine(&session, &engine, QueryBudget::unlimited(), &mut scratch).expect("refine");
     assert_eq!(ok.result.matches.len(), 4);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Satellite bugfix invariant: the session's incremental compensated
-    /// mean matches a full compensated recompute **to the last ulp** after
-    /// 10^4 appends in arbitrary chunkings, on adversarial magnitudes.
-    #[test]
-    fn incremental_kahan_mean_matches_batch_recompute_over_1e4_appends(
-        seed in any::<u64>(),
-        scale_exp in -6i32..7,
-    ) {
-        let scale = 10f64.powi(scale_exp);
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
-        let frames: Vec<f64> = (0..10_000).map(|i| {
-            // Mix magnitudes so naive summation actually drifts.
-            let wobble = if i % 97 == 0 { 1e6 } else { 1.0 };
-            next() * scale * wobble + 60.0
-        }).collect();
-
-        let mut acc = KahanSum::new();
-        let mut session = QuerySession::new(
-            QueryRequest::knn(1).with_band(BAND),
-            NormalForm::with_length(LEN),
-        );
-        let mut consumed = 0usize;
-        let mut chunk = 1usize;
-        while consumed < frames.len() {
-            let end = (consumed + chunk).min(frames.len());
-            for &v in &frames[consumed..end] {
-                acc.add(v);
-            }
-            session.append(&frames[consumed..end]).expect("finite frames");
-            consumed = end;
-            chunk = chunk % 37 + 1;
-            // Every checkpoint, not just the end: the incremental mean is
-            // bitwise the batch compensated recompute over the prefix.
-            let batch = kahan_sum(&frames[..consumed]) / consumed as f64;
-            prop_assert_eq!(session.running_mean().to_bits(), batch.to_bits());
-        }
-        prop_assert_eq!(acc.value().to_bits(), kahan_sum(&frames).to_bits());
-    }
-
-    /// The extend-on-append envelope is bitwise the full recompute on
-    /// every prefix, for arbitrary data and window widths — including the
-    /// deque's latest-wins tie rule (signed zeros pinned in unit tests).
-    #[test]
-    fn incremental_envelope_matches_full_recompute(
-        xs in proptest::collection::vec(-50.0f64..50.0, 1..160),
-        k in 0usize..12,
-    ) {
-        let mut inc = IncrementalEnvelope::new(k);
-        for (n, &v) in xs.iter().enumerate() {
-            inc.append(v);
-            let full = Envelope::compute(&xs[..=n], k);
-            prop_assert_eq!(inc.lower(), full.lower());
-            prop_assert_eq!(inc.upper(), full.upper());
-        }
-    }
-
-    /// The session's shift-normalized envelope equals the envelope of the
-    /// explicitly shifted series, bit for bit (min/max commute with the
-    /// shift), at every prefix.
-    #[test]
-    fn session_envelope_tracks_the_shifted_series(
-        xs in proptest::collection::vec(30.0f64..90.0, 1..120),
-        band in 0usize..8,
-    ) {
-        let mut session = QuerySession::new(
-            QueryRequest::knn(1).with_band(band),
-            NormalForm::with_length(16),
-        );
-        for (n, &v) in xs.iter().enumerate() {
-            session.append(&[v]).expect("finite frames");
-            let mu = session.running_mean();
-            let shifted: Vec<f64> = xs[..=n].iter().map(|x| x - mu).collect();
-            let expected = Envelope::compute(&shifted, band);
-            let got = session.envelope().expect("non-empty");
-            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-            prop_assert_eq!(bits(got.lower()), bits(expected.lower()));
-            prop_assert_eq!(bits(got.upper()), bits(expected.upper()));
-        }
-    }
 }
