@@ -232,17 +232,28 @@ pub enum Timer {
     ServerRequest,
     /// Time a request spent waiting in the server's admission queue.
     ServerQueueWait,
+    /// Time a worker waited to acquire the service lock (read for a query,
+    /// write for a mutation).
+    ServiceLockWait,
+    /// Wall time of one maintenance build (segment write, fsyncs, index
+    /// rebuild) — runs with no service lock held.
+    MaintenanceBuild,
+    /// Time one maintenance commit held the service write lock.
+    MaintenanceCommit,
 }
 
 impl Timer {
     /// Every histogram slot, in export order.
-    pub const ALL: [Timer; 6] = [
+    pub const ALL: [Timer; 9] = [
         Timer::RangeQuery,
         Timer::KnnQuery,
         Timer::ScanQuery,
         Timer::Batch,
         Timer::ServerRequest,
         Timer::ServerQueueWait,
+        Timer::ServiceLockWait,
+        Timer::MaintenanceBuild,
+        Timer::MaintenanceCommit,
     ];
 
     /// The histogram's exported name.
@@ -254,6 +265,9 @@ impl Timer {
             Timer::Batch => "latency.batch",
             Timer::ServerRequest => "latency.server_request",
             Timer::ServerQueueWait => "latency.server_queue_wait",
+            Timer::ServiceLockWait => "latency.service_lock_wait",
+            Timer::MaintenanceBuild => "latency.maintenance_build",
+            Timer::MaintenanceCommit => "latency.maintenance_commit",
         }
     }
 }

@@ -9,23 +9,28 @@
 //! [`QbhSystem::try_query_request_with`] (the same path in-process callers
 //! use, with the worker's reusable scratch), so served results are
 //! bit-identical to local ones; mutations go through
-//! [`QbhSystem::try_insert_melody`] / [`QbhSystem::try_remove`].
+//! [`QbhSystem::try_insert_melody`] / [`QbhSystem::try_remove`]; the three
+//! maintenance phases are [`QbhSystem::plan_maintenance`],
+//! [`MaintenancePlan::build`] and [`QbhSystem::commit_maintenance`] — the
+//! same three [`QbhSystem::flush`] and [`QbhSystem::compact`] run back to
+//! back.
 
 use hum_core::engine::{
     EngineError, QueryBudget, QueryRequest, QueryScratch,
 };
-use hum_server::{
-    MaintenanceReport, QbhService, ServiceError, ServiceMatch, ServiceOutcome, ServiceQuery,
-};
+use hum_server::{QbhService, ServiceError, ServiceMatch, ServiceOutcome, ServiceQuery};
 
 use crate::storage::StorageError;
-use crate::system::QbhSystem;
+use crate::system::{BuiltMaintenance, MaintenancePlan, QbhSystem};
 
 fn storage_error(e: StorageError) -> ServiceError {
     ServiceError::Storage(e.to_string())
 }
 
 impl QbhService for QbhSystem {
+    type Plan = MaintenancePlan;
+    type Built = BuiltMaintenance;
+
     fn query(
         &self,
         query: &ServiceQuery,
@@ -64,23 +69,28 @@ impl QbhService for QbhSystem {
         phrase: usize,
         pitch_series: &[f64],
     ) -> Result<(), ServiceError> {
-        self.try_insert_melody(id, song, phrase, pitch_series)?;
-        // Store-backed systems flush inline once the memtable fills, so
-        // ingest durability never depends on the maintenance timer alone.
-        // The melody is indexed either way; only its durability lags.
-        if self.needs_flush() {
-            self.flush().map_err(storage_error)?;
-        }
-        Ok(())
+        Ok(self.try_insert_melody(id, song, phrase, pitch_series)?)
     }
 
     fn remove(&mut self, id: u64) -> Result<bool, ServiceError> {
         self.try_remove(id).map_err(storage_error)
     }
 
-    fn maintain(&mut self) -> Result<MaintenanceReport, ServiceError> {
-        let done = QbhSystem::maintain(self).map_err(storage_error)?;
-        Ok(MaintenanceReport { flushed: done.flushed, compacted: done.compacted })
+    fn needs_maintenance(&self) -> bool {
+        self.needs_flush() || self.needs_compaction()
+    }
+
+    fn plan(&self) -> Result<Option<MaintenancePlan>, ServiceError> {
+        self.plan_maintenance().map_err(storage_error)
+    }
+
+    fn build(plan: MaintenancePlan) -> Result<BuiltMaintenance, ServiceError> {
+        plan.build().map_err(storage_error)
+    }
+
+    fn commit(&mut self, built: BuiltMaintenance) -> Result<Box<dyn Send>, ServiceError> {
+        let retired = self.commit_maintenance(built).map_err(storage_error)?;
+        Ok(Box::new(retired))
     }
 
     fn len(&self) -> usize {

@@ -82,6 +82,10 @@ pub enum StorageError {
     /// SVD or unresolved-`Auto` transform…). Returned by writers instead of
     /// silently truncating.
     Unrepresentable(String),
+    /// A maintenance job was planned over a store that has changed since
+    /// (another flush or compaction committed first); nothing was applied
+    /// and planning again will succeed.
+    StalePlan(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -96,6 +100,7 @@ impl std::fmt::Display for StorageError {
             StorageError::Unrepresentable(msg) => {
                 write!(f, "cannot persist: {msg}")
             }
+            StorageError::StalePlan(msg) => write!(f, "stale maintenance plan: {msg}"),
         }
     }
 }

@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hum_audio::{track_pitch, PitchTrackerConfig};
 use hum_core::batch::BatchOptions;
@@ -218,11 +219,45 @@ struct StoreSegment {
 }
 
 impl StoreSegment {
+    /// Indexes a segment file's `entries` (ascending by id) minus the
+    /// `tombstones`, with metrics detached: re-indexing what is already
+    /// stored is not a user-visible insert.
+    fn build(
+        id: u64,
+        config: &QbhConfig,
+        entries: &[SegmentEntry],
+        tombstones: &BTreeSet<u64>,
+    ) -> Result<Self, StorageError> {
+        let mut engine = store_engine(config)?;
+        let live = || entries.iter().filter(|e| !tombstones.contains(&e.id));
+        for entry in live() {
+            engine
+                .try_insert(entry.id, entry.series.clone())
+                .map_err(|e| StorageError::Corrupt(format!("segment {id}: {e}")))?;
+        }
+        let meta = segment_meta(engine.transform().as_ref(), entries.len(), live());
+        Ok(StoreSegment { id, engine, meta, ids: entries.iter().map(|e| e.id).collect() })
+    }
+
     /// The manifest entry for this segment: the *file's* melody count
     /// (tombstoned entries included), not the live engine's.
     fn to_ref(&self) -> SegmentRef {
         SegmentRef { id: self.id, count: self.ids.len() as u64 }
     }
+}
+
+/// Pruning metadata over `entries` (about `expected` of them): their ids
+/// and projected features.
+fn segment_meta<'a>(
+    transform: &dyn EnvelopeTransform,
+    expected: usize,
+    entries: impl Iterator<Item = &'a SegmentEntry>,
+) -> SegmentMeta {
+    let mut meta = SegmentMeta::new(expected);
+    for entry in entries {
+        meta.add(entry.id, &transform.project(&entry.series));
+    }
+    meta
 }
 
 /// Operational knobs for a store-backed system; not part of the on-disk
@@ -250,7 +285,9 @@ struct StoreState {
     /// Removed-but-still-on-disk melody ids; cleared by compaction.
     tombstones: BTreeSet<u64>,
     /// Next segment file id (strictly greater than every live segment).
-    next_segment_id: u64,
+    /// Atomic because a plan reserves its id under the read lock: two plans
+    /// never share a file name, so a stale job's file is always its own.
+    next_segment_id: AtomicU64,
     /// Ids currently resident only in the memtable (not yet durable).
     memtable_ids: BTreeSet<u64>,
     flushes: u64,
@@ -290,6 +327,110 @@ pub struct StoreMaintenance {
     pub flushed: bool,
     /// A compaction ran.
     pub compacted: bool,
+}
+
+/// Which job a [`MaintenancePlan`] describes.
+enum PlannedJob {
+    Flush,
+    /// `purged` is the tombstone set the planned entries were filtered by.
+    Compaction { purged: BTreeSet<u64> },
+}
+
+/// Phase 1 of a flush or compaction: everything the job needs, copied out
+/// of the system under a shared borrow ([`QbhSystem::plan_flush`],
+/// [`QbhSystem::plan_compaction`], [`QbhSystem::plan_maintenance`]).
+///
+/// Maintenance runs in three phases so that a server never writes a file,
+/// waits for an fsync or builds an index while holding the lock its
+/// requests need: **plan** (`&QbhSystem`, copies), **build**
+/// ([`MaintenancePlan::build`] — owned data, no reference to the system)
+/// and **commit** ([`QbhSystem::commit_maintenance`], `&mut QbhSystem`,
+/// time proportional to what changed since the plan). The system may be
+/// queried, inserted into and removed from between the phases.
+pub struct MaintenancePlan {
+    dir: PathBuf,
+    config: QbhConfig,
+    metrics: MetricsSink,
+    /// The id reserved for the segment this job writes.
+    segment_id: u64,
+    /// The live segment ids the job was planned over.
+    live_segments: Vec<u64>,
+    /// The melodies the new segment will hold (a flush's ascend by id).
+    entries: Vec<SegmentEntry>,
+    job: PlannedJob,
+}
+
+impl MaintenancePlan {
+    /// Phase 2: everything expensive — for a flush the pruning metadata and
+    /// the segment file with its fsyncs; for a compaction also the merged
+    /// segment's index, rebuilt from scratch. Touches no [`QbhSystem`].
+    /// The segment file is written last, so a failed build leaves nothing
+    /// behind; a built job that is never committed leaves an orphan
+    /// segment file that [`QbhSystem::try_open_store_with`] ignores.
+    ///
+    /// # Errors
+    /// Any I/O or encoding failure writing the segment.
+    pub fn build(self) -> Result<BuiltMaintenance, StorageError> {
+        let MaintenancePlan { dir, config, metrics, segment_id, live_segments, mut entries, job } =
+            self;
+        let save = |entries: &[SegmentEntry]| {
+            booked(&metrics, store::save_segment(&dir, segment_id, &config, entries))
+        };
+        let file = Some(store::segment_path(&dir, segment_id));
+        let (file, written, job) = match job {
+            PlannedJob::Flush => {
+                let transform = store_transform(&config)?;
+                let meta = segment_meta(transform.as_ref(), entries.len(), entries.iter());
+                (file, save(&entries)?, BuiltJob::Flush { entries, meta })
+            }
+            PlannedJob::Compaction { purged } if entries.is_empty() => {
+                (None, 0, BuiltJob::Compaction { purged, merged: None })
+            }
+            PlannedJob::Compaction { purged } => {
+                // Segments never overlap, but flush order does not imply id
+                // order across them.
+                entries.sort_by_key(|e| e.id);
+                let merged = StoreSegment::build(segment_id, &config, &entries, &BTreeSet::new())?;
+                (file, save(&entries)?, BuiltJob::Compaction { purged, merged: Some(merged) })
+            }
+        };
+        Ok(BuiltMaintenance { segment_id, live_segments, file, written, job })
+    }
+}
+
+/// What a [`MaintenancePlan`] built.
+enum BuiltJob {
+    Flush { entries: Vec<SegmentEntry>, meta: SegmentMeta },
+    /// `merged` is `None` when nothing was live to merge.
+    Compaction { purged: BTreeSet<u64>, merged: Option<StoreSegment> },
+}
+
+/// Phase 2's result: a segment written and indexed but named by no
+/// manifest yet. [`QbhSystem::commit_maintenance`] makes it live.
+pub struct BuiltMaintenance {
+    segment_id: u64,
+    live_segments: Vec<u64>,
+    /// The segment file the build wrote (`None`: nothing was live).
+    file: Option<PathBuf>,
+    /// Its size in bytes.
+    written: u64,
+    job: BuiltJob,
+}
+
+/// The segments a commit replaced. Dropping this frees their indexes and
+/// deletes their files best-effort (a leftover is an orphan that opening
+/// ignores) — which is why a server drops it after releasing its lock.
+pub struct RetiredSegments {
+    dir: PathBuf,
+    segments: Vec<StoreSegment>,
+}
+
+impl Drop for RetiredSegments {
+    fn drop(&mut self) {
+        for segment in &self.segments {
+            let _ = std::fs::remove_file(store::segment_path(&self.dir, segment.id));
+        }
+    }
 }
 
 /// Builds the spatial index backend for one engine shard.
@@ -384,25 +525,29 @@ fn booked(metrics: &MetricsSink, written: Result<u64, StorageError>) -> Result<u
 /// data-adaptive basis cannot be fitted on an empty memtable, and refitting
 /// per segment would break the bit-identity contract.
 fn store_engine(config: &QbhConfig) -> Result<QbhEngine, StorageError> {
-    let Some(kind) = config.fixed_transform() else {
-        return Err(auto_unresolved_error());
-    };
     let mut shards = Vec::with_capacity(config.shards.max(1));
     for _ in 0..config.shards.max(1) {
-        let transform: Box<dyn EnvelopeTransform> = match kind {
-            TransformKind::NewPaa => {
-                Box::new(NewPaa::new(config.normal_length, config.feature_dims))
-            }
-            TransformKind::KeoghPaa => {
-                Box::new(KeoghPaa::new(config.normal_length, config.feature_dims))
-            }
-            TransformKind::Dft => Box::new(Dft::new(config.normal_length, config.feature_dims)),
-            TransformKind::Dwt => Box::new(Dwt::new(config.normal_length, config.feature_dims)),
-            TransformKind::Svd => return Err(svd_store_error()),
-        };
+        let transform = store_transform(config)?;
         shards.push(DtwIndexEngine::new(transform, make_index(config), EngineConfig::default()));
     }
     Ok(QbhEngine::new(shards))
+}
+
+/// The envelope transform every storage unit of a store under `config`
+/// indexes with; the errors are [`store_engine`]'s.
+fn store_transform(config: &QbhConfig) -> Result<Box<dyn EnvelopeTransform>, StorageError> {
+    let Some(kind) = config.fixed_transform() else {
+        return Err(auto_unresolved_error());
+    };
+    Ok(match kind {
+        TransformKind::NewPaa => Box::new(NewPaa::new(config.normal_length, config.feature_dims)),
+        TransformKind::KeoghPaa => {
+            Box::new(KeoghPaa::new(config.normal_length, config.feature_dims))
+        }
+        TransformKind::Dft => Box::new(Dft::new(config.normal_length, config.feature_dims)),
+        TransformKind::Dwt => Box::new(Dwt::new(config.normal_length, config.feature_dims)),
+        TransformKind::Svd => return Err(svd_store_error()),
+    })
 }
 
 /// A built query-by-humming system.
@@ -706,30 +851,13 @@ impl QbhSystem {
         let mut segments = Vec::with_capacity(loaded.segments.len());
         let mut next_segment_id = 0u64;
         for (seg_ref, entries) in loaded.manifest.segments.iter().zip(&loaded.segments) {
-            let mut engine = store_engine(&config)?;
-            let mut meta = SegmentMeta::new(entries.len());
-            let mut ids = Vec::with_capacity(entries.len());
-            for entry in entries {
-                ids.push(entry.id);
-                if tombstones.contains(&entry.id) {
-                    continue;
-                }
-                engine.try_insert(entry.id, entry.series.clone()).map_err(|e| {
-                    StorageError::Corrupt(format!("segment {}: {e}", seg_ref.id))
-                })?;
+            let mut segment = StoreSegment::build(seg_ref.id, &config, entries, &tombstones)?;
+            segment.engine.set_metrics(metrics.clone());
+            for entry in entries.iter().filter(|e| !tombstones.contains(&e.id)) {
                 provenance.insert(entry.id, (entry.song, entry.phrase));
             }
-            {
-                let transform = engine.transform();
-                for entry in entries {
-                    if !tombstones.contains(&entry.id) {
-                        meta.add(entry.id, &transform.project(&entry.series));
-                    }
-                }
-            }
-            engine.set_metrics(metrics.clone());
             next_segment_id = seg_ref.id + 1;
-            segments.push(StoreSegment { id: seg_ref.id, engine, meta, ids });
+            segments.push(segment);
         }
         let mut memtable = store_engine(&config)?;
         memtable.set_metrics(metrics.clone());
@@ -745,7 +873,7 @@ impl QbhSystem {
                 dir: dir.to_path_buf(),
                 options,
                 tombstones,
-                next_segment_id,
+                next_segment_id: AtomicU64::new(next_segment_id),
                 memtable_ids: BTreeSet::new(),
                 flushes: 0,
                 compactions: 0,
@@ -1045,15 +1173,13 @@ impl QbhSystem {
         // Durable first: manifest with the new tombstone, then memory.
         let mut tombstones = state.tombstones.clone();
         tombstones.insert(id);
-        let manifest = Manifest {
-            config: self.config,
-            segments: self.segments.iter().map(StoreSegment::to_ref).collect(),
-            tombstones: tombstones.iter().copied().collect(),
-            plan: self.plan.clone(),
-        };
-        state.bytes_written +=
-            booked(&self.metrics, store::save_manifest(&state.dir, &manifest))?;
-        state.tombstones = tombstones;
+        let dir = state.dir.clone();
+        let refs = self.segments.iter().map(StoreSegment::to_ref).collect();
+        let written = self.save_manifest_of(&dir, refs, &tombstones)?;
+        if let Some(state) = self.store.as_mut() {
+            state.bytes_written += written;
+            state.tombstones = tombstones;
+        }
         self.segments[seg_index].engine.remove(id);
         self.provenance.remove(&id);
         Ok(true)
@@ -1171,6 +1297,278 @@ impl QbhSystem {
         !state.tombstones.is_empty() && state.tombstones.len() * 4 >= on_disk
     }
 
+    /// The store bookkeeping, or the typed refusal `what` gets on an
+    /// in-memory build.
+    fn store_state(&self, what: &str) -> Result<&StoreState, StorageError> {
+        self.store.as_ref().ok_or_else(|| {
+            StorageError::Unrepresentable(format!(
+                "{what} requires a store-backed system (see QbhSystem::try_create_store)"
+            ))
+        })
+    }
+
+    /// A plan over `entries`, with the next segment id reserved for it.
+    fn new_plan(
+        &self,
+        state: &StoreState,
+        entries: Vec<SegmentEntry>,
+        job: PlannedJob,
+    ) -> MaintenancePlan {
+        MaintenancePlan {
+            dir: state.dir.clone(),
+            config: self.config,
+            metrics: self.metrics.clone(),
+            // Relaxed: a unique-id counter that publishes nothing else.
+            segment_id: state.next_segment_id.fetch_add(1, Ordering::Relaxed),
+            live_segments: self.segments.iter().map(|s| s.id).collect(),
+            entries,
+            job,
+        }
+    }
+
+    /// The stored form of melody `id` as `engine` holds it.
+    fn entry_of(
+        &self,
+        engine: &QbhEngine,
+        id: u64,
+        unit: &str,
+    ) -> Result<SegmentEntry, StorageError> {
+        let series = engine
+            .get(id)
+            .map(<[f64]>::to_vec)
+            .ok_or_else(|| StorageError::Corrupt(format!("{unit} lost melody {id}")))?;
+        let (song, phrase) = self.provenance.get(&id).copied().unwrap_or((0, 0));
+        Ok(SegmentEntry { id, song, phrase, series })
+    }
+
+    /// Phase 1 of a flush (see [`MaintenancePlan`]): copies the memtable's
+    /// melodies out. `Ok(None)` when the memtable is empty.
+    ///
+    /// # Errors
+    /// [`StorageError::Unrepresentable`] for an in-memory build.
+    pub fn plan_flush(&self) -> Result<Option<MaintenancePlan>, StorageError> {
+        let state = self.store_state("flush")?;
+        if state.memtable_ids.is_empty() {
+            return Ok(None);
+        }
+        let entries = state
+            .memtable_ids
+            .iter()
+            .map(|&id| self.entry_of(&self.memtable, id, "the memtable"))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Some(self.new_plan(state, entries, PlannedJob::Flush)))
+    }
+
+    /// Phase 1 of a compaction (see [`MaintenancePlan`]): copies the live
+    /// melodies of every segment out, with the tombstone set they were
+    /// filtered by. `Ok(None)` when there is nothing to do (zero or one
+    /// segment and no tombstones).
+    ///
+    /// # Errors
+    /// [`StorageError::Unrepresentable`] for an in-memory build.
+    pub fn plan_compaction(&self) -> Result<Option<MaintenancePlan>, StorageError> {
+        let state = self.store_state("compact")?;
+        if self.segments.len() <= 1 && state.tombstones.is_empty() {
+            return Ok(None);
+        }
+        let mut entries = Vec::new();
+        for seg in &self.segments {
+            for &id in seg.ids.iter().filter(|id| !state.tombstones.contains(id)) {
+                entries.push(self.entry_of(&seg.engine, id, "a segment")?);
+            }
+        }
+        let purged = state.tombstones.clone();
+        Ok(Some(self.new_plan(state, entries, PlannedJob::Compaction { purged })))
+    }
+
+    /// Phase 1 of whatever maintenance is due: a flush if
+    /// [`QbhSystem::needs_flush`], else a compaction if
+    /// [`QbhSystem::needs_compaction`], else `Ok(None)` — always `Ok(None)`
+    /// for in-memory builds, so serving layers can call it unconditionally.
+    ///
+    /// # Errors
+    /// As [`QbhSystem::plan_flush`] and [`QbhSystem::plan_compaction`].
+    pub fn plan_maintenance(&self) -> Result<Option<MaintenancePlan>, StorageError> {
+        if self.needs_flush() {
+            self.plan_flush()
+        } else if self.needs_compaction() {
+            self.plan_compaction()
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Phase 3 of a flush or compaction: makes a built job the live view,
+    /// in time proportional to what changed since its plan, with
+    /// [`store::save_manifest`] as the commit point. Everything that
+    /// happened between plan and commit stays as it was acknowledged:
+    ///
+    /// * **flush** — the memtable engine *becomes* the new segment's engine
+    ///   (nothing is re-indexed); melodies inserted since the plan move to
+    ///   the fresh memtable; a flushed melody removed since the plan is on
+    ///   disk now, so it is committed tombstoned;
+    /// * **compaction** — melodies removed since the plan are removed from
+    ///   the merged engine and stay tombstoned in the manifest; tombstones
+    ///   the merge already honoured are dropped; the memtable is untouched.
+    ///
+    /// Returns the segments the commit replaced; dropping them deletes
+    /// their files (do it outside any lock the caller holds).
+    ///
+    /// # Errors
+    /// [`StorageError::StalePlan`] when the live segments are not the ones
+    /// the job was planned over (another flush or compaction committed in
+    /// between) or a planned memtable id now names a different melody, plus
+    /// any I/O or encoding failure writing the manifest. On error the
+    /// pre-job view stays live, the on-disk state stays openable, and the
+    /// job's own segment file is removed best-effort.
+    pub fn commit_maintenance(
+        &mut self,
+        built: BuiltMaintenance,
+    ) -> Result<RetiredSegments, StorageError> {
+        let file = built.file.clone();
+        let committed = self.apply_built(built);
+        if let (Err(_), Some(file)) = (&committed, file) {
+            let _ = std::fs::remove_file(file);
+        }
+        committed
+    }
+
+    fn apply_built(&mut self, built: BuiltMaintenance) -> Result<RetiredSegments, StorageError> {
+        let BuiltMaintenance { segment_id, live_segments, written, job, .. } = built;
+        let dir = self.store_state("commit")?.dir.clone();
+        if !self.segments.iter().map(|s| s.id).eq(live_segments.iter().copied()) {
+            return Err(StorageError::StalePlan(format!(
+                "segment {segment_id} was planned over segments {live_segments:?}, which are no \
+                 longer the live ones"
+            )));
+        }
+        let (retired, manifest_bytes) = match job {
+            BuiltJob::Flush { entries, meta } => {
+                (Vec::new(), self.commit_flush(&dir, segment_id, entries, meta)?)
+            }
+            BuiltJob::Compaction { purged, merged } => {
+                self.commit_compaction(&dir, &purged, merged)?
+            }
+        };
+        if let Some(state) = self.store.as_mut() {
+            state.bytes_written += written + manifest_bytes;
+        }
+        self.metrics.add(Metric::StorageSaves, 1);
+        self.metrics.add(Metric::StorageBytesWritten, written + manifest_bytes);
+        Ok(RetiredSegments { dir, segments: retired })
+    }
+
+    /// The manifest naming `segments` and `tombstones`, written durably:
+    /// the commit point of every flush, compaction and stored-melody
+    /// removal. Returns its size.
+    fn save_manifest_of(
+        &self,
+        dir: &Path,
+        segments: Vec<SegmentRef>,
+        tombstones: &BTreeSet<u64>,
+    ) -> Result<u64, StorageError> {
+        let manifest = Manifest {
+            config: self.config,
+            segments,
+            tombstones: tombstones.iter().copied().collect(),
+            plan: self.plan.clone(),
+        };
+        booked(&self.metrics, store::save_manifest(dir, &manifest))
+    }
+
+    fn commit_flush(
+        &mut self,
+        dir: &Path,
+        segment_id: u64,
+        entries: Vec<SegmentEntry>,
+        meta: SegmentMeta,
+    ) -> Result<u64, StorageError> {
+        let state = self.store_state("commit")?;
+        // A planned melody no longer in the memtable was removed since: it
+        // is on disk now, so it is committed tombstoned. One still there
+        // must be the melody that was written, not a later one reusing the
+        // id.
+        let mut tombstones = state.tombstones.clone();
+        for entry in &entries {
+            if !state.memtable_ids.contains(&entry.id) {
+                tombstones.insert(entry.id);
+            } else if self.memtable.get(entry.id) != Some(entry.series.as_slice())
+                || self.provenance.get(&entry.id) != Some(&(entry.song, entry.phrase))
+            {
+                return Err(StorageError::StalePlan(format!(
+                    "melody {} was replaced in the memtable since segment {segment_id} was planned",
+                    entry.id
+                )));
+            }
+        }
+        // Whatever else the memtable holds arrived since the plan and moves
+        // to the fresh memtable: copied before the commit point (fallible),
+        // dropped from the sealed engine after it (infallible).
+        let planned = |id: &u64| entries.binary_search_by_key(id, |e| e.id).is_ok();
+        let arrived: BTreeSet<u64> =
+            state.memtable_ids.iter().copied().filter(|id| !planned(id)).collect();
+        let mut fresh = store_engine(&self.config)?;
+        for &id in &arrived {
+            let entry = self.entry_of(&self.memtable, id, "the memtable")?;
+            fresh
+                .try_insert(id, entry.series)
+                .map_err(|e| StorageError::Corrupt(format!("moving melody {id}: {e}")))?;
+        }
+        fresh.set_metrics(self.metrics.clone());
+        // The id was reserved after every live segment's, so it sorts last,
+        // as the manifest codec requires.
+        let mut refs: Vec<SegmentRef> = self.segments.iter().map(StoreSegment::to_ref).collect();
+        refs.push(SegmentRef { id: segment_id, count: entries.len() as u64 });
+        let manifest_bytes = self.save_manifest_of(dir, refs, &tombstones)?;
+
+        // Durably committed: seal the memtable as the new segment's engine.
+        let mut engine = std::mem::replace(&mut self.memtable, fresh);
+        engine.set_metrics(MetricsSink::Disabled);
+        for &id in &arrived {
+            engine.remove(id);
+        }
+        engine.set_metrics(self.metrics.clone());
+        let ids = entries.iter().map(|e| e.id).collect();
+        self.segments.push(StoreSegment { id: segment_id, engine, meta, ids });
+        if let Some(state) = self.store.as_mut() {
+            state.memtable_ids = arrived;
+            state.tombstones = tombstones;
+            state.flushes += 1;
+        }
+        Ok(manifest_bytes)
+    }
+
+    fn commit_compaction(
+        &mut self,
+        dir: &Path,
+        purged: &BTreeSet<u64>,
+        merged: Option<StoreSegment>,
+    ) -> Result<(Vec<StoreSegment>, u64), StorageError> {
+        let state = self.store_state("commit")?;
+        // Tombstones the merge honoured are gone with their entries; one
+        // added since names a melody the merged segment still holds, so it
+        // stays in the manifest and leaves the merged engine.
+        let tombstones: BTreeSet<u64> = state.tombstones.difference(purged).copied().collect();
+        // A full merge: the merged segment, if anything was live, is the
+        // whole list, so it trivially sits where its id sorts.
+        let mut segments: Vec<StoreSegment> = merged.into_iter().collect();
+        let refs = segments.iter().map(StoreSegment::to_ref).collect();
+        let manifest_bytes = self.save_manifest_of(dir, refs, &tombstones)?;
+
+        for segment in &mut segments {
+            for &id in &tombstones {
+                segment.engine.remove(id);
+            }
+            segment.engine.set_metrics(self.metrics.clone());
+        }
+        std::mem::swap(&mut self.segments, &mut segments);
+        if let Some(state) = self.store.as_mut() {
+            state.tombstones = tombstones;
+            state.compactions += 1;
+        }
+        Ok((segments, manifest_bytes))
+    }
+
     /// Flushes the memtable: writes its melodies as a new immutable
     /// segment, commits the segment into the manifest, and re-opens an
     /// empty memtable — the flushed engine *becomes* the segment's engine,
@@ -1178,6 +1576,10 @@ impl QbhSystem {
     /// durability boundary for inserts: the flush writes only the new
     /// melodies plus a small manifest, never the whole corpus. Returns
     /// `Ok(false)` when the memtable was empty (nothing written).
+    ///
+    /// It is [`QbhSystem::plan_flush`], [`MaintenancePlan::build`] and
+    /// [`QbhSystem::commit_maintenance`] run back to back — the one
+    /// implementation a server runs with its lock released in the middle.
     ///
     /// Crash safety: the segment file lands (atomic rename) before the
     /// manifest that names it; a crash between the two leaves an orphan
@@ -1187,61 +1589,8 @@ impl QbhSystem {
     /// [`StorageError::Unrepresentable`] for an in-memory build, plus any
     /// I/O or encoding failure — the memtable is left intact on error.
     pub fn flush(&mut self) -> Result<bool, StorageError> {
-        let Some(state) = self.store.as_mut() else {
-            return Err(StorageError::Unrepresentable(
-                "flush requires a store-backed system (see QbhSystem::try_create_store)".into(),
-            ));
-        };
-        if state.memtable_ids.is_empty() {
-            return Ok(false);
-        }
-        let mut entries = Vec::with_capacity(state.memtable_ids.len());
-        for &id in &state.memtable_ids {
-            let series = self.memtable.get(id).map(<[f64]>::to_vec).ok_or_else(|| {
-                StorageError::Corrupt(format!("memtable id {id} tracked but not indexed"))
-            })?;
-            let (song, phrase) = self.provenance.get(&id).copied().unwrap_or((0, 0));
-            entries.push(SegmentEntry { id, song, phrase, series });
-        }
-        let segment_id = state.next_segment_id;
-        let mut written = booked(
-            &self.metrics,
-            store::save_segment(&state.dir, segment_id, &self.config, &entries),
-        )?;
-        let mut segment_refs: Vec<SegmentRef> =
-            self.segments.iter().map(StoreSegment::to_ref).collect();
-        segment_refs.push(SegmentRef { id: segment_id, count: entries.len() as u64 });
-        let manifest = Manifest {
-            config: self.config,
-            segments: segment_refs,
-            tombstones: state.tombstones.iter().copied().collect(),
-            plan: self.plan.clone(),
-        };
-        written += booked(&self.metrics, store::save_manifest(&state.dir, &manifest))?;
-        // Durably committed: seal the memtable as the new segment.
-        let mut meta = SegmentMeta::new(entries.len());
-        {
-            let transform = self.memtable.transform();
-            for entry in &entries {
-                meta.add(entry.id, &transform.project(&entry.series));
-            }
-        }
-        let mut fresh = store_engine(&self.config)?;
-        fresh.set_metrics(self.metrics.clone());
-        let engine = std::mem::replace(&mut self.memtable, fresh);
-        self.segments.push(StoreSegment {
-            id: segment_id,
-            engine,
-            meta,
-            ids: entries.iter().map(|e| e.id).collect(),
-        });
-        state.next_segment_id += 1;
-        state.memtable_ids.clear();
-        state.flushes += 1;
-        state.bytes_written += written;
-        self.metrics.add(Metric::StorageSaves, 1);
-        self.metrics.add(Metric::StorageBytesWritten, written);
-        Ok(true)
+        let plan = self.plan_flush()?;
+        self.run_planned(plan)
     }
 
     /// Compacts every segment into (at most) one: gathers the live
@@ -1250,89 +1599,24 @@ impl QbhSystem {
     /// become physical here. The memtable is untouched. Old segment files
     /// are deleted best-effort after the swap (a leftover is an ignored
     /// orphan). Returns `Ok(false)` when there was nothing to do (zero or
-    /// one segment and no tombstones).
+    /// one segment and no tombstones). Like [`QbhSystem::flush`], the three
+    /// maintenance phases run back to back.
     ///
     /// # Errors
     /// [`StorageError::Unrepresentable`] for an in-memory build, plus any
     /// I/O or encoding failure — the pre-compaction view stays live and
     /// on-disk state stays openable on error.
     pub fn compact(&mut self) -> Result<bool, StorageError> {
-        let Some(state) = self.store.as_mut() else {
-            return Err(StorageError::Unrepresentable(
-                "compact requires a store-backed system (see QbhSystem::try_create_store)".into(),
-            ));
-        };
-        if self.segments.len() <= 1 && state.tombstones.is_empty() {
+        let plan = self.plan_compaction()?;
+        self.run_planned(plan)
+    }
+
+    /// Builds and commits `plan` on the spot; `Ok(false)` for no plan.
+    fn run_planned(&mut self, plan: Option<MaintenancePlan>) -> Result<bool, StorageError> {
+        let Some(plan) = plan else {
             return Ok(false);
-        }
-        // Live melodies in ascending id order (segments never overlap, but
-        // flush order does not imply id order across segments).
-        let mut entries: Vec<SegmentEntry> = Vec::new();
-        for seg in &self.segments {
-            for &id in &seg.ids {
-                if state.tombstones.contains(&id) {
-                    continue;
-                }
-                let series = seg.engine.get(id).map(<[f64]>::to_vec).ok_or_else(|| {
-                    StorageError::Corrupt(format!("segment {} lost melody {id}", seg.id))
-                })?;
-                let (song, phrase) = self.provenance.get(&id).copied().unwrap_or((0, 0));
-                entries.push(SegmentEntry { id, song, phrase, series });
-            }
-        }
-        entries.sort_by_key(|e| e.id);
-        let old_ids: Vec<u64> = self.segments.iter().map(|s| s.id).collect();
-        let mut written = 0u64;
-        let mut new_segments = Vec::new();
-        let mut segment_refs = Vec::new();
-        if !entries.is_empty() {
-            let segment_id = state.next_segment_id;
-            written += booked(
-                &self.metrics,
-                store::save_segment(&state.dir, segment_id, &self.config, &entries),
-            )?;
-            // Rebuild the merged engine with metrics detached: compaction
-            // re-indexing is not a user-visible insert.
-            let mut engine = store_engine(&self.config)?;
-            let mut meta = SegmentMeta::new(entries.len());
-            for entry in &entries {
-                engine.try_insert(entry.id, entry.series.clone()).map_err(|e| {
-                    StorageError::Corrupt(format!("rebuilding compacted segment: {e}"))
-                })?;
-            }
-            {
-                let transform = engine.transform();
-                for entry in &entries {
-                    meta.add(entry.id, &transform.project(&entry.series));
-                }
-            }
-            engine.set_metrics(self.metrics.clone());
-            segment_refs.push(SegmentRef { id: segment_id, count: entries.len() as u64 });
-            new_segments.push(StoreSegment {
-                id: segment_id,
-                engine,
-                meta,
-                ids: entries.iter().map(|e| e.id).collect(),
-            });
-            state.next_segment_id += 1;
-        }
-        let manifest = Manifest {
-            config: self.config,
-            segments: segment_refs,
-            tombstones: Vec::new(),
-            plan: self.plan.clone(),
         };
-        written += booked(&self.metrics, store::save_manifest(&state.dir, &manifest))?;
-        self.segments = new_segments;
-        state.tombstones.clear();
-        state.compactions += 1;
-        state.bytes_written += written;
-        self.metrics.add(Metric::StorageSaves, 1);
-        self.metrics.add(Metric::StorageBytesWritten, written);
-        // The manifest no longer names the old files; reclaim best-effort.
-        for id in old_ids {
-            let _ = std::fs::remove_file(store::segment_path(&state.dir, id));
-        }
+        self.commit_maintenance(plan.build()?)?;
         Ok(true)
     }
 
@@ -1344,11 +1628,8 @@ impl QbhSystem {
     /// # Errors
     /// As [`QbhSystem::flush`] and [`QbhSystem::compact`].
     pub fn maintain(&mut self) -> Result<StoreMaintenance, StorageError> {
-        if self.store.is_none() {
-            return Ok(StoreMaintenance::default());
-        }
-        let flushed = if self.needs_flush() { self.flush()? } else { false };
-        let compacted = if self.needs_compaction() { self.compact()? } else { false };
+        let flushed = self.needs_flush() && self.flush()?;
+        let compacted = self.needs_compaction() && self.compact()?;
         Ok(StoreMaintenance { flushed, compacted })
     }
 

@@ -372,14 +372,17 @@ fn try_open_store_propagates_typed_errors_with_no_partial_state() {
 }
 
 // ---------------------------------------------------------------------------
-// Segmented-store compaction crash states.
+// Segmented-store maintenance crash states.
 //
-// Compaction's on-disk order is: write the merged segment (temp + rename),
-// swap the manifest (temp + rename), then delete the replaced segment
-// files. A crash leaves one of four states; the first three must open as
-// the *pre*-compaction view (the swap is the commit point), the last as
-// the post-compaction view — and every state must answer queries
-// identically, because compaction only rearranges bytes.
+// A flush or compaction runs in three phases (plan → build → commit). Its
+// on-disk order is: `build` writes the new segment (temp + rename);
+// `commit` swaps the manifest (temp + rename); dropping what the commit
+// retired deletes the replaced segment files. A crash leaves one of four
+// states; the first three must open as the *pre*-job view (the swap is the
+// commit point), the last as the post-job view. For a compaction every
+// state must answer queries identically, because compaction only
+// rearranges bytes; for a flush the pre-job view is missing exactly the
+// acknowledged inserts that were still in the memtable.
 
 fn crash_temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("qbh-faults-{tag}-{}", std::process::id()));
@@ -435,13 +438,24 @@ fn every_compaction_crash_state_opens_and_answers_identically() {
     let reference = knn_answers(&system, &db);
     drop(system);
 
-    // Run a real compaction in a scratch copy to obtain the exact bytes a
-    // crashed compaction would have been writing.
+    let check = |dir: &Path, state: &str| {
+        let system = QbhSystem::try_open_store(dir)
+            .unwrap_or_else(|e| panic!("{state}: store must open, got {e}"));
+        assert_eq!(system.len(), expected_len, "{state}: wrong melody count");
+        assert_eq!(knn_answers(&system, &db), reference, "{state}: answers diverged");
+    };
+
+    // Run a real compaction in a scratch copy, phase by phase: states 2 and
+    // 4 are what it leaves on disk between phases, and its bytes are what a
+    // compaction torn mid-write (states 1 and 3) would have been writing.
     let done = crash_temp_dir("compaction-done");
     copy_dir(&base, &done);
     let mut compacted = QbhSystem::try_open_store(&done).unwrap();
-    assert!(compacted.compact().unwrap());
-    drop(compacted);
+    let built = compacted.plan_compaction().unwrap().expect("segments to merge").build().unwrap();
+
+    // State 2: built, never committed — the merged segment landed, but it
+    // is an orphan the manifest does not name.
+    check(&done, "built, not committed");
     let base_files: std::collections::BTreeSet<String> = std::fs::read_dir(&base)
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -450,20 +464,20 @@ fn every_compaction_crash_state_opens_and_answers_identically() {
         .unwrap()
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
         .find(|name| name.ends_with(".humseg") && !base_files.contains(name))
-        .expect("compaction wrote a fresh segment");
+        .expect("the build wrote a fresh segment");
     let new_segment = std::fs::read(done.join(&new_segment_name)).unwrap();
-    let new_manifest = std::fs::read(done.join(segstore::MANIFEST_FILE)).unwrap();
 
-    let check = |dir: &Path, state: &str| {
-        let system = QbhSystem::try_open_store(dir)
-            .unwrap_or_else(|e| panic!("{state}: store must open, got {e}"));
-        assert_eq!(system.len(), expected_len, "{state}: wrong melody count");
-        assert_eq!(knn_answers(&system, &db), reference, "{state}: answers diverged");
-    };
+    // State 4: committed, but the process died before the replaced segment
+    // files were deleted — the post-compaction view, old segments orphaned.
+    std::mem::forget(compacted.commit_maintenance(built).unwrap());
+    let new_manifest = std::fs::read(done.join(segstore::MANIFEST_FILE)).unwrap();
+    assert!(base_files.iter().all(|name| done.join(name).exists()), "nothing was deleted");
+    check(&done, "committed, old segments undeleted");
+    drop(compacted);
 
     // State 1: crashed mid-segment-write — a torn temp next to the store.
-    // Crash states 1-3 precede the manifest swap, so each must open as the
-    // pre-compaction view; state 4 is past the commit point.
+    // Like state 2 it precedes the manifest swap, so it must open as the
+    // pre-compaction view.
     for cut in [0, new_segment.len() / 2, new_segment.len() - 1] {
         let dir = crash_temp_dir("compaction-torn-seg");
         copy_dir(&base, &dir);
@@ -475,14 +489,6 @@ fn every_compaction_crash_state_opens_and_answers_identically() {
         check(&dir, &format!("torn segment temp (cut {cut})"));
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    // State 2: the merged segment landed, but the manifest swap never ran
-    // — the complete file is an orphan the manifest does not name.
-    let dir = crash_temp_dir("compaction-orphan-seg");
-    copy_dir(&base, &dir);
-    std::fs::write(dir.join(&new_segment_name), &new_segment).unwrap();
-    check(&dir, "orphan merged segment");
-    let _ = std::fs::remove_dir_all(&dir);
 
     // State 3: crashed mid-manifest-write — merged segment plus a torn
     // manifest temp; the real manifest still names the old segments.
@@ -499,17 +505,62 @@ fn every_compaction_crash_state_opens_and_answers_identically() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // State 4: manifest swapped but the replaced segment files were never
-    // deleted — the post-compaction view, with the old segments orphaned.
-    let dir = crash_temp_dir("compaction-undeleted");
-    copy_dir(&base, &dir);
-    std::fs::write(dir.join(&new_segment_name), &new_segment).unwrap();
-    std::fs::write(dir.join(segstore::MANIFEST_FILE), &new_manifest).unwrap();
-    check(&dir, "undeleted old segments");
-    let _ = std::fs::remove_dir_all(&dir);
-
     let _ = std::fs::remove_dir_all(&base);
     let _ = std::fs::remove_dir_all(&done);
+}
+
+/// The ack contract at a crash: an insert is acknowledged once it is in
+/// the memtable and durable once a flush that covers it has *committed*, so
+/// a crash loses exactly the `store_stats().memtable_len` melodies reported
+/// before it — whether no flush had started or one was built but not yet
+/// committed.
+#[test]
+fn every_flush_crash_state_opens_as_the_committed_view() {
+    let db = MelodyDatabase::from_songbook(&SongbookConfig {
+        songs: 6,
+        phrases_per_song: 3,
+        ..SongbookConfig::default()
+    });
+    let config = QbhConfig::default();
+    let dir = crash_temp_dir("flush-states");
+    let options = StoreOptions { memtable_capacity: 6, compact_at: usize::MAX };
+    let mut system = QbhSystem::try_create_store(&dir, &config, options).unwrap();
+    system.try_ingest(&db).unwrap();
+    let durable = (system.len(), knn_answers(&system, &db));
+
+    // Four acknowledged inserts that no flush has covered yet.
+    for id in 500..504u64 {
+        let series: Vec<f64> =
+            (0..80).map(|i| 64.0 + 5.0 * ((i + id as usize) as f64 * 0.23).sin()).collect();
+        system.try_insert_melody(id, 9, 0, &series).unwrap();
+    }
+    let acknowledged = (system.len(), knn_answers(&system, &db));
+    assert_eq!(system.store_stats().unwrap().memtable_len, 4);
+    assert_eq!(acknowledged.0, durable.0 + 4);
+
+    let check = |state: &str, want: &(usize, Vec<Vec<(u64, u64)>>)| {
+        let reopened = QbhSystem::try_open_store(&dir)
+            .unwrap_or_else(|e| panic!("{state}: store must open, got {e}"));
+        assert_eq!(reopened.len(), want.0, "{state}: wrong melody count");
+        assert_eq!(knn_answers(&reopened, &db), want.1, "{state}: answers diverged");
+    };
+    let segment_files = || {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".humseg"))
+            .count()
+    };
+
+    check("acknowledged, no flush started", &durable);
+
+    let built = system.plan_flush().unwrap().expect("a memtable to flush").build().unwrap();
+    assert_eq!(segment_files(), system.segment_count() + 1, "the build wrote its segment");
+    check("flush built, not committed", &durable);
+
+    drop(system.commit_maintenance(built).unwrap());
+    assert_eq!(system.store_stats().unwrap().memtable_len, 0);
+    check("flush committed", &acknowledged);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The segment and manifest codecs share the storage fault contract: every

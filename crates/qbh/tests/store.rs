@@ -2,21 +2,31 @@
 //! segments must answer **bit-identically** to the monolithic build at
 //! every segment layout and shard count, survive reloads unchanged, and
 //! make removals durable — a crash-and-reload can never resurrect a
-//! removed melody, whether it died in the memtable or in a segment.
+//! removed melody, whether it died in the memtable or in a segment. The
+//! second half specifies behaviour under overlap: inserts, removals and
+//! queries between the plan, build and commit of a flush or compaction,
+//! checked against a brute-force [`Model`].
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use hum_core::batch::BatchOptions;
+use hum_core::dtw::{band_for_warping_width, ldtw_distance};
 use hum_core::engine::{EngineError, QueryRequest};
-use hum_core::obs::{Metric, MetricsSink};
+use hum_core::normal::NormalForm;
+use hum_core::obs::{Metric, MetricsSink, Timer};
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::fault::flip_bit;
 use hum_qbh::storage::StorageError;
 use hum_qbh::store::{self, Manifest, SegmentEntry, SegmentRef};
-use hum_qbh::system::{QbhConfig, QbhMatch, QbhSystem, StoreOptions};
-use hum_server::{Server, ServerConfig};
+use hum_qbh::system::{
+    BuiltMaintenance, MaintenancePlan, QbhConfig, QbhMatch, QbhSystem, StoreOptions,
+};
+use hum_server::{Client, Server, ServerConfig};
+use rand::rngs::StdRng;
+use rand::{RngExt, SeedableRng};
 
 fn database() -> MelodyDatabase {
     MelodyDatabase::from_songbook(&SongbookConfig {
@@ -368,14 +378,31 @@ fn corrupt_stores_fail_typed_never_panic() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Polls `done` every 5 ms for up to 4 s.
+fn eventually(done: impl Fn() -> bool) -> bool {
+    (0..800).any(|_| {
+        let now = done();
+        if !now {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        now
+    })
+}
+
 #[test]
 fn the_maintenance_thread_compacts_a_store_backed_server() {
-    let db = database();
+    // Large enough that building a segment costs visibly more than the
+    // manifest write that commits it.
+    let db = MelodyDatabase::from_songbook(&SongbookConfig {
+        songs: 60,
+        phrases_per_song: 5,
+        ..SongbookConfig::default()
+    });
     let dir = temp_dir("server-maintenance");
     let config = config_with_shards(1);
-    let options = StoreOptions { memtable_capacity: 10, compact_at: 2 };
+    let options = StoreOptions { memtable_capacity: 100, compact_at: 2 };
     let mut system = QbhSystem::try_create_store(&dir, &config, options).unwrap();
-    for entry in db.entries().iter().take(20) {
+    for entry in db.entries().iter().take(200) {
         let series = entry.melody().to_time_series(config.samples_per_beat);
         system.try_insert_melody(entry.id(), entry.song(), entry.phrase(), &series).unwrap();
         if system.needs_flush() {
@@ -384,27 +411,347 @@ fn the_maintenance_thread_compacts_a_store_backed_server() {
     }
     assert_eq!(system.segment_count(), 2, "two segments ready for compaction");
 
+    // Nothing announces the compaction that is already due: the idle
+    // re-check finds it.
     let metrics = MetricsSink::enabled();
     system.set_metrics(metrics.clone());
-    let server_config = ServerConfig {
-        maintenance_interval: Some(Duration::from_millis(10)),
+    let server_config = |maintenance_interval| ServerConfig {
+        maintenance_interval,
         metrics: metrics.clone(),
         ..ServerConfig::default()
     };
-    let server = Server::start(system, "127.0.0.1:0", server_config).expect("bind");
+    let interval = Some(Duration::from_millis(10));
+    let server = Server::start(system, "127.0.0.1:0", server_config(interval)).expect("bind");
     let registry = metrics.registry().expect("metrics enabled");
-    for _ in 0..400 {
-        if registry.get(Metric::ServerMaintenanceTicks) >= 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(registry.get(Metric::ServerMaintenanceTicks) >= 2, "maintenance thread never ran");
+    let commits = || registry.timer(Timer::MaintenanceCommit).snapshot().count;
+    assert!(eventually(|| commits() >= 1), "maintenance thread never compacted");
     let system = server.shutdown().expect("service handed back");
 
     assert_eq!(registry.get(Metric::ServerMaintenanceErrors), 0);
     assert_eq!(system.segment_count(), 1, "background maintenance should have compacted");
-    assert!(system.store_stats().unwrap().compactions >= 1);
-    assert_eq!(system.len(), 20);
+    assert_eq!(system.store_stats().unwrap().compactions, 1);
+    assert_eq!(system.len(), 200);
+
+    // A wire insert that fills the memtable wakes the thread: the flush and
+    // the compaction it makes due are committed long before the (hour-long)
+    // idle re-check could have found them, and no insert flushed inline.
+    let interval = Some(Duration::from_secs(3600));
+    let server = Server::start(system, "127.0.0.1:0", server_config(interval)).expect("bind");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for (i, entry) in db.entries().iter().skip(200).enumerate() {
+        let series = entry.melody().to_time_series(config.samples_per_beat);
+        let len = client.insert(entry.id(), entry.song(), entry.phrase(), &series).unwrap();
+        assert_eq!(len, 201 + i as u64);
+    }
+    assert!(eventually(|| commits() >= 3), "the woken thread never flushed and compacted");
+    let system = server.shutdown().expect("service handed back");
+
+    assert_eq!(registry.get(Metric::ServerMaintenanceErrors), 0);
+    let stats = system.store_stats().unwrap();
+    assert_eq!((stats.flushes, stats.compactions, stats.memtable_len), (3, 2, 0));
+    assert_eq!((system.segment_count(), system.len()), (1, 300));
+
+    // The lock-wait and maintenance timers saw all of it; a commit (a
+    // manifest write and a swap) costs far less than the build it installs
+    // (a segment write, its fsyncs and, for a compaction, an index build).
+    let lock_wait = registry.timer(Timer::ServiceLockWait).snapshot();
+    let build = registry.timer(Timer::MaintenanceBuild).snapshot();
+    let commit = registry.timer(Timer::MaintenanceCommit).snapshot();
+    assert_eq!(lock_wait.count, 100, "one write-lock acquisition per wire insert");
+    assert_eq!((build.count, commit.count), (3, 3));
+    assert!(
+        commit.mean_nanos() * 4.0 < build.mean_nanos(),
+        "commit mean {} ns is not far below build mean {} ns",
+        commit.mean_nanos(),
+        build.mean_nanos()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Behaviour under overlap: mutations and queries between the phases of a
+// flush or compaction.
+
+/// What a store should hold, answered by brute force: the normal form of
+/// every visible melody, ranked by `ldtw_distance` — no index, no cascade.
+struct Model {
+    normal: NormalForm,
+    band: usize,
+    live: BTreeMap<u64, Vec<f64>>,
+}
+
+impl Model {
+    fn new() -> Self {
+        let config = QbhConfig::default();
+        Model {
+            normal: NormalForm::with_length(config.normal_length),
+            band: band_for_warping_width(config.warping_width, config.normal_length),
+            live: BTreeMap::new(),
+        }
+    }
+
+    fn of(db: &MelodyDatabase) -> Self {
+        let mut model = Model::new();
+        for entry in db.entries() {
+            model.insert(entry.id(), &series_of(db, entry.id()));
+        }
+        model
+    }
+
+    fn insert(&mut self, id: u64, series: &[f64]) {
+        self.live.insert(id, self.normal.apply(series));
+    }
+
+    /// Every visible melody as `(id, distance bits)`, nearest first.
+    fn ranked(&self, hum: &[f64]) -> Vec<(u64, f64)> {
+        let query = self.normal.apply(hum);
+        let mut ranked: Vec<(u64, f64)> =
+            self.live.iter().map(|(&id, nf)| (id, ldtw_distance(&query, nf, self.band))).collect();
+        ranked.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        ranked
+    }
+
+    /// `system` answers `hum` exactly as the model does: a k-NN at the
+    /// usual k, a k-NN over everything (so every visible melody appears
+    /// exactly once and nothing else does) and an ε-range.
+    fn check(&self, system: &QbhSystem, hum: &[f64], context: &str) {
+        const RADIUS: f64 = 6.0;
+        assert_eq!(system.len(), self.live.len(), "{context}: melody count");
+        let bits = |matches: &[QbhMatch]| -> Vec<(u64, u64)> {
+            matches.iter().map(|m| (m.id, m.distance.to_bits())).collect()
+        };
+        let want: Vec<(u64, u64)> =
+            self.ranked(hum).into_iter().map(|(id, d)| (id, d.to_bits())).collect();
+        let in_range =
+            want.iter().take_while(|(_, d)| f64::from_bits(*d) <= RADIUS).count();
+        for k in [10, self.live.len()] {
+            let got = system.query_series(hum, k);
+            assert_eq!(bits(&got.matches), want[..k.min(want.len())], "{context}: {k}-NN");
+        }
+        let request = QueryRequest::range(RADIUS).with_band(self.band);
+        let got = system.try_query_request(hum, request).unwrap().0;
+        assert_eq!(bits(&got.matches), want[..in_range], "{context}: range");
+    }
+
+    fn check_all(&self, system: &QbhSystem, hums: &[Vec<f64>], context: &str) {
+        for (i, hum) in hums.iter().enumerate() {
+            self.check(system, hum, &format!("{context}, hum {i}"));
+        }
+    }
+}
+
+/// A melody no songbook holds, distinct per `salt`.
+fn extra_series(salt: u64) -> Vec<f64> {
+    let (rate, phase) = (0.11 + 0.013 * (salt % 17) as f64, salt as f64 * 0.7);
+    (0..96).map(|i| 62.0 + 6.0 * (i as f64 * rate + phase).sin() + (i % 5) as f64).collect()
+}
+
+fn segment_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".humseg"))
+        .count()
+}
+
+#[test]
+fn mutations_racing_a_compaction_are_visible_exactly_once_at_every_step() {
+    let db = database();
+    let queries = hums(&db, 3);
+    let dir = temp_dir("race-compaction");
+    let mut system = build_store(&db, &dir, 1, 10, true);
+    let mut model = Model::of(&db);
+    assert_eq!(system.segment_count(), 5);
+
+    let plan = system.plan_compaction().unwrap().expect("five segments to merge");
+    let victim = db.entries()[23].id();
+    assert!(system.try_remove(victim).unwrap());
+    model.live.remove(&victim);
+    system.try_insert_melody(9_000, 7, 7, &extra_series(1)).unwrap();
+    model.insert(9_000, &extra_series(1));
+    model.check_all(&system, &queries, "planned");
+
+    let built = plan.build().unwrap();
+    model.check_all(&system, &queries, "built, not committed");
+
+    drop(system.commit_maintenance(built).unwrap());
+    model.check_all(&system, &queries, "committed");
+    let stats = system.store_stats().unwrap();
+    assert_eq!((stats.segments, stats.tombstones, stats.memtable_len), (1, 1, 1));
+    assert_eq!(segment_files(&dir), 1, "replaced segment files are deleted");
+    drop(system);
+
+    // Reopened: the memtable-only insert was never durable (no flush ran);
+    // the removal that raced the build stays removed.
+    model.live.remove(&9_000);
+    let mut reopened = QbhSystem::try_open_store(&dir).unwrap();
+    model.check_all(&reopened, &queries, "reopened");
+    assert!(!reopened.try_remove(victim).unwrap(), "the racing removal was resurrected");
+    assert!(reopened.compact().unwrap(), "the kept tombstone is purged by the next compaction");
+    model.check_all(&reopened, &queries, "compacted again");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mutations_racing_a_flush_are_visible_exactly_once_at_every_step() {
+    let db = database();
+    let queries = hums(&db, 3);
+    let dir = temp_dir("race-flush");
+    // Two segments of 17 plus a 16-melody memtable.
+    let mut system = build_store(&db, &dir, 1, 17, false);
+    let mut model = Model::of(&db);
+    assert_eq!((system.segment_count(), system.memtable_len()), (2, 16));
+
+    let plan = system.plan_flush().unwrap().expect("a memtable to flush");
+    let victim = db.entries()[40].id();
+    assert!(system.try_remove(victim).unwrap(), "a melody that is being flushed");
+    model.live.remove(&victim);
+    system.try_insert_melody(9_000, 7, 7, &extra_series(2)).unwrap();
+    model.insert(9_000, &extra_series(2));
+    model.check_all(&system, &queries, "planned");
+
+    let built = plan.build().unwrap();
+    model.check_all(&system, &queries, "built, not committed");
+
+    drop(system.commit_maintenance(built).unwrap());
+    model.check_all(&system, &queries, "committed");
+    // The newcomer stays in the memtable; the victim is in the segment file
+    // and therefore committed tombstoned.
+    let stats = system.store_stats().unwrap();
+    assert_eq!((stats.segments, stats.tombstones, stats.memtable_len), (3, 1, 1));
+    drop(system);
+
+    model.live.remove(&9_000);
+    let reopened = QbhSystem::try_open_store(&dir).unwrap();
+    model.check_all(&reopened, &queries, "reopened");
+    assert_eq!(reopened.store_stats().unwrap().tombstones, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stale_plan_is_refused_typed_and_the_store_stays_intact() {
+    let db = database();
+    let queries = hums(&db, 2);
+    let dir = temp_dir("stale-plan");
+    let mut system = build_store(&db, &dir, 1, 17, false);
+    let mut model = Model::of(&db);
+    let refused = |system: &mut QbhSystem, built: BuiltMaintenance, what: &str| {
+        match system.commit_maintenance(built) {
+            Err(StorageError::StalePlan(_)) => {}
+            Err(other) => panic!("{what}: expected StalePlan, got {other}"),
+            Ok(_) => panic!("{what}: a stale plan was committed"),
+        }
+        assert_eq!(segment_files(&dir), system.segment_count(), "{what}: orphan left behind");
+    };
+
+    // A synchronous flush lands between the plan and the commit of another.
+    let plan = system.plan_flush().unwrap().unwrap();
+    assert!(system.flush().unwrap());
+    refused(&mut system, plan.build().unwrap(), "flush overtaken by a flush");
+
+    // The same for compaction.
+    let plan = system.plan_compaction().unwrap().unwrap();
+    assert!(system.compact().unwrap());
+    refused(&mut system, plan.build().unwrap(), "compaction overtaken by a compaction");
+
+    // An id that was removed and inserted again since the plan names a
+    // different melody than the one the build wrote.
+    system.try_insert_melody(9_000, 1, 1, &extra_series(3)).unwrap();
+    let plan = system.plan_flush().unwrap().unwrap();
+    assert!(system.try_remove(9_000).unwrap());
+    system.try_insert_melody(9_000, 1, 1, &extra_series(4)).unwrap();
+    model.insert(9_000, &extra_series(4));
+    refused(&mut system, plan.build().unwrap(), "flush of a replaced melody");
+
+    // Every refusal left the live view and the directory as they were, and
+    // planning again succeeds.
+    model.check_all(&system, &queries, "after three refusals");
+    assert!(system.flush().unwrap());
+    drop(system);
+    let reopened = QbhSystem::try_open_store(&dir).unwrap();
+    model.check_all(&reopened, &queries, "reopened");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A maintenance job somewhere between its phases, with the ids it covers
+/// when it is a flush.
+enum Job {
+    Planned(MaintenancePlan, Option<BTreeSet<u64>>),
+    Built(BuiltMaintenance, Option<BTreeSet<u64>>),
+}
+
+/// The first slice of an operation-sequence harness: a seeded interleaving
+/// of inserts, removals, the three maintenance phases, queries and reopens,
+/// every answer checked against the [`Model`].
+#[test]
+fn a_seeded_interleaving_of_mutations_maintenance_and_reopens_matches_the_model() {
+    let db = database();
+    let queries = hums(&db, 4);
+    let dir = temp_dir("interleaving");
+    let options = StoreOptions { memtable_capacity: 8, compact_at: 3 };
+    let mut system = QbhSystem::try_create_store(&dir, &config_with_shards(2), options).unwrap();
+    let mut model = Model::new();
+    // Ids in the memtable only: a reopen loses exactly these.
+    let mut volatile: BTreeSet<u64> = BTreeSet::new();
+    let mut job: Option<Job> = None;
+    let mut next_id = 0u64;
+    let mut rng = StdRng::seed_from_u64(20);
+    let (mut commits, mut reopens) = (0, 0);
+
+    for step in 0..400 {
+        let context = format!("step {step}");
+        match rng.random_range(0..100u32) {
+            0..=34 => {
+                let series = extra_series(next_id);
+                system.try_insert_melody(next_id, step, 0, &series).unwrap();
+                model.insert(next_id, &series);
+                volatile.insert(next_id);
+                next_id += 1;
+            }
+            35..=49 if !model.live.is_empty() => {
+                let nth = rng.random_range(0..model.live.len());
+                let id = *model.live.keys().nth(nth).unwrap();
+                assert!(system.try_remove(id).unwrap(), "{context}: remove {id}");
+                model.live.remove(&id);
+                volatile.remove(&id);
+            }
+            50..=74 => {
+                job = match job.take() {
+                    None if rng.random_bool(0.6) => system
+                        .plan_flush()
+                        .unwrap()
+                        .map(|plan| Job::Planned(plan, Some(volatile.clone()))),
+                    None => system.plan_compaction().unwrap().map(|plan| Job::Planned(plan, None)),
+                    Some(Job::Planned(plan, ids)) => Some(Job::Built(plan.build().unwrap(), ids)),
+                    Some(Job::Built(built, ids)) => {
+                        drop(system.commit_maintenance(built).unwrap());
+                        // A committed flush made what it covered durable.
+                        volatile.retain(|id| !ids.as_ref().is_some_and(|ids| ids.contains(id)));
+                        commits += 1;
+                        None
+                    }
+                };
+            }
+            75..=96 => {
+                let hum = &queries[rng.random_range(0..queries.len())];
+                model.check(&system, hum, &context);
+            }
+            97..=99 => {
+                // A crash: the memtable and any job in flight are gone (a
+                // built one leaves its segment file behind as an orphan).
+                job = None;
+                drop(system);
+                system = QbhSystem::try_open_store_with(&dir, options, &MetricsSink::Disabled)
+                    .unwrap_or_else(|e| panic!("{context}: reopen failed: {e}"));
+                for id in std::mem::take(&mut volatile) {
+                    model.live.remove(&id);
+                }
+                reopens += 1;
+                model.check_all(&system, &queries, &format!("{context}, reopened"));
+            }
+            _ => {}
+        }
+    }
+    model.check_all(&system, &queries, "at the end");
+    assert!(commits >= 10 && reopens >= 3, "{commits} commits, {reopens} reopens: seed too tame");
     let _ = std::fs::remove_dir_all(&dir);
 }

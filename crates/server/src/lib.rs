@@ -17,7 +17,9 @@
 //!   pool with per-worker scratch; request deadlines propagate into the
 //!   engine as a cooperative [`hum_core::engine::QueryBudget`]; graceful
 //!   shutdown drains every admitted request before handing the served
-//!   system back. Session refinements run through the same pool.
+//!   system back. Session refinements run through the same pool. A
+//!   maintenance thread flushes and compacts a durable service in three
+//!   phases, holding the service lock only to plan and to commit.
 //! - [`client`] — a small blocking client, also used by the CLI, the
 //!   integration tests, and the `serve` benchmark's load generator.
 //!
@@ -45,7 +47,5 @@ pub use protocol::{
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerConfig};
-pub use service::{
-    MaintenanceReport, QbhService, ServiceError, ServiceMatch, ServiceOutcome, ServiceQuery,
-};
+pub use service::{QbhService, ServiceError, ServiceMatch, ServiceOutcome, ServiceQuery};
 pub use session::{SessionConfig, SessionError, SessionStore};

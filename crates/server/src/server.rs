@@ -3,7 +3,7 @@
 //! # Threading model
 //!
 //! ```text
-//! listener thread ──accept──► connection thread (one per client)
+//! listener thread ──accept (blocking)──► connection thread (one per client)
 //!                                  │  read frame, parse, admit
 //!                                  ▼
 //!                         BoundedQueue<Job>  ── try_push, reject when full
@@ -13,12 +13,32 @@
 //!                                  │  execute against RwLock<service>
 //!                                  ▼
 //!                         mpsc reply ──► connection thread writes frame
+//!
+//! maintenance thread ──plan (read lock)──► build (no lock)──► commit (write lock)
 //! ```
 //!
-//! Queries take the service read lock and run concurrently across workers;
-//! live mutations take the write lock. Each connection handles one request
-//! at a time (the protocol is strictly request/response), so per-request
-//! state never outlives its frame.
+//! The listener blocks in `accept`, so a new connection is picked up when
+//! it arrives, not at the next poll. Each connection handles one request at
+//! a time (the protocol is strictly request/response), so per-request state
+//! never outlives its frame.
+//!
+//! # Who holds the service lock, and for how long
+//!
+//! * A **query** holds the read lock while the engine runs it (a few
+//!   milliseconds); queries run concurrently across workers.
+//! * An **insert or removal** holds the write lock for one in-memory index
+//!   update (a removal of a stored melody also rewrites the small manifest).
+//!   A mutation never flushes: one that leaves
+//!   [`QbhService::needs_maintenance`] true wakes the maintenance thread.
+//! * The **maintenance thread** runs one job at a time in three phases
+//!   (see [`QbhService`]): `plan` copies the job's input out under the read
+//!   lock, `build` writes and fsyncs the new segment and builds its index
+//!   with *no* lock held, and `commit` takes the write lock only to swap the
+//!   result in — time proportional to what changed since the plan. A query
+//!   racing a commit therefore waits for at most that swap, and sees either
+//!   the view before the job or the view after it, both holding exactly the
+//!   melodies inserted and not removed so far. An idle service is only ever
+//!   read-locked.
 //!
 //! # Deadlines
 //!
@@ -35,13 +55,19 @@
 //! [`ServerConfig::allow_remote_shutdown`] is enabled — a wire `shutdown`
 //! request (disabled by default: the protocol is unauthenticated). The
 //! sequence:
-//! stop admitting (new work answered `shutting_down`), close the listener,
-//! close the queue (workers drain every admitted job — each one still gets
-//! its reply), join workers, join connection threads, hand the service
-//! back. No accepted request is ever dropped without a response.
+//! stop admitting (new work answered `shutting_down`), let the maintenance
+//! job in flight finish (a parked one keeps shutdown waiting; a sleeping
+//! thread exits at once), wake the listener out of `accept` with one
+//! loopback connection and close it, close the queue (workers drain every
+//! admitted job — each one still gets its reply), join workers, join
+//! connection threads, hand the service back. No accepted request is ever
+//! dropped without a response.
 
 use std::io::{self, Write};
-use std::net::{Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    Ipv4Addr, Ipv6Addr, Shutdown as SocketShutdown, SocketAddr, TcpListener, TcpStream,
+    ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -64,6 +90,11 @@ use crate::session::{SessionConfig, SessionError, SessionStore};
 /// connection thread past `poll_interval * MID_FRAME_POLL_BUDGET`).
 const MID_FRAME_POLL_BUDGET: usize = 200;
 
+/// How long [`Shared::request_shutdown`] waits for its loopback connection
+/// to the listener; only a full accept backlog makes a loopback connect wait
+/// at all.
+const LISTENER_WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -77,8 +108,11 @@ pub struct ServerConfig {
     pub default_deadline: Option<Duration>,
     /// Maximum accepted frame payload size.
     pub max_frame_bytes: usize,
-    /// How often blocking points (accept, idle reads) wake to check the
-    /// shutdown flag; also bounds shutdown latency.
+    /// How often an idle connection's read wakes to check the shutdown flag
+    /// (so it bounds how long shutdown waits for a kept connection), and the
+    /// back-off after a failed `accept`. It does not delay new connections:
+    /// the listener blocks in `accept` and is woken for shutdown by a
+    /// loopback connection.
     pub poll_interval: Duration,
     /// Where server and engine counters go. Share one enabled sink between
     /// this config and the served system to get a unified registry.
@@ -98,10 +132,13 @@ pub struct ServerConfig {
     /// How long a session must idle before the LRU sweep may evict it to
     /// admit a new one (the evicted owner gets a typed `session_evicted`).
     pub session_idle_timeout: Duration,
-    /// When set, a background thread calls [`QbhService::maintain`] behind
-    /// the write lock at this interval — store-backed services flush their
-    /// memtable and compact segments here. `None` (the default) spawns no
-    /// thread; in-memory services have nothing to maintain.
+    /// The maintenance thread's idle re-check period. The thread always
+    /// runs: a mutation that leaves [`QbhService::needs_maintenance`] true
+    /// wakes it at once, so flush latency is not bounded by this timer —
+    /// the timer only picks up work nothing announced (a store opened with
+    /// a compaction already due). `None` (the default) wakes on
+    /// notification and shutdown only. In-memory services plan nothing, so
+    /// for them the thread sleeps either way.
     pub maintenance_interval: Option<Duration>,
 }
 
@@ -143,13 +180,28 @@ struct Job {
     reply: mpsc::Sender<Value>,
 }
 
+/// What the threads sleeping on [`Shared::wake_signal`] wait for.
+#[derive(Default)]
+struct Wake {
+    /// Shutdown was requested (never cleared).
+    shutdown: bool,
+    /// A mutation left the service wanting maintenance; cleared by the
+    /// maintenance thread when it starts a cycle. Held under the mutex so a
+    /// notification between that thread's last plan and its next wait is
+    /// not lost.
+    maintenance_due: bool,
+}
+
 struct Shared<S> {
     service: RwLock<S>,
     sessions: Mutex<SessionStore>,
     queue: BoundedQueue<Job>,
     shutting_down: AtomicBool,
-    shutdown_flag: Mutex<bool>,
-    shutdown_signal: Condvar,
+    wake: Mutex<Wake>,
+    wake_signal: Condvar,
+    /// Where a loopback connection reaches the listener (see
+    /// [`Shared::request_shutdown`]).
+    wake_addr: SocketAddr,
     metrics: MetricsSink,
     default_deadline: Option<Duration>,
     max_frame_bytes: usize,
@@ -159,14 +211,28 @@ struct Shared<S> {
 
 impl<S> Shared<S> {
     fn request_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
-        let mut flag = match self.shutdown_flag.lock() {
+        let first = !self.shutting_down.swap(true, Ordering::SeqCst);
+        self.wake().shutdown = true;
+        self.wake_signal.notify_all();
+        if first {
+            // The listener blocks in `accept`; one connection makes it
+            // return and re-check the flag. A failed connect means no
+            // listener is accepting any more, which is the goal.
+            let _ = TcpStream::connect_timeout(&self.wake_addr, LISTENER_WAKE_TIMEOUT);
+        }
+    }
+
+    /// Tells the maintenance thread a job is due.
+    fn request_maintenance(&self) {
+        self.wake().maintenance_due = true;
+        self.wake_signal.notify_all();
+    }
+
+    fn wake(&self) -> std::sync::MutexGuard<'_, Wake> {
+        match self.wake.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
-        };
-        *flag = true;
-        drop(flag);
-        self.shutdown_signal.notify_all();
+        }
     }
 
     fn is_shutting_down(&self) -> bool {
@@ -219,7 +285,14 @@ impl<S: QbhService> Server<S> {
     ) -> io::Result<Server<S>> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+        // An unspecified bind address (0.0.0.0, ::) is reached over loopback.
+        let mut wake_addr = local_addr;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
 
         let shared = Arc::new(Shared {
             service: RwLock::new(service),
@@ -230,8 +303,9 @@ impl<S: QbhService> Server<S> {
             })),
             queue: BoundedQueue::new(config.queue_depth),
             shutting_down: AtomicBool::new(false),
-            shutdown_flag: Mutex::new(false),
-            shutdown_signal: Condvar::new(),
+            wake: Mutex::new(Wake::default()),
+            wake_signal: Condvar::new(),
+            wake_addr,
             metrics: config.metrics,
             default_deadline: config.default_deadline,
             max_frame_bytes: config.max_frame_bytes,
@@ -246,10 +320,11 @@ impl<S: QbhService> Server<S> {
             })
             .collect();
 
-        let maintenance = config.maintenance_interval.map(|interval| {
+        let maintenance = {
             let shared = Arc::clone(&shared);
+            let interval = config.maintenance_interval;
             std::thread::spawn(move || maintenance_loop(&shared, interval))
-        });
+        };
 
         let conns = Arc::new(Mutex::new(Vec::new()));
         let listener_handle = {
@@ -263,7 +338,7 @@ impl<S: QbhService> Server<S> {
             local_addr,
             listener: Some(listener_handle),
             workers,
-            maintenance,
+            maintenance: Some(maintenance),
             conns,
         })
     }
@@ -281,16 +356,20 @@ impl<S: QbhService> Server<S> {
     /// Blocks until shutdown is requested — by [`Server::shutdown`] or by
     /// a client's `shutdown` request. The CLI parks its main thread here.
     pub fn wait_shutdown_requested(&self) {
-        let mut flag = match self.shared.shutdown_flag.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        while !*flag {
-            flag = match self.shared.shutdown_signal.wait(flag) {
+        let mut wake = self.shared.wake();
+        while !wake.shutdown {
+            wake = match self.shared.wake_signal.wait(wake) {
                 Ok(guard) => guard,
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
+    }
+
+    /// Connection threads the server is tracking: every live connection,
+    /// plus finished ones the listener has not reaped yet (it reaps each
+    /// time it accepts).
+    pub fn tracked_connections(&self) -> usize {
+        lock_conns(&self.conns).len()
     }
 
     /// Graceful shutdown: stop admitting, drain every admitted job (each
@@ -301,8 +380,9 @@ impl<S: QbhService> Server<S> {
     pub fn shutdown(mut self) -> Option<S> {
         self.shared.request_shutdown();
         if let Some(maintenance) = self.maintenance.take() {
-            // Wakes immediately via the shutdown condvar; a tick already in
-            // flight finishes first (it holds the write lock).
+            // A sleeping thread wakes via the condvar and exits; a cycle in
+            // flight runs to its end first, so no build is abandoned half
+            // written and no flush is left uncompacted.
             let _ = maintenance.join();
         }
         if let Some(listener) = self.listener.take() {
@@ -315,13 +395,7 @@ impl<S: QbhService> Server<S> {
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut conns = match self.conns.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            conns.drain(..).collect()
-        };
+        let handles: Vec<JoinHandle<()>> = lock_conns(&self.conns).drain(..).collect();
         for conn in handles {
             let _ = conn.join();
         }
@@ -333,28 +407,44 @@ impl<S: QbhService> Server<S> {
     }
 }
 
+fn lock_conns(
+    conns: &Mutex<Vec<JoinHandle<()>>>,
+) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
+    match conns.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
 fn listener_loop<S: QbhService>(
     listener: &TcpListener,
     shared: &Arc<Shared<S>>,
     conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     loop {
+        let accepted = listener.accept();
+        // Checked after every accept: the connection that woke a blocked
+        // `accept` for shutdown (or raced it) is dropped unanswered.
         if shared.is_shutting_down() {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 shared.metrics.add(Metric::ServerConnections, 1);
                 let shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || connection_loop(stream, &shared));
-                let mut conns = match conns.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
+                let mut conns = lock_conns(conns);
+                // Reap what has finished, so a server that sees a
+                // connection per request tracks the live ones only.
+                let mut at = 0;
+                while at < conns.len() {
+                    if conns[at].is_finished() {
+                        let _ = conns.swap_remove(at).join();
+                    } else {
+                        at += 1;
+                    }
+                }
                 conns.push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.poll_interval);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => {
@@ -647,42 +737,68 @@ fn session_error_response(metrics: &MetricsSink, e: &SessionError) -> Value {
     }
 }
 
-/// Periodic service maintenance: waits on the shutdown condvar with a
-/// timeout, so shutdown interrupts a sleeping tick immediately. Each tick
-/// takes the service write lock (flushes and compactions mutate it);
-/// failures are counted and the loop keeps going — a broken disk must not
-/// take queries down with it.
-fn maintenance_loop<S: QbhService>(shared: &Arc<Shared<S>>, interval: Duration) {
-    let mut flag = match shared.shutdown_flag.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    };
+/// The maintenance thread: sleeps on the wake condvar until a mutation
+/// announces a due job, the idle re-check period passes, or shutdown is
+/// requested (which ends it), then runs one maintenance cycle.
+fn maintenance_loop<S: QbhService>(shared: &Arc<Shared<S>>, interval: Option<Duration>) {
+    let mut wake = shared.wake();
     loop {
-        if *flag {
+        if wake.shutdown {
             return;
         }
-        let (guard, timeout) = match shared.shutdown_signal.wait_timeout(flag, interval) {
-            Ok(woken) => woken,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        flag = guard;
-        if *flag {
-            return;
-        }
-        if timeout.timed_out() {
-            // Never hold the shutdown lock across a tick: request_shutdown
-            // must stay responsive while a compaction runs.
-            drop(flag);
-            let result = shared.write_service().maintain();
-            shared.metrics.add(Metric::ServerMaintenanceTicks, 1);
-            if result.is_err() {
-                shared.metrics.add(Metric::ServerMaintenanceErrors, 1);
-            }
-            flag = match shared.shutdown_flag.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
+        if !wake.maintenance_due {
+            wake = match interval {
+                Some(interval) => match shared.wake_signal.wait_timeout(wake, interval) {
+                    Ok((guard, _)) => guard,
+                    Err(poisoned) => poisoned.into_inner().0,
+                },
+                None => match shared.wake_signal.wait(wake) {
+                    Ok(guard) => guard,
+                    Err(poisoned) => poisoned.into_inner(),
+                },
             };
+            if wake.shutdown {
+                return;
+            }
         }
+        wake.maintenance_due = false;
+        // Never hold the wake lock across a cycle: request_shutdown and
+        // every notifying mutation take it.
+        drop(wake);
+        shared.metrics.add(Metric::ServerMaintenanceTicks, 1);
+        if run_maintenance(shared).is_err() {
+            shared.metrics.add(Metric::ServerMaintenanceErrors, 1);
+        }
+        wake = shared.wake();
+    }
+}
+
+/// One maintenance cycle: plan → build → commit, one job after another,
+/// until the service plans nothing more (a flush is typically followed by
+/// the compaction it made due). The service lock is held to plan (read) and
+/// to commit (write), never while a job builds. A failed job ends the cycle
+/// with the pre-job view live — a broken disk must not take queries down
+/// with it — and the next wake-up plans afresh.
+fn run_maintenance<S: QbhService>(shared: &Shared<S>) -> Result<(), ServiceError> {
+    loop {
+        let plan = shared.read_service().plan()?;
+        let Some(plan) = plan else {
+            return Ok(());
+        };
+        let started = shared.metrics.start_timer();
+        let built = S::build(plan);
+        shared.metrics.observe_since(Timer::MaintenanceBuild, started);
+        let built = built?;
+        let retired = {
+            let mut service = shared.write_service();
+            let started = shared.metrics.start_timer();
+            let retired = service.commit(built);
+            shared.metrics.observe_since(Timer::MaintenanceCommit, started);
+            retired
+        };
+        // Lock released: dropping what the commit replaced (old indexes,
+        // superseded files) costs no request anything.
+        drop(retired?);
     }
 }
 
@@ -719,20 +835,15 @@ fn execute<S: QbhService>(
             run_query(shared, &query, &pitch, band, trace, budget, scratch, extra)
         }
         JobOp::Insert { id, song, phrase, pitch } => {
-            let result = shared.write_service().insert(id, song, phrase, &pitch);
+            let (result, len) =
+                mutate(shared, |service| service.insert(id, song, phrase, &pitch));
             match result {
-                Ok(()) => {
-                    let len = shared.read_service().len();
-                    ok_response(vec![("len", Value::Number(len as f64))])
-                }
+                Ok(()) => ok_response(vec![("len", Value::Number(len as f64))]),
                 Err(e) => service_error_response(&e),
             }
         }
         JobOp::Remove { id } => {
-            let mut service = shared.write_service();
-            let result = service.remove(id);
-            let len = service.len();
-            drop(service);
+            let (result, len) = mutate(shared, |service| service.remove(id));
             match result {
                 Ok(removed) => ok_response(vec![
                     ("removed", Value::Bool(removed)),
@@ -742,6 +853,27 @@ fn execute<S: QbhService>(
             }
         }
     }
+}
+
+/// Applies one mutation under a single write-lock acquisition and reads
+/// the resulting `len` under the same one (so it counts this mutation and
+/// nobody else's later one); wakes the maintenance thread if the mutation
+/// left a job due.
+fn mutate<S: QbhService, T>(
+    shared: &Shared<S>,
+    apply: impl FnOnce(&mut S) -> Result<T, ServiceError>,
+) -> (Result<T, ServiceError>, usize) {
+    let waited = shared.metrics.start_timer();
+    let mut service = shared.write_service();
+    shared.metrics.observe_since(Timer::ServiceLockWait, waited);
+    let result = apply(&mut service);
+    let len = service.len();
+    let due = service.needs_maintenance();
+    drop(service);
+    if due {
+        shared.request_maintenance();
+    }
+    (result, len)
 }
 
 /// Maps a mutation failure to its wire response: an engine rejection is the
@@ -780,7 +912,9 @@ fn run_query<S: QbhService>(
         );
     }
     let outcome = {
+        let waited = shared.metrics.start_timer();
         let service = shared.read_service();
+        shared.metrics.observe_since(Timer::ServiceLockWait, waited);
         service.query(query, pitch, band, budget, trace, scratch)
     };
     match outcome {

@@ -5,8 +5,10 @@
 //! way). Instead the transport is generic over [`QbhService`] — the small
 //! surface a query-by-humming system must expose to be served: budgeted
 //! queries against an immutable snapshot (`&self`, so a worker pool can run
-//! them concurrently behind a read lock) and live mutation (`&mut self`).
-//! `hum-qbh` implements the trait for `QbhSystem`.
+//! them concurrently behind a read lock), live mutation (`&mut self`), and
+//! maintenance split into plan → build → commit so that the expensive
+//! middle runs with no lock held. `hum-qbh` implements the trait for
+//! `QbhSystem`.
 
 use hum_core::engine::{EngineError, EngineStats, QueryBudget, QueryScratch};
 use hum_core::obs::QueryTrace;
@@ -42,15 +44,6 @@ impl From<EngineError> for ServiceError {
     fn from(e: EngineError) -> Self {
         ServiceError::Engine(e)
     }
-}
-
-/// What one background maintenance tick did (see [`QbhService::maintain`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceReport {
-    /// The service flushed volatile state to durable storage.
-    pub flushed: bool,
-    /// The service compacted its durable storage.
-    pub compacted: bool,
 }
 
 /// What a served query asks for (the wire-level subset of
@@ -97,8 +90,32 @@ pub struct ServiceOutcome {
 ///
 /// `Send + Sync + 'static` because the server shares the service across its
 /// worker pool behind an `RwLock`: queries take the read lock (and run
-/// concurrently), mutations take the write lock.
+/// concurrently), mutations take the write lock for the length of one
+/// in-memory update.
+///
+/// # Maintenance
+///
+/// Durable services flush and compact in three phases, so nothing that
+/// writes a file, waits for an fsync or builds an index holds the lock a
+/// request needs:
+///
+/// 1. [`QbhService::plan`] (`&self`, read lock) decides whether anything is
+///    due and copies out what the job needs;
+/// 2. [`QbhService::build`] (no `self`, no lock) does the work on that
+///    owned copy;
+/// 3. [`QbhService::commit`] (`&mut self`, write lock) swaps the result in,
+///    reconciling it with every mutation that landed since the plan.
+///
+/// The server runs one job at a time on its maintenance thread, so inside
+/// it nothing but inserts and removals can land between a plan and its
+/// commit. In-memory services plan nothing: `plan` returns `Ok(None)` and
+/// the other two are never called.
 pub trait QbhService: Send + Sync + 'static {
+    /// What [`QbhService::plan`] copies out of the service for one job.
+    type Plan: Send + 'static;
+    /// What [`QbhService::build`] produces for [`QbhService::commit`].
+    type Built: Send + 'static;
+
     /// Runs one query over a raw (hummed) pitch series. `band` of `None`
     /// means the service's default warping band. The `budget` must
     /// propagate into the engine so an expired deadline surfaces as
@@ -114,8 +131,9 @@ pub trait QbhService: Send + Sync + 'static {
     ) -> Result<ServiceOutcome, EngineError>;
 
     /// Inserts a melody (raw pitch series) under `id` with its provenance.
-    /// Store-backed services may flush to durable storage as part of the
-    /// insert; such failures surface as [`ServiceError::Storage`].
+    /// An in-memory update only: a store-backed service makes the melody
+    /// durable at its next flush, which the server starts as soon as
+    /// [`QbhService::needs_maintenance`] says one is due.
     fn insert(
         &mut self,
         id: u64,
@@ -130,17 +148,45 @@ pub trait QbhService: Send + Sync + 'static {
     /// present and queryable.
     fn remove(&mut self, id: u64) -> Result<bool, ServiceError>;
 
-    /// One background maintenance tick (flush/compaction for store-backed
-    /// services). The server calls this periodically behind the write lock
-    /// when [`crate::ServerConfig::maintenance_interval`] is set; purely
-    /// in-memory services keep the default no-op.
+    /// `true` when [`QbhService::plan`] would return a job. Cheap: the
+    /// server asks after every mutation, still under that mutation's write
+    /// lock, and wakes the maintenance thread on `true`.
+    fn needs_maintenance(&self) -> bool {
+        false
+    }
+
+    /// Phase 1, under the read lock: decides whether a flush or compaction
+    /// is due and copies out everything the job needs. `Ok(None)` when
+    /// nothing is due — an idle service never sees its write lock taken.
     ///
     /// # Errors
-    /// [`ServiceError::Storage`] when durable maintenance fails; the
-    /// service must remain queryable.
-    fn maintain(&mut self) -> Result<MaintenanceReport, ServiceError> {
-        Ok(MaintenanceReport::default())
-    }
+    /// [`ServiceError::Storage`] when the service's own bookkeeping is
+    /// inconsistent; nothing has been written.
+    fn plan(&self) -> Result<Option<Self::Plan>, ServiceError>;
+
+    /// Phase 2, with no lock held: the file writes, fsyncs and index builds
+    /// of the job, on the plan's owned data. Queries and mutations proceed
+    /// against the pre-job view meanwhile.
+    ///
+    /// # Errors
+    /// [`ServiceError::Storage`] when durable storage fails; the service is
+    /// untouched and the build leaves nothing behind.
+    fn build(plan: Self::Plan) -> Result<Self::Built, ServiceError>;
+
+    /// Phase 3, under the write lock, in time proportional to what changed
+    /// since the plan (not to the corpus): makes the built job the live
+    /// view. A melody inserted or removed between plan and commit stays
+    /// inserted or removed, in memory and on disk.
+    ///
+    /// Returns whatever the commit replaced (index structures, the names of
+    /// superseded files) as an opaque owner; dropping it reclaims them, and
+    /// the caller does so *after* releasing the write lock.
+    ///
+    /// # Errors
+    /// [`ServiceError::Storage`] when the plan is stale (the service was
+    /// maintained some other way since) or the commit point cannot be
+    /// written; the pre-job view stays live and queryable.
+    fn commit(&mut self, built: Self::Built) -> Result<Box<dyn Send>, ServiceError>;
 
     /// Number of stored melodies.
     fn len(&self) -> usize;

@@ -1,9 +1,10 @@
-//! Transport-level tests against a mock service whose queries block on a
-//! gate channel, making overload, drain, and queue-wait deadlines
+//! Transport-level tests against a mock service whose queries — and, when
+//! asked, maintenance builds — block on a gate channel, making overload,
+//! drain, queue-wait deadlines and "what runs while a build is in flight"
 //! deterministic instead of timing-dependent.
 
 use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use hum_core::engine::{EngineError, EngineStats, QueryBudget, QueryScratch};
@@ -19,19 +20,65 @@ struct GateService {
     gate: Mutex<mpsc::Receiver<()>>,
     started: mpsc::Sender<()>,
     len: usize,
+    /// When set, every insert leaves a maintenance job due whose build
+    /// parks on this gate.
+    build_gate: Option<BuildGate>,
+    job_due: bool,
+    commits: usize,
 }
+
+/// The maintenance plan of a [`GateService`]: `build` announces itself on
+/// `started`, then parks until the test sends its outcome down `release`
+/// (`true` to succeed, `false` to fail as a broken disk would).
+#[derive(Clone)]
+struct BuildGate {
+    started: mpsc::Sender<()>,
+    release: Arc<Mutex<mpsc::Receiver<bool>>>,
+}
+
+/// How much a [`GateService`] commit adds to `len`, so a ping observes it.
+const COMMIT_MARK: usize = 100;
 
 impl GateService {
     fn new() -> (GateService, mpsc::Sender<()>, mpsc::Receiver<()>) {
         let (gate_tx, gate_rx) = mpsc::channel();
         let (started_tx, started_rx) = mpsc::channel();
-        let service =
-            GateService { gate: Mutex::new(gate_rx), started: started_tx, len: 3 };
+        let service = GateService {
+            gate: Mutex::new(gate_rx),
+            started: started_tx,
+            len: 3,
+            build_gate: None,
+            job_due: false,
+            commits: 0,
+        };
         (service, gate_tx, started_rx)
     }
 }
 
+/// A server over a [`GateService`] with gated maintenance builds, woken by
+/// notification only. Returns the query gate, then the build's `started`
+/// receiver and `release` sender.
+fn start_with_gated_builds(
+) -> (Server<GateService>, mpsc::Sender<()>, mpsc::Receiver<()>, mpsc::Sender<bool>) {
+    let (mut service, gate, _query_started) = GateService::new();
+    let (started_tx, build_started) = mpsc::channel();
+    let (release, release_rx) = mpsc::channel();
+    service.build_gate =
+        Some(BuildGate { started: started_tx, release: Arc::new(Mutex::new(release_rx)) });
+    let config = ServerConfig {
+        workers: 2,
+        maintenance_interval: None,
+        metrics: MetricsSink::enabled(),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(service, "127.0.0.1:0", config).expect("bind ephemeral port");
+    (server, gate, build_started, release)
+}
+
 impl QbhService for GateService {
+    type Plan = BuildGate;
+    type Built = ();
+
     fn query(
         &self,
         _query: &ServiceQuery,
@@ -60,12 +107,37 @@ impl QbhService for GateService {
         _pitch_series: &[f64],
     ) -> Result<(), ServiceError> {
         self.len += 1;
+        self.job_due = self.build_gate.is_some();
         Ok(())
     }
 
     fn remove(&mut self, _id: u64) -> Result<bool, ServiceError> {
         self.len -= 1;
         Ok(true)
+    }
+
+    fn needs_maintenance(&self) -> bool {
+        self.job_due
+    }
+
+    fn plan(&self) -> Result<Option<BuildGate>, ServiceError> {
+        Ok(self.build_gate.clone().filter(|_| self.job_due))
+    }
+
+    fn build(plan: BuildGate) -> Result<(), ServiceError> {
+        let _ = plan.started.send(());
+        let release = plan.release.lock().unwrap();
+        let succeed = release
+            .recv_timeout(Duration::from_secs(10))
+            .expect("test closed the build gate without releasing a parked build");
+        succeed.then_some(()).ok_or_else(|| ServiceError::Storage("injected build fault".into()))
+    }
+
+    fn commit(&mut self, _built: ()) -> Result<Box<dyn Send>, ServiceError> {
+        self.job_due = false;
+        self.commits += 1;
+        self.len += COMMIT_MARK;
+        Ok(Box::new(()))
     }
 
     fn len(&self) -> usize {
@@ -96,14 +168,23 @@ fn accepted(server: &Server<GateService>) -> u64 {
         .get(Metric::ServerRequestsAccepted)
 }
 
-fn wait_for_accepted(server: &Server<GateService>, n: u64) {
-    for _ in 0..400 {
-        if accepted(server) >= n {
-            return;
+/// Polls `done` every 5 ms for up to 2 s.
+fn eventually(mut done: impl FnMut() -> bool) -> bool {
+    (0..400).any(|_| {
+        let now = done();
+        if !now {
+            std::thread::sleep(Duration::from_millis(5));
         }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    panic!("server never accepted {n} requests (got {})", accepted(server));
+        now
+    })
+}
+
+fn wait_for_accepted(server: &Server<GateService>, n: u64) {
+    assert!(
+        eventually(|| accepted(server) >= n),
+        "server never accepted {n} requests (got {})",
+        accepted(server)
+    );
 }
 
 fn spawn_query(
@@ -285,4 +366,102 @@ fn pings_on_a_kept_connection_do_not_wait_out_a_delayed_ack() {
     let median = round_trips[round_trips.len() / 2];
     assert!(median < Duration::from_millis(10), "median ping round trip {median:?}");
     server.shutdown();
+}
+
+/// The deterministic form of "no segment write, index build or segment
+/// fsync under the service lock": while a maintenance build is parked, a
+/// ping, an insert and a query on fresh connections are all answered.
+#[test]
+fn requests_are_answered_while_a_maintenance_build_is_parked() {
+    let (server, gate, build_started, release) = start_with_gated_builds();
+    let addr = server.local_addr();
+
+    // The insert leaves a job due and wakes the maintenance thread, which
+    // plans it and parks in `build` — no timer is configured.
+    assert_eq!(Client::connect(addr).unwrap().insert(1, 0, 0, &[60.0]).unwrap(), 4);
+    build_started.recv_timeout(Duration::from_secs(10)).expect("the woken thread reached build");
+
+    assert_eq!(Client::connect(addr).unwrap().ping().unwrap(), 4);
+    assert_eq!(Client::connect(addr).unwrap().insert(2, 0, 0, &[61.0]).unwrap(), 5);
+    gate.send(()).unwrap();
+    let reply = spawn_query(addr).join().unwrap().expect("query answered during the build");
+    assert_eq!(reply.stats.exact_computations, 1);
+    assert_eq!(Client::connect(addr).unwrap().ping().unwrap(), 5, "nothing committed yet");
+
+    release.send(true).unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    assert!(
+        eventually(|| client.ping().unwrap() == 5 + COMMIT_MARK as u64),
+        "the released build was never committed"
+    );
+    let service = server.shutdown().expect("service handed back");
+    assert_eq!(service.commits, 1);
+}
+
+#[test]
+fn a_failed_build_is_counted_and_the_pre_job_view_keeps_serving() {
+    let (server, _gate, build_started, release) = start_with_gated_builds();
+    let addr = server.local_addr();
+    let errors = || server.metrics().registry().unwrap().get(Metric::ServerMaintenanceErrors);
+    let mut client = Client::connect(addr).unwrap();
+
+    assert_eq!(client.insert(1, 0, 0, &[60.0]).unwrap(), 4);
+    build_started.recv_timeout(Duration::from_secs(10)).expect("build parked");
+    release.send(false).unwrap();
+    assert!(eventually(|| errors() == 1), "the failed build was never counted");
+    assert_eq!(client.ping().unwrap(), 4, "nothing was committed");
+
+    // The job is still due; the next mutation's wake-up plans it afresh.
+    assert_eq!(client.insert(2, 0, 0, &[61.0]).unwrap(), 5);
+    build_started.recv_timeout(Duration::from_secs(10)).expect("the job was planned again");
+    release.send(true).unwrap();
+    let service = server.shutdown().expect("service handed back");
+    assert_eq!((service.commits, service.len()), (1, 5 + COMMIT_MARK));
+}
+
+#[test]
+fn shutdown_waits_for_a_parked_build_and_hands_the_service_back() {
+    let (server, _gate, build_started, release) = start_with_gated_builds();
+    let addr = server.local_addr();
+    assert_eq!(Client::connect(addr).unwrap().insert(1, 0, 0, &[60.0]).unwrap(), 4);
+    build_started.recv_timeout(Duration::from_secs(10)).expect("build parked");
+
+    let (done_tx, done) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        let _ = done_tx.send(server.shutdown());
+    });
+    assert!(
+        done.recv_timeout(Duration::from_millis(100)).is_err(),
+        "shutdown returned while a build was still parked"
+    );
+    release.send(true).unwrap();
+    let service = done
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown finished once the build was released")
+        .expect("service handed back");
+    stopper.join().unwrap();
+    assert_eq!(service.commits, 1, "the in-flight job was committed, not abandoned");
+    assert_eq!(service.len(), 4 + COMMIT_MARK);
+}
+
+#[test]
+fn finished_connections_are_reaped_and_live_ones_joined_at_shutdown() {
+    let (server, _gate, _started) = start_gated(1, 4);
+    let addr = server.local_addr();
+    let mut kept = Client::connect(addr).unwrap();
+    assert_eq!(kept.ping().unwrap(), 3);
+
+    for _ in 0..300 {
+        let mut client = Client::connect(addr).unwrap();
+        assert_eq!(client.ping().unwrap(), 3);
+    }
+    // Each accept reaps the handles of connections that have ended; only
+    // the kept connection and the last few closers can still be tracked.
+    let tracked = server.tracked_connections();
+    assert!(tracked <= 32, "{tracked} connection handles tracked after 300 closed connections");
+
+    // The service comes back only once every connection thread has dropped
+    // its reference, so `Some` means the kept connection was joined.
+    assert!(server.shutdown().is_some(), "a live connection was not joined");
+    assert!(kept.ping().is_err(), "the kept connection outlived the server");
 }
