@@ -18,8 +18,10 @@ cargo test -q
 #   store                     memtable-over-segments systems bit-identical to
 #                             the monolithic build; reloads, compactions and
 #                             removals durable
-#   server_*, session*        bit-identity, overload, deadlines, drain, wire
-#                             fuzz; refinements equal one-shot prefixes
+#   server_*                  bit-identity (whole hums and prefixes),
+#                             overload, deadlines, drain, wire fuzz
+#   session                   a request built over appends equals the one
+#                             built from the same frames at once
 #   shard, sharding           routing and batches; matches bit-identical at
 #                             every shard count, in process, over the wire,
 #                             and through a store
@@ -34,7 +36,6 @@ THREAD_INVARIANT_SUITES=(
     "hum-qbh --test server_integration"
     "hum-qbh --test server_fuzz"
     "hum-core --test session"
-    "hum-qbh --test session_server"
     "hum-core --test shard"
     "hum-qbh --test sharding"
     "hum-core --test plan"
@@ -101,6 +102,11 @@ echo "paper tables regenerate byte-identically"
 # dominates every rejected candidate. Results land in the throwaway digest
 # dir, not results/ (the committed baseline is regenerated deliberately).
 cargo run -q --release -p hum-bench --bin repro -- scale --quick --out "$DIGEST_DIR/scale"
+
+# Hum-fraction harness smoke: a client loop over growing prefixes of each
+# hum against a live server, every answer checked bit for bit against the
+# in-process one; the instrument the prefix-matching decision rests on.
+cargo run -q --release -p hum-bench --bin repro -- stream --quick --out "$DIGEST_DIR/stream"
 
 # The repo benchmark (BENCHMARK.json) is a workspace of its own: its unit
 # tests, then every workload at smoke scale — each checks its answers

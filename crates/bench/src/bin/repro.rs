@@ -11,7 +11,7 @@
 //!             traced cascade-trajectory run of the Figure-9 workload,
 //!             `serve` the TCP-serving latency/throughput sweep, `kernels`
 //!             the kernel-layer microbenchmarks with bit-identity checks,
-//!             `stream` the sessionful refinement latency/churn sweep,
+//!             `stream` the hum-prefix refinement latency/churn sweep,
 //!             `ingest` the segmented-store durable-ingest cost sweep,
 //!             `scale` the decade-sweep planner-vs-fixed-transform harness)
 //! --quick     small workloads (seconds instead of minutes)

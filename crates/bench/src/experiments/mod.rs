@@ -21,7 +21,7 @@
 //! from the library's own observability layer, and [`serve`] drives the TCP
 //! query server with a closed-loop multi-connection load generator,
 //! reporting p50/p95/p99 latency and throughput versus worker-pool size.
-//! [`stream`] streams hums into server-side sessions chunk by chunk,
+//! [`stream`] queries the server with growing prefixes of each hum,
 //! reporting refinement latency and top-k churn versus hum length with a
 //! per-prefix bit-identity check against in-process one-shot queries.
 //! [`kernels`] microbenchmarks the kernel layer (envelope LB, `LB_Improved`,

@@ -1,10 +1,11 @@
 //! Streaming query-as-you-hum: refinement latency and result churn versus
-//! hum length, over the sessionful (v2) wire protocol.
+//! hum length, over the wire.
 //!
-//! Each hum is streamed into a server-side session in equal-length chunks;
-//! after every chunk a `refine` runs the session's k-NN over everything
-//! heard so far, and the round trip is timed. Two things are measured per
-//! checkpoint fraction of the hum:
+//! The client loops over growing prefixes of each hum, one per checkpoint:
+//! a refinement is an ordinary `knn` request carrying everything heard so
+//! far (the server keeps nothing between them), and the round trip —
+//! re-upload included — is timed. Two things are measured per checkpoint
+//! fraction of the hum:
 //!
 //! - **refinement latency** (p50/p95 round-trip milliseconds) — the cost
 //!   of re-querying as the hum grows, which the admission queue serves
@@ -17,8 +18,8 @@
 //!
 //! Every refinement — not just the final one — is compared bit for bit
 //! against an in-process one-shot query over the same prefix, so the
-//! committed results double as evidence for the streaming bit-identity
-//! contract on the wire.
+//! committed results double as evidence that served answers are the
+//! in-process ones at every prefix length.
 
 use std::time::Instant;
 
@@ -29,7 +30,7 @@ use hum_music::{SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::eval::generate_hums;
 use hum_qbh::system::{QbhConfig, QbhMatch, QbhSystem};
-use hum_server::{Client, QueryOptions, Server, ServerConfig, ServiceQuery};
+use hum_server::{Client, QueryOptions, Server, ServerConfig};
 
 use crate::report::{fmt3, TextTable};
 
@@ -38,7 +39,7 @@ use crate::report::{fmt3, TextTable};
 pub struct Params {
     /// Database melodies (Fig 9 scale: 35,000).
     pub melodies: usize,
-    /// Hums streamed through sessions.
+    /// Hums streamed, prefix by prefix.
     pub hums: usize,
     /// Neighbors per refinement.
     pub k: usize,
@@ -65,7 +66,7 @@ impl Params {
 pub struct StreamRow {
     /// Fraction of the hum heard at this checkpoint (1.0 = the full hum).
     pub fraction: f64,
-    /// Mean frames buffered in the session at this checkpoint.
+    /// Mean frames sent at this checkpoint.
     pub mean_frames: f64,
     /// Median refine round-trip latency, milliseconds.
     pub p50_ms: f64,
@@ -162,31 +163,23 @@ pub fn run(params: &Params) -> Output {
     let mut identical: Vec<bool> = vec![true; params.checkpoints];
 
     for (hum, local) in hums.iter().zip(&baseline) {
-        let session = client
-            .open_session(ServiceQuery::Knn { k: params.k }, &QueryOptions::default())
-            .expect("open session");
-        let mut sent = 0usize;
         let mut previous_ids: Vec<u64> = Vec::new();
         let mut top1_per_checkpoint: Vec<Option<u64>> = Vec::new();
         for c in 1..=params.checkpoints {
             let end = prefix_len(hum, c);
-            client.append_frames(session, &hum[sent..end]).expect("append");
-            sent = end;
-
             let t0 = Instant::now();
-            let refined = client.refine(session, None).expect("refine");
+            let refined =
+                client.knn(&hum[..end], params.k, &QueryOptions::default()).expect("knn");
             latencies[c - 1].push(t0.elapsed().as_nanos() as u64);
-            frames_total[c - 1] += refined.frames;
-            identical[c - 1] &=
-                matches_bit_identical(&refined.reply.matches, &local[c - 1]);
+            frames_total[c - 1] += end as u64;
+            identical[c - 1] &= matches_bit_identical(&refined.matches, &local[c - 1]);
 
-            let ids: Vec<u64> = refined.reply.matches.iter().map(|m| m.id).collect();
+            let ids: Vec<u64> = refined.matches.iter().map(|m| m.id).collect();
             let new = ids.iter().filter(|id| !previous_ids.contains(id)).count();
             churn_total[c - 1] += new as f64 / ids.len().max(1) as f64;
             top1_per_checkpoint.push(ids.first().copied());
             previous_ids = ids;
         }
-        client.close_session(session).expect("close session");
 
         let final_top1 = top1_per_checkpoint.last().copied().flatten();
         for (c, top1) in top1_per_checkpoint.iter().enumerate() {
@@ -251,7 +244,7 @@ pub fn render(output: &Output) -> (String, TextTable) {
 }
 
 /// Shape checks: prefix bit-identity everywhere, ordered percentiles,
-/// growing sessions, and well-formed churn (the first checkpoint is fully
+/// growing prefixes, and well-formed churn (the first checkpoint is fully
 /// new by definition; how fast churn decays is reported, not gated — a
 /// short prefix re-normalizes to a genuinely different canonical series,
 /// so early top-k reshuffles are real behavior, not noise).
@@ -278,7 +271,7 @@ pub fn check(output: &Output) -> Vec<String> {
     for pair in output.rows.windows(2) {
         if pair[1].mean_frames <= pair[0].mean_frames {
             failures.push(format!(
-                "fraction {:.3}: sessions did not grow (mean frames {} -> {})",
+                "fraction {:.3}: prefixes did not grow (mean frames {} -> {})",
                 pair[1].fraction, pair[0].mean_frames, pair[1].mean_frames
             ));
         }

@@ -782,16 +782,25 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     /// survivor verified at the fixed radius. Matches sorted by
     /// `(distance, id)`; every decision is per candidate at one threshold,
     /// so neither they nor any counter depend on the order of `slots`.
+    ///
+    /// A candidate matches iff the distance it would be reported with,
+    /// `d_sq.sqrt()`, is `<= radius` — so a range query at a distance an
+    /// earlier answer returned finds that item again. The stages before
+    /// that test work on squared values and prune at
+    /// [`range_prune_sq`]`(radius)`, which no match exceeds. (The index and
+    /// the segment boxes filter in root space, `sqrt(lower bound²) <=
+    /// radius`: the matching test itself, since `sqrt` is monotone.)
     fn range_over_slots(
         &self,
         prepared: &PreparedQuery<'_>,
         slots: Vec<u32>,
-        radius_sq: f64,
+        radius: f64,
         budget: QueryBudget,
         stats: &mut EngineStats,
         scratch: &mut QueryScratch,
     ) -> Result<Vec<(ItemId, f64)>, Expired> {
-        let pending = self.envelope_sweep(prepared, slots, radius_sq, budget, stats)?;
+        let prune_sq = range_prune_sq(radius);
+        let pending = self.envelope_sweep(prepared, slots, prune_sq, budget, stats)?;
         let mut matches = Vec::new();
         for (i, &candidate) in pending.iter().enumerate() {
             if budget.expired() {
@@ -800,9 +809,10 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             if let Some(next) = pending.get(i + 1) {
                 self.series.prefetch_samples(next.slot);
             }
-            if let Some(d_sq) = self.verify(prepared, candidate, radius_sq, stats, scratch) {
-                if d_sq <= radius_sq {
-                    matches.push((candidate.id, d_sq.sqrt()));
+            if let Some(d_sq) = self.verify(prepared, candidate, prune_sq, stats, scratch) {
+                let distance = d_sq.sqrt();
+                if distance <= radius {
+                    matches.push((candidate.id, distance));
                 }
             }
         }
@@ -825,8 +835,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         let (candidates, index_stats) = self.index.range_query(&prepared.shape, radius);
         let mut stats = EngineStats { index: index_stats, ..EngineStats::default() };
         let slots = self.resolve_slots(&candidates, &[]);
-        let run =
-            self.range_over_slots(prepared, slots, radius * radius, budget, &mut stats, scratch);
+        let run = self.range_over_slots(prepared, slots, radius, budget, &mut stats, scratch);
         stats.dp_cells = scratch.ws.cells() - cells_before;
         run.map(|matches| (matches, stats)).map_err(|Expired| stats)
     }
@@ -994,8 +1003,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         let cells_before = scratch.ws.cells();
         let mut stats = EngineStats::default();
         let slots = (0..self.series.len() as u32).collect();
-        let run =
-            self.range_over_slots(prepared, slots, radius * radius, budget, &mut stats, scratch);
+        let run = self.range_over_slots(prepared, slots, radius, budget, &mut stats, scratch);
         stats.dp_cells = scratch.ws.cells() - cells_before;
         run.map(|matches| (matches, stats)).map_err(|Expired| stats)
     }
@@ -1111,6 +1119,22 @@ pub(crate) fn sort_by_distance(matches: &mut [(ItemId, f64)]) {
     matches.sort_by(|a, b| {
         a.1.partial_cmp(&b.1).expect("finite distances").then_with(|| a.0.cmp(&b.0))
     });
+}
+
+/// The squared threshold an ε-range query's squared-space stages (envelope
+/// sweep, `LB_Improved`, early abandon) prune at: a few ulps above `r·r`,
+/// never below the squared distance of a match.
+///
+/// A match has `fl(√x) <= r` for its squared distance `x`. With `u = 2⁻⁵³`,
+/// a correctly rounded root gives `√x <= r / (1 − u)` and a correctly
+/// rounded product `r² <= fl(r·r) / (1 − u)`, so `x <= fl(r·r) / (1 − u)³ <
+/// fl(r·r)·(1 + 3.01u)`, while the value returned is at least
+/// `fl(r·r)·(1 + 8u)(1 − u) > fl(r·r)·(1 + 6.9u)`. (`r·r` itself would sit
+/// up to ~3 ulps *below* such an `x`.) Too wide costs a candidate within
+/// ulps of the radius one exact DTW before the root-space test rejects it;
+/// too narrow would lose a match. Holds wherever `r·r` does not underflow.
+fn range_prune_sq(radius: f64) -> f64 {
+    radius * radius * (1.0 + 4.0 * f64::EPSILON)
 }
 
 #[cfg(test)]

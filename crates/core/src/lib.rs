@@ -47,18 +47,14 @@
 //!   `(family, dimension)` candidate's tightness and estimated candidate
 //!   ratio on a seeded corpus sample and emit a deterministic, persistable
 //!   [`plan::TransformPlan`] (tightness-first, cost model breaks ties).
-//! * [`subsequence`] — sliding-window subsequence matching over long series,
-//!   the §3.2 alternative to whole-sequence matching.
 //! * [`kernel`] — the SIMD-friendly inner loops under [`dtw`], [`envelope`]
 //!   and the engine's verification cascade: aligned structure-of-arrays
 //!   buffers, blocked lower-bound accumulation, an unrolled banded-DTW row
 //!   recurrence, and the sliding-window min/max behind every envelope. One
 //!   shape runs everywhere (AVX2 when the CPU has it); a scalar reference
 //!   shape is held to the same bits.
-//! * [`session`] — incremental query sessions (query-as-you-hum):
-//!   [`session::QuerySession`] buffers validated raw frames and builds the
-//!   request a refinement executes — bit-identical to a one-shot query over
-//!   the prefix.
+//! * [`session`] — [`session::QuerySession`], the validated raw frames →
+//!   [`engine::QueryRequest`] builder every query goes through.
 //!
 //! # Quick example
 //!
@@ -98,7 +94,6 @@ pub mod plan;
 pub mod segment;
 pub mod session;
 pub mod shard;
-pub mod subsequence;
 pub mod tightness;
 pub mod transform;
 pub mod upsample;

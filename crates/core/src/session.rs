@@ -1,40 +1,29 @@
-//! Incremental query sessions: query-as-you-hum.
+//! The raw frames → [`QueryRequest`] builder every query goes through.
 //!
-//! A [`QuerySession`] is the first-class query object for interactive
-//! retrieval: the hum grows frame by frame (`append`), and each
-//! *refinement* — [`QuerySession::to_request`] handed to any engine's
-//! `try_query_with` — answers the query over everything appended so far,
-//! through the same executor, verification cascade and
-//! [`QueryBudget`]/deadline machinery as every other query, so every
-//! refinement is bounded work.
+//! A [`QuerySession`] holds a request template, the [`NormalForm`] the
+//! serving system normalizes hums with, and the validated raw pitch frames
+//! of one hum — nothing derived. [`QuerySession::append`] is a finiteness
+//! check (at raw-frame indices, before resampling could smear the poison)
+//! and a copy; [`QuerySession::to_request`] attaches the canonical normal
+//! form ([`NormalForm::apply`]) of the frames to the template. The request
+//! runs through the same executor, verification cascade and
+//! [`QueryBudget`]/deadline machinery as any other — the type adds no query
+//! path of its own.
 //!
-//! # The prefix bit-identity invariant
-//!
-//! The contract that makes streaming trustworthy:
-//!
-//! > A refinement after any sequence of appends returns **bit-identical
-//! > matches and counters** to a one-shot query over the same prefix —
-//! > at every shard count, thread count, and [`KernelMode`].
-//!
-//! It holds by construction: the session derives exactly the canonical
-//! normal form ([`NormalForm::apply`]) of the appended prefix and executes
-//! it through the same [`QueryRequest`] entry points a one-shot caller
-//! uses. `crates/core/tests/session.rs` proves it over a shard ×
-//! kernel-mode matrix.
-//!
-//! # What a session holds
-//!
-//! The request template, the normal form, and the validated raw frames —
-//! nothing derived. The canonical view is computed at refinement, and that
-//! is forced: the canonical form resamples the prefix to a fixed length
-//! (tempo invariance, Uniform Time Warping), so every append moves *every*
-//! resample position and no per-frame state can extend it. An append is a
-//! finiteness check and a copy; re-derivation is O(canonical length) and
-//! the cascade dominates refinement cost anyway.
+//! Because the request is a pure function of the frames held, a query built
+//! after any sequence of appends is **bit-identical** — matches and
+//! counters — to one built from the same frames appended at once, at every
+//! shard count, thread count and [`KernelMode`];
+//! `crates/core/tests/session.rs` proves it over a shard × kernel-mode
+//! matrix. Query-as-you-hum is therefore a caller's loop over growing
+//! prefixes, and nothing is kept between them: the canonical form resamples
+//! the whole prefix to a fixed length (tempo invariance, Uniform Time
+//! Warping), so every new frame moves *every* resample position and no
+//! per-frame state could extend the previous view.
 //!
 //! [`KernelMode`]: crate::kernel::KernelMode
 
-use crate::engine::{check_finite, EngineError, QueryBudget, QueryRequest};
+use crate::engine::{EngineError, QueryBudget, QueryRequest};
 use crate::normal::NormalForm;
 
 /// An incremental query session: the first-class query object for
@@ -133,25 +122,14 @@ impl QuerySession {
 
     /// Builds the [`QueryRequest`] a refinement executes: the template
     /// with the canonical view of the current prefix and `budget`
-    /// attached. Execute it with `try_query_with` on any engine (or
-    /// `QbhSystem::try_refine_session`) — the session adds no query path of
-    /// its own.
+    /// attached. Execute it with `try_query_with` on any engine — the
+    /// session adds no query path of its own.
     ///
     /// # Errors
     /// [`EngineError::EmptyQuery`] before the first append.
     pub fn to_request(&self, budget: QueryBudget) -> Result<QueryRequest, EngineError> {
         Ok(self.template.clone().with_series(self.normalized_view()?).with_budget(budget))
     }
-}
-
-/// Re-validates appended frames with engine-boundary semantics; used by
-/// serving layers that buffer frames outside a [`QuerySession`] (the wire
-/// session store) and want the identical typed rejection.
-///
-/// # Errors
-/// [`EngineError::NonFiniteSample`] at the raw index.
-pub fn validate_frames(frames: &[f64]) -> Result<(), EngineError> {
-    check_finite(frames, "appended frames")
 }
 
 #[cfg(test)]

@@ -73,7 +73,7 @@ fn assert_agrees(engine: &Engine, model: &Model, query: &[f64], when: &str) {
     }
     let truth = brute_force(model, query);
     let k = 5.min(truth.len());
-    let radius = truth.get(k.saturating_sub(1)).map_or(1.0, |m| m.1 * (1.0 + 1e-9));
+    let radius = truth.get(k.saturating_sub(1)).map_or(1.0, |m| m.1);
     let in_range: Vec<(ItemId, f64)> = truth.iter().copied().filter(|m| m.1 <= radius).collect();
     for scan in [true, false] {
         let knn = QueryRequest::knn(5).with_series(query).with_band(BAND).with_scan(scan);

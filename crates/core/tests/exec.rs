@@ -194,6 +194,35 @@ fn every_layout_matches_brute_force_at_every_width_and_honours_the_deadline() {
     }
 }
 
+/// A range query at a distance a k-NN answer reported returns that
+/// neighbour, in every layout, indexed or scanned: a match is decided on the
+/// root it is reported with, not on `radius²` (`fl(fl(√x)²)` can sit a few
+/// ulps below `x`).
+#[test]
+fn a_range_query_at_a_returned_distance_returns_that_item() {
+    let series = corpus(90, 7);
+    for (name, units) in layouts(&series) {
+        let leaves = leaves(&units);
+        for qi in [3usize, 10, 41] {
+            for scan in [false, true] {
+                let shape = |r: QueryRequest| {
+                    r.with_series(series[qi].clone()).with_band(BAND).with_scan(scan)
+                };
+                let knn = run(&leaves, &shape(QueryRequest::knn(8)), 1).expect("completes");
+                for &(id, distance) in &knn.result.matches {
+                    let request = shape(QueryRequest::range(distance));
+                    let range = run(&leaves, &request, 1).expect("completes").result.matches;
+                    assert!(
+                        range.contains(&(id, distance)),
+                        "{name}, scan={scan}: range({distance}) around #{qi} lost item {id}"
+                    );
+                    assert_eq!(range, brute_force(&series, &request), "{name}, scan={scan}");
+                }
+            }
+        }
+    }
+}
+
 /// Leaf pruning skips a segment only for an indexed ε-range query that
 /// cannot reach its bounding box; k-NN and the scans always see every leaf.
 #[test]

@@ -1,4 +1,4 @@
-//! The linchpin invariant of streaming sessions: a refinement after any
+//! The linchpin invariant of [`QuerySession`]: a request built after any
 //! sequence of appends is **bit-identical** — matches, counters, and trace
 //! — to a one-shot query over the same prefix, at every shard count and
 //! [`KernelMode`], for range and k-NN alike.

@@ -10,14 +10,14 @@
 //! qbh hum      <dir> <name.mid> <out.wav>     synthesize a hum of one melody
 //!              [--singer good|poor] [--seed S]
 //!              [--stream ADDR] [--top K] [--chunk-frames N]
-//!                                             and/or stream it to a running
-//!                                             server, printing the top-k as
-//!                                             it refines with each chunk
+//!                                             and/or query a running server
+//!                                             with each growing prefix,
+//!                                             printing the top-k as it goes
 //! qbh query    <dir|store-dir> <hum.wav> [--top K]
 //!                                             find a hummed melody in a MIDI
 //!                                             directory or an indexed store
 //! qbh serve    <store-dir> [--addr A] [--workers N]
-//!              [--queue-depth D] [--max-sessions N]
+//!              [--queue-depth D]
 //!              [--default-deadline-ms MS]
 //!              [--memtable N] [--compact-at N]
 //!              [--maintenance-ms MS]
@@ -131,7 +131,7 @@ fn usage_text() -> &'static str {
 [--stream ADDR] [--top K] [--chunk-frames N]\n  \
      qbh query <dir|store-dir> <hum.wav> [--top K]\n  \
      qbh serve <store-dir> [--addr A] [--workers N] [--queue-depth D]\n          \
-[--default-deadline-ms MS] [--max-sessions N]\n          \
+[--default-deadline-ms MS]\n          \
 [--memtable N] [--compact-at N] [--maintenance-ms MS]\n          \
 [--allow-remote-shutdown]"
 }
@@ -279,9 +279,10 @@ fn cmd_hum(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Query-as-you-hum against a running `qbh serve`: pitch-track the hum,
-/// open a streaming session, and refine after every appended chunk,
-/// printing the top-k as it sharpens.
+/// Query-as-you-hum against a running `qbh serve`: pitch-track the hum
+/// and ask for the top-k of every prefix that grows by one chunk, printing
+/// each answer as it sharpens. A prefix is an ordinary `knn` request; the
+/// server keeps nothing between them.
 fn stream_hum(
     audio: &[f64],
     sample_rate: u32,
@@ -300,40 +301,17 @@ fn stream_hum(
 
     let connect = |e| CliError::Server(format!("cannot stream to {addr}: {e}"));
     let mut client = hum_server::Client::connect(addr).map_err(connect)?;
-    let hello = client
-        .hello(hum_server::PROTOCOL_VERSION)
-        .map_err(|e| CliError::Server(format!("handshake with {addr} failed: {e}")))?;
-    if hello.version < hum_server::PROTOCOL_VERSION {
-        return Err(CliError::Server(format!(
-            "{addr} speaks protocol v{} (< v{}); it has no streaming sessions",
-            hello.version,
-            hum_server::PROTOCOL_VERSION
-        )));
-    }
-
     let wire = |e| CliError::Server(format!("streaming to {addr} failed: {e}"));
-    let session = client
-        .open_session(
-            hum_server::ServiceQuery::Knn { k: top },
-            &hum_server::QueryOptions::default(),
-        )
-        .map_err(wire)?;
-    eprintln!(
-        "Streaming {} voiced frames to {addr} (session {session}, chunks of {chunk})...",
-        frames.len()
-    );
-    for batch in frames.chunks(chunk) {
-        let total = client.append_frames(session, batch).map_err(wire)?;
-        let refined = client.refine(session, None).map_err(wire)?;
-        let line: Vec<String> = refined
-            .reply
-            .matches
-            .iter()
-            .map(|m| format!("#{} ({:.3})", m.id, m.distance))
-            .collect();
-        println!("[{total:>4} frames] top-{top}: {}", line.join("  "));
+    eprintln!("Streaming {} voiced frames to {addr} (chunks of {chunk})...", frames.len());
+    let options = hum_server::QueryOptions::default();
+    let mut end = 0;
+    while end < frames.len() {
+        end = (end + chunk).min(frames.len());
+        let reply = client.knn(&frames[..end], top, &options).map_err(wire)?;
+        let line: Vec<String> =
+            reply.matches.iter().map(|m| format!("#{} ({:.3})", m.id, m.distance)).collect();
+        println!("[{end:>4} frames] top-{top}: {}", line.join("  "));
     }
-    client.close_session(session).map_err(wire)?;
     Ok(())
 }
 
@@ -518,9 +496,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let default_deadline =
         flag_value(args, "--default-deadline-ms")?.map(std::time::Duration::from_millis);
     let allow_remote_shutdown = args.iter().any(|a| a == "--allow-remote-shutdown");
-    let max_sessions = flag_value(args, "--max-sessions")?
-        .map(|n| n.max(1) as usize)
-        .unwrap_or(ServerConfig::default().max_sessions);
     let maintenance_interval =
         flag_value(args, "--maintenance-ms")?.map(std::time::Duration::from_millis);
 
@@ -552,7 +527,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         queue_depth,
         default_deadline,
         allow_remote_shutdown,
-        max_sessions,
         maintenance_interval,
         metrics: metrics.clone(),
         ..ServerConfig::default()

@@ -14,8 +14,7 @@
 //!
 //! [`eval`] adds the paper's evaluation protocol: rank bins for retrieval
 //! tables (Tables 2 and 3) and head-to-head comparison with the contour
-//! baseline. [`songsearch`] implements the subsequence alternative of §3.2:
-//! locating a hummed fragment anywhere inside whole songs.
+//! baseline.
 //!
 //! ```
 //! use hum_qbh::corpus::MelodyDatabase;
@@ -40,7 +39,6 @@ pub mod corpus;
 pub mod eval;
 pub mod fault;
 pub mod serve;
-pub mod songsearch;
 pub mod storage;
 pub mod store;
 pub mod system;

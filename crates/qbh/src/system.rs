@@ -943,51 +943,14 @@ impl QbhSystem {
         segments.chain(self.memtable.leaves(None)).collect()
     }
 
-    /// Opens an incremental query session: the request template's kind,
-    /// band, trace, and scan settings apply to every refinement (any
-    /// series already on the template is ignored — frames stream in
-    /// through [`QuerySession::append`]). Use [`QbhSystem::band`] for the
-    /// configured warping width. The session owns the incremental
-    /// normal-form state; [`QbhSystem::try_refine_session`] answers the
-    /// query over everything appended so far, bit-identical to a one-shot
-    /// [`QbhSystem::try_query_request`] over the same prefix.
+    /// Opens the frames → request builder every query goes through: the
+    /// request template's kind, band, trace, and scan settings apply to the
+    /// request it builds (any series already on the template is ignored —
+    /// frames arrive through [`QuerySession::append`]), normalized with
+    /// this system's normal form. Use [`QbhSystem::band`] for the
+    /// configured warping width.
     pub fn open_session(&self, template: QueryRequest) -> QuerySession {
         QuerySession::new(template, self.normal)
-    }
-
-    /// Refines a session: answers its query over every frame appended so
-    /// far, annotated with provenance. The session's template budget
-    /// governs the deadline (attach one with
-    /// [`QueryRequest::with_budget`] before opening, or use the
-    /// scratch-reusing form).
-    ///
-    /// # Errors
-    /// [`EngineError::EmptyQuery`] before the first append, plus anything
-    /// the engine reports — [`EngineError::DeadlineExceeded`] carries the
-    /// partial counters when the budget expires mid-refinement.
-    pub fn try_refine_session(
-        &self,
-        session: &QuerySession,
-    ) -> Result<(QbhResults, Option<QueryTrace>), EngineError> {
-        let mut scratch = QueryScratch::new();
-        self.try_refine_session_with(session, &mut scratch)
-    }
-
-    /// [`QbhSystem::try_refine_session`] computing in caller-provided
-    /// scratch — the serving path reuses one scratch per worker. Results
-    /// and counters are identical to the fresh-scratch form.
-    ///
-    /// # Errors
-    /// Same as [`QbhSystem::try_refine_session`].
-    pub fn try_refine_session_with(
-        &self,
-        session: &QuerySession,
-        scratch: &mut QueryScratch,
-    ) -> Result<(QbhResults, Option<QueryTrace>), EngineError> {
-        let request = session.to_request(session.template().budget())?;
-        let width = BatchOptions::default().threads;
-        let outcome = execute(&self.leaves(), &request, scratch, width, &self.metrics)?;
-        Ok((self.annotate(outcome.result), outcome.trace))
     }
 
     /// Executes a [`QueryRequest`] on a hummed pitch series: the series is
@@ -997,10 +960,9 @@ impl QbhSystem {
     /// width. Returns annotated results plus the cascade trace when the
     /// request asked for one.
     ///
-    /// Implemented as a degenerate session — open, append everything,
-    /// refine once — so the one-shot and streaming surfaces cannot drift:
-    /// there is exactly one path from raw frames to the engine, and every
-    /// other query method of the system is a caller of it.
+    /// There is exactly one path from raw frames to the engine — validate,
+    /// normalize, attach ([`QuerySession`]), then the one executor — and
+    /// every other query method of the system is a caller of it.
     ///
     /// # Errors
     /// [`EngineError::EmptyQuery`] on an empty pitch series,
@@ -1027,20 +989,24 @@ impl QbhSystem {
         request: QueryRequest,
         scratch: &mut QueryScratch,
     ) -> Result<(QbhResults, Option<QueryTrace>), EngineError> {
-        self.try_refine_session_with(&self.session_over(pitch_series, request)?, scratch)
+        let request = self.request_over(pitch_series, request)?;
+        let width = BatchOptions::default().threads;
+        let outcome = execute(&self.leaves(), &request, scratch, width, &self.metrics)?;
+        Ok((self.annotate(outcome.result), outcome.trace))
     }
 
-    /// The degenerate session of a one-shot query: everything appended at
-    /// once. An empty series leaves the session empty; refinement reports
-    /// `EmptyQuery` before `NormalForm::apply` could see it.
-    fn session_over(
+    /// `request` with the normal form of `pitch_series` attached. An empty
+    /// series is reported as `EmptyQuery` before `NormalForm::apply` could
+    /// see it.
+    fn request_over(
         &self,
         pitch_series: &[f64],
         request: QueryRequest,
-    ) -> Result<QuerySession, EngineError> {
+    ) -> Result<QueryRequest, EngineError> {
+        let budget = request.budget();
         let mut session = self.open_session(request);
         session.append(pitch_series)?;
-        Ok(session)
+        session.to_request(budget)
     }
 
     /// Batched [`QbhSystem::try_query_request`]: the same `request` template
@@ -1062,7 +1028,7 @@ impl QbhSystem {
     ) -> Result<Vec<(QbhResults, Option<QueryTrace>)>, EngineError> {
         let requests = pitch_series
             .iter()
-            .map(|series| self.session_over(series, request.clone())?.to_request(request.budget()))
+            .map(|series| self.request_over(series, request.clone()))
             .collect::<Result<Vec<_>, _>>()?;
         let batch = execute_batch(&self.leaves(), &requests, options, &self.metrics)?;
         Ok(batch.outcomes.into_iter().map(|o| (self.annotate(o.result), o.trace)).collect())
@@ -1655,6 +1621,7 @@ impl QbhSystem {
 mod tests {
     use super::*;
     use hum_audio::{HumSynthesizer, SynthConfig};
+    use hum_core::engine::QueryBudget;
     use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 
     fn small_db() -> MelodyDatabase {
@@ -1928,6 +1895,9 @@ mod tests {
         assert!(!system.try_remove(8_000).unwrap());
     }
 
+    /// `open_session` → `append` → `to_request`, run on the engine, is the
+    /// system's own one-shot query over the same prefix: matches, counters
+    /// and trace. The benchmark's stage replay builds its requests this way.
     #[test]
     fn streaming_session_matches_one_shot_at_every_checkpoint() {
         let db = small_db();
@@ -1938,20 +1908,28 @@ mod tests {
         let template = QueryRequest::knn(5).with_band(system.band()).with_trace(true);
         let mut session = system.open_session(template.clone());
         assert_eq!(
-            system.try_refine_session(&session).unwrap_err(),
+            session.to_request(QueryBudget::unlimited()).unwrap_err(),
             EngineError::EmptyQuery
         );
         let mut scratch = QueryScratch::new();
         for chunk in hum.chunks(13) {
             session.append(chunk).unwrap();
-            let streamed =
-                system.try_refine_session_with(&session, &mut scratch).unwrap();
-            let one_shot = system
-                .try_query_request(session.frames(), template.clone())
-                .unwrap();
-            assert_eq!(streamed, one_shot, "prefix of {} frames", session.len());
+            let request = session.to_request(QueryBudget::unlimited()).unwrap();
+            let streamed = system.engine().try_query_with(&request, &mut scratch).unwrap();
+            let (one_shot, trace) =
+                system.try_query_request(session.frames(), template.clone()).unwrap();
+            assert_eq!(
+                streamed.result,
+                hum_core::engine::QueryResult {
+                    matches: one_shot.matches.iter().map(|m| (m.id, m.distance)).collect(),
+                    stats: one_shot.stats,
+                },
+                "prefix of {} frames",
+                session.len()
+            );
+            assert_eq!(streamed.trace, trace, "prefix of {} frames", session.len());
         }
-        // The fully-streamed hum answers exactly like the legacy surface.
+        // The whole hum answers exactly like the legacy surface.
         let (results, _) = system.try_query_request(&hum, template).unwrap();
         assert_eq!(results, system.query_series_banded(&hum, system.band(), 5));
     }

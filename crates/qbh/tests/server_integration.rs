@@ -8,7 +8,8 @@
 //!     rejections — every request gets a typed answer, none vanish,
 //! (c) graceful shutdown drains in-flight requests, and the shared obs
 //!     registry's totals equal the per-request stats summed client-side,
-//! plus live mutation over the wire and deadline behavior.
+//! plus live mutation over the wire, deadline behavior, and typed
+//! `unsupported` answers for ops and versions the server does not speak.
 
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -56,7 +57,14 @@ fn assert_matches_bit_identical(wire: &[ServiceMatch], local: &[QbhMatch], conte
 fn served_queries_are_bit_identical_to_in_process_at_1_and_8_workers() {
     let db = database();
     let system = QbhSystem::build(&db, &QbhConfig::default());
-    let queries = hums(&db, 6);
+    // Query-as-you-hum is a client loop over growing prefixes, so an eighth
+    // and a half of a hum are inputs like the whole one.
+    let mut queries = hums(&db, 6);
+    let prefixes: Vec<Vec<f64>> = queries[..2]
+        .iter()
+        .flat_map(|q| [q[..(q.len() / 8).max(1)].to_vec(), q[..q.len() / 2].to_vec()])
+        .collect();
+    queries.extend(prefixes);
 
     // In-process expectations, computed before the server takes ownership.
     // The server defaults omitted bands to the system's configured width,
@@ -258,26 +266,29 @@ fn expired_deadline_over_the_wire_is_typed_with_stats_and_no_matches() {
     let server = Server::start(system, "127.0.0.1:0", config).expect("bind");
     let mut client = Client::connect(server.local_addr()).unwrap();
 
+    // The whole hum and a prefix of it (a refinement mid-hum) alike.
     let options = QueryOptions { deadline_ms: Some(0), ..QueryOptions::default() };
-    match client.knn(&query, 5, &options) {
-        Err(ClientError::DeadlineExceeded { stats, message }) => {
-            let stats = stats.expect("deadline errors carry their partial stats");
-            assert_eq!(stats.matches, 0, "partial match sets are never returned");
-            assert!(!message.is_empty());
+    for (aborted, frames) in [&query[..], &query[..query.len() / 2]].into_iter().enumerate() {
+        match client.knn(frames, 5, &options) {
+            Err(ClientError::DeadlineExceeded { stats, message }) => {
+                let stats = stats.expect("deadline errors carry their partial stats");
+                assert_eq!(stats.matches, 0, "partial match sets are never returned");
+                assert!(!message.is_empty());
+            }
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-        other => panic!("expected DeadlineExceeded, got {other:?}"),
+        assert_eq!(
+            metrics.registry().unwrap().get(Metric::ServerDeadlineExceeded),
+            aborted as u64 + 1,
+            "the abort must be counted"
+        );
     }
-    assert_eq!(
-        metrics.registry().unwrap().get(Metric::ServerDeadlineExceeded),
-        1,
-        "the abort must be counted"
-    );
 
     // The same query with a generous deadline succeeds and is not aborted.
     let generous = QueryOptions { deadline_ms: Some(60_000), ..QueryOptions::default() };
     let reply = client.knn(&query, 5, &generous).unwrap();
     assert_eq!(reply.matches.len(), 5);
-    assert_eq!(metrics.registry().unwrap().get(Metric::ServerDeadlineExceeded), 1);
+    assert_eq!(metrics.registry().unwrap().get(Metric::ServerDeadlineExceeded), 2);
     server.shutdown().expect("system handed back");
 }
 
@@ -300,5 +311,45 @@ fn server_default_deadline_applies_when_the_request_has_none() {
     // A per-request deadline overrides the server default.
     let generous = QueryOptions { deadline_ms: Some(60_000), ..QueryOptions::default() };
     assert_eq!(client.knn(&query, 5, &generous).unwrap().matches.len(), 5);
+    server.shutdown().expect("system handed back");
+}
+
+/// An op or a protocol version the server does not speak comes back as a
+/// typed `Unsupported` — a distinct kind from `BadRequest`, so clients can
+/// fall back instead of "fixing" a request that was never wrong. That
+/// includes the retired session surface (protocol version 2): each of its
+/// ops fails loudly, never hangs, and the connection keeps serving.
+#[test]
+fn unknown_ops_and_foreign_versions_are_unsupported_over_the_wire() {
+    let db = database();
+    let system = QbhSystem::build(&db, &QbhConfig::default());
+    let server =
+        Server::start(system, "127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    // A hang must fail the test, not stall it.
+    client.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+
+    let frames: [(&[u8], &str); 9] = [
+        (br#"{"op":"transcribe"}"#, "transcribe"),
+        (br#"{"op":"ping","v":99}"#, "99"),
+        (br#"{"op":"ping","v":2}"#, "version 2"),
+        (br#"{"op":"hello","version":2}"#, "hello"),
+        (br#"{"op":"open_session","v":2,"mode":"knn","k":5}"#, "version 2"),
+        (br#"{"op":"open_session","mode":"knn","k":5}"#, "open_session"),
+        (br#"{"op":"append_frames","session":1,"frames":[60.0]}"#, "append_frames"),
+        (br#"{"op":"refine","session":1}"#, "refine"),
+        (br#"{"op":"close_session","session":1}"#, "close_session"),
+    ];
+    for (frame, needle) in frames {
+        let sent = String::from_utf8_lossy(frame);
+        match client.send_raw_frame(frame) {
+            Err(ClientError::Unsupported(message)) => {
+                assert!(message.contains(needle), "{sent}: {message}")
+            }
+            other => panic!("{sent}: want Unsupported, got {other:?}"),
+        }
+        // The connection survives every rejection.
+        assert_eq!(client.ping().expect("still serving"), db.len() as u64, "after {sent}");
+    }
     server.shutdown().expect("system handed back");
 }

@@ -133,11 +133,11 @@ fn every_segment_layout_answers_bit_identically_to_the_monolithic_build() {
 }
 
 #[test]
-fn batch_and_session_queries_are_segment_invariant() {
+fn batch_and_prefix_queries_are_segment_invariant() {
     let db = database();
     let queries = hums(&db, 5);
     let monolithic = QbhSystem::build(&db, &config_with_shards(2));
-    let dir = temp_dir("batch-session");
+    let dir = temp_dir("batch-prefix");
     let system = build_store(&db, &dir, 2, 11, false);
 
     let sequential: Vec<_> = queries.iter().map(|q| monolithic.query_series(q, 8)).collect();
@@ -152,18 +152,15 @@ fn batch_and_session_queries_are_segment_invariant() {
         }
     }
 
-    // Streaming refinement: both systems see the same growing prefix and
-    // must agree after every chunk.
+    // Query-as-you-hum: both systems see the same growing prefix and must
+    // agree at every length.
     let hum = &queries[0];
     let template = QueryRequest::knn(6).with_band(monolithic.band());
-    let mut mono_session = monolithic.open_session(template.clone());
-    let mut store_session = system.open_session(template);
-    for (round, chunk) in hum.chunks(hum.len().div_ceil(4).max(1)).enumerate() {
-        mono_session.append(chunk).unwrap();
-        store_session.append(chunk).unwrap();
-        let (want, _) = monolithic.try_refine_session(&mono_session).unwrap();
-        let (got, _) = system.try_refine_session(&store_session).unwrap();
-        assert_bit_identical(&got.matches, &want.matches, &format!("refine round {round}"));
+    let chunk = hum.len().div_ceil(4).max(1);
+    for (round, end) in (chunk..hum.len()).step_by(chunk).chain([hum.len()]).enumerate() {
+        let (want, _) = monolithic.try_query_request(&hum[..end], template.clone()).unwrap();
+        let (got, _) = system.try_query_request(&hum[..end], template.clone()).unwrap();
+        assert_bit_identical(&got.matches, &want.matches, &format!("prefix round {round}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

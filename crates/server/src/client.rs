@@ -17,7 +17,7 @@ use serde_json::Value;
 use crate::protocol::{
     self, ErrorKind, FrameRead, Request, Response,
 };
-use crate::service::{ServiceMatch, ServiceQuery};
+use crate::service::ServiceMatch;
 
 /// Per-query knobs (all optional).
 #[derive(Debug, Clone, Copy, Default)]
@@ -41,27 +41,6 @@ pub struct QueryReply {
     pub trace: Option<Value>,
 }
 
-/// What a `hello` negotiation came back with.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HelloReply {
-    /// The version both sides speak (minimum of client and server).
-    pub version: u64,
-    /// The highest version the server speaks.
-    pub server_version: u64,
-    /// Every op the server understands.
-    pub ops: Vec<String>,
-}
-
-/// A successful session refinement: the query answer plus how many frames
-/// of the session it covered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefineReply {
-    /// The query answer over everything appended so far.
-    pub reply: QueryReply,
-    /// How many session frames this refinement saw.
-    pub frames: u64,
-}
-
 /// Why a client call failed.
 #[derive(Debug)]
 pub enum ClientError {
@@ -83,16 +62,12 @@ pub enum ClientError {
     /// The server is draining and refused new work.
     ShuttingDown(String),
     /// The request was readable but unacceptable (bad field, duplicate
-    /// id, non-finite samples, unknown/closed session, ...).
+    /// id, non-finite samples, ...).
     BadRequest(String),
     /// Unexpected server-side failure.
     Internal(String),
-    /// The server does not speak this op or protocol version (e.g. a
-    /// session op against a v1 server). Fall back or renegotiate.
+    /// The server does not speak this op or protocol version.
     Unsupported(String),
-    /// The session was evicted (idle LRU under the session cap); open a
-    /// new session and re-stream.
-    SessionEvicted(String),
 }
 
 impl fmt::Display for ClientError {
@@ -108,7 +83,6 @@ impl fmt::Display for ClientError {
             ClientError::BadRequest(m) => write!(f, "bad request: {m}"),
             ClientError::Internal(m) => write!(f, "internal server error: {m}"),
             ClientError::Unsupported(m) => write!(f, "unsupported: {m}"),
-            ClientError::SessionEvicted(m) => write!(f, "session evicted: {m}"),
         }
     }
 }
@@ -130,7 +104,6 @@ fn server_error(kind: ErrorKind, message: String, stats: Option<EngineStats>) ->
         ErrorKind::ShuttingDown => ClientError::ShuttingDown(message),
         ErrorKind::Internal => ClientError::Internal(message),
         ErrorKind::Unsupported => ClientError::Unsupported(message),
-        ErrorKind::SessionEvicted => ClientError::SessionEvicted(message),
     }
 }
 
@@ -316,104 +289,6 @@ impl Client {
     /// Typed [`ClientError`]; see the variants.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
         self.call(&Request::Shutdown).map(|_| ())
-    }
-
-    /// Negotiates the protocol version
-    /// ([`protocol::PROTOCOL_VERSION`] is this build's highest) and
-    /// learns the server's op table.
-    ///
-    /// # Errors
-    /// Typed [`ClientError`]; a v1 server answers the `hello` op itself
-    /// with [`ClientError::Unsupported`], which is the signal to stay on
-    /// the sessionless surface.
-    pub fn hello(&mut self, version: u64) -> Result<HelloReply, ClientError> {
-        let value = self.call(&Request::Hello { version })?;
-        let ops = match &value {
-            Value::Object(fields) => fields
-                .iter()
-                .find(|(k, _)| k == "ops")
-                .and_then(|(_, v)| match v {
-                    Value::Array(items) => Some(
-                        items
-                            .iter()
-                            .filter_map(|item| match item {
-                                Value::String(s) => Some(s.clone()),
-                                _ => None,
-                            })
-                            .collect::<Vec<String>>(),
-                    ),
-                    _ => None,
-                })
-                .unwrap_or_default(),
-            _ => Vec::new(),
-        };
-        Ok(HelloReply {
-            version: protocol::response_u64(&value, "version").map_err(ClientError::Protocol)?,
-            server_version: protocol::response_u64(&value, "server_version")
-                .map_err(ClientError::Protocol)?,
-            ops,
-        })
-    }
-
-    /// Opens a streaming query session; the query shape (k-NN or range),
-    /// band override, and trace flag are fixed for the session's life.
-    /// Returns the session id.
-    ///
-    /// # Errors
-    /// [`ClientError::Overloaded`] at the session cap,
-    /// [`ClientError::Unsupported`] from pre-session servers.
-    pub fn open_session(
-        &mut self,
-        query: ServiceQuery,
-        options: &QueryOptions,
-    ) -> Result<u64, ClientError> {
-        let value = self.call(&Request::OpenSession {
-            query,
-            band: options.band,
-            trace: options.trace,
-        })?;
-        protocol::response_u64(&value, "session").map_err(ClientError::Protocol)
-    }
-
-    /// Appends raw pitch frames to an open session; returns the session's
-    /// new total frame count.
-    ///
-    /// # Errors
-    /// [`ClientError::Overloaded`] past the per-session byte cap (the
-    /// session survives; nothing from this batch landed),
-    /// [`ClientError::SessionEvicted`] after an idle-LRU eviction,
-    /// [`ClientError::BadRequest`] for closed/unknown sessions or
-    /// non-finite samples.
-    pub fn append_frames(&mut self, session: u64, frames: &[f64]) -> Result<u64, ClientError> {
-        let value =
-            self.call(&Request::AppendFrames { session, frames: frames.to_vec() })?;
-        protocol::response_u64(&value, "frames").map_err(ClientError::Protocol)
-    }
-
-    /// Runs the session's query over everything appended so far.
-    ///
-    /// # Errors
-    /// Typed [`ClientError`]; deadline aborts carry partial stats exactly
-    /// like one-shot queries.
-    pub fn refine(
-        &mut self,
-        session: u64,
-        deadline_ms: Option<u64>,
-    ) -> Result<RefineReply, ClientError> {
-        let value = self.call(&Request::Refine { session, deadline_ms })?;
-        Ok(RefineReply {
-            reply: Self::query_reply(&value)?,
-            frames: protocol::response_u64(&value, "frames").map_err(ClientError::Protocol)?,
-        })
-    }
-
-    /// Closes a session; returns how many frames it had buffered.
-    ///
-    /// # Errors
-    /// [`ClientError::BadRequest`] for unknown/already-closed sessions.
-    pub fn close_session(&mut self, session: u64) -> Result<u64, ClientError> {
-        let value = self.call(&Request::CloseSession { session })?;
-        protocol::response_u64(&value, "frames").map_err(ClientError::Protocol)
     }
 
     /// Sends raw bytes as one frame and reads back one response — the

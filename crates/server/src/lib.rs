@@ -5,21 +5,17 @@
 //! protocol, built from four pieces:
 //!
 //! - [`protocol`] — the wire format: 4-byte big-endian length prefix +
-//!   compact JSON, with allocation-safe reads, typed error codes, and an
-//!   explicit protocol version ([`PROTOCOL_VERSION`]) negotiated via the
-//!   `hello` op.
+//!   compact JSON, with allocation-safe reads, typed error codes, seven
+//!   ops and one protocol version ([`PROTOCOL_VERSION`]).
 //! - [`queue`] — the bounded admission queue: overload is an immediate
 //!   typed `overloaded` rejection, never a silent drop or unbounded wait.
-//! - [`session`] — per-server state for streaming (v2) query sessions:
-//!   buffered frames under hard caps, idle-LRU eviction with typed
-//!   `session_evicted` answers, bounded tombstones.
 //! - [`server`] — listener, per-connection threads, and a fixed worker
 //!   pool with per-worker scratch; request deadlines propagate into the
 //!   engine as a cooperative [`hum_core::engine::QueryBudget`]; graceful
 //!   shutdown drains every admitted request before handing the served
-//!   system back. Session refinements run through the same pool. A
-//!   maintenance thread flushes and compacts a durable service in three
-//!   phases, holding the service lock only to plan and to commit.
+//!   system back. A maintenance thread flushes and compacts a durable
+//!   service in three phases, holding the service lock only to plan and to
+//!   commit.
 //! - [`client`] — a small blocking client, also used by the CLI, the
 //!   integration tests, and the `serve` benchmark's load generator.
 //!
@@ -39,13 +35,11 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 pub mod service;
-pub mod session;
 
-pub use client::{Client, ClientError, HelloReply, QueryOptions, QueryReply, RefineReply};
+pub use client::{Client, ClientError, QueryOptions, QueryReply};
 pub use protocol::{
     ErrorKind, ParseError, Request, Response, MAX_FRAME_BYTES, MAX_WIRE_K, PROTOCOL_VERSION,
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerConfig};
 pub use service::{QbhService, ServiceError, ServiceMatch, ServiceOutcome, ServiceQuery};
-pub use session::{SessionConfig, SessionError, SessionStore};

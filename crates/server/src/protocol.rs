@@ -19,15 +19,13 @@
 //! # Versioning
 //!
 //! The frame layout is version-less and frozen; evolution happens inside
-//! the JSON payload. A client may send a `hello` op to learn the server's
-//! highest protocol version ([`PROTOCOL_VERSION`]) and negotiate down, and
-//! any request may carry an optional `"v"` field naming the version it was
-//! written against — versions the server does not speak come back as a
-//! typed `unsupported` error, as do unknown ops, so old servers and new
-//! clients fail loudly instead of misinterpreting each other. Version 1 is
-//! the sessionless surface (`knn`/`range`/`insert`/`remove`/`ping`/
-//! `stats`/`shutdown`); version 2 adds the streaming session ops
-//! (`open_session`/`append_frames`/`refine`/`close_session`).
+//! the JSON payload. There is one protocol version ([`PROTOCOL_VERSION`]),
+//! so nothing is negotiated: any request may carry an optional `"v"` field
+//! naming the version it was written against — a version the server does
+//! not speak comes back as a typed `unsupported` error, as does an unknown
+//! op, so mismatched servers and clients fail loudly instead of
+//! misinterpreting each other. The ops are `knn`, `range`, `insert`,
+//! `remove`, `ping`, `stats` and `shutdown`.
 //!
 //! # Number fidelity
 //!
@@ -45,12 +43,11 @@ use hum_core::engine::EngineStats;
 use hum_index::QueryStats;
 use serde_json::Value;
 
-use crate::service::{ServiceMatch, ServiceQuery};
+use crate::service::ServiceMatch;
 
-/// Highest protocol version this build speaks. Version 1 is the original
-/// sessionless surface; version 2 adds streaming query sessions. The
+/// The protocol version this build speaks — the only one there is. The
 /// server accepts every version in `1..=PROTOCOL_VERSION`.
-pub const PROTOCOL_VERSION: u64 = 2;
+pub const PROTOCOL_VERSION: u64 = 1;
 
 /// Default ceiling on payload size. Generous for this protocol: the
 /// largest legitimate frame is an insert carrying a few thousand pitch
@@ -226,42 +223,6 @@ pub enum Request {
     Stats,
     /// Ask the server to begin graceful shutdown.
     Shutdown,
-    /// Version/capability negotiation: the client names the highest
-    /// protocol version it speaks; the server answers with the negotiated
-    /// version (the minimum of the two) and its op table.
-    Hello {
-        /// Highest protocol version the client speaks (must be ≥ 1).
-        version: u64,
-    },
-    /// Open a streaming query session (protocol v2). The query shape is
-    /// fixed at open; frames stream in via `append_frames`.
-    OpenSession {
-        /// What each refinement asks for (k-NN or ε-range).
-        query: ServiceQuery,
-        /// Warping-band override (`None` = service default).
-        band: Option<usize>,
-        /// Ask for the cascade trace in each refine response.
-        trace: bool,
-    },
-    /// Append raw pitch frames to an open session.
-    AppendFrames {
-        /// Session id from `open_session`.
-        session: u64,
-        /// Raw (hummed) pitch frames to append.
-        frames: Vec<f64>,
-    },
-    /// Run the session's query over everything appended so far.
-    Refine {
-        /// Session id from `open_session`.
-        session: u64,
-        /// Per-refine deadline in milliseconds from arrival.
-        deadline_ms: Option<u64>,
-    },
-    /// Close a session and release its buffered frames.
-    CloseSession {
-        /// Session id from `open_session`.
-        session: u64,
-    },
 }
 
 /// Typed error kinds a response can carry, with their wire codes.
@@ -282,9 +243,6 @@ pub enum ErrorKind {
     Internal,
     /// Unknown op or a protocol version this server does not speak.
     Unsupported,
-    /// The session was evicted (idle LRU under the session cap) before
-    /// this request arrived; the client must open a new session.
-    SessionEvicted,
 }
 
 impl ErrorKind {
@@ -298,7 +256,6 @@ impl ErrorKind {
             ErrorKind::ShuttingDown => "shutting_down",
             ErrorKind::Internal => "internal",
             ErrorKind::Unsupported => "unsupported",
-            ErrorKind::SessionEvicted => "session_evicted",
         }
     }
 
@@ -312,7 +269,6 @@ impl ErrorKind {
             "shutting_down" => ErrorKind::ShuttingDown,
             "internal" => ErrorKind::Internal,
             "unsupported" => ErrorKind::Unsupported,
-            "session_evicted" => ErrorKind::SessionEvicted,
             _ => return None,
         })
     }
@@ -498,59 +454,6 @@ pub fn parse_request(value: &Value) -> Result<Request, ParseError> {
         "ping" => Ok(Request::Ping),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
-        "hello" => {
-            let version = get_u64(value, "version")?;
-            if version == 0 {
-                return Err(ParseError::unsupported(
-                    "protocol version 0 does not exist (versions start at 1)".to_string(),
-                ));
-            }
-            Ok(Request::Hello { version })
-        }
-        "open_session" => {
-            let Some(Value::String(mode)) = field(value, "mode") else {
-                return Err("missing string field 'mode' (knn or range)".to_string().into());
-            };
-            let query = match mode.as_str() {
-                "knn" => {
-                    let k = get_u64(value, "k")?;
-                    if k > MAX_WIRE_K {
-                        return Err(format!(
-                            "field 'k' ({k}) exceeds the protocol ceiling {MAX_WIRE_K}"
-                        )
-                        .into());
-                    }
-                    ServiceQuery::Knn { k: k as usize }
-                }
-                "range" => {
-                    let radius = get_f64(value, "radius")?;
-                    if !radius.is_finite() || radius < 0.0 {
-                        return Err(format!(
-                            "field 'radius' ({radius}) must be finite and non-negative"
-                        )
-                        .into());
-                    }
-                    ServiceQuery::Range { radius }
-                }
-                other => {
-                    return Err(format!("unknown session mode '{other}' (knn or range)").into())
-                }
-            };
-            Ok(Request::OpenSession {
-                query,
-                band: opt_u64(value, "band")?.map(|b| b as usize),
-                trace: get_bool_or(value, "trace", false)?,
-            })
-        }
-        "append_frames" => Ok(Request::AppendFrames {
-            session: get_u64(value, "session")?,
-            frames: get_pitch(value, "frames")?,
-        }),
-        "refine" => Ok(Request::Refine {
-            session: get_u64(value, "session")?,
-            deadline_ms: opt_u64(value, "deadline_ms")?,
-        }),
-        "close_session" => Ok(Request::CloseSession { session: get_u64(value, "session")? }),
         other => Err(ParseError::unsupported(format!("unknown op '{other}'"))),
     }
 }
@@ -595,48 +498,6 @@ pub fn request_to_value(request: &Request) -> Value {
         Request::Ping => object(vec![("op", Value::String("ping".to_string()))]),
         Request::Stats => object(vec![("op", Value::String("stats".to_string()))]),
         Request::Shutdown => object(vec![("op", Value::String("shutdown".to_string()))]),
-        Request::Hello { version } => object(vec![
-            ("op", Value::String("hello".to_string())),
-            ("version", num(*version)),
-        ]),
-        // Session ops pin `"v": 2` on the wire so a v1 server rejects them
-        // as unsupported instead of guessing at a shape it never learned.
-        Request::OpenSession { query, band, trace } => {
-            let mut fields = vec![
-                ("op", Value::String("open_session".to_string())),
-                ("v", num(PROTOCOL_VERSION)),
-            ];
-            match query {
-                ServiceQuery::Knn { k } => {
-                    fields.push(("mode", Value::String("knn".to_string())));
-                    fields.push(("k", num(*k as u64)));
-                }
-                ServiceQuery::Range { radius } => {
-                    fields.push(("mode", Value::String("range".to_string())));
-                    fields.push(("radius", Value::Number(*radius)));
-                }
-            }
-            fields.push(("band", opt_num(band.map(|b| b as u64))));
-            fields.push(("trace", Value::Bool(*trace)));
-            object(fields)
-        }
-        Request::AppendFrames { session, frames } => object(vec![
-            ("op", Value::String("append_frames".to_string())),
-            ("v", num(PROTOCOL_VERSION)),
-            ("session", num(*session)),
-            ("frames", pitch_value(frames)),
-        ]),
-        Request::Refine { session, deadline_ms } => object(vec![
-            ("op", Value::String("refine".to_string())),
-            ("v", num(PROTOCOL_VERSION)),
-            ("session", num(*session)),
-            ("deadline_ms", opt_num(*deadline_ms)),
-        ]),
-        Request::CloseSession { session } => object(vec![
-            ("op", Value::String("close_session".to_string())),
-            ("v", num(PROTOCOL_VERSION)),
-            ("session", num(*session)),
-        ]),
     }
 }
 
@@ -885,21 +746,6 @@ mod tests {
             Request::Ping,
             Request::Stats,
             Request::Shutdown,
-            Request::Hello { version: PROTOCOL_VERSION },
-            Request::OpenSession {
-                query: ServiceQuery::Knn { k: 7 },
-                band: Some(6),
-                trace: true,
-            },
-            Request::OpenSession {
-                query: ServiceQuery::Range { radius: 3.5 },
-                band: None,
-                trace: false,
-            },
-            Request::AppendFrames { session: 17, frames: vec![59.75, 60.0, -0.5] },
-            Request::Refine { session: 17, deadline_ms: Some(40) },
-            Request::Refine { session: 17, deadline_ms: None },
-            Request::CloseSession { session: 17 },
         ];
         for request in requests {
             let text = serde_json::to_string(&request_to_value(&request)).unwrap();
@@ -926,16 +772,6 @@ mod tests {
             ("{\"op\":\"range\",\"pitch\":[1]}", "radius"),
             ("{\"op\":\"insert\",\"id\":1,\"song\":0,\"phrase\":0}", "pitch"),
             ("{\"op\":\"remove\"}", "id"),
-            ("{\"op\":\"hello\"}", "version"),
-            ("{\"op\":\"open_session\"}", "mode"),
-            ("{\"op\":\"open_session\",\"mode\":\"walk\"}", "mode"),
-            ("{\"op\":\"open_session\",\"mode\":\"knn\"}", "k"),
-            ("{\"op\":\"open_session\",\"mode\":\"range\",\"radius\":-2}", "radius"),
-            ("{\"op\":\"append_frames\",\"session\":1}", "frames"),
-            ("{\"op\":\"append_frames\",\"session\":1,\"frames\":[null]}", "frames[0]"),
-            ("{\"op\":\"append_frames\",\"frames\":[1]}", "session"),
-            ("{\"op\":\"refine\"}", "session"),
-            ("{\"op\":\"close_session\"}", "session"),
         ] {
             let value = serde_json::from_str(payload).unwrap();
             let err = parse_request(&value).unwrap_err();
@@ -953,7 +789,6 @@ mod tests {
             "{\"op\":\"ping\",\"v\":99}",
             "{\"op\":\"ping\",\"v\":0}",
             "{\"op\":\"knn\",\"pitch\":[1],\"k\":1,\"v\":3}",
-            "{\"op\":\"hello\",\"version\":0}",
         ] {
             let value = serde_json::from_str(payload).unwrap();
             let err = parse_request(&value).unwrap_err();

@@ -78,12 +78,9 @@ use hum_core::obs::{Metric, MetricsSink, Timer};
 use serde::Serialize;
 use serde_json::Value;
 
-use crate::protocol::{
-    self, error_response, ok_response, ErrorKind, FrameRead, Request, PROTOCOL_VERSION,
-};
+use crate::protocol::{self, error_response, ok_response, ErrorKind, FrameRead, Request};
 use crate::queue::{BoundedQueue, PushError};
 use crate::service::{QbhService, ServiceError, ServiceQuery};
-use crate::session::{SessionConfig, SessionError, SessionStore};
 
 /// How many consecutive read timeouts a connection tolerates *mid-frame*
 /// before declaring the frame truncated (a stalled sender cannot pin its
@@ -123,15 +120,6 @@ pub struct ServerConfig {
     /// requests are answered with a typed `bad_request`; in-process
     /// shutdown ([`Server::shutdown`]) always works.
     pub allow_remote_shutdown: bool,
-    /// Most streaming sessions open at once; opens past the cap evict the
-    /// LRU *idle* session or are refused with a typed `overloaded`.
-    pub max_sessions: usize,
-    /// Most buffered bytes per streaming session; appends past the cap
-    /// are refused whole with a typed `overloaded` (the session survives).
-    pub max_session_bytes: usize,
-    /// How long a session must idle before the LRU sweep may evict it to
-    /// admit a new one (the evicted owner gets a typed `session_evicted`).
-    pub session_idle_timeout: Duration,
     /// The maintenance thread's idle re-check period. The thread always
     /// runs: a mutation that leaves [`QbhService::needs_maintenance`] true
     /// wakes it at once, so flush latency is not bounded by this timer —
@@ -152,9 +140,6 @@ impl Default for ServerConfig {
             poll_interval: Duration::from_millis(25),
             metrics: MetricsSink::Disabled,
             allow_remote_shutdown: false,
-            max_sessions: 64,
-            max_session_bytes: 256 * 1024,
-            session_idle_timeout: Duration::from_secs(60),
             maintenance_interval: None,
         }
     }
@@ -163,11 +148,6 @@ impl Default for ServerConfig {
 /// Work admitted to the queue.
 enum JobOp {
     Query { query: ServiceQuery, pitch: Vec<f64>, band: Option<usize>, trace: bool },
-    /// A session refinement: the frames were snapshotted out of the
-    /// session store at admission, so it executes exactly like `Query`
-    /// (same service call, same budget discipline) and only the response
-    /// carries extra session bookkeeping.
-    Refine { session: u64, query: ServiceQuery, pitch: Vec<f64>, band: Option<usize>, trace: bool },
     Insert { id: u64, song: usize, phrase: usize, pitch: Vec<f64> },
     Remove { id: u64 },
 }
@@ -194,7 +174,6 @@ struct Wake {
 
 struct Shared<S> {
     service: RwLock<S>,
-    sessions: Mutex<SessionStore>,
     queue: BoundedQueue<Job>,
     shutting_down: AtomicBool,
     wake: Mutex<Wake>,
@@ -252,13 +231,6 @@ impl<S> Shared<S> {
             Err(poisoned) => poisoned.into_inner(),
         }
     }
-
-    fn sessions(&self) -> std::sync::MutexGuard<'_, SessionStore> {
-        match self.sessions.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 }
 
 /// A running server; dropping it without calling [`Server::shutdown`]
@@ -296,11 +268,6 @@ impl<S: QbhService> Server<S> {
 
         let shared = Arc::new(Shared {
             service: RwLock::new(service),
-            sessions: Mutex::new(SessionStore::new(SessionConfig {
-                max_sessions: config.max_sessions,
-                max_session_bytes: config.max_session_bytes,
-                idle_timeout: config.session_idle_timeout,
-            })),
             queue: BoundedQueue::new(config.queue_depth),
             shutting_down: AtomicBool::new(false),
             wake: Mutex::new(Wake::default()),
@@ -543,93 +510,6 @@ fn handle_frame<S: QbhService>(shared: &Arc<Shared<S>>, payload: &[u8]) -> Value
     };
 
     let (op, deadline_ms) = match request {
-        Request::Hello { version } => {
-            // Capability negotiation: agree on the highest version both
-            // sides speak and enumerate the op table so scripted clients
-            // can feature-detect instead of probing with trial requests.
-            let negotiated = version.min(PROTOCOL_VERSION);
-            let ops = [
-                "hello", "knn", "range", "insert", "remove", "ping", "stats", "shutdown",
-                "open_session", "append_frames", "refine", "close_session",
-            ];
-            return ok_response(vec![
-                ("version", Value::Number(negotiated as f64)),
-                ("server_version", Value::Number(PROTOCOL_VERSION as f64)),
-                (
-                    "ops",
-                    Value::Array(
-                        ops.iter().map(|op| Value::String((*op).to_string())).collect(),
-                    ),
-                ),
-            ]);
-        }
-        Request::OpenSession { query, band, trace } => {
-            if shared.is_shutting_down() {
-                return error_response(
-                    ErrorKind::ShuttingDown,
-                    "server is shutting down; no new work accepted",
-                    None,
-                );
-            }
-            return match shared.sessions().open(query, band, trace, Instant::now()) {
-                Ok(session) => ok_response(vec![
-                    ("session", Value::Number(session as f64)),
-                    ("frames", Value::Number(0.0)),
-                ]),
-                Err(e) => session_error_response(&shared.metrics, &e),
-            };
-        }
-        Request::AppendFrames { session, frames } => {
-            if shared.is_shutting_down() {
-                return error_response(
-                    ErrorKind::ShuttingDown,
-                    "server is shutting down; no new work accepted",
-                    None,
-                );
-            }
-            // Reject non-finite samples at the boundary (whole batch, no
-            // partial landing) so a refine never sees a poisoned buffer.
-            if let Err(e) = hum_core::session::validate_frames(&frames) {
-                return error_response(ErrorKind::BadRequest, &e.to_string(), None);
-            }
-            return match shared.sessions().append(session, &frames, Instant::now()) {
-                Ok(total) => ok_response(vec![
-                    ("session", Value::Number(session as f64)),
-                    ("frames", Value::Number(total as f64)),
-                ]),
-                Err(e) => session_error_response(&shared.metrics, &e),
-            };
-        }
-        Request::CloseSession { session } => {
-            // Allowed even while draining: closing releases resources.
-            return match shared.sessions().close(session) {
-                Ok(frames) => ok_response(vec![
-                    ("session", Value::Number(session as f64)),
-                    ("frames", Value::Number(frames as f64)),
-                    ("closed", Value::Bool(true)),
-                ]),
-                Err(e) => session_error_response(&shared.metrics, &e),
-            };
-        }
-        Request::Refine { session, deadline_ms } => {
-            // Snapshot under the store lock, then run through the same
-            // admission queue and budget discipline as a one-shot query —
-            // the lock is never held while the engine works.
-            let snapshot = match shared.sessions().snapshot(session, Instant::now()) {
-                Ok(snapshot) => snapshot,
-                Err(e) => return session_error_response(&shared.metrics, &e),
-            };
-            (
-                JobOp::Refine {
-                    session,
-                    query: snapshot.query,
-                    pitch: snapshot.frames,
-                    band: snapshot.band,
-                    trace: snapshot.trace,
-                },
-                deadline_ms,
-            )
-        }
         Request::Ping => {
             let len = shared.read_service().len();
             return ok_response(vec![("len", Value::Number(len as f64))]);
@@ -680,7 +560,7 @@ fn handle_frame<S: QbhService>(shared: &Arc<Shared<S>>, payload: &[u8]) -> Value
 
     // The deadline clock starts at admission: queue wait spends budget.
     let timeout = match op {
-        JobOp::Query { .. } | JobOp::Refine { .. } => {
+        JobOp::Query { .. } => {
             deadline_ms.map(Duration::from_millis).or(shared.default_deadline)
         }
         // Mutations are never abandoned half-applied.
@@ -722,18 +602,6 @@ fn handle_frame<S: QbhService>(shared: &Arc<Shared<S>>, payload: &[u8]) -> Value
             "server is shutting down; no new work accepted",
             None,
         ),
-    }
-}
-
-/// Maps a session-store refusal to its typed wire response.
-fn session_error_response(metrics: &MetricsSink, e: &SessionError) -> Value {
-    match e {
-        SessionError::Overloaded(m) => {
-            metrics.add(Metric::ServerRequestsRejectedOverload, 1);
-            error_response(ErrorKind::Overloaded, m, None)
-        }
-        SessionError::Evicted(m) => error_response(ErrorKind::SessionEvicted, m, None),
-        SessionError::Unknown(m) => error_response(ErrorKind::BadRequest, m, None),
     }
 }
 
@@ -821,18 +689,7 @@ fn execute<S: QbhService>(
 ) -> Value {
     match op {
         JobOp::Query { query, pitch, band, trace } => {
-            run_query(shared, &query, &pitch, band, trace, budget, scratch, vec![])
-        }
-        JobOp::Refine { session, query, pitch, band, trace } => {
-            // Same execution as a one-shot query over the snapshotted
-            // frames; the response additionally says which session it
-            // refined and how many frames that covered, so a streaming
-            // client can line results up with what it had sent.
-            let extra = vec![
-                ("session", Value::Number(session as f64)),
-                ("frames", Value::Number(pitch.len() as f64)),
-            ];
-            run_query(shared, &query, &pitch, band, trace, budget, scratch, extra)
+            run_query(shared, &query, &pitch, band, trace, budget, scratch)
         }
         JobOp::Insert { id, song, phrase, pitch } => {
             let (result, len) =
@@ -888,9 +745,7 @@ fn service_error_response(e: &ServiceError) -> Value {
     }
 }
 
-/// Runs one budgeted query against the service and shapes the response;
-/// `extra` fields (session bookkeeping) ride along on success.
-#[allow(clippy::too_many_arguments)]
+/// Runs one budgeted query against the service and shapes the response.
 fn run_query<S: QbhService>(
     shared: &Shared<S>,
     query: &ServiceQuery,
@@ -899,7 +754,6 @@ fn run_query<S: QbhService>(
     trace: bool,
     budget: QueryBudget,
     scratch: &mut QueryScratch,
-    extra: Vec<(&str, Value)>,
 ) -> Value {
     if budget.expired() {
         // Spent its whole deadline in the queue: same typed answer
@@ -929,7 +783,6 @@ fn run_query<S: QbhService>(
             if let Some(trace) = &outcome.trace {
                 fields.push(("trace", trace.to_value()));
             }
-            fields.extend(extra);
             ok_response(fields)
         }
         Err(EngineError::DeadlineExceeded { stats }) => {

@@ -1,24 +1,17 @@
 //! Cross-crate determinism contract of the batched query layer.
 //!
-//! Every batch entry point — the phrase-segmented QBH system, the
-//! whole-song subsequence search, and the raw subsequence index — must
-//! reproduce a plain sequential loop of single queries bit for bit
-//! (matches *and* counters) for every thread count and chunk size.
+//! The batch entry point of the phrase-segmented QBH system must reproduce
+//! a plain sequential loop of single queries bit for bit (matches *and*
+//! counters) for every thread count and chunk size.
 //!
 //! CI runs this file twice, with `HUM_THREADS=1` and `HUM_THREADS=8`; the
 //! override feeds `BatchOptions::default()`, which the default-options
-//! tests below exercise, while the explicit sweeps pin threads 1/2/8
+//! check below exercises, while the explicit sweep pins threads 1/2/8
 //! directly.
 
 use hum_core::batch::BatchOptions;
-use hum_core::dtw::band_for_warping_width;
-use hum_core::normal::NormalForm;
-use hum_core::subsequence::{SubsequenceConfig, SubsequenceIndex, SubsequenceResult};
-use hum_core::transform::paa::NewPaa;
-use hum_index::RStarTree;
 use hum_music::{HummingSimulator, SingerProfile, Songbook, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::songsearch::{SongSearch, SongSearchConfig, SongSearchResults};
 use hum_qbh::system::{Backend, QbhConfig, QbhResults, QbhSystem};
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
@@ -31,8 +24,7 @@ fn songbook() -> Songbook {
     })
 }
 
-/// Hums of real phrases plus seeded noise, the same corpus every substrate
-/// queries below.
+/// Hums of real phrases plus seeded noise.
 fn hums(book: &Songbook, n: usize) -> Vec<Vec<f64>> {
     (0..n)
         .map(|i| {
@@ -67,57 +59,5 @@ fn qbh_system_batch_is_bit_identical_across_thread_counts() {
         // Whatever HUM_THREADS CI sets, defaults must not change answers.
         let via_default = system.query_series_batch(&queries, 5, &BatchOptions::default());
         assert_eq!(via_default, expected, "backend={backend:?} default options");
-    }
-}
-
-#[test]
-fn song_search_batch_is_bit_identical_across_thread_counts() {
-    let book = songbook();
-    let search = SongSearch::build(&book, &SongSearchConfig::default());
-    let queries = hums(&book, 6);
-    let expected: Vec<SongSearchResults> =
-        queries.iter().map(|h| search.query(h, 4)).collect();
-    for threads in THREAD_SWEEP {
-        let got = search.query_batch(&queries, 4, &BatchOptions::new(threads, 2));
-        assert_eq!(got, expected, "threads={threads}");
-    }
-    let via_default = search.query_batch(&queries, 4, &BatchOptions::default());
-    assert_eq!(via_default, expected, "default options");
-}
-
-#[test]
-fn subsequence_index_batches_are_bit_identical_across_thread_counts() {
-    let book = songbook();
-    let config = SongSearchConfig::default();
-    let sub_config = SubsequenceConfig {
-        window: config.window,
-        hop: config.hop,
-        normal: NormalForm::with_length(config.normal_length),
-    };
-    let mut index = SubsequenceIndex::new(
-        NewPaa::new(config.normal_length, config.feature_dims),
-        RStarTree::new(config.feature_dims),
-        sub_config,
-    );
-    for (i, song) in book.songs.iter().enumerate() {
-        let mut series = Vec::new();
-        for phrase in &song.phrases {
-            series.extend(phrase.to_time_series(config.samples_per_beat));
-        }
-        index.insert_source(i as u64, &series);
-    }
-    let band = band_for_warping_width(config.warping_width, config.normal_length);
-    let queries = hums(&book, 5);
-
-    let expected_knn: Vec<SubsequenceResult> =
-        queries.iter().map(|q| index.knn(q, band, 3, true)).collect();
-    let expected_range: Vec<SubsequenceResult> =
-        queries.iter().map(|q| index.range_query(q, band, 6.0)).collect();
-    for threads in THREAD_SWEEP {
-        let knn = index.knn_batch(&queries, band, 3, true, &BatchOptions::new(threads, 2));
-        assert_eq!(knn, expected_knn, "knn threads={threads}");
-        let range =
-            index.range_query_batch(&queries, band, 6.0, &BatchOptions::new(threads, 2));
-        assert_eq!(range, expected_range, "range threads={threads}");
     }
 }

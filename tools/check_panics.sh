@@ -14,9 +14,9 @@
 # held to the same allowlist discipline as `panic!(` is elsewhere. The
 # kernel layer (crates/core/src/kernel/) gets the same strict treatment:
 # it holds the workspace's only `unsafe`, so any hidden unwrap there is a
-# debugging hazard out of proportion to its size. The streaming-session
-# module (crates/core/src/session.rs) is strict too: it buffers
-# caller-controlled frames, the same trust level as wire bytes — as is the
+# debugging hazard out of proportion to its size. The request builder
+# (crates/core/src/session.rs) is strict too: it buffers caller-controlled
+# frames, the same trust level as wire bytes — as is the
 # segment-metadata module (crates/core/src/segment.rs), which sits on the
 # storage engine's load path and must never turn disk corruption into a
 # panic. The transform planner (crates/core/src/plan.rs) is strict as
