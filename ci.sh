@@ -69,6 +69,11 @@ cargo test -q -p hum-server
 # a counter re-baselines it on purpose, in the same commit.
 cargo test -q -p hum-core --test kernel
 cargo test -q --release -p hum-core --test kernel
+# The flat feature sweep against the per-point scan it replaced (ids, order,
+# distance bits, stats): its branch-free arithmetic, too, is optimised only
+# in release.
+cargo test -q -p hum-index --test props
+cargo test -q --release -p hum-index --test props
 DIGEST_DIR=$(mktemp -d)
 trap 'rm -rf "$DIGEST_DIR"' EXIT
 for threads in 1 8; do

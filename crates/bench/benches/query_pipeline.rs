@@ -11,7 +11,7 @@ use hum_core::normal::NormalForm;
 use hum_music::{SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::eval::generate_hums;
-use hum_qbh::system::{Backend, QbhConfig, QbhSystem, TransformKind};
+use hum_qbh::system::{QbhConfig, QbhSystem, TransformKind};
 use std::hint::black_box;
 
 const LEN: usize = 128;
@@ -118,17 +118,9 @@ fn bench_build(c: &mut Criterion) {
         phrases_per_song: 20,
         ..SongbookConfig::default()
     });
-    for backend in [Backend::RStar, Backend::Grid] {
-        group.bench_with_input(
-            BenchmarkId::new("2k_melodies", format!("{backend:?}")),
-            &backend,
-            |b, &backend| {
-                b.iter(|| {
-                    QbhSystem::build(&db, &QbhConfig { backend, ..QbhConfig::default() })
-                })
-            },
-        );
-    }
+    group.bench_function("2k_melodies", |b| {
+        b.iter(|| QbhSystem::build(&db, &QbhConfig::default()))
+    });
     group.finish();
 }
 

@@ -2,15 +2,16 @@
 //!
 //! GEMINI-style time-series indexing (paper §3.3) reduces each series to a
 //! low-dimensional feature vector and stores the vectors in a spatial index.
-//! This crate provides three interchangeable backends behind the
-//! [`SpatialIndex`] trait:
+//! This crate provides three backends behind the [`SpatialIndex`] trait:
 //!
+//! * [`linear::LinearScan`] — one branch-free sweep over a flat point array,
+//!   the index the product runs: a hum's envelope box is so wide that a tree
+//!   reads nearly every page anyway, and a sweep builds in O(n).
 //! * [`rstar::RStarTree`] — an R\*-tree (Beckmann et al., SIGMOD 1990) with
-//!   ChooseSubtree, R\* topological split and forced reinsertion. This is the
-//!   backend the paper uses (via LibGist) for the large-database experiments.
+//!   ChooseSubtree, R\* topological split and forced reinsertion: the index
+//!   the paper uses (via LibGist), kept for its page-access figures.
 //! * [`gridfile::GridFile`] — a bulk-loaded grid file with quantile linear
 //!   scales, the alternative the paper cites from StatStream.
-//! * [`linear::LinearScan`] — the trivial baseline every index must beat.
 //!
 //! Queries are geometric: a [`Query::Point`] (a reduced feature vector) or a
 //! [`Query::Rect`] (the feature-space image of a time-series *envelope*,

@@ -44,4 +44,4 @@ pub mod store;
 pub mod system;
 
 pub use corpus::{MelodyDatabase, MelodyEntry};
-pub use system::{Backend, QbhConfig, QbhSystem, TransformKind};
+pub use system::{QbhConfig, QbhSystem, TransformKind};

@@ -45,7 +45,7 @@ use std::path::Path;
 
 use hum_core::plan::{CandidateEvidence, PlanFamily, TransformPlan};
 
-use crate::system::{Backend, QbhConfig, TransformChoice, TransformKind};
+use crate::system::{QbhConfig, TransformChoice, TransformKind};
 
 /// Hard cap on the candidate-evidence rows a persisted plan may claim
 /// (4 families × a handful of grid dimensions in practice).
@@ -53,6 +53,9 @@ const MAX_PLAN_CANDIDATES: u32 = 1024;
 
 /// Serialized size of the fixed config section body.
 pub(crate) const CONFIG_BODY_LEN: usize = 30;
+
+/// The index tag writers put (see [`write_config_section`]).
+const LINEAR_INDEX_TAG: u8 = 2;
 
 /// Hard cap on the shard count a file may claim (far above any sensible
 /// serving fan-out; bounds per-shard bookkeeping on untrusted files).
@@ -348,15 +351,6 @@ pub(crate) fn validate_config(config: &QbhConfig) -> Result<(), String> {
             config.feature_dims, config.normal_length
         ));
     }
-    if config.backend == Backend::RStar {
-        let leaf_entry = config.feature_dims * 8 + 8;
-        if config.page_bytes / leaf_entry < 4 {
-            return Err(format!(
-                "page size {} too small for an R*-tree over {} dims",
-                config.page_bytes, config.feature_dims
-            ));
-        }
-    }
     Ok(())
 }
 
@@ -370,10 +364,14 @@ pub(crate) fn as_u32(value: usize, what: &str) -> Result<u32, StorageError> {
 ///
 /// ```text
 /// [ normal_length u32, feature_dims u32, samples_per_beat u32 ]
-/// [ warping_width f64, transform tag u8, backend tag u8       ]
+/// [ warping_width f64, transform tag u8, index tag u8         ]
 /// [ page_bytes u32, shards u32                                ]
 /// [ CRC32(section body)                               4 bytes ]
 /// ```
+///
+/// The index tag once named the index (0 R\*-tree, 1 grid file, 2 linear
+/// scan). Indexes are rebuilt from segment entries at open, so it never
+/// described stored data: readers accept 0–2 and reject any other tag.
 ///
 /// # Errors
 /// [`StorageError::Unrepresentable`] when the configuration fails
@@ -393,7 +391,7 @@ pub(crate) fn write_config_section<W: Write>(
     dst.put(&as_u32(config.feature_dims, "feature dims")?.to_le_bytes())?;
     dst.put(&as_u32(config.samples_per_beat, "samples per beat")?.to_le_bytes())?;
     dst.put(&config.warping_width.to_le_bytes())?;
-    dst.put(&[transform_tag(kind), backend_tag(config.backend)])?;
+    dst.put(&[transform_tag(kind), LINEAR_INDEX_TAG])?;
     dst.put(&as_u32(config.page_bytes, "page size")?.to_le_bytes())?;
     dst.put(&as_u32(config.shards, "shard count")?.to_le_bytes())?;
     dst.finish_section()
@@ -411,13 +409,15 @@ pub(crate) fn read_config_section<R: Read>(
     let le_u32 = |at: usize| u32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
     let mut ww = [0u8; 8];
     ww.copy_from_slice(&body[12..20]);
+    if body[21] > LINEAR_INDEX_TAG {
+        return Err(StorageError::Corrupt(format!("unknown index tag {}", body[21])));
+    }
     let config = QbhConfig {
         normal_length: le_u32(0) as usize,
         feature_dims: le_u32(4) as usize,
         samples_per_beat: le_u32(8) as usize,
         warping_width: f64::from_le_bytes(ww),
         transform: TransformChoice::Fixed(transform_from_tag(body[20])?),
-        backend: backend_from_tag(body[21])?,
         page_bytes: le_u32(22) as usize,
         shards: le_u32(26) as usize,
     };
@@ -695,23 +695,6 @@ fn transform_from_tag(tag: u8) -> Result<TransformKind, StorageError> {
     })
 }
 
-fn backend_tag(b: Backend) -> u8 {
-    match b {
-        Backend::RStar => 0,
-        Backend::Grid => 1,
-        Backend::Linear => 2,
-    }
-}
-
-fn backend_from_tag(tag: u8) -> Result<Backend, StorageError> {
-    Ok(match tag {
-        0 => Backend::RStar,
-        1 => Backend::Grid,
-        2 => Backend::Linear,
-        other => return Err(StorageError::Corrupt(format!("unknown backend tag {other}"))),
-    })
-}
-
 
 #[cfg(test)]
 mod tests {
@@ -739,7 +722,6 @@ mod tests {
     fn sample() -> (QbhConfig, Vec<SegmentEntry>, Manifest) {
         let config = QbhConfig {
             transform: TransformKind::Dft.into(),
-            backend: Backend::Grid,
             warping_width: 0.07,
             ..QbhConfig::default()
         };
@@ -804,14 +786,12 @@ mod tests {
         ]
     }
 
-    /// Recomputes a patched segment image's config, entries, and footer
-    /// CRCs, so only the structural checks stand between it and a load.
-    fn reseal_segment(bytes: &mut [u8]) {
+    /// Recomputes a patched image's config-section and footer CRCs, so
+    /// only the structural checks stand between it and a load.
+    fn reseal(bytes: &mut [u8]) {
         let len = bytes.len();
         let crc = crc32(&bytes[CONFIG_AT..CONFIG_CRC_AT]).to_le_bytes();
         bytes[CONFIG_CRC_AT..COUNT_AT].copy_from_slice(&crc);
-        let crc = crc32(&bytes[COUNT_AT..len - 8]).to_le_bytes();
-        bytes[len - 8..len - 4].copy_from_slice(&crc);
         let crc = crc32(&bytes[..len - 4]).to_le_bytes();
         bytes[len - 4..].copy_from_slice(&crc);
     }
@@ -908,20 +888,21 @@ mod tests {
 
     #[test]
     fn corrupt_tags_and_notes_rejected() {
-        // The transform/backend tags live at offsets 28/29 (inside the config
-        // section body). A bare patch trips the section checksum; with the
-        // section CRC recomputed, the typed tag error surfaces instead (the
-        // config section is parsed before the footer is reached).
+        // The transform/index tags live at offsets 28/29 (inside the config
+        // section body); every index tag past 2 is foreign. A bare patch trips
+        // the section checksum; with the section CRC recomputed, the typed tag
+        // error surfaces instead (config is parsed before the footer).
         for (name, image, read) in images() {
-            for tag_at in [CONFIG_AT + 20, CONFIG_AT + 21] {
+            let index_tags = (LINEAR_INDEX_TAG + 1..=u8::MAX).map(|tag| (CONFIG_AT + 21, tag));
+            for (tag_at, tag) in [(CONFIG_AT + 20, 99)].into_iter().chain(index_tags) {
                 let mut bad = image.clone();
-                bad[tag_at] = 99;
+                bad[tag_at] = tag;
                 let err = read(&mut bad.as_slice()).unwrap_err();
                 assert!(matches!(err, StorageError::Checksum("config")), "{name}: {err}");
                 let crc = crc32(&bad[CONFIG_AT..CONFIG_CRC_AT]).to_le_bytes();
                 bad[CONFIG_CRC_AT..COUNT_AT].copy_from_slice(&crc);
                 let err = read(&mut bad.as_slice()).unwrap_err();
-                assert!(matches!(err, StorageError::Corrupt(_)), "{name}: {err}");
+                assert!(matches!(err, StorageError::Corrupt(_)), "{name}, tag {tag}: {err}");
             }
         }
         // A non-finite sample behind valid checksums: only the per-sample
@@ -931,7 +912,10 @@ mod tests {
         let mut bad = segment_image(&config, &entries);
         let sample_at = COUNT_AT + 8 + 16;
         bad[sample_at..sample_at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
-        reseal_segment(&mut bad);
+        let len = bad.len();
+        let crc = crc32(&bad[COUNT_AT..len - 8]).to_le_bytes();
+        bad[len - 8..len - 4].copy_from_slice(&crc);
+        reseal(&mut bad);
         let err = read_segment(&mut bad.as_slice()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
@@ -997,7 +981,7 @@ mod tests {
         bytes[CONFIG_AT..CONFIG_AT + 4].copy_from_slice(&100u32.to_le_bytes()); // normal_length
         bytes[CONFIG_AT + 4..CONFIG_AT + 8].copy_from_slice(&7u32.to_le_bytes()); // feature_dims
         bytes[CONFIG_AT + 20] = 0; // transform tag -> NewPaa
-        reseal_segment(&mut bytes);
+        reseal(&mut bytes);
         let err = read_segment(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
@@ -1047,15 +1031,28 @@ mod tests {
 
     #[test]
     fn loaded_database_builds_an_equivalent_system() {
+        // Under every index tag a store was written with (0 R*-tree, 1 grid
+        // file, 2 flat sweep): indexes are rebuilt at open, so all agree.
         let dir = TempPath::unique("storage-equivalent");
         let (db, system) = ingest(dir.path(), &MetricsSink::Disabled);
         drop(system);
         let original = QbhSystem::build(&db, &QbhConfig::default());
-        let restored = QbhSystem::try_open_store(dir.path()).unwrap();
-        let query = db.entry(5).unwrap().melody().to_time_series(4);
-        assert_eq!(
-            original.query_series(&query, 4).matches,
-            restored.query_series(&query, 4).matches
-        );
+        let manifest = load_manifest(&manifest_path(dir.path())).unwrap();
+        let segments = manifest.segments.iter().map(|s| segment_path(dir.path(), s.id));
+        let files: Vec<_> = segments.chain([manifest_path(dir.path())]).collect();
+        for tag in 0..=LINEAR_INDEX_TAG {
+            for file in &files {
+                let mut bytes = std::fs::read(file).unwrap();
+                bytes[CONFIG_AT + 21] = tag;
+                reseal(&mut bytes);
+                std::fs::write(file, bytes).unwrap();
+            }
+            let restored = QbhSystem::try_open_store(dir.path()).unwrap();
+            for id in [1, 5, 10] {
+                let query = db.entry(id).unwrap().melody().to_time_series(4);
+                let want = original.query_series(&query, 4).matches;
+                assert_eq!(restored.query_series(&query, 4).matches, want, "tag {tag}, id {id}");
+            }
+        }
     }
 }

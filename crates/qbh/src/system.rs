@@ -32,7 +32,7 @@ use hum_core::transform::dwt::Dwt;
 use hum_core::transform::paa::{KeoghPaa, NewPaa};
 use hum_core::transform::svd::SvdTransform;
 use hum_core::transform::EnvelopeTransform;
-use hum_index::{GridFile, LinearScan, RStarTree, SpatialIndex};
+use hum_index::LinearScan;
 
 use crate::corpus::{MelodyDatabase, MelodyEntry};
 use crate::storage::StorageError;
@@ -100,17 +100,6 @@ fn kind_for_family(family: PlanFamily) -> TransformKind {
     }
 }
 
-/// Which spatial index backend stores the feature vectors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// R\*-tree (the paper's choice).
-    RStar,
-    /// Grid file.
-    Grid,
-    /// Linear scan baseline.
-    Linear,
-}
-
 /// System configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QbhConfig {
@@ -126,9 +115,10 @@ pub struct QbhConfig {
     /// Envelope transform choice: a pinned [`TransformKind`] or
     /// [`TransformChoice::Auto`] to let the build-time planner pick one.
     pub transform: TransformChoice,
-    /// Index backend choice.
-    pub backend: Backend,
-    /// Page size in bytes for the backend.
+    /// Page size in bytes: only the unit the flat index
+    /// ([`hum_index::LinearScan`]) counts `index.pages_per_query` in. It
+    /// leaves the configuration and the manifest once the feature plane
+    /// moves into the series arena.
     pub page_bytes: usize,
     /// Number of corpus shards per storage unit (1 = monolithic). Matches
     /// are bit-identical at every shard count; see [`hum_core::exec`] for
@@ -144,7 +134,6 @@ impl Default for QbhConfig {
             samples_per_beat: 4,
             warping_width: 0.1,
             transform: TransformChoice::Fixed(TransformKind::NewPaa),
-            backend: Backend::RStar,
             page_bytes: 4096,
             shards: 1,
         }
@@ -197,15 +186,15 @@ pub struct QbhResults {
     pub stats: EngineStats,
 }
 
-/// The engine type of one storage unit: a sharded engine over trait
-/// objects for the configured transform and backend. With
+/// The engine type of one storage unit: a sharded engine over a trait
+/// object for the configured transform and the flat feature sweep. With
 /// [`QbhConfig::shards`]` == 1` (the default) the single shard *is* the
 /// monolithic engine.
-pub type QbhEngine = ShardedEngine<Box<dyn EnvelopeTransform>, Box<dyn SpatialIndex>>;
+pub type QbhEngine = ShardedEngine<Box<dyn EnvelopeTransform>, LinearScan>;
 
 /// One leaf of the list the system hands the executor (see
 /// [`hum_core::exec`]).
-type QbhLeaf<'a> = Leaf<'a, Box<dyn EnvelopeTransform>, Box<dyn SpatialIndex>>;
+type QbhLeaf<'a> = Leaf<'a, Box<dyn EnvelopeTransform>, LinearScan>;
 
 /// One immutable on-disk segment, resident in memory: its own sharded
 /// engine over the segment's live (non-tombstoned) melodies, plus pruning
@@ -433,32 +422,20 @@ impl Drop for RetiredSegments {
     }
 }
 
-/// Builds the spatial index backend for one engine shard.
-fn make_index(config: &QbhConfig) -> Box<dyn SpatialIndex> {
-    match config.backend {
-        Backend::RStar => {
-            Box::new(RStarTree::with_page_size(config.feature_dims, config.page_bytes))
-        }
-        Backend::Grid => {
-            Box::new(GridFile::with_params(config.feature_dims, 8, 1024, config.page_bytes))
-        }
-        Backend::Linear => {
-            Box::new(LinearScan::with_page_size(config.feature_dims, config.page_bytes))
-        }
-    }
+/// The empty feature index of one engine shard; it fills by appending.
+fn make_index(config: &QbhConfig) -> LinearScan {
+    LinearScan::with_page_size(config.feature_dims, config.page_bytes)
 }
 
 /// The dimension grid the planner measures: the configured `feature_dims`
-/// plus one octave down and one up, filtered to dimensions the page layout
-/// can hold (mirroring `validate_config`'s fan-out floor). Families that
-/// cannot realize a given dimension (PAA divisibility, DWT power-of-two
-/// input) are filtered per family inside the planner itself.
+/// plus one octave down and one up. Families that cannot realize a given
+/// dimension (PAA divisibility, DWT power-of-two input) are filtered per
+/// family inside the planner itself.
 fn planner_dims_grid(config: &QbhConfig) -> Vec<usize> {
     let base = config.feature_dims.max(1);
     let mut grid: Vec<usize> = [base / 2, base, base * 2]
         .into_iter()
         .filter(|&d| d >= 1 && d <= config.normal_length)
-        .filter(|&d| config.page_bytes / (d * 8 + 8) >= 4)
         .collect();
     grid.sort_unstable();
     grid.dedup();
@@ -1669,7 +1646,7 @@ mod tests {
     }
 
     #[test]
-    fn all_transform_and_backend_combinations_build_and_agree() {
+    fn all_transforms_build_and_agree() {
         let db = small_db();
         let series = db.entry(7).unwrap().melody().to_time_series(4);
         let mut reference: Option<Vec<u64>> = None;
@@ -1680,17 +1657,15 @@ mod tests {
             TransformKind::Dwt,
             TransformKind::Svd,
         ] {
-            for backend in [Backend::RStar, Backend::Grid, Backend::Linear] {
-                let config = QbhConfig { transform: transform.into(), backend, ..QbhConfig::default() };
-                let system = QbhSystem::build(&db, &config);
-                let ids: Vec<u64> =
-                    system.query_series(&series, 5).matches.iter().map(|m| m.id).collect();
-                match &reference {
-                    None => reference = Some(ids),
-                    // Exact DTW refinement makes the final ranking
-                    // transform- and backend-independent.
-                    Some(r) => assert_eq!(&ids, r, "{transform:?}/{backend:?}"),
-                }
+            let config = QbhConfig { transform: transform.into(), ..QbhConfig::default() };
+            let system = QbhSystem::build(&db, &config);
+            let ids: Vec<u64> =
+                system.query_series(&series, 5).matches.iter().map(|m| m.id).collect();
+            match &reference {
+                None => reference = Some(ids),
+                // Exact DTW refinement makes the final ranking
+                // transform-independent.
+                Some(r) => assert_eq!(&ids, r, "{transform:?}"),
             }
         }
     }

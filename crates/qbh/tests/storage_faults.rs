@@ -19,7 +19,7 @@ use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::fault::{flip_bit, FailingReader, FailingWriter, FaultMode, TempPath};
 use hum_qbh::storage::StorageError;
 use hum_qbh::store::{self as segstore, Manifest, SegmentEntry, SegmentRef};
-use hum_qbh::system::{Backend, QbhConfig, QbhSystem, StoreOptions, TransformKind};
+use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions, TransformKind};
 use proptest::prelude::*;
 
 /// One image of each on-disk format. Every matrix below runs over both.
@@ -641,9 +641,9 @@ fn config_strategy() -> impl Strategy<Value = QbhConfig> {
             1usize..6,
             0.0f64..0.3,
         ),
-        (0u8..5, 0u8..3, 1usize..5),
+        (0u8..5, 1usize..5),
     )
-        .prop_map(|((normal_length, feature_dims, samples_per_beat, warping_width), (t, b, shards))| {
+        .prop_map(|((normal_length, feature_dims, samples_per_beat, warping_width), (t, shards))| {
             QbhConfig {
                 normal_length,
                 feature_dims,
@@ -658,11 +658,6 @@ fn config_strategy() -> impl Strategy<Value = QbhConfig> {
                     _ => TransformKind::Svd,
                 }
                 .into(),
-                backend: match b {
-                    0 => Backend::RStar,
-                    1 => Backend::Grid,
-                    _ => Backend::Linear,
-                },
                 page_bytes: 4096,
             }
         })

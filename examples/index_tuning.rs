@@ -1,5 +1,6 @@
-//! Index tuning: compare envelope transforms and backends on the same
-//! workload — candidates, page accesses and exact-DTW counts per query.
+//! Index tuning: compare envelope transforms on the same workload —
+//! candidates and exact-DTW counts per query. (The product's flat index
+//! reads every page; `repro -- extras` compares page-counting backends.)
 //!
 //! Illustrates the paper's two engineering points: (1) the New_PAA envelope
 //! transform prunes far better than Keogh_PAA at every warping width, and
@@ -13,7 +14,7 @@
 use hum_core::engine::QueryRequest;
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::system::{Backend, QbhConfig, QbhSystem, TransformKind};
+use hum_qbh::system::{QbhConfig, QbhSystem, TransformKind};
 
 fn main() {
     let db = MelodyDatabase::from_songbook(&SongbookConfig::default());
@@ -29,11 +30,8 @@ fn main() {
         })
         .collect();
 
-    println!("Transform comparison on {} melodies, R*-tree backend, k-NN(10):\n", db.len());
-    println!(
-        "{:<12} {:>12} {:>14} {:>12} {:>10}",
-        "transform", "candidates", "exact DTWs", "page reads", "hit@1"
-    );
+    println!("Transform comparison on {} melodies, k-NN(10):\n", db.len());
+    println!("{:<12} {:>12} {:>14} {:>10}", "transform", "candidates", "exact DTWs", "hit@1");
     for transform in [
         TransformKind::NewPaa,
         TransformKind::KeoghPaa,
@@ -43,53 +41,22 @@ fn main() {
     ] {
         let system = QbhSystem::build(
             &db,
-            &QbhConfig { transform: transform.into(), backend: Backend::RStar, ..QbhConfig::default() },
+            &QbhConfig { transform: transform.into(), ..QbhConfig::default() },
         );
-        let (mut cand, mut exact, mut pages, mut hits) = (0u64, 0u64, 0u64, 0usize);
+        let (mut cand, mut exact, mut hits) = (0u64, 0u64, 0usize);
         for (hum, &target) in hums.iter().zip(&targets) {
             let r = system.query_series(hum, 10);
             cand += r.stats.index.candidates;
             exact += r.stats.exact_computations;
-            pages += r.stats.index.node_accesses;
             if r.matches.first().is_some_and(|m| m.id == target) {
                 hits += 1;
             }
         }
-        let n = hums.len() as u64;
-        println!(
-            "{:<12} {:>12.1} {:>14.1} {:>12.1} {:>7}/{}",
-            format!("{transform:?}"),
-            cand as f64 / n as f64,
-            exact as f64 / n as f64,
-            pages as f64 / n as f64,
-            hits,
-            n
-        );
+        let (n, name) = (hums.len() as f64, format!("{transform:?}"));
+        println!("{name:<12} {:>12.1} {:>14.1} {hits:>7}/{n}", cand as f64 / n, exact as f64 / n);
     }
 
-    println!("\nBackend comparison (New_PAA transform):\n");
-    println!("{:<12} {:>12} {:>12}", "backend", "candidates", "page reads");
-    for backend in [Backend::RStar, Backend::Grid, Backend::Linear] {
-        let system = QbhSystem::build(
-            &db,
-            &QbhConfig { backend, ..QbhConfig::default() },
-        );
-        let (mut cand, mut pages) = (0u64, 0u64);
-        for hum in &hums {
-            let r = system.query_series(hum, 10);
-            cand += r.stats.index.candidates;
-            pages += r.stats.index.node_accesses;
-        }
-        let n = hums.len() as f64;
-        println!(
-            "{:<12} {:>12.1} {:>12.1}",
-            format!("{backend:?}"),
-            cand as f64 / n,
-            pages as f64 / n
-        );
-    }
-
-    println!("\nOne index, every warping width (New_PAA, R*-tree, range radius 5.0):\n");
+    println!("\nOne index, every warping width (New_PAA, range radius 5.0):\n");
     let system = QbhSystem::build(&db, &QbhConfig::default());
     println!("{:<8} {:>12} {:>10}", "delta", "candidates", "matches");
     for delta in [0.02, 0.05, 0.1, 0.2] {

@@ -12,7 +12,7 @@
 use hum_core::batch::BatchOptions;
 use hum_music::{HummingSimulator, SingerProfile, Songbook, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::system::{Backend, QbhConfig, QbhResults, QbhSystem};
+use hum_qbh::system::{QbhConfig, QbhResults, QbhSystem};
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
@@ -43,21 +43,16 @@ fn qbh_system_batch_is_bit_identical_across_thread_counts() {
         phrases_per_song: 5,
         ..SongbookConfig::default()
     });
-    for backend in [Backend::RStar, Backend::Grid] {
-        let system =
-            QbhSystem::build(&db, &QbhConfig { backend, ..QbhConfig::default() });
-        let queries = hums(&songbook(), 7);
-        let expected: Vec<QbhResults> =
-            queries.iter().map(|h| system.query_series(h, 5)).collect();
-        for threads in THREAD_SWEEP {
-            for chunk in [1, 3] {
-                let got =
-                    system.query_series_batch(&queries, 5, &BatchOptions::new(threads, chunk));
-                assert_eq!(got, expected, "backend={backend:?} threads={threads} chunk={chunk}");
-            }
+    let system = QbhSystem::build(&db, &QbhConfig::default());
+    let queries = hums(&songbook(), 7);
+    let expected: Vec<QbhResults> = queries.iter().map(|h| system.query_series(h, 5)).collect();
+    for threads in THREAD_SWEEP {
+        for chunk in [1, 3] {
+            let got = system.query_series_batch(&queries, 5, &BatchOptions::new(threads, chunk));
+            assert_eq!(got, expected, "threads={threads} chunk={chunk}");
         }
-        // Whatever HUM_THREADS CI sets, defaults must not change answers.
-        let via_default = system.query_series_batch(&queries, 5, &BatchOptions::default());
-        assert_eq!(via_default, expected, "backend={backend:?} default options");
     }
+    // Whatever HUM_THREADS CI sets, defaults must not change answers.
+    let via_default = system.query_series_batch(&queries, 5, &BatchOptions::default());
+    assert_eq!(via_default, expected, "default options");
 }
