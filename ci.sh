@@ -25,8 +25,6 @@ cargo test -q
 #   shard, sharding           routing and batches; matches bit-identical at
 #                             every shard count, in process, over the wire,
 #                             and through a store
-#   plan, plan_store          planner is a pure function of seeded inputs; a
-#                             planned store reopens with the identical plan
 THREAD_INVARIANT_SUITES=(
     "hum-core --test batch"
     "hum-core --test obs"
@@ -38,8 +36,6 @@ THREAD_INVARIANT_SUITES=(
     "hum-core --test session"
     "hum-core --test shard"
     "hum-qbh --test sharding"
-    "hum-core --test plan"
-    "hum-qbh --test plan_store"
 )
 for suite in "${THREAD_INVARIANT_SUITES[@]}"; do
     for threads in 1 8; do
@@ -102,10 +98,11 @@ for table in "${PAPER_TABLES[@]}"; do
 done
 echo "paper tables regenerate byte-identically"
 
-# Scale harness smoke: the planner-vs-fixed decade sweep at quick scale,
-# including its shape check that the chosen transform's measured tightness
-# dominates every rejected candidate. Results land in the throwaway digest
-# dir, not results/ (the committed baseline is regenerated deliberately).
+# Scale harness smoke: the New_PAA feature-dimension sweep (d = 8, 16, 32)
+# at quick scale, including its shape check that every d returns identical
+# matches for every hum (no false negatives at any d). Results land in the
+# throwaway digest dir, not results/ (the committed baseline is
+# regenerated deliberately).
 cargo run -q --release -p hum-bench --bin repro -- scale --quick --out "$DIGEST_DIR/scale"
 
 # Hum-fraction harness smoke: a client loop over growing prefixes of each

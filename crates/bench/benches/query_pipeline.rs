@@ -11,35 +11,28 @@ use hum_core::normal::NormalForm;
 use hum_music::{SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::eval::generate_hums;
-use hum_qbh::system::{QbhConfig, QbhSystem, TransformKind};
+use hum_qbh::system::{QbhConfig, QbhSystem};
 use std::hint::black_box;
 
 const LEN: usize = 128;
 
-fn setup() -> (QbhSystem, QbhSystem, Vec<Vec<f64>>) {
+fn setup() -> (QbhSystem, Vec<Vec<f64>>) {
     let db = MelodyDatabase::from_songbook(&SongbookConfig {
         songs: 500,
         phrases_per_song: 20,
         ..SongbookConfig::default()
     });
-    let indexed = QbhSystem::build(
-        &db,
-        &QbhConfig { transform: TransformKind::NewPaa.into(), ..QbhConfig::default() },
-    );
-    let keogh = QbhSystem::build(
-        &db,
-        &QbhConfig { transform: TransformKind::KeoghPaa.into(), ..QbhConfig::default() },
-    );
+    let indexed = QbhSystem::build(&db, &QbhConfig::default());
     let normal = NormalForm::with_length(LEN);
     let queries: Vec<Vec<f64>> = generate_hums(&db, SingerProfile::good(), 4, 5)
         .into_iter()
         .map(|h| normal.apply(&h.series))
         .collect();
-    (indexed, keogh, queries)
+    (indexed, queries)
 }
 
 fn bench_range_by_width(c: &mut Criterion) {
-    let (new_paa, keogh_paa, queries) = setup();
+    let (new_paa, queries) = setup();
     let radius = (LEN as f64 * 0.2).sqrt();
     let mut group = c.benchmark_group("range_query_10k_melodies");
     group.sample_size(10);
@@ -49,15 +42,6 @@ fn bench_range_by_width(c: &mut Criterion) {
             b.iter(|| {
                 for q in &queries {
                     black_box(new_paa.engine().query(
-                        &QueryRequest::range(radius).with_series(q.clone()).with_band(band),
-                    ));
-                }
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("keogh_paa", delta), &delta, |b, _| {
-            b.iter(|| {
-                for q in &queries {
-                    black_box(keogh_paa.engine().query(
                         &QueryRequest::range(radius).with_series(q.clone()).with_band(band),
                     ));
                 }
@@ -83,7 +67,7 @@ fn bench_range_by_width(c: &mut Criterion) {
 }
 
 fn bench_knn(c: &mut Criterion) {
-    let (new_paa, _, queries) = setup();
+    let (new_paa, queries) = setup();
     let mut group = c.benchmark_group("knn10_10k_melodies");
     group.sample_size(10);
     let band = band_for_warping_width(0.1, LEN);

@@ -13,7 +13,7 @@
 //!             the kernel-layer microbenchmarks with bit-identity checks,
 //!             `stream` the hum-prefix refinement latency/churn sweep,
 //!             `ingest` the segmented-store durable-ingest cost sweep,
-//!             `scale` the decade-sweep planner-vs-fixed-transform harness)
+//!             `scale` the New_PAA feature-dimension sweep over sung hums)
 //! --quick     small workloads (seconds instead of minutes)
 //! --out DIR   where to write .txt/.csv/.json results (default: results)
 //! ```

@@ -29,10 +29,10 @@
 //! enforced by its shape check.
 //! [`ingest`] measures durable bytes per insert and throughput for the
 //! segmented store across memtable capacities, with a reload bit-identity
-//! check. [`scale`] streams synthetic corpora across
-//! size decades (up to 10^6 melodies) and compares the build-time transform
-//! planner against every fixed transform on build cost, candidate ratio,
-//! and query tail latency.
+//! check. [`scale`] sweeps the New_PAA feature dimension d ∈ {8, 16, 32} on
+//! songbook corpora of up to 10^5 melodies queried with sung hums,
+//! reporting build cost, candidate ratio, exact DTW work and latency, with a
+//! check that every d returns identical matches.
 
 pub mod extras;
 pub mod fig10;

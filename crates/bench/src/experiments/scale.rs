@@ -1,389 +1,247 @@
-//! Million-melody scale harness: build cost, index footprint, candidate
-//! ratio, and query latency per corpus-size decade, for the build-time
-//! transform planner (`auto`) against every fixed transform family.
+//! Feature-dimension sweep at scale: what the New_PAA frame count `d` buys
+//! and costs on songbook corpora of 10^4 to 10^5 melodies, queried with
+//! sung hums.
 //!
-//! Corpora are synthetic pitch series streamed from `hum-datasets`
-//! generators (four families interleaved round-robin so no single decade is
-//! homogeneous), inserted one at a time and dropped — the only O(n) state
-//! is the index itself, never the raw corpus. The planner sees only the
-//! stream's seeded prefix, exactly as a store ingest would. Queries are
-//! deterministic sinusoidal perturbations of sampled corpus series, so
-//! every variant at a decade answers the identical workload.
+//! Every corpus is a songbook of 20-phrase songs, and every hum comes from
+//! [`hum_qbh::eval::generate_hums`]: three good singers to every poor one,
+//! interleaved, seeded as the repo benchmark seeds its hums. Each corpus is
+//! built once per `d` and answers the same k-NN(10) hums one at a time on
+//! one thread. A row reports the build seconds, the share of the corpus the
+//! feature index hands over as candidates, the feature pages and exact DTW
+//! runs per query, and latency.
 //!
-//! The shape check enforces the planner's contract: the chosen transform's
-//! measured mean tightness is at least that of every rejected candidate on
-//! the same sample (ties broken by the cost model), at every decade.
+//! The shape check is the paper's contract: New_PAA is container-invariant
+//! at every `d`, so Theorem 1 leaves no false negatives at any of them, and
+//! every `d` returns identical matches for every hum. Candidate ratios must
+//! lie in [0, 1].
 
 use std::time::Instant;
 
 use serde::Serialize;
 
-use hum_core::obs::MetricsSink;
-use hum_core::plan::{PlannerOptions, TransformPlan};
-use hum_datasets::{generate_iter, DatasetFamily};
-use hum_qbh::system::{QbhConfig, QbhSystem, TransformChoice, TransformKind};
+use hum_core::engine::{EngineStats, QueryRequest, QueryScratch};
+use hum_music::{SingerProfile, SongbookConfig};
+use hum_qbh::corpus::MelodyDatabase;
+use hum_qbh::eval::{generate_hums, HumQuery};
+use hum_qbh::system::{QbhConfig, QbhSystem};
 
-use crate::report::{fmt3, TextTable};
+use crate::report::{fmt1, fmt3, TextTable};
 
-/// Stream composition: four qualitatively different generator families,
-/// interleaved so smooth, chaotic, periodic, and random-walk melodies all
-/// appear in every prefix (including the planner's sample).
-const STREAM_FAMILIES: [DatasetFamily; 4] = [
-    DatasetFamily::RandomWalk,
-    DatasetFamily::Sunspot,
-    DatasetFamily::Chaotic,
-    DatasetFamily::Tide,
-];
+/// Phrases per song in every corpus (the repo benchmark's songbooks).
+const PHRASES_PER_SONG: usize = 20;
+
+/// Neighbours asked of every k-NN (the paper's top-10 retrieval bins).
+const K: usize = 10;
 
 /// Experiment parameters.
 #[derive(Debug, Clone)]
 pub struct Params {
-    /// Corpus sizes (one row group per decade).
-    pub decades: Vec<usize>,
-    /// Queries per (decade, transform) cell.
-    pub queries: usize,
-    /// Raw pitch-series length before normal-form resampling.
-    pub series_len: usize,
-    /// Corpus prefix handed to the planner (and mined for query bases).
-    pub plan_sample: usize,
-    /// RNG seed for the melody stream.
+    /// Corpus sizes in melodies, one row group each.
+    pub melodies: Vec<usize>,
+    /// New_PAA frame counts swept at every size; each must divide the
+    /// normal-form length.
+    pub dims: Vec<usize>,
+    /// Hums per corpus.
+    pub hums: usize,
+    /// Seed of the songbooks and the hums.
     pub seed: u64,
 }
 
 impl Params {
-    /// Paper scale: 10^4 through 10^6 melodies. The query count is modest
-    /// because at 10^6 melodies a single k-NN verifies hundreds of
-    /// thousands of candidates — the decade sweep, not per-cell sampling
-    /// depth, is what this harness buys.
+    /// Full scale: 10^4, 3·10^4 and 10^5 melodies.
     pub fn paper() -> Self {
         Params {
-            decades: vec![10_000, 100_000, 1_000_000],
-            queries: 24,
-            series_len: 192,
-            plan_sample: 256,
-            seed: 2003,
+            melodies: vec![10_000, 30_000, 100_000],
+            dims: vec![8, 16, 32],
+            hums: 200,
+            seed: 1,
         }
     }
 
     /// Smoke-test scale.
     pub fn quick() -> Self {
-        Params { decades: vec![1_000, 4_000], queries: 16, plan_sample: 64, ..Params::paper() }
+        Params { melodies: vec![1_000, 4_000], hums: 40, ..Params::paper() }
     }
 }
 
-/// One measured (decade, transform) cell.
+/// One measured (corpus size, `d`) cell.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleRow {
     /// Corpus size.
     pub melodies: usize,
-    /// Transform label (`auto` or a fixed family).
-    pub transform: String,
-    /// Seconds spent planning (zero for fixed transforms).
-    pub plan_secs: f64,
-    /// Seconds streaming all melodies into the index (planning excluded).
+    /// New_PAA frame count.
+    pub feature_dims: usize,
+    /// Seconds to build the in-memory system over the corpus.
     pub build_secs: f64,
-    /// Estimated resident index footprint: per-entry features, normal form,
-    /// and bookkeeping. Analytic, since the corpus itself is never held.
-    pub est_index_mb: f64,
-    /// Mean fraction of the corpus surfaced as index candidates per query.
+    /// Mean share of the corpus handed over as index candidates.
     pub candidate_ratio: f64,
-    /// Queries per second over the cell's workload.
+    /// Mean feature pages the index read per query.
+    pub pages_per_query: f64,
+    /// Mean exact DTW runs per query.
+    pub exact_per_query: f64,
+    /// Queries per second over the cell's hums.
     pub qps: f64,
     /// Median query latency in milliseconds.
     pub p50_ms: f64,
     /// 95th-percentile query latency in milliseconds.
     pub p95_ms: f64,
-    /// 99th-percentile query latency in milliseconds.
-    pub p99_ms: f64,
-}
-
-/// Flattened plan evidence for one measured candidate (the core types do
-/// not serialize; the JSON payload carries this mirror instead).
-#[derive(Debug, Clone, Serialize)]
-pub struct PlanCandidateRow {
-    /// Family name (`new_paa`, `keogh_paa`, `dft`, `dwt`).
-    pub family: String,
-    /// Reduced dimension measured.
-    pub dims: usize,
-    /// Mean feature-space tightness over the sampled pairs.
-    pub mean_tightness: f64,
-    /// Estimated candidate ratio under the cost model.
-    pub est_candidate_ratio: f64,
-    /// Cost-model score (lower is better).
-    pub score: f64,
-    /// Whether the planner chose this candidate.
-    pub chosen: bool,
-}
-
-/// The planner's decision at one decade.
-#[derive(Debug, Clone, Serialize)]
-pub struct PlanReport {
-    /// Corpus size the plan was drawn at.
-    pub melodies: usize,
-    /// Chosen family name.
-    pub family: String,
-    /// Chosen reduced dimension.
-    pub dims: usize,
-    /// Chosen candidate's mean tightness.
-    pub mean_tightness: f64,
-    /// Series actually measured.
-    pub sample_len: usize,
-    /// Ordered pairs actually measured.
-    pub pairs: usize,
-    /// Every candidate the planner weighed.
-    pub candidates: Vec<PlanCandidateRow>,
+    /// Hums whose matches differ from those at the size's first `d`.
+    pub mismatched_hums: usize,
 }
 
 /// Experiment output.
 #[derive(Debug, Clone, Serialize)]
 pub struct Output {
-    /// One row per (decade, transform) cell.
+    /// One row per (corpus size, `d`) cell.
     pub rows: Vec<ScaleRow>,
-    /// One plan per decade (the `auto` cells' evidence).
-    pub plans: Vec<PlanReport>,
 }
 
-/// Streams `n` melodies, round-robin across [`STREAM_FAMILIES`], without
-/// materializing the corpus. Deterministic in `(n-prefix, seed)`: melody
-/// `i` is identical at every corpus size with `i < n`.
-fn melody_stream(n: usize, len: usize, seed: u64) -> impl Iterator<Item = Vec<f64>> {
-    let per_family = n.div_ceil(STREAM_FAMILIES.len());
-    let mut streams: Vec<_> =
-        STREAM_FAMILIES.iter().map(|&f| generate_iter(f, per_family, len, seed)).collect();
-    (0..n).map(move |i| {
-        streams[i % STREAM_FAMILIES.len()].next().expect("stream sized to cover n")
-    })
-}
-
-/// Deterministic query workload: corpus series from the planner's sample
-/// prefix, perturbed by a small sinusoid — close enough to retrieve, far
-/// enough to exercise the lower-bound cascade.
-fn make_queries(sample: &[Vec<f64>], queries: usize) -> Vec<Vec<f64>> {
-    (0..queries)
-        .map(|q| {
-            let base = &sample[(q * 7 + 3) % sample.len()];
-            base.iter()
-                .enumerate()
-                .map(|(t, &v)| v + 0.8 * (0.7 * t as f64 + q as f64).sin())
-                .collect()
-        })
-        .collect()
-}
-
-fn plan_report(plan: &TransformPlan, melodies: usize) -> PlanReport {
-    PlanReport {
-        melodies,
-        family: plan.family.name().to_string(),
-        dims: plan.dims,
-        mean_tightness: plan.mean_tightness,
-        sample_len: plan.sample_len,
-        pairs: plan.pairs,
-        candidates: plan
-            .candidates
-            .iter()
-            .map(|c| PlanCandidateRow {
-                family: c.family.name().to_string(),
-                dims: c.dims,
-                mean_tightness: c.mean_tightness,
-                est_candidate_ratio: c.est_candidate_ratio,
-                score: c.score,
-                chosen: c.family == plan.family && c.dims == plan.dims,
-            })
-            .collect(),
+/// `count` hums at melodies of `db`: three good singers to every poor one,
+/// interleaved so any stretch of the list has that mix.
+fn hum_mix(db: &MelodyDatabase, count: usize, seed: u64) -> Vec<HumQuery> {
+    let poor_count = count / 4;
+    let good = generate_hums(db, SingerProfile::good(), count - poor_count, seed ^ 0x600D);
+    let mut poor = generate_hums(db, SingerProfile::poor(), poor_count, seed ^ 0xBAD).into_iter();
+    let mut mix = Vec::with_capacity(count);
+    for (i, hum) in good.into_iter().enumerate() {
+        mix.push(hum);
+        if i % 3 == 2 {
+            mix.extend(poor.next());
+        }
     }
+    mix.extend(poor);
+    mix
 }
 
-/// Builds one (decade, transform) cell and measures its query workload.
-fn run_cell(
-    n: usize,
-    label: &str,
-    choice: TransformChoice,
-    sample: &[Vec<f64>],
-    queries: &[Vec<f64>],
-    params: &Params,
-) -> (ScaleRow, Option<TransformPlan>) {
-    let config = QbhConfig { transform: choice, ..QbhConfig::default() };
+/// Every answer of one cell, hum by hum, as (id, distance bits).
+type Answers = Vec<Vec<(u64, u64)>>;
 
-    let plan_started = Instant::now();
-    let mut system = QbhSystem::try_build_live(&config, sample, &MetricsSink::Disabled)
-        .expect("plan and build empty system");
-    let plan_secs = system.plan().map_or(0.0, |_| plan_started.elapsed().as_secs_f64());
+/// Builds `db` at `d` frames and answers every hum.
+fn run_cell(db: &MelodyDatabase, hums: &[HumQuery], dims: usize) -> (ScaleRow, Answers) {
+    let config = QbhConfig { feature_dims: dims, ..QbhConfig::default() };
+    let started = Instant::now();
+    let system = QbhSystem::build(db, &config);
+    let build_secs = started.elapsed().as_secs_f64();
 
-    let build_started = Instant::now();
-    for (i, series) in melody_stream(n, params.series_len, params.seed).enumerate() {
-        system
-            .try_insert_melody(i as u64, i, 0, &series)
-            .expect("insert streamed melody");
-        // `series` drops here: resident state is the index, not the corpus.
-    }
-    let build_secs = build_started.elapsed().as_secs_f64();
-    assert_eq!(system.len(), n, "stream fully indexed");
-
-    let resolved = *system.config();
-    let per_entry =
-        (resolved.feature_dims * 8 + resolved.normal_length * 8 + 32) as f64;
-    let est_index_mb = n as f64 * per_entry / 1e6;
-
-    let mut latencies_ms = Vec::with_capacity(queries.len());
-    let mut candidates = 0u64;
-    let query_started = Instant::now();
-    for q in queries {
+    let request = QueryRequest::knn(K).with_band(system.band());
+    let mut scratch = QueryScratch::new();
+    let mut stats = EngineStats::default();
+    let mut latencies_ms = Vec::with_capacity(hums.len());
+    let mut answers = Vec::with_capacity(hums.len());
+    let queries_started = Instant::now();
+    for hum in hums {
         let t = Instant::now();
-        let results = system.query_series(q, 10);
+        let (results, _) = system
+            .try_query_request_with(&hum.series, request.clone(), &mut scratch)
+            .expect("a sung hum is a well-formed query");
         latencies_ms.push(t.elapsed().as_secs_f64() * 1e3);
-        candidates += results.stats.index.candidates;
+        stats.absorb(&results.stats);
+        answers.push(results.matches.iter().map(|m| (m.id, m.distance.to_bits())).collect());
     }
-    let query_secs = query_started.elapsed().as_secs_f64();
+    let query_secs = queries_started.elapsed().as_secs_f64();
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
-    let pct = |p: f64| {
-        let idx = ((latencies_ms.len() as f64 - 1.0) * p).round() as usize;
-        latencies_ms[idx]
-    };
+    let pct = |p: f64| latencies_ms[((latencies_ms.len() as f64 - 1.0) * p).round() as usize];
+    let per_query = |total: u64| total as f64 / hums.len() as f64;
 
     let row = ScaleRow {
-        melodies: n,
-        transform: label.to_string(),
-        plan_secs,
+        melodies: db.len(),
+        feature_dims: dims,
         build_secs,
-        est_index_mb,
-        candidate_ratio: candidates as f64 / (n as f64 * queries.len() as f64),
-        qps: queries.len() as f64 / query_secs.max(1e-9),
+        candidate_ratio: per_query(stats.index.candidates) / db.len() as f64,
+        pages_per_query: per_query(stats.index.pages()),
+        exact_per_query: per_query(stats.exact_computations),
+        qps: hums.len() as f64 / query_secs.max(1e-9),
         p50_ms: pct(0.50),
         p95_ms: pct(0.95),
-        p99_ms: pct(0.99),
+        mismatched_hums: 0,
     };
-    (row, system.plan().cloned())
+    (row, answers)
 }
 
 /// Runs the experiment.
 pub fn run(params: &Params) -> Output {
-    // `auto` first, then every family the planner could have picked. Svd is
-    // excluded on both sides: its data-fitted basis is not plan-representable
-    // and the incremental engine refuses it for the same reason.
-    let variants: Vec<(&str, TransformChoice)> = vec![
-        ("auto", TransformChoice::Auto(PlannerOptions::default())),
-        ("new_paa", TransformKind::NewPaa.into()),
-        ("keogh_paa", TransformKind::KeoghPaa.into()),
-        ("dft", TransformKind::Dft.into()),
-        ("dwt", TransformKind::Dwt.into()),
-    ];
-
     let mut rows = Vec::new();
-    let mut plans = Vec::new();
-    for &n in &params.decades {
-        let sample: Vec<Vec<f64>> =
-            melody_stream(n, params.series_len, params.seed).take(params.plan_sample).collect();
-        let queries = make_queries(&sample, params.queries);
-        for (label, choice) in &variants {
-            let (row, plan) = run_cell(n, label, *choice, &sample, &queries, params);
+    for &n in &params.melodies {
+        let db = MelodyDatabase::from_songbook(&SongbookConfig {
+            songs: n.div_ceil(PHRASES_PER_SONG),
+            phrases_per_song: PHRASES_PER_SONG,
+            seed: params.seed,
+            ..SongbookConfig::default()
+        });
+        let hums = hum_mix(&db, params.hums, params.seed);
+        let mut reference: Option<Answers> = None;
+        for &dims in &params.dims {
+            let (mut row, answers) = run_cell(&db, &hums, dims);
+            row.mismatched_hums = reference.as_ref().map_or(0, |first| {
+                answers.iter().zip(first).filter(|(a, b)| a != b).count()
+            });
+            reference.get_or_insert(answers);
             rows.push(row);
-            if let Some(plan) = plan {
-                plans.push(plan_report(&plan, n));
-            }
         }
     }
-    Output { rows, plans }
+    Output { rows }
 }
 
-/// Renders the scale table.
+/// Renders the sweep table.
 pub fn render(output: &Output) -> (String, TextTable) {
     let mut table = TextTable::new(vec![
         "melodies",
-        "transform",
-        "plan s",
+        "d",
         "build s",
-        "est MB",
         "cand ratio",
+        "pages/q",
+        "exact/q",
         "qps",
         "p50 ms",
         "p95 ms",
-        "p99 ms",
+        "mismatched",
     ]);
     for row in &output.rows {
         table.row(vec![
             row.melodies.to_string(),
-            row.transform.clone(),
-            format!("{:.2}", row.plan_secs),
-            format!("{:.2}", row.build_secs),
-            format!("{:.1}", row.est_index_mb),
+            row.feature_dims.to_string(),
+            fmt3(row.build_secs),
             fmt3(row.candidate_ratio),
-            format!("{:.1}", row.qps),
+            fmt1(row.pages_per_query),
+            fmt1(row.exact_per_query),
+            fmt1(row.qps),
             fmt3(row.p50_ms),
             fmt3(row.p95_ms),
-            fmt3(row.p99_ms),
+            row.mismatched_hums.to_string(),
         ]);
     }
     let mut text = String::from(
-        "Scale harness: adaptive transform planner (auto) vs fixed transforms\n\n",
+        "Feature-dimension sweep: New_PAA frame count d on songbook corpora,\n\
+         k-NN(10) over sung hums (3 good : 1 poor), one query at a time\n\n",
     );
     text.push_str(&table.render());
-    for plan in &output.plans {
-        text.push_str(&format!(
-            "\nPlan @ {} melodies: {} d={} (tightness {:.4}; {} series / {} pairs)\n",
-            plan.melodies, plan.family, plan.dims, plan.mean_tightness, plan.sample_len, plan.pairs
-        ));
-        for c in &plan.candidates {
-            text.push_str(&format!(
-                "  {} {:<9} d={:<3} tightness {:.4}  est-candidates {:.4}  score {:.4}\n",
-                if c.chosen { "->" } else { "  " },
-                c.family,
-                c.dims,
-                c.mean_tightness,
-                c.est_candidate_ratio,
-                c.score,
-            ));
-        }
-    }
     (text, table)
 }
 
-/// Shape checks: every decade planned, the chosen candidate's tightness
-/// dominates every rejected one (the planner's selection contract), and
-/// every cell produced a sane workload (candidate ratio in [0, 1], queries
-/// actually ran).
+/// Shape checks: at every corpus size every `d` answers every hum exactly
+/// as the first `d` does (no false negatives at any `d`), and every cell
+/// produced a sane workload (candidate ratio in [0, 1], queries ran, p50 ≤
+/// p95).
 pub fn check(output: &Output) -> Vec<String> {
     let mut failures = Vec::new();
-    let decades: std::collections::BTreeSet<usize> =
-        output.rows.iter().map(|r| r.melodies).collect();
-    for &n in &decades {
-        match output.plans.iter().find(|p| p.melodies == n) {
-            None => failures.push(format!("{n} melodies: no auto plan recorded")),
-            Some(plan) => {
-                for c in plan.candidates.iter().filter(|c| !c.chosen) {
-                    if plan.mean_tightness + 1e-12 < c.mean_tightness {
-                        failures.push(format!(
-                            "{n} melodies: chosen {} d={} tightness {:.6} below rejected {} d={} \
-                             ({:.6})",
-                            plan.family,
-                            plan.dims,
-                            plan.mean_tightness,
-                            c.family,
-                            c.dims,
-                            c.mean_tightness
-                        ));
-                    }
-                }
-            }
-        }
-    }
     for row in &output.rows {
-        if !(0.0..=1.0).contains(&row.candidate_ratio) {
+        let cell = format!("{} melodies, d={}", row.melodies, row.feature_dims);
+        if row.mismatched_hums != 0 {
             failures.push(format!(
-                "{} melodies / {}: candidate ratio {:.3} outside [0, 1]",
-                row.melodies, row.transform, row.candidate_ratio
+                "{cell}: {} hums answered differently than at the first d",
+                row.mismatched_hums
             ));
+        }
+        if !(0.0..=1.0).contains(&row.candidate_ratio) {
+            let ratio = row.candidate_ratio;
+            failures.push(format!("{cell}: candidate ratio {ratio:.3} outside [0, 1]"));
         }
         if row.qps <= 0.0 || !row.qps.is_finite() {
-            failures.push(format!(
-                "{} melodies / {}: degenerate qps {}",
-                row.melodies, row.transform, row.qps
-            ));
+            failures.push(format!("{cell}: degenerate qps {}", row.qps));
         }
-        if row.p50_ms > row.p99_ms + 1e-9 {
-            failures.push(format!(
-                "{} melodies / {}: p50 {:.3} ms exceeds p99 {:.3} ms",
-                row.melodies, row.transform, row.p50_ms, row.p99_ms
-            ));
+        if row.p50_ms > row.p95_ms + 1e-9 {
+            let (p50, p95) = (row.p50_ms, row.p95_ms);
+            failures.push(format!("{cell}: p50 {p50:.3} ms exceeds p95 {p95:.3} ms"));
         }
     }
     failures
@@ -393,23 +251,30 @@ pub fn check(output: &Output) -> Vec<String> {
 mod tests {
     use super::*;
 
-    fn tiny() -> Params {
-        Params { decades: vec![200, 500], queries: 6, plan_sample: 24, ..Params::quick() }
-    }
-
     #[test]
-    fn quick_run_plans_every_decade_and_passes_shape_checks() {
-        let out = run(&tiny());
-        assert_eq!(out.rows.len(), 2 * 5);
-        assert_eq!(out.plans.len(), 2);
+    fn tiny_sweep_passes_shape_checks() {
+        let mut out = run(&Params { melodies: vec![200, 400], hums: 8, ..Params::quick() });
+        assert_eq!(out.rows.len(), 2 * 3);
         let failures = check(&out);
         assert!(failures.is_empty(), "{failures:?}");
+        // A d that answered one hum differently is caught.
+        out.rows[4].mismatched_hums = 1;
+        assert_eq!(check(&out).len(), 1);
     }
 
     #[test]
-    fn melody_stream_is_prefix_stable() {
-        let small: Vec<_> = melody_stream(40, 64, 9).collect();
-        let large: Vec<_> = melody_stream(100, 64, 9).take(40).collect();
-        assert_eq!(small, large);
+    fn hum_mix_is_three_good_to_one_poor() {
+        let db = MelodyDatabase::from_songbook(&SongbookConfig {
+            songs: 2,
+            phrases_per_song: PHRASES_PER_SONG,
+            ..SongbookConfig::default()
+        });
+        let good = generate_hums(&db, SingerProfile::good(), 6, 5 ^ 0x600D);
+        let poor = generate_hums(&db, SingerProfile::poor(), 2, 5 ^ 0xBAD);
+        let want = [&good[..3], &poor[..1], &good[3..], &poor[1..]].concat();
+        let key = |hums: &[HumQuery]| -> Vec<(u64, Vec<f64>)> {
+            hums.iter().map(|h| (h.target, h.series.clone())).collect()
+        };
+        assert_eq!(key(&hum_mix(&db, 8, 5)), key(&want));
     }
 }

@@ -43,10 +43,6 @@
 //!   duration histograms, opt-in per-query cascade traces
 //!   ([`obs::QueryTrace`]), and text/JSON exporters. Counters are
 //!   deterministic and may appear in results; wall-clock timers never do.
-//! * [`plan`] — build-time transform planning: measure every plannable
-//!   `(family, dimension)` candidate's tightness and estimated candidate
-//!   ratio on a seeded corpus sample and emit a deterministic, persistable
-//!   [`plan::TransformPlan`] (tightness-first, cost model breaks ties).
 //! * [`kernel`] — the SIMD-friendly inner loops under [`dtw`], [`envelope`]
 //!   and the engine's verification cascade: aligned structure-of-arrays
 //!   buffers, blocked lower-bound accumulation, an unrolled banded-DTW row
@@ -90,7 +86,6 @@ pub mod exec;
 pub mod kernel;
 pub mod normal;
 pub mod obs;
-pub mod plan;
 pub mod segment;
 pub mod session;
 pub mod shard;

@@ -105,29 +105,11 @@ pub enum Metric {
     /// Maintenance ticks that failed; the service stays queryable, so
     /// these accumulate instead of killing the server.
     ServerMaintenanceErrors,
-    /// Transform-planner executions (one per `TransformChoice::Auto`
-    /// resolution; reopening a planned index never re-plans, so this
-    /// counts builds, not opens).
-    PlannerRuns,
-    /// Corpus series drawn into planner measurement samples.
-    PlannerSampledSeries,
-    /// Ordered series pairs the planner measured tightness over.
-    PlannerSampledPairs,
-    /// Chosen family of the latest plan, as `PlanFamily as u64 + 1`
-    /// (recorded with [`MetricsRegistry::record_max`]; 0 means "never
-    /// planned").
-    PlannerChosenFamilyTag,
-    /// Chosen reduced dimension of the latest plan (recorded with
-    /// [`MetricsRegistry::record_max`]).
-    PlannerChosenDims,
-    /// Measured mean tightness of the chosen candidate, in parts per
-    /// million (recorded with [`MetricsRegistry::record_max`]).
-    PlannerTightnessPpm,
 }
 
 impl Metric {
     /// Every counter slot, in export order.
-    pub const ALL: [Metric; 39] = [
+    pub const ALL: [Metric; 33] = [
         Metric::RangeQueries,
         Metric::KnnQueries,
         Metric::ScanRangeQueries,
@@ -161,12 +143,6 @@ impl Metric {
         Metric::ServerQueueHighWater,
         Metric::ServerMaintenanceTicks,
         Metric::ServerMaintenanceErrors,
-        Metric::PlannerRuns,
-        Metric::PlannerSampledSeries,
-        Metric::PlannerSampledPairs,
-        Metric::PlannerChosenFamilyTag,
-        Metric::PlannerChosenDims,
-        Metric::PlannerTightnessPpm,
     ];
 
     /// The counter's exported name.
@@ -205,12 +181,6 @@ impl Metric {
             Metric::ServerQueueHighWater => "server.queue_high_water",
             Metric::ServerMaintenanceTicks => "server.maintenance.ticks",
             Metric::ServerMaintenanceErrors => "server.maintenance.errors",
-            Metric::PlannerRuns => "planner.runs",
-            Metric::PlannerSampledSeries => "planner.sampled_series",
-            Metric::PlannerSampledPairs => "planner.sampled_pairs",
-            Metric::PlannerChosenFamilyTag => "planner.chosen_family_tag",
-            Metric::PlannerChosenDims => "planner.chosen_dims",
-            Metric::PlannerTightnessPpm => "planner.tightness_ppm",
         }
     }
 }

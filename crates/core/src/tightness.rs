@@ -63,82 +63,6 @@ fn mean_over_pairs(series: &[Vec<f64>], mut f: impl FnMut(&[f64], &[f64]) -> f64
     }
 }
 
-/// Seeded, capped variant of [`mean_transform_tightness`]: when the set has
-/// more than `pair_cap` ordered pairs, the mean is estimated over a
-/// deterministic pseudo-random sample of `pair_cap` pairs instead of all
-/// `n·(n-1)` of them, so the build-time planner stays cheap on large
-/// samples. When `pair_cap` covers every ordered pair the result equals the
-/// exhaustive mean exactly; below that the estimate converges on it as the
-/// cap grows (same seed, larger cap ⇒ more pairs measured).
-pub fn mean_transform_tightness_sampled<T: EnvelopeTransform + ?Sized>(
-    t: &T,
-    series: &[Vec<f64>],
-    k: usize,
-    pair_cap: usize,
-    seed: u64,
-) -> f64 {
-    let pairs = sampled_pairs(series.len(), pair_cap, seed);
-    if pairs.is_empty() {
-        return 0.0;
-    }
-    let sum: f64 = pairs
-        .iter()
-        .map(|&(i, j)| transform_tightness(t, &series[i], &series[j], k))
-        .sum();
-    sum / pairs.len() as f64
-}
-
-/// Deterministic pair sample for the capped tightness estimators and the
-/// transform planner: ordered pairs `(i, j)`, `i ≠ j`, drawn from `n`
-/// items.
-///
-/// When `cap` covers all `n·(n-1)` ordered pairs the full set is returned
-/// in row-major order (so capped and exhaustive estimates coincide
-/// exactly); otherwise `cap` pairs are drawn with replacement from a
-/// splitmix64 stream keyed on `seed` — the same `(n, cap, seed)` always
-/// yields the same pairs, independent of platform or thread count.
-pub fn sampled_pairs(n: usize, cap: usize, seed: u64) -> Vec<(usize, usize)> {
-    if n < 2 || cap == 0 {
-        return Vec::new();
-    }
-    let all = n * (n - 1);
-    if cap >= all {
-        let mut pairs = Vec::with_capacity(all);
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        return pairs;
-    }
-    let mut state = seed;
-    let mut pairs = Vec::with_capacity(cap);
-    while pairs.len() < cap {
-        let i = (splitmix64(&mut state) % n as u64) as usize;
-        // Draw j from the n-1 non-i slots so every ordered pair is equally
-        // likely and no draw is wasted.
-        let mut j = (splitmix64(&mut state) % (n - 1) as u64) as usize;
-        if j >= i {
-            j += 1;
-        }
-        pairs.push((i, j));
-    }
-    pairs
-}
-
-/// The splitmix64 step: a tiny, high-quality seeded stream used for the
-/// deterministic sampling above (the core crate deliberately has no RNG
-/// dependency).
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,63 +134,5 @@ mod tests {
         assert_eq!(mean_transform_tightness(&t, &[], 1), 0.0);
         let one = series_set(1, 32);
         assert_eq!(mean_transform_tightness(&t, &one, 1), 0.0);
-        assert_eq!(mean_transform_tightness_sampled(&t, &[], 1, 100, 7), 0.0);
-        assert_eq!(mean_transform_tightness_sampled(&t, &one, 1, 100, 7), 0.0);
-    }
-
-    #[test]
-    fn sampled_pairs_is_deterministic_valid_and_exhaustive_at_the_cap() {
-        for (n, cap) in [(5, 8), (5, 20), (5, 1000), (12, 64), (2, 1)] {
-            let a = sampled_pairs(n, cap, 42);
-            let b = sampled_pairs(n, cap, 42);
-            assert_eq!(a, b, "n={n} cap={cap}: same seed must give same pairs");
-            assert_eq!(a.len(), cap.min(n * (n - 1)));
-            assert!(a.iter().all(|&(i, j)| i < n && j < n && i != j));
-        }
-        // Different seeds actually change the (sub-exhaustive) sample.
-        assert_ne!(sampled_pairs(20, 16, 1), sampled_pairs(20, 16, 2));
-        // At or above the pair count the full ordered-pair set comes back.
-        let full = sampled_pairs(4, 12, 9);
-        assert_eq!(full.len(), 12);
-        let mut seen = full.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        assert_eq!(seen.len(), 12, "exhaustive sample has no duplicates");
-        assert!(sampled_pairs(0, 10, 1).is_empty());
-        assert!(sampled_pairs(1, 10, 1).is_empty());
-        assert!(sampled_pairs(10, 0, 1).is_empty());
-    }
-
-    #[test]
-    fn capped_tightness_converges_on_the_exhaustive_mean() {
-        let s = series_set(14, 64); // 182 ordered pairs
-        let t = NewPaa::new(64, 4);
-        let k = 4;
-        let exact = mean_transform_tightness(&t, &s, k);
-
-        // At and above the full pair count the estimate is *exactly* the
-        // exhaustive mean.
-        let full = mean_transform_tightness_sampled(&t, &s, k, 14 * 13, 5);
-        assert!((full - exact).abs() < 1e-12, "cap=all: {full} vs {exact}");
-
-        // Below it, the error shrinks as the cap grows (averaged over a few
-        // seeds so the test checks convergence, not one lucky draw).
-        let mean_err = |cap: usize| -> f64 {
-            let seeds = [1u64, 2, 3, 4, 5, 6, 7, 8];
-            seeds
-                .iter()
-                .map(|&seed| {
-                    (mean_transform_tightness_sampled(&t, &s, k, cap, seed) - exact).abs()
-                })
-                .sum::<f64>()
-                / seeds.len() as f64
-        };
-        let coarse = mean_err(8);
-        let fine = mean_err(128);
-        assert!(
-            fine <= coarse + 1e-12,
-            "capped estimate did not converge: err(8)={coarse} err(128)={fine}"
-        );
-        assert!(fine < 0.1, "cap=128 estimate too far from exhaustive: {fine}");
     }
 }

@@ -4,7 +4,6 @@
 //! qbh generate <dir> [--songs N] [--seed S]   write a melody corpus as .mid files
 //! qbh info     <dir>                          corpus statistics
 //! qbh index    <dir> <store-dir> [--shards N] [--memtable N] [--compact-at N]
-//!              [--transform newpaa|keoghpaa|dft|dwt|auto]
 //!                                             ingest the corpus into a
 //!                                             segmented store directory
 //! qbh hum      <dir> <name.mid> <out.wav>     synthesize a hum of one melody
@@ -26,7 +25,11 @@
 //! ```
 //!
 //! Results go to stdout; progress and diagnostics go to stderr, so scripted
-//! consumers can pipe stdout without filtering.
+//! consumers can pipe stdout without filtering. A flag a command does not
+//! read, or a stray argument, is a usage error (exit code 2) naming it.
+//!
+//! Stores index with the paper's New_PAA envelope transform at 8
+//! dimensions; there is no transform to choose.
 //!
 //! Everything on disk goes through this workspace's own codecs: melodies are
 //! Standard MIDI Files written/parsed by `hum-midi`, hums are PCM16 WAV
@@ -37,12 +40,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use hum_core::obs::{Metric, MetricsSink};
-use hum_core::plan::{PlannerOptions, TransformPlan};
 use hum_music::{HummingSimulator, Melody, SingerProfile, Songbook, SongbookConfig};
 use hum_qbh::corpus::{melody_from_smf, melody_to_smf};
 use hum_server::{Server, ServerConfig};
 use hum_qbh::storage::StorageError;
-use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions, TransformChoice, TransformKind};
+use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions};
 
 /// CLI failure modes, each with its own exit code so scripts can tell a
 /// misused invocation (2) from a corrupt or unwritable store (3) or a
@@ -125,8 +127,7 @@ fn main() -> ExitCode {
 
 fn usage_text() -> &'static str {
     "usage:\n  qbh generate <dir> [--songs N] [--seed S]\n  qbh info <dir>\n  \
-     qbh index <dir> <store-dir> [--shards N] [--memtable N] [--compact-at N]\n          \
-[--transform newpaa|keoghpaa|dft|dwt|auto]\n  \
+     qbh index <dir> <store-dir> [--shards N] [--memtable N] [--compact-at N]\n  \
      qbh hum <dir> <name.mid> <out.wav> [--singer good|poor] [--seed S]\n          \
 [--stream ADDR] [--top K] [--chunk-frames N]\n  \
      qbh query <dir|store-dir> <hum.wav> [--top K]\n  \
@@ -138,6 +139,36 @@ fn usage_text() -> &'static str {
 
 fn usage() {
     eprintln!("{}", usage_text());
+}
+
+/// Checks a command's arguments against what it reads: `positional`
+/// leading arguments, the flags in `values` (each followed by its value)
+/// and the switches in `switches`. Anything else — an unknown or misspelt
+/// flag, a stray argument — is an error naming it, so it is never silently
+/// ignored.
+fn check_args(
+    args: &[String],
+    positional: usize,
+    values: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    let mut seen = 0;
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        if values.contains(&arg.as_str()) {
+            // Its value; a missing one is reported by the flag's reader.
+            rest.next();
+        } else if arg.starts_with("--") {
+            if !switches.contains(&arg.as_str()) {
+                return Err(format!("unknown flag {arg}"));
+            }
+        } else if seen < positional {
+            seen += 1;
+        } else {
+            return Err(format!("unexpected argument {arg}"));
+        }
+    }
+    Ok(())
 }
 
 fn string_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
@@ -163,6 +194,7 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<u64>, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
+    check_args(args, 1, &["--songs", "--seed"], &[])?;
     let dir = PathBuf::from(args.first().ok_or("generate needs a directory")?);
     let songs = flag_value(args, "--songs")?.unwrap_or(50) as usize;
     let seed = flag_value(args, "--seed")?.unwrap_or(2003);
@@ -223,6 +255,7 @@ fn build_system(corpus: &BTreeMap<String, Melody>) -> (QbhSystem, Vec<String>) {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), CliError> {
+    check_args(args, 1, &[], &[])?;
     let dir = PathBuf::from(args.first().ok_or("info needs a directory")?);
     let corpus = load_corpus(&dir)?;
     let notes: usize = corpus.values().map(Melody::len).sum();
@@ -240,6 +273,7 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_hum(args: &[String]) -> Result<(), CliError> {
+    check_args(args, 3, &["--singer", "--seed", "--stream", "--top", "--chunk-frames"], &[])?;
     let dir = PathBuf::from(args.first().ok_or("hum needs a directory")?);
     let name = args.get(1).ok_or("hum needs a melody file name")?;
     let out = PathBuf::from(args.get(2).ok_or("hum needs an output .wav path")?);
@@ -315,60 +349,6 @@ fn stream_hum(
     Ok(())
 }
 
-/// Parses `--transform`. `auto` defers the choice to the build-time planner,
-/// which measures lower-bound tightness over a corpus sample; the named
-/// families pin it, matching `QbhConfig` defaults when the flag is absent.
-fn transform_flag(args: &[String]) -> Result<TransformChoice, CliError> {
-    let value = string_flag(args, "--transform")?;
-    match value.as_deref() {
-        None => Ok(QbhConfig::default().transform),
-        Some("newpaa") => Ok(TransformKind::NewPaa.into()),
-        Some("keoghpaa") => Ok(TransformKind::KeoghPaa.into()),
-        Some("dft") => Ok(TransformKind::Dft.into()),
-        Some("dwt") => Ok(TransformKind::Dwt.into()),
-        Some("auto") => Ok(TransformChoice::Auto(PlannerOptions::default())),
-        Some(other) => {
-            Err(format!("--transform must be newpaa|keoghpaa|dft|dwt|auto, got {other}").into())
-        }
-    }
-}
-
-/// Prints the planner's decision and its full evidence table to stderr:
-/// the chosen family plus every measured candidate, then the `planner.*`
-/// counters so scripted runs can scrape the same numbers the registry holds.
-fn report_plan(plan: &TransformPlan, metrics: &MetricsSink) {
-    eprintln!("Planned transform: {}", plan.summary());
-    for candidate in &plan.candidates {
-        let marker = if candidate.family == plan.family && candidate.dims == plan.dims {
-            "chosen ->"
-        } else {
-            "         "
-        };
-        eprintln!(
-            "  {marker} {:<9} d={:<3} tightness {:.4}  est-candidates {:.4}  cost {:.4}  score {:.4}",
-            candidate.family.name(),
-            candidate.dims,
-            candidate.mean_tightness,
-            candidate.est_candidate_ratio,
-            candidate.projection_cost,
-            candidate.score,
-        );
-    }
-    if let Some(registry) = metrics.registry() {
-        let snapshot = registry.snapshot();
-        eprintln!(
-            "  planner.runs {}  planner.sampled_series {}  planner.sampled_pairs {}  \
-             planner.chosen_family_tag {}  planner.chosen_dims {}  planner.tightness_ppm {}",
-            snapshot.counter(Metric::PlannerRuns),
-            snapshot.counter(Metric::PlannerSampledSeries),
-            snapshot.counter(Metric::PlannerSampledPairs),
-            snapshot.counter(Metric::PlannerChosenFamilyTag),
-            snapshot.counter(Metric::PlannerChosenDims),
-            snapshot.counter(Metric::PlannerTightnessPpm),
-        );
-    }
-}
-
 /// Parses the shared store tuning flags (`--memtable`, `--compact-at`).
 fn store_options(args: &[String]) -> Result<StoreOptions, CliError> {
     let defaults = StoreOptions::default();
@@ -382,17 +362,8 @@ fn store_options(args: &[String]) -> Result<StoreOptions, CliError> {
     })
 }
 
-/// Renders every corpus melody to the raw time series the planner measures.
-/// The planner draws its own seeded sub-sample from this slice, so the
-/// decision is a function of (corpus, planner seed), not CLI iteration order.
-fn plan_sample(db: &hum_qbh::corpus::MelodyDatabase, config: &QbhConfig) -> Vec<Vec<f64>> {
-    db.entries()
-        .iter()
-        .map(|entry| entry.melody().to_time_series(config.samples_per_beat))
-        .collect()
-}
-
 fn cmd_index(args: &[String]) -> Result<(), CliError> {
+    check_args(args, 2, &["--shards", "--memtable", "--compact-at"], &[])?;
     let dir = PathBuf::from(args.first().ok_or("index needs a directory")?);
     let out = PathBuf::from(args.get(1).ok_or("index needs a store directory")?);
     let corpus = load_corpus(&dir)?;
@@ -402,24 +373,10 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
     // The manifest pins the partition every segment engine is built with,
     // so the shard count is chosen here, not at serve time.
     let config = QbhConfig {
-        transform: transform_flag(args)?,
         shards: flag_value(args, "--shards")?.map_or(1, |n| n.max(1) as usize),
         ..QbhConfig::default()
     };
-    // `--transform auto` is resolved once, here: the manifest then carries
-    // the pinned choice plus the plan evidence, so opens never re-plan.
-    let metrics = MetricsSink::enabled();
-    let sample = plan_sample(&db, &config);
-    let mut system = QbhSystem::try_create_store_planned(
-        &out,
-        &config,
-        store_options(args)?,
-        &sample,
-        &metrics,
-    )?;
-    if let Some(plan) = system.plan() {
-        report_plan(plan, &metrics);
-    }
+    let mut system = QbhSystem::try_create_store(&out, &config, store_options(args)?)?;
     system.try_ingest(&db)?;
     let stats = system.store_stats().unwrap_or_default();
     println!(
@@ -436,6 +393,7 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), CliError> {
+    check_args(args, 2, &["--top"], &[])?;
     let source = PathBuf::from(args.first().ok_or("query needs a MIDI or store directory")?);
     let wav_path = PathBuf::from(args.get(1).ok_or("query needs a .wav file")?);
     let top = flag_value(args, "--top")?.unwrap_or(5) as usize;
@@ -489,6 +447,16 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    let values = [
+        "--addr",
+        "--workers",
+        "--queue-depth",
+        "--default-deadline-ms",
+        "--memtable",
+        "--compact-at",
+        "--maintenance-ms",
+    ];
+    check_args(args, 1, &values, &["--allow-remote-shutdown"])?;
     let path = PathBuf::from(args.first().ok_or("serve needs a store directory")?);
     let addr = string_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7700".to_string());
     let workers = flag_value(args, "--workers")?.unwrap_or(4).max(1) as usize;
@@ -513,14 +481,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         system.shard_count(),
         if system.shard_count() == 1 { "" } else { "s" }
     );
-    if let Some(family) = stats.plan_family {
-        eprintln!(
-            "Planned transform (persisted): {} d={} mean-tightness {:.4}.",
-            family.name(),
-            stats.plan_dims,
-            stats.plan_tightness_ppm as f64 / 1e6
-        );
-    }
 
     let config = ServerConfig {
         workers,

@@ -9,8 +9,8 @@
 //! 2. **A database of music** — phrase melodies from a songbook or from
 //!    MIDI files round-tripped through `hum-midi` ([`corpus`]);
 //! 3. **An index** — the warping index of `hum-core`: normal forms,
-//!    container-invariant envelope transforms, and a spatial index with
-//!    exact-DTW refinement ([`system`]).
+//!    the container-invariant New_PAA envelope transform, and a feature
+//!    index with exact-DTW refinement ([`system`]).
 //!
 //! [`eval`] adds the paper's evaluation protocol: rank bins for retrieval
 //! tables (Tables 2 and 3) and head-to-head comparison with the contour
@@ -44,4 +44,4 @@ pub mod store;
 pub mod system;
 
 pub use corpus::{MelodyDatabase, MelodyEntry};
-pub use system::{QbhConfig, QbhSystem, TransformKind};
+pub use system::{QbhConfig, QbhSystem};

@@ -16,8 +16,8 @@
 //!   enforces every constraint engine construction would otherwise assert
 //!   on, so an untrusted file can never turn into a panic after a
 //!   successful read;
-//! * the transform-plan section codec (`write_plan_section` /
-//!   `read_plan_section`);
+//! * the manifest's reserved plan section (`write_plan_section` /
+//!   `skip_plan_section`);
 //! * `atomic_write` — durable file replacement.
 //!
 //! # Durability
@@ -43,19 +43,24 @@
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use hum_core::plan::{CandidateEvidence, PlanFamily, TransformPlan};
-
-use crate::system::{QbhConfig, TransformChoice, TransformKind};
-
-/// Hard cap on the candidate-evidence rows a persisted plan may claim
-/// (4 families × a handful of grid dimensions in practice).
-const MAX_PLAN_CANDIDATES: u32 = 1024;
+use crate::system::QbhConfig;
 
 /// Serialized size of the fixed config section body.
 pub(crate) const CONFIG_BODY_LEN: usize = 30;
 
+/// The highest transform tag readers accept (see [`write_config_section`]).
+const MAX_TRANSFORM_TAG: u8 = 3;
+
 /// The index tag writers put (see [`write_config_section`]).
 const LINEAR_INDEX_TAG: u8 = 2;
+
+/// The fixed part of a legacy plan block after its presence byte, and the
+/// size of one candidate row (see [`skip_plan_section`]).
+const PLAN_HEADER_LEN: usize = 57;
+const PLAN_CANDIDATE_LEN: usize = 37;
+
+/// Hard cap on the candidate rows a legacy plan block may claim.
+const MAX_PLAN_CANDIDATES: u32 = 1024;
 
 /// Hard cap on the shard count a file may claim (far above any sensible
 /// serving fan-out; bounds per-shard bookkeeping on untrusted files).
@@ -82,8 +87,8 @@ pub enum StorageError {
     Checksum(&'static str),
     /// The in-memory corpus or configuration cannot be represented in the
     /// format (field overflows `u32`, ids out of order, non-finite sample,
-    /// SVD or unresolved-`Auto` transform…). Returned by writers instead of
-    /// silently truncating.
+    /// feature dims not dividing the normal length…). Returned by writers
+    /// instead of silently truncating.
     Unrepresentable(String),
     /// A maintenance job was planned over a store that has changed since
     /// (another flush or compaction committed first); nothing was applied
@@ -336,16 +341,7 @@ pub(crate) fn validate_config(config: &QbhConfig) -> Result<(), String> {
             config.feature_dims, config.normal_length
         ));
     }
-    let Some(kind) = config.fixed_transform() else {
-        return Err(
-            "unresolved TransformChoice::Auto; the planner must resolve it before a \
-             configuration is persisted or validated"
-                .into(),
-        );
-    };
-    if matches!(kind, TransformKind::NewPaa | TransformKind::KeoghPaa)
-        && !config.normal_length.is_multiple_of(config.feature_dims)
-    {
+    if !config.normal_length.is_multiple_of(config.feature_dims) {
         return Err(format!(
             "PAA frame count {} must divide normal length {}",
             config.feature_dims, config.normal_length
@@ -369,9 +365,17 @@ pub(crate) fn as_u32(value: usize, what: &str) -> Result<u32, StorageError> {
 /// [ CRC32(section body)                               4 bytes ]
 /// ```
 ///
-/// The index tag once named the index (0 R\*-tree, 1 grid file, 2 linear
-/// scan). Indexes are rebuilt from segment entries at open, so it never
-/// described stored data: readers accept 0–2 and reject any other tag.
+/// Both tags are reserved bytes. Segments store normal forms, and features
+/// and indexes are rebuilt from them at open, so neither tag ever described
+/// stored data:
+///
+/// * the transform tag once named the envelope transform (0 New_PAA,
+///   1 Keogh_PAA, 2 DFT, 3 DWT). Writers put 0 and readers accept 0–3: a
+///   store written under any of them opens as New_PAA with the same
+///   matches. Tag 4 (SVD) no store could be created with, so it and
+///   everything above it is [`StorageError::Corrupt`];
+/// * the index tag once named the index (0 R\*-tree, 1 grid file, 2 linear
+///   scan). Writers put 2 and readers accept 0–2.
 ///
 /// # Errors
 /// [`StorageError::Unrepresentable`] when the configuration fails
@@ -381,17 +385,12 @@ pub(crate) fn write_config_section<W: Write>(
     config: &QbhConfig,
 ) -> Result<(), StorageError> {
     validate_config(config).map_err(StorageError::Unrepresentable)?;
-    let kind = config.fixed_transform().ok_or_else(|| {
-        StorageError::Unrepresentable(
-            "cannot persist an unresolved TransformChoice::Auto configuration".into(),
-        )
-    })?;
     dst.begin_section();
     dst.put(&as_u32(config.normal_length, "normal length")?.to_le_bytes())?;
     dst.put(&as_u32(config.feature_dims, "feature dims")?.to_le_bytes())?;
     dst.put(&as_u32(config.samples_per_beat, "samples per beat")?.to_le_bytes())?;
     dst.put(&config.warping_width.to_le_bytes())?;
-    dst.put(&[transform_tag(kind), LINEAR_INDEX_TAG])?;
+    dst.put(&[0, LINEAR_INDEX_TAG])?;
     dst.put(&as_u32(config.page_bytes, "page size")?.to_le_bytes())?;
     dst.put(&as_u32(config.shards, "shard count")?.to_le_bytes())?;
     dst.finish_section()
@@ -409,6 +408,9 @@ pub(crate) fn read_config_section<R: Read>(
     let le_u32 = |at: usize| u32::from_le_bytes([body[at], body[at + 1], body[at + 2], body[at + 3]]);
     let mut ww = [0u8; 8];
     ww.copy_from_slice(&body[12..20]);
+    if body[20] > MAX_TRANSFORM_TAG {
+        return Err(StorageError::Corrupt(format!("unknown transform tag {}", body[20])));
+    }
     if body[21] > LINEAR_INDEX_TAG {
         return Err(StorageError::Corrupt(format!("unknown index tag {}", body[21])));
     }
@@ -417,7 +419,6 @@ pub(crate) fn read_config_section<R: Read>(
         feature_dims: le_u32(4) as usize,
         samples_per_beat: le_u32(8) as usize,
         warping_width: f64::from_le_bytes(ww),
-        transform: TransformChoice::Fixed(transform_from_tag(body[20])?),
         page_bytes: le_u32(22) as usize,
         shards: le_u32(26) as usize,
     };
@@ -425,192 +426,54 @@ pub(crate) fn read_config_section<R: Read>(
     Ok(config)
 }
 
-/// Writes the checksummed transform-plan section that closes a manifest.
-/// The section is always present; its first byte says whether evidence
-/// follows, so a planned and an unplanned store share one format:
-///
-/// ```text
-/// [ present u8: 0 = no plan (section ends here), 1 = plan  ]
-/// [ family u8, dims u32, input_len u32, band u32           ]
-/// [ seed u64, sample_len u32, pairs u64                    ]
-/// [ mean_tightness f64, est_candidate_ratio f64, score f64 ]
-/// [ candidate count u32, then per candidate:               ]
-/// [   family u8, dims u32, tightness f64, ratio f64,       ]
-/// [   projection_cost f64, score f64                       ]
-/// [ CRC32(section body)                            4 bytes ]
-/// ```
+/// Writes the checksummed plan section that closes a manifest: one
+/// presence byte, always 0, then the section CRC. See
+/// [`skip_plan_section`] for what readers accept.
 pub(crate) fn write_plan_section<W: Write>(
     dst: &mut SnapshotWriter<'_, W>,
-    plan: Option<&TransformPlan>,
 ) -> Result<(), StorageError> {
     dst.begin_section();
-    let Some(plan) = plan else {
-        dst.put(&[0])?;
-        return dst.finish_section();
-    };
-    if plan.candidates.len() as u64 > u64::from(MAX_PLAN_CANDIDATES) {
-        return Err(StorageError::Unrepresentable(format!(
-            "plan candidate count {} exceeds the format cap {MAX_PLAN_CANDIDATES}",
-            plan.candidates.len()
-        )));
-    }
-    dst.put(&[1])?;
-    dst.put(&[plan_family_tag(plan.family)])?;
-    dst.put(&as_u32(plan.dims, "plan dims")?.to_le_bytes())?;
-    dst.put(&as_u32(plan.input_len, "plan input length")?.to_le_bytes())?;
-    dst.put(&as_u32(plan.band, "plan band")?.to_le_bytes())?;
-    dst.put(&plan.seed.to_le_bytes())?;
-    dst.put(&as_u32(plan.sample_len, "plan sample size")?.to_le_bytes())?;
-    dst.put(&(plan.pairs as u64).to_le_bytes())?;
-    dst.put(&plan.mean_tightness.to_le_bytes())?;
-    dst.put(&plan.est_candidate_ratio.to_le_bytes())?;
-    dst.put(&plan.score.to_le_bytes())?;
-    dst.put(&as_u32(plan.candidates.len(), "plan candidate count")?.to_le_bytes())?;
-    for candidate in &plan.candidates {
-        dst.put(&[plan_family_tag(candidate.family)])?;
-        dst.put(&as_u32(candidate.dims, "candidate dims")?.to_le_bytes())?;
-        dst.put(&candidate.mean_tightness.to_le_bytes())?;
-        dst.put(&candidate.est_candidate_ratio.to_le_bytes())?;
-        dst.put(&candidate.projection_cost.to_le_bytes())?;
-        dst.put(&candidate.score.to_le_bytes())?;
-    }
+    dst.put(&[0])?;
     dst.finish_section()
 }
 
-/// Reads and validates the transform-plan section (see
-/// [`write_plan_section`]): the presence byte, family tags, dimension
-/// bounds, `[0, 1]` ranges on tightness and candidate ratio, finite scores,
-/// the candidate-count cap, and the presence of the chosen `(family, dims)`
-/// among the candidates are all enforced, so untrusted plan bytes surface
-/// as typed [`StorageError::Corrupt`] — never a panic, never an
-/// inconsistent plan.
-pub(crate) fn read_plan_section<R: Read>(
+/// Reads the manifest's plan section and interprets none of it. Stores
+/// once persisted build-time transform-planner evidence here:
+///
+/// ```text
+/// [ present u8: 0 = no plan (section ends here), 1 = plan    ]
+/// [ evidence header                                 57 bytes ]
+/// [ candidate count u32, then 37 bytes per candidate         ]
+/// [ CRC32(section body)                              4 bytes ]
+/// ```
+///
+/// A presence byte of 1 is skipped by that fixed layout (the count is held
+/// to the cap it always had) and checked only by the section CRC; any
+/// other presence byte but 0 is [`StorageError::Corrupt`].
+pub(crate) fn skip_plan_section<R: Read>(
     src: &mut SnapshotReader<'_, R>,
-) -> Result<Option<TransformPlan>, StorageError> {
+) -> Result<(), StorageError> {
     src.begin_section();
-    let mut tag = [0u8; 1];
-    src.take(&mut tag)?;
-    if tag[0] == 0 {
-        src.verify_section("plan")?;
-        return Ok(None);
-    }
-    if tag[0] != 1 {
-        return Err(StorageError::Corrupt(format!("unknown plan presence byte {}", tag[0])));
-    }
-    src.take(&mut tag)?;
-    let family = plan_family_from_tag(tag[0])?;
-    let dims = src.u32()? as usize;
-    let input_len = src.u32()? as usize;
-    let band = src.u32()? as usize;
-    let seed = src.u64()?;
-    let sample_len = src.u32()? as usize;
-    let pairs = usize::try_from(src.u64()?)
-        .map_err(|_| StorageError::Corrupt("implausible plan pair count".into()))?;
-    let mean_tightness = read_unit_interval(src, "plan mean tightness")?;
-    let est_candidate_ratio = read_unit_interval(src, "plan candidate ratio")?;
-    let score = read_finite(src, "plan score")?;
-    if dims == 0 || dims > input_len {
-        return Err(StorageError::Corrupt(format!(
-            "plan dims {dims} out of range for input length {input_len}"
-        )));
-    }
-    let candidate_count = src.u32()?;
-    if candidate_count > MAX_PLAN_CANDIDATES {
-        return Err(StorageError::Corrupt(format!(
-            "implausible plan candidate count {candidate_count}"
-        )));
-    }
-    let mut candidates = Vec::with_capacity((candidate_count as usize).min(PREALLOC_CAP));
-    for _ in 0..candidate_count {
-        let mut tag = [0u8; 1];
-        src.take(&mut tag)?;
-        let family = plan_family_from_tag(tag[0])?;
-        let dims = src.u32()? as usize;
-        if dims == 0 || dims > input_len {
-            return Err(StorageError::Corrupt(format!(
-                "candidate dims {dims} out of range for input length {input_len}"
-            )));
+    let mut present = [0u8; 1];
+    src.take(&mut present)?;
+    match present[0] {
+        0 => {}
+        1 => {
+            src.take(&mut [0u8; PLAN_HEADER_LEN])?;
+            let count = src.u32()?;
+            if count > MAX_PLAN_CANDIDATES {
+                return Err(StorageError::Corrupt(format!(
+                    "implausible plan candidate count {count}"
+                )));
+            }
+            let mut row = [0u8; PLAN_CANDIDATE_LEN];
+            for _ in 0..count {
+                src.take(&mut row)?;
+            }
         }
-        let mean_tightness = read_unit_interval(src, "candidate tightness")?;
-        let est_candidate_ratio = read_unit_interval(src, "candidate ratio")?;
-        let projection_cost = read_finite(src, "candidate projection cost")?;
-        if projection_cost < 0.0 {
-            return Err(StorageError::Corrupt(format!(
-                "negative candidate projection cost {projection_cost}"
-            )));
-        }
-        let score = read_finite(src, "candidate score")?;
-        candidates.push(CandidateEvidence {
-            family,
-            dims,
-            mean_tightness,
-            est_candidate_ratio,
-            projection_cost,
-            score,
-        });
+        other => return Err(StorageError::Corrupt(format!("unknown plan presence byte {other}"))),
     }
-    src.verify_section("plan")?;
-    let plan = TransformPlan {
-        family,
-        dims,
-        input_len,
-        band,
-        seed,
-        sample_len,
-        pairs,
-        mean_tightness,
-        est_candidate_ratio,
-        score,
-        candidates,
-    };
-    if plan.chosen().is_none() {
-        return Err(StorageError::Corrupt(format!(
-            "plan chose {} d={} but holds no matching candidate evidence",
-            plan.family.name(),
-            plan.dims
-        )));
-    }
-    Ok(Some(plan))
-}
-
-/// Reads one `f64` that must land in `[0, 1]`.
-fn read_unit_interval<R: Read>(
-    src: &mut SnapshotReader<'_, R>,
-    what: &str,
-) -> Result<f64, StorageError> {
-    let value = read_finite(src, what)?;
-    if !(0.0..=1.0).contains(&value) {
-        return Err(StorageError::Corrupt(format!("{what} {value} outside [0, 1]")));
-    }
-    Ok(value)
-}
-
-/// Reads one `f64` that must be finite.
-fn read_finite<R: Read>(src: &mut SnapshotReader<'_, R>, what: &str) -> Result<f64, StorageError> {
-    let value = src.f64()?;
-    if !value.is_finite() {
-        return Err(StorageError::Corrupt(format!("non-finite {what}")));
-    }
-    Ok(value)
-}
-
-fn plan_family_tag(family: PlanFamily) -> u8 {
-    match family {
-        PlanFamily::NewPaa => 0,
-        PlanFamily::KeoghPaa => 1,
-        PlanFamily::Dft => 2,
-        PlanFamily::Dwt => 3,
-    }
-}
-
-fn plan_family_from_tag(tag: u8) -> Result<PlanFamily, StorageError> {
-    Ok(match tag {
-        0 => PlanFamily::NewPaa,
-        1 => PlanFamily::KeoghPaa,
-        2 => PlanFamily::Dft,
-        3 => PlanFamily::Dwt,
-        other => return Err(StorageError::Corrupt(format!("unknown plan family tag {other}"))),
-    })
+    src.verify_section("plan")
 }
 
 /// Process-wide sequence for temp-file names. The pid alone is *not*
@@ -674,28 +537,6 @@ pub(crate) fn atomic_write(
     result
 }
 
-fn transform_tag(t: TransformKind) -> u8 {
-    match t {
-        TransformKind::NewPaa => 0,
-        TransformKind::KeoghPaa => 1,
-        TransformKind::Dft => 2,
-        TransformKind::Dwt => 3,
-        TransformKind::Svd => 4,
-    }
-}
-
-fn transform_from_tag(tag: u8) -> Result<TransformKind, StorageError> {
-    Ok(match tag {
-        0 => TransformKind::NewPaa,
-        1 => TransformKind::KeoghPaa,
-        2 => TransformKind::Dft,
-        3 => TransformKind::Dwt,
-        4 => TransformKind::Svd,
-        other => return Err(StorageError::Corrupt(format!("unknown transform tag {other}"))),
-    })
-}
-
-
 #[cfg(test)]
 mod tests {
     //! The framing has no format of its own, so these tests drive it through
@@ -705,9 +546,9 @@ mod tests {
     use crate::corpus::MelodyDatabase;
     use crate::fault::TempPath;
     use crate::store::{
-        load_manifest, load_segment, manifest_path, read_manifest, read_segment, save_manifest,
-        save_segment, segment_path, write_manifest, write_segment, Manifest, SegmentEntry,
-        SegmentRef,
+        init_store, load_manifest, load_segment, manifest_path, read_manifest, read_segment,
+        save_manifest, save_segment, segment_path, write_manifest, write_segment, Manifest,
+        SegmentEntry, SegmentRef,
     };
     use crate::system::{QbhSystem, StoreOptions};
     use hum_core::obs::{Metric, MetricsSink};
@@ -720,11 +561,7 @@ mod tests {
     const COUNT_AT: usize = CONFIG_CRC_AT + 4;
 
     fn sample() -> (QbhConfig, Vec<SegmentEntry>, Manifest) {
-        let config = QbhConfig {
-            transform: TransformKind::Dft.into(),
-            warping_width: 0.07,
-            ..QbhConfig::default()
-        };
+        let config = QbhConfig { warping_width: 0.07, ..QbhConfig::default() };
         let entries = (0..12usize)
             .map(|i| SegmentEntry {
                 id: (i * 7 + 3) as u64,
@@ -735,31 +572,10 @@ mod tests {
                     .collect(),
             })
             .collect();
-        let plan = TransformPlan {
-            family: PlanFamily::Dft,
-            dims: config.feature_dims,
-            input_len: config.normal_length,
-            band: 4,
-            seed: 99,
-            sample_len: 40,
-            pairs: 780,
-            mean_tightness: 0.62,
-            est_candidate_ratio: 0.2,
-            score: 0.6,
-            candidates: vec![CandidateEvidence {
-                family: PlanFamily::Dft,
-                dims: config.feature_dims,
-                mean_tightness: 0.62,
-                est_candidate_ratio: 0.2,
-                projection_cost: 0.4,
-                score: 0.6,
-            }],
-        };
         let manifest = Manifest {
             config,
             segments: vec![SegmentRef { id: 0, count: 12 }, SegmentRef { id: 3, count: 5 }],
             tombstones: vec![10, 24],
-            plan: Some(plan),
         };
         (config, entries, manifest)
     }
@@ -796,6 +612,44 @@ mod tests {
         bytes[len - 4..].copy_from_slice(&crc);
     }
 
+    /// A legacy plan block as stores created by the build-time transform
+    /// planner carry it: presence 1, the 57-byte evidence header, then
+    /// `count` 37-byte candidate rows, of which the first `rows` are written.
+    fn legacy_plan_block(count: u32, rows: u32) -> Vec<u8> {
+        let mut block = vec![1, 0]; // present; family New_PAA
+        for field in [8u32, 128, 6] {
+            block.extend(field.to_le_bytes()); // dims, input length, band
+        }
+        block.extend(0x5EED_u64.to_le_bytes());
+        block.extend(64u32.to_le_bytes()); // sample size
+        block.extend(4032u64.to_le_bytes()); // pairs
+        for value in [0.45f64, 0.2, 0.4] {
+            block.extend(value.to_le_bytes()); // tightness, ratio, score
+        }
+        assert_eq!(block.len(), 1 + PLAN_HEADER_LEN);
+        block.extend(count.to_le_bytes());
+        for row in 0..rows {
+            block.push((row % 4) as u8);
+            block.extend(8u32.to_le_bytes());
+            for value in [0.45f64, 0.2, 0.1, 0.4] {
+                block.extend(value.to_le_bytes());
+            }
+        }
+        block
+    }
+
+    /// `manifest` with its plan section replaced by `block`, the section CRC
+    /// and the footer resealed.
+    fn with_plan_section(manifest: &[u8], block: &[u8]) -> Vec<u8> {
+        // The plan section a current writer puts is 1 byte + its CRC, then
+        // the footer.
+        let mut bytes = manifest[..manifest.len() - 9].to_vec();
+        bytes.extend(block);
+        bytes.extend(crc32(block).to_le_bytes());
+        bytes.extend(crc32(&bytes).to_le_bytes());
+        bytes
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
         let (config, entries, manifest) = sample();
@@ -804,9 +658,14 @@ mod tests {
         assert_eq!(back_config, config);
         assert_eq!(back, entries);
         assert_eq!(read_manifest(&mut manifest_image(&manifest).as_slice()).unwrap(), manifest);
-        // The plan is optional inside the one manifest format.
-        let plain = Manifest { plan: None, ..manifest };
-        assert_eq!(read_manifest(&mut manifest_image(&plain).as_slice()).unwrap(), plain);
+        // The reserved bytes as writers put them: transform tag 0, index
+        // tag 2, and a plan section of one 0 byte before its CRC and the
+        // footer.
+        for (name, image, _) in images() {
+            assert_eq!(image[CONFIG_AT + 20..CONFIG_AT + 22], [0, LINEAR_INDEX_TAG], "{name}");
+        }
+        let image = manifest_image(&manifest);
+        assert_eq!(image[image.len() - 9], 0);
     }
 
     #[test]
@@ -889,12 +748,14 @@ mod tests {
     #[test]
     fn corrupt_tags_and_notes_rejected() {
         // The transform/index tags live at offsets 28/29 (inside the config
-        // section body); every index tag past 2 is foreign. A bare patch trips
-        // the section checksum; with the section CRC recomputed, the typed tag
-        // error surfaces instead (config is parsed before the footer).
+        // section body); every transform tag past 3 (4 was SVD) and every
+        // index tag past 2 is foreign. A bare patch trips the section
+        // checksum; with the section CRC recomputed, the typed tag error
+        // surfaces instead (config is parsed before the footer).
         for (name, image, read) in images() {
+            let transform_tags = (4..=u8::MAX).map(|tag| (CONFIG_AT + 20, tag));
             let index_tags = (LINEAR_INDEX_TAG + 1..=u8::MAX).map(|tag| (CONFIG_AT + 21, tag));
-            for (tag_at, tag) in [(CONFIG_AT + 20, 99)].into_iter().chain(index_tags) {
+            for (tag_at, tag) in transform_tags.chain(index_tags) {
                 let mut bad = image.clone();
                 bad[tag_at] = tag;
                 let err = read(&mut bad.as_slice()).unwrap_err();
@@ -918,6 +779,24 @@ mod tests {
         reseal(&mut bad);
         let err = read_segment(&mut bad.as_slice()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+
+        // The manifest's plan section behind valid checksums: a legacy
+        // block claiming more rows than the cap, one cut short, and a
+        // presence byte no writer ever put.
+        let (_, _, manifest) = sample();
+        let image = manifest_image(&manifest);
+        let over_cap = with_plan_section(&image, &legacy_plan_block(MAX_PLAN_CANDIDATES + 1, 0));
+        let err = read_manifest(&mut over_cap.as_slice()).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        let truncated = with_plan_section(&image, &legacy_plan_block(2, 1));
+        let err = read_manifest(&mut truncated.as_slice()).unwrap_err();
+        assert!(matches!(err, StorageError::Io(_)), "{err}");
+        let unknown = with_plan_section(&image, &[2]);
+        let err = read_manifest(&mut unknown.as_slice()).unwrap_err();
+        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
+        // The legacy block itself is skipped, and the manifest reads back.
+        let legacy = with_plan_section(&image, &legacy_plan_block(3, 3));
+        assert_eq!(read_manifest(&mut legacy.as_slice()).unwrap(), manifest);
     }
 
     #[test]
@@ -967,12 +846,7 @@ mod tests {
     fn unbuildable_configs_rejected_at_read() {
         // PAA dims that do not divide the normal length would panic inside
         // engine construction; writer and reader must both reject them.
-        let bad = QbhConfig {
-            transform: TransformKind::NewPaa.into(),
-            normal_length: 100,
-            feature_dims: 7,
-            ..QbhConfig::default()
-        };
+        let bad = QbhConfig { normal_length: 100, feature_dims: 7, ..QbhConfig::default() };
         let err = write_segment(&mut Vec::new(), &bad, &[]).unwrap_err();
         assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
         // Craft the same config through the byte layout to hit the reader.
@@ -980,7 +854,6 @@ mod tests {
         let mut bytes = segment_image(&config, &[]);
         bytes[CONFIG_AT..CONFIG_AT + 4].copy_from_slice(&100u32.to_le_bytes()); // normal_length
         bytes[CONFIG_AT + 4..CONFIG_AT + 8].copy_from_slice(&7u32.to_le_bytes()); // feature_dims
-        bytes[CONFIG_AT + 20] = 0; // transform tag -> NewPaa
         reseal(&mut bytes);
         let err = read_segment(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
@@ -993,10 +866,9 @@ mod tests {
             phrases_per_song: 3,
             ..SongbookConfig::default()
         });
-        let config = QbhConfig::default();
+        init_store(dir, &QbhConfig::default()).unwrap();
         let options = StoreOptions { memtable_capacity: 6, ..StoreOptions::default() };
-        let mut system =
-            QbhSystem::try_create_store_planned(dir, &config, options, &[], metrics).unwrap();
+        let mut system = QbhSystem::try_open_store_with(dir, options, metrics).unwrap();
         system.try_ingest(&db).unwrap();
         (db, system)
     }
@@ -1029,30 +901,69 @@ mod tests {
         assert_eq!(reg.get(Metric::StorageBytesWritten), written);
     }
 
+    /// Every answer `system` gives to `queries`, as (id, distance bits).
+    fn answers(system: &QbhSystem, queries: &[Vec<f64>]) -> Vec<Vec<(u64, u64)>> {
+        queries
+            .iter()
+            .map(|q| {
+                let matches = system.query_series(q, 4).matches;
+                matches.iter().map(|m| (m.id, m.distance.to_bits())).collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn loaded_database_builds_an_equivalent_system() {
-        // Under every index tag a store was written with (0 R*-tree, 1 grid
-        // file, 2 flat sweep): indexes are rebuilt at open, so all agree.
+        // Under every transform tag (0 New_PAA, 1 Keogh_PAA, 2 DFT, 3 DWT)
+        // and index tag (0 R*-tree, 1 grid file, 2 flat sweep) a store was
+        // written with, and under a manifest carrying build-time planner
+        // evidence: features and indexes are rebuilt at open, so all answer
+        // like an in-memory build. Each then takes a flush (current-writer
+        // segment and manifest over the old-tag segments) and reopens.
         let dir = TempPath::unique("storage-equivalent");
         let (db, system) = ingest(dir.path(), &MetricsSink::Disabled);
         drop(system);
-        let original = QbhSystem::build(&db, &QbhConfig::default());
-        let manifest = load_manifest(&manifest_path(dir.path())).unwrap();
-        let segments = manifest.segments.iter().map(|s| segment_path(dir.path(), s.id));
-        let files: Vec<_> = segments.chain([manifest_path(dir.path())]).collect();
-        for tag in 0..=LINEAR_INDEX_TAG {
-            for file in &files {
-                let mut bytes = std::fs::read(file).unwrap();
-                bytes[CONFIG_AT + 21] = tag;
-                reseal(&mut bytes);
-                std::fs::write(file, bytes).unwrap();
+        let mut original = QbhSystem::build(&db, &QbhConfig::default());
+        let mut queries: Vec<Vec<f64>> =
+            [1, 5, 10].iter().map(|&id| db.entry(id).unwrap().melody().to_time_series(4)).collect();
+        let index_tags = (0..=LINEAR_INDEX_TAG).map(|tag| (CONFIG_AT + 21, tag));
+        let transform_tags = (0..=3).map(|tag| (CONFIG_AT + 20, tag));
+        let rewrites: Vec<Option<(usize, u8)>> =
+            index_tags.chain(transform_tags).map(Some).chain([None]).collect();
+        for (round, rewrite) in rewrites.into_iter().enumerate() {
+            let manifest = manifest_path(dir.path());
+            match rewrite {
+                Some((tag_at, tag)) => {
+                    let segments = load_manifest(&manifest).unwrap().segments;
+                    let files = segments.iter().map(|s| segment_path(dir.path(), s.id));
+                    for file in files.chain([manifest]) {
+                        let mut bytes = std::fs::read(&file).unwrap();
+                        bytes[tag_at] = tag;
+                        reseal(&mut bytes);
+                        std::fs::write(&file, bytes).unwrap();
+                    }
+                }
+                None => {
+                    let bytes = std::fs::read(&manifest).unwrap();
+                    let legacy = with_plan_section(&bytes, &legacy_plan_block(12, 12));
+                    std::fs::write(&manifest, legacy).unwrap();
+                }
             }
-            let restored = QbhSystem::try_open_store(dir.path()).unwrap();
-            for id in [1, 5, 10] {
-                let query = db.entry(id).unwrap().melody().to_time_series(4);
-                let want = original.query_series(&query, 4).matches;
-                assert_eq!(restored.query_series(&query, 4).matches, want, "tag {tag}, id {id}");
-            }
+            let mut restored = QbhSystem::try_open_store(dir.path()).unwrap();
+            let want = answers(&original, &queries);
+            assert_eq!(answers(&restored, &queries), want, "{rewrite:?}");
+
+            let id = 1_000 + round as u64;
+            let series: Vec<f64> =
+                (0..40).map(|t| 62.0 + 3.0 * ((t * (round + 2)) as f64 * 0.3).sin()).collect();
+            original.try_insert_melody(id, 0, 0, &series).unwrap();
+            restored.try_insert_melody(id, 0, 0, &series).unwrap();
+            assert!(restored.flush().unwrap());
+            drop(restored);
+            queries.push(series);
+            let reopened = QbhSystem::try_open_store(dir.path()).unwrap();
+            let want = answers(&original, &queries);
+            assert_eq!(answers(&reopened, &queries), want, "{rewrite:?}, after a flush");
         }
     }
 }

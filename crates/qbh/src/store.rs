@@ -9,9 +9,7 @@
 //!   storing the exact `f64` bits is what keeps a reloaded store
 //!   bit-identical to the memtable it was flushed from.
 //! * **One manifest** (`MANIFEST`, format `HUMMAN01`) — the authoritative,
-//!   atomically-replaced list of live segments and tombstoned melody ids,
-//!   plus the transform-plan evidence of a store created under
-//!   [`crate::system::TransformChoice::Auto`].
+//!   atomically-replaced list of live segments and tombstoned melody ids.
 //!   A segment file not named by the manifest does not exist as far as the
 //!   store is concerned (it is a crash leftover and is ignored), so every
 //!   multi-file state change reduces to one atomic manifest rename.
@@ -32,7 +30,7 @@
 //! [   series normal_length × f64 …    ]  [ CRC32(segments)           4 bytes ]
 //! [ CRC32(entries)            4 bytes ]  [ tombstones: count u64, id u64…    ]
 //! [ CRC32(file)               4 bytes ]  [ CRC32(tombstones)         4 bytes ]
-//!                                        [ plan: present u8, evidence…       ]
+//!                                        [ plan: present u8 (reserved, 0)    ]
 //!                                        [ CRC32(plan)               4 bytes ]
 //!                                        [ CRC32(file)               4 bytes ]
 //! ```
@@ -40,6 +38,13 @@
 //! Entry ids within a segment, segment ids within the manifest, and
 //! tombstone ids are all strictly ascending — duplicates are structural
 //! corruption, caught at read time.
+//!
+//! The config body's transform and index tags and the manifest's plan
+//! section are reserved bytes that writers fill with fixed values: every
+//! store indexes its normal forms with New_PAA over the flat feature sweep,
+//! rebuilt at open. Readers still accept what older writers put there (see
+//! [`crate::storage`]), so a store from any earlier writer opens and
+//! answers the same.
 //!
 //! # Load-time validation
 //!
@@ -54,10 +59,8 @@ use std::collections::BTreeSet;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use hum_core::plan::TransformPlan;
-
 use crate::storage::{
-    as_u32, atomic_write, read_config_section, read_plan_section, validate_config,
+    as_u32, atomic_write, read_config_section, skip_plan_section, validate_config,
     write_config_section, write_plan_section, SnapshotReader, SnapshotWriter, StorageError,
     MAX_MELODIES, PREALLOC_CAP,
 };
@@ -109,11 +112,6 @@ pub struct Manifest {
     /// Removed melody ids whose entries still sit in some segment
     /// (cleared by compaction), ascending.
     pub tombstones: Vec<u64>,
-    /// Transform-plan evidence for stores created under
-    /// [`crate::system::TransformChoice::Auto`] (`None` for fixed-transform
-    /// stores). Rewritten verbatim on every flush, removal, and compaction,
-    /// so the evidence survives the store's whole lifecycle.
-    pub plan: Option<TransformPlan>,
 }
 
 /// The file name of segment `id` inside a store directory.
@@ -295,7 +293,7 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
         dst.put(&id.to_le_bytes())?;
     }
     dst.finish_section()?;
-    write_plan_section(&mut dst, manifest.plan.as_ref())?;
+    write_plan_section(&mut dst)?;
     dst.finish_file()?;
     Ok(dst.bytes())
 }
@@ -364,9 +362,9 @@ pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
         tombstones.push(id);
     }
     src.verify_section("tombstones")?;
-    let plan = read_plan_section(&mut src)?;
+    skip_plan_section(&mut src)?;
     src.verify_footer()?;
-    Ok(Manifest { config, segments, tombstones, plan })
+    Ok(Manifest { config, segments, tombstones })
 }
 
 // ---------------------------------------------------------------------------
@@ -425,20 +423,13 @@ pub fn load_manifest(path: &Path) -> Result<Manifest, StorageError> {
 }
 
 /// Creates a new empty store: the directory (if missing) and an initial
-/// manifest with no segments and no tombstones, carrying `plan` (the
-/// evidence a [`crate::system::TransformChoice::Auto`] creation resolved
-/// `config` from) so every later manifest rewrite — which copies the plan
-/// verbatim — and every reopen sees it.
+/// manifest with no segments and no tombstones.
 ///
 /// # Errors
 /// [`StorageError::Io`] with [`io::ErrorKind::AlreadyExists`] when `dir`
 /// already holds a manifest (an existing store is opened, never silently
 /// re-initialized), plus any validation or I/O error.
-pub fn init_store(
-    dir: &Path,
-    config: &QbhConfig,
-    plan: Option<TransformPlan>,
-) -> Result<(), StorageError> {
+pub fn init_store(dir: &Path, config: &QbhConfig) -> Result<(), StorageError> {
     validate_config(config).map_err(StorageError::Unrepresentable)?;
     std::fs::create_dir_all(dir)?;
     let manifest_file = manifest_path(dir);
@@ -448,7 +439,7 @@ pub fn init_store(
             format!("store at {} already has a manifest", dir.display()),
         )));
     }
-    let manifest = Manifest { config: *config, segments: Vec::new(), tombstones: Vec::new(), plan };
+    let manifest = Manifest { config: *config, segments: Vec::new(), tombstones: Vec::new() };
     save_manifest(dir, &manifest)?;
     Ok(())
 }
@@ -566,7 +557,6 @@ mod tests {
             config: QbhConfig::default(),
             segments: vec![SegmentRef { id: 1, count: 10 }, SegmentRef { id: 4, count: 2 }],
             tombstones: vec![3, 17, 29],
-            plan: None,
         };
         let mut image = Vec::new();
         write_manifest(&mut image, &manifest).unwrap();

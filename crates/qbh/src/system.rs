@@ -5,6 +5,11 @@
 //! ingestion through the pitch tracker (§3.1), and provenance-aware results
 //! (which song, which phrase).
 //!
+//! Every engine of the system indexes with the paper's New_PAA envelope
+//! transform, the tightest reduced lower bound at realistic warping widths
+//! (§5.2, Figs 6–7). The other transforms live in [`hum_core::transform`]
+//! for the paper's figures.
+//!
 //! A system lives in memory ([`QbhSystem::build`]) or over the one
 //! persistent form, the segmented store of [`crate::store`]
 //! ([`QbhSystem::try_create_store`] / [`QbhSystem::try_open_store`]).
@@ -22,15 +27,11 @@ use hum_core::engine::{
 };
 use hum_core::normal::NormalForm;
 use hum_core::obs::{Metric, MetricsSink, QueryTrace};
-use hum_core::plan::{plan_transform, record_plan, PlanFamily, PlannerOptions, TransformPlan};
 use hum_core::exec::{execute, execute_batch, Leaf};
 use hum_core::segment::SegmentMeta;
 use hum_core::session::QuerySession;
 use hum_core::shard::ShardedEngine;
-use hum_core::transform::dft::Dft;
-use hum_core::transform::dwt::Dwt;
-use hum_core::transform::paa::{KeoghPaa, NewPaa};
-use hum_core::transform::svd::SvdTransform;
+use hum_core::transform::paa::NewPaa;
 use hum_core::transform::EnvelopeTransform;
 use hum_index::LinearScan;
 
@@ -38,83 +39,19 @@ use crate::corpus::{MelodyDatabase, MelodyEntry};
 use crate::storage::StorageError;
 use crate::store::{self, Manifest, SegmentEntry, SegmentRef};
 
-/// Which envelope transform the index uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransformKind {
-    /// The paper's improved PAA envelope transform (default).
-    NewPaa,
-    /// Keogh's original PAA envelope transform (comparison baseline).
-    KeoghPaa,
-    /// Truncated Fourier features.
-    Dft,
-    /// Truncated Haar wavelet features.
-    Dwt,
-    /// Data-adaptive SVD features (fitted on the database).
-    Svd,
-}
-
-impl TransformKind {
-    /// The plannable [`PlanFamily`] for this kind, or `None` for SVD: a
-    /// data-fitted basis cannot be reconstructed from a `(family, dims)`
-    /// plan, so the planner never proposes it.
-    pub fn plan_family(self) -> Option<PlanFamily> {
-        match self {
-            TransformKind::NewPaa => Some(PlanFamily::NewPaa),
-            TransformKind::KeoghPaa => Some(PlanFamily::KeoghPaa),
-            TransformKind::Dft => Some(PlanFamily::Dft),
-            TransformKind::Dwt => Some(PlanFamily::Dwt),
-            TransformKind::Svd => None,
-        }
-    }
-}
-
-/// How the system picks its envelope transform: pinned by the caller, or
-/// measured per corpus by the build-time planner ([`hum_core::plan`]).
-///
-/// `Auto` exists only at build/create time: a store manifest carries the
-/// *resolved* `Fixed` kind plus the [`TransformPlan`] evidence in its own
-/// checksummed section, so a reopened store can never silently re-plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TransformChoice {
-    /// Use exactly this transform.
-    Fixed(TransformKind),
-    /// Measure the plannable families on a seeded corpus sample at build
-    /// time and use the tightness-maximizing one (see
-    /// [`hum_core::plan::plan_transform`]).
-    Auto(PlannerOptions),
-}
-
-impl From<TransformKind> for TransformChoice {
-    fn from(kind: TransformKind) -> Self {
-        TransformChoice::Fixed(kind)
-    }
-}
-
-/// The engine-constructable kind a plan family maps back to.
-fn kind_for_family(family: PlanFamily) -> TransformKind {
-    match family {
-        PlanFamily::NewPaa => TransformKind::NewPaa,
-        PlanFamily::KeoghPaa => TransformKind::KeoghPaa,
-        PlanFamily::Dft => TransformKind::Dft,
-        PlanFamily::Dwt => TransformKind::Dwt,
-    }
-}
-
 /// System configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QbhConfig {
     /// Canonical normal-form length (the paper's large-database experiments
     /// use 128).
     pub normal_length: usize,
-    /// Reduced feature dimensionality (the paper indexes 8 dimensions).
+    /// New_PAA frame count: the reduced feature dimensionality (the paper
+    /// indexes 8 dimensions). Must divide `normal_length`.
     pub feature_dims: usize,
     /// Time-series samples per beat when rendering database melodies.
     pub samples_per_beat: usize,
     /// Default warping width δ = (2k+1)/n for queries.
     pub warping_width: f64,
-    /// Envelope transform choice: a pinned [`TransformKind`] or
-    /// [`TransformChoice::Auto`] to let the build-time planner pick one.
-    pub transform: TransformChoice,
     /// Page size in bytes: only the unit the flat index
     /// ([`hum_index::LinearScan`]) counts `index.pages_per_query` in. It
     /// leaves the configuration and the manifest once the feature plane
@@ -133,35 +70,10 @@ impl Default for QbhConfig {
             feature_dims: 8,
             samples_per_beat: 4,
             warping_width: 0.1,
-            transform: TransformChoice::Fixed(TransformKind::NewPaa),
             page_bytes: 4096,
             shards: 1,
         }
     }
-}
-
-impl QbhConfig {
-    /// The pinned transform kind, or `None` while the choice is still
-    /// [`TransformChoice::Auto`]. Persisted configurations are always
-    /// resolved, so opened stores always return `Some`.
-    pub fn fixed_transform(&self) -> Option<TransformKind> {
-        match self.transform {
-            TransformChoice::Fixed(kind) => Some(kind),
-            TransformChoice::Auto(_) => None,
-        }
-    }
-}
-
-/// The typed rejection for persisting or instantiating an unresolved
-/// `Auto` transform choice: every path that builds engines or writes
-/// artifacts must see a planner-resolved configuration.
-fn auto_unresolved_error() -> StorageError {
-    StorageError::Unrepresentable(
-        "TransformChoice::Auto must be resolved by the transform planner before engines are \
-         built or configurations persisted; build paths do this automatically, store creation \
-         needs a planning sample (QbhSystem::try_create_store_planned)"
-            .into(),
-    )
 }
 
 /// One retrieval hit with provenance.
@@ -186,15 +98,14 @@ pub struct QbhResults {
     pub stats: EngineStats,
 }
 
-/// The engine type of one storage unit: a sharded engine over a trait
-/// object for the configured transform and the flat feature sweep. With
-/// [`QbhConfig::shards`]` == 1` (the default) the single shard *is* the
-/// monolithic engine.
-pub type QbhEngine = ShardedEngine<Box<dyn EnvelopeTransform>, LinearScan>;
+/// The engine type of one storage unit: a sharded engine over New_PAA and
+/// the flat feature sweep. With [`QbhConfig::shards`]` == 1` (the default)
+/// the single shard *is* the monolithic engine.
+pub type QbhEngine = ShardedEngine<NewPaa, LinearScan>;
 
 /// One leaf of the list the system hands the executor (see
 /// [`hum_core::exec`]).
-type QbhLeaf<'a> = Leaf<'a, Box<dyn EnvelopeTransform>, LinearScan>;
+type QbhLeaf<'a> = Leaf<'a, NewPaa, LinearScan>;
 
 /// One immutable on-disk segment, resident in memory: its own sharded
 /// engine over the segment's live (non-tombstoned) melodies, plus pruning
@@ -217,14 +128,14 @@ impl StoreSegment {
         entries: &[SegmentEntry],
         tombstones: &BTreeSet<u64>,
     ) -> Result<Self, StorageError> {
-        let mut engine = store_engine(config)?;
+        let mut engine = unit_engine(config);
         let live = || entries.iter().filter(|e| !tombstones.contains(&e.id));
         for entry in live() {
             engine
                 .try_insert(entry.id, entry.series.clone())
                 .map_err(|e| StorageError::Corrupt(format!("segment {id}: {e}")))?;
         }
-        let meta = segment_meta(engine.transform().as_ref(), entries.len(), live());
+        let meta = segment_meta(engine.transform(), entries.len(), live());
         Ok(StoreSegment { id, engine, meta, ids: entries.iter().map(|e| e.id).collect() })
     }
 
@@ -238,7 +149,7 @@ impl StoreSegment {
 /// Pruning metadata over `entries` (about `expected` of them): their ids
 /// and projected features.
 fn segment_meta<'a>(
-    transform: &dyn EnvelopeTransform,
+    transform: &NewPaa,
     expected: usize,
     entries: impl Iterator<Item = &'a SegmentEntry>,
 ) -> SegmentMeta {
@@ -300,13 +211,6 @@ pub struct StoreStats {
     pub compactions: u64,
     /// Bytes written to segment and manifest files by this instance.
     pub bytes_written: u64,
-    /// The planned transform family, when the store carries plan evidence.
-    pub plan_family: Option<PlanFamily>,
-    /// The planned reduced dimension (0 when no plan is persisted).
-    pub plan_dims: usize,
-    /// The plan's measured mean tightness in parts-per-million (0 when no
-    /// plan is persisted), matching `planner.tightness_ppm`.
-    pub plan_tightness_ppm: u64,
 }
 
 /// What a [`QbhSystem::maintain`] call actually did.
@@ -368,8 +272,7 @@ impl MaintenancePlan {
         let file = Some(store::segment_path(&dir, segment_id));
         let (file, written, job) = match job {
             PlannedJob::Flush => {
-                let transform = store_transform(&config)?;
-                let meta = segment_meta(transform.as_ref(), entries.len(), entries.iter());
+                let meta = segment_meta(&new_paa(&config), entries.len(), entries.iter());
                 (file, save(&entries)?, BuiltJob::Flush { entries, meta })
             }
             PlannedJob::Compaction { purged } if entries.is_empty() => {
@@ -427,62 +330,6 @@ fn make_index(config: &QbhConfig) -> LinearScan {
     LinearScan::with_page_size(config.feature_dims, config.page_bytes)
 }
 
-/// The dimension grid the planner measures: the configured `feature_dims`
-/// plus one octave down and one up. Families that cannot realize a given
-/// dimension (PAA divisibility, DWT power-of-two input) are filtered per
-/// family inside the planner itself.
-fn planner_dims_grid(config: &QbhConfig) -> Vec<usize> {
-    let base = config.feature_dims.max(1);
-    let mut grid: Vec<usize> = [base / 2, base, base * 2]
-        .into_iter()
-        .filter(|&d| d >= 1 && d <= config.normal_length)
-        .collect();
-    grid.sort_unstable();
-    grid.dedup();
-    grid
-}
-
-/// The typed mismatch between persisted plan evidence and the configuration
-/// it rode in with: the plan must describe exactly the transform the
-/// store was created under, or a reopen could silently serve an index the
-/// evidence never measured.
-fn validate_plan_against_config(
-    plan: &TransformPlan,
-    config: &QbhConfig,
-) -> Result<(), StorageError> {
-    let Some(kind) = config.fixed_transform() else {
-        return Err(auto_unresolved_error());
-    };
-    if kind.plan_family() != Some(plan.family) {
-        return Err(StorageError::Corrupt(format!(
-            "persisted plan chose {} but the configuration stores {kind:?}",
-            plan.family.name()
-        )));
-    }
-    if plan.dims != config.feature_dims {
-        return Err(StorageError::Corrupt(format!(
-            "persisted plan chose {} dims but the configuration stores {}",
-            plan.dims, config.feature_dims
-        )));
-    }
-    if plan.input_len != config.normal_length {
-        return Err(StorageError::Corrupt(format!(
-            "persisted plan measured input length {} but the configuration stores {}",
-            plan.input_len, config.normal_length
-        )));
-    }
-    Ok(())
-}
-
-/// The typed rejection for data-adaptive transforms in store mode.
-fn svd_store_error() -> StorageError {
-    StorageError::Unrepresentable(
-        "SVD features are fitted to a corpus snapshot and cannot back an \
-         incremental store; choose NewPaa, KeoghPaa, Dft, or Dwt"
-            .into(),
-    )
-}
-
 /// Books a failed durable write as `storage.save_errors` before handing
 /// the result on (successes are booked by the flush or compaction they
 /// complete).
@@ -493,37 +340,22 @@ fn booked(metrics: &MetricsSink, written: Result<u64, StorageError>) -> Result<u
     written
 }
 
-/// Builds an empty engine for one storage unit (memtable or segment) of a
-/// store-backed system. Every unit uses `config.shards`, so the single-unit
-/// case is byte-for-byte the monolithic engine.
+/// The envelope transform every engine of a system under `config` indexes
+/// with.
 ///
-/// # Errors
-/// [`StorageError::Unrepresentable`] for [`TransformKind::Svd`]: a
-/// data-adaptive basis cannot be fitted on an empty memtable, and refitting
-/// per segment would break the bit-identity contract.
-fn store_engine(config: &QbhConfig) -> Result<QbhEngine, StorageError> {
-    let mut shards = Vec::with_capacity(config.shards.max(1));
-    for _ in 0..config.shards.max(1) {
-        let transform = store_transform(config)?;
-        shards.push(DtwIndexEngine::new(transform, make_index(config), EngineConfig::default()));
-    }
-    Ok(QbhEngine::new(shards))
+/// # Panics
+/// When `feature_dims` does not divide `normal_length`, which
+/// [`crate::storage`] rejects for every stored configuration.
+fn new_paa(config: &QbhConfig) -> NewPaa {
+    NewPaa::new(config.normal_length, config.feature_dims)
 }
 
-/// The envelope transform every storage unit of a store under `config`
-/// indexes with; the errors are [`store_engine`]'s.
-fn store_transform(config: &QbhConfig) -> Result<Box<dyn EnvelopeTransform>, StorageError> {
-    let Some(kind) = config.fixed_transform() else {
-        return Err(auto_unresolved_error());
-    };
-    Ok(match kind {
-        TransformKind::NewPaa => Box::new(NewPaa::new(config.normal_length, config.feature_dims)),
-        TransformKind::KeoghPaa => {
-            Box::new(KeoghPaa::new(config.normal_length, config.feature_dims))
-        }
-        TransformKind::Dft => Box::new(Dft::new(config.normal_length, config.feature_dims)),
-        TransformKind::Dwt => Box::new(Dwt::new(config.normal_length, config.feature_dims)),
-        TransformKind::Svd => return Err(svd_store_error()),
+/// An empty engine for one storage unit (memtable or segment). Every unit
+/// uses `config.shards`, so the single-unit case is byte-for-byte the
+/// monolithic engine.
+fn unit_engine(config: &QbhConfig) -> QbhEngine {
+    QbhEngine::build(config.shards.max(1), |_| {
+        DtwIndexEngine::new(new_paa(config), make_index(config), EngineConfig::default())
     })
 }
 
@@ -551,24 +383,14 @@ pub struct QbhSystem {
     /// Records queries (the engines record their own inserts/removals).
     metrics: MetricsSink,
     store: Option<StoreState>,
-    /// The transform plan that produced this configuration, when the
-    /// system was built or opened under [`TransformChoice::Auto`]. Carried
-    /// through every manifest rewrite so the evidence survives flushes,
-    /// compactions, and reopens.
-    plan: Option<TransformPlan>,
 }
 
 impl QbhSystem {
     /// Builds the system over a melody database.
     ///
-    /// With [`TransformChoice::Auto`] the transform planner runs *once*
-    /// over the rendered normal forms — the same discipline as the SVD
-    /// fit-once-then-clone below — so every shard (and every shard count)
-    /// indexes under the identical resolved transform.
-    ///
     /// # Panics
-    /// Panics on an empty database or a configuration the chosen transform
-    /// rejects (e.g. PAA dims not dividing the normal length).
+    /// Panics on an empty database or when `feature_dims` does not divide
+    /// `normal_length` (New_PAA's frame count).
     pub fn build(db: &MelodyDatabase, config: &QbhConfig) -> Self {
         assert!(!db.is_empty(), "cannot build over an empty melody database");
         let normal = NormalForm::with_length(config.normal_length);
@@ -579,54 +401,7 @@ impl QbhSystem {
         let samples_per_beat = config.samples_per_beat;
         let normal_of =
             |e: &MelodyEntry| normal.apply(&e.melody().to_time_series(samples_per_beat));
-
-        let (config, plan) = match config.transform {
-            TransformChoice::Fixed(_) => (*config, None),
-            TransformChoice::Auto(options) => {
-                let normals: Vec<Vec<f64>> = db.entries().iter().map(normal_of).collect();
-                Self::plan_over_normals(config, &normals, options, &MetricsSink::Disabled)
-                    .unwrap_or_else(|e| panic!("{e}"))
-            }
-        };
-        let config = &config;
-
-        // SVD is data-adaptive: fit it *once* on the same global sample every
-        // shard count sees, then clone the fitted basis into each shard.
-        // Feature vectors are therefore shard-count-invariant, which the
-        // bit-identical-results contract depends on.
-        let mut svd: Option<SvdTransform> = None;
-        let mut make_transform = || -> Box<dyn EnvelopeTransform> {
-            match config.transform {
-                TransformChoice::Auto(_) => {
-                    // Resolved right above; the arm exists only because the
-                    // type does not encode the resolution.
-                    panic!("TransformChoice::Auto survived planner resolution in build")
-                }
-                TransformChoice::Fixed(TransformKind::NewPaa) => {
-                    Box::new(NewPaa::new(config.normal_length, config.feature_dims))
-                }
-                TransformChoice::Fixed(TransformKind::KeoghPaa) => {
-                    Box::new(KeoghPaa::new(config.normal_length, config.feature_dims))
-                }
-                TransformChoice::Fixed(TransformKind::Dft) => {
-                    Box::new(Dft::new(config.normal_length, config.feature_dims))
-                }
-                TransformChoice::Fixed(TransformKind::Dwt) => {
-                    Box::new(Dwt::new(config.normal_length, config.feature_dims))
-                }
-                TransformChoice::Fixed(TransformKind::Svd) => {
-                    let fitted = svd.get_or_insert_with(|| {
-                        let sample: Vec<Vec<f64>> =
-                            db.entries().iter().take(500).map(normal_of).collect();
-                        SvdTransform::fit(&sample, config.feature_dims)
-                    });
-                    Box::new(fitted.clone())
-                }
-            }
-        };
-        let mut engine = QbhEngine::build(config.shards.max(1), |_| {
-            DtwIndexEngine::new(make_transform(), make_index(config), EngineConfig::default())
-        });
+        let mut engine = unit_engine(config);
         let mut provenance = HashMap::with_capacity(db.len());
         for entry in db.entries() {
             engine.insert(entry.id(), normal_of(entry));
@@ -641,59 +416,7 @@ impl QbhSystem {
             provenance,
             metrics: MetricsSink::Disabled,
             store: None,
-            plan,
         }
-    }
-
-    /// Resolves the configured [`TransformChoice`] against a sample of raw
-    /// (hummed-scale) pitch series: a no-op for `Fixed`, and one planner
-    /// run over the sample's normal forms for `Auto`. Returns the resolved
-    /// configuration — `transform` pinned, `feature_dims` set to the plan's
-    /// dimension — plus the plan evidence. The planner decision is recorded
-    /// into `metrics` (see [`hum_core::plan::record_plan`]).
-    ///
-    /// # Errors
-    /// [`StorageError::Unrepresentable`] when planning fails (no series,
-    /// mismatched lengths, or no family supports the dimension grid).
-    pub fn resolve_transform(
-        config: &QbhConfig,
-        sample_series: &[Vec<f64>],
-        metrics: &MetricsSink,
-    ) -> Result<(QbhConfig, Option<TransformPlan>), StorageError> {
-        match config.transform {
-            TransformChoice::Fixed(_) => Ok((*config, None)),
-            TransformChoice::Auto(options) => {
-                let normal = NormalForm::with_length(config.normal_length);
-                let normals: Vec<Vec<f64>> = sample_series
-                    .iter()
-                    .filter(|s| !s.is_empty())
-                    .map(|s| normal.apply(s))
-                    .collect();
-                Self::plan_over_normals(config, &normals, options, metrics)
-            }
-        }
-    }
-
-    /// The planner invocation shared by every `Auto` entry point: measures
-    /// the dimension grid derived from the configured `feature_dims` over
-    /// already-rendered normal forms and pins the winning `(family, dims)`
-    /// into the returned configuration.
-    fn plan_over_normals(
-        config: &QbhConfig,
-        normals: &[Vec<f64>],
-        options: PlannerOptions,
-        metrics: &MetricsSink,
-    ) -> Result<(QbhConfig, Option<TransformPlan>), StorageError> {
-        let band = band_for_warping_width(config.warping_width, config.normal_length);
-        let grid = planner_dims_grid(config);
-        let plan = plan_transform(normals, band, &grid, &options).map_err(|e| {
-            StorageError::Unrepresentable(format!("transform planning failed: {e}"))
-        })?;
-        record_plan(metrics, &plan);
-        let mut resolved = *config;
-        resolved.transform = TransformChoice::Fixed(kind_for_family(plan.family));
-        resolved.feature_dims = plan.dims;
-        Ok((resolved, Some(plan)))
     }
 
     /// Creates a fresh store-backed system at `dir`: an empty memtable over
@@ -701,75 +424,16 @@ impl QbhSystem {
     /// right after creation reopens cleanly.
     ///
     /// # Errors
-    /// [`StorageError::Unrepresentable`] for [`TransformKind::Svd`] (see
-    /// [`QbhSystem::try_open_store`]), an `AlreadyExists` I/O error when
-    /// `dir` already holds a manifest, and any I/O failure.
+    /// [`StorageError::Unrepresentable`] for a configuration the store
+    /// format rejects, an `AlreadyExists` I/O error when `dir` already
+    /// holds a manifest, and any I/O failure.
     pub fn try_create_store(
         dir: &Path,
         config: &QbhConfig,
         options: StoreOptions,
     ) -> Result<Self, StorageError> {
-        // Without a planning sample there is nothing to resolve `Auto` from.
-        if config.fixed_transform().is_none() {
-            return Err(auto_unresolved_error());
-        }
-        Self::try_create_store_planned(dir, config, options, &[], &MetricsSink::Disabled)
-    }
-
-    /// [`QbhSystem::try_create_store`] for [`TransformChoice::Auto`]
-    /// configurations: resolves the transform by planning over
-    /// `plan_sample` (raw pitch series, e.g. the first few hundred melodies
-    /// of the incoming corpus), then creates the store with the resolved
-    /// configuration and persists the plan evidence in the manifest. A
-    /// `Fixed` configuration skips planning and persists no plan —
-    /// equivalent to [`QbhSystem::try_create_store`].
-    ///
-    /// # Errors
-    /// Everything [`QbhSystem::try_create_store`] can return, plus
-    /// [`StorageError::Unrepresentable`] when planning fails (empty sample
-    /// or no viable `(family, dims)` candidate).
-    pub fn try_create_store_planned(
-        dir: &Path,
-        config: &QbhConfig,
-        options: StoreOptions,
-        plan_sample: &[Vec<f64>],
-        metrics: &MetricsSink,
-    ) -> Result<Self, StorageError> {
-        let (resolved, plan) = Self::resolve_transform(config, plan_sample, metrics)?;
-        if resolved.fixed_transform() == Some(TransformKind::Svd) {
-            return Err(svd_store_error());
-        }
-        store::init_store(dir, &resolved, plan)?;
-        Self::try_open_store_with(dir, options, metrics)
-    }
-
-    /// Builds an *empty* in-memory system (no store directory, no corpus),
-    /// resolving [`TransformChoice::Auto`] against `plan_sample` first —
-    /// the scale harness uses this to stream-insert a corpus far larger
-    /// than memory would allow [`QbhSystem::build`] to hold at once.
-    ///
-    /// # Errors
-    /// [`StorageError::Unrepresentable`] when planning fails or the
-    /// resolved transform is SVD (no corpus to fit it on).
-    pub fn try_build_live(
-        config: &QbhConfig,
-        plan_sample: &[Vec<f64>],
-        metrics: &MetricsSink,
-    ) -> Result<Self, StorageError> {
-        let (resolved, plan) = Self::resolve_transform(config, plan_sample, metrics)?;
-        let mut memtable = store_engine(&resolved)?;
-        memtable.set_metrics(metrics.clone());
-        Ok(QbhSystem {
-            memtable,
-            segments: Vec::new(),
-            normal: NormalForm::with_length(resolved.normal_length),
-            band: band_for_warping_width(resolved.warping_width, resolved.normal_length),
-            config: resolved,
-            provenance: HashMap::new(),
-            metrics: metrics.clone(),
-            store: None,
-            plan,
-        })
+        store::init_store(dir, config)?;
+        Self::try_open_store_with(dir, options, &MetricsSink::Disabled)
     }
 
     /// Opens an existing store at `dir` with default [`StoreOptions`] and
@@ -788,10 +452,7 @@ impl QbhSystem {
     /// and starts an empty memtable.
     ///
     /// # Errors
-    /// Any [`StorageError`] from [`crate::store::open_store`], plus
-    /// [`StorageError::Unrepresentable`] if the manifest asks for the SVD
-    /// transform (stores are created through [`QbhSystem::try_create_store`],
-    /// which refuses it; a foreign manifest could still claim it).
+    /// Any [`StorageError`] from [`crate::store::open_store`].
     ///
     /// The outcome is recorded into `metrics`: one `storage.loads` plus the
     /// manifest and segment bytes as `storage.bytes_read` on success, one
@@ -820,9 +481,6 @@ impl QbhSystem {
     ) -> Result<(Self, u64), StorageError> {
         let loaded = store::open_store(dir)?;
         let config = loaded.manifest.config;
-        if let Some(plan) = &loaded.manifest.plan {
-            validate_plan_against_config(plan, &config)?;
-        }
         let tombstones: BTreeSet<u64> = loaded.manifest.tombstones.iter().copied().collect();
         let mut provenance = HashMap::new();
         let mut segments = Vec::with_capacity(loaded.segments.len());
@@ -836,7 +494,7 @@ impl QbhSystem {
             next_segment_id = seg_ref.id + 1;
             segments.push(segment);
         }
-        let mut memtable = store_engine(&config)?;
+        let mut memtable = unit_engine(&config);
         memtable.set_metrics(metrics.clone());
         let system = QbhSystem {
             memtable,
@@ -856,7 +514,6 @@ impl QbhSystem {
                 compactions: 0,
                 bytes_written: 0,
             }),
-            plan: loaded.manifest.plan,
         };
         Ok((system, loaded.bytes_read))
     }
@@ -1202,20 +859,7 @@ impl QbhSystem {
             flushes: state.flushes,
             compactions: state.compactions,
             bytes_written: state.bytes_written,
-            plan_family: self.plan.as_ref().map(|p| p.family),
-            plan_dims: self.plan.as_ref().map_or(0, |p| p.dims),
-            plan_tightness_ppm: self
-                .plan
-                .as_ref()
-                .map_or(0, |p| (p.mean_tightness.clamp(0.0, 1.0) * 1e6).round() as u64),
         })
-    }
-
-    /// The transform plan this system was built, created, or opened under —
-    /// `None` unless the configuration was [`TransformChoice::Auto`] (or the
-    /// store's manifest carried persisted plan evidence).
-    pub fn plan(&self) -> Option<&TransformPlan> {
-        self.plan.as_ref()
     }
 
     /// `true` when the memtable has reached [`StoreOptions::memtable_capacity`]
@@ -1414,7 +1058,6 @@ impl QbhSystem {
             config: self.config,
             segments,
             tombstones: tombstones.iter().copied().collect(),
-            plan: self.plan.clone(),
         };
         booked(&self.metrics, store::save_manifest(dir, &manifest))
     }
@@ -1450,7 +1093,7 @@ impl QbhSystem {
         let planned = |id: &u64| entries.binary_search_by_key(id, |e| e.id).is_ok();
         let arrived: BTreeSet<u64> =
             state.memtable_ids.iter().copied().filter(|id| !planned(id)).collect();
-        let mut fresh = store_engine(&self.config)?;
+        let mut fresh = unit_engine(&self.config);
         for &id in &arrived {
             let entry = self.entry_of(&self.memtable, id, "the memtable")?;
             fresh
@@ -1646,56 +1289,25 @@ mod tests {
     }
 
     #[test]
-    fn all_transforms_build_and_agree() {
-        let db = small_db();
-        let series = db.entry(7).unwrap().melody().to_time_series(4);
-        let mut reference: Option<Vec<u64>> = None;
-        for transform in [
-            TransformKind::NewPaa,
-            TransformKind::KeoghPaa,
-            TransformKind::Dft,
-            TransformKind::Dwt,
-            TransformKind::Svd,
-        ] {
-            let config = QbhConfig { transform: transform.into(), ..QbhConfig::default() };
-            let system = QbhSystem::build(&db, &config);
-            let ids: Vec<u64> =
-                system.query_series(&series, 5).matches.iter().map(|m| m.id).collect();
-            match &reference {
-                None => reference = Some(ids),
-                // Exact DTW refinement makes the final ranking
-                // transform-independent.
-                Some(r) => assert_eq!(&ids, r, "{transform:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn sharded_system_matches_monolithic() {
         let db = small_db();
-        // SVD included deliberately: it is data-adaptive, and the fit-once-
-        // clone-per-shard build is what keeps its features shard-invariant.
-        for transform in [TransformKind::NewPaa, TransformKind::Svd] {
-            let mono =
-                QbhSystem::build(&db, &QbhConfig { transform: transform.into(), ..QbhConfig::default() });
-            for shards in [2usize, 4, 7] {
-                let config = QbhConfig { transform: transform.into(), shards, ..QbhConfig::default() };
-                let system = QbhSystem::build(&db, &config);
-                assert_eq!(system.shard_count(), shards);
-                for id in [3u64, 17, 29] {
-                    let series = db.entry(id).unwrap().melody().to_time_series(4);
-                    assert_eq!(
-                        system.query_series(&series, 5).matches,
-                        mono.query_series(&series, 5).matches,
-                        "{transform:?} shards={shards} id={id}"
-                    );
-                    let range = QueryRequest::range(2.0).with_band(system.band());
-                    assert_eq!(
-                        system.try_query_request(&series, range.clone()).unwrap().0.matches,
-                        mono.try_query_request(&series, range).unwrap().0.matches,
-                        "{transform:?} shards={shards} id={id}"
-                    );
-                }
+        let mono = QbhSystem::build(&db, &QbhConfig::default());
+        for shards in [2usize, 4, 7] {
+            let system = QbhSystem::build(&db, &QbhConfig { shards, ..QbhConfig::default() });
+            assert_eq!(system.shard_count(), shards);
+            for id in [3u64, 17, 29] {
+                let series = db.entry(id).unwrap().melody().to_time_series(4);
+                assert_eq!(
+                    system.query_series(&series, 5).matches,
+                    mono.query_series(&series, 5).matches,
+                    "shards={shards} id={id}"
+                );
+                let range = QueryRequest::range(2.0).with_band(system.band());
+                assert_eq!(
+                    system.try_query_request(&series, range.clone()).unwrap().0.matches,
+                    mono.try_query_request(&series, range).unwrap().0.matches,
+                    "shards={shards} id={id}"
+                );
             }
         }
     }

@@ -95,6 +95,31 @@ fn unknown_command_fails_with_usage() {
     assert!(err.contains("usage"));
 }
 
+/// A flag a command does not read is a usage error naming it, before
+/// anything is read or written — never silently ignored. Stores always
+/// index with New_PAA, so `--transform` is such a flag.
+#[test]
+fn unknown_and_misspelt_flags_are_usage_errors() {
+    let dir = temp_dir("unknown-flags");
+    let store = dir.join("store");
+    let (dir_s, store_s) = (dir.to_str().unwrap(), store.to_str().unwrap());
+    for (args, flag) in [
+        (vec!["index", dir_s, store_s, "--transform", "dft"], "--transform"),
+        (vec!["index", dir_s, store_s, "--shard", "4"], "--shard"),
+        (vec!["serve", store_s, "--worker", "2"], "--worker"),
+    ] {
+        let out = qbh(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{args:?}: {err}");
+        assert!(err.contains("usage"), "{err}");
+        assert!(!dir.exists(), "{args:?} touched the disk");
+    }
+    let out = qbh(&["info", dir_s, "extra"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unexpected argument extra"));
+}
+
 #[test]
 fn query_on_missing_directory_fails_cleanly() {
     let out = qbh(&["query", "/definitely/not/a/dir", "/also/missing.wav"]);

@@ -13,13 +13,12 @@
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use hum_core::plan::{CandidateEvidence, PlanFamily, TransformPlan};
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::fault::{flip_bit, FailingReader, FailingWriter, FaultMode, TempPath};
 use hum_qbh::storage::StorageError;
 use hum_qbh::store::{self as segstore, Manifest, SegmentEntry, SegmentRef};
-use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions, TransformKind};
+use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions};
 use proptest::prelude::*;
 
 /// One image of each on-disk format. Every matrix below runs over both.
@@ -95,9 +94,9 @@ impl Format {
     }
 }
 
-/// A planned manifest and a segment over a short normal form, so the
-/// O(bytes × bits) sweeps stay fast while every section kind (config,
-/// entries, segments, tombstones, plan) is present.
+/// A manifest and a segment over a short normal form, so the O(bytes ×
+/// bits) sweeps stay fast while every section kind (config, entries,
+/// segments, tombstones, the reserved plan byte) is present.
 fn sample() -> Sample {
     let config = QbhConfig { normal_length: 16, feature_dims: 4, ..QbhConfig::default() };
     sample_with(config, 3, 1)
@@ -115,32 +114,10 @@ fn sample_with(config: QbhConfig, count: usize, salt: u64) -> Sample {
                 .collect(),
         })
         .collect();
-    let evidence = |family, dims| CandidateEvidence {
-        family,
-        dims,
-        mean_tightness: 0.5,
-        est_candidate_ratio: 0.25,
-        projection_cost: 0.125,
-        score: 0.75,
-    };
-    let plan = TransformPlan {
-        family: PlanFamily::NewPaa,
-        dims: config.feature_dims,
-        input_len: config.normal_length,
-        band: 1,
-        seed: salt,
-        sample_len: 8,
-        pairs: 28,
-        mean_tightness: 0.5,
-        est_candidate_ratio: 0.25,
-        score: 0.75,
-        candidates: vec![evidence(PlanFamily::NewPaa, config.feature_dims), evidence(PlanFamily::Dft, 2)],
-    };
     let manifest = Manifest {
         config,
         segments: vec![SegmentRef { id: 0, count: count as u64 }, SegmentRef { id: salt + 1, count: 1 }],
         tombstones: vec![salt + 2, salt + 40],
-        plan: Some(plan),
     };
     Sample { config, entries, manifest }
 }
@@ -581,7 +558,6 @@ fn segment_and_manifest_codecs_fail_typed_under_faults() {
         config,
         segments: vec![SegmentRef { id: 0, count: 2 }, SegmentRef { id: 1, count: 1 }],
         tombstones: vec![7],
-        plan: None,
     };
 
     let mut segment_image = Vec::new();
@@ -641,38 +617,23 @@ fn config_strategy() -> impl Strategy<Value = QbhConfig> {
             1usize..6,
             0.0f64..0.3,
         ),
-        (0u8..5, 1usize..5),
+        1usize..5,
     )
-        .prop_map(|((normal_length, feature_dims, samples_per_beat, warping_width), (t, shards))| {
+        .prop_map(|((normal_length, feature_dims, samples_per_beat, warping_width), shards)| {
             QbhConfig {
                 normal_length,
                 feature_dims,
                 samples_per_beat,
                 warping_width,
                 shards,
-                transform: match t {
-                    0 => TransformKind::NewPaa,
-                    1 => TransformKind::KeoghPaa,
-                    2 => TransformKind::Dft,
-                    3 => TransformKind::Dwt,
-                    _ => TransformKind::Svd,
-                }
-                .into(),
                 page_bytes: 4096,
             }
         })
 }
 
 fn sample_strategy() -> impl Strategy<Value = Sample> {
-    (config_strategy(), 0usize..6, 0u64..1_000_000, any::<bool>()).prop_map(
-        |(config, count, salt, planned)| {
-            let mut sample = sample_with(config, count, salt);
-            if !planned {
-                sample.manifest.plan = None;
-            }
-            sample
-        },
-    )
+    (config_strategy(), 0usize..6, 0u64..1_000_000)
+        .prop_map(|(config, count, salt)| sample_with(config, count, salt))
 }
 
 proptest! {

@@ -334,7 +334,7 @@ fn corrupt_stores_fail_typed_never_panic() {
     // else), so a duplicated id can never reach the load path intact.
     let dir = fresh("corrupt-dup-seg");
     let manifest =
-        Manifest { config, segments: refs(&[(0, 2), (0, 2)]), tombstones: Vec::new(), plan: None };
+        Manifest { config, segments: refs(&[(0, 2), (0, 2)]), tombstones: Vec::new() };
     match store::save_manifest(&dir, &manifest) {
         Err(StorageError::Unrepresentable(_)) => {}
         other => panic!("duplicate segment id: expected Unrepresentable, got {other:?}"),
@@ -345,7 +345,7 @@ fn corrupt_stores_fail_typed_never_panic() {
     let dir = fresh("corrupt-overlap");
     store::save_segment(&dir, 1, &config, &[entry(2)]).unwrap(); // id 2 also lives in segment 0
     let manifest =
-        Manifest { config, segments: refs(&[(0, 2), (1, 1)]), tombstones: Vec::new(), plan: None };
+        Manifest { config, segments: refs(&[(0, 2), (1, 1)]), tombstones: Vec::new() };
     store::save_manifest(&dir, &manifest).unwrap();
     match QbhSystem::try_open_store(&dir).err() {
         Some(StorageError::Corrupt(_)) => {}
@@ -355,7 +355,7 @@ fn corrupt_stores_fail_typed_never_panic() {
 
     // A tombstone naming an id no segment holds.
     let dir = fresh("corrupt-dangling");
-    let manifest = Manifest { config, segments: refs(&[(0, 2), (1, 1)]), tombstones: vec![99], plan: None };
+    let manifest = Manifest { config, segments: refs(&[(0, 2), (1, 1)]), tombstones: vec![99] };
     store::save_manifest(&dir, &manifest).unwrap();
     match QbhSystem::try_open_store(&dir).err() {
         Some(StorageError::Corrupt(_)) => {}
@@ -366,7 +366,7 @@ fn corrupt_stores_fail_typed_never_panic() {
     // A segment count that disagrees with the segment file.
     let dir = fresh("corrupt-count");
     let manifest =
-        Manifest { config, segments: refs(&[(0, 5), (1, 1)]), tombstones: Vec::new(), plan: None };
+        Manifest { config, segments: refs(&[(0, 5), (1, 1)]), tombstones: Vec::new() };
     store::save_manifest(&dir, &manifest).unwrap();
     match QbhSystem::try_open_store(&dir).err() {
         Some(StorageError::Corrupt(_)) => {}

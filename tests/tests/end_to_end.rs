@@ -6,7 +6,7 @@
 
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::system::{QbhConfig, QbhSystem, TransformKind};
+use hum_qbh::system::{QbhConfig, QbhSystem};
 
 fn small_db() -> MelodyDatabase {
     MelodyDatabase::from_songbook(&SongbookConfig {
@@ -55,19 +55,13 @@ fn audio_route_and_symbolic_route_agree_on_the_target() {
 #[test]
 fn every_configuration_retrieves_its_own_phrases_exactly() {
     let db = small_db();
-    for transform in [
-        TransformKind::NewPaa,
-        TransformKind::KeoghPaa,
-        TransformKind::Dft,
-        TransformKind::Dwt,
-        TransformKind::Svd,
-    ] {
-        let config = QbhConfig { transform: transform.into(), ..QbhConfig::default() };
+    for feature_dims in [8, 16, 32] {
+        let config = QbhConfig { feature_dims, ..QbhConfig::default() };
         let system = QbhSystem::build(&db, &config);
         for id in [0u64, 17, 51, 71] {
             let series = db.entry(id).unwrap().melody().to_time_series(4);
             let top = &system.query_series(&series, 1).matches[0];
-            assert_eq!(top.id, id, "{transform:?}");
+            assert_eq!(top.id, id, "d={feature_dims}");
             assert!(top.distance < 1e-9);
         }
     }

@@ -19,9 +19,7 @@
 # frames, the same trust level as wire bytes — as is the
 # segment-metadata module (crates/core/src/segment.rs), which sits on the
 # storage engine's load path and must never turn disk corruption into a
-# panic. The transform planner (crates/core/src/plan.rs) is strict as
-# well: its output is persisted and re-read from untrusted snapshot
-# bytes, so the whole plan/measure/score path must stay typed-error-only.
+# panic.
 #
 # Run with `--update` after a deliberate change to a documented panic.
 set -euo pipefail
@@ -37,7 +35,6 @@ scan() {
         crates/qbh/src/*|crates/server/src/*|crates/core/src/kernel/*) strict=1 ;;
         crates/core/src/session.rs) strict=1 ;;
         crates/core/src/segment.rs) strict=1 ;;
-        crates/core/src/plan.rs) strict=1 ;;
       esac
       awk -v file="$f" -v strict="$strict" '
         /^#\[cfg\(test\)\]/ { exit }  # test module starts: stop scanning
