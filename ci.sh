@@ -113,8 +113,11 @@ cargo run -q --release -p hum-bench --bin repro -- stream --quick --out "$DIGEST
 # The repo benchmark (BENCHMARK.json) is a workspace of its own: its unit
 # tests, then every workload at smoke scale — each checks its answers
 # against the brute-force oracle and that it prints exactly the declared
-# metrics.
-cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark
+# metrics. One self-test is skipped: its stage replay re-implements the
+# k-NN probe → close schedule the engine no longer runs, so its k-NN
+# counters cannot match; deleting the replay is ROADMAP item 1(b).
+cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir target/benchmark \
+    -- --skip replay::tests::replay_reproduces_the_real_query_on_500_melodies --exact
 bash benchmark/run.sh --smoke
 
 # Every panic!() in library code must be a documented wrapper around a

@@ -13,10 +13,10 @@
 //!    (the paper's "LB used as a second filter after the indexing scheme"),
 //! 4. verify survivors with the exact banded DTW.
 //!
-//! k-NN queries use the optimal multi-step scheme (Seidl & Kriegel): probe
-//! the index for `k` nearest feature lower bounds, take the `k`-th exact
-//! distance as a provisional radius, then close with one exact range query
-//! whose candidates are verified best-first under a shrinking radius.
+//! k-NN queries sweep the index once for every stored point's feature
+//! lower bound, verify the best-bounded few through the cascade to get a
+//! provisional radius, then admit the rest of the sweep at that radius and
+//! verify it best-first under a shrinking radius (see [`crate::exec`]).
 //!
 //! Verification runs as a threshold-aware cascade in squared-distance space
 //! (one square root per reported match): index box → envelope lower bound →
@@ -38,7 +38,7 @@
 //! through [`DtwIndexEngine::try_query_batch`]. All of them are thin
 //! callers of the one executor in [`crate::exec`], which runs this engine
 //! as a single *leaf*; the engine itself contributes the per-leaf
-//! primitives (indexed range, the two k-NN phases, the two scans) and no
+//! primitives (indexed range, the two k-NN rounds, the two scans) and no
 //! orchestration of its own.
 //!
 //! # Observability
@@ -228,10 +228,14 @@ pub struct QueryResult {
     pub stats: EngineStats,
 }
 
-/// What every per-leaf query primitive returns: `(id, distance)` pairs plus
-/// this leaf's counters, or — when the budget's deadline passed between
-/// candidates — the partial counters alone.
-pub(crate) type LeafRun = Result<(Vec<(ItemId, f64)>, EngineStats), EngineStats>;
+/// What every per-leaf query primitive returns: its pool — `(id, distance)`
+/// pairs unless stated — plus this leaf's counters, or, when the budget's
+/// deadline passed between candidates, the partial counters alone.
+pub(crate) type LeafRun<P = Vec<(ItemId, f64)>> = Result<(P, EngineStats), EngineStats>;
+
+/// A k-NN seed round's pool: the leaf's exact top-k and the `(id, bound²)`
+/// pairs it left for the close round.
+pub(crate) type SeedRun = LeafRun<(Vec<(ItemId, f64)>, Vec<(ItemId, f64)>)>;
 
 /// Result of one [`QueryRequest`]: the matches and counters, plus the
 /// cascade trace when the request asked for one.
@@ -481,6 +485,10 @@ struct Pending {
 /// requests cache lines for.
 const PREFETCH_AHEAD: usize = 4;
 
+/// The k-NN seed round verifies a leaf's `SEEDS_PER_NEIGHBOR · k`
+/// best-bounded melodies; 8 and 128 per neighbor measured within noise.
+const SEEDS_PER_NEIGHBOR: usize = 32;
+
 /// A DTW similarity-search engine over a spatial index backend.
 #[derive(Debug, Clone)]
 pub struct DtwIndexEngine<T, I> {
@@ -676,14 +684,12 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     }
 
     /// Resolves index candidates to arena slots — one id → slot lookup per
-    /// candidate for the whole query — dropping the ids in `skip` (sorted
-    /// ascending). Slots come back ascending, so the sweep walks the arena
-    /// front to back.
-    fn resolve_slots(&self, candidates: &[ItemId], skip: &[ItemId]) -> Vec<u32> {
+    /// candidate for the whole query. Slots come back ascending, so the
+    /// sweep walks the arena front to back.
+    fn resolve_slots(&self, candidates: impl IntoIterator<Item = ItemId>) -> Vec<u32> {
         let mut slots: Vec<u32> = candidates
-            .iter()
-            .filter(|id| skip.binary_search(id).is_err())
-            .map(|&id| self.series.slot_of(id).expect("series and index must stay in lockstep"))
+            .into_iter()
+            .map(|id| self.series.slot_of(id).expect("series and index must stay in lockstep"))
             .collect();
         slots.sort_unstable();
         slots
@@ -834,96 +840,71 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         let cells_before = scratch.ws.cells();
         let (candidates, index_stats) = self.index.range_query(&prepared.shape, radius);
         let mut stats = EngineStats { index: index_stats, ..EngineStats::default() };
-        let slots = self.resolve_slots(&candidates, &[]);
+        let slots = self.resolve_slots(candidates);
         let run = self.range_over_slots(prepared, slots, radius, budget, &mut stats, scratch);
         stats.dp_cells = scratch.ws.cells() - cells_before;
         run.map(|matches| (matches, stats)).map_err(|Expired| stats)
     }
 
-    /// Phase 1 of the optimal multi-step k-NN scheme: probe the index for
-    /// the `k` nearest feature lower bounds and compute their exact squared
-    /// distances (cached so the close phase never recomputes a probe).
-    ///
-    /// Returns the probes as `(id, exact squared distance)` pairs in index
-    /// probe order; the executor takes the global k-th probe distance over
-    /// every leaf as the closing radius before running the close phase.
-    pub(crate) fn knn_probe_phase(
+    /// Round 1 of the k-NN schedule (see [`crate::exec`]): the leaf's one
+    /// feature sweep, then a close round over its `M = min(32·k, len)`
+    /// smallest bounds by `(d², id)` at radius ∞ with an empty heap.
+    pub(crate) fn knn_seed_round(
         &self,
         prepared: &PreparedQuery<'_>,
         k: usize,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> LeafRun {
+    ) -> SeedRun {
         if k == 0 || self.series.is_empty() {
-            return Ok((Vec::new(), EngineStats::default()));
+            return Ok(((Vec::new(), Vec::new()), EngineStats::default()));
         }
-        let cells_before = scratch.ws.cells();
-        let ws = &mut scratch.ws;
-
-        let (probes, probe_stats) = self.index.knn(&prepared.shape, k);
-        let mut stats = EngineStats { index: probe_stats, ..EngineStats::default() };
-        let mut exact: Vec<(ItemId, f64)> = Vec::with_capacity(probes.len());
-        for (id, _) in &probes {
-            if budget.expired() {
-                stats.dp_cells = ws.cells() - cells_before;
-                return Err(stats);
-            }
-            stats.exact_computations += 1;
-            let d_sq = ldtw_distance_sq_bounded_with_mode(
-                ws,
-                prepared.series,
-                self.get(*id).expect("series and index must stay in lockstep"),
-                prepared.band,
-                f64::INFINITY,
-                self.config.kernel,
-            );
-            exact.push((*id, d_sq));
-        }
-        stats.dp_cells = ws.cells() - cells_before;
-        Ok((exact, stats))
+        let (mut bounds, sweep) = self.index.all_dist_sq(&prepared.shape);
+        // A descending partition puts the M best at the back, so splitting
+        // them off copies M pairs, not the rest.
+        let cut = bounds.len() - k.saturating_mul(SEEDS_PER_NEIGHBOR).min(bounds.len());
+        bounds.select_nth_unstable_by(cut, |a, b| b.1.total_cmp(&a.1).then(b.0.cmp(&a.0)));
+        let best = bounds.split_off(cut);
+        // The round counts the M candidates; the sweep adds pages and points.
+        let with_sweep = |mut stats: EngineStats| {
+            stats.index.absorb(&QueryStats { candidates: 0, ..sweep });
+            stats
+        };
+        let run = self.knn_close_round(prepared, k, f64::INFINITY, &[], &best, budget, scratch);
+        run.map(|(top, stats)| ((top, bounds), with_sweep(stats))).map_err(with_sweep)
     }
 
-    /// Phase 2 of the optimal multi-step k-NN scheme: a closing range query
-    /// at `radius_sq`, its candidates verified best-first under a shrinking
-    /// top-k threshold.
-    ///
-    /// The best-so-far max-heap starts from `seed` — `(id, exact squared
-    /// distance)` pairs that need not be stored in *this* engine (the
-    /// executor seeds every leaf with the global best probes, so each prunes
-    /// against the globally tightest threshold). Ids in `known` (sorted
-    /// ascending) already have exact distances (this engine's own probes)
-    /// and are skipped. Returns the final heap contents ascending by
-    /// `(d², id)`, distances still squared.
+    /// Round 2 of the k-NN schedule: admits the melodies of `rest` whose
+    /// bound passes the root-space test a range query at `sqrt(radius_sq)`
+    /// applies, and verifies them under a heap seeded with `seed` — the
+    /// global best `(id, d²)` pairs, which need not be stored in *this*
+    /// engine. Returns the final heap contents ascending by `(d², id)`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn knn_close_phase(
+    pub(crate) fn knn_close_round(
         &self,
         prepared: &PreparedQuery<'_>,
         k: usize,
         radius_sq: f64,
         seed: &[(ItemId, f64)],
-        known: &[ItemId],
+        rest: &[(ItemId, f64)],
         budget: QueryBudget,
         scratch: &mut QueryScratch,
     ) -> LeafRun {
-        if k == 0 || self.series.is_empty() {
-            return Ok((Vec::new(), EngineStats::default()));
-        }
         let cells_before = scratch.ws.cells();
-
-        // The closing range query. Any true top-k member has exact distance
-        // ≤ radius, hence lower bound ≤ radius, hence appears here.
-        let (candidates, range_stats) = self.index.range_query(&prepared.shape, radius_sq.sqrt());
-        let mut stats = EngineStats { index: range_stats, ..EngineStats::default() };
-        let slots = self.resolve_slots(&candidates, known);
+        let radius = radius_sq.sqrt();
+        let admitted = rest.iter().filter(|&&(_, bound_sq)| bound_sq.sqrt() <= radius);
+        let slots = self.resolve_slots(admitted.map(|&(id, _)| id));
+        let index = QueryStats { candidates: slots.len() as u64, ..QueryStats::default() };
+        let mut stats = EngineStats { index, ..EngineStats::default() };
         let run =
             self.close_over_slots(prepared, slots, k, radius_sq, seed, budget, &mut stats, scratch);
         stats.dp_cells = scratch.ws.cells() - cells_before;
         run.map(|survivors| (survivors, stats)).map_err(|Expired| stats)
     }
 
-    /// The close phase over its resolved candidates: envelope sweep at the
-    /// outer radius, then the survivors verified in ascending bound order
-    /// under the shrinking k-th best distance.
+    /// Both k-NN rounds over their resolved candidates: envelope sweep at
+    /// the outer radius, then the survivors verified in ascending bound
+    /// order under the shrinking k-th best distance.
     #[allow(clippy::too_many_arguments)]
     fn close_over_slots(
         &self,
@@ -948,7 +929,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
                 .then_with(|| a.id.cmp(&b.id))
         });
 
-        // Best-so-far is a max-heap seeded with the probes (worst of the
+        // Best-so-far is a max-heap started from `seed` (worst of the
         // current top-k on top); its top is the shrinking radius.
         let mut heap: BinaryHeap<Cand> =
             seed.iter().map(|&(id, d_sq)| Cand { d_sq, id }).collect();
@@ -957,11 +938,10 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
                 return Err(Expired);
             }
             // The threshold an entrant must beat: the current k-th best when
-            // the heap is full, the outer radius while it is not.
+            // the heap is full. While it is under-full (the seed round's
+            // first k, or a corpus smaller than k) every survivor is kept,
+            // so verification must run to completion.
             let full = heap.len() >= k;
-            // While the heap is under-full (only possible if the probes
-            // numbered fewer than `min(k, len)`) every survivor is kept, so
-            // verification must run to completion.
             let threshold_sq =
                 if full { heap.peek().expect("non-empty heap").d_sq } else { f64::INFINITY };
             if full && candidate.lb_sq > threshold_sq {
@@ -1697,33 +1677,36 @@ mod tests {
 
     #[test]
     fn close_phase_sweep_honours_the_deadline() {
-        // The envelope sweep at the head of the close phase polls the
-        // budget too, from its first candidate on.
-        let series = lcg_series(300, 64, 59);
+        // Both k-NN rounds poll the budget from their first candidate on: a
+        // budget expiring in either returns that round's partial counters —
+        // the index work before the first poll, no match — and an unexpired
+        // one changes nothing.
+        let series = lcg_series(600, 64, 59);
         let engine = build_engine(&series);
         let query = lcg_series(1, 64, 5050).remove(0);
         let prepared = PreparedQuery::new(engine.transform(), &query, 3);
         let mut scratch = QueryScratch::new();
-        let probes =
-            engine.knn_probe_phase(&prepared, 5, QueryBudget::unlimited(), &mut scratch).unwrap().0;
-        let radius_sq = probes.iter().map(|&(_, d_sq)| d_sq).fold(0.0, f64::max);
-        let mut known: Vec<ItemId> = probes.iter().map(|&(id, _)| id).collect();
-        known.sort_unstable();
+        let (k, roomy) = (3, QueryBudget::within(Duration::from_secs(3600)));
+        let expired = || QueryBudget::with_deadline(Instant::now());
+        let index_only = |s: &EngineStats| EngineStats { index: s.index, ..Default::default() };
+
+        let mut seed_round = |budget| engine.knn_seed_round(&prepared, k, budget, &mut scratch);
+        let (seeded, seed_stats) = seed_round(QueryBudget::unlimited()).unwrap();
+        assert_eq!(seed_round(roomy).unwrap(), (seeded.clone(), seed_stats));
+        assert_eq!(seed_round(expired()).unwrap_err(), index_only(&seed_stats));
+        let (top, rest) = seeded;
+        assert_eq!((top.len(), rest.len()), (k, 600 - 32 * k));
+
+        // An outer radius that admits the whole rest, so the round has work.
+        let radius_sq = rest.iter().map(|&(_, bound_sq)| bound_sq).fold(0.0, f64::max);
         let mut close = |budget| {
-            engine.knn_close_phase(&prepared, 5, radius_sq, &probes, &known, budget, &mut scratch)
+            engine.knn_close_round(&prepared, k, radius_sq, &top, &rest, budget, &mut scratch)
         };
-
-        let (_, unbudgeted) = close(QueryBudget::unlimited()).unwrap();
-        assert!(unbudgeted.lb_pruned > 0, "the sweep has work to do");
-        assert!(unbudgeted.dp_cells > 0);
-        let (_, roomy) = close(QueryBudget::within(Duration::from_secs(3600))).unwrap();
-        assert_eq!(roomy, unbudgeted, "an unexpired budget changes no counter");
-
-        let partial = close(QueryBudget::with_deadline(Instant::now())).unwrap_err();
-        assert_eq!(partial.index, unbudgeted.index, "the index walk precedes the first poll");
-        assert_eq!(partial.lb_pruned, 0);
-        assert_eq!(partial.dp_cells, 0);
-        assert_eq!(partial.exact_computations, 0);
+        let (_, close_stats) = close(QueryBudget::unlimited()).unwrap();
+        assert_eq!(close_stats.index.candidates, rest.len() as u64);
+        assert!(close_stats.lb_pruned > 0);
+        assert_eq!(close(roomy).unwrap().1, close_stats);
+        assert_eq!(close(expired()).unwrap_err(), index_only(&close_stats));
     }
 
     #[test]

@@ -32,43 +32,49 @@
 //! answer of one engine holding the union corpus: same `f64` bits, same
 //! order.
 //!
-//! # Two-phase k-NN
+//! # k-NN: one sweep, two rounds
 //!
-//! The indexed k-NN is the optimal multi-step scheme (Seidl & Kriegel),
-//! split at its natural barrier:
+//! The indexed k-NN is a multi-step scheme (Seidl & Kriegel) over one
+//! sequential pass of a cheap bound, the schedule Lemire's two-pass DTW
+//! search assumes. Each leaf sweeps its index once; that one bound array
+//! feeds both rounds, and no candidate reaches DTW but through the cascade.
 //!
-//! 1. **Probe phase:** every leaf runs `knn_probe_phase` — its own `k`
-//!    index probes with exact distances.
+//! 1. **Seed round:** every leaf runs the `M = min(32·k, len)` smallest
+//!    feature bounds by `(d², id)` through the cascade with an empty heap at
+//!    threshold ∞, and keeps its exact top-k and the bounds it left out.
 //! 2. **Radius barrier:** the closing radius is the k-th smallest
-//!    `(d², id)` pair of the probe union. At least `k` real items sit
-//!    within it (the `k` best probes), so the true k-th neighbor does too —
-//!    the closing range query keeps the no-false-negative guarantee. With
-//!    one leaf there are at most `k` probes, so the radius is simply the
-//!    worst probe distance and the seed below is the whole probe set.
-//! 3. **Close phase:** every leaf runs `knn_close_phase` at that radius,
-//!    its best-so-far heap *seeded with the global best probes* — so every
-//!    leaf prunes against the globally tightest known threshold from the
-//!    first candidate on — and its own probes as the skip set (their exact
-//!    distances are already in hand).
-//! 4. **Assembly:** probe pools and close survivors merge through one
-//!    `(d², id)`-ordered, id-deduplicated, top-`k` cut.
+//!    `(d², id)` pair of the union of the leaves' top-k: `k` real items sit
+//!    within it, so the true k-th neighbor does too. The best
+//!    `min(k, total)` pairs seed every leaf's close-round heap.
+//! 3. **Close round:** every leaf admits the bounds it left out with a range
+//!    query's root-space test, `sqrt(d²) ≤ sqrt(radius²)`, and runs them
+//!    through the same cascade. No melody is examined twice.
+//! 4. **Assembly:** the leaves' top-k and close survivors merge through
+//!    one `(d², id)`-ordered, id-deduplicated, top-`k` cut.
 //!
-//! The result is exact for any partition: a true k-th-or-better neighbor
-//! survives its leaf's close phase because the leaf's shrinking threshold
-//! is always at least the true global k-th `(d², id)` pair (the heap holds
-//! at most `k` *real* exact distances, so its worst entry can never be
-//! strictly better than the true k-th item).
+//! The result is exact for any partition:
+//! * A seed-round candidate of leaf L pruned or abandoned at threshold `t`
+//!   has a bound, or a distance, above `t`; `t` is at least L's final k-th
+//!   `(d², id)`, which is at least the global k-th. Pruning uses a strict
+//!   `>`, so a tie with the k-th survives and is decided by id.
+//! * A true top-k member L left out has bound ≤ distance ≤ radius, so L's
+//!   close round admits it, and keeps it: that heap holds at most `k` *real*
+//!   exact distances, so its threshold never drops below the global k-th.
+//!
+//! Every candidate, seed or admitted, is counted in `index.candidates` and
+//! pruned by one stage or verified, so on every path a traced query has
+//! `candidates_in == lb_pruned + lb_improved_pruned + exact_started`.
 //!
 //! # Determinism contract
 //!
 //! * **Matches are bit-identical to a brute-force DTW sweep** for every
 //!   leaf layout and every scatter width.
 //! * **Counters and traces are functions of `(query, corpus, layout)`**:
-//!   per-leaf counters are absorbed in fixed leaf order, so they never vary
-//!   with the scatter width, the thread count or timing. They *do* vary
-//!   with the layout — `N` trees have different node structure than one,
-//!   and the probe phase touches up to `N·k` probes — which is inherent to
-//!   partitioning, not an accounting bug.
+//!   per-leaf counters are absorbed in fixed leaf order, and the seed
+//!   round selects by the total order `(d², id)`, so they never vary with
+//!   the scatter width, the thread count, timing or an index's visiting
+//!   order. They *do* vary with the layout — `N` leaves verify up to `N·M`
+//!   seeds — which is inherent to partitioning, not an accounting bug.
 //!
 //! # Deadlines
 //!
@@ -207,28 +213,21 @@ fn run<T: EnvelopeTransform, I: SpatialIndex>(
     let mut stats = EngineStats::default();
     let (kind, matches) = match (request.kind(), request.scan_enabled()) {
         (RequestKind::Knn { k }, false) => {
-            let probes = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
-                leaf.engine.knn_probe_phase(&prepared, k, budget, scratch)
+            let seeds = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
+                leaf.engine.knn_seed_round(&prepared, k, budget, scratch)
             });
-            let mut pools = gather(probes, &mut stats)?;
-            // Radius barrier: the k-th smallest (d², id) probe pair bounds
-            // the true k-th neighbor, and the best min(k, total) probes seed
-            // every leaf's close-phase heap.
+            let (mut pools, rests): (Vec<_>, Vec<_>) =
+                gather(seeds, &mut stats)?.into_iter().unzip();
+            // Radius barrier: the k-th smallest (d², id) pair of the leaves'
+            // top-k bounds the true k-th neighbor, and the best min(k, total)
+            // seed every leaf's close-round heap.
             let mut seed: Vec<(ItemId, f64)> = pools.iter().flatten().copied().collect();
             sort_by_distance(&mut seed);
             seed.truncate(k);
             let radius_sq = seed.last().map_or(0.0, |&(_, d_sq)| d_sq);
-            let known: Vec<Vec<ItemId>> = pools
-                .iter()
-                .map(|probes| {
-                    let mut ids: Vec<ItemId> = probes.iter().map(|&(id, _)| id).collect();
-                    ids.sort_unstable();
-                    ids
-                })
-                .collect();
             let closes = map_leaves(leaves, width, scratch, |i, leaf, scratch| {
                 leaf.engine
-                    .knn_close_phase(&prepared, k, radius_sq, &seed, &known[i], budget, scratch)
+                    .knn_close_round(&prepared, k, radius_sq, &seed, &rests[i], budget, scratch)
             });
             pools.extend(gather(closes, &mut stats)?);
             (QueryKind::Knn, assemble_knn_matches(pools, k))
@@ -299,10 +298,7 @@ fn map_leaves<T: EnvelopeTransform, I: SpatialIndex, R: Send>(
 /// Absorbs every leaf's counters into `stats` in leaf order and returns the
 /// per-leaf pools — or, if any leaf's budget expired, the one
 /// [`EngineError::DeadlineExceeded`] carrying everything absorbed so far.
-fn gather(
-    runs: Vec<LeafRun>,
-    stats: &mut EngineStats,
-) -> Result<Vec<Vec<(ItemId, f64)>>, EngineError> {
+fn gather<P>(runs: Vec<LeafRun<P>>, stats: &mut EngineStats) -> Result<Vec<P>, EngineError> {
     let mut pools = Vec::with_capacity(runs.len());
     let mut expired = false;
     for run in runs {
@@ -325,11 +321,11 @@ fn gather(
 }
 
 /// Final k-NN assembly: pools of `(id, exact squared distance)` candidates
-/// — probe sets and close-phase survivors — are merged, deduplicated by id
-/// (duplicates always carry the same exact distance), ordered by `(d², id)`
-/// (the same total order every heap and sort in the k-NN path uses;
-/// `(d, id)` orders identically since `sqrt` is monotone), and cut to the
-/// `k` best, with one square root per reported match.
+/// — seed-round top-k and close-round survivors — are merged, deduplicated
+/// by id (duplicates always carry the same exact distance), ordered by
+/// `(d², id)` (the same total order every heap and sort in the k-NN path
+/// uses; `(d, id)` orders identically since `sqrt` is monotone), and cut to
+/// the `k` best, with one square root per reported match.
 fn assemble_knn_matches(pools: Vec<Vec<(ItemId, f64)>>, k: usize) -> Vec<(ItemId, f64)> {
     let mut pool: Vec<(ItemId, f64)> = pools.into_iter().flatten().collect();
     sort_by_distance(&mut pool);

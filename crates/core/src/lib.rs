@@ -24,14 +24,14 @@
 //!   paper's evaluation (§5.2).
 //! * [`engine`] — the GEMINI query engine (§4.3): feature extraction, spatial
 //!   indexing via any [`hum_index::SpatialIndex`] backend, and the per-leaf
-//!   query primitives (indexed ε-range, the two k-NN phases, the scans)
+//!   query primitives (indexed ε-range, the two k-NN rounds, the scans)
 //!   with exact-DTW refinement and full access accounting.
 //! * [`exec`] — the one query executor: validates a request, fans it over a
 //!   flat list of engine *leaves* (one engine, a sharded engine's shards, or
-//!   every storage unit of a store), runs the two-phase k-NN radius
-//!   schedule, merges hits in fixed leaf order — bit-identical to a
-//!   brute-force sweep for every layout and thread count — and batches
-//!   requests ([`engine::BatchOutcome`]).
+//!   every storage unit of a store), runs the one-sweep k-NN schedule
+//!   (seed round, radius barrier, close round), merges hits in fixed leaf
+//!   order — bit-identical to a brute-force sweep for every layout and
+//!   thread count — and batches requests ([`engine::BatchOutcome`]).
 //! * [`batch`] — the deterministic chunked fan-out underneath batched
 //!   execution (fixed-size chunks, chunk-order merge, per-worker scratch).
 //! * [`shard`] — hash routing over a partitioned corpus:

@@ -154,21 +154,15 @@ impl QueryTrace {
     }
 
     /// The funnel view, for rendering: candidates per stage with the count
-    /// each stage removed. On the k-NN path the middle stages are an
-    /// approximation (probes enter exact DTW directly and the shrinking
-    /// radius can re-prune), so arithmetic between rows uses saturating
-    /// subtraction; the *fields* of the trace, not this view, are the
-    /// consistency contract.
+    /// each stage removed. Every candidate is pruned by one stage or
+    /// verified, on every path, so the rows close exactly.
     pub fn stages(&self) -> [StageTrace; 4] {
+        let examined = self.index.points_examined.max(self.candidates_in);
         [
             StageTrace {
                 stage: Stage::IndexFilter,
-                entered: self.index.points_examined.max(self.candidates_in),
-                pruned: self
-                    .index
-                    .points_examined
-                    .max(self.candidates_in)
-                    .saturating_sub(self.candidates_in),
+                entered: examined,
+                pruned: examined - self.candidates_in,
             },
             StageTrace {
                 stage: Stage::EnvelopeLb,
@@ -177,7 +171,7 @@ impl QueryTrace {
             },
             StageTrace {
                 stage: Stage::LbImproved,
-                entered: self.candidates_in.saturating_sub(self.lb_pruned),
+                entered: self.candidates_in - self.lb_pruned,
                 pruned: self.lb_improved_pruned,
             },
             StageTrace {
@@ -211,8 +205,8 @@ impl QueryTrace {
 
 /// Debug-build guard against counter drift: a query's trace and its
 /// [`EngineStats`] are two renderings of the same counters, so
-/// [`QueryTrace::totals`] must reproduce the stats exactly. Release builds
-/// compile this to nothing.
+/// [`QueryTrace::totals`] must reproduce the stats exactly; and every
+/// candidate leaves the funnel once. Release builds compile this to nothing.
 #[inline]
 pub fn debug_assert_trace_consistent(trace: &QueryTrace, stats: &EngineStats) {
     debug_assert_eq!(
@@ -224,6 +218,11 @@ pub fn debug_assert_trace_consistent(trace: &QueryTrace, stats: &EngineStats) {
         trace.verified,
         stats.exact_computations - stats.early_abandoned,
         "verified must equal completed exact computations"
+    );
+    debug_assert_eq!(
+        trace.lb_pruned + trace.lb_improved_pruned + trace.exact_started,
+        trace.candidates_in,
+        "every candidate is pruned by exactly one stage or verified"
     );
 }
 

@@ -7,8 +7,7 @@
 //! for a *single* query. This module owns only the routing: which shard an
 //! id lives in, and insert / remove / lookup through it. Queries hand the
 //! shards to the executor in [`crate::exec`] as its leaf list; the
-//! determinism contract and the two-phase k-NN schedule are documented
-//! there.
+//! determinism contract and the k-NN schedule are documented there.
 //!
 //! # Shard assignment
 //!

@@ -132,65 +132,119 @@ fn brute_force(series: &[Vec<f64>], request: &QueryRequest) -> Vec<(ItemId, f64)
     all
 }
 
-/// ε-range and k-NN, indexed and scan, plus the k-NN edge cases `k = 0` and
-/// `k` beyond the corpus, for two queries (one among the plain walks, one
-/// that *is* a ramp series).
+/// ε-range and k-NN, indexed and scan, for two queries (one among the plain
+/// walks, one that *is* a ramp series). The k-NN `k`s put the seed round's
+/// cut `M = 32·k` inside and beyond every leaf, and include the edge cases
+/// `k = 0`, `k` beyond the corpus and `k = usize::MAX`.
 fn requests(series: &[Vec<f64>]) -> Vec<QueryRequest> {
     let mut out = Vec::new();
-    for (qi, radius, k) in [(3usize, 2.5, 7usize), (10, 60.0, 1)] {
+    for (qi, radius) in [(3usize, 2.5), (10, 60.0)] {
         for scan in [false, true] {
             let shape = |r: QueryRequest| {
                 r.with_series(series[qi].clone()).with_band(BAND).with_scan(scan).with_trace(true)
             };
             out.push(shape(QueryRequest::range(radius)));
-            out.push(shape(QueryRequest::knn(k)));
-            out.push(shape(QueryRequest::knn(0)));
-            out.push(shape(QueryRequest::knn(series.len() + 9)));
+            for k in [0, 1, 2, 7, series.len() + 9, usize::MAX] {
+                out.push(shape(QueryRequest::knn(k)));
+            }
         }
     }
     out
 }
 
-/// The layout matrix: {1 leaf, 4 shards, 3 units × 1 shard, 3 units × 2
-/// shards with one unit empty} × width {1, 8} × every request shape, each
-/// run once unbudgeted (against the oracle) and once already expired.
+/// The matrix's corpora, each queried at series 3 and 10:
+/// * plain;
+/// * "tie group": plain plus 80 copies of series 3 — 81 identical series,
+///   distance and bound 0 from query 3, straddling both the k-th place and
+///   the seed round's cut (`M` = 32 or 64 at k = 1 or 2), so only ids decide;
+/// * "distance ties": query 3 is all zeros, so a series' squared distance
+///   is its sum of squares. Series 4 (two flat halves at ±0.25) and 5
+///   (alternating ±0.25) are both at exactly 2, but only 5 has feature
+///   bound 0, like the 80 alternating ±1 series appended (distance 8). At
+///   k = 2 the seed round takes 3, 5 and the ±1 series; series 4 — the
+///   better neighbor by id — must come through the close round, admitted at
+///   bound = radius and kept on an exact tie with the heap's worst entry.
+fn corpora() -> Vec<(&'static str, Vec<Vec<f64>>)> {
+    let plain = corpus(90, 7);
+    let mut ties = plain.clone();
+    ties.extend(std::iter::repeat_n(plain[3].clone(), 80));
+    let alternating = |a: f64| (0..LEN).map(|t| if t % 2 == 0 { a } else { -a }).collect();
+    let mut distance_ties = plain.clone();
+    distance_ties[3] = vec![0.0; LEN];
+    distance_ties[4] = (0..LEN).map(|t| if t < LEN / 2 { 0.25 } else { -0.25 }).collect();
+    distance_ties[5] = alternating(0.25);
+    distance_ties.extend(std::iter::repeat_with(|| alternating(1.0)).take(80));
+    vec![("plain", plain), ("tie group", ties), ("distance ties", distance_ties)]
+}
+
+/// The layout matrix: every corpus × {1 leaf, 4 shards, 3 units × 1 shard,
+/// 3 units × 2 shards with one unit empty} × width {1, 8} × every request
+/// shape, each run once unbudgeted (against the oracle) and once already
+/// expired. The layouts hold leaves smaller than `M`, and leaves that
+/// contribute nothing to a k-NN answer (checked, not assumed).
 #[test]
 fn every_layout_matches_brute_force_at_every_width_and_honours_the_deadline() {
-    let series = corpus(90, 7);
     let expired = QueryBudget::with_deadline(Instant::now());
     assert!(expired.expired());
-    for (name, units) in layouts(&series) {
-        let leaves = leaves(&units);
-        for request in requests(&series) {
-            let narrow = run(&leaves, &request, 1).expect("unbudgeted query completes");
-            let expected = brute_force(&series, &request);
-            assert_eq!(narrow.result.matches, expected, "{name}: {request:?}");
-            assert_eq!(narrow.result.stats.matches, expected.len() as u64, "{name}");
-            let trace = narrow.trace.as_ref().expect("trace requested");
-            assert_eq!(trace.totals(), narrow.result.stats, "{name}: {request:?}");
-            if request.scan_enabled() {
-                assert_eq!(trace.candidates_in, series.len() as u64, "{name}");
-            }
-            // Matches, counters and trace are functions of the layout alone.
-            let wide = run(&leaves, &request, 8).expect("unbudgeted query completes");
-            assert_eq!(narrow, wide, "{name}: outcome varied with width for {request:?}");
-
-            // An indexed k = 0 does no per-candidate work, so it has no
-            // deadline to miss; everything else aborts at its first poll.
-            if matches!(request.kind(), RequestKind::Knn { k: 0 }) && !request.scan_enabled() {
-                continue;
-            }
-            let request = request.with_budget(expired);
-            let aborted = run(&leaves, &request, 1);
-            match &aborted {
-                Err(EngineError::DeadlineExceeded { stats }) => {
-                    assert_eq!(stats.matches, 0, "{name}: partial runs never report matches");
-                    assert_eq!(stats.exact_computations, 0, "{name}: aborted before any DTW");
-                }
-                other => panic!("{name}: expected a deadline abort, got {other:?}"),
-            }
-            assert_eq!(aborted, run(&leaves, &request, 8), "{name}: partial counters vary");
+    let mut idle_leaves = 0;
+    for (corpus_name, series) in corpora() {
+        for (layout, units) in layouts(&series) {
+            let name = format!("{corpus_name}, {layout}");
+            check_layout(&name, &leaves(&units), &series, expired, &mut idle_leaves);
         }
+    }
+    assert!(idle_leaves > 0, "no k-NN answer left a non-empty leaf out");
+}
+
+/// One layout of the matrix; adds to `idle_leaves` the non-empty leaves
+/// that hold none of an indexed k-NN's answer.
+fn check_layout(
+    name: &str,
+    leaves: &Leaves<'_>,
+    series: &[Vec<f64>],
+    expired: QueryBudget,
+    idle_leaves: &mut usize,
+) {
+    for request in requests(series) {
+        let narrow = run(leaves, &request, 1).expect("unbudgeted query completes");
+        let expected = brute_force(series, &request);
+        assert_eq!(narrow.result.matches, expected, "{name}: {request:?}");
+        assert_eq!(narrow.result.stats.matches, expected.len() as u64, "{name}");
+        let trace = narrow.trace.as_ref().expect("trace requested");
+        assert_eq!(trace.totals(), narrow.result.stats, "{name}: {request:?}");
+        assert_eq!(
+            trace.lb_pruned + trace.lb_improved_pruned + trace.exact_started,
+            trace.candidates_in,
+            "{name}: the funnel leaks for {request:?}"
+        );
+        if request.scan_enabled() {
+            assert_eq!(trace.candidates_in, series.len() as u64, "{name}");
+        } else if matches!(request.kind(), RequestKind::Knn { k } if k > 0) {
+            *idle_leaves += leaves
+                .iter()
+                .filter(|leaf| !leaf.engine.is_empty())
+                .filter(|leaf| expected.iter().all(|&(id, _)| leaf.engine.get(id).is_none()))
+                .count();
+        }
+        // Matches, counters and trace are functions of the layout alone.
+        let wide = run(leaves, &request, 8).expect("unbudgeted query completes");
+        assert_eq!(narrow, wide, "{name}: outcome varied with width for {request:?}");
+
+        // An indexed k = 0 does no per-candidate work, so it has no
+        // deadline to miss; everything else aborts at its first poll.
+        if matches!(request.kind(), RequestKind::Knn { k: 0 }) && !request.scan_enabled() {
+            continue;
+        }
+        let request = request.with_budget(expired);
+        let aborted = run(leaves, &request, 1);
+        match &aborted {
+            Err(EngineError::DeadlineExceeded { stats }) => {
+                assert_eq!(stats.matches, 0, "{name}: partial runs never report matches");
+                assert_eq!(stats.exact_computations, 0, "{name}: aborted before any DTW");
+            }
+            other => panic!("{name}: expected a deadline abort, got {other:?}"),
+        }
+        assert_eq!(aborted, run(leaves, &request, 8), "{name}: partial counters vary");
     }
 }
 

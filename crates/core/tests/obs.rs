@@ -215,35 +215,46 @@ fn exporters_render_live_traces_and_metrics() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any workload: tracing and metrics recording never change the
-    /// answer, trace totals always equal the stats, and the range-path
-    /// cascade funnel closes exactly (every index candidate is pruned by
-    /// exactly one stage or verified).
+    /// For any workload and every query kind — indexed and scan, range and
+    /// k-NN: tracing and metrics recording never change the answer, trace
+    /// totals always equal the stats, and the cascade funnel closes exactly
+    /// (every candidate is pruned by exactly one stage or verified).
     #[test]
     fn tracing_is_free_and_consistent(
         seed in any::<u64>(),
         band in 0usize..6,
         radius in 0.5f64..3.0,
+        k in 1usize..6,
     ) {
-        let series = lcg_series(40, seed);
+        let series = lcg_series(200, seed);
         let query = lcg_series(1, seed ^ 0xfeed).remove(0);
         let plain = build_engine(&series);
         let recorded = build_engine(&series).with_metrics(MetricsSink::enabled());
-        let untraced = QueryRequest::range(radius).with_series(query.clone()).with_band(band);
-        let traced = untraced.clone().with_trace(true);
+        for (request, scan) in [
+            (QueryRequest::range(radius), false),
+            (QueryRequest::knn(k), false),
+            (QueryRequest::range(radius), true),
+            (QueryRequest::knn(k), true),
+        ] {
+            let untraced = request.with_series(query.clone()).with_band(band).with_scan(scan);
+            let traced = untraced.clone().with_trace(true);
 
-        let baseline = plain.query(&untraced);
-        prop_assert_eq!(&plain.query(&traced).result, &baseline.result);
-        let outcome = recorded.query(&traced);
-        prop_assert_eq!(&outcome.result, &baseline.result);
+            let baseline = plain.query(&untraced);
+            prop_assert_eq!(&plain.query(&traced).result, &baseline.result);
+            let outcome = recorded.query(&traced);
+            prop_assert_eq!(&outcome.result, &baseline.result);
 
-        let trace = outcome.trace.expect("trace requested");
-        prop_assert_eq!(trace.totals(), outcome.result.stats);
-        prop_assert_eq!(
-            trace.lb_pruned + trace.lb_improved_pruned + trace.exact_started,
-            trace.candidates_in
-        );
-        prop_assert_eq!(trace.verified, trace.exact_started - trace.early_abandoned);
-        prop_assert!(trace.matches <= trace.verified);
+            let trace = outcome.trace.expect("trace requested");
+            prop_assert_eq!(trace.totals(), outcome.result.stats);
+            prop_assert_eq!(
+                trace.lb_pruned + trace.lb_improved_pruned + trace.exact_started,
+                trace.candidates_in
+            );
+            let [index, env, lbi, exact] = trace.stages();
+            prop_assert_eq!(index.entered - index.pruned, env.entered);
+            prop_assert_eq!(env.entered - env.pruned - lbi.pruned, exact.entered);
+            prop_assert_eq!(trace.verified, trace.exact_started - trace.early_abandoned);
+            prop_assert!(trace.matches <= trace.verified);
+        }
     }
 }

@@ -133,27 +133,34 @@ impl GridFile {
         bucket_len.div_ceil(self.page_capacity).max(1) as u64
     }
 
-    /// Immutable query path: requires frozen scales; the public trait methods
-    /// freeze lazily by cloning pending state when necessary.
-    fn query_cells(&self, query: &Query, epsilon: f64) -> (Vec<ItemId>, QueryStats) {
+    /// Reads every bucket whose cell lies within `epsilon` of the query (the
+    /// buffer, before the scales are frozen) and calls `visit(id, d²)` for
+    /// each point in it. Returns the access counters, `candidates` left to
+    /// the caller.
+    fn walk(&self, query: &Query, epsilon: f64, mut visit: impl FnMut(ItemId, f64)) -> QueryStats {
+        assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
         let mut stats = QueryStats::default();
-        let mut out = Vec::new();
+        if self.scales.is_none() {
+            // Not yet frozen: scan the buffer (small by construction).
+            stats.node_accesses = self.bucket_pages(self.pending.len());
+            for (id, p) in &self.pending {
+                stats.points_examined += 1;
+                visit(*id, query.dist_sq_to_point(p));
+            }
+            return stats;
+        }
         for (cell, bucket) in &self.cells {
-            let rect = self.cell_rect(cell);
-            if query.dist_to_rect(&rect) > epsilon {
+            if query.dist_to_rect(&self.cell_rect(cell)) > epsilon {
                 continue;
             }
             stats.node_accesses += self.bucket_pages(bucket.len());
             stats.leaf_accesses += self.bucket_pages(bucket.len());
             for (id, p) in bucket {
                 stats.points_examined += 1;
-                if query.dist_to_point(p) <= epsilon {
-                    stats.candidates += 1;
-                    out.push(*id);
-                }
+                visit(*id, query.dist_sq_to_point(p));
             }
         }
-        (out, stats)
+        stats
     }
 }
 
@@ -200,61 +207,39 @@ impl SpatialIndex for GridFile {
     }
 
     fn range_query(&self, query: &Query, epsilon: f64) -> (Vec<ItemId>, QueryStats) {
-        assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
-        if self.scales.is_some() {
-            return self.query_cells(query, epsilon);
-        }
-        // Not yet frozen: scan the buffer (small by construction).
-        let mut stats = QueryStats::default();
         let mut out = Vec::new();
-        stats.node_accesses = self.bucket_pages(self.pending.len().max(1)).min(self.pending.len() as u64 + 1);
-        for (id, p) in &self.pending {
-            stats.points_examined += 1;
-            if query.dist_to_point(p) <= epsilon {
-                stats.candidates += 1;
-                out.push(*id);
+        let mut stats = self.walk(query, epsilon, |id, dist_sq| {
+            if dist_sq.sqrt() <= epsilon {
+                out.push(id);
             }
-        }
+        });
+        stats.candidates = out.len() as u64;
         (out, stats)
     }
 
+    /// A walk that skips no bucket.
+    fn all_dist_sq(&self, query: &Query) -> (Vec<(ItemId, f64)>, QueryStats) {
+        let mut out = Vec::with_capacity(self.len);
+        let mut stats = self.walk(query, f64::INFINITY, |id, dist_sq| out.push((id, dist_sq)));
+        stats.candidates = out.len() as u64;
+        (out, stats)
+    }
+
+    /// Grid files have no hierarchy to descend best-first: every distance is
+    /// computed, but pages are counted only for the buckets whose cell could
+    /// hold one of the `k` nearest (radius = the k-th distance).
     fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats) {
-        assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
-        // Expanding-radius search: grid files have no hierarchy to descend,
-        // so grow the radius until k hits are inside it.
-        let mut all: Vec<(ItemId, f64)> = Vec::new();
-        let mut stats = QueryStats::default();
-        if self.len == 0 {
-            return (all, stats);
+        let (mut all, examined) = self.all_dist_sq(query);
+        if all.is_empty() {
+            return (all, QueryStats::default());
         }
-        let points: Box<dyn Iterator<Item = &(ItemId, Vec<f64>)>> = if self.scales.is_some() {
-            Box::new(self.cells.values().flatten())
-        } else {
-            Box::new(self.pending.iter())
-        };
-        // A k-NN over a memory-resident grid must examine candidate cells in
-        // distance order; for simplicity and exactness we compute distances
-        // per bucket but only count pages for buckets whose cell could
-        // contain one of the k nearest (radius = current k-th distance).
-        for (id, p) in points {
-            stats.points_examined += 1;
-            all.push((*id, query.dist_to_point(p)));
-        }
-        all.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
+        all.sort_by(|a, b| a.1.total_cmp(&b.1));
         all.truncate(k);
-        let radius = all.last().map_or(0.0, |x| x.1);
-        if self.scales.is_some() {
-            for (cell, bucket) in &self.cells {
-                if query.dist_to_rect(&self.cell_rect(cell)) <= radius {
-                    stats.node_accesses += self.bucket_pages(bucket.len());
-                    stats.leaf_accesses += self.bucket_pages(bucket.len());
-                }
-            }
-        } else {
-            stats.node_accesses = self.bucket_pages(self.pending.len());
-        }
-        stats.candidates = all.len() as u64;
-        (all, stats)
+        let radius = all.last().map_or(0.0, |&(_, dist_sq)| dist_sq.sqrt());
+        let pages = self.walk(query, radius, |_, _| {});
+        let (points_examined, candidates) = (examined.points_examined, all.len() as u64);
+        let stats = QueryStats { points_examined, candidates, ..pages };
+        (all.into_iter().map(|(id, dist_sq)| (id, dist_sq.sqrt())).collect(), stats)
     }
 }
 

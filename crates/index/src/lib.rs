@@ -66,6 +66,11 @@ pub trait SpatialIndex: Send + Sync {
     /// ascending distance, plus access statistics.
     fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats);
 
+    /// Every stored point's *squared* distance to the query, as `(id, d²)`
+    /// in no particular order, plus access statistics (every point is a
+    /// candidate).
+    fn all_dist_sq(&self, query: &Query) -> (Vec<(ItemId, f64)>, QueryStats);
+
     /// Removes the point stored under `id`. Returns `true` if something was
     /// removed.
     fn remove(&mut self, id: ItemId) -> bool;
@@ -90,6 +95,10 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
 
     fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats) {
         (**self).knn(query, k)
+    }
+
+    fn all_dist_sq(&self, query: &Query) -> (Vec<(ItemId, f64)>, QueryStats) {
+        (**self).all_dist_sq(query)
     }
 
     fn remove(&mut self, id: ItemId) -> bool {

@@ -134,4 +134,11 @@ impl SpatialIndex for LinearScan {
         let sorted = heap.into_sorted_vec().into_iter();
         self.answer(sorted.map(|(bits, pos, _)| (self.ids[pos], f64::from_bits(bits))).collect())
     }
+
+    /// The sweep itself, in insertion order.
+    fn all_dist_sq(&self, query: &Query) -> (Vec<(ItemId, f64)>, QueryStats) {
+        let mut out = Vec::with_capacity(self.len());
+        self.sweep(query, |pos, dist_sq| out.push((self.ids[pos], dist_sq)));
+        self.answer(out)
+    }
 }

@@ -29,12 +29,17 @@ impl Query {
 
     /// Minimum distance from the query shape to a point.
     pub fn dist_to_point(&self, p: &[f64]) -> f64 {
+        self.dist_sq_to_point(p).sqrt()
+    }
+
+    /// Squared version of [`Query::dist_to_point`].
+    pub fn dist_sq_to_point(&self, p: &[f64]) -> f64 {
         match self {
             Query::Point(q) => {
                 debug_assert_eq!(q.len(), p.len());
-                q.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt()
+                q.iter().zip(p).map(|(a, b)| (a - b) * (a - b)).sum()
             }
-            Query::Rect(r) => r.min_dist_point(p),
+            Query::Rect(r) => r.min_dist_point_sq(p),
         }
     }
 

@@ -576,8 +576,39 @@ impl RStarTree {
         None
     }
 
-    /// Yields candidates in ascending lower-bound (MINDIST) order; drives the
-    /// optimal multi-step k-NN algorithm in the query engine.
+    /// Reads every node within `epsilon` of the query and calls `visit(id,
+    /// d²)` for each point of every leaf read. Returns the access counters,
+    /// `candidates` left to the caller.
+    fn walk(&self, query: &Query, epsilon: f64, mut visit: impl FnMut(ItemId, f64)) -> QueryStats {
+        assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
+        let mut stats = QueryStats::default();
+        if self.len == 0 {
+            return stats;
+        }
+        let mut stack = vec![self.root];
+        while let Some(node) = stack.pop() {
+            stats.node_accesses += 1;
+            let n = &self.nodes[node];
+            if n.level == 0 {
+                stats.leaf_accesses += 1;
+                for e in &n.entries {
+                    if let EntryData::Item { id, point } = &e.data {
+                        stats.points_examined += 1;
+                        visit(*id, query.dist_sq_to_point(point));
+                    }
+                }
+            } else {
+                for e in &n.entries {
+                    if query.dist_to_rect(&e.rect) <= epsilon {
+                        stack.push(e.child());
+                    }
+                }
+            }
+        }
+        stats
+    }
+
+    /// Yields candidates in ascending lower-bound (MINDIST) order.
     pub fn nearest_iter<'a>(&'a self, query: &'a Query) -> NearestIter<'a> {
         assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
         let mut heap = BinaryHeap::new();
@@ -632,35 +663,21 @@ impl SpatialIndex for RStarTree {
     }
 
     fn range_query(&self, query: &Query, epsilon: f64) -> (Vec<ItemId>, QueryStats) {
-        assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
-        let mut stats = QueryStats::default();
         let mut out = Vec::new();
-        if self.len == 0 {
-            return (out, stats);
-        }
-        let mut stack = vec![self.root];
-        while let Some(node) = stack.pop() {
-            stats.node_accesses += 1;
-            let n = &self.nodes[node];
-            if n.level == 0 {
-                stats.leaf_accesses += 1;
-                for e in &n.entries {
-                    if let EntryData::Item { id, point } = &e.data {
-                        stats.points_examined += 1;
-                        if query.dist_to_point(point) <= epsilon {
-                            stats.candidates += 1;
-                            out.push(*id);
-                        }
-                    }
-                }
-            } else {
-                for e in &n.entries {
-                    if query.dist_to_rect(&e.rect) <= epsilon {
-                        stack.push(e.child());
-                    }
-                }
+        let mut stats = self.walk(query, epsilon, |id, dist_sq| {
+            if dist_sq.sqrt() <= epsilon {
+                out.push(id);
             }
-        }
+        });
+        stats.candidates = out.len() as u64;
+        (out, stats)
+    }
+
+    /// A walk that prunes no node.
+    fn all_dist_sq(&self, query: &Query) -> (Vec<(ItemId, f64)>, QueryStats) {
+        let mut out = Vec::with_capacity(self.len);
+        let mut stats = self.walk(query, f64::INFINITY, |id, dist_sq| out.push((id, dist_sq)));
+        stats.candidates = out.len() as u64;
         (out, stats)
     }
 

@@ -245,5 +245,22 @@ proptest! {
             got.sort_unstable();
             prop_assert_eq!(&got, &expected);
         }
+        // Every remaining point's squared distance, bit for bit, in whatever
+        // order a backend visits them.
+        let rect = Query::Rect(Rect::new(vec![-5.0, 0.0], vec![5.0, 20.0]));
+        for shape in [q, rect] {
+            let every: Vec<(ItemId, f64)> = model
+                .iter()
+                .enumerate()
+                .filter_map(|(i, p)| p.as_ref().map(|p| (i as ItemId, shape.dist_sq_to_point(p))))
+                .collect();
+            for b in &backends {
+                let (mut got, stats) = b.all_dist_sq(&shape);
+                got.sort_by_key(|&(id, _)| id);
+                prop_assert_eq!(&got, &every);
+                prop_assert_eq!(stats.candidates as usize, every.len());
+                prop_assert_eq!(stats.points_examined as usize, every.len());
+            }
+        }
     }
 }
