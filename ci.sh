@@ -13,8 +13,9 @@ cargo test -q
 #   batch, batch_determinism  deterministic chunked fan-out
 #   obs                       traces and registry counters thread-invariant
 #   exec                      the executor's layout matrix: every leaf layout
-#                             (shards, storage units) bit-identical to brute
-#                             force at every scatter width
+#                             (storage units) bit-identical to brute force at
+#                             every scatter width, batches equal to
+#                             sequential queries
 #   store                     memtable-over-segments systems bit-identical to
 #                             the monolithic build; reloads, compactions and
 #                             removals durable
@@ -22,9 +23,6 @@ cargo test -q
 #                             overload, deadlines, drain, wire fuzz
 #   session                   a request built over appends equals the one
 #                             built from the same frames at once
-#   shard, sharding           routing and batches; matches bit-identical at
-#                             every shard count, in process, over the wire,
-#                             and through a store
 THREAD_INVARIANT_SUITES=(
     "hum-core --test batch"
     "hum-core --test obs"
@@ -34,8 +32,6 @@ THREAD_INVARIANT_SUITES=(
     "hum-qbh --test server_integration"
     "hum-qbh --test server_fuzz"
     "hum-core --test session"
-    "hum-core --test shard"
-    "hum-qbh --test sharding"
 )
 for suite in "${THREAD_INVARIANT_SUITES[@]}"; do
     for threads in 1 8; do
@@ -58,7 +54,7 @@ cargo test -q -p hum-server
 # bits. The property suite runs in debug and in release (the arithmetic and
 # the `unsafe` run optimised everywhere else); then the engine digest —
 # answers and counters over a fixed workload on every backend, including a
-# 4-shard section with every multi-leaf counter — builds each section under
+# 4-leaf section with every multi-leaf counter — builds each section under
 # both kernel modes in one process, failing if their bytes differ, is
 # diffed byte-for-byte across HUM_THREADS 1/8, and must hash to the
 # committed results/engine_digest.sha256: a change that moves an answer or

@@ -1,16 +1,13 @@
 //! Query-serving latency and throughput: closed-loop multi-connection load
-//! against the TCP server, swept over worker-pool sizes *and* corpus shard
-//! counts on the Fig-9-scale music workload.
+//! against the TCP server, swept over worker-pool sizes on the
+//! Fig-9-scale music workload.
 //!
 //! Each connection is its own OS thread running a blocking
 //! [`hum_server::Client`] that issues k-NN requests back to back and times
-//! every round trip. The serving contract mirrors the batch layer's: worker
-//! count and shard count change *only* wall-clock numbers — every served
-//! match list is compared bit for bit against the in-process *monolithic*
-//! baseline, and the shape check fails if any request deviates, is
-//! rejected, or errors. The baseline is deliberately the single-shard
-//! system, so the committed results double as evidence for the sharding
-//! bit-identity contract.
+//! every round trip. The serving contract mirrors the batch layer's: the
+//! worker count changes *only* wall-clock numbers — every served match list
+//! is compared bit for bit against the in-process baseline, and the shape
+//! check fails if any request deviates, is rejected, or errors.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -40,8 +37,6 @@ pub struct Params {
     pub k: usize,
     /// Worker-pool sizes to sweep.
     pub worker_counts: Vec<usize>,
-    /// Corpus shard counts to sweep (1 = the monolithic engine).
-    pub shard_counts: Vec<usize>,
     /// Admission-queue depth.
     pub queue_depth: usize,
     /// RNG seed.
@@ -57,7 +52,6 @@ impl Params {
             queries_per_conn: 50,
             k: 10,
             worker_counts: vec![1, 2, 4, 8],
-            shard_counts: vec![1, 2, 4],
             queue_depth: 256,
             seed: 29,
         }
@@ -70,7 +64,6 @@ impl Params {
             connections: 4,
             queries_per_conn: 8,
             worker_counts: vec![1, 4],
-            shard_counts: vec![1, 2],
             ..Params::paper()
         }
     }
@@ -79,8 +72,6 @@ impl Params {
 /// One worker-count measurement.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeRow {
-    /// Corpus shard count serving this row.
-    pub shards: usize,
     /// Worker-pool size.
     pub workers: usize,
     /// Wall-clock seconds for the whole load.
@@ -166,85 +157,73 @@ pub fn run(params: &Params) -> Output {
     let baseline = Arc::new(baseline);
 
     let mut rows = Vec::new();
-    // The monolithic system that produced the baseline serves the shards=1
-    // rounds itself; other shard counts rebuild from the same database (the
-    // build is deterministic, so features — and answers — are identical).
-    let mut monolithic = Some(system);
-    for &shards in &params.shard_counts {
-        let mut system = Some(if shards == 1 {
-            monolithic.take().expect("shard_counts lists 1 at most once")
-        } else {
-            QbhSystem::build(&db, &QbhConfig { shards, ..QbhConfig::default() })
-        });
-        for &workers in &params.worker_counts {
-            let config = ServerConfig {
-                workers,
-                queue_depth: params.queue_depth,
-                ..ServerConfig::default()
-            };
-            let server = Server::start(
-                system.take().expect("system is handed back between rounds"),
-                "127.0.0.1:0",
-                config,
-            )
-            .expect("bind an ephemeral loopback port");
-            let addr = server.local_addr();
+    let mut system = Some(system);
+    for &workers in &params.worker_counts {
+        let config = ServerConfig {
+            workers,
+            queue_depth: params.queue_depth,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(
+            system.take().expect("system is handed back between rounds"),
+            "127.0.0.1:0",
+            config,
+        )
+        .expect("bind an ephemeral loopback port");
+        let addr = server.local_addr();
 
-            let started = Instant::now();
-            let threads: Vec<_> = (0..params.connections)
-                .map(|conn| {
-                    let hums = Arc::clone(&hums);
-                    let baseline = Arc::clone(&baseline);
-                    let (k, per_conn) = (params.k, params.queries_per_conn);
-                    std::thread::spawn(move || {
-                        let mut latencies = Vec::with_capacity(per_conn);
-                        let mut rejected = 0usize;
-                        let mut identical = true;
-                        let mut client = Client::connect(addr).expect("connect");
-                        for j in 0..per_conn {
-                            let i = conn * per_conn + j;
-                            let t0 = Instant::now();
-                            match client.knn(&hums[i], k, &QueryOptions::default()) {
-                                Ok(reply) => {
-                                    latencies.push(t0.elapsed().as_nanos() as u64);
-                                    identical &=
-                                        matches_bit_identical(&reply.matches, &baseline[i]);
-                                }
-                                Err(hum_server::ClientError::Overloaded(_)) => rejected += 1,
-                                Err(e) => panic!("serving failed mid-load: {e}"),
+        let started = Instant::now();
+        let threads: Vec<_> = (0..params.connections)
+            .map(|conn| {
+                let hums = Arc::clone(&hums);
+                let baseline = Arc::clone(&baseline);
+                let (k, per_conn) = (params.k, params.queries_per_conn);
+                std::thread::spawn(move || {
+                    let mut latencies = Vec::with_capacity(per_conn);
+                    let mut rejected = 0usize;
+                    let mut identical = true;
+                    let mut client = Client::connect(addr).expect("connect");
+                    for j in 0..per_conn {
+                        let i = conn * per_conn + j;
+                        let t0 = Instant::now();
+                        match client.knn(&hums[i], k, &QueryOptions::default()) {
+                            Ok(reply) => {
+                                latencies.push(t0.elapsed().as_nanos() as u64);
+                                identical &=
+                                    matches_bit_identical(&reply.matches, &baseline[i]);
                             }
+                            Err(hum_server::ClientError::Overloaded(_)) => rejected += 1,
+                            Err(e) => panic!("serving failed mid-load: {e}"),
                         }
-                        (latencies, rejected, identical)
-                    })
+                    }
+                    (latencies, rejected, identical)
                 })
-                .collect();
+            })
+            .collect();
 
-            let mut latencies = Vec::with_capacity(total_queries);
-            let mut rejected = 0usize;
-            let mut identical = true;
-            for thread in threads {
-                let (lat, rej, ident) = thread.join().expect("load thread");
-                latencies.extend(lat);
-                rejected += rej;
-                identical &= ident;
-            }
-            let secs = started.elapsed().as_secs_f64();
-            latencies.sort_unstable();
-
-            rows.push(ServeRow {
-                shards,
-                workers,
-                secs,
-                qps: latencies.len() as f64 / secs.max(1e-9),
-                p50_ms: percentile_ms(&latencies, 50.0),
-                p95_ms: percentile_ms(&latencies, 95.0),
-                p99_ms: percentile_ms(&latencies, 99.0),
-                rejected,
-                identical,
-            });
-            system =
-                Some(server.shutdown().expect("graceful shutdown returns the system"));
+        let mut latencies = Vec::with_capacity(total_queries);
+        let mut rejected = 0usize;
+        let mut identical = true;
+        for thread in threads {
+            let (lat, rej, ident) = thread.join().expect("load thread");
+            latencies.extend(lat);
+            rejected += rej;
+            identical &= ident;
         }
+        let secs = started.elapsed().as_secs_f64();
+        latencies.sort_unstable();
+
+        rows.push(ServeRow {
+            workers,
+            secs,
+            qps: latencies.len() as f64 / secs.max(1e-9),
+            p50_ms: percentile_ms(&latencies, 50.0),
+            p95_ms: percentile_ms(&latencies, 95.0),
+            p99_ms: percentile_ms(&latencies, 99.0),
+            rejected,
+            identical,
+        });
+        system = Some(server.shutdown().expect("graceful shutdown returns the system"));
     }
 
     Output {
@@ -260,7 +239,6 @@ pub fn run(params: &Params) -> Output {
 /// Renders the latency/throughput table.
 pub fn render(output: &Output) -> (String, TextTable) {
     let mut table = TextTable::new(vec![
-        "shards",
         "workers",
         "secs",
         "queries/sec",
@@ -272,7 +250,6 @@ pub fn render(output: &Output) -> (String, TextTable) {
     ]);
     for row in &output.rows {
         table.row(vec![
-            row.shards.to_string(),
             row.workers.to_string(),
             fmt3(row.secs),
             fmt1(row.qps),
@@ -301,63 +278,34 @@ pub fn render(output: &Output) -> (String, TextTable) {
 pub fn check(output: &Output) -> Vec<String> {
     let mut failures = Vec::new();
     for row in &output.rows {
+        let workers = row.workers;
         if !row.identical {
             failures.push(format!(
-                "shards={} workers={}: served matches deviate from the in-process \
-                 monolithic baseline",
-                row.shards, row.workers
+                "workers={workers}: served matches deviate from the in-process baseline"
             ));
         }
         if row.rejected > 0 {
             failures.push(format!(
-                "shards={} workers={}: {} rejections from a closed loop within the \
-                 queue depth",
-                row.shards, row.workers, row.rejected
+                "workers={workers}: {} rejections from a closed loop within the queue depth",
+                row.rejected
             ));
         }
         if row.p50_ms > row.p99_ms {
-            failures.push(format!(
-                "shards={} workers={}: p50 above p99",
-                row.shards, row.workers
-            ));
+            failures.push(format!("workers={workers}: p50 above p99"));
         }
     }
-    let qps_at = |workers: usize, shards: usize| {
-        output
-            .rows
-            .iter()
-            .find(|r| r.workers == workers && r.shards == shards)
-            .map(|r| r.qps)
-    };
-    // Scaling gates only run where the hardware can express parallelism; a
-    // 1-core CI box serializes everything and only the p99 numbers move
-    // (the sharded scatter shortens the longest index walks).
+    let qps_at =
+        |workers: usize| output.rows.iter().find(|r| r.workers == workers).map(|r| r.qps);
+    // The scaling gate only runs where the hardware can express
+    // parallelism; a 1-core CI box serializes everything.
     if output.hardware_threads >= 8 {
-        if let (Some(one), Some(eight)) = (qps_at(1, 1), qps_at(8, 1)) {
+        if let (Some(one), Some(eight)) = (qps_at(1), qps_at(8)) {
             if eight < one * 1.5 {
                 failures.push(format!(
                     "8 workers on {}-thread hardware only reached {:.2}x the 1-worker \
                      throughput (expected >= 1.5x)",
                     output.hardware_threads,
                     eight / one.max(1e-9)
-                ));
-            }
-        }
-        // The tentpole gate: 8 workers over >= 4 shards must at least
-        // double the single-shard throughput at the same worker count.
-        let best_sharded = output
-            .rows
-            .iter()
-            .filter(|r| r.workers == 8 && r.shards >= 4)
-            .map(|r| r.qps)
-            .fold(None::<f64>, |best, q| Some(best.map_or(q, |b| b.max(q))));
-        if let (Some(mono), Some(sharded)) = (qps_at(8, 1), best_sharded) {
-            if sharded < mono * 2.0 {
-                failures.push(format!(
-                    "8 workers over >= 4 shards on {}-thread hardware only reached \
-                     {:.2}x the single-shard throughput (expected >= 2x)",
-                    output.hardware_threads,
-                    sharded / mono.max(1e-9)
                 ));
             }
         }
@@ -376,14 +324,10 @@ mod tests {
             connections: 3,
             queries_per_conn: 4,
             worker_counts: vec![1, 4],
-            shard_counts: vec![1, 3],
             ..Params::quick()
         });
-        assert_eq!(out.rows.len(), 4, "worker counts x shard counts");
+        assert_eq!(out.rows.len(), 2, "one row per worker count");
         for row in &out.rows {
-            // `identical` is checked against the *monolithic* baseline, so
-            // the shards=3 rows passing is the end-to-end bit-identity
-            // contract, not a tautology.
             assert!(row.identical, "{row:?}");
             assert_eq!(row.rejected, 0, "{row:?}");
             assert!(row.p50_ms > 0.0 && row.p50_ms <= row.p99_ms, "{row:?}");
@@ -397,7 +341,6 @@ mod tests {
             connections: 2,
             queries_per_conn: 3,
             worker_counts: vec![2],
-            shard_counts: vec![2],
             ..Params::quick()
         });
         let (text, table) = render(&out);

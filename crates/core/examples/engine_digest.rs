@@ -9,17 +9,19 @@
 //! `8`, diffs the outputs, and compares their sha256 with the committed
 //! `results/engine_digest.sha256`. GridFile's internal counters depend on
 //! `HashMap` iteration order, so its lines print matches and match-bits
-//! only. The final 4-shard section prints every `EngineStats` counter of
+//! only. The final 4-leaf section prints every `EngineStats` counter of
 //! multi-leaf queries, single (scattered across `HUM_THREADS` workers) and
 //! batched, so the executor's fixed-leaf-order absorption is under the
-//! same byte-diff.
+//! same byte-diff. (Its lines keep their historical `rstar shards=4` label:
+//! the committed hash covers them.)
 
 use std::fmt::Write as _;
 
 use hum_core::batch::BatchOptions;
-use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
+use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest, QueryScratch};
+use hum_core::exec::{execute, execute_batch, Leaf};
 use hum_core::kernel::KernelMode;
-use hum_core::shard::ShardedEngine;
+use hum_core::obs::MetricsSink;
 use hum_core::transform::paa::NewPaa;
 use hum_index::{GridFile, ItemId, LinearScan, RStarTree, SpatialIndex};
 
@@ -179,22 +181,36 @@ fn batch_digest<I: SpatialIndex>(
     let _ = writeln!(out, "{name} batch: m={m} bits={bits:x}");
 }
 
-/// Multi-leaf digest: the same workload over a 4-shard engine, printing
-/// every counter — they depend on the shard layout, never on the scatter
-/// width or thread count.
-fn sharded_digest(out: &mut String, kernel: KernelMode) {
+/// The leaf an id lands on in the multi-leaf section: `splitmix64(id) % 4`,
+/// a fixed partition that spreads contiguous ids.
+fn leaf_for(id: ItemId) -> usize {
+    let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z % 4) as usize
+}
+
+/// Multi-leaf digest: the same workload over 4 leaves, printing every
+/// counter — they depend on the leaf layout, never on the scatter width or
+/// thread count.
+fn multi_leaf_digest(out: &mut String, kernel: KernelMode) {
     let series = lcg_series(400, 64, 11);
     let queries = lcg_series(12, 64, 777);
-    let mut engine = ShardedEngine::build(4, |_| {
-        DtwIndexEngine::new(
-            NewPaa::new(64, 8),
-            RStarTree::with_page_size(8, 1024),
-            config_for(2, kernel),
-        )
-    });
+    let mut engines: Vec<_> = (0..4)
+        .map(|_| {
+            DtwIndexEngine::new(
+                NewPaa::new(64, 8),
+                RStarTree::with_page_size(8, 1024),
+                config_for(2, kernel),
+            )
+        })
+        .collect();
     for (i, s) in series.iter().enumerate() {
-        engine.insert(i as ItemId, s.clone());
+        engines[leaf_for(i as ItemId)].insert(i as ItemId, s.clone());
     }
+    let leaves: Vec<_> = engines.iter().map(|engine| Leaf { engine, meta: None }).collect();
+    let (threads, metrics) = (BatchOptions::default().threads, MetricsSink::Disabled);
     let mut batch = Vec::new();
     for q in &queries {
         for scan in [false, true] {
@@ -204,12 +220,13 @@ fn sharded_digest(out: &mut String, kernel: KernelMode) {
         }
     }
     for (i, request) in batch.iter().enumerate() {
-        let r = engine.query(request).result;
+        let r = execute(&leaves, request, &mut QueryScratch::new(), threads, &metrics)
+            .expect("digest workload is well-formed")
+            .result;
         let _ =
             writeln!(out, "rstar shards=4 r{i}: bits={:x} {:?}", match_bits(&r.matches), r.stats);
     }
-    let batched = engine
-        .try_query_batch(&batch, &BatchOptions::default())
+    let batched = execute_batch(&leaves, &batch, &BatchOptions::default(), &metrics)
         .expect("digest workload is well-formed");
     let _ = writeln!(out, "rstar shards=4 batch: {:?}", batched.stats);
 }
@@ -227,7 +244,7 @@ fn full_digest(kernel: KernelMode) -> String {
     batch_digest(&mut out, kernel, "rstar", || RStarTree::with_page_size(8, 1024));
     batch_digest(&mut out, kernel, "grid", || GridFile::with_params(8, 4, 32, 1024));
     batch_digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024));
-    sharded_digest(&mut out, kernel);
+    multi_leaf_digest(&mut out, kernel);
     out
 }
 

@@ -551,6 +551,13 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         self.transform.input_len()
     }
 
+    /// This engine as a one-element slice. Kept only for the frozen
+    /// benchmark's stage replay; ROADMAP item 1(b) deletes both.
+    #[doc(hidden)]
+    pub fn shards(&self) -> &[Self] {
+        std::slice::from_ref(self)
+    }
+
     /// The transform in use.
     pub fn transform(&self) -> &T {
         &self.transform

@@ -8,10 +8,9 @@
 //! with the pruning metadata of the storage unit it belongs to — and
 //! [`execute`] / [`execute_batch`] are the only functions that validate,
 //! prune, fan out, absorb counters, enforce the deadline contract, merge,
-//! and build the trace. A single engine is one leaf, a
-//! [`ShardedEngine`](crate::shard::ShardedEngine) is its shards, and a
-//! store-backed system is every storage unit's shards (segments oldest to
-//! newest, then the memtable).
+//! and build the trace. A single engine is one leaf, and a store-backed
+//! system is one leaf per storage unit (segments oldest to newest, then the
+//! memtable).
 //!
 //! # Leaf pruning
 //!

@@ -27,16 +27,13 @@
 //!   query primitives (indexed ε-range, the two k-NN rounds, the scans)
 //!   with exact-DTW refinement and full access accounting.
 //! * [`exec`] — the one query executor: validates a request, fans it over a
-//!   flat list of engine *leaves* (one engine, a sharded engine's shards, or
-//!   every storage unit of a store), runs the one-sweep k-NN schedule
+//!   flat list of engine *leaves* (one engine, or every storage unit of a
+//!   store), runs the one-sweep k-NN schedule
 //!   (seed round, radius barrier, close round), merges hits in fixed leaf
 //!   order — bit-identical to a brute-force sweep for every layout and
 //!   thread count — and batches requests ([`engine::BatchOutcome`]).
 //! * [`batch`] — the deterministic chunked fan-out underneath batched
 //!   execution (fixed-size chunks, chunk-order merge, per-worker scratch).
-//! * [`shard`] — hash routing over a partitioned corpus:
-//!   [`shard::ShardedEngine`] owns `N` independent engine shards and the
-//!   id → shard assignment; its queries are the executor over those shards.
 //! * [`segment`] — per-segment pruning metadata for LSM-style stores
 //!   (feature-space bounding boxes, bloom-style id filters).
 //! * [`obs`] — observability: a registry of named monotonic counters and
@@ -88,7 +85,6 @@ pub mod normal;
 pub mod obs;
 pub mod segment;
 pub mod session;
-pub mod shard;
 pub mod tightness;
 pub mod transform;
 pub mod upsample;

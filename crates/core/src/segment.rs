@@ -10,8 +10,7 @@
 
 use hum_index::Rect;
 
-/// The splitmix64 finalizer (same mixing steps as [`crate::shard::shard_for`]):
-/// decorrelates clustered id ranges before they index bloom-filter bits.
+/// The splitmix64 finalizer: decorrelates clustered id ranges before they index bloom-filter bits.
 fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -2,8 +2,10 @@
 //! request kind must return matches **bit-identical to a brute-force
 //! `ldtw_distance` sweep**, with counters and traces that depend on the
 //! layout but never on the width, and an expired budget must surface as one
-//! `DeadlineExceeded` with no matches — plus the executor's own contracts
-//! (leaf pruning is ε-range only; a batch validates everything first).
+//! `DeadlineExceeded` with no matches, and a batch over any layout must
+//! equal the same requests run one by one — plus the executor's own
+//! contracts (leaf pruning is ε-range only; a batch validates everything
+//! first).
 
 use std::time::Instant;
 
@@ -16,7 +18,6 @@ use hum_core::engine::{
 use hum_core::exec::{execute, execute_batch, Leaf};
 use hum_core::obs::{Metric, MetricsSink};
 use hum_core::segment::SegmentMeta;
-use hum_core::shard::ShardedEngine;
 use hum_core::transform::paa::NewPaa;
 use hum_core::EnvelopeTransform;
 use hum_index::{ItemId, RStarTree};
@@ -25,7 +26,6 @@ const LEN: usize = 64;
 const DIMS: usize = 8;
 const BAND: usize = 4;
 
-type Engine = ShardedEngine<NewPaa, RStarTree>;
 type Leaves<'a> = Vec<Leaf<'a, NewPaa, RStarTree>>;
 
 /// Centered random walks; every fifth series rides a steep centered ramp,
@@ -56,21 +56,19 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// One storage unit: a sharded engine over the series `pick` selects, plus
-/// (for an immutable segment) its pruning metadata.
+/// One leaf's storage: an engine over the series `pick` selects, plus (for
+/// an immutable segment) its pruning metadata.
 struct Unit {
-    engine: Engine,
+    engine: DtwIndexEngine<NewPaa, RStarTree>,
     meta: Option<SegmentMeta>,
 }
 
-fn unit(series: &[Vec<f64>], shards: usize, segment: bool, pick: impl Fn(usize) -> bool) -> Unit {
-    let mut engine = ShardedEngine::build(shards, |_| {
-        DtwIndexEngine::new(
-            NewPaa::new(LEN, DIMS),
-            RStarTree::with_page_size(DIMS, 1024),
-            EngineConfig::default(),
-        )
-    });
+fn unit(series: &[Vec<f64>], segment: bool, pick: impl Fn(usize) -> bool) -> Unit {
+    let mut engine = DtwIndexEngine::new(
+        NewPaa::new(LEN, DIMS),
+        RStarTree::with_page_size(DIMS, 1024),
+        EngineConfig::default(),
+    );
     let mut meta = SegmentMeta::new(series.len());
     for (i, s) in series.iter().enumerate().filter(|(i, _)| pick(*i)) {
         engine.insert(i as ItemId, s.clone());
@@ -83,29 +81,32 @@ fn unit(series: &[Vec<f64>], shards: usize, segment: bool, pick: impl Fn(usize) 
 /// first, the memtable — no metadata — last).
 fn layouts(series: &[Vec<f64>]) -> Vec<(&'static str, Vec<Unit>)> {
     vec![
-        ("1 leaf", vec![unit(series, 1, false, |_| true)]),
-        ("4 shards", vec![unit(series, 4, false, |_| true)]),
+        ("1 leaf", vec![unit(series, false, |_| true)]),
+        ("4 leaves", (0..4).map(|j| unit(series, false, move |i| i % 4 == j)).collect()),
         (
-            "3 units x 1 shard",
+            "3 units",
             vec![
-                unit(series, 1, true, |i| i % 5 == 0),
-                unit(series, 1, true, |i| i % 5 != 0 && i % 2 == 0),
-                unit(series, 1, false, |i| i % 5 != 0 && i % 2 == 1),
+                unit(series, true, |i| i % 5 == 0),
+                unit(series, true, |i| i % 5 != 0 && i % 2 == 0),
+                unit(series, false, |i| i % 5 != 0 && i % 2 == 1),
             ],
         ),
         (
-            "3 units x 2 shards, one empty",
+            "6 units, one empty",
             vec![
-                unit(series, 2, true, |i| i % 5 == 0),
-                unit(series, 2, true, |i| i % 5 != 0),
-                unit(series, 2, false, |_| false),
+                unit(series, true, |i| i % 5 == 0 && i % 2 == 0),
+                unit(series, true, |i| i % 5 == 0 && i % 2 == 1),
+                unit(series, true, |i| i % 5 != 0 && i % 3 == 0),
+                unit(series, true, |i| i % 5 != 0 && i % 3 == 1),
+                unit(series, true, |i| i % 5 != 0 && i % 3 == 2),
+                unit(series, false, |_| false),
             ],
         ),
     ]
 }
 
 fn leaves(units: &[Unit]) -> Leaves<'_> {
-    units.iter().flat_map(|u| u.engine.leaves(u.meta.as_ref())).collect()
+    units.iter().map(|u| Leaf { engine: &u.engine, meta: u.meta.as_ref() }).collect()
 }
 
 fn run(
@@ -177,10 +178,10 @@ fn corpora() -> Vec<(&'static str, Vec<Vec<f64>>)> {
     vec![("plain", plain), ("tie group", ties), ("distance ties", distance_ties)]
 }
 
-/// The layout matrix: every corpus × {1 leaf, 4 shards, 3 units × 1 shard,
-/// 3 units × 2 shards with one unit empty} × width {1, 8} × every request
-/// shape, each run once unbudgeted (against the oracle) and once already
-/// expired. The layouts hold leaves smaller than `M`, and leaves that
+/// The layout matrix: every corpus × {1 leaf, 4 leaves, 3 units, 6 units
+/// with one empty} × width {1, 8} × every request shape, each run once
+/// unbudgeted (against the oracle) and once already expired, then all at
+/// once as a batch at 1 and 8 threads. The layouts hold leaves smaller than `M`, and leaves that
 /// contribute nothing to a k-NN answer (checked, not assumed).
 #[test]
 fn every_layout_matches_brute_force_at_every_width_and_honours_the_deadline() {
@@ -205,9 +206,11 @@ fn check_layout(
     expired: QueryBudget,
     idle_leaves: &mut usize,
 ) {
-    for request in requests(series) {
-        let narrow = run(leaves, &request, 1).expect("unbudgeted query completes");
-        let expected = brute_force(series, &request);
+    let requests = requests(series);
+    let mut sequential = Vec::new();
+    for request in &requests {
+        let narrow = run(leaves, request, 1).expect("unbudgeted query completes");
+        let expected = brute_force(series, request);
         assert_eq!(narrow.result.matches, expected, "{name}: {request:?}");
         assert_eq!(narrow.result.stats.matches, expected.len() as u64, "{name}");
         let trace = narrow.trace.as_ref().expect("trace requested");
@@ -227,15 +230,16 @@ fn check_layout(
                 .count();
         }
         // Matches, counters and trace are functions of the layout alone.
-        let wide = run(leaves, &request, 8).expect("unbudgeted query completes");
+        let wide = run(leaves, request, 8).expect("unbudgeted query completes");
         assert_eq!(narrow, wide, "{name}: outcome varied with width for {request:?}");
+        sequential.push(narrow);
 
         // An indexed k = 0 does no per-candidate work, so it has no
         // deadline to miss; everything else aborts at its first poll.
         if matches!(request.kind(), RequestKind::Knn { k: 0 }) && !request.scan_enabled() {
             continue;
         }
-        let request = request.with_budget(expired);
+        let request = request.clone().with_budget(expired);
         let aborted = run(leaves, &request, 1);
         match &aborted {
             Err(EngineError::DeadlineExceeded { stats }) => {
@@ -245,6 +249,13 @@ fn check_layout(
             other => panic!("{name}: expected a deadline abort, got {other:?}"),
         }
         assert_eq!(aborted, run(leaves, &request, 8), "{name}: partial counters vary");
+    }
+    // A batch is the same requests one by one: matches, counters, traces.
+    for threads in [1usize, 8] {
+        let options = BatchOptions::new(threads, 2);
+        let batch = execute_batch(leaves, &requests, &options, &MetricsSink::Disabled)
+            .expect("unbudgeted batch completes");
+        assert_eq!(batch.outcomes, sequential, "{name}: batch diverged at threads={threads}");
     }
 }
 
@@ -284,7 +295,8 @@ fn only_indexed_range_queries_prune_leaves() {
     let series = corpus(90, 13);
     let (_, units) = layouts(&series).swap_remove(2);
     let pruning = leaves(&units);
-    let unpruned: Leaves<'_> = units.iter().flat_map(|u| u.engine.leaves(None)).collect();
+    let unpruned: Leaves<'_> =
+        units.iter().map(|u| Leaf { engine: &u.engine, meta: None }).collect();
     for request in requests(&series) {
         let with = run(&pruning, &request, 1).expect("completes");
         let without = run(&unpruned, &request, 1).expect("completes");

@@ -3,7 +3,7 @@
 //! ```text
 //! qbh generate <dir> [--songs N] [--seed S]   write a melody corpus as .mid files
 //! qbh info     <dir>                          corpus statistics
-//! qbh index    <dir> <store-dir> [--shards N] [--memtable N] [--compact-at N]
+//! qbh index    <dir> <store-dir> [--memtable N] [--compact-at N]
 //!                                             ingest the corpus into a
 //!                                             segmented store directory
 //! qbh hum      <dir> <name.mid> <out.wav>     synthesize a hum of one melody
@@ -29,7 +29,9 @@
 //! read, or a stray argument, is a usage error (exit code 2) naming it.
 //!
 //! Stores index with the paper's New_PAA envelope transform at 8
-//! dimensions; there is no transform to choose.
+//! dimensions; there is no transform to choose, and each storage unit
+//! (segment or memtable) is one engine — there is no partition to choose
+//! either.
 //!
 //! Everything on disk goes through this workspace's own codecs: melodies are
 //! Standard MIDI Files written/parsed by `hum-midi`, hums are PCM16 WAV
@@ -127,7 +129,7 @@ fn main() -> ExitCode {
 
 fn usage_text() -> &'static str {
     "usage:\n  qbh generate <dir> [--songs N] [--seed S]\n  qbh info <dir>\n  \
-     qbh index <dir> <store-dir> [--shards N] [--memtable N] [--compact-at N]\n  \
+     qbh index <dir> <store-dir> [--memtable N] [--compact-at N]\n  \
      qbh hum <dir> <name.mid> <out.wav> [--singer good|poor] [--seed S]\n          \
 [--stream ADDR] [--top K] [--chunk-frames N]\n  \
      qbh query <dir|store-dir> <hum.wav> [--top K]\n  \
@@ -363,20 +365,15 @@ fn store_options(args: &[String]) -> Result<StoreOptions, CliError> {
 }
 
 fn cmd_index(args: &[String]) -> Result<(), CliError> {
-    check_args(args, 2, &["--shards", "--memtable", "--compact-at"], &[])?;
+    check_args(args, 2, &["--memtable", "--compact-at"], &[])?;
     let dir = PathBuf::from(args.first().ok_or("index needs a directory")?);
     let out = PathBuf::from(args.get(1).ok_or("index needs a store directory")?);
     let corpus = load_corpus(&dir)?;
     let db = hum_qbh::corpus::MelodyDatabase::from_melodies(
         corpus.values().cloned().collect::<Vec<_>>(),
     );
-    // The manifest pins the partition every segment engine is built with,
-    // so the shard count is chosen here, not at serve time.
-    let config = QbhConfig {
-        shards: flag_value(args, "--shards")?.map_or(1, |n| n.max(1) as usize),
-        ..QbhConfig::default()
-    };
-    let mut system = QbhSystem::try_create_store(&out, &config, store_options(args)?)?;
+    let mut system =
+        QbhSystem::try_create_store(&out, &QbhConfig::default(), store_options(args)?)?;
     system.try_ingest(&db)?;
     let stats = system.store_stats().unwrap_or_default();
     println!(
@@ -473,13 +470,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let system = QbhSystem::try_open_store_with(&path, store_options(args)?, &metrics)?;
     let stats = system.store_stats().unwrap_or_default();
     eprintln!(
-        "Opened store {} ({} melodies, {} segments, {} tombstones, {} shard{}).",
+        "Opened store {} ({} melodies, {} segments, {} tombstones).",
         path.display(),
         system.len(),
         stats.segments,
-        stats.tombstones,
-        system.shard_count(),
-        if system.shard_count() == 1 { "" } else { "s" }
+        stats.tombstones
     );
 
     let config = ServerConfig {

@@ -62,9 +62,8 @@ const PLAN_CANDIDATE_LEN: usize = 37;
 /// Hard cap on the candidate rows a legacy plan block may claim.
 const MAX_PLAN_CANDIDATES: u32 = 1024;
 
-/// Hard cap on the shard count a file may claim (far above any sensible
-/// serving fan-out; bounds per-shard bookkeeping on untrusted files).
-const MAX_SHARDS: usize = 4096;
+/// The highest shard count readers accept (see [`write_config_section`]).
+const MAX_SHARDS: u32 = 4096;
 
 /// Hard cap on the melody count a file may claim.
 pub(crate) const MAX_MELODIES: u64 = 100_000_000;
@@ -329,12 +328,6 @@ pub(crate) fn validate_config(config: &QbhConfig) -> Result<(), String> {
     if config.page_bytes > 1 << 30 {
         return Err(format!("implausible page size {}", config.page_bytes));
     }
-    if config.shards == 0 {
-        return Err("zero shard count".into());
-    }
-    if config.shards > MAX_SHARDS {
-        return Err(format!("implausible shard count {}", config.shards));
-    }
     if config.feature_dims > config.normal_length {
         return Err(format!(
             "feature dims {} exceed normal length {}",
@@ -361,13 +354,13 @@ pub(crate) fn as_u32(value: usize, what: &str) -> Result<u32, StorageError> {
 /// ```text
 /// [ normal_length u32, feature_dims u32, samples_per_beat u32 ]
 /// [ warping_width f64, transform tag u8, index tag u8         ]
-/// [ page_bytes u32, shards u32                                ]
+/// [ page_bytes u32, shard count u32                           ]
 /// [ CRC32(section body)                               4 bytes ]
 /// ```
 ///
-/// Both tags are reserved bytes. Segments store normal forms, and features
-/// and indexes are rebuilt from them at open, so neither tag ever described
-/// stored data:
+/// Both tags and the shard count are reserved. Segments store normal forms,
+/// and features and indexes are rebuilt from them at open, so none of them
+/// ever described stored data:
 ///
 /// * the transform tag once named the envelope transform (0 New_PAA,
 ///   1 Keogh_PAA, 2 DFT, 3 DWT). Writers put 0 and readers accept 0–3: a
@@ -375,7 +368,11 @@ pub(crate) fn as_u32(value: usize, what: &str) -> Result<u32, StorageError> {
 ///   matches. Tag 4 (SVD) no store could be created with, so it and
 ///   everything above it is [`StorageError::Corrupt`];
 /// * the index tag once named the index (0 R\*-tree, 1 grid file, 2 linear
-///   scan). Writers put 2 and readers accept 0–2.
+///   scan). Writers put 2 and readers accept 0–2;
+/// * the shard count once split every storage unit into that many engines
+///   by an id hash. Writers put 1 and readers accept 1–4096: a store
+///   written at any shard count opens with one engine per unit and the
+///   same matches. 0 and everything above 4096 is [`StorageError::Corrupt`].
 ///
 /// # Errors
 /// [`StorageError::Unrepresentable`] when the configuration fails
@@ -392,7 +389,7 @@ pub(crate) fn write_config_section<W: Write>(
     dst.put(&config.warping_width.to_le_bytes())?;
     dst.put(&[0, LINEAR_INDEX_TAG])?;
     dst.put(&as_u32(config.page_bytes, "page size")?.to_le_bytes())?;
-    dst.put(&as_u32(config.shards, "shard count")?.to_le_bytes())?;
+    dst.put(&1u32.to_le_bytes())?;
     dst.finish_section()
 }
 
@@ -414,13 +411,16 @@ pub(crate) fn read_config_section<R: Read>(
     if body[21] > LINEAR_INDEX_TAG {
         return Err(StorageError::Corrupt(format!("unknown index tag {}", body[21])));
     }
+    let shards = le_u32(26);
+    if !(1..=MAX_SHARDS).contains(&shards) {
+        return Err(StorageError::Corrupt(format!("implausible shard count {shards}")));
+    }
     let config = QbhConfig {
         normal_length: le_u32(0) as usize,
         feature_dims: le_u32(4) as usize,
         samples_per_beat: le_u32(8) as usize,
         warping_width: f64::from_le_bytes(ww),
         page_bytes: le_u32(22) as usize,
-        shards: le_u32(26) as usize,
     };
     validate_config(&config).map_err(StorageError::Corrupt)?;
     Ok(config)
@@ -559,6 +559,8 @@ mod tests {
     const CONFIG_CRC_AT: usize = CONFIG_AT + CONFIG_BODY_LEN;
     /// Where the first count (entries / segments) sits.
     const COUNT_AT: usize = CONFIG_CRC_AT + 4;
+    /// The reserved shard count inside the config section body.
+    const SHARDS_AT: usize = CONFIG_AT + 26;
 
     fn sample() -> (QbhConfig, Vec<SegmentEntry>, Manifest) {
         let config = QbhConfig { warping_width: 0.07, ..QbhConfig::default() };
@@ -659,28 +661,14 @@ mod tests {
         assert_eq!(back, entries);
         assert_eq!(read_manifest(&mut manifest_image(&manifest).as_slice()).unwrap(), manifest);
         // The reserved bytes as writers put them: transform tag 0, index
-        // tag 2, and a plan section of one 0 byte before its CRC and the
-        // footer.
+        // tag 2, shard count 1, and a plan section of one 0 byte before its
+        // CRC and the footer.
         for (name, image, _) in images() {
             assert_eq!(image[CONFIG_AT + 20..CONFIG_AT + 22], [0, LINEAR_INDEX_TAG], "{name}");
+            assert_eq!(image[SHARDS_AT..CONFIG_CRC_AT], 1u32.to_le_bytes(), "{name}");
         }
         let image = manifest_image(&manifest);
         assert_eq!(image[image.len() - 9], 0);
-    }
-
-    #[test]
-    fn sharded_roundtrip_preserves_partition_and_ids() {
-        let (config, entries, manifest) = sample();
-        for shards in [2usize, 5] {
-            let config = QbhConfig { shards, ..config };
-            let (back_config, back) =
-                read_segment(&mut segment_image(&config, &entries).as_slice()).unwrap();
-            assert_eq!(back_config.shards, shards);
-            assert!(back.iter().map(|e| e.id).eq(entries.iter().map(|e| e.id)));
-            let manifest = Manifest { config, ..manifest.clone() };
-            let back = read_manifest(&mut manifest_image(&manifest).as_slice()).unwrap();
-            assert_eq!(back.config.shards, shards);
-        }
     }
 
     #[test]
@@ -747,23 +735,26 @@ mod tests {
 
     #[test]
     fn corrupt_tags_and_notes_rejected() {
-        // The transform/index tags live at offsets 28/29 (inside the config
-        // section body); every transform tag past 3 (4 was SVD) and every
-        // index tag past 2 is foreign. A bare patch trips the section
-        // checksum; with the section CRC recomputed, the typed tag error
-        // surfaces instead (config is parsed before the footer).
+        // The transform/index tags live at offsets 28/29 and the shard count
+        // at 34 (inside the config section body); every transform tag past 3
+        // (4 was SVD), every index tag past 2 and a shard count of 0 or past
+        // 4096 is foreign. A bare patch trips the section checksum; with the
+        // section CRC recomputed, the typed tag error surfaces instead
+        // (config is parsed before the footer).
         for (name, image, read) in images() {
-            let transform_tags = (4..=u8::MAX).map(|tag| (CONFIG_AT + 20, tag));
-            let index_tags = (LINEAR_INDEX_TAG + 1..=u8::MAX).map(|tag| (CONFIG_AT + 21, tag));
-            for (tag_at, tag) in transform_tags.chain(index_tags) {
+            let byte = |at: usize, tag: u8| (at, vec![tag]);
+            let transform_tags = (4..=u8::MAX).map(|tag| byte(CONFIG_AT + 20, tag));
+            let index_tags = (LINEAR_INDEX_TAG + 1..=u8::MAX).map(|tag| byte(CONFIG_AT + 21, tag));
+            let shards = [0u32, 4097].map(|n| (SHARDS_AT, n.to_le_bytes().to_vec()));
+            for (tag_at, tag) in transform_tags.chain(index_tags).chain(shards) {
                 let mut bad = image.clone();
-                bad[tag_at] = tag;
+                bad[tag_at..tag_at + tag.len()].copy_from_slice(&tag);
                 let err = read(&mut bad.as_slice()).unwrap_err();
                 assert!(matches!(err, StorageError::Checksum("config")), "{name}: {err}");
                 let crc = crc32(&bad[CONFIG_AT..CONFIG_CRC_AT]).to_le_bytes();
                 bad[CONFIG_CRC_AT..COUNT_AT].copy_from_slice(&crc);
                 let err = read(&mut bad.as_slice()).unwrap_err();
-                assert!(matches!(err, StorageError::Corrupt(_)), "{name}, tag {tag}: {err}");
+                assert!(matches!(err, StorageError::Corrupt(_)), "{name}, tag {tag:?}: {err}");
             }
         }
         // A non-finite sample behind valid checksums: only the per-sample
@@ -914,31 +905,33 @@ mod tests {
 
     #[test]
     fn loaded_database_builds_an_equivalent_system() {
-        // Under every transform tag (0 New_PAA, 1 Keogh_PAA, 2 DFT, 3 DWT)
-        // and index tag (0 R*-tree, 1 grid file, 2 flat sweep) a store was
-        // written with, and under a manifest carrying build-time planner
-        // evidence: features and indexes are rebuilt at open, so all answer
-        // like an in-memory build. Each then takes a flush (current-writer
-        // segment and manifest over the old-tag segments) and reopens.
+        // Under every transform tag (0 New_PAA, 1 Keogh_PAA, 2 DFT, 3 DWT),
+        // index tag (0 R*-tree, 1 grid file, 2 flat sweep) and shard count
+        // (2, 4, 4096) a store was written with, and under a manifest
+        // carrying build-time planner evidence: features and indexes are
+        // rebuilt at open, one engine per unit, so all answer like an
+        // in-memory build. Each then takes a flush (current-writer segment
+        // and manifest over the old-field segments) and reopens.
         let dir = TempPath::unique("storage-equivalent");
         let (db, system) = ingest(dir.path(), &MetricsSink::Disabled);
         drop(system);
         let mut original = QbhSystem::build(&db, &QbhConfig::default());
         let mut queries: Vec<Vec<f64>> =
             [1, 5, 10].iter().map(|&id| db.entry(id).unwrap().melody().to_time_series(4)).collect();
-        let index_tags = (0..=LINEAR_INDEX_TAG).map(|tag| (CONFIG_AT + 21, tag));
-        let transform_tags = (0..=3).map(|tag| (CONFIG_AT + 20, tag));
-        let rewrites: Vec<Option<(usize, u8)>> =
-            index_tags.chain(transform_tags).map(Some).chain([None]).collect();
+        let index_tags = (0..=LINEAR_INDEX_TAG).map(|tag| (CONFIG_AT + 21, vec![tag]));
+        let transform_tags = (0..=3).map(|tag| (CONFIG_AT + 20, vec![tag]));
+        let shards = [2u32, 4, 4096].map(|n| (SHARDS_AT, n.to_le_bytes().to_vec()));
+        let rewrites: Vec<Option<(usize, Vec<u8>)>> =
+            index_tags.chain(transform_tags).chain(shards).map(Some).chain([None]).collect();
         for (round, rewrite) in rewrites.into_iter().enumerate() {
             let manifest = manifest_path(dir.path());
-            match rewrite {
-                Some((tag_at, tag)) => {
+            match &rewrite {
+                Some((field_at, field)) => {
                     let segments = load_manifest(&manifest).unwrap().segments;
                     let files = segments.iter().map(|s| segment_path(dir.path(), s.id));
                     for file in files.chain([manifest]) {
                         let mut bytes = std::fs::read(&file).unwrap();
-                        bytes[tag_at] = tag;
+                        bytes[*field_at..field_at + field.len()].copy_from_slice(field);
                         reseal(&mut bytes);
                         std::fs::write(&file, bytes).unwrap();
                     }

@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn segment_roundtrip_is_exact() {
-        let config = QbhConfig { shards: 3, ..QbhConfig::default() };
+        let config = QbhConfig::default();
         let entries = sample_entries(&config, 7);
         let mut image = Vec::new();
         write_segment(&mut image, &config, &entries).unwrap();

@@ -30,7 +30,6 @@ use hum_core::obs::{Metric, MetricsSink, QueryTrace};
 use hum_core::exec::{execute, execute_batch, Leaf};
 use hum_core::segment::SegmentMeta;
 use hum_core::session::QuerySession;
-use hum_core::shard::ShardedEngine;
 use hum_core::transform::paa::NewPaa;
 use hum_core::transform::EnvelopeTransform;
 use hum_index::LinearScan;
@@ -57,10 +56,6 @@ pub struct QbhConfig {
     /// leaves the configuration and the manifest once the feature plane
     /// moves into the series arena.
     pub page_bytes: usize,
-    /// Number of corpus shards per storage unit (1 = monolithic). Matches
-    /// are bit-identical at every shard count; see [`hum_core::exec`] for
-    /// the determinism contract.
-    pub shards: usize,
 }
 
 impl Default for QbhConfig {
@@ -71,7 +66,6 @@ impl Default for QbhConfig {
             samples_per_beat: 4,
             warping_width: 0.1,
             page_bytes: 4096,
-            shards: 1,
         }
     }
 }
@@ -98,19 +92,18 @@ pub struct QbhResults {
     pub stats: EngineStats,
 }
 
-/// The engine type of one storage unit: a sharded engine over New_PAA and
-/// the flat feature sweep. With [`QbhConfig::shards`]` == 1` (the default)
-/// the single shard *is* the monolithic engine.
-pub type QbhEngine = ShardedEngine<NewPaa, LinearScan>;
+/// The engine type of one storage unit — and of one executor leaf: New_PAA
+/// over the flat feature sweep.
+pub type QbhEngine = DtwIndexEngine<NewPaa, LinearScan>;
 
 /// One leaf of the list the system hands the executor (see
 /// [`hum_core::exec`]).
 type QbhLeaf<'a> = Leaf<'a, NewPaa, LinearScan>;
 
-/// One immutable on-disk segment, resident in memory: its own sharded
-/// engine over the segment's live (non-tombstoned) melodies, plus pruning
-/// metadata and the full id list from the segment file (tombstoned ids
-/// included, so manifest counts stay consistent on rewrite).
+/// One immutable on-disk segment, resident in memory: its own engine over
+/// the segment's live (non-tombstoned) melodies, plus pruning metadata and
+/// the full id list from the segment file (tombstoned ids included, so
+/// manifest counts stay consistent on rewrite).
 struct StoreSegment {
     id: u64,
     engine: QbhEngine,
@@ -283,7 +276,8 @@ impl MaintenancePlan {
                 // order across them.
                 entries.sort_by_key(|e| e.id);
                 let merged = StoreSegment::build(segment_id, &config, &entries, &BTreeSet::new())?;
-                (file, save(&entries)?, BuiltJob::Compaction { purged, merged: Some(merged) })
+                let job = BuiltJob::Compaction { purged, merged: Some(Box::new(merged)) };
+                (file, save(&entries)?, job)
             }
         };
         Ok(BuiltMaintenance { segment_id, live_segments, file, written, job })
@@ -294,7 +288,7 @@ impl MaintenancePlan {
 enum BuiltJob {
     Flush { entries: Vec<SegmentEntry>, meta: SegmentMeta },
     /// `merged` is `None` when nothing was live to merge.
-    Compaction { purged: BTreeSet<u64>, merged: Option<StoreSegment> },
+    Compaction { purged: BTreeSet<u64>, merged: Option<Box<StoreSegment>> },
 }
 
 /// Phase 2's result: a segment written and indexed but named by no
@@ -325,11 +319,6 @@ impl Drop for RetiredSegments {
     }
 }
 
-/// The empty feature index of one engine shard; it fills by appending.
-fn make_index(config: &QbhConfig) -> LinearScan {
-    LinearScan::with_page_size(config.feature_dims, config.page_bytes)
-}
-
 /// Books a failed durable write as `storage.save_errors` before handing
 /// the result on (successes are booked by the flush or compaction they
 /// complete).
@@ -350,13 +339,11 @@ fn new_paa(config: &QbhConfig) -> NewPaa {
     NewPaa::new(config.normal_length, config.feature_dims)
 }
 
-/// An empty engine for one storage unit (memtable or segment). Every unit
-/// uses `config.shards`, so the single-unit case is byte-for-byte the
-/// monolithic engine.
+/// An empty engine for one storage unit (memtable or segment); its flat
+/// feature index fills by appending.
 fn unit_engine(config: &QbhConfig) -> QbhEngine {
-    QbhEngine::build(config.shards.max(1), |_| {
-        DtwIndexEngine::new(new_paa(config), make_index(config), EngineConfig::default())
-    })
+    let index = LinearScan::with_page_size(config.feature_dims, config.page_bytes);
+    DtwIndexEngine::new(new_paa(config), index, EngineConfig::default())
 }
 
 /// A built query-by-humming system.
@@ -364,10 +351,10 @@ fn unit_engine(config: &QbhConfig) -> QbhEngine {
 /// Storage-wise the system is a one-level LSM tree: a mutable **memtable**
 /// engine absorbing live inserts, over zero or more immutable **segments**
 /// (each a [`StoreSegment`] with its own engine). Every query runs through
-/// the one executor ([`hum_core::exec`]) over the shards of every unit, so
+/// the one executor ([`hum_core::exec`]) over every unit, one leaf each, so
 /// matches are bit-identical to a monolithic engine over the union corpus
-/// at every segment count, shard count, and thread count. Systems built in
-/// memory ([`QbhSystem::build`]) have exactly one unit (the memtable);
+/// at every segment count and thread count. Systems built in memory
+/// ([`QbhSystem::build`]) have exactly one unit (the memtable);
 /// store-backed systems ([`QbhSystem::try_create_store`] /
 /// [`QbhSystem::try_open_store`]) add the durable segment lifecycle
 /// ([`QbhSystem::flush`], [`QbhSystem::compact`], [`QbhSystem::maintain`]).
@@ -539,9 +526,11 @@ impl QbhSystem {
         &self.config
     }
 
-    /// Number of corpus shards each storage unit scatters queries across.
+    /// Always 1: a storage unit is one engine. Kept only for the frozen
+    /// benchmark's stage replay; ROADMAP item 1(b) deletes both.
+    #[doc(hidden)]
     pub fn shard_count(&self) -> usize {
-        self.memtable.shard_count()
+        1
     }
 
     /// The memtable engine, for experiments that need raw control. For an
@@ -569,12 +558,13 @@ impl QbhSystem {
         &self.metrics
     }
 
-    /// The executor's leaf list: the shards of every storage unit, in fixed
-    /// order — segments oldest to newest, then the memtable — so merged
-    /// counters are reproducible (matches are order-independent).
+    /// The executor's leaf list: one per storage unit, in fixed order —
+    /// segments oldest to newest, then the memtable — so merged counters
+    /// are reproducible (matches are order-independent).
     fn leaves(&self) -> Vec<QbhLeaf<'_>> {
-        let segments = self.segments.iter().flat_map(|seg| seg.engine.leaves(Some(&seg.meta)));
-        segments.chain(self.memtable.leaves(None)).collect()
+        let segments =
+            self.segments.iter().map(|seg| Leaf { engine: &seg.engine, meta: Some(&seg.meta) });
+        segments.chain([Leaf { engine: &self.memtable, meta: None }]).collect()
     }
 
     /// Opens the frames → request builder every query goes through: the
@@ -1128,7 +1118,7 @@ impl QbhSystem {
         &mut self,
         dir: &Path,
         purged: &BTreeSet<u64>,
-        merged: Option<StoreSegment>,
+        merged: Option<Box<StoreSegment>>,
     ) -> Result<(Vec<StoreSegment>, u64), StorageError> {
         let state = self.store_state("commit")?;
         // Tombstones the merge honoured are gone with their entries; one
@@ -1137,7 +1127,7 @@ impl QbhSystem {
         let tombstones: BTreeSet<u64> = state.tombstones.difference(purged).copied().collect();
         // A full merge: the merged segment, if anything was live, is the
         // whole list, so it trivially sits where its id sorts.
-        let mut segments: Vec<StoreSegment> = merged.into_iter().collect();
+        let mut segments: Vec<StoreSegment> = merged.into_iter().map(|m| *m).collect();
         let refs = segments.iter().map(StoreSegment::to_ref).collect();
         let manifest_bytes = self.save_manifest_of(dir, refs, &tombstones)?;
 
@@ -1286,30 +1276,6 @@ mod tests {
         let series = db.entry(23).unwrap().melody().to_time_series(4);
         let m = &system.query_series(&series, 1).matches[0];
         assert_eq!((m.song, m.phrase), (db.entry(23).unwrap().song(), db.entry(23).unwrap().phrase()));
-    }
-
-    #[test]
-    fn sharded_system_matches_monolithic() {
-        let db = small_db();
-        let mono = QbhSystem::build(&db, &QbhConfig::default());
-        for shards in [2usize, 4, 7] {
-            let system = QbhSystem::build(&db, &QbhConfig { shards, ..QbhConfig::default() });
-            assert_eq!(system.shard_count(), shards);
-            for id in [3u64, 17, 29] {
-                let series = db.entry(id).unwrap().melody().to_time_series(4);
-                assert_eq!(
-                    system.query_series(&series, 5).matches,
-                    mono.query_series(&series, 5).matches,
-                    "shards={shards} id={id}"
-                );
-                let range = QueryRequest::range(2.0).with_band(system.band());
-                assert_eq!(
-                    system.try_query_request(&series, range.clone()).unwrap().0.matches,
-                    mono.try_query_request(&series, range).unwrap().0.matches,
-                    "shards={shards} id={id}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1488,7 +1454,7 @@ mod tests {
     #[test]
     fn streaming_session_matches_one_shot_at_every_checkpoint() {
         let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig { shards: 3, ..QbhConfig::default() });
+        let system = QbhSystem::build(&db, &QbhConfig::default());
         let mut singer = HummingSimulator::new(SingerProfile::good(), 77);
         let hum = singer.sing_series(db.entry(19).unwrap().melody(), 0.01);
 

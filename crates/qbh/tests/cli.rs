@@ -106,6 +106,7 @@ fn unknown_and_misspelt_flags_are_usage_errors() {
     for (args, flag) in [
         (vec!["index", dir_s, store_s, "--transform", "dft"], "--transform"),
         (vec!["index", dir_s, store_s, "--shard", "4"], "--shard"),
+        (vec!["index", dir_s, store_s, "--shards", "2"], "--shards"),
         (vec!["serve", store_s, "--worker", "2"], "--worker"),
     ] {
         let out = qbh(&args);
@@ -173,7 +174,7 @@ fn serve_prints_the_bound_address_and_shuts_down_cleanly_over_the_wire() {
     let dir_s = dir.to_str().unwrap();
     assert!(qbh(&["generate", dir_s, "--songs", "2", "--seed", "7"]).status.success());
     let idx = dir.join("store");
-    assert!(qbh(&["index", dir_s, idx.to_str().unwrap(), "--shards", "2"]).status.success());
+    assert!(qbh(&["index", dir_s, idx.to_str().unwrap()]).status.success());
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_qbh"))
         .args([
@@ -211,7 +212,7 @@ fn serve_prints_the_bound_address_and_shuts_down_cleanly_over_the_wire() {
     assert!(rest.is_empty(), "stdout must stay clean after the address: {rest}");
     let mut err = String::new();
     child.stderr.take().unwrap().read_to_string(&mut err).expect("drain stderr");
-    assert!(err.contains("2 shards"), "the shard count chosen at index time is served: {err}");
+    assert!(err.contains("(40 melodies, "), "the banner describes the opened store: {err}");
     assert!(err.contains("draining in-flight requests"), "{err}");
     // Only queue-admitted work ops count; ping and shutdown are answered
     // inline on the connection thread.

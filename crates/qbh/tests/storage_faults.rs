@@ -611,23 +611,17 @@ fn segment_and_manifest_codecs_fail_typed_under_faults() {
 
 fn config_strategy() -> impl Strategy<Value = QbhConfig> {
     (
-        (
-            prop_oneof![Just(64usize), Just(128usize)],
-            prop_oneof![Just(4usize), Just(8usize)],
-            1usize..6,
-            0.0f64..0.3,
-        ),
-        1usize..5,
+        prop_oneof![Just(64usize), Just(128usize)],
+        prop_oneof![Just(4usize), Just(8usize)],
+        1usize..6,
+        0.0f64..0.3,
     )
-        .prop_map(|((normal_length, feature_dims, samples_per_beat, warping_width), shards)| {
-            QbhConfig {
-                normal_length,
-                feature_dims,
-                samples_per_beat,
-                warping_width,
-                shards,
-                page_bytes: 4096,
-            }
+        .prop_map(|(normal_length, feature_dims, samples_per_beat, warping_width)| QbhConfig {
+            normal_length,
+            feature_dims,
+            samples_per_beat,
+            warping_width,
+            page_bytes: 4096,
         })
 }
 

@@ -1,8 +1,8 @@
 //! The segmented storage engine, end to end: a memtable over immutable
 //! segments must answer **bit-identically** to the monolithic build at
-//! every segment layout and shard count, survive reloads unchanged, and
-//! make removals durable — a crash-and-reload can never resurrect a
-//! removed melody, whether it died in the memtable or in a segment. The
+//! every segment layout, survive reloads unchanged, and make removals
+//! durable — a crash-and-reload can never resurrect a removed melody,
+//! whether it died in the memtable or in a segment. The
 //! second half specifies behaviour under overlap: inserts, removals and
 //! queries between the plan, build and commit of a flush or compaction,
 //! checked against a brute-force [`Model`].
@@ -53,10 +53,6 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn config_with_shards(shards: usize) -> QbhConfig {
-    QbhConfig { shards, ..QbhConfig::default() }
-}
-
 fn series_of(db: &MelodyDatabase, id: u64) -> Vec<f64> {
     db.entry(id).unwrap().melody().to_time_series(QbhConfig::default().samples_per_beat)
 }
@@ -68,11 +64,10 @@ fn series_of(db: &MelodyDatabase, id: u64) -> Vec<f64> {
 fn build_store(
     db: &MelodyDatabase,
     dir: &Path,
-    shards: usize,
     per_segment: usize,
     flush_tail: bool,
 ) -> QbhSystem {
-    let config = config_with_shards(shards);
+    let config = QbhConfig::default();
     let options = StoreOptions { memtable_capacity: per_segment, ..StoreOptions::default() };
     let mut system = QbhSystem::try_create_store(dir, &config, options).unwrap();
     for entry in db.entries() {
@@ -106,29 +101,27 @@ fn assert_bit_identical(got: &[QbhMatch], want: &[QbhMatch], context: &str) {
 fn every_segment_layout_answers_bit_identically_to_the_monolithic_build() {
     let db = database();
     let queries = hums(&db, 4);
-    for shards in [1usize, 3] {
-        let monolithic = QbhSystem::build(&db, &config_with_shards(shards));
-        let band = monolithic.band();
-        // One flushed segment; two segments plus a 16-melody memtable;
-        // seven segments plus a 1-melody memtable.
-        for per_segment in [db.len(), 17, 7] {
-            let dir = temp_dir(&format!("layout-{shards}-{per_segment}"));
-            let system = build_store(&db, &dir, shards, per_segment, per_segment == db.len());
-            assert!(system.is_store_backed());
-            assert_eq!(system.len(), db.len());
-            for (i, q) in queries.iter().enumerate() {
-                let context = format!("#{i} x{shards}sh /{per_segment}");
-                let want = monolithic.query_series(q, 10);
-                let got = system.query_series(q, 10);
-                assert_bit_identical(&got.matches, &want.matches, &format!("knn {context}"));
+    let monolithic = QbhSystem::build(&db, &QbhConfig::default());
+    let band = monolithic.band();
+    // One flushed segment; two segments plus a 16-melody memtable; seven
+    // segments plus a 1-melody memtable.
+    for per_segment in [db.len(), 17, 7] {
+        let dir = temp_dir(&format!("layout-{per_segment}"));
+        let system = build_store(&db, &dir, per_segment, per_segment == db.len());
+        assert!(system.is_store_backed());
+        assert_eq!(system.len(), db.len());
+        for (i, q) in queries.iter().enumerate() {
+            let context = format!("#{i} /{per_segment}");
+            let want = monolithic.query_series(q, 10);
+            let got = system.query_series(q, 10);
+            assert_bit_identical(&got.matches, &want.matches, &format!("knn {context}"));
 
-                let request = QueryRequest::range(6.0).with_band(band);
-                let want = monolithic.try_query_request(q, request.clone()).unwrap().0;
-                let got = system.try_query_request(q, request).unwrap().0;
-                assert_bit_identical(&got.matches, &want.matches, &format!("range {context}"));
-            }
-            let _ = std::fs::remove_dir_all(&dir);
+            let request = QueryRequest::range(6.0).with_band(band);
+            let want = monolithic.try_query_request(q, request.clone()).unwrap().0;
+            let got = system.try_query_request(q, request).unwrap().0;
+            assert_bit_identical(&got.matches, &want.matches, &format!("range {context}"));
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -136,9 +129,9 @@ fn every_segment_layout_answers_bit_identically_to_the_monolithic_build() {
 fn batch_and_prefix_queries_are_segment_invariant() {
     let db = database();
     let queries = hums(&db, 5);
-    let monolithic = QbhSystem::build(&db, &config_with_shards(2));
+    let monolithic = QbhSystem::build(&db, &QbhConfig::default());
     let dir = temp_dir("batch-prefix");
-    let system = build_store(&db, &dir, 2, 11, false);
+    let system = build_store(&db, &dir, 11, false);
 
     let sequential: Vec<_> = queries.iter().map(|q| monolithic.query_series(q, 8)).collect();
     for threads in [1usize, 8] {
@@ -170,7 +163,7 @@ fn a_reloaded_store_answers_identically() {
     let db = database();
     let queries = hums(&db, 3);
     let dir = temp_dir("reload");
-    let system = build_store(&db, &dir, 2, 11, true);
+    let system = build_store(&db, &dir, 11, true);
     let segments = system.segment_count();
     let before: Vec<_> = queries.iter().map(|q| system.query_series(q, 10)).collect();
     drop(system);
@@ -202,7 +195,7 @@ fn a_reloaded_store_answers_identically() {
 fn a_segment_resident_removal_survives_reload_and_compaction() {
     let db = database();
     let dir = temp_dir("remove-durable");
-    let mut system = build_store(&db, &dir, 1, 10, true);
+    let mut system = build_store(&db, &dir, 10, true);
     let victim = db.entries()[23].id();
 
     assert!(system.try_remove(victim).unwrap());
@@ -233,7 +226,7 @@ fn a_memtable_resident_removal_never_resurrects() {
     let db = database();
     let dir = temp_dir("remove-memtable");
     // Capacity above the corpus size: everything stays in the memtable.
-    let mut system = build_store(&db, &dir, 1, db.len() + 10, false);
+    let mut system = build_store(&db, &dir, db.len() + 10, false);
     let victim = db.entries()[7].id();
 
     assert!(system.try_remove(victim).unwrap());
@@ -251,7 +244,7 @@ fn a_memtable_resident_removal_never_resurrects() {
 fn a_tombstoned_id_stays_reserved_until_compaction() {
     let db = database();
     let dir = temp_dir("tombstone-reserved");
-    let mut system = build_store(&db, &dir, 1, 10, true);
+    let mut system = build_store(&db, &dir, 10, true);
     let victim = db.entries()[31].id();
     let series = series_of(&db, victim);
 
@@ -275,11 +268,11 @@ fn a_tombstoned_id_stays_reserved_until_compaction() {
 #[test]
 fn corrupt_stores_fail_typed_never_panic() {
     let db = database();
-    let config = config_with_shards(1);
+    let config = QbhConfig::default();
 
     // Missing segment file.
     let dir = temp_dir("corrupt-missing");
-    build_store(&db, &dir, 1, 17, true);
+    build_store(&db, &dir, 17, true);
     let seg = store::segment_path(&dir, 0);
     std::fs::remove_file(&seg).unwrap();
     let metrics = MetricsSink::enabled();
@@ -294,7 +287,7 @@ fn corrupt_stores_fail_typed_never_panic() {
 
     // A flipped bit anywhere in a segment or the manifest.
     let dir = temp_dir("corrupt-flip");
-    build_store(&db, &dir, 1, 17, true);
+    build_store(&db, &dir, 17, true);
     for target in [store::segment_path(&dir, 1), store::manifest_path(&dir)] {
         let clean = std::fs::read(&target).unwrap();
         for index in [8usize, clean.len() / 2, clean.len() - 1] {
@@ -396,7 +389,7 @@ fn the_maintenance_thread_compacts_a_store_backed_server() {
         ..SongbookConfig::default()
     });
     let dir = temp_dir("server-maintenance");
-    let config = config_with_shards(1);
+    let config = QbhConfig::default();
     let options = StoreOptions { memtable_capacity: 100, compact_at: 2 };
     let mut system = QbhSystem::try_create_store(&dir, &config, options).unwrap();
     for entry in db.entries().iter().take(200) {
@@ -555,7 +548,7 @@ fn mutations_racing_a_compaction_are_visible_exactly_once_at_every_step() {
     let db = database();
     let queries = hums(&db, 3);
     let dir = temp_dir("race-compaction");
-    let mut system = build_store(&db, &dir, 1, 10, true);
+    let mut system = build_store(&db, &dir, 10, true);
     let mut model = Model::of(&db);
     assert_eq!(system.segment_count(), 5);
 
@@ -594,7 +587,7 @@ fn mutations_racing_a_flush_are_visible_exactly_once_at_every_step() {
     let queries = hums(&db, 3);
     let dir = temp_dir("race-flush");
     // Two segments of 17 plus a 16-melody memtable.
-    let mut system = build_store(&db, &dir, 1, 17, false);
+    let mut system = build_store(&db, &dir, 17, false);
     let mut model = Model::of(&db);
     assert_eq!((system.segment_count(), system.memtable_len()), (2, 16));
 
@@ -629,7 +622,7 @@ fn a_stale_plan_is_refused_typed_and_the_store_stays_intact() {
     let db = database();
     let queries = hums(&db, 2);
     let dir = temp_dir("stale-plan");
-    let mut system = build_store(&db, &dir, 1, 17, false);
+    let mut system = build_store(&db, &dir, 17, false);
     let mut model = Model::of(&db);
     let refused = |system: &mut QbhSystem, built: BuiltMaintenance, what: &str| {
         match system.commit_maintenance(built) {
@@ -685,7 +678,7 @@ fn a_seeded_interleaving_of_mutations_maintenance_and_reopens_matches_the_model(
     let queries = hums(&db, 4);
     let dir = temp_dir("interleaving");
     let options = StoreOptions { memtable_capacity: 8, compact_at: 3 };
-    let mut system = QbhSystem::try_create_store(&dir, &config_with_shards(2), options).unwrap();
+    let mut system = QbhSystem::try_create_store(&dir, &QbhConfig::default(), options).unwrap();
     let mut model = Model::new();
     // Ids in the memtable only: a reopen loses exactly these.
     let mut volatile: BTreeSet<u64> = BTreeSet::new();
