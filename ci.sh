@@ -6,16 +6,14 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q
 
-# Suites whose contract is invariance under the HUM_THREADS override
-# (BatchOptions::default() — a batch's workers and a single query's scatter
-# width — reads it): each runs at both extremes. One line per suite —
+# Suites whose contract is invariance under the HUM_THREADS override, which
+# sets only a query's leaf-scatter width (hum_core::exec::default_width, read
+# once per process): each runs at both extremes. One line per suite —
 # package, then the test selector.
-#   batch, batch_determinism  deterministic chunked fan-out
 #   obs                       traces and registry counters thread-invariant
 #   exec                      the executor's layout matrix: every leaf layout
 #                             (storage units) bit-identical to brute force at
-#                             every scatter width, batches equal to
-#                             sequential queries
+#                             every scatter width
 #   store                     memtable-over-segments systems bit-identical to
 #                             the monolithic build; reloads, compactions and
 #                             removals durable
@@ -24,9 +22,7 @@ cargo test -q
 #   session                   a request built over appends equals the one
 #                             built from the same frames at once
 THREAD_INVARIANT_SUITES=(
-    "hum-core --test batch"
     "hum-core --test obs"
-    "hum-integration-tests --test batch_determinism"
     "hum-core --test exec"
     "hum-qbh --test store"
     "hum-qbh --test server_integration"

@@ -1,8 +1,7 @@
 //! End-to-end query latency — the paper's §5.3 timing claim ("from 1 second
 //! for the smallest warping width to 10 seconds for the largest" on a
 //! Pentium 4): range queries against a 10,000-melody database at increasing
-//! warping widths, for the indexed engine vs the brute-force scan the
-//! related work used.
+//! warping widths, and k-NN at one width, through the indexed engine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hum_core::dtw::band_for_warping_width;
@@ -48,21 +47,6 @@ fn bench_range_by_width(c: &mut Criterion) {
             })
         });
     }
-    // The brute-force comparator ("clearly a brute-force approach and it is
-    // very slow", Mazzoni & Dannenberg via paper §2) at one width.
-    let band = band_for_warping_width(0.1, LEN);
-    group.bench_function("brute_force_scan", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(new_paa.engine().query(
-                    &QueryRequest::range(radius)
-                        .with_series(q.clone())
-                        .with_band(band)
-                        .with_scan(true),
-                ));
-            }
-        })
-    });
     group.finish();
 }
 
@@ -79,15 +63,6 @@ fn bench_knn(c: &mut Criterion) {
                         .engine()
                         .query(&QueryRequest::knn(10).with_series(q.clone()).with_band(band)),
                 );
-            }
-        })
-    });
-    group.bench_function("scan", |b| {
-        b.iter(|| {
-            for q in &queries {
-                black_box(new_paa.engine().query(
-                    &QueryRequest::knn(10).with_series(q.clone()).with_band(band).with_scan(true),
-                ));
             }
         })
     });

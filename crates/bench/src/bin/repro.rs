@@ -4,11 +4,9 @@
 //! repro [EXPERIMENT ...] [--quick] [--out DIR]
 //!
 //! EXPERIMENT: table2 | table3 | fig6 | fig7 | fig8 | fig9 | fig10 | extras
-//!             | throughput | obs | serve | kernels | stream | ingest
-//!             | scale | all
-//!             (default: all; `extras` runs the DESIGN.md ablations,
-//!             `throughput` the batched-query scaling sweep, `obs` the
-//!             traced cascade-trajectory run of the Figure-9 workload,
+//!             | obs | serve | kernels | stream | ingest | scale | all
+//!             (default: all; `extras` runs the DESIGN.md ablations, `obs`
+//!             the traced cascade-trajectory run of the Figure-9 workload,
 //!             `serve` the TCP-serving latency/throughput sweep, `kernels`
 //!             the kernel-layer microbenchmarks with bit-identity checks,
 //!             `stream` the hum-prefix refinement latency/churn sweep,
@@ -23,13 +21,13 @@ use std::time::Instant;
 
 use hum_bench::experiments::{
     extras, fig10, fig6, fig7, fig8, fig9, ingest, kernels, obs, scale, serve, stream, table2,
-    table3, throughput,
+    table3,
 };
 use hum_bench::report::persist;
 
-const EXPERIMENTS: [&str; 15] = [
-    "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "extras", "throughput", "obs",
-    "serve", "kernels", "stream", "ingest", "scale",
+const EXPERIMENTS: [&str; 14] = [
+    "table2", "table3", "fig6", "fig7", "fig8", "fig9", "fig10", "extras", "obs", "serve",
+    "kernels", "stream", "ingest", "scale",
 ];
 
 fn main() {
@@ -136,15 +134,6 @@ fn main() {
                 println!("{text}");
                 persist(&out_dir, name, &text, &table, &serde_json::json!(output));
                 extras::check(&output)
-            }
-            "throughput" => {
-                let params =
-                    if quick { throughput::Params::quick() } else { throughput::Params::paper() };
-                let output = throughput::run(&params);
-                let (text, table) = throughput::render(&output);
-                println!("{text}");
-                persist(&out_dir, name, &text, &table, &serde_json::json!(output));
-                throughput::check(&output)
             }
             "obs" => {
                 let params = if quick { obs::Params::quick() } else { obs::Params::paper() };

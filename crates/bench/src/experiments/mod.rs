@@ -13,9 +13,7 @@
 //! [`sweep`] holds the shared candidate/page-access sweep machinery used by
 //! figures 8–10, [`extras`] runs the design-choice ablations listed in
 //! DESIGN.md (backends, LB second filter, build strategy, transform
-//! pruning), [`throughput`] measures batched-query throughput versus
-//! worker-thread count and chunk size with a bit-identity check against the
-//! sequential baseline, [`obs`] re-runs the Figure-9 workload with
+//! pruning), [`obs`] re-runs the Figure-9 workload with
 //! per-query tracing on, printing the full cascade trajectory (candidates →
 //! envelope-LB pruned → `LB_Improved` pruned → early-abandoned → verified)
 //! from the library's own observability layer, and [`serve`] drives the TCP
@@ -49,4 +47,3 @@ pub mod stream;
 pub mod sweep;
 pub mod table2;
 pub mod table3;
-pub mod throughput;

@@ -6,17 +6,16 @@
 //! are aggregated into one trajectory row — candidates in → envelope-LB
 //! pruned → `LB_Improved` pruned → early-abandoned → verified, plus DP
 //! cells, matches, and page accesses — and each row records whether the
-//! aggregated trace totals equal the batch's merged `EngineStats` (the
-//! tentpole's no-silent-drift contract). The registry snapshot at the end
+//! aggregated trace totals equal the queries' summed `EngineStats` (the
+//! no-silent-drift contract). The registry snapshot at the end
 //! renders through the same text/JSON exporters production would use, so
 //! this table is regenerated from shipped instrumentation, not bench-only
 //! bookkeeping.
 
 use serde::Serialize;
 
-use hum_core::batch::BatchOptions;
 use hum_core::dtw::band_for_warping_width;
-use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
+use hum_core::engine::{DtwIndexEngine, EngineConfig, EngineStats, QueryRequest};
 use hum_core::normal::NormalForm;
 use hum_core::obs::{metrics_to_text, MetricsSink, MetricsSnapshot, QueryKind, QueryTrace};
 use hum_core::transform::paa::NewPaa;
@@ -141,18 +140,14 @@ pub fn run(params: &Params) -> Output {
         let radius = (n as f64 * threshold).sqrt();
         for &width in &widths {
             let band = band_for_warping_width(width, n);
-            let requests: Vec<QueryRequest> = queries
-                .iter()
-                .map(|q| {
-                    QueryRequest::range(radius).with_series(q.clone()).with_band(band).with_trace(true)
-                })
-                .collect();
-            let batch = engine
-                .try_query_batch(&requests, &BatchOptions::default())
-                .expect("validated workload");
             let mut total = QueryTrace::zero(QueryKind::Range, band);
-            for outcome in &batch.outcomes {
-                total.absorb(&outcome.trace.expect("all requests traced"));
+            let mut stats = EngineStats::default();
+            for q in &queries {
+                let request =
+                    QueryRequest::range(radius).with_series(q.clone()).with_band(band).with_trace(true);
+                let outcome = engine.try_query(&request).expect("validated workload");
+                total.absorb(&outcome.trace.expect("every request traced"));
+                stats.absorb(&outcome.result.stats);
             }
             rows.push(TrajectoryRow {
                 threshold,
@@ -167,7 +162,7 @@ pub fn run(params: &Params) -> Output {
                 verified: total.verified,
                 dp_cells: total.dp_cells,
                 matches: total.matches,
-                totals_match_stats: total.totals() == batch.stats,
+                totals_match_stats: total.totals() == stats,
             });
         }
     }

@@ -10,16 +10,15 @@
 //! `results/engine_digest.sha256`. GridFile's internal counters depend on
 //! `HashMap` iteration order, so its lines print matches and match-bits
 //! only. The final 4-leaf section prints every `EngineStats` counter of
-//! multi-leaf queries, single (scattered across `HUM_THREADS` workers) and
-//! batched, so the executor's fixed-leaf-order absorption is under the
-//! same byte-diff. (Its lines keep their historical `rstar shards=4` label:
-//! the committed hash covers them.)
+//! multi-leaf queries scattered across `HUM_THREADS` workers, so the
+//! executor's fixed-leaf-order absorption is under the same byte-diff.
+//! (Its lines keep their historical `rstar shards=4` label: the committed
+//! hash covers them.)
 
 use std::fmt::Write as _;
 
-use hum_core::batch::BatchOptions;
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest, QueryScratch};
-use hum_core::exec::{execute, execute_batch, Leaf};
+use hum_core::exec::{default_width, execute, Leaf};
 use hum_core::kernel::KernelMode;
 use hum_core::obs::MetricsSink;
 use hum_core::transform::paa::NewPaa;
@@ -105,20 +104,6 @@ fn digest<I: SpatialIndex>(
                     r.matches.len()
                 );
             }
-            let s = engine
-                .query(
-                    &QueryRequest::range(radius)
-                        .with_series(q.clone())
-                        .with_band(band)
-                        .with_scan(true),
-                )
-                .result;
-            let sbits = match_bits(&s.matches);
-            let _ = writeln!(
-                out,
-                "{name} refine={refine} q{qi} scanrange b{band}: m={} bits={sbits:x}",
-                s.matches.len()
-            );
         }
         for (band, k) in [(0usize, 1), (3, 5), (6, 17)] {
             let r =
@@ -137,48 +122,8 @@ fn digest<I: SpatialIndex>(
                     r.matches.len()
                 );
             }
-            let s = engine
-                .query(&QueryRequest::knn(k).with_series(q.clone()).with_band(band).with_scan(true))
-                .result;
-            let sbits = match_bits(&s.matches);
-            let _ = writeln!(
-                out,
-                "{name} refine={refine} q{qi} scanknn b{band} k{k}: m={} bits={sbits:x}",
-                s.matches.len()
-            );
         }
     }
-}
-
-/// Batched execution digest under `BatchOptions::default()`, which honors
-/// `HUM_THREADS` — so the ci.sh thread-count sweep exercises the parallel
-/// fan-out path, whose results must be thread-count-invariant.
-fn batch_digest<I: SpatialIndex>(
-    out: &mut String,
-    kernel: KernelMode,
-    name: &str,
-    make: impl Fn() -> I,
-) {
-    let series = lcg_series(400, 64, 11);
-    let queries = lcg_series(12, 64, 777);
-    let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), make(), config_for(2, kernel));
-    for (i, s) in series.iter().enumerate() {
-        engine.insert(i as ItemId, s.clone());
-    }
-    let mut batch = Vec::new();
-    for q in &queries {
-        batch.push(QueryRequest::range(2.0).with_series(q.clone()).with_band(3));
-        batch.push(QueryRequest::knn(9).with_series(q.clone()).with_band(6));
-    }
-    let batched = engine
-        .try_query_batch(&batch, &BatchOptions::default())
-        .expect("digest workload is well-formed");
-    let bits = batched
-        .outcomes
-        .iter()
-        .fold(0u64, |h, o| h.wrapping_mul(37).wrapping_add(match_bits(&o.result.matches)));
-    let m: usize = batched.outcomes.iter().map(|o| o.result.matches.len()).sum();
-    let _ = writeln!(out, "{name} batch: m={m} bits={bits:x}");
 }
 
 /// The leaf an id lands on in the multi-leaf section: `splitmix64(id) % 4`,
@@ -210,25 +155,18 @@ fn multi_leaf_digest(out: &mut String, kernel: KernelMode) {
         engines[leaf_for(i as ItemId)].insert(i as ItemId, s.clone());
     }
     let leaves: Vec<_> = engines.iter().map(|engine| Leaf { engine, meta: None }).collect();
-    let (threads, metrics) = (BatchOptions::default().threads, MetricsSink::Disabled);
-    let mut batch = Vec::new();
-    for q in &queries {
-        for scan in [false, true] {
-            let shape = |r: QueryRequest| r.with_series(q.clone()).with_scan(scan);
-            batch.push(shape(QueryRequest::range(2.0).with_band(3)));
-            batch.push(shape(QueryRequest::knn(9).with_band(6)));
-        }
-    }
-    for (i, request) in batch.iter().enumerate() {
-        let r = execute(&leaves, request, &mut QueryScratch::new(), threads, &metrics)
+    let requests = queries.iter().flat_map(|q| {
+        [QueryRequest::range(2.0).with_band(3), QueryRequest::knn(9).with_band(6)]
+            .map(|r| r.with_series(q.clone()))
+    });
+    let (width, metrics) = (default_width(), MetricsSink::Disabled);
+    for (i, request) in requests.enumerate() {
+        let r = execute(&leaves, &request, &mut QueryScratch::new(), width, &metrics)
             .expect("digest workload is well-formed")
             .result;
         let _ =
             writeln!(out, "rstar shards=4 r{i}: bits={:x} {:?}", match_bits(&r.matches), r.stats);
     }
-    let batched = execute_batch(&leaves, &batch, &BatchOptions::default(), &metrics)
-        .expect("digest workload is well-formed");
-    let _ = writeln!(out, "rstar shards=4 batch: {:?}", batched.stats);
 }
 
 /// Every section of the digest with the kernels in one mode.
@@ -241,9 +179,6 @@ fn full_digest(kernel: KernelMode) -> String {
         digest(&mut out, kernel, "grid", || GridFile::with_params(8, 4, 32, 1024), mode, false);
         digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024), mode, true);
     }
-    batch_digest(&mut out, kernel, "rstar", || RStarTree::with_page_size(8, 1024));
-    batch_digest(&mut out, kernel, "grid", || GridFile::with_params(8, 4, 32, 1024));
-    batch_digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024));
     multi_leaf_digest(&mut out, kernel);
     out
 }

@@ -88,11 +88,6 @@ impl SeriesArena {
         self.ids[slot as usize]
     }
 
-    /// The ids of the live slots, in slot order.
-    pub(crate) fn ids(&self) -> &[ItemId] {
-        &self.ids
-    }
-
     /// The samples stored in a live slot.
     pub(crate) fn samples(&self, slot: u32) -> &[f64] {
         debug_assert!((slot as usize) < self.ids.len(), "slot {slot} is not live");
@@ -184,7 +179,7 @@ mod tests {
             assert_eq!(arena.samples(slot), want.as_slice());
             assert_eq!(arena.samples(slot).as_ptr() as usize % 64, 0);
         }
-        let mut ids: Vec<ItemId> = arena.ids().to_vec();
+        let mut ids: Vec<ItemId> = (0..arena.len() as u32).map(|slot| arena.id_at(slot)).collect();
         ids.sort_unstable();
         let mut want: Vec<ItemId> = model.iter().map(|(id, _)| *id).collect();
         want.sort_unstable();

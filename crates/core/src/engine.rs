@@ -30,16 +30,14 @@
 //!
 //! # The query API
 //!
-//! Every query path goes through one request type: build a
-//! [`QueryRequest`] ([`QueryRequest::range`] / [`QueryRequest::knn`], with
-//! optional band override, per-query trace toggle, and brute-force scan
-//! fallback) and execute it with [`DtwIndexEngine::query`] (panicking) or
-//! [`DtwIndexEngine::try_query`] (returning [`EngineError`]); batches go
-//! through [`DtwIndexEngine::try_query_batch`]. All of them are thin
-//! callers of the one executor in [`crate::exec`], which runs this engine
-//! as a single *leaf*; the engine itself contributes the per-leaf
-//! primitives (indexed range, the two k-NN rounds, the two scans) and no
-//! orchestration of its own.
+//! Every query goes through one request type: build a [`QueryRequest`]
+//! ([`QueryRequest::range`] / [`QueryRequest::knn`], with optional band
+//! override, per-query trace toggle and time budget) and execute it with
+//! [`DtwIndexEngine::query`] (panicking) or [`DtwIndexEngine::try_query`]
+//! (returning [`EngineError`]). Both are thin callers of the one executor
+//! in [`crate::exec`], which runs this engine as a single *leaf*; the
+//! engine itself contributes the per-leaf primitives (range and the two
+//! k-NN rounds) and no orchestration of its own.
 //!
 //! # Observability
 //!
@@ -57,10 +55,9 @@ use std::time::{Duration, Instant};
 use hum_index::{ItemId, Query, QueryStats, Rect, SpatialIndex};
 
 use crate::arena::SeriesArena;
-use crate::batch::BatchOptions;
 use crate::dtw::{ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
 use crate::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
-use crate::exec::{execute, execute_batch, Leaf};
+use crate::exec::{execute, Leaf};
 use crate::kernel::KernelMode;
 use crate::obs::{Metric, MetricsSink, QueryTrace};
 use crate::transform::EnvelopeTransform;
@@ -116,7 +113,7 @@ pub struct EngineStats {
 
 impl EngineStats {
     /// Adds another query's counters into this accumulator (for averaging
-    /// work over a batch of queries).
+    /// work over many queries).
     pub fn absorb(&mut self, other: &EngineStats) {
         self.index.absorb(&other.index);
         self.lb_pruned += other.lb_pruned;
@@ -333,7 +330,6 @@ pub struct QueryRequest {
     kind: RequestKind,
     band: usize,
     trace: bool,
-    scan: bool,
     budget: QueryBudget,
 }
 
@@ -341,25 +337,21 @@ impl QueryRequest {
     /// An ε-range request at `radius`. Attach the query series with
     /// [`QueryRequest::with_series`].
     pub fn range(radius: f64) -> Self {
-        QueryRequest {
-            series: Vec::new(),
-            kind: RequestKind::Range { radius },
-            band: 0,
-            trace: false,
-            scan: false,
-            budget: QueryBudget::unlimited(),
-        }
+        QueryRequest::of(RequestKind::Range { radius })
     }
 
     /// A k-NN request. Attach the query series with
     /// [`QueryRequest::with_series`].
     pub fn knn(k: usize) -> Self {
+        QueryRequest::of(RequestKind::Knn { k })
+    }
+
+    fn of(kind: RequestKind) -> Self {
         QueryRequest {
             series: Vec::new(),
-            kind: RequestKind::Knn { k },
+            kind,
             band: 0,
             trace: false,
-            scan: false,
             budget: QueryBudget::unlimited(),
         }
     }
@@ -379,13 +371,6 @@ impl QueryRequest {
     /// Toggles the per-query cascade trace (default off).
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Toggles the brute-force scan fallback: bypass the spatial index and
-    /// run the verification cascade over every stored series (default off).
-    pub fn with_scan(mut self, scan: bool) -> Self {
-        self.scan = scan;
         self
     }
 
@@ -409,11 +394,6 @@ impl QueryRequest {
         self.trace
     }
 
-    /// `true` when the brute-force scan fallback was requested.
-    pub fn scan_enabled(&self) -> bool {
-        self.scan
-    }
-
     /// Attaches a time budget (default [`QueryBudget::unlimited`]).
     pub fn with_budget(mut self, budget: QueryBudget) -> Self {
         self.budget = budget;
@@ -427,9 +407,9 @@ impl QueryRequest {
 }
 
 /// Reusable per-query scratch: the DTW workspace and the `LB_Improved`
-/// scratch. One per worker thread amortizes the row allocations across an
-/// entire batch; the engine reports `dp_cells` as a per-query delta, so
-/// reuse never changes any counter.
+/// scratch. One per worker thread amortizes the row allocations across
+/// every query it runs; the engine reports `dp_cells` as a per-query delta,
+/// so reuse never changes any counter.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     ws: DtwWorkspace,
@@ -666,22 +646,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     /// Panics on any [`EngineError`] the `try_` form would return.
     pub fn query(&self, request: &QueryRequest) -> QueryOutcome {
         self.try_query(request).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Executes a batch of [`QueryRequest`]s across
-    /// [`BatchOptions::threads`] workers; see [`execute_batch`] for the
-    /// determinism and error contract (every request is validated before any
-    /// runs; outcomes are bit-identical to [`DtwIndexEngine::try_query`] at
-    /// every thread count).
-    ///
-    /// # Errors
-    /// As [`execute_batch`].
-    pub fn try_query_batch(
-        &self,
-        requests: &[QueryRequest],
-        options: &BatchOptions,
-    ) -> Result<BatchOutcome, EngineError> {
-        execute_batch(&[Leaf { engine: self, meta: None }], requests, options, &self.metrics)
     }
 
     /// `true` when either envelope-based refinement stage is configured, so
@@ -977,101 +941,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         }
         Ok(heap.into_sorted_vec().into_iter().map(|c| (c.id, c.d_sq)).collect())
     }
-
-    /// The brute-force range path: the verification cascade over every
-    /// stored series, sorted by `(distance, id)`.
-    pub(crate) fn run_scan_range(
-        &self,
-        prepared: &PreparedQuery<'_>,
-        radius: f64,
-        budget: QueryBudget,
-        scratch: &mut QueryScratch,
-    ) -> LeafRun {
-        let cells_before = scratch.ws.cells();
-        let mut stats = EngineStats::default();
-        let slots = (0..self.series.len() as u32).collect();
-        let run = self.range_over_slots(prepared, slots, radius, budget, &mut stats, scratch);
-        stats.dp_cells = scratch.ws.cells() - cells_before;
-        run.map(|matches| (matches, stats)).map_err(|Expired| stats)
-    }
-
-    /// The brute-force k-NN path: exact DTW against every stored series,
-    /// the `k` best sorted by `(distance, id)`.
-    pub(crate) fn run_scan_knn(
-        &self,
-        prepared: &PreparedQuery<'_>,
-        k: usize,
-        budget: QueryBudget,
-        scratch: &mut QueryScratch,
-    ) -> LeafRun {
-        let (query, band) = (prepared.series, prepared.band);
-        let cells_before = scratch.ws.cells();
-        let ws = &mut scratch.ws;
-        let mut stats = EngineStats::default();
-        // Preallocation is clamped to the corpus size: `k` can come straight
-        // off the wire, and the heap never holds more than one entry per
-        // stored series anyway (`k = 10^15` must not reserve terabytes, and
-        // `k = u64::MAX as usize` must not overflow `k + 1`).
-        let mut heap: BinaryHeap<Cand> =
-            BinaryHeap::with_capacity(k.min(self.series.len()) + 1);
-        // Ascending id: a deterministic order for the shrinking threshold
-        // (and with it the abandon and cell counters).
-        let mut order: Vec<(ItemId, u32)> = self.series.ids().iter().copied().zip(0..).collect();
-        order.sort_unstable();
-        for (id, slot) in order {
-            if budget.expired() {
-                stats.dp_cells = ws.cells() - cells_before;
-                return Err(stats);
-            }
-            let full = k > 0 && heap.len() >= k;
-            let threshold_sq = if full && self.config.early_abandon {
-                heap.peek().expect("non-empty heap").d_sq
-            } else {
-                f64::INFINITY
-            };
-            stats.exact_computations += 1;
-            let d_sq = ldtw_distance_sq_bounded_with_mode(
-                ws,
-                query,
-                self.series.samples(slot),
-                band,
-                threshold_sq,
-                self.config.kernel,
-            );
-            if d_sq.is_infinite() {
-                stats.early_abandoned += 1;
-                continue;
-            }
-            if !full {
-                if k > 0 {
-                    heap.push(Cand { d_sq, id });
-                }
-            } else {
-                let worst = heap.peek().expect("non-empty heap");
-                if (d_sq, id) < (worst.d_sq, worst.id) {
-                    heap.pop();
-                    heap.push(Cand { d_sq, id });
-                }
-            }
-        }
-        let mut matches: Vec<(ItemId, f64)> =
-            heap.into_sorted_vec().into_iter().map(|c| (c.id, c.d_sq.sqrt())).collect();
-        sort_by_distance(&mut matches);
-        stats.matches = matches.len() as u64;
-        stats.dp_cells = ws.cells() - cells_before;
-        Ok((matches, stats))
-    }
-}
-
-/// Result of a batched [`QueryRequest`] execution.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct BatchOutcome {
-    /// Per-request outcomes (result + optional trace), in submission order.
-    /// Each is bit-identical to the corresponding single-request call, for
-    /// every thread count.
-    pub outcomes: Vec<QueryOutcome>,
-    /// All per-request counters merged in submission order.
-    pub stats: EngineStats,
 }
 
 /// Max-heap entry for the k-NN best-so-far set: orders by squared distance,
@@ -1175,13 +1044,15 @@ mod tests {
         engine.query(&QueryRequest::range(radius).with_series(query).with_band(band)).result
     }
 
-    fn scan_of<T: EnvelopeTransform, I: SpatialIndex>(
-        engine: &DtwIndexEngine<T, I>,
-        request: QueryRequest,
-        query: &[f64],
-        band: usize,
-    ) -> QueryResult {
-        engine.query(&request.with_series(query).with_band(band).with_scan(true)).result
+    /// The oracle: every series' exact distance, in `(distance, id)` order.
+    fn brute_force(series: &[Vec<f64>], query: &[f64], band: usize) -> Vec<(ItemId, f64)> {
+        let mut all: Vec<(ItemId, f64)> = series
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i as ItemId, ldtw_distance(query, s, band)))
+            .collect();
+        sort_by_distance(&mut all);
+        all
     }
 
     fn knn_of<T: EnvelopeTransform, I: SpatialIndex>(
@@ -1200,8 +1071,9 @@ mod tests {
         let query = &series[17];
         for (band, radius) in [(0usize, 1.0), (3, 2.0), (6, 4.0)] {
             let fast = range_of(&engine, query, band, radius);
-            let slow = scan_of(&engine, QueryRequest::range(radius), query, band);
-            assert_eq!(fast.matches, slow.matches, "band={band} r={radius}");
+            let mut slow = brute_force(&series, query, band);
+            slow.retain(|&(_, d)| d <= radius);
+            assert_eq!(fast.matches, slow, "band={band} r={radius}");
         }
     }
 
@@ -1245,11 +1117,7 @@ mod tests {
         let query = lcg_series(1, 64, 777).remove(0);
         for band in [0usize, 2, 5] {
             let fast = knn_of(&engine, &query, band, 10);
-            let slow = scan_of(&engine, QueryRequest::knn(10), &query, band);
-            assert_eq!(fast.matches.len(), 10);
-            for (f, s) in fast.matches.iter().zip(&slow.matches) {
-                assert!((f.1 - s.1).abs() < 1e-9, "band={band}");
-            }
+            assert_eq!(fast.matches, brute_force(&series, &query, band)[..10], "band={band}");
         }
     }
 
@@ -1471,36 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn query_batch_matches_single_queries_for_every_thread_count() {
-        let series = lcg_series(90, 64, 77);
-        let engine = build_engine(&series);
-        let queries = lcg_series(9, 64, 31337);
-        let batch: Vec<QueryRequest> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                if i % 2 == 0 {
-                    QueryRequest::knn(7).with_series(q.clone()).with_band(3)
-                } else {
-                    QueryRequest::range(2.5).with_series(q.clone()).with_band(2)
-                }
-            })
-            .collect();
-        let expected: Vec<QueryOutcome> = batch.iter().map(|r| engine.query(r)).collect();
-        let mut expected_stats = EngineStats::default();
-        for outcome in &expected {
-            expected_stats.absorb(&outcome.result.stats);
-        }
-        for threads in [1, 2, 8] {
-            let got = engine
-                .try_query_batch(&batch, &crate::batch::BatchOptions::new(threads, 2))
-                .unwrap();
-            assert_eq!(got.outcomes, expected, "threads={threads}");
-            assert_eq!(got.stats, expected_stats, "threads={threads}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate id")]
     fn duplicate_id_rejected() {
         let series = lcg_series(2, 32, 4);
@@ -1603,47 +1441,13 @@ mod tests {
         let series = lcg_series(100, 64, 51);
         let engine = build_engine(&series);
         let query = lcg_series(1, 64, 909).remove(0);
-        for (request, scan) in [
-            (QueryRequest::range(2.5), false),
-            (QueryRequest::knn(5), false),
-            (QueryRequest::range(2.5), true),
-            (QueryRequest::knn(5), true),
-        ] {
-            let request =
-                request.with_series(query.clone()).with_band(3).with_trace(true).with_scan(scan);
+        for request in [QueryRequest::range(2.5), QueryRequest::knn(5)] {
+            let request = request.with_series(query.clone()).with_band(3).with_trace(true);
             let outcome = engine.query(&request);
             let trace = outcome.trace.expect("trace requested");
-            assert_eq!(trace.totals(), outcome.result.stats, "scan={scan}");
+            assert_eq!(trace.totals(), outcome.result.stats, "{request:?}");
             assert_eq!(trace.band, 3);
-            if scan {
-                assert_eq!(trace.candidates_in, engine.len() as u64);
-                assert_eq!(trace.index, QueryStats::default());
-            } else {
-                assert_eq!(trace.candidates_in, outcome.result.stats.index.candidates);
-            }
-        }
-    }
-
-    #[test]
-    fn batch_requests_carry_traces_in_submission_order() {
-        let series = lcg_series(80, 64, 52);
-        let engine = build_engine(&series);
-        let queries = lcg_series(6, 64, 6001);
-        let requests: Vec<QueryRequest> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| {
-                let r = if i % 2 == 0 { QueryRequest::range(2.0) } else { QueryRequest::knn(4) };
-                r.with_series(q.clone()).with_band(2).with_trace(true)
-            })
-            .collect();
-        let expected: Vec<QueryOutcome> =
-            requests.iter().map(|r| engine.query(r)).collect();
-        for threads in [1, 2, 8] {
-            let got = engine
-                .try_query_batch(&requests, &crate::batch::BatchOptions::new(threads, 2))
-                .unwrap();
-            assert_eq!(got.outcomes, expected, "threads={threads}");
+            assert_eq!(trace.candidates_in, outcome.result.stats.index.candidates);
         }
     }
 
@@ -1655,29 +1459,17 @@ mod tests {
         // A deadline of "now" is already expired by the first poll.
         let expired = QueryBudget::with_deadline(Instant::now());
         assert!(expired.expired());
-        for (request, scan) in [
-            (QueryRequest::range(50.0), false),
-            (QueryRequest::knn(5), false),
-            (QueryRequest::range(50.0), true),
-            (QueryRequest::knn(5), true),
-        ] {
-            let request = request
-                .with_series(query.clone())
-                .with_band(3)
-                .with_scan(scan)
-                .with_budget(expired);
+        for request in [QueryRequest::range(50.0), QueryRequest::knn(5)] {
+            let request = request.with_series(query.clone()).with_band(3).with_budget(expired);
             match engine.try_query(&request) {
                 Err(EngineError::DeadlineExceeded { stats }) => {
                     // Aborted before the first candidate: no matches, no
-                    // exact DTW, but the index walk already happened on the
-                    // indexed paths.
-                    assert_eq!(stats.matches, 0, "scan={scan}");
-                    assert_eq!(stats.exact_computations, 0, "scan={scan}");
-                    if !scan {
-                        assert!(stats.index.candidates > 0, "scan={scan}");
-                    }
+                    // exact DTW, but the index walk already happened.
+                    assert_eq!(stats.matches, 0, "{request:?}");
+                    assert_eq!(stats.exact_computations, 0, "{request:?}");
+                    assert!(stats.index.candidates > 0, "{request:?}");
                 }
-                other => panic!("expected DeadlineExceeded (scan={scan}), got {other:?}"),
+                other => panic!("expected DeadlineExceeded, got {other:?}"),
             }
         }
     }
@@ -1723,36 +1515,12 @@ mod tests {
         let query = lcg_series(1, 64, 2020).remove(0);
         let budget = QueryBudget::within(Duration::from_secs(3600));
         assert!(!budget.expired());
-        for (request, scan) in [
-            (QueryRequest::range(2.5), false),
-            (QueryRequest::knn(7), false),
-            (QueryRequest::range(2.5), true),
-            (QueryRequest::knn(7), true),
-        ] {
-            let request =
-                request.with_series(query.clone()).with_band(3).with_trace(true).with_scan(scan);
+        for request in [QueryRequest::range(2.5), QueryRequest::knn(7)] {
+            let request = request.with_series(query.clone()).with_band(3).with_trace(true);
             let plain = engine.query(&request);
             let budgeted = engine.query(&request.clone().with_budget(budget));
-            assert_eq!(plain, budgeted, "scan={scan}");
+            assert_eq!(plain, budgeted, "{request:?}");
         }
-    }
-
-    #[test]
-    fn batch_with_expired_deadline_fails_with_deadline_error() {
-        let series = lcg_series(60, 64, 57);
-        let engine = build_engine(&series);
-        let queries = lcg_series(3, 64, 3030);
-        let mut requests: Vec<QueryRequest> = queries
-            .iter()
-            .map(|q| QueryRequest::knn(3).with_series(q.clone()).with_band(2))
-            .collect();
-        requests[1] =
-            requests[1].clone().with_budget(QueryBudget::with_deadline(Instant::now()));
-        let got = engine.try_query_batch(&requests, &crate::batch::BatchOptions::new(2, 1));
-        assert!(
-            matches!(got, Err(EngineError::DeadlineExceeded { .. })),
-            "expected DeadlineExceeded, got {got:?}"
-        );
     }
 
     #[test]

@@ -6,37 +6,37 @@
 //! partitioning is data, not code: a query runs over a flat list of
 //! [`Leaf`]s — each a [`DtwIndexEngine`] over a disjoint sub-corpus, tagged
 //! with the pruning metadata of the storage unit it belongs to — and
-//! [`execute`] / [`execute_batch`] are the only functions that validate,
-//! prune, fan out, absorb counters, enforce the deadline contract, merge,
-//! and build the trace. A single engine is one leaf, and a store-backed
-//! system is one leaf per storage unit (segments oldest to newest, then the
-//! memtable).
+//! [`execute`] is the only function that validates, prunes, fans out,
+//! absorbs counters, enforces the deadline contract, merges, and builds the
+//! trace. It knows two query shapes, ε-range and k-NN, both filtered by the
+//! index's feature bound and refined through the one verification cascade.
+//! A single engine is one leaf, and a store-backed system is one leaf per
+//! storage unit (segments oldest to newest, then the memtable).
 //!
 //! # Leaf pruning
 //!
-//! For an indexed ε-range query a leaf engine admits a candidate only when
+//! For an ε-range query a leaf engine admits a candidate only when
 //! `feature_box.min_dist_point(features) <= radius` (the GEMINI lower-bound
 //! filter), and for every feature inside a segment's bounding box
 //! `min_dist_point >= min_dist_rect(box)` — so a leaf whose
 //! [`SegmentMeta::may_intersect_range`] is `false` cannot contribute a
 //! candidate, let alone a match, and is skipped without being touched.
-//! k-NN and the scan paths are never pruned (their thresholds are not known
-//! up front), keeping the no-false-negative guarantee trivial.
+//! k-NN is never pruned (its threshold is not known up front), keeping the
+//! no-false-negative guarantee trivial.
 //!
-//! # ε-range and scan queries
+//! # ε-range queries
 //!
 //! Each surviving leaf answers exactly over its own sub-corpus; ids are
 //! unique across leaves, so the k-way merge of the per-leaf lists by
-//! `(distance, id, leaf)` — cut to `k` for a scan k-NN — is exactly the
-//! answer of one engine holding the union corpus: same `f64` bits, same
-//! order.
+//! `(distance, id, leaf)` is exactly the answer of one engine holding the
+//! union corpus: same `f64` bits, same order.
 //!
 //! # k-NN: one sweep, two rounds
 //!
-//! The indexed k-NN is a multi-step scheme (Seidl & Kriegel) over one
-//! sequential pass of a cheap bound, the schedule Lemire's two-pass DTW
-//! search assumes. Each leaf sweeps its index once; that one bound array
-//! feeds both rounds, and no candidate reaches DTW but through the cascade.
+//! The k-NN is a multi-step scheme (Seidl & Kriegel) over one sequential
+//! pass of a cheap bound, the schedule Lemire's two-pass DTW search
+//! assumes. Each leaf sweeps its index once; that one bound array feeds
+//! both rounds, and no candidate reaches DTW but through the cascade.
 //!
 //! 1. **Seed round:** every leaf runs the `M = min(32·k, len)` smallest
 //!    feature bounds by `(d², id)` through the cascade with an empty heap at
@@ -61,8 +61,15 @@
 //!   exact distances, so its threshold never drops below the global k-th.
 //!
 //! Every candidate, seed or admitted, is counted in `index.candidates` and
-//! pruned by one stage or verified, so on every path a traced query has
+//! pruned by one stage or verified, so a traced query has
 //! `candidates_in == lb_pruned + lb_improved_pruned + exact_started`.
+//!
+//! # Leaf scatter
+//!
+//! One query fans its leaves across up to `width` scoped threads, each
+//! with a private [`QueryScratch`], and gathers their results in leaf order
+//! whichever thread ran them. [`default_width`] is the width of a caller
+//! that does not choose one: `HUM_THREADS`, read once per process.
 //!
 //! # Determinism contract
 //!
@@ -83,18 +90,33 @@
 //! of every leaf (`matches` forced to 0 — partial match sets are never
 //! reported); it is not recorded as a completed query.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
 use hum_index::{ItemId, SpatialIndex};
 
-use crate::batch::{parallel_map_chunked, BatchOptions};
 use crate::engine::{
-    sort_by_distance, BatchOutcome, DtwIndexEngine, EngineError, EngineStats, LeafRun,
-    PreparedQuery, QueryOutcome, QueryRequest, QueryResult, QueryScratch, RequestKind,
+    sort_by_distance, DtwIndexEngine, EngineError, EngineStats, LeafRun, PreparedQuery,
+    QueryOutcome, QueryRequest, QueryResult, QueryScratch, RequestKind,
 };
-use crate::obs::{
-    debug_assert_trace_consistent, Metric, MetricsSink, QueryKind, QueryTrace, Timer,
-};
+use crate::obs::{debug_assert_trace_consistent, MetricsSink, QueryKind, QueryTrace};
 use crate::segment::SegmentMeta;
 use crate::transform::EnvelopeTransform;
+
+/// The leaf-scatter width of a query whose caller does not choose one:
+/// `HUM_THREADS` when set to a positive integer, otherwise the machine's
+/// available parallelism. The environment is read once per process, so one
+/// process never scatters at two widths.
+pub fn default_width() -> usize {
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::env::var("HUM_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&t| t > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+    })
+}
 
 /// One engine in a query's leaf list, with the pruning metadata of the
 /// storage unit it belongs to (`None` — never pruned — for a memtable or an
@@ -109,9 +131,10 @@ pub struct Leaf<'a, T, I> {
     pub meta: Option<&'a SegmentMeta>,
 }
 
-/// Executes one request over `leaves`, fanning them across up to `width`
-/// threads (capped by the leaf count; width never changes matches, counters
-/// or traces), and records the completed query once into `metrics`.
+/// Executes one request over `leaves` — validate, prune, fan out, gather,
+/// merge, record, trace — fanning them across up to `width` threads (capped
+/// by the leaf count; width never changes matches, counters or traces), and
+/// records the completed query once into `metrics`.
 ///
 /// # Errors
 /// [`EngineError::EmptyQuery`], [`EngineError::LengthMismatch`],
@@ -128,91 +151,18 @@ pub fn execute<T: EnvelopeTransform, I: SpatialIndex>(
     width: usize,
     metrics: &MetricsSink,
 ) -> Result<QueryOutcome, EngineError> {
-    validate(leaves, request)?;
-    run(leaves, request, scratch, width, metrics)
-}
-
-/// Executes a batch of requests over `leaves`, fanning fixed-size chunks of
-/// *requests* across [`BatchOptions::threads`] workers; inside the batch
-/// every request walks its leaves sequentially (one level of parallelism,
-/// never nested). Every per-request outcome — matches, counters and trace —
-/// is bit-identical to the corresponding [`execute`] call at every thread
-/// count: each worker owns a private [`QueryScratch`] and outcomes merge in
-/// submission order.
-///
-/// # Errors
-/// Validates every request first and returns the first [`EngineError`]
-/// before running anything: a batch that fails validation does no work and
-/// records no metrics. A request whose budget expires mid-run fails the
-/// whole batch with the [`EngineError::DeadlineExceeded`] of the earliest
-/// such request in submission order (other requests may already have
-/// completed and recorded their per-query metrics; the batch-level counters
-/// are skipped).
-///
-/// # Panics
-/// Panics if `leaves` is empty.
-pub fn execute_batch<T: EnvelopeTransform, I: SpatialIndex>(
-    leaves: &[Leaf<'_, T, I>],
-    requests: &[QueryRequest],
-    options: &BatchOptions,
-    metrics: &MetricsSink,
-) -> Result<BatchOutcome, EngineError> {
-    for request in requests {
-        validate(leaves, request)?;
-    }
-    let started = metrics.start_timer();
-    let runs =
-        parallel_map_chunked(requests, options, QueryScratch::new, |scratch, _i, request| {
-            run(leaves, request, scratch, 1, metrics)
-        });
-    let outcomes = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let mut stats = EngineStats::default();
-    for outcome in &outcomes {
-        stats.absorb(&outcome.result.stats);
-    }
-    // Drift guard (debug builds): when every request carries a trace, the
-    // merged stats must equal the sum of the per-query trace totals —
-    // `EngineStats::absorb` and `QueryTrace::totals` can never disagree
-    // silently.
-    #[cfg(debug_assertions)]
-    if !outcomes.is_empty() && outcomes.iter().all(|o| o.trace.is_some()) {
-        let mut from_traces = EngineStats::default();
-        for outcome in &outcomes {
-            from_traces.absorb(&outcome.trace.as_ref().expect("all traced").totals());
-        }
-        debug_assert_eq!(from_traces, stats, "batch trace totals drifted from merged EngineStats");
-    }
-    metrics.add(Metric::Batches, 1);
-    metrics.observe_since(Timer::Batch, started);
-    Ok(BatchOutcome { outcomes, stats })
-}
-
-/// Every leaf shares one normal form, so the first speaks for all.
-fn validate<T: EnvelopeTransform, I: SpatialIndex>(
-    leaves: &[Leaf<'_, T, I>],
-    request: &QueryRequest,
-) -> Result<(), EngineError> {
+    // Every leaf shares one normal form, so the first speaks for all.
     let first = leaves.first().expect("a query needs at least one leaf");
-    first.engine.validate_query(request.series(), request.band())
-}
-
-/// Runs a *validated* request: prune, fan out, gather, merge, record, trace.
-fn run<T: EnvelopeTransform, I: SpatialIndex>(
-    leaves: &[Leaf<'_, T, I>],
-    request: &QueryRequest,
-    scratch: &mut QueryScratch,
-    width: usize,
-    metrics: &MetricsSink,
-) -> Result<QueryOutcome, EngineError> {
-    let started = metrics.start_timer();
     let (query, band, budget) = (request.series(), request.band(), request.budget());
+    first.engine.validate_query(query, band)?;
+    let started = metrics.start_timer();
     // The query's envelope and its feature box are the same for every leaf
     // and every phase: computed here, once.
-    let prepared = PreparedQuery::new(leaves[0].engine.transform(), query, band);
+    let prepared = PreparedQuery::new(first.engine.transform(), query, band);
     let mut stats = EngineStats::default();
-    let (kind, matches) = match (request.kind(), request.scan_enabled()) {
-        (RequestKind::Knn { k }, false) => {
-            let seeds = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
+    let (kind, matches) = match request.kind() {
+        RequestKind::Knn { k } => {
+            let seeds = scatter(leaves, width, scratch, |_, leaf, scratch| {
                 leaf.engine.knn_seed_round(&prepared, k, budget, scratch)
             });
             let (mut pools, rests): (Vec<_>, Vec<_>) =
@@ -224,29 +174,15 @@ fn run<T: EnvelopeTransform, I: SpatialIndex>(
             sort_by_distance(&mut seed);
             seed.truncate(k);
             let radius_sq = seed.last().map_or(0.0, |&(_, d_sq)| d_sq);
-            let closes = map_leaves(leaves, width, scratch, |i, leaf, scratch| {
+            let closes = scatter(leaves, width, scratch, |i, leaf, scratch| {
                 leaf.engine
                     .knn_close_round(&prepared, k, radius_sq, &seed, &rests[i], budget, scratch)
             });
             pools.extend(gather(closes, &mut stats)?);
             (QueryKind::Knn, assemble_knn_matches(pools, k))
         }
-        (RequestKind::Knn { k }, true) => {
-            let runs = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
-                leaf.engine.run_scan_knn(&prepared, k, budget, scratch)
-            });
-            let mut matches = merge_sorted_matches(gather(runs, &mut stats)?);
-            matches.truncate(k);
-            (QueryKind::ScanKnn, matches)
-        }
-        (RequestKind::Range { radius }, true) => {
-            let runs = map_leaves(leaves, width, scratch, |_, leaf, scratch| {
-                leaf.engine.run_scan_range(&prepared, radius, budget, scratch)
-            });
-            (QueryKind::ScanRange, merge_sorted_matches(gather(runs, &mut stats)?))
-        }
-        (RequestKind::Range { radius }, false) => {
-            let runs = map_leaves(leaves, width, scratch, |_, leaf, scratch| match leaf.meta {
+        RequestKind::Range { radius } => {
+            let runs = scatter(leaves, width, scratch, |_, leaf, scratch| match leaf.meta {
                 Some(meta) if !meta.may_intersect_range(prepared.feature_box(), radius) => {
                     Ok((Vec::new(), EngineStats::default()))
                 }
@@ -258,40 +194,56 @@ fn run<T: EnvelopeTransform, I: SpatialIndex>(
     stats.matches = matches.len() as u64;
     metrics.record_query(kind, &stats, started);
     let trace = request.trace_enabled().then(|| {
-        let candidates_in = match kind {
-            // Indexed paths: the cascade sees the index's candidate sets.
-            QueryKind::Range | QueryKind::Knn => stats.index.candidates,
-            // Scan paths are never pruned: the cascade sees the whole corpus.
-            QueryKind::ScanRange | QueryKind::ScanKnn => {
-                leaves.iter().map(|leaf| leaf.engine.len() as u64).sum()
-            }
-        };
-        let trace = QueryTrace::from_stats(kind, band, candidates_in, &stats);
+        let trace = QueryTrace::from_stats(kind, band, &stats);
         debug_assert_trace_consistent(&trace, &stats);
         trace
     });
     Ok(QueryOutcome { result: QueryResult { matches, stats }, trace })
 }
 
-/// Runs `f` once per leaf, returning results in fixed leaf order. With
-/// `width > 1` the leaves run on scoped worker threads, each owning a
-/// private scratch (chunk size 1: leaf `i` is item `i`, so work steals at
-/// leaf granularity); otherwise they run in order on the calling thread
-/// reusing the caller's scratch. The results are identical either way
-/// (scratch reuse never changes a counter).
-fn map_leaves<T: EnvelopeTransform, I: SpatialIndex, R: Send>(
-    leaves: &[Leaf<'_, T, I>],
+/// Runs `f` once per item, returning results in input order. With
+/// `width > 1` the items run on up to `width` scoped worker threads, each
+/// owning a private scratch and claiming the next unclaimed item until none
+/// is left; otherwise they run in order on the calling thread reusing the
+/// caller's scratch. For the results to be identical either way, `f` must
+/// not depend on what its scratch was used for before (the engine reports
+/// every counter as a delta).
+fn scatter<X: Sync, R: Send>(
+    items: &[X],
     width: usize,
     scratch: &mut QueryScratch,
-    f: impl Fn(usize, &Leaf<'_, T, I>, &mut QueryScratch) -> R + Sync,
+    f: impl Fn(usize, &X, &mut QueryScratch) -> R + Sync,
 ) -> Vec<R> {
-    if width.min(leaves.len()) <= 1 {
-        return leaves.iter().enumerate().map(|(i, leaf)| f(i, leaf, scratch)).collect();
+    let width = width.min(items.len());
+    if width <= 1 {
+        return items.iter().enumerate().map(|(i, item)| f(i, item, scratch)).collect();
     }
-    let options = BatchOptions::new(width, 1);
-    parallel_map_chunked(leaves, &options, QueryScratch::new, |scratch, i, leaf| {
-        f(i, leaf, scratch)
-    })
+    let cursor = AtomicUsize::new(0);
+    let mut by_item: Vec<Option<R>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..width)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut scratch = QueryScratch::new();
+                    let mut done = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else { break };
+                        done.push((i, f(i, item, &mut scratch)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        for worker in workers {
+            // A worker panic propagates to the caller exactly as in the
+            // sequential path.
+            for (i, result) in worker.join().unwrap_or_else(|e| std::panic::resume_unwind(e)) {
+                by_item[i] = Some(result);
+            }
+        }
+    });
+    by_item.into_iter().map(|result| result.expect("every item claimed exactly once")).collect()
 }
 
 /// Absorbs every leaf's counters into `stats` in leaf order and returns the
@@ -393,5 +345,54 @@ mod tests {
         let pools = vec![vec![(0, 0.5), (2, 1.5)], vec![], vec![(1, 1.0), (3, 1.5)]];
         // Tie at 1.5 resolves by id.
         assert_eq!(merge_sorted_matches(pools), vec![(0, 0.5), (1, 1.0), (2, 1.5), (3, 1.5)]);
+    }
+
+    #[test]
+    fn preserves_input_order_for_every_thread_count() {
+        let items: Vec<u64> = (0..103).collect();
+        let expected: Vec<u64> = items.iter().map(|v| v * 3).collect();
+        for width in [1, 2, 3, 8, 64, 200] {
+            let got = scatter(&items, width, &mut QueryScratch::new(), |_, v, _| v * 3);
+            assert_eq!(got, expected, "width={width}");
+        }
+    }
+
+    #[test]
+    fn worker_state_is_private_and_reused() {
+        // Every item runs exactly once whichever worker claims it, and a
+        // worker hands its one scratch to every item it runs.
+        let calls = AtomicUsize::new(0);
+        let items = vec![(); 57];
+        let mut scratches = scatter(&items, 4, &mut QueryScratch::new(), |_, (), scratch| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            scratch as *const QueryScratch as usize
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 57);
+        scratches.sort_unstable();
+        scratches.dedup();
+        assert!(scratches.len() <= 4, "{} scratches for 4 workers", scratches.len());
+    }
+
+    #[test]
+    fn empty_input_is_empty() {
+        let items: Vec<u32> = Vec::new();
+        assert!(scatter(&items, 8, &mut QueryScratch::new(), |_, v, _| *v).is_empty());
+    }
+
+    #[test]
+    fn index_argument_matches_position() {
+        let items = vec![10usize, 20, 30, 40, 50];
+        let got = scatter(&items, 2, &mut QueryScratch::new(), |i, v, _| (i, *v));
+        assert_eq!(got, vec![(0, 10), (1, 20), (2, 30), (3, 40), (4, 50)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "deliberate")]
+    fn worker_panics_propagate() {
+        let items = vec![0u32; 16];
+        let _ = scatter(&items, 4, &mut QueryScratch::new(), |i, _, _| {
+            assert!(i != 9, "deliberate");
+            i
+        });
     }
 }

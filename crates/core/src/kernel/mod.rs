@@ -12,8 +12,8 @@
 //! explicit lane blocks, on x86-64 the same recipe on AVX2 vectors when
 //! the CPU has them (checked at run time), the portable lane statements
 //! otherwise — and a plain scalar loop, [`KernelMode::Scalar`], kept as
-//! the reference the property suite compares against (as the scan path is
-//! the reference for the index path). The floating-point *recipe* — lane
+//! the reference the property suite compares against (as a brute-force
+//! DTW sweep is the reference for the index path). The floating-point *recipe* — lane
 //! counts, accumulation order, combine tree — is fixed per kernel and
 //! shared by every shape, so they are bit-identical by construction;
 //! `crates/core/tests/kernel.rs`, the in-module tests and the

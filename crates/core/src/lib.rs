@@ -24,16 +24,14 @@
 //!   paper's evaluation (§5.2).
 //! * [`engine`] — the GEMINI query engine (§4.3): feature extraction, spatial
 //!   indexing via any [`hum_index::SpatialIndex`] backend, and the per-leaf
-//!   query primitives (indexed ε-range, the two k-NN rounds, the scans)
-//!   with exact-DTW refinement and full access accounting.
+//!   query primitives (ε-range and the two k-NN rounds) with exact-DTW
+//!   refinement and full access accounting.
 //! * [`exec`] — the one query executor: validates a request, fans it over a
 //!   flat list of engine *leaves* (one engine, or every storage unit of a
-//!   store), runs the one-sweep k-NN schedule
-//!   (seed round, radius barrier, close round), merges hits in fixed leaf
-//!   order — bit-identical to a brute-force sweep for every layout and
-//!   thread count — and batches requests ([`engine::BatchOutcome`]).
-//! * [`batch`] — the deterministic chunked fan-out underneath batched
-//!   execution (fixed-size chunks, chunk-order merge, per-worker scratch).
+//!   store) across `HUM_THREADS` scoped workers, runs the one-sweep k-NN
+//!   schedule (seed round, radius barrier, close round), and merges hits in
+//!   fixed leaf order — bit-identical to a brute-force sweep for every
+//!   layout and thread count.
 //! * [`segment`] — per-segment pruning metadata for LSM-style stores
 //!   (feature-space bounding boxes, bloom-style id filters).
 //! * [`obs`] — observability: a registry of named monotonic counters and
@@ -75,7 +73,6 @@
 //! ```
 
 mod arena;
-pub mod batch;
 pub mod dtw;
 pub mod engine;
 pub mod envelope;

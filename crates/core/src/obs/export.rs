@@ -188,7 +188,7 @@ mod tests {
         s.early_abandoned = 1;
         s.dp_cells = 777;
         s.matches = 2;
-        QueryTrace::from_stats(QueryKind::Range, 4, 20, &s)
+        QueryTrace::from_stats(QueryKind::Range, 4, &s)
     }
 
     #[test]

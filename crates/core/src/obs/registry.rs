@@ -8,8 +8,8 @@
 //! per field.
 //!
 //! Determinism contract: counters accumulate `u64` deltas, and `u64`
-//! addition commutes, so after any batch the counter totals are identical
-//! for every thread count and every scheduling. Timers are the one
+//! addition commutes, so after any set of queries the counter totals are
+//! identical for every thread count and every scheduling. Timers are the one
 //! exception — wall-clock durations are inherently run-dependent — which is
 //! why durations live *only* here and never in [`EngineStats`],
 //! [`QueryTrace`](crate::obs::QueryTrace), or any query result: answers and
@@ -32,16 +32,10 @@ use crate::obs::trace::QueryKind;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Metric {
-    /// Indexed ε-range queries executed.
+    /// ε-range queries executed.
     RangeQueries,
-    /// Indexed k-NN queries executed.
+    /// k-NN queries executed.
     KnnQueries,
-    /// Brute-force (scan) ε-range queries executed.
-    ScanRangeQueries,
-    /// Brute-force (scan) k-NN queries executed.
-    ScanKnnQueries,
-    /// Batch executions (not per-query: one per `query_batch` call).
-    Batches,
     /// Series inserted into the engine.
     Inserts,
     /// Series removed from the engine.
@@ -109,12 +103,9 @@ pub enum Metric {
 
 impl Metric {
     /// Every counter slot, in export order.
-    pub const ALL: [Metric; 33] = [
+    pub const ALL: [Metric; 30] = [
         Metric::RangeQueries,
         Metric::KnnQueries,
-        Metric::ScanRangeQueries,
-        Metric::ScanKnnQueries,
-        Metric::Batches,
         Metric::Inserts,
         Metric::Removals,
         Metric::IndexNodeAccesses,
@@ -150,9 +141,6 @@ impl Metric {
         match self {
             Metric::RangeQueries => "engine.queries.range",
             Metric::KnnQueries => "engine.queries.knn",
-            Metric::ScanRangeQueries => "engine.queries.scan_range",
-            Metric::ScanKnnQueries => "engine.queries.scan_knn",
-            Metric::Batches => "engine.batches",
             Metric::Inserts => "engine.inserts",
             Metric::Removals => "engine.removals",
             Metric::IndexNodeAccesses => "index.node_accesses",
@@ -189,14 +177,10 @@ impl Metric {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Timer {
-    /// Wall time of one indexed ε-range query.
+    /// Wall time of one ε-range query.
     RangeQuery,
-    /// Wall time of one indexed k-NN query.
+    /// Wall time of one k-NN query.
     KnnQuery,
-    /// Wall time of one brute-force scan query (range or k-NN).
-    ScanQuery,
-    /// Wall time of one whole batch execution.
-    Batch,
     /// Wall time of one served request, from frame decode to response
     /// enqueue (includes queue wait).
     ServerRequest,
@@ -214,11 +198,9 @@ pub enum Timer {
 
 impl Timer {
     /// Every histogram slot, in export order.
-    pub const ALL: [Timer; 9] = [
+    pub const ALL: [Timer; 7] = [
         Timer::RangeQuery,
         Timer::KnnQuery,
-        Timer::ScanQuery,
-        Timer::Batch,
         Timer::ServerRequest,
         Timer::ServerQueueWait,
         Timer::ServiceLockWait,
@@ -231,8 +213,6 @@ impl Timer {
         match self {
             Timer::RangeQuery => "latency.range_query",
             Timer::KnnQuery => "latency.knn_query",
-            Timer::ScanQuery => "latency.scan_query",
-            Timer::Batch => "latency.batch",
             Timer::ServerRequest => "latency.server_request",
             Timer::ServerQueueWait => "latency.server_queue_wait",
             Timer::ServiceLockWait => "latency.service_lock_wait",
@@ -385,8 +365,6 @@ impl MetricsRegistry {
         let queries = match kind {
             QueryKind::Range => Metric::RangeQueries,
             QueryKind::Knn => Metric::KnnQueries,
-            QueryKind::ScanRange => Metric::ScanRangeQueries,
-            QueryKind::ScanKnn => Metric::ScanKnnQueries,
         };
         self.add(queries, 1);
         self.add(Metric::IndexNodeAccesses, stats.index.node_accesses);
@@ -529,7 +507,6 @@ impl MetricsSink {
             let timer = match kind {
                 QueryKind::Range => Timer::RangeQuery,
                 QueryKind::Knn => Timer::KnnQuery,
-                QueryKind::ScanRange | QueryKind::ScanKnn => Timer::ScanQuery,
             };
             if let Some(t0) = started {
                 let nanos = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -624,7 +601,7 @@ mod tests {
         reg.add(Metric::IndexCandidates, 9);
         let snap = reg.snapshot();
         assert_eq!(snap.counter(Metric::IndexCandidates), 9);
-        assert_eq!(snap.counter(Metric::Batches), 0);
+        assert_eq!(snap.counter(Metric::Matches), 0);
         assert_eq!(snap.counters.len(), Metric::ALL.len());
         assert_eq!(snap.timers.len(), Timer::ALL.len());
     }

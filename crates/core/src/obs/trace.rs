@@ -8,8 +8,7 @@
 //!
 //! A trace carries **counters only, never wall-clock time**: it is `Copy`,
 //! allocation-free, a pure function of the query and the immutable index,
-//! and therefore bit-identical across runs and thread counts (the batch
-//! layer's permutation-invariance guarantee extends to traces unchanged).
+//! and therefore bit-identical across runs and thread counts.
 //! Durations live in the [`MetricsRegistry`](crate::obs::MetricsRegistry)
 //! histograms instead.
 //!
@@ -25,14 +24,10 @@ use crate::engine::EngineStats;
 /// Which engine code path produced a trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryKind {
-    /// Indexed ε-range query.
+    /// ε-range query.
     Range,
-    /// Indexed k-NN query (optimal multi-step).
+    /// k-NN query (optimal multi-step).
     Knn,
-    /// Brute-force ε-range scan.
-    ScanRange,
-    /// Brute-force k-NN scan.
-    ScanKnn,
 }
 
 impl QueryKind {
@@ -41,8 +36,6 @@ impl QueryKind {
         match self {
             QueryKind::Range => "range",
             QueryKind::Knn => "knn",
-            QueryKind::ScanRange => "scan_range",
-            QueryKind::ScanKnn => "scan_knn",
         }
     }
 }
@@ -92,10 +85,10 @@ pub struct QueryTrace {
     pub kind: QueryKind,
     /// Sakoe-Chiba band half-width of the query.
     pub band: usize,
-    /// Index-level page/probe accounting (all zero on scan paths).
+    /// Index-level page/probe accounting.
     pub index: QueryStats,
     /// Candidates entering the verification cascade: the index's candidate
-    /// set on indexed paths, the full database on scan paths.
+    /// set.
     pub candidates_in: u64,
     /// Removed by the envelope lower bound.
     pub lb_pruned: u64,
@@ -117,17 +110,12 @@ impl QueryTrace {
     /// Builds the trace for one query from the stats the engine already
     /// collected (so the two *cannot* disagree — same instrumentation, two
     /// shapes).
-    pub fn from_stats(
-        kind: QueryKind,
-        band: usize,
-        candidates_in: u64,
-        stats: &EngineStats,
-    ) -> Self {
+    pub fn from_stats(kind: QueryKind, band: usize, stats: &EngineStats) -> Self {
         QueryTrace {
             kind,
             band,
             index: stats.index,
-            candidates_in,
+            candidates_in: stats.index.candidates,
             lb_pruned: stats.lb_pruned,
             lb_improved_pruned: stats.lb_improved_pruned,
             exact_started: stats.exact_computations,
@@ -155,7 +143,7 @@ impl QueryTrace {
 
     /// The funnel view, for rendering: candidates per stage with the count
     /// each stage removed. Every candidate is pruned by one stage or
-    /// verified, on every path, so the rows close exactly.
+    /// verified, so the rows close exactly.
     pub fn stages(&self) -> [StageTrace; 4] {
         let examined = self.index.points_examined.max(self.candidates_in);
         [
@@ -182,8 +170,8 @@ impl QueryTrace {
         ]
     }
 
-    /// Adds another trace's counters into this one (for aggregating a
-    /// batch into one trajectory row). `kind` and `band` keep the
+    /// Adds another trace's counters into this one (for aggregating many
+    /// queries into one trajectory row). `kind` and `band` keep the
     /// receiver's values; aggregate across kinds at your own peril.
     pub fn absorb(&mut self, other: &QueryTrace) {
         self.index.absorb(&other.index);
@@ -199,7 +187,7 @@ impl QueryTrace {
 
     /// An all-zero trace to aggregate into (see [`QueryTrace::absorb`]).
     pub fn zero(kind: QueryKind, band: usize) -> Self {
-        QueryTrace::from_stats(kind, band, 0, &EngineStats::default())
+        QueryTrace::from_stats(kind, band, &EngineStats::default())
     }
 }
 
@@ -248,7 +236,7 @@ mod tests {
     #[test]
     fn totals_invert_from_stats() {
         let s = stats();
-        let trace = QueryTrace::from_stats(QueryKind::Range, 6, s.index.candidates, &s);
+        let trace = QueryTrace::from_stats(QueryKind::Range, 6, &s);
         assert_eq!(trace.totals(), s);
         assert_eq!(trace.verified, 6);
         debug_assert_trace_consistent(&trace, &s);
@@ -257,7 +245,7 @@ mod tests {
     #[test]
     fn stages_form_a_funnel_on_the_range_path() {
         let s = stats();
-        let trace = QueryTrace::from_stats(QueryKind::Range, 6, s.index.candidates, &s);
+        let trace = QueryTrace::from_stats(QueryKind::Range, 6, &s);
         let [index, env, lbi, exact] = trace.stages();
         assert_eq!(index.stage, Stage::IndexFilter);
         assert_eq!(index.entered, 200);
@@ -276,7 +264,7 @@ mod tests {
     #[test]
     fn absorb_sums_every_counter() {
         let s = stats();
-        let one = QueryTrace::from_stats(QueryKind::Range, 6, s.index.candidates, &s);
+        let one = QueryTrace::from_stats(QueryKind::Range, 6, &s);
         let mut total = QueryTrace::zero(QueryKind::Range, 6);
         total.absorb(&one);
         total.absorb(&one);
@@ -290,7 +278,7 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(QueryKind::ScanKnn.name(), "scan_knn");
+        assert_eq!(QueryKind::Knn.name(), "knn");
         assert_eq!(Stage::LbImproved.name(), "lb_improved");
     }
 }

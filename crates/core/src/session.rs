@@ -28,8 +28,8 @@ use crate::normal::NormalForm;
 /// An incremental query session: the first-class query object for
 /// query-as-you-hum.
 ///
-/// Build one from a [`QueryRequest`] template (kind, band, trace, scan —
-/// any series on the template is ignored) plus the [`NormalForm`] the
+/// Build one from a [`QueryRequest`] template (kind, band, trace — any
+/// series on the template is ignored) plus the [`NormalForm`] the
 /// serving system normalizes hums with; then interleave
 /// [`append`](Self::append) and refinements (execute
 /// [`to_request`](Self::to_request) on an engine) as frames arrive. A
@@ -57,8 +57,8 @@ pub struct QuerySession {
 
 impl QuerySession {
     /// Opens a session from a request template and a normal form. The
-    /// template's series (if any) is ignored; its kind, band, trace and
-    /// scan settings apply to every refinement.
+    /// template's series (if any) is ignored; its kind, band and trace
+    /// settings apply to every refinement.
     pub fn new(template: QueryRequest, normal: NormalForm) -> Self {
         QuerySession { template, normal, frames: Vec::new() }
     }
@@ -67,7 +67,7 @@ impl QuerySession {
     ///
     /// # Errors
     /// [`EngineError::NonFiniteSample`] naming the offending *session*
-    /// frame index (the whole batch is rejected; the session is
+    /// frame index (the whole append is rejected; the session is
     /// unchanged). Streaming ingest validates eagerly, at raw-frame
     /// indices, before resampling could smear the poison.
     pub fn append(&mut self, frames: &[f64]) -> Result<usize, EngineError> {
@@ -145,7 +145,7 @@ mod tests {
             EngineError::NonFiniteSample { index, .. } => assert_eq!(index, 3),
             other => panic!("expected NonFiniteSample, got {other:?}"),
         }
-        // The failed batch left nothing behind.
+        // The failed append left nothing behind.
         assert_eq!(session.len(), 2);
         assert_eq!(session.frames(), &[60.0, 61.0]);
     }

@@ -5,9 +5,8 @@
 //! a plain `HashMap<ItemId, Vec<f64>>`. After every operation the two must
 //! agree on `len`, on `get` for every id of the universe, and on the outcome
 //! of the call itself (a failed call reports its error and leaves the engine
-//! as it was); at intervals they must also agree on *answers*: the scan
-//! paths and the indexed paths against a brute-force `ldtw_distance` sweep
-//! of the model. Removal moves the arena's last slot into the hole, so the
+//! as it was); at intervals they must also agree on *answers*: both query
+//! shapes against a brute-force `ldtw_distance` sweep of the model. Removal moves the arena's last slot into the hole, so the
 //! sequences are drawn from a small id universe — holes open at the front,
 //! in the middle and at the end, the engine empties and refills — and a
 //! clone taken mid-sequence must keep answering for the state it was
@@ -75,12 +74,10 @@ fn assert_agrees(engine: &Engine, model: &Model, query: &[f64], when: &str) {
     let k = 5.min(truth.len());
     let radius = truth.get(k.saturating_sub(1)).map_or(1.0, |m| m.1);
     let in_range: Vec<(ItemId, f64)> = truth.iter().copied().filter(|m| m.1 <= radius).collect();
-    for scan in [true, false] {
-        let knn = QueryRequest::knn(5).with_series(query).with_band(BAND).with_scan(scan);
-        assert_eq!(bits(&engine.query(&knn).result.matches), bits(&truth[..k]), "knn {when}");
-        let range = QueryRequest::range(radius).with_series(query).with_band(BAND).with_scan(scan);
-        assert_eq!(bits(&engine.query(&range).result.matches), bits(&in_range), "range {when}");
-    }
+    let knn = QueryRequest::knn(5).with_series(query).with_band(BAND);
+    assert_eq!(bits(&engine.query(&knn).result.matches), bits(&truth[..k]), "knn {when}");
+    let range = QueryRequest::range(radius).with_series(query).with_band(BAND);
+    assert_eq!(bits(&engine.query(&range).result.matches), bits(&in_range), "range {when}");
 }
 
 #[derive(Debug, Clone)]

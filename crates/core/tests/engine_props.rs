@@ -1,9 +1,10 @@
 //! Engine-level properties of the verification cascade: every stage
 //! (envelope bound, `LB_Improved`, early-abandoning DTW) is exact with
 //! respect to its prune threshold, so turning the cascade on or off must be
-//! invisible in the answers — same ids, bit-identical distances — on every
-//! index backend.
+//! invisible in the answers — same ids, bit-identical distances to a
+//! brute-force `ldtw_distance` sweep — on every index backend.
 
+use hum_core::dtw::ldtw_distance;
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
 use hum_core::transform::paa::NewPaa;
 use hum_index::{GridFile, LinearScan, RStarTree, SpatialIndex};
@@ -35,8 +36,31 @@ fn lcg_series(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Bit-exact images of the four query answers under one backend + config.
-#[allow(clippy::type_complexity)]
+fn bits(matches: &[(u64, f64)]) -> Vec<(u64, u64)> {
+    matches.iter().map(|&(id, d)| (id, d.to_bits())).collect()
+}
+
+/// The oracle: bit-exact images of the range and k-NN answers of a
+/// brute-force sweep, in `(distance, id)` order.
+fn brute_force(
+    database: &[Vec<f64>],
+    query: &[f64],
+    band: usize,
+    radius: f64,
+    k: usize,
+) -> Vec<Vec<(u64, u64)>> {
+    let mut all: Vec<(u64, f64)> = database
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (i as u64, ldtw_distance(query, s, band)))
+        .collect();
+    all.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+    let in_range: Vec<(u64, f64)> = all.iter().copied().filter(|m| m.1 <= radius).collect();
+    vec![bits(&in_range), bits(&all[..k.min(all.len())])]
+}
+
+/// Bit-exact images of the range and k-NN answers under one backend +
+/// config.
 fn answers<I: SpatialIndex>(
     make: impl Fn() -> I,
     config: EngineConfig,
@@ -50,16 +74,11 @@ fn answers<I: SpatialIndex>(
     for (i, s) in database.iter().enumerate() {
         engine.insert(i as u64, s.clone());
     }
-    let bits = |matches: &[(u64, f64)]| {
-        matches.iter().map(|&(id, d)| (id, d.to_bits())).collect::<Vec<_>>()
-    };
     let range = QueryRequest::range(radius).with_series(query).with_band(band);
     let knn = QueryRequest::knn(k).with_series(query).with_band(band);
     vec![
         bits(&engine.query(&range).result.matches),
         bits(&engine.query(&knn).result.matches),
-        bits(&engine.query(&range.clone().with_scan(true)).result.matches),
-        bits(&engine.query(&knn.clone().with_scan(true)).result.matches),
     ]
 }
 
@@ -81,15 +100,7 @@ proptest! {
             early_abandon: false,
             ..EngineConfig::default()
         };
-        let reference = answers(
-            || LinearScan::with_page_size(4, 1024),
-            off,
-            &database,
-            &query,
-            band,
-            radius,
-            k,
-        );
+        let reference = brute_force(&database, &query, band, radius, k);
         prop_assert!(
             reference[0].len() <= N && reference[1].len() == k.min(N),
             "reference answers malformed"

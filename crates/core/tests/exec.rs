@@ -2,20 +2,17 @@
 //! request kind must return matches **bit-identical to a brute-force
 //! `ldtw_distance` sweep**, with counters and traces that depend on the
 //! layout but never on the width, and an expired budget must surface as one
-//! `DeadlineExceeded` with no matches, and a batch over any layout must
-//! equal the same requests run one by one — plus the executor's own
-//! contracts (leaf pruning is ε-range only; a batch validates everything
-//! first).
+//! `DeadlineExceeded` with no matches — plus the executor's own contract
+//! that leaf pruning is ε-range only.
 
 use std::time::Instant;
 
-use hum_core::batch::BatchOptions;
 use hum_core::dtw::ldtw_distance;
 use hum_core::engine::{
     DtwIndexEngine, EngineConfig, EngineError, QueryBudget, QueryOutcome, QueryRequest,
     QueryScratch, RequestKind,
 };
-use hum_core::exec::{execute, execute_batch, Leaf};
+use hum_core::exec::{execute, Leaf};
 use hum_core::obs::{Metric, MetricsSink};
 use hum_core::segment::SegmentMeta;
 use hum_core::transform::paa::NewPaa;
@@ -133,21 +130,19 @@ fn brute_force(series: &[Vec<f64>], request: &QueryRequest) -> Vec<(ItemId, f64)
     all
 }
 
-/// ε-range and k-NN, indexed and scan, for two queries (one among the plain
-/// walks, one that *is* a ramp series). The k-NN `k`s put the seed round's
+/// ε-range and k-NN for two queries (one among the plain walks, one that
+/// *is* a ramp series). The k-NN `k`s put the seed round's
 /// cut `M = 32·k` inside and beyond every leaf, and include the edge cases
 /// `k = 0`, `k` beyond the corpus and `k = usize::MAX`.
 fn requests(series: &[Vec<f64>]) -> Vec<QueryRequest> {
     let mut out = Vec::new();
     for (qi, radius) in [(3usize, 2.5), (10, 60.0)] {
-        for scan in [false, true] {
-            let shape = |r: QueryRequest| {
-                r.with_series(series[qi].clone()).with_band(BAND).with_scan(scan).with_trace(true)
-            };
-            out.push(shape(QueryRequest::range(radius)));
-            for k in [0, 1, 2, 7, series.len() + 9, usize::MAX] {
-                out.push(shape(QueryRequest::knn(k)));
-            }
+        let shape = |r: QueryRequest| {
+            r.with_series(series[qi].clone()).with_band(BAND).with_trace(true)
+        };
+        out.push(shape(QueryRequest::range(radius)));
+        for k in [0, 1, 2, 7, series.len() + 9, usize::MAX] {
+            out.push(shape(QueryRequest::knn(k)));
         }
     }
     out
@@ -180,9 +175,9 @@ fn corpora() -> Vec<(&'static str, Vec<Vec<f64>>)> {
 
 /// The layout matrix: every corpus × {1 leaf, 4 leaves, 3 units, 6 units
 /// with one empty} × width {1, 8} × every request shape, each run once
-/// unbudgeted (against the oracle) and once already expired, then all at
-/// once as a batch at 1 and 8 threads. The layouts hold leaves smaller than `M`, and leaves that
-/// contribute nothing to a k-NN answer (checked, not assumed).
+/// unbudgeted (against the oracle) and once already expired. The layouts
+/// hold leaves smaller than `M`, and leaves that contribute nothing to a
+/// k-NN answer (checked, not assumed).
 #[test]
 fn every_layout_matches_brute_force_at_every_width_and_honours_the_deadline() {
     let expired = QueryBudget::with_deadline(Instant::now());
@@ -198,7 +193,7 @@ fn every_layout_matches_brute_force_at_every_width_and_honours_the_deadline() {
 }
 
 /// One layout of the matrix; adds to `idle_leaves` the non-empty leaves
-/// that hold none of an indexed k-NN's answer.
+/// that hold none of a k-NN's answer.
 fn check_layout(
     name: &str,
     leaves: &Leaves<'_>,
@@ -206,9 +201,7 @@ fn check_layout(
     expired: QueryBudget,
     idle_leaves: &mut usize,
 ) {
-    let requests = requests(series);
-    let mut sequential = Vec::new();
-    for request in &requests {
+    for request in &requests(series) {
         let narrow = run(leaves, request, 1).expect("unbudgeted query completes");
         let expected = brute_force(series, request);
         assert_eq!(narrow.result.matches, expected, "{name}: {request:?}");
@@ -220,9 +213,7 @@ fn check_layout(
             trace.candidates_in,
             "{name}: the funnel leaks for {request:?}"
         );
-        if request.scan_enabled() {
-            assert_eq!(trace.candidates_in, series.len() as u64, "{name}");
-        } else if matches!(request.kind(), RequestKind::Knn { k } if k > 0) {
+        if matches!(request.kind(), RequestKind::Knn { k } if k > 0) {
             *idle_leaves += leaves
                 .iter()
                 .filter(|leaf| !leaf.engine.is_empty())
@@ -232,11 +223,10 @@ fn check_layout(
         // Matches, counters and trace are functions of the layout alone.
         let wide = run(leaves, request, 8).expect("unbudgeted query completes");
         assert_eq!(narrow, wide, "{name}: outcome varied with width for {request:?}");
-        sequential.push(narrow);
 
-        // An indexed k = 0 does no per-candidate work, so it has no
-        // deadline to miss; everything else aborts at its first poll.
-        if matches!(request.kind(), RequestKind::Knn { k: 0 }) && !request.scan_enabled() {
+        // A k = 0 does no per-candidate work, so it has no deadline to
+        // miss; everything else aborts at its first poll.
+        if matches!(request.kind(), RequestKind::Knn { k: 0 }) {
             continue;
         }
         let request = request.clone().with_budget(expired);
@@ -250,18 +240,11 @@ fn check_layout(
         }
         assert_eq!(aborted, run(leaves, &request, 8), "{name}: partial counters vary");
     }
-    // A batch is the same requests one by one: matches, counters, traces.
-    for threads in [1usize, 8] {
-        let options = BatchOptions::new(threads, 2);
-        let batch = execute_batch(leaves, &requests, &options, &MetricsSink::Disabled)
-            .expect("unbudgeted batch completes");
-        assert_eq!(batch.outcomes, sequential, "{name}: batch diverged at threads={threads}");
-    }
 }
 
 /// A range query at a distance a k-NN answer reported returns that
-/// neighbour, in every layout, indexed or scanned: a match is decided on the
-/// root it is reported with, not on `radius²` (`fl(fl(√x)²)` can sit a few
+/// neighbour, in every layout: a match is decided on the root it is
+/// reported with, not on `radius²` (`fl(fl(√x)²)` can sit a few
 /// ulps below `x`).
 #[test]
 fn a_range_query_at_a_returned_distance_returns_that_item() {
@@ -269,27 +252,23 @@ fn a_range_query_at_a_returned_distance_returns_that_item() {
     for (name, units) in layouts(&series) {
         let leaves = leaves(&units);
         for qi in [3usize, 10, 41] {
-            for scan in [false, true] {
-                let shape = |r: QueryRequest| {
-                    r.with_series(series[qi].clone()).with_band(BAND).with_scan(scan)
-                };
-                let knn = run(&leaves, &shape(QueryRequest::knn(8)), 1).expect("completes");
-                for &(id, distance) in &knn.result.matches {
-                    let request = shape(QueryRequest::range(distance));
-                    let range = run(&leaves, &request, 1).expect("completes").result.matches;
-                    assert!(
-                        range.contains(&(id, distance)),
-                        "{name}, scan={scan}: range({distance}) around #{qi} lost item {id}"
-                    );
-                    assert_eq!(range, brute_force(&series, &request), "{name}, scan={scan}");
-                }
+            let shape = |r: QueryRequest| r.with_series(series[qi].clone()).with_band(BAND);
+            let knn = run(&leaves, &shape(QueryRequest::knn(8)), 1).expect("completes");
+            for &(id, distance) in &knn.result.matches {
+                let request = shape(QueryRequest::range(distance));
+                let range = run(&leaves, &request, 1).expect("completes").result.matches;
+                assert!(
+                    range.contains(&(id, distance)),
+                    "{name}: range({distance}) around #{qi} lost item {id}"
+                );
+                assert_eq!(range, brute_force(&series, &request), "{name}");
             }
         }
     }
 }
 
-/// Leaf pruning skips a segment only for an indexed ε-range query that
-/// cannot reach its bounding box; k-NN and the scans always see every leaf.
+/// Leaf pruning skips a segment only for an ε-range query that cannot
+/// reach its bounding box; k-NN always sees every leaf.
 #[test]
 fn only_indexed_range_queries_prune_leaves() {
     let series = corpus(90, 13);
@@ -301,24 +280,23 @@ fn only_indexed_range_queries_prune_leaves() {
         let with = run(&pruning, &request, 1).expect("completes");
         let without = run(&unpruned, &request, 1).expect("completes");
         assert_eq!(with.result.matches, without.result.matches);
-        let indexed_range =
-            matches!(request.kind(), RequestKind::Range { .. }) && !request.scan_enabled();
+        let range = matches!(request.kind(), RequestKind::Range { .. });
         let small_radius = matches!(request.kind(), RequestKind::Range { radius } if radius < 10.0);
-        if indexed_range && small_radius {
+        if small_radius {
             // The first unit holds only the ramp series: never touched.
             assert!(
                 with.result.stats.index.node_accesses < without.result.stats.index.node_accesses,
                 "the unreachable segment was walked anyway"
             );
-        } else if !indexed_range {
+        } else if !range {
             assert_eq!(with, without, "a non-range query must never be pruned: {request:?}");
         }
     }
 }
 
-/// A batch validates every request before running any: one malformed
-/// request fails the whole batch with its typed error, and the registry
-/// shows no query, no batch, no work.
+/// A batch is now a sequence of single requests, each validated before any
+/// work: the malformed one is reported up front and records nothing, at
+/// every width, while the well-formed ones around it run and are recorded.
 #[test]
 fn a_batch_that_fails_validation_does_no_work_and_records_nothing() {
     let series = corpus(60, 17);
@@ -328,22 +306,24 @@ fn a_batch_that_fails_validation_does_no_work_and_records_nothing() {
     let mut poisoned = series[2].clone();
     poisoned[9] = f64::NAN;
     let bad = QueryRequest::knn(3).with_series(poisoned).with_band(BAND);
-    for threads in [1usize, 8] {
+    for width in [1usize, 8] {
         let metrics = MetricsSink::enabled();
-        let batch = [good.clone(), good.clone(), good.clone(), bad.clone()];
-        match execute_batch(&leaves, &batch, &BatchOptions::new(threads, 1), &metrics) {
+        let mut scratch = QueryScratch::new();
+        match execute(&leaves, &bad, &mut scratch, width, &metrics) {
             Err(EngineError::NonFiniteSample { context: "query", index: 9, .. }) => {}
             other => panic!("expected the NaN to be reported up front, got {other:?}"),
         }
         let snapshot = metrics.registry().expect("enabled").snapshot();
-        for metric in [Metric::KnnQueries, Metric::Batches, Metric::DpCells] {
-            assert_eq!(snapshot.counter(metric), 0, "threads={threads}: {metric:?} recorded");
+        for metric in [Metric::KnnQueries, Metric::ExactStarted, Metric::DpCells] {
+            assert_eq!(snapshot.counter(metric), 0, "width={width}: {metric:?} recorded");
         }
-        // The same batch without the bad request runs and is recorded.
-        let ok = execute_batch(&leaves, &batch[..3], &BatchOptions::new(threads, 1), &metrics);
-        assert_eq!(ok.expect("well-formed batch").outcomes.len(), 3);
+        // The well-formed requests of the same batch run and are recorded.
+        for request in [&good, &good, &good] {
+            let outcome = execute(&leaves, request, &mut scratch, width, &metrics);
+            assert_eq!(outcome.expect("well-formed request").result.matches.len(), 3);
+        }
         let snapshot = metrics.registry().expect("enabled").snapshot();
-        assert_eq!(snapshot.counter(Metric::KnnQueries), 3);
-        assert_eq!(snapshot.counter(Metric::Batches), 1);
+        assert_eq!(snapshot.counter(Metric::KnnQueries), 3, "width={width}");
+        assert!(snapshot.counter(Metric::DpCells) > 0, "width={width}");
     }
 }

@@ -4,7 +4,7 @@
 //! counters* do not depend on the mode — and the kernel-layer DTW matches a
 //! reference transcription of the classic branchy row loop bit for bit.
 
-use hum_core::dtw::{ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
+use hum_core::dtw::{ldtw_distance, ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest, QueryScratch};
 use hum_core::envelope::Envelope;
 use hum_core::kernel::lb::env_lb_sq_bounded;
@@ -110,7 +110,7 @@ proptest! {
     }
 
     /// Engine-level: answers AND counters are bit-identical across kernel
-    /// modes, on indexed and scan paths alike.
+    /// modes, and the range answer is a brute-force sweep's, bit for bit.
     #[test]
     fn engine_invariant_to_kernel_mode(
         seed in any::<u64>(),
@@ -134,6 +134,14 @@ proptest! {
             (0..LEN).map(|_| { acc += next(); acc }).collect()
         };
 
+        let mut swept: Vec<(u64, f64)> = database
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i as u64, ldtw_distance(&query, s, band)))
+            .filter(|&(_, d)| d <= radius)
+            .collect();
+        swept.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+
         let mut reference = None;
         for kernel in MODES {
             let config = EngineConfig { kernel, ..EngineConfig::default() };
@@ -154,10 +162,10 @@ proptest! {
             let outputs = (
                 engine.try_query_with(&range, &mut scratch).unwrap().result,
                 engine.try_query_with(&knn, &mut scratch).unwrap().result,
-                engine.query(&range.clone().with_scan(true)).result,
                 linear.query(&range).result,
                 linear.query(&knn).result,
             );
+            prop_assert_eq!(&outputs.0.matches, &swept, "kernel {:?}", kernel);
             match &reference {
                 None => reference = Some(outputs),
                 Some(want) => prop_assert_eq!(want, &outputs, "config {:?}", config),

@@ -3,15 +3,12 @@
 //! * a disabled sink is a no-op — answers and counters are bit-identical
 //!   with metrics on or off;
 //! * trace totals equal `EngineStats` on every path (the drift guard);
-//! * batch trace merge is permutation-invariant: the trace stream is the
-//!   same for every thread count and chunk size, including the
-//!   `HUM_THREADS`-driven default that `ci.sh` pins to 1 and 8;
-//! * every `EngineError` variant round-trips through a `QueryRequest`;
+//! * every `EngineError` variant round-trips through a `QueryRequest`, and
+//!   a rejected query records nothing;
 //! * the registry's counters equal the sum of the absorbed per-query stats.
 
 use std::sync::Arc;
 
-use hum_core::batch::BatchOptions;
 use hum_core::engine::{
     DtwIndexEngine, EngineConfig, EngineError, EngineStats, QueryRequest,
 };
@@ -65,8 +62,8 @@ fn mixed_requests(queries: &[Vec<f64>], trace: bool) -> Vec<QueryRequest> {
             let r = match i % 4 {
                 0 => QueryRequest::range(2.0),
                 1 => QueryRequest::knn(5),
-                2 => QueryRequest::range(1.0).with_scan(true),
-                _ => QueryRequest::knn(3).with_scan(true),
+                2 => QueryRequest::range(1.0),
+                _ => QueryRequest::knn(3),
             };
             r.with_series(q.clone()).with_band(i % 6).with_trace(trace)
         })
@@ -84,10 +81,8 @@ fn disabled_sink_changes_nothing() {
     }
     // The recording engine really did record on the side.
     let snapshot = recorded.metrics().registry().unwrap().snapshot();
-    assert_eq!(snapshot.counter(Metric::RangeQueries), 2);
-    assert_eq!(snapshot.counter(Metric::KnnQueries), 2);
-    assert_eq!(snapshot.counter(Metric::ScanRangeQueries), 2);
-    assert_eq!(snapshot.counter(Metric::ScanKnnQueries), 2);
+    assert_eq!(snapshot.counter(Metric::RangeQueries), 4);
+    assert_eq!(snapshot.counter(Metric::KnnQueries), 4);
 }
 
 #[test]
@@ -127,30 +122,10 @@ fn insert_and_remove_are_counted() {
 }
 
 #[test]
-fn batch_trace_merge_is_permutation_invariant() {
-    let series = lcg_series(60, 19);
-    let queries = lcg_series(10, 4444);
-    let engine = build_engine(&series);
-    let requests = mixed_requests(&queries, true);
-    // Sequential reference at threads=1, plus the HUM_THREADS-driven
-    // default (ci.sh runs this suite under HUM_THREADS=1 and 8).
-    let reference = engine.try_query_batch(&requests, &BatchOptions::new(1, 2)).unwrap();
-    for options in [BatchOptions::new(2, 3), BatchOptions::new(8, 1), BatchOptions::default()] {
-        let got = engine.try_query_batch(&requests, &options).unwrap();
-        assert_eq!(got, reference, "{options:?}");
-    }
-    // Each merged outcome carries its trace, in submission order.
-    for (outcome, request) in reference.outcomes.iter().zip(&requests) {
-        let trace = outcome.trace.expect("all requests traced");
-        assert_eq!(trace.totals(), outcome.result.stats);
-        assert_eq!(trace.band, request.band());
-    }
-}
-
-#[test]
 fn every_error_variant_round_trips_through_a_request() {
     let series = lcg_series(3, 23);
-    let mut engine = build_engine(&series[..1]);
+    // Every rejected request below runs against an enabled sink.
+    let mut engine = build_engine(&series[..1]).with_metrics(MetricsSink::enabled());
 
     let cases: Vec<(QueryRequest, EngineError)> = vec![
         (QueryRequest::range(1.0), EngineError::EmptyQuery),
@@ -165,13 +140,6 @@ fn every_error_variant_round_trips_through_a_request() {
     ];
     for (request, expected) in cases {
         assert_eq!(engine.try_query(&request), Err(expected));
-        // The scan fallback validates identically.
-        assert_eq!(engine.try_query(&request.clone().with_scan(true)), Err(expected));
-        // Batched validation reports the same error up front.
-        assert_eq!(
-            engine.try_query_batch(&[request], &BatchOptions::new(1, 1)).unwrap_err(),
-            expected
-        );
     }
 
     let mut bad = series[1].clone();
@@ -183,6 +151,12 @@ fn every_error_variant_round_trips_through_a_request() {
         other => panic!("expected NonFiniteSample, got {other:?}"),
     }
     assert_eq!(engine.try_insert(0, series[2].clone()), Err(EngineError::DuplicateId(0)));
+    // A rejected query is reported before any work: nothing is recorded.
+    let snapshot = engine.metrics().registry().expect("enabled").snapshot();
+    for metric in [Metric::RangeQueries, Metric::KnnQueries, Metric::DpCells, Metric::Inserts] {
+        assert_eq!(snapshot.counter(metric), 0, "{metric:?} recorded");
+    }
+    assert!(snapshot.timers.iter().all(|t| t.histogram.count == 0), "a query was timed");
 
     // Every variant's Display is stable enough to grep in a panic message.
     for error in [
@@ -215,8 +189,7 @@ fn exporters_render_live_traces_and_metrics() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any workload and every query kind — indexed and scan, range and
-    /// k-NN: tracing and metrics recording never change the answer, trace
+    /// For any workload and both query kinds, range and k-NN: tracing and metrics recording never change the answer, trace
     /// totals always equal the stats, and the cascade funnel closes exactly
     /// (every candidate is pruned by exactly one stage or verified).
     #[test]
@@ -230,13 +203,8 @@ proptest! {
         let query = lcg_series(1, seed ^ 0xfeed).remove(0);
         let plain = build_engine(&series);
         let recorded = build_engine(&series).with_metrics(MetricsSink::enabled());
-        for (request, scan) in [
-            (QueryRequest::range(radius), false),
-            (QueryRequest::knn(k), false),
-            (QueryRequest::range(radius), true),
-            (QueryRequest::knn(k), true),
-        ] {
-            let untraced = request.with_series(query.clone()).with_band(band).with_scan(scan);
+        for request in [QueryRequest::range(radius), QueryRequest::knn(k)] {
+            let untraced = request.with_series(query.clone()).with_band(band);
             let traced = untraced.clone().with_trace(true);
 
             let baseline = plain.query(&untraced);

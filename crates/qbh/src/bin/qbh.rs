@@ -41,6 +41,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use hum_core::engine::EngineError;
 use hum_core::obs::{Metric, MetricsSink};
 use hum_music::{HummingSimulator, Melody, SingerProfile, Songbook, SongbookConfig};
 use hum_qbh::corpus::{melody_from_smf, melody_to_smf};
@@ -49,8 +50,9 @@ use hum_qbh::storage::StorageError;
 use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions};
 
 /// CLI failure modes, each with its own exit code so scripts can tell a
-/// misused invocation (2) from a corrupt or unwritable store (3) or a
-/// serving failure such as an unbindable address (4).
+/// misused invocation (2) from a corrupt or unwritable store (3), a
+/// serving failure such as an unbindable address (4) or a query the engine
+/// rejected (1).
 enum CliError {
     /// Bad arguments or an unreadable corpus directory.
     Usage(String),
@@ -59,6 +61,8 @@ enum CliError {
     Storage(StorageError),
     /// A serving failure: the listen address cannot be bound.
     Server(String),
+    /// The engine rejected the query built from the recording.
+    Query(EngineError),
 }
 
 impl CliError {
@@ -67,6 +71,7 @@ impl CliError {
             CliError::Usage(_) => 2,
             CliError::Storage(_) => 3,
             CliError::Server(_) => 4,
+            CliError::Query(_) => 1,
         }
     }
 }
@@ -95,6 +100,7 @@ impl std::fmt::Display for CliError {
             CliError::Usage(message) => write!(f, "{message}"),
             CliError::Storage(e) => write!(f, "{e}"),
             CliError::Server(message) => write!(f, "{message}"),
+            CliError::Query(e) => write!(f, "query failed: {e}"),
         }
     }
 }
@@ -394,6 +400,9 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     let source = PathBuf::from(args.first().ok_or("query needs a MIDI or store directory")?);
     let wav_path = PathBuf::from(args.get(1).ok_or("query needs a .wav file")?);
     let top = flag_value(args, "--top")?.unwrap_or(5) as usize;
+    if top == 0 {
+        return Err("--top must be at least 1".into());
+    }
 
     // A store is told from a MIDI directory by the manifest it holds. File
     // names exist only for a MIDI directory (whose ids are positions in the
@@ -421,12 +430,16 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         hum_audio::read_wav_mono(&bytes).map_err(|e| format!("{}: {e}", wav_path.display()))?;
     eprintln!("Query: {:.1} s of audio at {rate} Hz.", samples.len() as f64 / rate as f64);
 
-    let results = system.query_audio(&samples, rate, top);
-    if results.matches.is_empty() {
+    let Some(results) = system.try_query_audio(&samples, rate, top).map_err(CliError::Query)?
+    else {
         eprintln!("No voiced frames found — is the recording silent?");
         return Ok(());
+    };
+    if results.matches.is_empty() {
+        println!("\nNo matches: {} holds no melodies.", source.display());
+    } else {
+        println!("\nTop matches:");
     }
-    println!("\nTop matches:");
     for (rank, m) in results.matches.iter().enumerate() {
         let label = usize::try_from(m.id)
             .ok()

@@ -5,7 +5,7 @@
 //! This module holds what both of its file formats are built from:
 //!
 //! * [`StorageError`] — the typed failure every reader and writer returns;
-//! * the checksummed framing (`SnapshotWriter` / `SnapshotReader`): a
+//! * the checksummed framing (`SectionWriter` / `SectionReader`): a
 //!   file is a magic, then sections each followed by the CRC32 (IEEE) of
 //!   its body, then a footer CRC32 of every preceding byte. Section CRCs
 //!   localize corruption in error messages; the footer makes *any*
@@ -178,16 +178,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// Write adapter tracking the whole-file CRC, the current section CRC, and
 /// the byte count.
-pub(crate) struct SnapshotWriter<'a, W: Write> {
+pub(crate) struct SectionWriter<'a, W: Write> {
     inner: &'a mut W,
     bytes: u64,
     file_crc: Crc32,
     section_crc: Crc32,
 }
 
-impl<'a, W: Write> SnapshotWriter<'a, W> {
+impl<'a, W: Write> SectionWriter<'a, W> {
     pub(crate) fn new(inner: &'a mut W) -> Self {
-        SnapshotWriter { inner, bytes: 0, file_crc: Crc32::new(), section_crc: Crc32::new() }
+        SectionWriter { inner, bytes: 0, file_crc: Crc32::new(), section_crc: Crc32::new() }
     }
 
     /// Writes bytes that belong to the current section.
@@ -229,16 +229,16 @@ impl<'a, W: Write> SnapshotWriter<'a, W> {
     }
 }
 
-/// Read adapter mirroring [`SnapshotWriter`].
-pub(crate) struct SnapshotReader<'a, R: Read> {
+/// Read adapter mirroring [`SectionWriter`].
+pub(crate) struct SectionReader<'a, R: Read> {
     inner: &'a mut R,
     file_crc: Crc32,
     section_crc: Crc32,
 }
 
-impl<'a, R: Read> SnapshotReader<'a, R> {
+impl<'a, R: Read> SectionReader<'a, R> {
     pub(crate) fn new(inner: &'a mut R) -> Self {
-        SnapshotReader { inner, file_crc: Crc32::new(), section_crc: Crc32::new() }
+        SectionReader { inner, file_crc: Crc32::new(), section_crc: Crc32::new() }
     }
 
     /// Reads bytes that belong to the current section.
@@ -254,7 +254,7 @@ impl<'a, R: Read> SnapshotReader<'a, R> {
     }
 
     /// Reads a stored section CRC32 and checks it against the bytes read
-    /// since [`SnapshotReader::begin_section`].
+    /// since [`SectionReader::begin_section`].
     pub(crate) fn verify_section(&mut self, section: &'static str) -> Result<(), StorageError> {
         let expected = self.section_crc.finish();
         let mut buf = [0u8; 4];
@@ -378,7 +378,7 @@ pub(crate) fn as_u32(value: usize, what: &str) -> Result<u32, StorageError> {
 /// [`StorageError::Unrepresentable`] when the configuration fails
 /// [`validate_config`] or a field overflows its on-disk width.
 pub(crate) fn write_config_section<W: Write>(
-    dst: &mut SnapshotWriter<'_, W>,
+    dst: &mut SectionWriter<'_, W>,
     config: &QbhConfig,
 ) -> Result<(), StorageError> {
     validate_config(config).map_err(StorageError::Unrepresentable)?;
@@ -396,7 +396,7 @@ pub(crate) fn write_config_section<W: Write>(
 /// Reads, checksums, and validates the configuration section (see
 /// [`write_config_section`]).
 pub(crate) fn read_config_section<R: Read>(
-    src: &mut SnapshotReader<'_, R>,
+    src: &mut SectionReader<'_, R>,
 ) -> Result<QbhConfig, StorageError> {
     src.begin_section();
     let mut body = [0u8; CONFIG_BODY_LEN];
@@ -430,7 +430,7 @@ pub(crate) fn read_config_section<R: Read>(
 /// presence byte, always 0, then the section CRC. See
 /// [`skip_plan_section`] for what readers accept.
 pub(crate) fn write_plan_section<W: Write>(
-    dst: &mut SnapshotWriter<'_, W>,
+    dst: &mut SectionWriter<'_, W>,
 ) -> Result<(), StorageError> {
     dst.begin_section();
     dst.put(&[0])?;
@@ -451,7 +451,7 @@ pub(crate) fn write_plan_section<W: Write>(
 /// to the cap it always had) and checked only by the section CRC; any
 /// other presence byte but 0 is [`StorageError::Corrupt`].
 pub(crate) fn skip_plan_section<R: Read>(
-    src: &mut SnapshotReader<'_, R>,
+    src: &mut SectionReader<'_, R>,
 ) -> Result<(), StorageError> {
     src.begin_section();
     let mut present = [0u8; 1];

@@ -61,7 +61,7 @@ use std::path::{Path, PathBuf};
 
 use crate::storage::{
     as_u32, atomic_write, read_config_section, skip_plan_section, validate_config,
-    write_config_section, write_plan_section, SnapshotReader, SnapshotWriter, StorageError,
+    write_config_section, write_plan_section, SectionReader, SectionWriter, StorageError,
     MAX_MELODIES, PREALLOC_CAP,
 };
 use crate::system::QbhConfig;
@@ -150,7 +150,7 @@ pub fn write_segment<W: Write>(
             entries.len()
         )));
     }
-    let mut dst = SnapshotWriter::new(out);
+    let mut dst = SectionWriter::new(out);
     dst.put(MAGIC_SEG)?;
     write_config_section(&mut dst, config)?;
 
@@ -202,7 +202,7 @@ pub fn write_segment<W: Write>(
 pub fn read_segment<R: Read>(
     input: &mut R,
 ) -> Result<(QbhConfig, Vec<SegmentEntry>), StorageError> {
-    let mut src = SnapshotReader::new(input);
+    let mut src = SectionReader::new(input);
     let mut magic = [0u8; 8];
     src.take(&mut magic)?;
     if &magic != MAGIC_SEG {
@@ -260,7 +260,7 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
             manifest.segments.len()
         )));
     }
-    let mut dst = SnapshotWriter::new(out);
+    let mut dst = SectionWriter::new(out);
     dst.put(MAGIC_MAN)?;
     write_config_section(&mut dst, &manifest.config)?;
 
@@ -305,7 +305,7 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
 /// or out-of-order segment ids, implausible counts, and out-of-order
 /// tombstones.
 pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
-    let mut src = SnapshotReader::new(input);
+    let mut src = SectionReader::new(input);
     let mut magic = [0u8; 8];
     src.take(&mut magic)?;
     if &magic != MAGIC_MAN {
@@ -575,7 +575,7 @@ mod tests {
         // The same entries framed by hand: every checksum is valid, so only
         // the reader's ordering check can catch them.
         let mut image = Vec::new();
-        let mut dst = SnapshotWriter::new(&mut image);
+        let mut dst = SectionWriter::new(&mut image);
         dst.put(MAGIC_SEG).unwrap();
         write_config_section(&mut dst, &config).unwrap();
         dst.begin_section();

@@ -13,13 +13,17 @@
 //! A system lives in memory ([`QbhSystem::build`]) or over the one
 //! persistent form, the segmented store of [`crate::store`]
 //! ([`QbhSystem::try_create_store`] / [`QbhSystem::try_open_store`]).
+//!
+//! A query is asked one way: every surface — `query_series*`,
+//! [`QbhSystem::try_query_audio`], the server's workers — is a caller of
+//! [`QbhSystem::try_query_request_with`], which runs one ε-range or k-NN
+//! request through the one executor over the system's storage units.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use hum_audio::{track_pitch, PitchTrackerConfig};
-use hum_core::batch::BatchOptions;
 use hum_core::dtw::band_for_warping_width;
 use hum_core::engine::{
     check_finite, DtwIndexEngine, EngineConfig, EngineError, EngineStats, QueryRequest,
@@ -27,7 +31,7 @@ use hum_core::engine::{
 };
 use hum_core::normal::NormalForm;
 use hum_core::obs::{Metric, MetricsSink, QueryTrace};
-use hum_core::exec::{execute, execute_batch, Leaf};
+use hum_core::exec::{self, execute, Leaf};
 use hum_core::segment::SegmentMeta;
 use hum_core::session::QuerySession;
 use hum_core::transform::paa::NewPaa;
@@ -568,7 +572,7 @@ impl QbhSystem {
     }
 
     /// Opens the frames → request builder every query goes through: the
-    /// request template's kind, band, trace, and scan settings apply to the
+    /// request template's kind, band, trace and budget settings apply to the
     /// request it builds (any series already on the template is ignored —
     /// frames arrive through [`QuerySession::append`]), normalized with
     /// this system's normal form. Use [`QbhSystem::band`] for the
@@ -579,8 +583,8 @@ impl QbhSystem {
 
     /// Executes a [`QueryRequest`] on a hummed pitch series: the series is
     /// normalized and attached to the request (any series already on the
-    /// request is replaced), so callers only choose kind, band, trace, and
-    /// scan fallback. Use [`QbhSystem::band`] for the configured warping
+    /// request is replaced), so callers only choose kind, band, trace and
+    /// budget. Use [`QbhSystem::band`] for the configured warping
     /// width. Returns annotated results plus the cascade trace when the
     /// request asked for one.
     ///
@@ -613,49 +617,15 @@ impl QbhSystem {
         request: QueryRequest,
         scratch: &mut QueryScratch,
     ) -> Result<(QbhResults, Option<QueryTrace>), EngineError> {
-        let request = self.request_over(pitch_series, request)?;
-        let width = BatchOptions::default().threads;
-        let outcome = execute(&self.leaves(), &request, scratch, width, &self.metrics)?;
-        Ok((self.annotate(outcome.result), outcome.trace))
-    }
-
-    /// `request` with the normal form of `pitch_series` attached. An empty
-    /// series is reported as `EmptyQuery` before `NormalForm::apply` could
-    /// see it.
-    fn request_over(
-        &self,
-        pitch_series: &[f64],
-        request: QueryRequest,
-    ) -> Result<QueryRequest, EngineError> {
+        // The normal form of `pitch_series` attached; an empty series is
+        // reported as `EmptyQuery` before `NormalForm::apply` could see it.
         let budget = request.budget();
         let mut session = self.open_session(request);
         session.append(pitch_series)?;
-        session.to_request(budget)
-    }
-
-    /// Batched [`QbhSystem::try_query_request`]: the same `request` template
-    /// over each of `n` hummed pitch series, executed across
-    /// [`BatchOptions::threads`] worker threads in deterministic fixed-size
-    /// chunks. Results — matches, counters *and* traces — are bit-identical
-    /// to `n` sequential [`QbhSystem::try_query_request`] calls for every
-    /// thread count.
-    ///
-    /// # Errors
-    /// Every series is validated before any query runs: a batch with one
-    /// malformed hum returns its [`EngineError`], does no work and records
-    /// no metrics. Otherwise as [`hum_core::exec::execute_batch`].
-    pub fn try_query_request_batch(
-        &self,
-        pitch_series: &[Vec<f64>],
-        request: &QueryRequest,
-        options: &BatchOptions,
-    ) -> Result<Vec<(QbhResults, Option<QueryTrace>)>, EngineError> {
-        let requests = pitch_series
-            .iter()
-            .map(|series| self.request_over(series, request.clone()))
-            .collect::<Result<Vec<_>, _>>()?;
-        let batch = execute_batch(&self.leaves(), &requests, options, &self.metrics)?;
-        Ok(batch.outcomes.into_iter().map(|o| (self.annotate(o.result), o.trace)).collect())
+        let request = session.to_request(budget)?;
+        let width = exec::default_width();
+        let outcome = execute(&self.leaves(), &request, scratch, width, &self.metrics)?;
+        Ok((self.annotate(outcome.result), outcome.trace))
     }
 
     /// Live insert: renders a raw (hummed-scale) pitch series to normal
@@ -795,34 +765,27 @@ impl QbhSystem {
         self.try_query_request(pitch_series, request).unwrap_or_else(|e| panic!("{e}")).0
     }
 
-    /// Batched [`QbhSystem::query_series`]: the panicking form of
-    /// [`QbhSystem::try_query_request_batch`] with a k-NN request at the
-    /// configured warping width.
-    ///
-    /// # Panics
-    /// Panics on any [`EngineError`] the `try_` form would return.
-    pub fn query_series_batch(
-        &self,
-        pitch_series: &[Vec<f64>],
-        k: usize,
-        options: &BatchOptions,
-    ) -> Vec<QbhResults> {
-        let request = QueryRequest::knn(k).with_band(self.band);
-        let batch = self.try_query_request_batch(pitch_series, &request, options);
-        batch.unwrap_or_else(|e| panic!("{e}")).into_iter().map(|(results, _)| results).collect()
-    }
-
     /// Full pipeline from raw microphone audio: pitch-track at 10 ms frames,
-    /// drop silence, and search.
+    /// drop silence, and search for the top `k` at the configured warping
+    /// width. `Ok(None)` means the recording has no voiced frame — silence,
+    /// which is not the same as a search that matched nothing.
     ///
-    /// Returns empty results when no voiced frames were found.
-    pub fn query_audio(&self, samples: &[f64], sample_rate: u32, k: usize) -> QbhResults {
+    /// # Errors
+    /// Anything [`QbhSystem::try_query_request`] reports for the voiced
+    /// pitch series.
+    pub fn try_query_audio(
+        &self,
+        samples: &[f64],
+        sample_rate: u32,
+        k: usize,
+    ) -> Result<Option<QbhResults>, EngineError> {
         let tracker = PitchTrackerConfig { sample_rate, ..PitchTrackerConfig::default() };
         let series = track_pitch(samples, &tracker).voiced_series();
         if series.is_empty() {
-            return QbhResults::default();
+            return Ok(None);
         }
-        self.query_series(&series, k)
+        let request = QueryRequest::knn(k).with_band(self.band);
+        Ok(Some(self.try_query_request(&series, request)?.0))
     }
 
     /// `true` when the system is backed by an on-disk store.
@@ -1288,71 +1251,45 @@ mod tests {
         let hum_notes: Vec<hum_audio::HumNote> =
             sung.iter().map(|n| hum_audio::HumNote { midi: n.midi, seconds: n.seconds }).collect();
         let audio = HumSynthesizer::new(SynthConfig::default()).render(&hum_notes);
-        let results = system.query_audio(&audio, 8_000, 10);
+        let results = system.try_query_audio(&audio, 8_000, 10).unwrap().expect("voiced");
         assert!(
             results.matches.iter().any(|m| m.id == target),
             "audio-route query missed its target"
         );
+        // Asking for nothing is an empty answer, not silence.
+        let none = system.try_query_audio(&audio, 8_000, 0).unwrap().expect("voiced");
+        assert!(none.matches.is_empty());
     }
 
     #[test]
-    fn batched_queries_match_sequential_for_every_thread_count() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
-        let hums: Vec<Vec<f64>> = (0..6)
-            .map(|i| {
-                let mut singer = HummingSimulator::new(SingerProfile::good(), 400 + i);
-                singer.sing_series(db.entry(i * 7).unwrap().melody(), 0.01)
-            })
-            .collect();
-        let expected: Vec<QbhResults> =
-            hums.iter().map(|h| system.query_series(h, 5)).collect();
-        for threads in [1, 2, 8] {
-            let got = system.query_series_batch(&hums, 5, &BatchOptions::new(threads, 2));
-            assert_eq!(got, expected, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn a_batch_with_one_malformed_hum_runs_nothing_and_records_nothing() {
+    fn a_malformed_hum_runs_nothing_and_records_nothing() {
         let db = small_db();
         let mut system = QbhSystem::build(&db, &QbhConfig::default());
         system.set_metrics(MetricsSink::enabled());
-        let mut hums: Vec<Vec<f64>> =
-            (0..4).map(|i| db.entry(i * 7).unwrap().melody().to_time_series(4)).collect();
-        hums[3][5] = f64::NAN;
+        let mut hum = db.entry(7).unwrap().melody().to_time_series(4);
         let request = QueryRequest::knn(5).with_band(system.band());
-        for threads in [1, 8] {
-            // Chunk size 1: the good hums sit in chunks of their own, so a
-            // lazily validating batch would have run and recorded them.
-            let options = BatchOptions::new(threads, 1);
-            match system.try_query_request_batch(&hums, &request, &options) {
-                Err(EngineError::NonFiniteSample { index: 5, .. }) => {}
-                other => panic!("expected the NaN frame to be reported, got {other:?}"),
-            }
-            // A request only the engine boundary can reject (band as wide as
-            // the normal form) is caught up front as well.
-            let wide = request.clone().with_band(system.config().normal_length);
-            assert_eq!(
-                system.try_query_request_batch(&hums[..3], &wide, &options).unwrap_err(),
-                EngineError::BandTooWide { band: 128, len: 128 }
-            );
-            let snapshot = system.metrics().registry().expect("enabled").snapshot();
-            assert_eq!(snapshot.counter(Metric::KnnQueries), 0, "threads={threads}");
-            assert_eq!(snapshot.counter(Metric::Batches), 0, "threads={threads}");
+        // A request only the engine boundary can reject (band as wide as
+        // the normal form) is caught up front as well.
+        let wide = request.clone().with_band(system.config().normal_length);
+        assert_eq!(
+            system.try_query_request(&hum, wide).unwrap_err(),
+            EngineError::BandTooWide { band: 128, len: 128 }
+        );
+        hum[5] = f64::NAN;
+        match system.try_query_request(&hum, request) {
+            Err(EngineError::NonFiniteSample { index: 5, .. }) => {}
+            other => panic!("expected the NaN frame to be reported, got {other:?}"),
         }
-        let ran = system.try_query_request_batch(&hums[..3], &request, &BatchOptions::default());
-        assert_eq!(ran.expect("well-formed batch").len(), 3);
         let snapshot = system.metrics().registry().expect("enabled").snapshot();
-        assert_eq!(snapshot.counter(Metric::KnnQueries), 3);
+        assert_eq!(snapshot.counter(Metric::KnnQueries), 0);
+        assert_eq!(snapshot.counter(Metric::DpCells), 0);
     }
 
     #[test]
     fn silent_audio_returns_empty() {
         let db = small_db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
-        let results = system.query_audio(&vec![0.0; 8000], 8_000, 5);
-        assert!(results.matches.is_empty());
+        assert_eq!(system.try_query_audio(&vec![0.0; 8000], 8_000, 5), Ok(None));
     }
 
     #[test]

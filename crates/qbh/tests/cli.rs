@@ -299,6 +299,52 @@ fn store_query_labels_hits_by_id_when_ids_are_sparse() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A one-song corpus in `dir` and a clearly voiced hum of one of its
+/// melodies; returns the hum's path.
+fn corpus_and_hum(dir: &Path) -> PathBuf {
+    let dir_s = dir.to_str().unwrap();
+    assert!(qbh(&["generate", dir_s, "--songs", "1", "--seed", "17"]).status.success());
+    let wav = dir.join("hum.wav");
+    assert!(qbh(&["hum", dir_s, "song000_phrase02.mid", wav.to_str().unwrap()])
+        .status
+        .success());
+    wav
+}
+
+/// `--top 0` asks for nothing: a usage error, not a report of silence.
+#[test]
+fn query_with_top_zero_is_a_usage_error() {
+    let dir = temp_dir("top-zero");
+    let wav = corpus_and_hum(&dir);
+    let out = qbh(&["query", dir.to_str().unwrap(), wav.to_str().unwrap(), "--top", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--top must be at least 1"), "{err}");
+    assert!(!err.contains("No voiced frames"), "{err}");
+    assert!(out.stdout.is_empty(), "stdout polluted: {}", stdout(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A voiced hum against a store with no melodies matches nothing, and says
+/// so — the recording is not silent.
+#[test]
+fn voiced_query_on_an_empty_store_reports_no_matches_not_silence() {
+    use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions};
+
+    let dir = temp_dir("empty-store");
+    let wav = corpus_and_hum(&dir);
+    let store = dir.join("store");
+    let created = QbhSystem::try_create_store(&store, &QbhConfig::default(), StoreOptions::default());
+    drop(created.expect("empty store"));
+    let out = qbh(&["query", store.to_str().unwrap(), wav.to_str().unwrap()]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(stdout(&out).contains("No matches"), "{}", stdout(&out));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("Opened 0 melodies"), "{err}");
+    assert!(!err.contains("No voiced frames"), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn count_mid_files(dir: &Path) -> usize {
     std::fs::read_dir(dir)
         .unwrap()

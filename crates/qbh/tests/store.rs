@@ -11,7 +11,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use hum_core::batch::BatchOptions;
 use hum_core::dtw::{band_for_warping_width, ldtw_distance};
 use hum_core::engine::{EngineError, QueryRequest};
 use hum_core::normal::NormalForm;
@@ -133,16 +132,9 @@ fn batch_and_prefix_queries_are_segment_invariant() {
     let dir = temp_dir("batch-prefix");
     let system = build_store(&db, &dir, 11, false);
 
-    let sequential: Vec<_> = queries.iter().map(|q| monolithic.query_series(q, 8)).collect();
-    for threads in [1usize, 8] {
-        let batch = system.query_series_batch(&queries, 8, &BatchOptions::new(threads, 1));
-        for (i, result) in batch.iter().enumerate() {
-            assert_bit_identical(
-                &result.matches,
-                &sequential[i].matches,
-                &format!("batch #{i} @{threads}t"),
-            );
-        }
+    for (i, q) in queries.iter().enumerate() {
+        let (got, want) = (system.query_series(q, 8), monolithic.query_series(q, 8));
+        assert_bit_identical(&got.matches, &want.matches, &format!("query #{i}"));
     }
 
     // Query-as-you-hum: both systems see the same growing prefix and must

@@ -50,7 +50,11 @@ fn main() {
     );
 
     // Search through the same API the higher-level system uses.
-    let results = system.query_audio(&audio, 8000, 10);
+    let Some(results) = system.try_query_audio(&audio, 8000, 10).expect("a tracked hum is valid")
+    else {
+        println!("\nThe pitch tracker found no voiced frame to search with.");
+        return;
+    };
     println!("\nTop matches:");
     for (rank, m) in results.matches.iter().take(5).enumerate() {
         let marker = if m.id == target { "  <-- correct" } else { "" };

@@ -46,7 +46,7 @@ fn audio_route_and_symbolic_route_agree_on_the_target() {
     let notes: Vec<hum_audio::HumNote> =
         sung.iter().map(|n| hum_audio::HumNote { midi: n.midi, seconds: n.seconds }).collect();
     let audio = hum_audio::HumSynthesizer::new(hum_audio::SynthConfig::default()).render(&notes);
-    let acoustic = system.query_audio(&audio, 8_000, 10);
+    let acoustic = system.try_query_audio(&audio, 8_000, 10).unwrap().expect("voiced");
 
     assert!(symbolic.matches.iter().any(|m| m.id == target), "symbolic route missed");
     assert!(acoustic.matches.iter().any(|m| m.id == target), "acoustic route missed");
@@ -81,7 +81,7 @@ fn wav_persistence_roundtrips_through_search() {
     // Save to WAV bytes and back — the recording-session path.
     let wav = hum_audio::write_wav_mono(&audio, 8_000);
     let (restored, rate) = hum_audio::read_wav_mono(&wav).expect("own WAV parses");
-    let results = system.query_audio(&restored, rate, 10);
+    let results = system.try_query_audio(&restored, rate, 10).unwrap().expect("voiced");
     assert!(results.matches.iter().any(|m| m.id == target));
 }
 
