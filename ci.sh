@@ -6,36 +6,6 @@ cd "$(dirname "$0")"
 cargo build --release
 cargo test -q
 
-# Suites whose contract is invariance under the HUM_THREADS override, which
-# sets only a query's leaf-scatter width (hum_core::exec::default_width, read
-# once per process): each runs at both extremes. One line per suite —
-# package, then the test selector.
-#   obs                       traces and registry counters thread-invariant
-#   exec                      the executor's layout matrix: every leaf layout
-#                             (storage units) bit-identical to brute force at
-#                             every scatter width
-#   store                     memtable-over-segments systems bit-identical to
-#                             the monolithic build; reloads, compactions and
-#                             removals durable
-#   server_*                  bit-identity (whole hums and prefixes),
-#                             overload, deadlines, drain, wire fuzz
-#   session                   a request built over appends equals the one
-#                             built from the same frames at once
-THREAD_INVARIANT_SUITES=(
-    "hum-core --test obs"
-    "hum-core --test exec"
-    "hum-qbh --test store"
-    "hum-qbh --test server_integration"
-    "hum-qbh --test server_fuzz"
-    "hum-core --test session"
-)
-for suite in "${THREAD_INVARIANT_SUITES[@]}"; do
-    for threads in 1 8; do
-        # shellcheck disable=SC2086 # the suite string is package + selector words
-        HUM_THREADS=$threads cargo test -q -p $suite
-    done
-done
-
 # Storage durability: exhaustive fault-injection, truncation, and bit-flip
 # matrices over the segment and manifest formats, plus the compaction
 # crash-state enumeration. Every fault must surface as a typed StorageError
@@ -49,12 +19,11 @@ cargo test -q -p hum-server
 # has it) against its scalar reference — a shape may change speed but never
 # bits. The property suite runs in debug and in release (the arithmetic and
 # the `unsafe` run optimised everywhere else); then the engine digest —
-# answers and counters over a fixed workload on every backend, including a
-# 4-leaf section with every multi-leaf counter — builds each section under
-# both kernel modes in one process, failing if their bytes differ, is
-# diffed byte-for-byte across HUM_THREADS 1/8, and must hash to the
-# committed results/engine_digest.sha256: a change that moves an answer or
-# a counter re-baselines it on purpose, in the same commit.
+# answers and counters over a fixed workload on every backend — builds each
+# section under both kernel modes in one process, failing if their bytes
+# differ, and must hash to the committed results/engine_digest.sha256: a
+# change that moves an answer or a counter re-baselines it on purpose, in
+# the same commit.
 cargo test -q -p hum-core --test kernel
 cargo test -q --release -p hum-core --test kernel
 # The flat feature sweep against the per-point scan it replaced (ids, order,
@@ -64,17 +33,13 @@ cargo test -q -p hum-index --test props
 cargo test -q --release -p hum-index --test props
 DIGEST_DIR=$(mktemp -d)
 trap 'rm -rf "$DIGEST_DIR"' EXIT
-for threads in 1 8; do
-    HUM_THREADS=$threads cargo run -q --release -p hum-core \
-        --example engine_digest > "$DIGEST_DIR/digest_t$threads.txt"
-done
-cmp "$DIGEST_DIR/digest_t1.txt" "$DIGEST_DIR/digest_t8.txt"
-if ! sha256sum < "$DIGEST_DIR/digest_t1.txt" | cmp -s - results/engine_digest.sha256; then
+cargo run -q --release -p hum-core --example engine_digest > "$DIGEST_DIR/digest.txt"
+if ! sha256sum < "$DIGEST_DIR/digest.txt" | cmp -s - results/engine_digest.sha256; then
     echo "engine_digest differs from results/engine_digest.sha256; if intended, regenerate with:" >&2
     echo "  cargo run -q --release -p hum-core --example engine_digest | sha256sum > results/engine_digest.sha256" >&2
     exit 1
 fi
-echo "engine_digest bit-identical across kernel modes x threads, and to the committed hash"
+echo "engine_digest bit-identical across kernel modes, and to the committed hash"
 
 # The paper tables regenerate: counters and accuracy cells are deterministic
 # by design, so the six csv under results/ must equal a fresh run at the

@@ -5,22 +5,15 @@
 //! [`KernelMode::Unrolled`], the shape everyone runs, and under
 //! [`KernelMode::Scalar`], its reference — and the run fails unless the
 //! two digests are byte-identical: the kernel layer may change speed but
-//! never bits. `ci.sh` additionally runs this under `HUM_THREADS=1` and
-//! `8`, diffs the outputs, and compares their sha256 with the committed
-//! `results/engine_digest.sha256`. GridFile's internal counters depend on
-//! `HashMap` iteration order, so its lines print matches and match-bits
-//! only. The final 4-leaf section prints every `EngineStats` counter of
-//! multi-leaf queries scattered across `HUM_THREADS` workers, so the
-//! executor's fixed-leaf-order absorption is under the same byte-diff.
-//! (Its lines keep their historical `rstar shards=4` label: the committed
-//! hash covers them.)
+//! never bits. `ci.sh` additionally compares the output's sha256 with the
+//! committed `results/engine_digest.sha256`. GridFile's internal counters
+//! depend on `HashMap` iteration order, so its lines print matches and
+//! match-bits only.
 
 use std::fmt::Write as _;
 
-use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest, QueryScratch};
-use hum_core::exec::{default_width, execute, Leaf};
+use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
 use hum_core::kernel::KernelMode;
-use hum_core::obs::MetricsSink;
 use hum_core::transform::paa::NewPaa;
 use hum_index::{GridFile, ItemId, LinearScan, RStarTree, SpatialIndex};
 
@@ -126,49 +119,6 @@ fn digest<I: SpatialIndex>(
     }
 }
 
-/// The leaf an id lands on in the multi-leaf section: `splitmix64(id) % 4`,
-/// a fixed partition that spreads contiguous ids.
-fn leaf_for(id: ItemId) -> usize {
-    let mut z = id.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z % 4) as usize
-}
-
-/// Multi-leaf digest: the same workload over 4 leaves, printing every
-/// counter — they depend on the leaf layout, never on the scatter width or
-/// thread count.
-fn multi_leaf_digest(out: &mut String, kernel: KernelMode) {
-    let series = lcg_series(400, 64, 11);
-    let queries = lcg_series(12, 64, 777);
-    let mut engines: Vec<_> = (0..4)
-        .map(|_| {
-            DtwIndexEngine::new(
-                NewPaa::new(64, 8),
-                RStarTree::with_page_size(8, 1024),
-                config_for(2, kernel),
-            )
-        })
-        .collect();
-    for (i, s) in series.iter().enumerate() {
-        engines[leaf_for(i as ItemId)].insert(i as ItemId, s.clone());
-    }
-    let leaves: Vec<_> = engines.iter().map(|engine| Leaf { engine, meta: None }).collect();
-    let requests = queries.iter().flat_map(|q| {
-        [QueryRequest::range(2.0).with_band(3), QueryRequest::knn(9).with_band(6)]
-            .map(|r| r.with_series(q.clone()))
-    });
-    let (width, metrics) = (default_width(), MetricsSink::Disabled);
-    for (i, request) in requests.enumerate() {
-        let r = execute(&leaves, &request, &mut QueryScratch::new(), width, &metrics)
-            .expect("digest workload is well-formed")
-            .result;
-        let _ =
-            writeln!(out, "rstar shards=4 r{i}: bits={:x} {:?}", match_bits(&r.matches), r.stats);
-    }
-}
-
 /// Every section of the digest with the kernels in one mode.
 fn full_digest(kernel: KernelMode) -> String {
     let mut out = String::new();
@@ -179,7 +129,6 @@ fn full_digest(kernel: KernelMode) -> String {
         digest(&mut out, kernel, "grid", || GridFile::with_params(8, 4, 32, 1024), mode, false);
         digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024), mode, true);
     }
-    multi_leaf_digest(&mut out, kernel);
     out
 }
 

@@ -13,11 +13,6 @@
 //!    (the paper's "LB used as a second filter after the indexing scheme"),
 //! 4. verify survivors with the exact banded DTW.
 //!
-//! k-NN queries sweep the index once for every stored point's feature
-//! lower bound, verify the best-bounded few through the cascade to get a
-//! provisional radius, then admit the rest of the sweep at that radius and
-//! verify it best-first under a shrinking radius (see [`crate::exec`]).
-//!
 //! Verification runs as a threshold-aware cascade in squared-distance space
 //! (one square root per reported match): index box → envelope lower bound →
 //! two-pass `LB_Improved` → early-abandoning banded DTW. Each stage is exact
@@ -28,16 +23,45 @@
 //! warping width, which is the paper's point that "adding the DTW support
 //! requires changes only to the time series query".
 //!
+//! # k-NN: one sweep, two rounds
+//!
+//! The k-NN is a multi-step scheme (Seidl & Kriegel) over one sequential
+//! pass of a cheap bound, the schedule Lemire's two-pass DTW search
+//! assumes. The index is swept once for every stored point's feature lower
+//! bound; that one bound array feeds both rounds, and no candidate reaches
+//! DTW but through the cascade.
+//!
+//! 1. **Seed round:** the `M = min(32·k, len)` smallest feature bounds by
+//!    `(d², id)` run through the cascade with an empty heap at threshold ∞,
+//!    leaving the exact top-k and the bounds left out.
+//! 2. **Radius:** the k-th smallest `(d², id)` pair of that top-k: `k` real
+//!    items sit within it, so the true k-th neighbor does too.
+//! 3. **Close round:** the bounds left out are admitted with a range
+//!    query's root-space test, `sqrt(d²) ≤ sqrt(radius²)`, and run through
+//!    the same cascade under a heap seeded with the top-k. No melody is
+//!    examined twice. The heap, ordered by `(d², id)`, is the answer.
+//!
+//! The result is exact: a seed-round candidate pruned or abandoned at
+//! threshold `t` has a bound, or a distance, above `t ≥` the final k-th
+//! `(d², id)`, and pruning uses a strict `>`, so a tie with the k-th
+//! survives and is decided by id; a true top-k member left out has bound ≤
+//! distance ≤ radius, so the close round admits and keeps it. Every
+//! candidate, seed or admitted, is counted in `index.candidates` and pruned
+//! by one stage or verified, so a traced query has
+//! `candidates_in == lb_pruned + lb_improved_pruned + exact_started`.
+//!
 //! # The query API
 //!
 //! Every query goes through one request type: build a [`QueryRequest`]
 //! ([`QueryRequest::range`] / [`QueryRequest::knn`], with optional band
 //! override, per-query trace toggle and time budget) and execute it with
 //! [`DtwIndexEngine::query`] (panicking) or [`DtwIndexEngine::try_query`]
-//! (returning [`EngineError`]). Both are thin callers of the one executor
-//! in [`crate::exec`], which runs this engine as a single *leaf*; the
-//! engine itself contributes the per-leaf primitives (range and the two
-//! k-NN rounds) and no orchestration of its own.
+//! (returning [`EngineError`]), both callers of
+//! [`DtwIndexEngine::try_query_with`]: validate → prepare → run → record →
+//! trace. Matches are bit-identical to a brute-force DTW sweep, and matches,
+//! counters and traces are functions of `(query, corpus)` alone: every
+//! selection runs in the total order `(d², id)`, so neither insertion order
+//! nor timing moves them.
 //!
 //! # Observability
 //!
@@ -46,20 +70,26 @@
 //! [`DtwIndexEngine::set_metrics`]) and, per request, emits a
 //! [`QueryTrace`] of the cascade trajectory. Both are off by default and
 //! free when disabled; traces carry counters only (never wall-clock time),
-//! so they are bit-identical across runs and thread counts.
+//! so they are bit-identical across runs.
+//!
+//! # Deadlines
+//!
+//! A query polls its request's [`QueryBudget`] between candidates. An
+//! expiry fails it with [`EngineError::DeadlineExceeded`] carrying the
+//! partial counters (`matches` forced to 0 — partial match sets are never
+//! reported); it is not recorded as a completed query.
 
 use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use hum_index::{ItemId, Query, QueryStats, Rect, SpatialIndex};
+use hum_index::{ItemId, Query, QueryStats, SpatialIndex};
 
 use crate::arena::SeriesArena;
 use crate::dtw::{ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
 use crate::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
-use crate::exec::{execute, Leaf};
 use crate::kernel::KernelMode;
-use crate::obs::{Metric, MetricsSink, QueryTrace};
+use crate::obs::{debug_assert_trace_consistent, Metric, MetricsSink, QueryKind, QueryTrace};
 use crate::transform::EnvelopeTransform;
 
 /// Engine tuning knobs.
@@ -225,14 +255,14 @@ pub struct QueryResult {
     pub stats: EngineStats,
 }
 
-/// What every per-leaf query primitive returns: its pool — `(id, distance)`
-/// pairs unless stated — plus this leaf's counters, or, when the budget's
-/// deadline passed between candidates, the partial counters alone.
-pub(crate) type LeafRun<P = Vec<(ItemId, f64)>> = Result<(P, EngineStats), EngineStats>;
+/// What every query primitive returns: its pool — `(id, distance)` pairs
+/// unless stated — plus its counters, or, when the budget's deadline passed
+/// between candidates, the partial counters alone.
+type Run<P = Vec<(ItemId, f64)>> = Result<(P, EngineStats), EngineStats>;
 
-/// A k-NN seed round's pool: the leaf's exact top-k and the `(id, bound²)`
-/// pairs it left for the close round.
-pub(crate) type SeedRun = LeafRun<(Vec<(ItemId, f64)>, Vec<(ItemId, f64)>)>;
+/// A k-NN seed round's pool: the exact top-k and the `(id, bound²)` pairs
+/// it left for the close round.
+type SeedRun = Run<(Vec<(ItemId, f64)>, Vec<(ItemId, f64)>)>;
 
 /// Result of one [`QueryRequest`]: the matches and counters, plus the
 /// cascade trace when the request asked for one.
@@ -241,7 +271,7 @@ pub struct QueryOutcome {
     /// Matches and work counters — identical to the legacy entry points.
     pub result: QueryResult,
     /// The cascade trajectory, present iff [`QueryRequest::with_trace`] was
-    /// set. Counters only; bit-identical across runs and thread counts.
+    /// set. Counters only; bit-identical across runs.
     pub trace: Option<QueryTrace>,
 }
 
@@ -423,30 +453,23 @@ impl QueryScratch {
     }
 }
 
-/// What every leaf of one request shares, computed once by the executor:
-/// the query, its `k`-envelope, the envelope's feature-space image (as a
-/// box, for leaf pruning, and as the shape every index is queried with).
+/// What every phase of one request shares, computed once: the query, its
+/// `k`-envelope and the envelope's feature-space image, the box the index
+/// is queried with.
 #[derive(Debug)]
-pub(crate) struct PreparedQuery<'a> {
+struct PreparedQuery<'a> {
     series: &'a [f64],
     band: usize,
     envelope: Envelope,
-    feature_box: Rect,
     shape: Query,
 }
 
 impl<'a> PreparedQuery<'a> {
-    /// Prepares a *validated* query for engines built on `transform`.
-    pub(crate) fn new<T: EnvelopeTransform>(transform: &T, series: &'a [f64], band: usize) -> Self {
+    /// Prepares a *validated* query for an engine built on `transform`.
+    fn new<T: EnvelopeTransform>(transform: &T, series: &'a [f64], band: usize) -> Self {
         let envelope = Envelope::compute(series, band);
-        let feature_box = transform.project_envelope(&envelope);
-        let shape = Query::Rect(feature_box.clone());
-        PreparedQuery { series, band, envelope, feature_box, shape }
-    }
-
-    /// The envelope's feature-space image.
-    pub(crate) fn feature_box(&self) -> &Rect {
-        &self.feature_box
+        let shape = Query::Rect(transform.project_envelope(&envelope));
+        PreparedQuery { series, band, envelope, shape }
     }
 }
 
@@ -465,7 +488,7 @@ struct Pending {
 /// requests cache lines for.
 const PREFETCH_AHEAD: usize = 4;
 
-/// The k-NN seed round verifies a leaf's `SEEDS_PER_NEIGHBOR · k`
+/// The k-NN seed round verifies the `SEEDS_PER_NEIGHBOR · k`
 /// best-bounded melodies; 8 and 128 per neighbor measured within noise.
 const SEEDS_PER_NEIGHBOR: usize = 32;
 
@@ -595,10 +618,9 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         true
     }
 
-    /// Rejects malformed query input. The executor calls this once per
-    /// request before touching any leaf, so failed queries observe nothing
-    /// and count nothing.
-    pub(crate) fn validate_query(&self, query: &[f64], band: usize) -> Result<(), EngineError> {
+    /// Rejects malformed query input, before any work, so failed queries
+    /// observe nothing and count nothing.
+    fn validate_query(&self, query: &[f64], band: usize) -> Result<(), EngineError> {
         if query.is_empty() {
             return Err(EngineError::EmptyQuery);
         }
@@ -629,15 +651,41 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         self.try_query_with(request, &mut QueryScratch::new())
     }
 
-    /// [`DtwIndexEngine::try_query`] computing in caller-provided scratch.
-    /// Results and counters are identical to a fresh-scratch call — reuse
-    /// only avoids the per-query row allocations.
+    /// [`DtwIndexEngine::try_query`] computing in caller-provided scratch:
+    /// the one entry point every query runs through — validate, prepare the
+    /// envelope and its feature box once, run the ε-range or the two k-NN
+    /// rounds, record the completed query, build the trace. Results and
+    /// counters are identical to a fresh-scratch call — reuse only avoids
+    /// the per-query row allocations.
+    ///
+    /// # Errors
+    /// As [`DtwIndexEngine::try_query`].
     pub fn try_query_with(
         &self,
         request: &QueryRequest,
         scratch: &mut QueryScratch,
     ) -> Result<QueryOutcome, EngineError> {
-        execute(&[Leaf { engine: self, meta: None }], request, scratch, 1, &self.metrics)
+        let (query, band, budget) = (request.series(), request.band(), request.budget());
+        self.validate_query(query, band)?;
+        let started = self.metrics.start_timer();
+        let prepared = PreparedQuery::new(&self.transform, query, band);
+        let (kind, run) = match request.kind() {
+            RequestKind::Knn { k } => (QueryKind::Knn, self.run_knn(&prepared, k, budget, scratch)),
+            RequestKind::Range { radius } => {
+                (QueryKind::Range, self.run_range(&prepared, radius, budget, scratch))
+            }
+        };
+        let (matches, mut stats) = run.map_err(|partial| EngineError::DeadlineExceeded {
+            stats: EngineStats { matches: 0, ..partial },
+        })?;
+        stats.matches = matches.len() as u64;
+        self.metrics.record_query(kind, &stats, started);
+        let trace = request.trace_enabled().then(|| {
+            let trace = QueryTrace::from_stats(kind, band, &stats);
+            debug_assert_trace_consistent(&trace, &stats);
+            trace
+        });
+        Ok(QueryOutcome { result: QueryResult { matches, stats }, trace })
     }
 
     /// Panicking form of [`DtwIndexEngine::try_query`].
@@ -764,9 +812,9 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     /// `d_sq.sqrt()`, is `<= radius` — so a range query at a distance an
     /// earlier answer returned finds that item again. The stages before
     /// that test work on squared values and prune at
-    /// [`range_prune_sq`]`(radius)`, which no match exceeds. (The index and
-    /// the segment boxes filter in root space, `sqrt(lower bound²) <=
-    /// radius`: the matching test itself, since `sqrt` is monotone.)
+    /// [`range_prune_sq`]`(radius)`, which no match exceeds. (The index
+    /// filters in root space, `sqrt(lower bound²) <= radius`: the matching
+    /// test itself, since `sqrt` is monotone.)
     fn range_over_slots(
         &self,
         prepared: &PreparedQuery<'_>,
@@ -799,15 +847,15 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     }
 
     /// The indexed range path: matches within `radius`, sorted by
-    /// `(distance, id)`. Like every per-leaf primitive below, it takes
-    /// input the executor has already validated and prepared.
-    pub(crate) fn run_range(
+    /// `(distance, id)`. Like every primitive below, it takes input
+    /// [`DtwIndexEngine::try_query_with`] has already validated and prepared.
+    fn run_range(
         &self,
         prepared: &PreparedQuery<'_>,
         radius: f64,
         budget: QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> LeafRun {
+    ) -> Run {
         let cells_before = scratch.ws.cells();
         let (candidates, index_stats) = self.index.range_query(&prepared.shape, radius);
         let mut stats = EngineStats { index: index_stats, ..EngineStats::default() };
@@ -817,10 +865,34 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         run.map(|matches| (matches, stats)).map_err(|Expired| stats)
     }
 
-    /// Round 1 of the k-NN schedule (see [`crate::exec`]): the leaf's one
-    /// feature sweep, then a close round over its `M = min(32·k, len)`
-    /// smallest bounds by `(d², id)` at radius ∞ with an empty heap.
-    pub(crate) fn knn_seed_round(
+    /// The k-NN schedule (see the module docs): the seed round, the radius
+    /// it leaves, the close round seeded with its top-k. Matches sorted by
+    /// `(distance, id)`, with one square root each.
+    fn run_knn(
+        &self,
+        prepared: &PreparedQuery<'_>,
+        k: usize,
+        budget: QueryBudget,
+        scratch: &mut QueryScratch,
+    ) -> Run {
+        let ((top, rest), mut stats) = self.knn_seed_round(prepared, k, budget, scratch)?;
+        let radius_sq = top.last().map_or(0.0, |&(_, d_sq)| d_sq);
+        let close = self.knn_close_round(prepared, k, radius_sq, &top, &rest, budget, scratch);
+        let (heap, close_stats) = match close {
+            Ok(run) => run,
+            Err(partial) => {
+                stats.absorb(&partial);
+                return Err(stats);
+            }
+        };
+        stats.absorb(&close_stats);
+        Ok((heap.into_iter().map(|(id, d_sq)| (id, d_sq.sqrt())).collect(), stats))
+    }
+
+    /// Round 1 of the k-NN schedule: the one feature sweep, then a close
+    /// round over its `M = min(32·k, len)` smallest bounds by `(d², id)` at
+    /// radius ∞ with an empty heap.
+    fn knn_seed_round(
         &self,
         prepared: &PreparedQuery<'_>,
         k: usize,
@@ -847,11 +919,11 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
 
     /// Round 2 of the k-NN schedule: admits the melodies of `rest` whose
     /// bound passes the root-space test a range query at `sqrt(radius_sq)`
-    /// applies, and verifies them under a heap seeded with `seed` — the
-    /// global best `(id, d²)` pairs, which need not be stored in *this*
-    /// engine. Returns the final heap contents ascending by `(d², id)`.
+    /// applies, and verifies them under a heap seeded with `seed`, the best
+    /// `(id, d²)` pairs so far. Returns the final heap contents ascending by
+    /// `(d², id)`.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn knn_close_round(
+    fn knn_close_round(
         &self,
         prepared: &PreparedQuery<'_>,
         k: usize,
@@ -860,7 +932,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         rest: &[(ItemId, f64)],
         budget: QueryBudget,
         scratch: &mut QueryScratch,
-    ) -> LeafRun {
+    ) -> Run {
         let cells_before = scratch.ws.cells();
         let radius = radius_sq.sqrt();
         let admitted = rest.iter().filter(|&&(_, bound_sq)| bound_sq.sqrt() <= radius);
@@ -970,8 +1042,8 @@ impl PartialOrd for Cand {
 }
 
 /// Sorts `(id, distance)` pairs by `(distance, id)` — the one total order
-/// every sort, heap and merge in the query path uses.
-pub(crate) fn sort_by_distance(matches: &mut [(ItemId, f64)]) {
+/// every sort and heap in the query path uses.
+fn sort_by_distance(matches: &mut [(ItemId, f64)]) {
     matches.sort_by(|a, b| {
         a.1.partial_cmp(&b.1).expect("finite distances").then_with(|| a.0.cmp(&b.0))
     });

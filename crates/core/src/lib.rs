@@ -23,17 +23,11 @@
 //! * [`tightness`] — the tightness-of-lower-bound metric used throughout the
 //!   paper's evaluation (§5.2).
 //! * [`engine`] — the GEMINI query engine (§4.3): feature extraction, spatial
-//!   indexing via any [`hum_index::SpatialIndex`] backend, and the per-leaf
-//!   query primitives (ε-range and the two k-NN rounds) with exact-DTW
-//!   refinement and full access accounting.
-//! * [`exec`] — the one query executor: validates a request, fans it over a
-//!   flat list of engine *leaves* (one engine, or every storage unit of a
-//!   store) across `HUM_THREADS` scoped workers, runs the one-sweep k-NN
-//!   schedule (seed round, radius barrier, close round), and merges hits in
-//!   fixed leaf order — bit-identical to a brute-force sweep for every
-//!   layout and thread count.
-//! * [`segment`] — per-segment pruning metadata for LSM-style stores
-//!   (feature-space bounding boxes, bloom-style id filters).
+//!   indexing via any [`hum_index::SpatialIndex`] backend, and the one query
+//!   entry point — validate, prepare, ε-range or the one-sweep k-NN schedule
+//!   (seed round, radius, close round), record, trace — with exact-DTW
+//!   refinement and full access accounting, bit-identical to a brute-force
+//!   sweep.
 //! * [`obs`] — observability: a registry of named monotonic counters and
 //!   duration histograms, opt-in per-query cascade traces
 //!   ([`obs::QueryTrace`]), and text/JSON exporters. Counters are
@@ -76,11 +70,9 @@ mod arena;
 pub mod dtw;
 pub mod engine;
 pub mod envelope;
-pub mod exec;
 pub mod kernel;
 pub mod normal;
 pub mod obs;
-pub mod segment;
 pub mod session;
 pub mod tightness;
 pub mod transform;

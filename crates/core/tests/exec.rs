@@ -1,33 +1,25 @@
-//! One oracle for the one executor: every leaf layout × scatter width ×
-//! request kind must return matches **bit-identical to a brute-force
-//! `ldtw_distance` sweep**, with counters and traces that depend on the
-//! layout but never on the width, and an expired budget must surface as one
-//! `DeadlineExceeded` with no matches — plus the executor's own contract
-//! that leaf pruning is ε-range only.
+//! One oracle for the one query path: every request kind over tie-heavy
+//! corpora must return matches **bit-identical to a brute-force
+//! `ldtw_distance` sweep**, with traces whose funnel closes, on both a tree
+//! and the flat sweep the product runs — and an expired budget must surface
+//! as one `DeadlineExceeded` with no matches.
 
 use std::time::Instant;
 
 use hum_core::dtw::ldtw_distance;
 use hum_core::engine::{
-    DtwIndexEngine, EngineConfig, EngineError, QueryBudget, QueryOutcome, QueryRequest,
-    QueryScratch, RequestKind,
+    DtwIndexEngine, EngineConfig, EngineError, QueryBudget, QueryRequest, QueryScratch, RequestKind,
 };
-use hum_core::exec::{execute, Leaf};
 use hum_core::obs::{Metric, MetricsSink};
-use hum_core::segment::SegmentMeta;
 use hum_core::transform::paa::NewPaa;
-use hum_core::EnvelopeTransform;
-use hum_index::{ItemId, RStarTree};
+use hum_index::{ItemId, LinearScan, RStarTree, SpatialIndex};
 
 const LEN: usize = 64;
 const DIMS: usize = 8;
 const BAND: usize = 4;
 
-type Leaves<'a> = Vec<Leaf<'a, NewPaa, RStarTree>>;
-
 /// Centered random walks; every fifth series rides a steep centered ramp,
-/// far from the rest in feature space, so a small-radius range query cannot
-/// reach a unit holding only those.
+/// far from the rest in feature space.
 fn corpus(n: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
     let mut next = move || {
@@ -53,65 +45,21 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// One leaf's storage: an engine over the series `pick` selects, plus (for
-/// an immutable segment) its pruning metadata.
-struct Unit {
-    engine: DtwIndexEngine<NewPaa, RStarTree>,
-    meta: Option<SegmentMeta>,
-}
-
-fn unit(series: &[Vec<f64>], segment: bool, pick: impl Fn(usize) -> bool) -> Unit {
-    let mut engine = DtwIndexEngine::new(
-        NewPaa::new(LEN, DIMS),
-        RStarTree::with_page_size(DIMS, 1024),
-        EngineConfig::default(),
-    );
-    let mut meta = SegmentMeta::new(series.len());
-    for (i, s) in series.iter().enumerate().filter(|(i, _)| pick(*i)) {
+/// An engine over `series` (ids are positions) on the `index` backend.
+fn engine<I: SpatialIndex>(series: &[Vec<f64>], index: I) -> DtwIndexEngine<NewPaa, I> {
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, DIMS), index, EngineConfig::default());
+    for (i, s) in series.iter().enumerate() {
         engine.insert(i as ItemId, s.clone());
-        meta.add(i as ItemId, &engine.transform().project(s));
     }
-    Unit { engine, meta: segment.then_some(meta) }
+    engine
 }
 
-/// The layouts of the matrix, each as storage units in leaf order (segments
-/// first, the memtable — no metadata — last).
-fn layouts(series: &[Vec<f64>]) -> Vec<(&'static str, Vec<Unit>)> {
-    vec![
-        ("1 leaf", vec![unit(series, false, |_| true)]),
-        ("4 leaves", (0..4).map(|j| unit(series, false, move |i| i % 4 == j)).collect()),
-        (
-            "3 units",
-            vec![
-                unit(series, true, |i| i % 5 == 0),
-                unit(series, true, |i| i % 5 != 0 && i % 2 == 0),
-                unit(series, false, |i| i % 5 != 0 && i % 2 == 1),
-            ],
-        ),
-        (
-            "6 units, one empty",
-            vec![
-                unit(series, true, |i| i % 5 == 0 && i % 2 == 0),
-                unit(series, true, |i| i % 5 == 0 && i % 2 == 1),
-                unit(series, true, |i| i % 5 != 0 && i % 3 == 0),
-                unit(series, true, |i| i % 5 != 0 && i % 3 == 1),
-                unit(series, true, |i| i % 5 != 0 && i % 3 == 2),
-                unit(series, false, |_| false),
-            ],
-        ),
-    ]
+fn tree() -> RStarTree {
+    RStarTree::with_page_size(DIMS, 1024)
 }
 
-fn leaves(units: &[Unit]) -> Leaves<'_> {
-    units.iter().map(|u| Leaf { engine: &u.engine, meta: u.meta.as_ref() }).collect()
-}
-
-fn run(
-    leaves: &Leaves<'_>,
-    request: &QueryRequest,
-    width: usize,
-) -> Result<QueryOutcome, EngineError> {
-    execute(leaves, request, &mut QueryScratch::new(), width, &MetricsSink::Disabled)
+fn sweep() -> LinearScan {
+    LinearScan::with_page_size(DIMS, 1024)
 }
 
 /// The oracle: every series' exact banded-DTW distance, filtered by the
@@ -131,9 +79,9 @@ fn brute_force(series: &[Vec<f64>], request: &QueryRequest) -> Vec<(ItemId, f64)
 }
 
 /// ε-range and k-NN for two queries (one among the plain walks, one that
-/// *is* a ramp series). The k-NN `k`s put the seed round's
-/// cut `M = 32·k` inside and beyond every leaf, and include the edge cases
-/// `k = 0`, `k` beyond the corpus and `k = usize::MAX`.
+/// *is* a ramp series). The k-NN `k`s put the seed round's cut `M = 32·k`
+/// inside and beyond the corpus, and include the edge cases `k = 0`, `k`
+/// beyond the corpus and `k = usize::MAX`.
 fn requests(series: &[Vec<f64>]) -> Vec<QueryRequest> {
     let mut out = Vec::new();
     for (qi, radius) in [(3usize, 2.5), (10, 60.0)] {
@@ -173,157 +121,105 @@ fn corpora() -> Vec<(&'static str, Vec<Vec<f64>>)> {
     vec![("plain", plain), ("tie group", ties), ("distance ties", distance_ties)]
 }
 
-/// The layout matrix: every corpus × {1 leaf, 4 leaves, 3 units, 6 units
-/// with one empty} × width {1, 8} × every request shape, each run once
-/// unbudgeted (against the oracle) and once already expired. The layouts
-/// hold leaves smaller than `M`, and leaves that contribute nothing to a
-/// k-NN answer (checked, not assumed).
+/// Every corpus × backend {tree, flat sweep} × every request shape, each
+/// run once unbudgeted (against the oracle, and again in reused scratch)
+/// and once already expired.
 #[test]
-fn every_layout_matches_brute_force_at_every_width_and_honours_the_deadline() {
+fn every_request_matches_brute_force_and_honours_the_deadline() {
     let expired = QueryBudget::with_deadline(Instant::now());
     assert!(expired.expired());
-    let mut idle_leaves = 0;
     for (corpus_name, series) in corpora() {
-        for (layout, units) in layouts(&series) {
-            let name = format!("{corpus_name}, {layout}");
-            check_layout(&name, &leaves(&units), &series, expired, &mut idle_leaves);
-        }
+        check(&format!("{corpus_name}, tree"), &engine(&series, tree()), &series, expired);
+        check(&format!("{corpus_name}, sweep"), &engine(&series, sweep()), &series, expired);
     }
-    assert!(idle_leaves > 0, "no k-NN answer left a non-empty leaf out");
 }
 
-/// One layout of the matrix; adds to `idle_leaves` the non-empty leaves
-/// that hold none of a k-NN's answer.
-fn check_layout(
+fn check<I: SpatialIndex>(
     name: &str,
-    leaves: &Leaves<'_>,
+    engine: &DtwIndexEngine<NewPaa, I>,
     series: &[Vec<f64>],
     expired: QueryBudget,
-    idle_leaves: &mut usize,
 ) {
+    let mut scratch = QueryScratch::new();
     for request in &requests(series) {
-        let narrow = run(leaves, request, 1).expect("unbudgeted query completes");
+        let outcome = engine.try_query(request).expect("unbudgeted query completes");
         let expected = brute_force(series, request);
-        assert_eq!(narrow.result.matches, expected, "{name}: {request:?}");
-        assert_eq!(narrow.result.stats.matches, expected.len() as u64, "{name}");
-        let trace = narrow.trace.as_ref().expect("trace requested");
-        assert_eq!(trace.totals(), narrow.result.stats, "{name}: {request:?}");
+        assert_eq!(outcome.result.matches, expected, "{name}: {request:?}");
+        assert_eq!(outcome.result.stats.matches, expected.len() as u64, "{name}");
+        let trace = outcome.trace.as_ref().expect("trace requested");
+        assert_eq!(trace.totals(), outcome.result.stats, "{name}: {request:?}");
         assert_eq!(
             trace.lb_pruned + trace.lb_improved_pruned + trace.exact_started,
             trace.candidates_in,
             "{name}: the funnel leaks for {request:?}"
         );
-        if matches!(request.kind(), RequestKind::Knn { k } if k > 0) {
-            *idle_leaves += leaves
-                .iter()
-                .filter(|leaf| !leaf.engine.is_empty())
-                .filter(|leaf| expected.iter().all(|&(id, _)| leaf.engine.get(id).is_none()))
-                .count();
-        }
-        // Matches, counters and trace are functions of the layout alone.
-        let wide = run(leaves, request, 8).expect("unbudgeted query completes");
-        assert_eq!(narrow, wide, "{name}: outcome varied with width for {request:?}");
+        let reused = engine.try_query_with(request, &mut scratch).expect("completes");
+        assert_eq!(outcome, reused, "{name}: outcome varied with scratch for {request:?}");
 
         // A k = 0 does no per-candidate work, so it has no deadline to
         // miss; everything else aborts at its first poll.
         if matches!(request.kind(), RequestKind::Knn { k: 0 }) {
             continue;
         }
-        let request = request.clone().with_budget(expired);
-        let aborted = run(leaves, &request, 1);
-        match &aborted {
+        match engine.try_query(&request.clone().with_budget(expired)) {
             Err(EngineError::DeadlineExceeded { stats }) => {
                 assert_eq!(stats.matches, 0, "{name}: partial runs never report matches");
                 assert_eq!(stats.exact_computations, 0, "{name}: aborted before any DTW");
             }
             other => panic!("{name}: expected a deadline abort, got {other:?}"),
         }
-        assert_eq!(aborted, run(leaves, &request, 8), "{name}: partial counters vary");
     }
 }
 
 /// A range query at a distance a k-NN answer reported returns that
-/// neighbour, in every layout: a match is decided on the root it is
-/// reported with, not on `radius²` (`fl(fl(√x)²)` can sit a few
-/// ulps below `x`).
+/// neighbour: a match is decided on the root it is reported with, not on
+/// `radius²` (`fl(fl(√x)²)` can sit a few ulps below `x`).
 #[test]
 fn a_range_query_at_a_returned_distance_returns_that_item() {
     let series = corpus(90, 7);
-    for (name, units) in layouts(&series) {
-        let leaves = leaves(&units);
-        for qi in [3usize, 10, 41] {
-            let shape = |r: QueryRequest| r.with_series(series[qi].clone()).with_band(BAND);
-            let knn = run(&leaves, &shape(QueryRequest::knn(8)), 1).expect("completes");
-            for &(id, distance) in &knn.result.matches {
-                let request = shape(QueryRequest::range(distance));
-                let range = run(&leaves, &request, 1).expect("completes").result.matches;
-                assert!(
-                    range.contains(&(id, distance)),
-                    "{name}: range({distance}) around #{qi} lost item {id}"
-                );
-                assert_eq!(range, brute_force(&series, &request), "{name}");
-            }
-        }
-    }
-}
-
-/// Leaf pruning skips a segment only for an ε-range query that cannot
-/// reach its bounding box; k-NN always sees every leaf.
-#[test]
-fn only_indexed_range_queries_prune_leaves() {
-    let series = corpus(90, 13);
-    let (_, units) = layouts(&series).swap_remove(2);
-    let pruning = leaves(&units);
-    let unpruned: Leaves<'_> =
-        units.iter().map(|u| Leaf { engine: &u.engine, meta: None }).collect();
-    for request in requests(&series) {
-        let with = run(&pruning, &request, 1).expect("completes");
-        let without = run(&unpruned, &request, 1).expect("completes");
-        assert_eq!(with.result.matches, without.result.matches);
-        let range = matches!(request.kind(), RequestKind::Range { .. });
-        let small_radius = matches!(request.kind(), RequestKind::Range { radius } if radius < 10.0);
-        if small_radius {
-            // The first unit holds only the ramp series: never touched.
+    let engine = engine(&series, sweep());
+    for qi in [3usize, 10, 41] {
+        let shape = |r: QueryRequest| r.with_series(series[qi].clone()).with_band(BAND);
+        let knn = engine.try_query(&shape(QueryRequest::knn(8))).expect("completes");
+        for &(id, distance) in &knn.result.matches {
+            let request = shape(QueryRequest::range(distance));
+            let range = engine.try_query(&request).expect("completes").result.matches;
             assert!(
-                with.result.stats.index.node_accesses < without.result.stats.index.node_accesses,
-                "the unreachable segment was walked anyway"
+                range.contains(&(id, distance)),
+                "range({distance}) around #{qi} lost item {id}"
             );
-        } else if !range {
-            assert_eq!(with, without, "a non-range query must never be pruned: {request:?}");
+            assert_eq!(range, brute_force(&series, &request));
         }
     }
 }
 
-/// A batch is now a sequence of single requests, each validated before any
-/// work: the malformed one is reported up front and records nothing, at
-/// every width, while the well-formed ones around it run and are recorded.
+/// A batch is a sequence of single requests, each validated before any
+/// work: the malformed one is reported up front and records nothing, while
+/// the well-formed ones around it run and are recorded.
 #[test]
 fn a_batch_that_fails_validation_does_no_work_and_records_nothing() {
     let series = corpus(60, 17);
-    let (_, units) = layouts(&series).swap_remove(3);
-    let leaves = leaves(&units);
+    let metrics = MetricsSink::enabled();
+    let engine = engine(&series, sweep()).with_metrics(metrics.clone());
     let good = QueryRequest::knn(3).with_series(series[1].clone()).with_band(BAND);
     let mut poisoned = series[2].clone();
     poisoned[9] = f64::NAN;
     let bad = QueryRequest::knn(3).with_series(poisoned).with_band(BAND);
-    for width in [1usize, 8] {
-        let metrics = MetricsSink::enabled();
-        let mut scratch = QueryScratch::new();
-        match execute(&leaves, &bad, &mut scratch, width, &metrics) {
-            Err(EngineError::NonFiniteSample { context: "query", index: 9, .. }) => {}
-            other => panic!("expected the NaN to be reported up front, got {other:?}"),
-        }
-        let snapshot = metrics.registry().expect("enabled").snapshot();
-        for metric in [Metric::KnnQueries, Metric::ExactStarted, Metric::DpCells] {
-            assert_eq!(snapshot.counter(metric), 0, "width={width}: {metric:?} recorded");
-        }
-        // The well-formed requests of the same batch run and are recorded.
-        for request in [&good, &good, &good] {
-            let outcome = execute(&leaves, request, &mut scratch, width, &metrics);
-            assert_eq!(outcome.expect("well-formed request").result.matches.len(), 3);
-        }
-        let snapshot = metrics.registry().expect("enabled").snapshot();
-        assert_eq!(snapshot.counter(Metric::KnnQueries), 3, "width={width}");
-        assert!(snapshot.counter(Metric::DpCells) > 0, "width={width}");
+    let mut scratch = QueryScratch::new();
+    match engine.try_query_with(&bad, &mut scratch) {
+        Err(EngineError::NonFiniteSample { context: "query", index: 9, .. }) => {}
+        other => panic!("expected the NaN to be reported up front, got {other:?}"),
     }
+    let snapshot = metrics.registry().expect("enabled").snapshot();
+    for metric in [Metric::KnnQueries, Metric::ExactStarted, Metric::DpCells] {
+        assert_eq!(snapshot.counter(metric), 0, "{metric:?} recorded");
+    }
+    // The well-formed requests of the same batch run and are recorded.
+    for request in [&good, &good, &good] {
+        let outcome = engine.try_query_with(request, &mut scratch);
+        assert_eq!(outcome.expect("well-formed request").result.matches.len(), 3);
+    }
+    let snapshot = metrics.registry().expect("enabled").snapshot();
+    assert_eq!(snapshot.counter(Metric::KnnQueries), 3);
+    assert!(snapshot.counter(Metric::DpCells) > 0);
 }

@@ -29,9 +29,9 @@
 //! read, or a stray argument, is a usage error (exit code 2) naming it.
 //!
 //! Stores index with the paper's New_PAA envelope transform at 8
-//! dimensions; there is no transform to choose, and each storage unit
-//! (segment or memtable) is one engine — there is no partition to choose
-//! either.
+//! dimensions; there is no transform to choose, and an opened store is one
+//! engine over every segment file and the memtable — there is no partition
+//! to choose either.
 //!
 //! Everything on disk goes through this workspace's own codecs: melodies are
 //! Standard MIDI Files written/parsed by `hum-midi`, hums are PCM16 WAV

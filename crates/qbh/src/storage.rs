@@ -371,8 +371,8 @@ pub(crate) fn as_u32(value: usize, what: &str) -> Result<u32, StorageError> {
 ///   scan). Writers put 2 and readers accept 0–2;
 /// * the shard count once split every storage unit into that many engines
 ///   by an id hash. Writers put 1 and readers accept 1–4096: a store
-///   written at any shard count opens with one engine per unit and the
-///   same matches. 0 and everything above 4096 is [`StorageError::Corrupt`].
+///   written at any shard count opens as one engine with the same matches.
+///   0 and everything above 4096 is [`StorageError::Corrupt`].
 ///
 /// # Errors
 /// [`StorageError::Unrepresentable`] when the configuration fails
@@ -909,7 +909,7 @@ mod tests {
         // index tag (0 R*-tree, 1 grid file, 2 flat sweep) and shard count
         // (2, 4, 4096) a store was written with, and under a manifest
         // carrying build-time planner evidence: features and indexes are
-        // rebuilt at open, one engine per unit, so all answer like an
+        // rebuilt at open, into one engine, so all answer like an
         // in-memory build. Each then takes a flush (current-writer segment
         // and manifest over the old-field segments) and reopens.
         let dir = TempPath::unique("storage-equivalent");

@@ -14,10 +14,14 @@
 //! persistent form, the segmented store of [`crate::store`]
 //! ([`QbhSystem::try_create_store`] / [`QbhSystem::try_open_store`]).
 //!
+//! A system owns exactly one engine over its whole corpus, built in memory
+//! or from a store's segment files: a segment is a file and the id list it
+//! holds, never an index of its own.
+//!
 //! A query is asked one way: every surface — `query_series*`,
 //! [`QbhSystem::try_query_audio`], the server's workers — is a caller of
 //! [`QbhSystem::try_query_request_with`], which runs one ε-range or k-NN
-//! request through the one executor over the system's storage units.
+//! request through [`DtwIndexEngine::try_query_with`] on that engine.
 
 use std::collections::{BTreeSet, HashMap};
 use std::path::{Path, PathBuf};
@@ -31,11 +35,8 @@ use hum_core::engine::{
 };
 use hum_core::normal::NormalForm;
 use hum_core::obs::{Metric, MetricsSink, QueryTrace};
-use hum_core::exec::{self, execute, Leaf};
-use hum_core::segment::SegmentMeta;
 use hum_core::session::QuerySession;
 use hum_core::transform::paa::NewPaa;
-use hum_core::transform::EnvelopeTransform;
 use hum_index::LinearScan;
 
 use crate::corpus::{MelodyDatabase, MelodyEntry};
@@ -96,65 +97,23 @@ pub struct QbhResults {
     pub stats: EngineStats,
 }
 
-/// The engine type of one storage unit — and of one executor leaf: New_PAA
-/// over the flat feature sweep.
+/// The engine of a system: New_PAA over the flat feature sweep.
 pub type QbhEngine = DtwIndexEngine<NewPaa, LinearScan>;
 
-/// One leaf of the list the system hands the executor (see
-/// [`hum_core::exec`]).
-type QbhLeaf<'a> = Leaf<'a, NewPaa, LinearScan>;
-
-/// One immutable on-disk segment, resident in memory: its own engine over
-/// the segment's live (non-tombstoned) melodies, plus pruning metadata and
-/// the full id list from the segment file (tombstoned ids included, so
-/// manifest counts stay consistent on rewrite).
+/// One immutable on-disk segment: its file id and the full id list from
+/// the file (tombstoned ids included, so manifest counts stay consistent on
+/// rewrite). Its live melodies are held by the system's one engine.
 struct StoreSegment {
     id: u64,
-    engine: QbhEngine,
-    meta: SegmentMeta,
     ids: Vec<u64>,
 }
 
 impl StoreSegment {
-    /// Indexes a segment file's `entries` (ascending by id) minus the
-    /// `tombstones`, with metrics detached: re-indexing what is already
-    /// stored is not a user-visible insert.
-    fn build(
-        id: u64,
-        config: &QbhConfig,
-        entries: &[SegmentEntry],
-        tombstones: &BTreeSet<u64>,
-    ) -> Result<Self, StorageError> {
-        let mut engine = unit_engine(config);
-        let live = || entries.iter().filter(|e| !tombstones.contains(&e.id));
-        for entry in live() {
-            engine
-                .try_insert(entry.id, entry.series.clone())
-                .map_err(|e| StorageError::Corrupt(format!("segment {id}: {e}")))?;
-        }
-        let meta = segment_meta(engine.transform(), entries.len(), live());
-        Ok(StoreSegment { id, engine, meta, ids: entries.iter().map(|e| e.id).collect() })
-    }
-
     /// The manifest entry for this segment: the *file's* melody count
-    /// (tombstoned entries included), not the live engine's.
+    /// (tombstoned entries included), not the live one.
     fn to_ref(&self) -> SegmentRef {
         SegmentRef { id: self.id, count: self.ids.len() as u64 }
     }
-}
-
-/// Pruning metadata over `entries` (about `expected` of them): their ids
-/// and projected features.
-fn segment_meta<'a>(
-    transform: &NewPaa,
-    expected: usize,
-    entries: impl Iterator<Item = &'a SegmentEntry>,
-) -> SegmentMeta {
-    let mut meta = SegmentMeta::new(expected);
-    for entry in entries {
-        meta.add(entry.id, &transform.project(&entry.series));
-    }
-    meta
 }
 
 /// Operational knobs for a store-backed system; not part of the on-disk
@@ -185,7 +144,8 @@ struct StoreState {
     /// Atomic because a plan reserves its id under the read lock: two plans
     /// never share a file name, so a stale job's file is always its own.
     next_segment_id: AtomicU64,
-    /// Ids currently resident only in the memtable (not yet durable).
+    /// The memtable: ids inserted since their last flush, held by the
+    /// engine but by no segment file (not yet durable).
     memtable_ids: BTreeSet<u64>,
     flushes: u64,
     compactions: u64,
@@ -230,9 +190,9 @@ enum PlannedJob {
 /// of the system under a shared borrow ([`QbhSystem::plan_flush`],
 /// [`QbhSystem::plan_compaction`], [`QbhSystem::plan_maintenance`]).
 ///
-/// Maintenance runs in three phases so that a server never writes a file,
-/// waits for an fsync or builds an index while holding the lock its
-/// requests need: **plan** (`&QbhSystem`, copies), **build**
+/// Maintenance runs in three phases so that a server never writes a
+/// segment file or waits for its fsync while holding the lock its requests
+/// need: **plan** (`&QbhSystem`, copies), **build**
 /// ([`MaintenancePlan::build`] — owned data, no reference to the system)
 /// and **commit** ([`QbhSystem::commit_maintenance`], `&mut QbhSystem`,
 /// time proportional to what changed since the plan). The system may be
@@ -251,11 +211,9 @@ pub struct MaintenancePlan {
 }
 
 impl MaintenancePlan {
-    /// Phase 2: everything expensive — for a flush the pruning metadata and
-    /// the segment file with its fsyncs; for a compaction also the merged
-    /// segment's index, rebuilt from scratch. Touches no [`QbhSystem`].
-    /// The segment file is written last, so a failed build leaves nothing
-    /// behind; a built job that is never committed leaves an orphan
+    /// Phase 2: everything expensive — the segment file with its fsyncs.
+    /// Touches no [`QbhSystem`] and builds no index. A failed build leaves
+    /// nothing behind; a built job that is never committed leaves an orphan
     /// segment file that [`QbhSystem::try_open_store_with`] ignores.
     ///
     /// # Errors
@@ -268,10 +226,7 @@ impl MaintenancePlan {
         };
         let file = Some(store::segment_path(&dir, segment_id));
         let (file, written, job) = match job {
-            PlannedJob::Flush => {
-                let meta = segment_meta(&new_paa(&config), entries.len(), entries.iter());
-                (file, save(&entries)?, BuiltJob::Flush { entries, meta })
-            }
+            PlannedJob::Flush => (file, save(&entries)?, BuiltJob::Flush { entries }),
             PlannedJob::Compaction { purged } if entries.is_empty() => {
                 (None, 0, BuiltJob::Compaction { purged, merged: None })
             }
@@ -279,9 +234,9 @@ impl MaintenancePlan {
                 // Segments never overlap, but flush order does not imply id
                 // order across them.
                 entries.sort_by_key(|e| e.id);
-                let merged = StoreSegment::build(segment_id, &config, &entries, &BTreeSet::new())?;
-                let job = BuiltJob::Compaction { purged, merged: Some(Box::new(merged)) };
-                (file, save(&entries)?, job)
+                let ids = entries.iter().map(|e| e.id).collect();
+                let merged = Some(StoreSegment { id: segment_id, ids });
+                (file, save(&entries)?, BuiltJob::Compaction { purged, merged })
             }
         };
         Ok(BuiltMaintenance { segment_id, live_segments, file, written, job })
@@ -290,13 +245,13 @@ impl MaintenancePlan {
 
 /// What a [`MaintenancePlan`] built.
 enum BuiltJob {
-    Flush { entries: Vec<SegmentEntry>, meta: SegmentMeta },
+    Flush { entries: Vec<SegmentEntry> },
     /// `merged` is `None` when nothing was live to merge.
-    Compaction { purged: BTreeSet<u64>, merged: Option<Box<StoreSegment>> },
+    Compaction { purged: BTreeSet<u64>, merged: Option<StoreSegment> },
 }
 
-/// Phase 2's result: a segment written and indexed but named by no
-/// manifest yet. [`QbhSystem::commit_maintenance`] makes it live.
+/// Phase 2's result: a segment written but named by no manifest yet.
+/// [`QbhSystem::commit_maintenance`] makes it live.
 pub struct BuiltMaintenance {
     segment_id: u64,
     live_segments: Vec<u64>,
@@ -307,9 +262,9 @@ pub struct BuiltMaintenance {
     job: BuiltJob,
 }
 
-/// The segments a commit replaced. Dropping this frees their indexes and
-/// deletes their files best-effort (a leftover is an orphan that opening
-/// ignores) — which is why a server drops it after releasing its lock.
+/// The segments a commit replaced. Dropping this deletes their files
+/// best-effort (a leftover is an orphan that opening ignores) — which is
+/// why a server drops it after releasing its lock.
 pub struct RetiredSegments {
     dir: PathBuf,
     segments: Vec<StoreSegment>,
@@ -333,37 +288,32 @@ fn booked(metrics: &MetricsSink, written: Result<u64, StorageError>) -> Result<u
     written
 }
 
-/// The envelope transform every engine of a system under `config` indexes
-/// with.
+/// An empty engine under `config`: New_PAA over a flat feature index that
+/// fills by appending.
 ///
 /// # Panics
 /// When `feature_dims` does not divide `normal_length`, which
 /// [`crate::storage`] rejects for every stored configuration.
-fn new_paa(config: &QbhConfig) -> NewPaa {
-    NewPaa::new(config.normal_length, config.feature_dims)
-}
-
-/// An empty engine for one storage unit (memtable or segment); its flat
-/// feature index fills by appending.
-fn unit_engine(config: &QbhConfig) -> QbhEngine {
+fn new_engine(config: &QbhConfig) -> QbhEngine {
+    let transform = NewPaa::new(config.normal_length, config.feature_dims);
     let index = LinearScan::with_page_size(config.feature_dims, config.page_bytes);
-    DtwIndexEngine::new(new_paa(config), index, EngineConfig::default())
+    DtwIndexEngine::new(transform, index, EngineConfig::default())
 }
 
 /// A built query-by-humming system.
 ///
-/// Storage-wise the system is a one-level LSM tree: a mutable **memtable**
-/// engine absorbing live inserts, over zero or more immutable **segments**
-/// (each a [`StoreSegment`] with its own engine). Every query runs through
-/// the one executor ([`hum_core::exec`]) over every unit, one leaf each, so
-/// matches are bit-identical to a monolithic engine over the union corpus
-/// at every segment count and thread count. Systems built in memory
-/// ([`QbhSystem::build`]) have exactly one unit (the memtable);
-/// store-backed systems ([`QbhSystem::try_create_store`] /
-/// [`QbhSystem::try_open_store`]) add the durable segment lifecycle
-/// ([`QbhSystem::flush`], [`QbhSystem::compact`], [`QbhSystem::maintain`]).
+/// The system owns one engine over its whole corpus. Storage-wise a
+/// store-backed system ([`QbhSystem::try_create_store`] /
+/// [`QbhSystem::try_open_store`]) is a one-level LSM tree of *files*: a
+/// volatile **memtable** (the ids inserted since their last flush) over
+/// zero or more immutable **segments** (each a [`StoreSegment`]: a file id
+/// and its id list), with the durable lifecycle [`QbhSystem::flush`],
+/// [`QbhSystem::compact`], [`QbhSystem::maintain`]. None of it changes
+/// what the engine holds, so matches and counters are those of an
+/// in-memory build ([`QbhSystem::build`]) over the same corpus at every
+/// segment layout.
 pub struct QbhSystem {
-    memtable: QbhEngine,
+    engine: QbhEngine,
     segments: Vec<StoreSegment>,
     normal: NormalForm,
     band: usize,
@@ -371,8 +321,6 @@ pub struct QbhSystem {
     // Keyed by melody id (not a Vec indexed by id): live inserts may use
     // arbitrary ids, and removals leave holes.
     provenance: HashMap<u64, (usize, usize)>,
-    /// Records queries (the engines record their own inserts/removals).
-    metrics: MetricsSink,
     store: Option<StoreState>,
 }
 
@@ -392,25 +340,24 @@ impl QbhSystem {
         let samples_per_beat = config.samples_per_beat;
         let normal_of =
             |e: &MelodyEntry| normal.apply(&e.melody().to_time_series(samples_per_beat));
-        let mut engine = unit_engine(config);
+        let mut engine = new_engine(config);
         let mut provenance = HashMap::with_capacity(db.len());
         for entry in db.entries() {
             engine.insert(entry.id(), normal_of(entry));
             provenance.insert(entry.id(), (entry.song(), entry.phrase()));
         }
         QbhSystem {
-            memtable: engine,
+            engine,
             segments: Vec::new(),
             normal,
             band: band_for_warping_width(config.warping_width, config.normal_length),
             config: *config,
             provenance,
-            metrics: MetricsSink::Disabled,
             store: None,
         }
     }
 
-    /// Creates a fresh store-backed system at `dir`: an empty memtable over
+    /// Creates a fresh store-backed system at `dir`: an empty engine over
     /// zero segments, with an empty `MANIFEST` written durably so a crash
     /// right after creation reopens cleanly.
     ///
@@ -438,12 +385,14 @@ impl QbhSystem {
 
     /// Opens an existing store at `dir`: validates and loads the manifest
     /// and every segment it names (see [`crate::store::open_store`] for the
-    /// corruption taxonomy), rebuilds one engine per segment — skipping
-    /// tombstoned melodies, so a removal never resurrects across a reload —
-    /// and starts an empty memtable.
+    /// corruption taxonomy), inserts every live entry of every segment into
+    /// the one engine — skipping tombstoned melodies, so a removal never
+    /// resurrects across a reload — and starts an empty memtable.
     ///
     /// # Errors
-    /// Any [`StorageError`] from [`crate::store::open_store`].
+    /// Any [`StorageError`] from [`crate::store::open_store`], and
+    /// [`StorageError::Corrupt`] naming the segment of an entry the engine
+    /// rejects.
     ///
     /// The outcome is recorded into `metrics`: one `storage.loads` plus the
     /// manifest and segment bytes as `storage.bytes_read` on success, one
@@ -476,25 +425,28 @@ impl QbhSystem {
         let mut provenance = HashMap::new();
         let mut segments = Vec::with_capacity(loaded.segments.len());
         let mut next_segment_id = 0u64;
+        // Metrics stay detached while the engine fills: re-indexing what is
+        // already stored is not a user-visible insert.
+        let mut engine = new_engine(&config);
         for (seg_ref, entries) in loaded.manifest.segments.iter().zip(&loaded.segments) {
-            let mut segment = StoreSegment::build(seg_ref.id, &config, entries, &tombstones)?;
-            segment.engine.set_metrics(metrics.clone());
             for entry in entries.iter().filter(|e| !tombstones.contains(&e.id)) {
+                engine
+                    .try_insert(entry.id, entry.series.clone())
+                    .map_err(|e| StorageError::Corrupt(format!("segment {}: {e}", seg_ref.id)))?;
                 provenance.insert(entry.id, (entry.song, entry.phrase));
             }
             next_segment_id = seg_ref.id + 1;
-            segments.push(segment);
+            let ids = entries.iter().map(|e| e.id).collect();
+            segments.push(StoreSegment { id: seg_ref.id, ids });
         }
-        let mut memtable = unit_engine(&config);
-        memtable.set_metrics(metrics.clone());
+        engine.set_metrics(metrics.clone());
         let system = QbhSystem {
-            memtable,
+            engine,
             segments,
             normal: NormalForm::with_length(config.normal_length),
             band: band_for_warping_width(config.warping_width, config.normal_length),
             config,
             provenance,
-            metrics: metrics.clone(),
             store: Some(StoreState {
                 dir: dir.to_path_buf(),
                 options,
@@ -511,7 +463,7 @@ impl QbhSystem {
 
     /// Number of indexed melodies, across the memtable and every segment.
     pub fn len(&self) -> usize {
-        self.memtable.len() + self.segments.iter().map(|s| s.engine.len()).sum::<usize>()
+        self.engine.len()
     }
 
     /// `true` if nothing is indexed (never after a successful build; an
@@ -530,45 +482,29 @@ impl QbhSystem {
         &self.config
     }
 
-    /// Always 1: a storage unit is one engine. Kept only for the frozen
+    /// Always 1: a system is one engine. Kept only for the frozen
     /// benchmark's stage replay; ROADMAP item 1(b) deletes both.
     #[doc(hidden)]
     pub fn shard_count(&self) -> usize {
         1
     }
 
-    /// The memtable engine, for experiments that need raw control. For an
-    /// in-memory build this is the whole corpus; for a store-backed system
-    /// it holds only melodies inserted since the last flush.
+    /// The engine over the whole corpus, for experiments that need raw
+    /// control — in memory or store-backed alike.
     pub fn engine(&self) -> &QbhEngine {
-        &self.memtable
+        &self.engine
     }
 
     /// Points the system at a metrics sink; pass [`MetricsSink::enabled`]
-    /// to start recording every query into a shared registry. The sink is
-    /// installed on every storage unit's engine (they record inserts and
-    /// removals); queries are recorded exactly once by the executor,
-    /// regardless of unit count.
+    /// to start recording every query, insert and removal of the engine,
+    /// and every storage event, into a shared registry.
     pub fn set_metrics(&mut self, sink: MetricsSink) {
-        self.memtable.set_metrics(sink.clone());
-        for seg in &mut self.segments {
-            seg.engine.set_metrics(sink.clone());
-        }
-        self.metrics = sink;
+        self.engine.set_metrics(sink);
     }
 
     /// The metrics sink in use (disabled by default).
     pub fn metrics(&self) -> &MetricsSink {
-        &self.metrics
-    }
-
-    /// The executor's leaf list: one per storage unit, in fixed order —
-    /// segments oldest to newest, then the memtable — so merged counters
-    /// are reproducible (matches are order-independent).
-    fn leaves(&self) -> Vec<QbhLeaf<'_>> {
-        let segments =
-            self.segments.iter().map(|seg| Leaf { engine: &seg.engine, meta: Some(&seg.meta) });
-        segments.chain([Leaf { engine: &self.memtable, meta: None }]).collect()
+        self.engine.metrics()
     }
 
     /// Opens the frames → request builder every query goes through: the
@@ -589,8 +525,9 @@ impl QbhSystem {
     /// request asked for one.
     ///
     /// There is exactly one path from raw frames to the engine — validate,
-    /// normalize, attach ([`QuerySession`]), then the one executor — and
-    /// every other query method of the system is a caller of it.
+    /// normalize, attach ([`QuerySession`]), then
+    /// [`DtwIndexEngine::try_query_with`] — and every other query method of
+    /// the system is a caller of it.
     ///
     /// # Errors
     /// [`EngineError::EmptyQuery`] on an empty pitch series,
@@ -623,14 +560,13 @@ impl QbhSystem {
         let mut session = self.open_session(request);
         session.append(pitch_series)?;
         let request = session.to_request(budget)?;
-        let width = exec::default_width();
-        let outcome = execute(&self.leaves(), &request, scratch, width, &self.metrics)?;
+        let outcome = self.engine.try_query_with(&request, scratch)?;
         Ok((self.annotate(outcome.result), outcome.trace))
     }
 
     /// Live insert: renders a raw (hummed-scale) pitch series to normal
-    /// form, indexes it in the memtable under `id`, and records its
-    /// provenance. The melody is queryable as soon as this returns; on
+    /// form, indexes it under `id` (in store mode, as a memtable melody),
+    /// and records its provenance. The melody is queryable as soon as this returns; on
     /// error nothing changes. In store mode the melody becomes *durable*
     /// at the next [`QbhSystem::flush`] (the memtable is volatile; there
     /// is no write-ahead log).
@@ -639,8 +575,8 @@ impl QbhSystem {
     /// [`EngineError::EmptyQuery`] on an empty series,
     /// [`EngineError::NonFiniteSample`] on NaN/infinite samples (checked on
     /// the *raw* series, before resampling can smear the poison), and
-    /// [`EngineError::DuplicateId`] when `id` is already indexed in any
-    /// storage unit — or tombstoned: a removed id stays reserved until
+    /// [`EngineError::DuplicateId`] when `id` is already indexed — or
+    /// tombstoned: a removed id stays reserved until
     /// compaction drops it from its segment file, since re-using it earlier
     /// would make the on-disk segments overlap.
     pub fn try_insert_melody(
@@ -654,14 +590,11 @@ impl QbhSystem {
             return Err(EngineError::EmptyQuery);
         }
         check_finite(pitch_series, "inserted pitch series")?;
-        // Global duplicate check: the memtable's own check only covers
-        // itself, not segment-resident or tombstoned ids.
-        if self.provenance.contains_key(&id)
-            || self.store.as_ref().is_some_and(|s| s.tombstones.contains(&id))
-        {
+        // The engine's own check does not cover tombstoned ids.
+        if self.store.as_ref().is_some_and(|s| s.tombstones.contains(&id)) {
             return Err(EngineError::DuplicateId(id));
         }
-        self.memtable.try_insert(id, self.normal.apply(pitch_series))?;
+        self.engine.try_insert(id, self.normal.apply(pitch_series))?;
         self.provenance.insert(id, (song, phrase));
         if let Some(state) = self.store.as_mut() {
             state.memtable_ids.insert(id);
@@ -692,8 +625,8 @@ impl QbhSystem {
         Ok(())
     }
 
-    /// Live removal: drops the melody stored under `id` from whichever
-    /// storage unit holds it. Returns `Ok(true)` if it was present.
+    /// Live removal: drops the melody stored under `id` from the engine.
+    /// Returns `Ok(true)` if it was present.
     ///
     /// In store mode, removing a *segment-resident* melody writes a
     /// tombstone into the manifest durably **before** the in-memory
@@ -707,40 +640,26 @@ impl QbhSystem {
     /// Any I/O or encoding failure writing the updated manifest; the
     /// system is unchanged (the melody stays queryable) on error.
     pub fn try_remove(&mut self, id: u64) -> Result<bool, StorageError> {
-        let Some(state) = self.store.as_mut() else {
-            if !self.memtable.remove(id) {
-                return Ok(false);
-            }
-            self.provenance.remove(&id);
-            return Ok(true);
-        };
-        if state.memtable_ids.contains(&id) {
-            // Never flushed: nothing on disk references it.
-            state.memtable_ids.remove(&id);
-            self.memtable.remove(id);
-            self.provenance.remove(&id);
-            return Ok(true);
-        }
-        // Segment-resident (pruning filters may false-positive; the engine
-        // lookup is authoritative).
-        let Some(seg_index) = self
-            .segments
-            .iter()
-            .position(|s| s.meta.may_contain_id(id) && s.engine.get(id).is_some())
-        else {
+        if self.engine.get(id).is_none() {
             return Ok(false);
-        };
-        // Durable first: manifest with the new tombstone, then memory.
-        let mut tombstones = state.tombstones.clone();
-        tombstones.insert(id);
-        let dir = state.dir.clone();
-        let refs = self.segments.iter().map(StoreSegment::to_ref).collect();
-        let written = self.save_manifest_of(&dir, refs, &tombstones)?;
-        if let Some(state) = self.store.as_mut() {
-            state.bytes_written += written;
-            state.tombstones = tombstones;
         }
-        self.segments[seg_index].engine.remove(id);
+        // Every stored id the memtable does not hold is segment-resident.
+        if let Some(state) = self.store.as_ref().filter(|s| !s.memtable_ids.contains(&id)) {
+            // Durable first: manifest with the new tombstone, then memory.
+            let mut tombstones = state.tombstones.clone();
+            tombstones.insert(id);
+            let dir = state.dir.clone();
+            let refs = self.segments.iter().map(StoreSegment::to_ref).collect();
+            let written = self.save_manifest_of(&dir, refs, &tombstones)?;
+            if let Some(state) = self.store.as_mut() {
+                state.bytes_written += written;
+                state.tombstones = tombstones;
+            }
+        }
+        if let Some(state) = self.store.as_mut() {
+            state.memtable_ids.remove(&id);
+        }
+        self.engine.remove(id);
         self.provenance.remove(&id);
         Ok(true)
     }
@@ -793,9 +712,10 @@ impl QbhSystem {
         self.store.is_some()
     }
 
-    /// Melodies currently resident only in the memtable.
+    /// Melodies currently resident only in the memtable: every melody of
+    /// an in-memory build, none of which is durable.
     pub fn memtable_len(&self) -> usize {
-        self.memtable.len()
+        self.store.as_ref().map_or(self.engine.len(), |s| s.memtable_ids.len())
     }
 
     /// Live immutable segments (always 0 for in-memory builds).
@@ -857,7 +777,7 @@ impl QbhSystem {
         MaintenancePlan {
             dir: state.dir.clone(),
             config: self.config,
-            metrics: self.metrics.clone(),
+            metrics: self.metrics().clone(),
             // Relaxed: a unique-id counter that publishes nothing else.
             segment_id: state.next_segment_id.fetch_add(1, Ordering::Relaxed),
             live_segments: self.segments.iter().map(|s| s.id).collect(),
@@ -866,14 +786,10 @@ impl QbhSystem {
         }
     }
 
-    /// The stored form of melody `id` as `engine` holds it.
-    fn entry_of(
-        &self,
-        engine: &QbhEngine,
-        id: u64,
-        unit: &str,
-    ) -> Result<SegmentEntry, StorageError> {
-        let series = engine
+    /// The stored form of melody `id`, which `unit` lists.
+    fn entry_of(&self, id: u64, unit: &str) -> Result<SegmentEntry, StorageError> {
+        let series = self
+            .engine
             .get(id)
             .map(<[f64]>::to_vec)
             .ok_or_else(|| StorageError::Corrupt(format!("{unit} lost melody {id}")))?;
@@ -894,7 +810,7 @@ impl QbhSystem {
         let entries = state
             .memtable_ids
             .iter()
-            .map(|&id| self.entry_of(&self.memtable, id, "the memtable"))
+            .map(|&id| self.entry_of(id, "the memtable"))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Some(self.new_plan(state, entries, PlannedJob::Flush)))
     }
@@ -914,7 +830,7 @@ impl QbhSystem {
         let mut entries = Vec::new();
         for seg in &self.segments {
             for &id in seg.ids.iter().filter(|id| !state.tombstones.contains(id)) {
-                entries.push(self.entry_of(&seg.engine, id, "a segment")?);
+                entries.push(self.entry_of(id, "a segment")?);
             }
         }
         let purged = state.tombstones.clone();
@@ -943,13 +859,15 @@ impl QbhSystem {
     /// [`store::save_manifest`] as the commit point. Everything that
     /// happened between plan and commit stays as it was acknowledged:
     ///
-    /// * **flush** — the memtable engine *becomes* the new segment's engine
-    ///   (nothing is re-indexed); melodies inserted since the plan move to
-    ///   the fresh memtable; a flushed melody removed since the plan is on
-    ///   disk now, so it is committed tombstoned;
-    /// * **compaction** — melodies removed since the plan are removed from
-    ///   the merged engine and stay tombstoned in the manifest; tombstones
-    ///   the merge already honoured are dropped; the memtable is untouched.
+    /// * **flush** — the flushed melodies leave the memtable; melodies
+    ///   inserted since the plan stay in it; a flushed melody removed since
+    ///   the plan is on disk now, so it is committed tombstoned;
+    /// * **compaction** — melodies removed since the plan stay tombstoned
+    ///   in the manifest; tombstones the merge already honoured are
+    ///   dropped; the memtable is untouched.
+    ///
+    /// Neither touches the engine: it already holds exactly the live
+    /// melodies.
     ///
     /// Returns the segments the commit replaced; dropping them deletes
     /// their files (do it outside any lock the caller holds).
@@ -983,8 +901,8 @@ impl QbhSystem {
             )));
         }
         let (retired, manifest_bytes) = match job {
-            BuiltJob::Flush { entries, meta } => {
-                (Vec::new(), self.commit_flush(&dir, segment_id, entries, meta)?)
+            BuiltJob::Flush { entries } => {
+                (Vec::new(), self.commit_flush(&dir, segment_id, entries)?)
             }
             BuiltJob::Compaction { purged, merged } => {
                 self.commit_compaction(&dir, &purged, merged)?
@@ -993,8 +911,8 @@ impl QbhSystem {
         if let Some(state) = self.store.as_mut() {
             state.bytes_written += written + manifest_bytes;
         }
-        self.metrics.add(Metric::StorageSaves, 1);
-        self.metrics.add(Metric::StorageBytesWritten, written + manifest_bytes);
+        self.metrics().add(Metric::StorageSaves, 1);
+        self.metrics().add(Metric::StorageBytesWritten, written + manifest_bytes);
         Ok(RetiredSegments { dir, segments: retired })
     }
 
@@ -1012,7 +930,7 @@ impl QbhSystem {
             segments,
             tombstones: tombstones.iter().copied().collect(),
         };
-        booked(&self.metrics, store::save_manifest(dir, &manifest))
+        booked(self.metrics(), store::save_manifest(dir, &manifest))
     }
 
     fn commit_flush(
@@ -1020,7 +938,6 @@ impl QbhSystem {
         dir: &Path,
         segment_id: u64,
         entries: Vec<SegmentEntry>,
-        meta: SegmentMeta,
     ) -> Result<u64, StorageError> {
         let state = self.store_state("commit")?;
         // A planned melody no longer in the memtable was removed since: it
@@ -1031,7 +948,7 @@ impl QbhSystem {
         for entry in &entries {
             if !state.memtable_ids.contains(&entry.id) {
                 tombstones.insert(entry.id);
-            } else if self.memtable.get(entry.id) != Some(entry.series.as_slice())
+            } else if self.engine.get(entry.id) != Some(entry.series.as_slice())
                 || self.provenance.get(&entry.id) != Some(&(entry.song, entry.phrase))
             {
                 return Err(StorageError::StalePlan(format!(
@@ -1040,40 +957,21 @@ impl QbhSystem {
                 )));
             }
         }
-        // Whatever else the memtable holds arrived since the plan and moves
-        // to the fresh memtable: copied before the commit point (fallible),
-        // dropped from the sealed engine after it (infallible).
-        let planned = |id: &u64| entries.binary_search_by_key(id, |e| e.id).is_ok();
-        let arrived: BTreeSet<u64> =
-            state.memtable_ids.iter().copied().filter(|id| !planned(id)).collect();
-        let mut fresh = unit_engine(&self.config);
-        for &id in &arrived {
-            let entry = self.entry_of(&self.memtable, id, "the memtable")?;
-            fresh
-                .try_insert(id, entry.series)
-                .map_err(|e| StorageError::Corrupt(format!("moving melody {id}: {e}")))?;
-        }
-        fresh.set_metrics(self.metrics.clone());
         // The id was reserved after every live segment's, so it sorts last,
         // as the manifest codec requires.
         let mut refs: Vec<SegmentRef> = self.segments.iter().map(StoreSegment::to_ref).collect();
         refs.push(SegmentRef { id: segment_id, count: entries.len() as u64 });
         let manifest_bytes = self.save_manifest_of(dir, refs, &tombstones)?;
 
-        // Durably committed: seal the memtable as the new segment's engine.
-        let mut engine = std::mem::replace(&mut self.memtable, fresh);
-        engine.set_metrics(MetricsSink::Disabled);
-        for &id in &arrived {
-            engine.remove(id);
-        }
-        engine.set_metrics(self.metrics.clone());
-        let ids = entries.iter().map(|e| e.id).collect();
-        self.segments.push(StoreSegment { id: segment_id, engine, meta, ids });
+        // Durably committed; whatever else the memtable holds arrived since
+        // the plan and stays in it.
+        let ids: Vec<u64> = entries.iter().map(|e| e.id).collect();
         if let Some(state) = self.store.as_mut() {
-            state.memtable_ids = arrived;
+            state.memtable_ids.retain(|id| ids.binary_search(id).is_err());
             state.tombstones = tombstones;
             state.flushes += 1;
         }
+        self.segments.push(StoreSegment { id: segment_id, ids });
         Ok(manifest_bytes)
     }
 
@@ -1081,25 +979,19 @@ impl QbhSystem {
         &mut self,
         dir: &Path,
         purged: &BTreeSet<u64>,
-        merged: Option<Box<StoreSegment>>,
+        merged: Option<StoreSegment>,
     ) -> Result<(Vec<StoreSegment>, u64), StorageError> {
         let state = self.store_state("commit")?;
         // Tombstones the merge honoured are gone with their entries; one
         // added since names a melody the merged segment still holds, so it
-        // stays in the manifest and leaves the merged engine.
+        // stays in the manifest.
         let tombstones: BTreeSet<u64> = state.tombstones.difference(purged).copied().collect();
         // A full merge: the merged segment, if anything was live, is the
         // whole list, so it trivially sits where its id sorts.
-        let mut segments: Vec<StoreSegment> = merged.into_iter().map(|m| *m).collect();
+        let mut segments: Vec<StoreSegment> = merged.into_iter().collect();
         let refs = segments.iter().map(StoreSegment::to_ref).collect();
         let manifest_bytes = self.save_manifest_of(dir, refs, &tombstones)?;
 
-        for segment in &mut segments {
-            for &id in &tombstones {
-                segment.engine.remove(id);
-            }
-            segment.engine.set_metrics(self.metrics.clone());
-        }
         std::mem::swap(&mut self.segments, &mut segments);
         if let Some(state) = self.store.as_mut() {
             state.tombstones = tombstones;
@@ -1109,10 +1001,9 @@ impl QbhSystem {
     }
 
     /// Flushes the memtable: writes its melodies as a new immutable
-    /// segment, commits the segment into the manifest, and re-opens an
-    /// empty memtable — the flushed engine *becomes* the segment's engine,
-    /// so nothing is re-indexed and queries are undisturbed. This is the
-    /// durability boundary for inserts: the flush writes only the new
+    /// segment file and commits the segment into the manifest; the engine
+    /// already holds them, so nothing is re-indexed and queries are
+    /// undisturbed. This is the durability boundary for inserts: the flush writes only the new
     /// melodies plus a small manifest, never the whole corpus. Returns
     /// `Ok(false)` when the memtable was empty (nothing written).
     ///

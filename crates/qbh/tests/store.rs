@@ -96,30 +96,57 @@ fn assert_bit_identical(got: &[QbhMatch], want: &[QbhMatch], context: &str) {
     }
 }
 
+/// Asserts `system` answers every query exactly as `monolithic` does —
+/// matches with their distance bits, every `EngineStats` counter and the
+/// trace — for a k-NN and an ε-range.
+fn assert_same_answers_and_counters(
+    system: &QbhSystem,
+    monolithic: &QbhSystem,
+    queries: &[Vec<f64>],
+    context: &str,
+) {
+    let band = monolithic.band();
+    let requests = [QueryRequest::knn(10), QueryRequest::range(6.0)];
+    for (i, q) in queries.iter().enumerate() {
+        for request in requests.iter().map(|r| r.clone().with_band(band).with_trace(true)) {
+            let context = format!("{context}, #{i}, {:?}", request.kind());
+            let (want, want_trace) = monolithic.try_query_request(q, request.clone()).unwrap();
+            let (got, got_trace) = system.try_query_request(q, request).unwrap();
+            assert_bit_identical(&got.matches, &want.matches, &context);
+            assert_eq!(got.stats, want.stats, "{context}: counters depend on the layout");
+            assert_eq!(got_trace, want_trace, "{context}: traces depend on the layout");
+        }
+    }
+}
+
 #[test]
 fn every_segment_layout_answers_bit_identically_to_the_monolithic_build() {
     let db = database();
     let queries = hums(&db, 4);
     let monolithic = QbhSystem::build(&db, &QbhConfig::default());
-    let band = monolithic.band();
     // One flushed segment; two segments plus a 16-melody memtable; seven
-    // segments plus a 1-melody memtable.
+    // segments plus a 1-melody memtable. Each is checked as built, reloaded
+    // (everything flushed first, so the reload holds the whole corpus) and
+    // compacted into one segment.
     for per_segment in [db.len(), 17, 7] {
         let dir = temp_dir(&format!("layout-{per_segment}"));
-        let system = build_store(&db, &dir, per_segment, per_segment == db.len());
+        let mut system = build_store(&db, &dir, per_segment, per_segment == db.len());
         assert!(system.is_store_backed());
         assert_eq!(system.len(), db.len());
-        for (i, q) in queries.iter().enumerate() {
-            let context = format!("#{i} /{per_segment}");
-            let want = monolithic.query_series(q, 10);
-            let got = system.query_series(q, 10);
-            assert_bit_identical(&got.matches, &want.matches, &format!("knn {context}"));
+        assert_eq!(system.engine().len(), db.len(), "one engine holds the whole corpus");
+        let layout = format!("{} segments + {}", system.segment_count(), system.memtable_len());
+        assert_same_answers_and_counters(&system, &monolithic, &queries, &layout);
 
-            let request = QueryRequest::range(6.0).with_band(band);
-            let want = monolithic.try_query_request(q, request.clone()).unwrap().0;
-            let got = system.try_query_request(q, request).unwrap().0;
-            assert_bit_identical(&got.matches, &want.matches, &format!("range {context}"));
-        }
+        system.flush().unwrap();
+        drop(system);
+        let mut reloaded = QbhSystem::try_open_store(&dir).unwrap();
+        let context = format!("{layout}, reloaded");
+        assert_same_answers_and_counters(&reloaded, &monolithic, &queries, &context);
+
+        reloaded.compact().unwrap();
+        assert_eq!(reloaded.segment_count(), 1);
+        let context = format!("{layout}, compacted");
+        assert_same_answers_and_counters(&reloaded, &monolithic, &queries, &context);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -32,9 +32,9 @@
 //!   [`QbhService::needs_maintenance`] true wakes the maintenance thread.
 //! * The **maintenance thread** runs one job at a time in three phases
 //!   (see [`QbhService`]): `plan` copies the job's input out under the read
-//!   lock, `build` writes and fsyncs the new segment and builds its index
-//!   with *no* lock held, and `commit` takes the write lock only to swap the
-//!   result in — time proportional to what changed since the plan. A query
+//!   lock, `build` writes and fsyncs the new segment with *no* lock held,
+//!   and `commit` takes the write lock only to commit the manifest and its
+//!   bookkeeping — time proportional to what changed since the plan. A query
 //!   racing a commit therefore waits for at most that swap, and sees either
 //!   the view before the job or the view after it, both holding exactly the
 //!   melodies inserted and not removed so far. An idle service is only ever

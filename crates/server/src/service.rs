@@ -164,9 +164,9 @@ pub trait QbhService: Send + Sync + 'static {
     /// inconsistent; nothing has been written.
     fn plan(&self) -> Result<Option<Self::Plan>, ServiceError>;
 
-    /// Phase 2, with no lock held: the file writes, fsyncs and index builds
-    /// of the job, on the plan's owned data. Queries and mutations proceed
-    /// against the pre-job view meanwhile.
+    /// Phase 2, with no lock held: the file writes and fsyncs of the job,
+    /// on the plan's owned data. Queries and mutations proceed against the
+    /// pre-job view meanwhile.
     ///
     /// # Errors
     /// [`ServiceError::Storage`] when durable storage fails; the service is

@@ -16,10 +16,7 @@
 # it holds the workspace's only `unsafe`, so any hidden unwrap there is a
 # debugging hazard out of proportion to its size. The request builder
 # (crates/core/src/session.rs) is strict too: it buffers caller-controlled
-# frames, the same trust level as wire bytes — as is the
-# segment-metadata module (crates/core/src/segment.rs), which sits on the
-# storage engine's load path and must never turn disk corruption into a
-# panic.
+# frames, the same trust level as wire bytes.
 #
 # Run with `--update` after a deliberate change to a documented panic.
 set -euo pipefail
@@ -34,7 +31,6 @@ scan() {
       case "$f" in
         crates/qbh/src/*|crates/server/src/*|crates/core/src/kernel/*) strict=1 ;;
         crates/core/src/session.rs) strict=1 ;;
-        crates/core/src/segment.rs) strict=1 ;;
       esac
       awk -v file="$f" -v strict="$strict" '
         /^#\[cfg\(test\)\]/ { exit }  # test module starts: stop scanning
