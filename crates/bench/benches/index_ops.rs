@@ -1,6 +1,6 @@
-//! Micro-benchmarks for the spatial-index backends: build, range query, and
-//! k-NN over 10,000 feature vectors in 8 dimensions (the configuration of
-//! the paper's large-database experiments).
+//! Micro-benchmarks for the spatial-index backends: build and range query
+//! over 10,000 feature vectors in 8 dimensions (the configuration of the
+//! paper's large-database experiments).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use hum_index::{GridFile, LinearScan, Query, RStarTree, Rect, SpatialIndex};
@@ -76,9 +76,6 @@ fn bench_queries(c: &mut Criterion) {
         });
         group.bench_function(BenchmarkId::new("range_rect", name), |b| {
             b.iter(|| index.range_query(black_box(&rect_q), 2.0))
-        });
-        group.bench_function(BenchmarkId::new("knn10", name), |b| {
-            b.iter(|| index.knn(black_box(&point_q), 10))
         });
     }
     group.finish();

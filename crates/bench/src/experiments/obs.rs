@@ -2,11 +2,12 @@
 //! (large MIDI music database, ε-range queries) re-run with the library's
 //! own observability layer turned on.
 //!
-//! Every query executes with a [`QueryTrace`]; per grid point the traces
-//! are aggregated into one trajectory row — candidates in → envelope-LB
-//! pruned → `LB_Improved` pruned → early-abandoned → verified, plus DP
-//! cells, matches, and page accesses — and each row records whether the
-//! aggregated trace totals equal the queries' summed `EngineStats` (the
+//! Every query executes with a [`QueryTrace`](hum_core::obs::QueryTrace);
+//! per grid point the traces' counters are summed with
+//! `EngineStats::absorb` into one trajectory row — candidates in →
+//! envelope-LB pruned → `LB_Improved` pruned → early-abandoned → verified,
+//! plus DP cells, matches, and page accesses — and each row records whether
+//! the summed trace counters equal the queries' summed `EngineStats` (the
 //! no-silent-drift contract). The registry snapshot at the end
 //! renders through the same text/JSON exporters production would use, so
 //! this table is regenerated from shipped instrumentation, not bench-only
@@ -17,7 +18,7 @@ use serde::Serialize;
 use hum_core::dtw::band_for_warping_width;
 use hum_core::engine::{DtwIndexEngine, EngineConfig, EngineStats, QueryRequest};
 use hum_core::normal::NormalForm;
-use hum_core::obs::{metrics_to_text, MetricsSink, MetricsSnapshot, QueryKind, QueryTrace};
+use hum_core::obs::{metrics_to_text, MetricsSink, MetricsSnapshot};
 use hum_core::transform::paa::NewPaa;
 use hum_index::RStarTree;
 use hum_music::{SingerProfile, SongbookConfig};
@@ -140,13 +141,12 @@ pub fn run(params: &Params) -> Output {
         let radius = (n as f64 * threshold).sqrt();
         for &width in &widths {
             let band = band_for_warping_width(width, n);
-            let mut total = QueryTrace::zero(QueryKind::Range, band);
-            let mut stats = EngineStats::default();
+            let (mut total, mut stats) = (EngineStats::default(), EngineStats::default());
             for q in &queries {
                 let request =
                     QueryRequest::range(radius).with_series(q.clone()).with_band(band).with_trace(true);
                 let outcome = engine.try_query(&request).expect("validated workload");
-                total.absorb(&outcome.trace.expect("every request traced"));
+                total.absorb(&outcome.trace.expect("every request traced").stats);
                 stats.absorb(&outcome.result.stats);
             }
             rows.push(TrajectoryRow {
@@ -154,15 +154,15 @@ pub fn run(params: &Params) -> Output {
                 warping_width: width,
                 queries: queries.len() as u64,
                 page_accesses: total.index.pages(),
-                candidates: total.candidates_in,
+                candidates: total.index.candidates,
                 lb_pruned: total.lb_pruned,
                 lb_improved_pruned: total.lb_improved_pruned,
-                exact_started: total.exact_started,
+                exact_started: total.exact_computations,
                 early_abandoned: total.early_abandoned,
-                verified: total.verified,
+                verified: total.exact_computations - total.early_abandoned,
                 dp_cells: total.dp_cells,
                 matches: total.matches,
-                totals_match_stats: total.totals() == stats,
+                totals_match_stats: total == stats,
             });
         }
     }

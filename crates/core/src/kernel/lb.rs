@@ -13,7 +13,7 @@
 //! can only change speed, never bits.
 //!
 //! Early abandonment is hoisted to block granularity: the running total is
-//! compared against the threshold once per [`CHECK_STRIDE`] elements
+//! compared against the threshold once per `CHECK_STRIDE` elements
 //! instead of once per element. Squared excursions are non-negative, so
 //! prefix sums are monotone non-decreasing and a block-granular check
 //! returns `INFINITY` exactly when the full sum exceeds the threshold —

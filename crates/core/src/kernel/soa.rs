@@ -16,7 +16,7 @@
 //! The buffer is stored as a `Vec` of 64-byte-aligned chunks and exposed as
 //! an ordinary slice; the `unsafe` blocks that do so reinterpret a contiguous
 //! chunk array as the scalar slice it already is. The module's one other
-//! `unsafe` is the cache [`prefetch`] hint.
+//! `unsafe` is the cache `prefetch` hint.
 
 /// Scalars per [`AlignedF64`] chunk: one 64-byte cache line of `f64`.
 pub const F64_BLOCK: usize = 8;

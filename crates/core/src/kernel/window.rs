@@ -18,7 +18,7 @@
 //! A minimum or maximum *selects* one of its inputs, so the result can
 //! differ from any other correct algorithm's only in which of several
 //! equal values it returns — for `f64`, the sign of a zero. Here even that
-//! is pinned: [`select`] returns its *right* operand on a tie, and by
+//! is pinned: `select` returns its *right* operand on a tie, and by
 //! induction `M_s[i]` is the **last** extreme cell of its span, as is the
 //! final combine's. That is exactly the cell the classic monotonic deque
 //! reports (it evicts equal values in favour of the newcomer), so the two

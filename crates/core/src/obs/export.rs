@@ -44,26 +44,27 @@ impl Serialize for StageTrace {
 
 impl Serialize for QueryTrace {
     fn to_value(&self) -> Value {
+        let s = &self.stats;
         object(vec![
             ("kind", self.kind.to_value()),
             ("band", self.band.to_value()),
             (
                 "index",
                 object(vec![
-                    ("node_accesses", self.index.node_accesses.to_value()),
-                    ("leaf_accesses", self.index.leaf_accesses.to_value()),
-                    ("points_examined", self.index.points_examined.to_value()),
-                    ("candidates", self.index.candidates.to_value()),
+                    ("node_accesses", s.index.node_accesses.to_value()),
+                    ("leaf_accesses", s.index.leaf_accesses.to_value()),
+                    ("points_examined", s.index.points_examined.to_value()),
+                    ("candidates", s.index.candidates.to_value()),
                 ]),
             ),
-            ("candidates_in", self.candidates_in.to_value()),
-            ("lb_pruned", self.lb_pruned.to_value()),
-            ("lb_improved_pruned", self.lb_improved_pruned.to_value()),
-            ("exact_started", self.exact_started.to_value()),
-            ("early_abandoned", self.early_abandoned.to_value()),
-            ("verified", self.verified.to_value()),
-            ("dp_cells", self.dp_cells.to_value()),
-            ("matches", self.matches.to_value()),
+            ("candidates_in", s.index.candidates.to_value()),
+            ("lb_pruned", s.lb_pruned.to_value()),
+            ("lb_improved_pruned", s.lb_improved_pruned.to_value()),
+            ("exact_started", s.exact_computations.to_value()),
+            ("early_abandoned", s.early_abandoned.to_value()),
+            ("verified", (s.exact_computations - s.early_abandoned).to_value()),
+            ("dp_cells", s.dp_cells.to_value()),
+            ("matches", s.matches.to_value()),
             ("stages", self.stages().to_value()),
         ])
     }
@@ -117,9 +118,9 @@ pub fn trace_to_text(trace: &QueryTrace) -> String {
         "query trace [{}] band={} pages={} dp_cells={} matches={}",
         trace.kind.name(),
         trace.band,
-        trace.index.node_accesses,
-        trace.dp_cells,
-        trace.matches
+        trace.stats.index.node_accesses,
+        trace.stats.dp_cells,
+        trace.stats.matches
     );
     let _ = writeln!(out, "{:<14}{:>10}{:>10}{:>10}", "stage", "entered", "pruned", "out");
     for s in trace.stages() {
@@ -188,7 +189,7 @@ mod tests {
         s.early_abandoned = 1;
         s.dp_cells = 777;
         s.matches = 2;
-        QueryTrace::from_stats(QueryKind::Range, 4, &s)
+        QueryTrace { kind: QueryKind::Range, band: 4, stats: s }
     }
 
     #[test]
@@ -202,15 +203,48 @@ mod tests {
     #[test]
     fn trace_json_round_trips_counters() {
         let json = to_json_string(&sample_trace());
-        for needle in [
-            "\"kind\": \"range\"",
-            "\"lb_pruned\": 12",
-            "\"dp_cells\": 777",
-            "\"stages\"",
-            "\"node_accesses\": 5",
-        ] {
-            assert!(json.contains(needle), "{needle} missing from:\n{json}");
-        }
+        // The wire form: every key, in this order, with these values.
+        let expected = r#"{
+  "kind": "range",
+  "band": 4,
+  "index": {
+    "node_accesses": 5,
+    "leaf_accesses": 0,
+    "points_examined": 0,
+    "candidates": 20
+  },
+  "candidates_in": 20,
+  "lb_pruned": 12,
+  "lb_improved_pruned": 3,
+  "exact_started": 5,
+  "early_abandoned": 1,
+  "verified": 4,
+  "dp_cells": 777,
+  "matches": 2,
+  "stages": [
+    {
+      "stage": "index_filter",
+      "entered": 20,
+      "pruned": 0
+    },
+    {
+      "stage": "envelope_lb",
+      "entered": 20,
+      "pruned": 12
+    },
+    {
+      "stage": "lb_improved",
+      "entered": 8,
+      "pruned": 3
+    },
+    {
+      "stage": "exact_dtw",
+      "entered": 5,
+      "pruned": 1
+    }
+  ]
+}"#;
+        assert_eq!(json, expected);
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //! The disabled variant compiles to a branch on a discriminant — no
 //! allocation, no atomics, no clock read — so production paths that don't
 //! opt in pay nothing measurable. Per-query traces are likewise opt-in via
-//! `QueryRequest::with_trace` and are built *after* the query from the
-//! same `EngineStats` the engine already collects, which is what makes the
-//! drift guard [`debug_assert_trace_consistent`] a tautology-checker
-//! rather than a second bookkeeping system.
+//! `QueryRequest::with_trace` and hold the very `EngineStats` the engine
+//! already collects, beside the query's kind and band: no second
+//! bookkeeping system, so nothing to drift.
 //!
 //! The module is self-contained: no dependencies beyond `std` and the
 //! workspace's own crates (the vendored `serde` facade used by every other
@@ -36,4 +35,4 @@ pub use registry::{
     CounterSnapshot, DurationHistogram, HistogramSnapshot, Metric, MetricsRegistry,
     MetricsSink, MetricsSnapshot, Timer, TimerSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use trace::{debug_assert_trace_consistent, QueryKind, QueryTrace, Stage, StageTrace};
+pub use trace::{QueryKind, QueryTrace, Stage, StageTrace};

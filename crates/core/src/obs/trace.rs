@@ -4,7 +4,8 @@
 //! records, for one query, how the candidate set moved through the
 //! verification cascade — candidates in → envelope-LB pruned →
 //! `LB_Improved` pruned → early-abandoned → DP cells → verified — plus the
-//! index-level page/probe accounting ([`QueryStats`]).
+//! index-level page/probe accounting
+//! ([`QueryStats`](hum_index::QueryStats)).
 //!
 //! A trace carries **counters only, never wall-clock time**: it is `Copy`,
 //! allocation-free, a pure function of the query and the immutable index,
@@ -12,12 +13,11 @@
 //! Durations live in the [`MetricsRegistry`](crate::obs::MetricsRegistry)
 //! histograms instead.
 //!
-//! Traces and [`EngineStats`] are two views of the same instrumentation:
-//! [`QueryTrace::totals`] maps a trace back onto the stats it came from, and
-//! [`debug_assert_trace_consistent`] enforces the equality in debug builds
-//! so the two can never drift silently.
-
-use hum_index::QueryStats;
+//! A trace holds the query's [`EngineStats`] as they are, beside the code
+//! path and band that produced them: there is no second copy of the
+//! counters to drift. The funnel view ([`QueryTrace::stages`]) closes
+//! because every candidate is pruned by one stage or verified, which the
+//! engine asserts on every query in debug builds.
 
 use crate::engine::EngineStats;
 
@@ -85,133 +85,37 @@ pub struct QueryTrace {
     pub kind: QueryKind,
     /// Sakoe-Chiba band half-width of the query.
     pub band: usize,
-    /// Index-level page/probe accounting.
-    pub index: QueryStats,
-    /// Candidates entering the verification cascade: the index's candidate
-    /// set.
-    pub candidates_in: u64,
-    /// Removed by the envelope lower bound.
-    pub lb_pruned: u64,
-    /// Removed by `LB_Improved`.
-    pub lb_improved_pruned: u64,
-    /// Exact DTW evaluations started.
-    pub exact_started: u64,
-    /// Exact DTW evaluations abandoned by the threshold.
-    pub early_abandoned: u64,
-    /// Exact DTW evaluations that ran to completion.
-    pub verified: u64,
-    /// DTW dynamic-programming cells evaluated.
-    pub dp_cells: u64,
-    /// Final matches returned.
-    pub matches: u64,
+    /// The query's counters, equal to its result's `stats`.
+    pub stats: EngineStats,
 }
 
 impl QueryTrace {
-    /// Builds the trace for one query from the stats the engine already
-    /// collected (so the two *cannot* disagree — same instrumentation, two
-    /// shapes).
-    pub fn from_stats(kind: QueryKind, band: usize, stats: &EngineStats) -> Self {
-        QueryTrace {
-            kind,
-            band,
-            index: stats.index,
-            candidates_in: stats.index.candidates,
-            lb_pruned: stats.lb_pruned,
-            lb_improved_pruned: stats.lb_improved_pruned,
-            exact_started: stats.exact_computations,
-            early_abandoned: stats.early_abandoned,
-            verified: stats.exact_computations - stats.early_abandoned,
-            dp_cells: stats.dp_cells,
-            matches: stats.matches,
-        }
-    }
-
-    /// Maps the trace back onto the [`EngineStats`] it was built from.
-    /// Exact inverse of [`QueryTrace::from_stats`]; the drift guard
-    /// ([`debug_assert_trace_consistent`]) asserts this equality.
-    pub fn totals(&self) -> EngineStats {
-        EngineStats {
-            index: self.index,
-            lb_pruned: self.lb_pruned,
-            lb_improved_pruned: self.lb_improved_pruned,
-            exact_computations: self.exact_started,
-            early_abandoned: self.early_abandoned,
-            dp_cells: self.dp_cells,
-            matches: self.matches,
-        }
-    }
-
     /// The funnel view, for rendering: candidates per stage with the count
     /// each stage removed. Every candidate is pruned by one stage or
     /// verified, so the rows close exactly.
     pub fn stages(&self) -> [StageTrace; 4] {
-        let examined = self.index.points_examined.max(self.candidates_in);
+        let s = &self.stats;
+        let candidates = s.index.candidates;
+        let examined = s.index.points_examined.max(candidates);
         [
             StageTrace {
                 stage: Stage::IndexFilter,
                 entered: examined,
-                pruned: examined - self.candidates_in,
+                pruned: examined - candidates,
             },
-            StageTrace {
-                stage: Stage::EnvelopeLb,
-                entered: self.candidates_in,
-                pruned: self.lb_pruned,
-            },
+            StageTrace { stage: Stage::EnvelopeLb, entered: candidates, pruned: s.lb_pruned },
             StageTrace {
                 stage: Stage::LbImproved,
-                entered: self.candidates_in - self.lb_pruned,
-                pruned: self.lb_improved_pruned,
+                entered: candidates - s.lb_pruned,
+                pruned: s.lb_improved_pruned,
             },
             StageTrace {
                 stage: Stage::ExactDtw,
-                entered: self.exact_started,
-                pruned: self.early_abandoned,
+                entered: s.exact_computations,
+                pruned: s.early_abandoned,
             },
         ]
     }
-
-    /// Adds another trace's counters into this one (for aggregating many
-    /// queries into one trajectory row). `kind` and `band` keep the
-    /// receiver's values; aggregate across kinds at your own peril.
-    pub fn absorb(&mut self, other: &QueryTrace) {
-        self.index.absorb(&other.index);
-        self.candidates_in += other.candidates_in;
-        self.lb_pruned += other.lb_pruned;
-        self.lb_improved_pruned += other.lb_improved_pruned;
-        self.exact_started += other.exact_started;
-        self.early_abandoned += other.early_abandoned;
-        self.verified += other.verified;
-        self.dp_cells += other.dp_cells;
-        self.matches += other.matches;
-    }
-
-    /// An all-zero trace to aggregate into (see [`QueryTrace::absorb`]).
-    pub fn zero(kind: QueryKind, band: usize) -> Self {
-        QueryTrace::from_stats(kind, band, &EngineStats::default())
-    }
-}
-
-/// Debug-build guard against counter drift: a query's trace and its
-/// [`EngineStats`] are two renderings of the same counters, so
-/// [`QueryTrace::totals`] must reproduce the stats exactly; and every
-/// candidate leaves the funnel once. Release builds compile this to nothing.
-#[inline]
-pub fn debug_assert_trace_consistent(trace: &QueryTrace, stats: &EngineStats) {
-    debug_assert_eq!(
-        trace.totals(),
-        *stats,
-        "QueryTrace drifted from EngineStats: instrumentation bug"
-    );
-    debug_assert_eq!(
-        trace.verified,
-        stats.exact_computations - stats.early_abandoned,
-        "verified must equal completed exact computations"
-    );
-    debug_assert_eq!(
-        trace.lb_pruned + trace.lb_improved_pruned + trace.exact_started,
-        trace.candidates_in,
-        "every candidate is pruned by exactly one stage or verified"
-    );
 }
 
 #[cfg(test)]
@@ -234,18 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn totals_invert_from_stats() {
-        let s = stats();
-        let trace = QueryTrace::from_stats(QueryKind::Range, 6, &s);
-        assert_eq!(trace.totals(), s);
-        assert_eq!(trace.verified, 6);
-        debug_assert_trace_consistent(&trace, &s);
-    }
-
-    #[test]
     fn stages_form_a_funnel_on_the_range_path() {
         let s = stats();
-        let trace = QueryTrace::from_stats(QueryKind::Range, 6, &s);
+        let trace = QueryTrace { kind: QueryKind::Range, band: 6, stats: s };
         let [index, env, lbi, exact] = trace.stages();
         assert_eq!(index.stage, Stage::IndexFilter);
         assert_eq!(index.entered, 200);
@@ -258,22 +153,24 @@ mod tests {
         assert_eq!(exact.pruned, 4);
         // Range-path funnel closes exactly: every candidate is pruned
         // somewhere or verified.
-        assert_eq!(env.pruned + lbi.pruned + exact.entered, trace.candidates_in);
+        assert_eq!(env.pruned + lbi.pruned + exact.entered, s.index.candidates);
     }
 
     #[test]
     fn absorb_sums_every_counter() {
+        // `repro obs` aggregates traces through `EngineStats::absorb`; the
+        // funnel of the sum is the sum of the funnels.
         let s = stats();
-        let one = QueryTrace::from_stats(QueryKind::Range, 6, &s);
-        let mut total = QueryTrace::zero(QueryKind::Range, 6);
-        total.absorb(&one);
-        total.absorb(&one);
-        assert_eq!(total.candidates_in, 80);
-        assert_eq!(total.dp_cells, 2468);
-        assert_eq!(total.verified, 12);
-        let mut twice = s;
-        twice.absorb(&s);
-        assert_eq!(total.totals(), twice);
+        let one = QueryTrace { kind: QueryKind::Range, band: 6, stats: s };
+        let mut total = QueryTrace { stats: EngineStats::default(), ..one };
+        total.stats.absorb(&one.stats);
+        total.stats.absorb(&one.stats);
+        assert_eq!(total.stats.index.candidates, 80);
+        assert_eq!(total.stats.dp_cells, 2468);
+        for (sum, part) in total.stages().iter().zip(one.stages()) {
+            assert_eq!(sum.stage, part.stage);
+            assert_eq!((sum.entered, sum.pruned), (2 * part.entered, 2 * part.pruned));
+        }
     }
 
     #[test]

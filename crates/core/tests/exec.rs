@@ -147,10 +147,11 @@ fn check<I: SpatialIndex>(
         assert_eq!(outcome.result.matches, expected, "{name}: {request:?}");
         assert_eq!(outcome.result.stats.matches, expected.len() as u64, "{name}");
         let trace = outcome.trace.as_ref().expect("trace requested");
-        assert_eq!(trace.totals(), outcome.result.stats, "{name}: {request:?}");
+        assert_eq!(trace.stats, outcome.result.stats, "{name}: {request:?}");
+        let s = &trace.stats;
         assert_eq!(
-            trace.lb_pruned + trace.lb_improved_pruned + trace.exact_started,
-            trace.candidates_in,
+            s.lb_pruned + s.lb_improved_pruned + s.exact_computations,
+            s.index.candidates,
             "{name}: the funnel leaks for {request:?}"
         );
         let reused = engine.try_query_with(request, &mut scratch).expect("completes");

@@ -2,7 +2,8 @@
 //!
 //! * a disabled sink is a no-op — answers and counters are bit-identical
 //!   with metrics on or off;
-//! * trace totals equal `EngineStats` on every path (the drift guard);
+//! * a trace carries the query's `EngineStats` on every path, and its
+//!   funnel closes;
 //! * every `EngineError` variant round-trips through a `QueryRequest`, and
 //!   a rejected query records nothing;
 //! * the registry's counters equal the sum of the absorbed per-query stats.
@@ -189,8 +190,9 @@ fn exporters_render_live_traces_and_metrics() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any workload and both query kinds, range and k-NN: tracing and metrics recording never change the answer, trace
-    /// totals always equal the stats, and the cascade funnel closes exactly
+    /// For any workload and both query kinds, range and k-NN: tracing and
+    /// metrics recording never change the answer, a trace carries the
+    /// result's stats, and the cascade funnel closes exactly
     /// (every candidate is pruned by exactly one stage or verified).
     #[test]
     fn tracing_is_free_and_consistent(
@@ -213,16 +215,16 @@ proptest! {
             prop_assert_eq!(&outcome.result, &baseline.result);
 
             let trace = outcome.trace.expect("trace requested");
-            prop_assert_eq!(trace.totals(), outcome.result.stats);
+            prop_assert_eq!(trace.stats, outcome.result.stats);
+            let s = &trace.stats;
             prop_assert_eq!(
-                trace.lb_pruned + trace.lb_improved_pruned + trace.exact_started,
-                trace.candidates_in
+                s.lb_pruned + s.lb_improved_pruned + s.exact_computations,
+                s.index.candidates
             );
             let [index, env, lbi, exact] = trace.stages();
             prop_assert_eq!(index.entered - index.pruned, env.entered);
             prop_assert_eq!(env.entered - env.pruned - lbi.pruned, exact.entered);
-            prop_assert_eq!(trace.verified, trace.exact_started - trace.early_abandoned);
-            prop_assert!(trace.matches <= trace.verified);
+            prop_assert!(s.matches <= exact.entered - exact.pruned);
         }
     }
 }

@@ -224,23 +224,6 @@ impl SpatialIndex for GridFile {
         stats.candidates = out.len() as u64;
         (out, stats)
     }
-
-    /// Grid files have no hierarchy to descend best-first: every distance is
-    /// computed, but pages are counted only for the buckets whose cell could
-    /// hold one of the `k` nearest (radius = the k-th distance).
-    fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats) {
-        let (mut all, examined) = self.all_dist_sq(query);
-        if all.is_empty() {
-            return (all, QueryStats::default());
-        }
-        all.sort_by(|a, b| a.1.total_cmp(&b.1));
-        all.truncate(k);
-        let radius = all.last().map_or(0.0, |&(_, dist_sq)| dist_sq.sqrt());
-        let pages = self.walk(query, radius, |_, _| {});
-        let (points_examined, candidates) = (examined.points_examined, all.len() as u64);
-        let stats = QueryStats { points_examined, candidates, ..pages };
-        (all.into_iter().map(|(id, dist_sq)| (id, dist_sq.sqrt())).collect(), stats)
-    }
 }
 
 #[cfg(test)]
@@ -298,24 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_force() {
-        let points = lcg_points(400, 2, 3);
-        let mut g = GridFile::with_params(2, 8, 64, 512);
-        for (i, p) in points.iter().enumerate() {
-            g.insert(i as ItemId, p.clone());
-        }
-        let q = Query::Point(vec![5.0, 5.0]);
-        let (got, _) = g.knn(&q, 7);
-        let mut brute: Vec<(ItemId, f64)> =
-            points.iter().enumerate().map(|(i, p)| (i as ItemId, q.dist_to_point(p))).collect();
-        brute.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        assert_eq!(got.len(), 7);
-        for (g, b) in got.iter().zip(brute.iter()) {
-            assert!((g.1 - b.1).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn selective_queries_touch_few_pages() {
         let points = lcg_points(4000, 2, 99);
         let mut g = GridFile::with_params(2, 16, 256, 512);
@@ -348,7 +313,7 @@ mod tests {
         let mut g2 = GridFile::new(2);
         g2.freeze();
         assert!(g2.is_frozen());
-        let (nn, _) = g2.knn(&Query::Point(vec![0.0, 0.0]), 3);
-        assert!(nn.is_empty());
+        let (hits, _) = g2.range_query(&Query::Point(vec![0.0, 0.0]), 1.0);
+        assert!(hits.is_empty());
     }
 }

@@ -13,11 +13,16 @@
 //! * [`gridfile::GridFile`] — a bulk-loaded grid file with quantile linear
 //!   scales, the alternative the paper cites from StatStream.
 //!
-//! Queries are geometric: a [`Query::Point`] (a reduced feature vector) or a
-//! [`Query::Rect`] (the feature-space image of a time-series *envelope*,
-//! which is a box). Every search reports [`QueryStats`] — candidates touched
-//! and node/page accesses — because the paper evaluates indexing methods with
-//! exactly these implementation-bias-free counters (Figs 9 and 10).
+//! An index answers the two questions the DTW engine asks: every point within
+//! ε of the query ([`SpatialIndex::range_query`]) and every point's squared
+//! distance to it ([`SpatialIndex::all_dist_sq`], the bound sweep the
+//! engine's k-NN schedule ranks). Nearest-neighbour search is the engine's
+//! job, not the index's. Queries are geometric: a [`Query::Point`] (a reduced
+//! feature vector) or a [`Query::Rect`] (the feature-space image of a
+//! time-series *envelope*, which is a box). Every search reports
+//! [`QueryStats`] — candidates touched and node/page accesses — because the
+//! paper evaluates indexing methods with exactly these implementation-bias-free
+//! counters (Figs 9 and 10).
 
 pub mod gridfile;
 pub mod linear;
@@ -62,10 +67,6 @@ pub trait SpatialIndex: Send + Sync {
     /// statistics.
     fn range_query(&self, query: &Query, epsilon: f64) -> (Vec<ItemId>, QueryStats);
 
-    /// The `k` nearest points to the query, as `(id, distance)` sorted by
-    /// ascending distance, plus access statistics.
-    fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats);
-
     /// Every stored point's *squared* distance to the query, as `(id, d²)`
     /// in no particular order, plus access statistics (every point is a
     /// candidate).
@@ -91,10 +92,6 @@ impl<T: SpatialIndex + ?Sized> SpatialIndex for Box<T> {
 
     fn range_query(&self, query: &Query, epsilon: f64) -> (Vec<ItemId>, QueryStats) {
         (**self).range_query(query, epsilon)
-    }
-
-    fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats) {
-        (**self).knn(query, k)
     }
 
     fn all_dist_sq(&self, query: &Query) -> (Vec<(ItemId, f64)>, QueryStats) {

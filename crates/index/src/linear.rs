@@ -8,9 +8,11 @@
 //! DTW papers — and builds in O(n). Pages are still counted for the paper.
 //!
 //! Answers (ids, order, distance bits, [`QueryStats`]) equal a per-point
-//! scan stably sorted by [`Query::dist_to_point`], for finite coordinates:
-//! a point query is the box `[q, q]`, each `d²` is summed left to right as
-//! [`crate::Rect::min_dist_point_sq`] does, and ties keep insertion order.
+//! scan in insertion order, for finite coordinates: a point query is the box
+//! `[q, q]` and each `d²` is summed left to right as
+//! [`crate::Rect::min_dist_point_sq`] does. The index answers range queries
+//! and the bound sweep; k-NN is the engine's (the hidden `knn` stand-in is
+//! the old per-point scan stably sorted by [`Query::dist_to_point`]).
 
 use std::collections::BinaryHeap;
 
@@ -52,6 +54,39 @@ impl LinearScan {
             out,
             QueryStats { node_accesses: pages, leaf_accesses: pages, points_examined, candidates },
         )
+    }
+
+    /// The `k` nearest points, as `(id, distance)` sorted by ascending
+    /// distance, plus the sweep's stats. A stand-in: the engine's k-NN runs
+    /// on [`SpatialIndex::all_dist_sq`], and only the benchmark's stage
+    /// replay calls this. ROADMAP item 1(b) deletes it with that replay.
+    ///
+    /// The sweep feeding a bounded max-heap of `(distance bits, position,
+    /// d² bits)`, ordered as a stable sort by distance (a non-negative
+    /// `f64`'s bits order as its value). A point whose `d²` is not below the
+    /// worst kept one's cannot enter: no smaller distance, a later position.
+    #[doc(hidden)]
+    pub fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats) {
+        let entry = |pos: usize, dist_sq: f64| (dist_sq.sqrt().to_bits(), pos, dist_sq.to_bits());
+        // `k` may arrive over the wire; at most `len` hits exist anyway.
+        let mut heap = BinaryHeap::with_capacity(k.min(self.len()));
+        let mut bound = f64::INFINITY;
+        self.sweep(query, |pos, dist_sq| {
+            if heap.len() < k {
+                heap.push(entry(pos, dist_sq));
+            } else if dist_sq < bound {
+                if let Some(mut worst) = heap.peek_mut() {
+                    *worst = entry(pos, dist_sq).min(*worst);
+                }
+            } else {
+                return;
+            }
+            if heap.len() == k {
+                bound = heap.peek().map_or(f64::INFINITY, |&(_, _, sq)| f64::from_bits(sq));
+            }
+        });
+        let sorted = heap.into_sorted_vec().into_iter();
+        self.answer(sorted.map(|(bits, pos, _)| (self.ids[pos], f64::from_bits(bits))).collect())
     }
 
     /// Calls `visit(position, d²)` for every stored point in insertion
@@ -106,33 +141,6 @@ impl SpatialIndex for LinearScan {
             }
         });
         self.answer(out)
-    }
-
-    /// The sweep feeding a bounded max-heap of `(distance bits, position,
-    /// d² bits)`, ordered as a stable sort by distance (a non-negative
-    /// `f64`'s bits order as its value). A point whose `d²` is not below the
-    /// worst kept one's cannot enter: no smaller distance, a later position.
-    fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats) {
-        let entry = |pos: usize, dist_sq: f64| (dist_sq.sqrt().to_bits(), pos, dist_sq.to_bits());
-        // `k` may arrive over the wire; at most `len` hits exist anyway.
-        let mut heap = BinaryHeap::with_capacity(k.min(self.len()));
-        let mut bound = f64::INFINITY;
-        self.sweep(query, |pos, dist_sq| {
-            if heap.len() < k {
-                heap.push(entry(pos, dist_sq));
-            } else if dist_sq < bound {
-                if let Some(mut worst) = heap.peek_mut() {
-                    *worst = entry(pos, dist_sq).min(*worst);
-                }
-            } else {
-                return;
-            }
-            if heap.len() == k {
-                bound = heap.peek().map_or(f64::INFINITY, |&(_, _, sq)| f64::from_bits(sq));
-            }
-        });
-        let sorted = heap.into_sorted_vec().into_iter();
-        self.answer(sorted.map(|(bits, pos, _)| (self.ids[pos], f64::from_bits(bits))).collect())
     }
 
     /// The sweep itself, in insertion order.

@@ -7,14 +7,14 @@ use crate::rect::Rect;
 /// A plain feature vector is a [`Query::Point`]. A query-*envelope* image
 /// under a container-invariant transform is a feature-space box
 /// ([`Query::Rect`]); the distance from an indexed point to that box is the
-/// paper's lower bound on the true DTW distance (Theorem 1), so range and
-/// k-NN searches against a `Rect` query are exactly the index phase of the
+/// paper's lower bound on the true DTW distance (Theorem 1), so a range query
+/// or a bound sweep against a `Rect` query is exactly the index phase of the
 /// DTW-indexing scheme.
 #[derive(Debug, Clone)]
 pub enum Query {
-    /// Nearest/range search around a point.
+    /// Search around a point.
     Point(Vec<f64>),
-    /// Nearest/range search around an axis-aligned box.
+    /// Search around an axis-aligned box.
     Rect(Rect),
 }
 

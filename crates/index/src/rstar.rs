@@ -7,8 +7,6 @@
 //! overlap-minimizing `ChooseSubtree` at the leaf level, the topological
 //! (margin-driven) split, and forced reinsertion on first overflow per level.
 
-use std::collections::BinaryHeap;
-
 use crate::query::Query;
 use crate::rect::Rect;
 use crate::stats::QueryStats;
@@ -607,19 +605,6 @@ impl RStarTree {
         }
         stats
     }
-
-    /// Yields candidates in ascending lower-bound (MINDIST) order.
-    pub fn nearest_iter<'a>(&'a self, query: &'a Query) -> NearestIter<'a> {
-        assert_eq!(query.dims(), self.dims, "query dimensionality mismatch");
-        let mut heap = BinaryHeap::new();
-        if self.len > 0 {
-            heap.push(HeapEntry {
-                dist: OrdF64(query.dist_to_rect(&self.node_rect(self.root))),
-                kind: HeapKind::Node(self.root),
-            });
-        }
-        NearestIter { tree: self, query, heap, stats: QueryStats::default() }
-    }
 }
 
 /// Sorts entries by the center of the given axis.
@@ -684,130 +669,6 @@ impl SpatialIndex for RStarTree {
     fn remove(&mut self, id: ItemId) -> bool {
         RStarTree::remove(self, id)
     }
-
-    fn knn(&self, query: &Query, k: usize) -> (Vec<(ItemId, f64)>, QueryStats) {
-        let mut iter = self.nearest_iter(query);
-        // Clamp speculative preallocation: `k` may be attacker-controlled
-        // (it arrives over the wire), and at most `len` hits exist anyway.
-        let mut out = Vec::with_capacity(k.min(self.len));
-        while out.len() < k {
-            match iter.next() {
-                Some(hit) => out.push(hit),
-                None => break,
-            }
-        }
-        let stats = iter.stats();
-        (out, stats)
-    }
-}
-
-/// Incremental nearest-neighbor traversal (Hjaltason & Samet).
-pub struct NearestIter<'a> {
-    tree: &'a RStarTree,
-    query: &'a Query,
-    heap: BinaryHeap<HeapEntry>,
-    stats: QueryStats,
-}
-
-impl NearestIter<'_> {
-    /// Access counters accumulated so far.
-    pub fn stats(&self) -> QueryStats {
-        self.stats
-    }
-}
-
-impl Iterator for NearestIter<'_> {
-    type Item = (ItemId, f64);
-
-    fn next(&mut self) -> Option<(ItemId, f64)> {
-        while let Some(HeapEntry { dist, kind }) = self.heap.pop() {
-            match kind {
-                HeapKind::Item(id) => {
-                    self.stats.candidates += 1;
-                    return Some((id, dist.0));
-                }
-                HeapKind::Node(node) => {
-                    // Popping a node = reading its page.
-                    let n = &self.tree.nodes[node];
-                    self.stats.node_accesses += 1;
-                    if n.level == 0 {
-                        self.stats.leaf_accesses += 1;
-                        for e in &n.entries {
-                            if let EntryData::Item { id, point } = &e.data {
-                                self.stats.points_examined += 1;
-                                self.heap.push(HeapEntry {
-                                    dist: OrdF64(self.query.dist_to_point(point)),
-                                    kind: HeapKind::Item(*id),
-                                });
-                            }
-                        }
-                    } else {
-                        for e in &n.entries {
-                            self.heap.push(HeapEntry {
-                                dist: OrdF64(self.query.dist_to_rect(&e.rect)),
-                                kind: HeapKind::Node(e.child()),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        None
-    }
-}
-
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    dist: OrdF64,
-    kind: HeapKind,
-}
-
-#[derive(Debug, PartialEq)]
-enum HeapKind {
-    Node(usize),
-    Item(ItemId),
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by distance; break ties so items surface before nodes at
-        // equal distance (cheaper, and required for iterator correctness when
-        // a node MBR touches an item).
-        other
-            .dist
-            .cmp(&self.dist)
-            .then_with(|| match (&self.kind, &other.kind) {
-                (HeapKind::Item(_), HeapKind::Node(_)) => std::cmp::Ordering::Greater,
-                (HeapKind::Node(_), HeapKind::Item(_)) => std::cmp::Ordering::Less,
-                _ => std::cmp::Ordering::Equal,
-            })
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Total-order wrapper for finite distances.
-#[derive(Debug, PartialEq)]
-struct OrdF64(f64);
-
-impl Eq for OrdF64 {}
-
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.partial_cmp(&other.0).expect("distances must be finite")
-    }
-}
-
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 #[cfg(test)]
@@ -868,40 +729,6 @@ mod tests {
     }
 
     #[test]
-    fn knn_matches_brute_force() {
-        let points = lcg_points(300, 2, 3);
-        let tree = build(&points);
-        let q = Query::Point(vec![50.0, 50.0]);
-        let (got, _) = tree.knn(&q, 10);
-        let mut brute: Vec<(ItemId, f64)> = points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as ItemId, q.dist_to_point(p)))
-            .collect();
-        brute.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        brute.truncate(10);
-        assert_eq!(got.len(), 10);
-        for (g, b) in got.iter().zip(&brute) {
-            assert!((g.1 - b.1).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn nearest_iter_is_monotonic_and_complete() {
-        let points = lcg_points(200, 3, 5);
-        let tree = build(&points);
-        let q = Query::Point(vec![10.0, 90.0, 50.0]);
-        let hits: Vec<(ItemId, f64)> = tree.nearest_iter(&q).collect();
-        assert_eq!(hits.len(), 200);
-        for w in hits.windows(2) {
-            assert!(w[0].1 <= w[1].1 + 1e-12);
-        }
-        let mut ids: Vec<ItemId> = hits.iter().map(|h| h.0).collect();
-        ids.sort_unstable();
-        assert_eq!(ids, (0..200).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn pruning_beats_full_scan_on_selective_queries() {
         let points = lcg_points(5000, 4, 23);
         let tree = build(&points);
@@ -921,8 +748,6 @@ mod tests {
         let (hits, stats) = tree.range_query(&q, 1.0);
         assert!(hits.is_empty());
         assert_eq!(stats.node_accesses, 0);
-        let (nn, _) = tree.knn(&q, 3);
-        assert!(nn.is_empty());
     }
 
     #[test]

@@ -124,50 +124,6 @@ proptest! {
     }
 
     #[test]
-    fn knn_is_sorted_correct_and_complete(
-        pts in points(3),
-        k in 1usize..20,
-        qx in -60.0f64..60.0,
-    ) {
-        let q = Query::Point(vec![qx, 0.0, 0.0]);
-        let mut brute: Vec<(ItemId, f64)> = pts
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as ItemId, q.dist_to_point(p)))
-            .collect();
-        brute.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-        for backend in build_all(&pts, 3) {
-            let (got, _) = backend.knn(&q, k);
-            prop_assert_eq!(got.len(), k.min(pts.len()));
-            for w in got.windows(2) {
-                prop_assert!(w[0].1 <= w[1].1 + 1e-12);
-            }
-            for (g, b) in got.iter().zip(&brute) {
-                prop_assert!((g.1 - b.1).abs() < 1e-9, "{} vs {}", g.1, b.1);
-            }
-        }
-    }
-
-    #[test]
-    fn knn_radius_equals_range_count(pts in points(2), k in 1usize..15) {
-        // The distance of the k-th neighbor must admit at least k points in
-        // a range query — the invariant multi-step k-NN relies on.
-        let q = Query::Point(vec![0.0, 0.0]);
-        let tree = {
-            let mut t = RStarTree::with_page_size(2, 512);
-            for (i, p) in pts.iter().enumerate() {
-                t.insert(i as ItemId, p.clone());
-            }
-            t
-        };
-        let (knn, _) = tree.knn(&q, k);
-        if let Some(&(_, radius)) = knn.last() {
-            let (range, _) = tree.range_query(&q, radius + 1e-9);
-            prop_assert!(range.len() >= knn.len());
-        }
-    }
-
-    #[test]
     fn sweep_is_the_per_point_scan_bit_for_bit(
         wide in any::<bool>(),
         pool in proptest::collection::vec(proptest::collection::vec(coordinate(), 8), 1..6),

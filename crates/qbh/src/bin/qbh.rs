@@ -497,7 +497,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         allow_remote_shutdown,
         maintenance_interval,
         metrics: metrics.clone(),
-        ..ServerConfig::default()
     };
     let server = Server::start(system, addr.as_str(), config)
         .map_err(|e| CliError::Server(format!("cannot listen on {addr}: {e}")))?;

@@ -15,10 +15,8 @@
 //! same three [`QbhSystem::flush`] and [`QbhSystem::compact`] run back to
 //! back.
 
-use hum_core::engine::{
-    EngineError, QueryBudget, QueryRequest, QueryScratch,
-};
-use hum_server::{QbhService, ServiceError, ServiceMatch, ServiceOutcome, ServiceQuery};
+use hum_core::engine::{EngineError, QueryBudget, QueryRequest, QueryScratch, RequestKind};
+use hum_server::{QbhService, ServiceError, ServiceMatch, ServiceOutcome};
 
 use crate::storage::StorageError;
 use crate::system::{BuiltMaintenance, MaintenancePlan, QbhSystem};
@@ -33,16 +31,16 @@ impl QbhService for QbhSystem {
 
     fn query(
         &self,
-        query: &ServiceQuery,
+        kind: RequestKind,
         pitch_series: &[f64],
         band: Option<usize>,
         budget: QueryBudget,
         trace: bool,
         scratch: &mut QueryScratch,
     ) -> Result<ServiceOutcome, EngineError> {
-        let request = match *query {
-            ServiceQuery::Knn { k } => QueryRequest::knn(k),
-            ServiceQuery::Range { radius } => QueryRequest::range(radius),
+        let request = match kind {
+            RequestKind::Knn { k } => QueryRequest::knn(k),
+            RequestKind::Range { radius } => QueryRequest::range(radius),
         };
         let request = request
             .with_band(band.unwrap_or_else(|| self.band()))

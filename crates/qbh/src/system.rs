@@ -306,7 +306,7 @@ fn new_engine(config: &QbhConfig) -> QbhEngine {
 /// store-backed system ([`QbhSystem::try_create_store`] /
 /// [`QbhSystem::try_open_store`]) is a one-level LSM tree of *files*: a
 /// volatile **memtable** (the ids inserted since their last flush) over
-/// zero or more immutable **segments** (each a [`StoreSegment`]: a file id
+/// zero or more immutable **segments** (each a `StoreSegment`: a file id
 /// and its id list), with the durable lifecycle [`QbhSystem::flush`],
 /// [`QbhSystem::compact`], [`QbhSystem::maintain`]. None of it changes
 /// what the engine holds, so matches and counters are those of an
@@ -1215,8 +1215,8 @@ mod tests {
             .unwrap();
         assert_eq!(results, system.query_series(&series, 5));
         let trace = trace.expect("trace requested");
-        assert_eq!(trace.totals(), results.stats);
-        assert_eq!(trace.matches, 5);
+        assert_eq!(trace.stats, results.stats);
+        assert_eq!(trace.stats.matches, 5);
     }
 
     #[test]

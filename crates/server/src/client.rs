@@ -14,9 +14,7 @@ use std::time::Duration;
 use hum_core::engine::EngineStats;
 use serde_json::Value;
 
-use crate::protocol::{
-    self, ErrorKind, FrameRead, Request, Response,
-};
+use crate::protocol::{self, ErrorKind, FrameRead, Request, Response, MAX_FRAME_BYTES};
 use crate::service::ServiceMatch;
 
 /// Per-query knobs (all optional).
@@ -110,7 +108,6 @@ fn server_error(kind: ErrorKind, message: String, stats: Option<EngineStats>) ->
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
     stream: TcpStream,
-    max_frame_bytes: usize,
 }
 
 impl Client {
@@ -121,7 +118,7 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream, max_frame_bytes: protocol::MAX_FRAME_BYTES })
+        Ok(Client { stream })
     }
 
     /// Sets a read timeout for responses (`None` = wait forever).
@@ -137,14 +134,14 @@ impl Client {
     fn call(&mut self, request: &Request) -> Result<Value, ClientError> {
         let payload = serde_json::to_string(&protocol::request_to_value(request))
             .map_err(|e| ClientError::Protocol(e.to_string()))?;
-        protocol::write_frame(&mut self.stream, payload.as_bytes(), self.max_frame_bytes)?;
+        protocol::write_frame(&mut self.stream, payload.as_bytes(), MAX_FRAME_BYTES)?;
         self.read_response()
     }
 
     fn read_response(&mut self) -> Result<Value, ClientError> {
         // A generous budget: the stream usually has no read timeout, and
         // when tests set one they want the first timeout to surface.
-        match protocol::read_frame(&mut self.stream, self.max_frame_bytes, 0)? {
+        match protocol::read_frame(&mut self.stream, MAX_FRAME_BYTES, 0)? {
             FrameRead::Frame(payload) => {
                 let text = std::str::from_utf8(&payload)
                     .map_err(|_| ClientError::Protocol("response is not UTF-8".to_string()))?;
@@ -165,8 +162,7 @@ impl Client {
                 "connection closed before a full response arrived".to_string(),
             )),
             FrameRead::Oversized(len) => Err(ClientError::Protocol(format!(
-                "response frame length {len} exceeds maximum {}",
-                self.max_frame_bytes
+                "response frame length {len} exceeds maximum {MAX_FRAME_BYTES}"
             ))),
         }
     }
@@ -298,7 +294,7 @@ impl Client {
     /// # Errors
     /// Typed [`ClientError`]; see the variants.
     pub fn send_raw_frame(&mut self, payload: &[u8]) -> Result<Value, ClientError> {
-        protocol::write_frame(&mut self.stream, payload, self.max_frame_bytes)?;
+        protocol::write_frame(&mut self.stream, payload, MAX_FRAME_BYTES)?;
         self.read_response()
     }
 

@@ -42,4 +42,4 @@ pub use protocol::{
 };
 pub use queue::{BoundedQueue, PushError};
 pub use server::{Server, ServerConfig};
-pub use service::{QbhService, ServiceError, ServiceMatch, ServiceOutcome, ServiceQuery};
+pub use service::{QbhService, ServiceError, ServiceMatch, ServiceOutcome};

@@ -73,18 +73,27 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use hum_core::engine::{EngineError, EngineStats, QueryBudget, QueryScratch};
+use hum_core::engine::{EngineError, EngineStats, QueryBudget, QueryScratch, RequestKind};
 use hum_core::obs::{Metric, MetricsSink, Timer};
 use serde::Serialize;
 use serde_json::Value;
 
-use crate::protocol::{self, error_response, ok_response, ErrorKind, FrameRead, Request};
+use crate::protocol::{
+    self, error_response, ok_response, ErrorKind, FrameRead, Request, MAX_FRAME_BYTES,
+};
 use crate::queue::{BoundedQueue, PushError};
-use crate::service::{QbhService, ServiceError, ServiceQuery};
+use crate::service::{QbhService, ServiceError};
+
+/// How often an idle connection's read wakes to check the shutdown flag
+/// (so it bounds how long shutdown waits for a kept connection), and the
+/// back-off after a failed `accept`. It does not delay new connections: the
+/// listener blocks in `accept` and is woken for shutdown by a loopback
+/// connection.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 /// How many consecutive read timeouts a connection tolerates *mid-frame*
 /// before declaring the frame truncated (a stalled sender cannot pin its
-/// connection thread past `poll_interval * MID_FRAME_POLL_BUDGET`).
+/// connection thread past `POLL_INTERVAL * MID_FRAME_POLL_BUDGET`).
 const MID_FRAME_POLL_BUDGET: usize = 200;
 
 /// How long [`Shared::request_shutdown`] waits for its loopback connection
@@ -103,14 +112,6 @@ pub struct ServerConfig {
     /// Deadline applied to queries that do not carry their own
     /// `deadline_ms` (`None` = unlimited).
     pub default_deadline: Option<Duration>,
-    /// Maximum accepted frame payload size.
-    pub max_frame_bytes: usize,
-    /// How often an idle connection's read wakes to check the shutdown flag
-    /// (so it bounds how long shutdown waits for a kept connection), and the
-    /// back-off after a failed `accept`. It does not delay new connections:
-    /// the listener blocks in `accept` and is woken for shutdown by a
-    /// loopback connection.
-    pub poll_interval: Duration,
     /// Where server and engine counters go. Share one enabled sink between
     /// this config and the served system to get a unified registry.
     pub metrics: MetricsSink,
@@ -136,8 +137,6 @@ impl Default for ServerConfig {
             workers: 4,
             queue_depth: 64,
             default_deadline: None,
-            max_frame_bytes: protocol::MAX_FRAME_BYTES,
-            poll_interval: Duration::from_millis(25),
             metrics: MetricsSink::Disabled,
             allow_remote_shutdown: false,
             maintenance_interval: None,
@@ -147,7 +146,7 @@ impl Default for ServerConfig {
 
 /// Work admitted to the queue.
 enum JobOp {
-    Query { query: ServiceQuery, pitch: Vec<f64>, band: Option<usize>, trace: bool },
+    Query { kind: RequestKind, pitch: Vec<f64>, band: Option<usize>, trace: bool },
     Insert { id: u64, song: usize, phrase: usize, pitch: Vec<f64> },
     Remove { id: u64 },
 }
@@ -183,8 +182,6 @@ struct Shared<S> {
     wake_addr: SocketAddr,
     metrics: MetricsSink,
     default_deadline: Option<Duration>,
-    max_frame_bytes: usize,
-    poll_interval: Duration,
     allow_remote_shutdown: bool,
 }
 
@@ -275,8 +272,6 @@ impl<S: QbhService> Server<S> {
             wake_addr,
             metrics: config.metrics,
             default_deadline: config.default_deadline,
-            max_frame_bytes: config.max_frame_bytes,
-            poll_interval: config.poll_interval,
             allow_remote_shutdown: config.allow_remote_shutdown,
         });
 
@@ -417,7 +412,7 @@ fn listener_loop<S: QbhService>(
             Err(_) => {
                 // Accept failures are transient (e.g. fd pressure); back off
                 // rather than spin, and keep serving existing connections.
-                std::thread::sleep(shared.poll_interval);
+                std::thread::sleep(POLL_INTERVAL);
             }
         }
     }
@@ -425,7 +420,7 @@ fn listener_loop<S: QbhService>(
 
 fn connection_loop<S: QbhService>(mut stream: TcpStream, shared: &Arc<Shared<S>>) {
     // Blocking reads with a timeout double as the shutdown poll point.
-    if stream.set_read_timeout(Some(shared.poll_interval)).is_err() {
+    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
     // Replies are whole frames written at once; holding one back for the
@@ -434,7 +429,7 @@ fn connection_loop<S: QbhService>(mut stream: TcpStream, shared: &Arc<Shared<S>>
     // just slower.
     let _ = stream.set_nodelay(true);
     loop {
-        match protocol::read_frame(&mut stream, shared.max_frame_bytes, MID_FRAME_POLL_BUDGET) {
+        match protocol::read_frame(&mut stream, MAX_FRAME_BYTES, MID_FRAME_POLL_BUDGET) {
             Ok(FrameRead::Frame(payload)) => {
                 shared.metrics.add(Metric::ServerBytesIn, payload.len() as u64 + 4);
                 let response = handle_frame(shared, &payload);
@@ -458,10 +453,7 @@ fn connection_loop<S: QbhService>(mut stream: TcpStream, shared: &Arc<Shared<S>>
             }
             Ok(FrameRead::Oversized(len)) => {
                 shared.metrics.add(Metric::ServerProtocolErrors, 1);
-                let message = format!(
-                    "frame length {len} exceeds maximum {}",
-                    shared.max_frame_bytes
-                );
+                let message = format!("frame length {len} exceeds maximum {MAX_FRAME_BYTES}");
                 let response = error_response(ErrorKind::Protocol, &message, None);
                 let _ = write_response(&mut stream, shared, &response);
                 return;
@@ -477,8 +469,7 @@ fn write_response<S: QbhService>(
     response: &Value,
 ) -> io::Result<()> {
     let payload = serde_json::to_string(response).map_err(io::Error::other)?;
-    let written =
-        protocol::write_frame(stream, payload.as_bytes(), shared.max_frame_bytes)?;
+    let written = protocol::write_frame(stream, payload.as_bytes(), MAX_FRAME_BYTES)?;
     stream.flush()?;
     shared.metrics.add(Metric::ServerBytesOut, written);
     Ok(())
@@ -537,11 +528,11 @@ fn handle_frame<S: QbhService>(shared: &Arc<Shared<S>>, payload: &[u8]) -> Value
             return ok_response(vec![]);
         }
         Request::Knn { pitch, k, band, deadline_ms, trace } => (
-            JobOp::Query { query: ServiceQuery::Knn { k }, pitch, band, trace },
+            JobOp::Query { kind: RequestKind::Knn { k }, pitch, band, trace },
             deadline_ms,
         ),
         Request::Range { pitch, radius, band, deadline_ms, trace } => (
-            JobOp::Query { query: ServiceQuery::Range { radius }, pitch, band, trace },
+            JobOp::Query { kind: RequestKind::Range { radius }, pitch, band, trace },
             deadline_ms,
         ),
         Request::Insert { id, song, phrase, pitch } => {
@@ -688,8 +679,8 @@ fn execute<S: QbhService>(
     scratch: &mut QueryScratch,
 ) -> Value {
     match op {
-        JobOp::Query { query, pitch, band, trace } => {
-            run_query(shared, &query, &pitch, band, trace, budget, scratch)
+        JobOp::Query { kind, pitch, band, trace } => {
+            run_query(shared, kind, &pitch, band, trace, budget, scratch)
         }
         JobOp::Insert { id, song, phrase, pitch } => {
             let (result, len) =
@@ -748,7 +739,7 @@ fn service_error_response(e: &ServiceError) -> Value {
 /// Runs one budgeted query against the service and shapes the response.
 fn run_query<S: QbhService>(
     shared: &Shared<S>,
-    query: &ServiceQuery,
+    kind: RequestKind,
     pitch: &[f64],
     band: Option<usize>,
     trace: bool,
@@ -769,7 +760,7 @@ fn run_query<S: QbhService>(
         let waited = shared.metrics.start_timer();
         let service = shared.read_service();
         shared.metrics.observe_since(Timer::ServiceLockWait, waited);
-        service.query(query, pitch, band, budget, trace, scratch)
+        service.query(kind, pitch, band, budget, trace, scratch)
     };
     match outcome {
         Ok(outcome) => {

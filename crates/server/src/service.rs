@@ -10,7 +10,7 @@
 //! middle runs with no lock held. `hum-qbh` implements the trait for
 //! `QbhSystem`.
 
-use hum_core::engine::{EngineError, EngineStats, QueryBudget, QueryScratch};
+use hum_core::engine::{EngineError, EngineStats, QueryBudget, QueryScratch, RequestKind};
 use hum_core::obs::QueryTrace;
 
 /// Why a service mutation failed.
@@ -44,22 +44,6 @@ impl From<EngineError> for ServiceError {
     fn from(e: EngineError) -> Self {
         ServiceError::Engine(e)
     }
-}
-
-/// What a served query asks for (the wire-level subset of
-/// [`hum_core::engine::RequestKind`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ServiceQuery {
-    /// k-nearest-neighbors query.
-    Knn {
-        /// Neighbors requested.
-        k: usize,
-    },
-    /// ε-range query.
-    Range {
-        /// Query radius (plain DTW distance).
-        radius: f64,
-    },
 }
 
 /// One hit, with its provenance resolved by the service.
@@ -116,13 +100,13 @@ pub trait QbhService: Send + Sync + 'static {
     /// What [`QbhService::build`] produces for [`QbhService::commit`].
     type Built: Send + 'static;
 
-    /// Runs one query over a raw (hummed) pitch series. `band` of `None`
+    /// Runs one `kind` query over a raw (hummed) pitch series. `band` of `None`
     /// means the service's default warping band. The `budget` must
     /// propagate into the engine so an expired deadline surfaces as
     /// [`EngineError::DeadlineExceeded`] with partial stats.
     fn query(
         &self,
-        query: &ServiceQuery,
+        kind: RequestKind,
         pitch_series: &[f64],
         band: Option<usize>,
         budget: QueryBudget,

@@ -7,11 +7,11 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use hum_core::engine::{EngineError, EngineStats, QueryBudget, QueryScratch};
+use hum_core::engine::{EngineError, EngineStats, QueryBudget, QueryScratch, RequestKind};
 use hum_core::obs::{Metric, MetricsSink};
 use hum_server::{
     Client, ClientError, QbhService, QueryOptions, Server, ServerConfig, ServiceError,
-    ServiceOutcome, ServiceQuery,
+    ServiceOutcome,
 };
 
 /// Every query announces itself on `started`, then blocks until the test
@@ -81,7 +81,7 @@ impl QbhService for GateService {
 
     fn query(
         &self,
-        _query: &ServiceQuery,
+        _kind: RequestKind,
         pitch_series: &[f64],
         _band: Option<usize>,
         _budget: QueryBudget,
