@@ -19,11 +19,11 @@ cargo test -q -p hum-server
 # has it) against its scalar reference — a shape may change speed but never
 # bits. The property suite runs in debug and in release (the arithmetic and
 # the `unsafe` run optimised everywhere else); then the engine digest —
-# answers and counters over a fixed workload on every backend — builds each
-# section under both kernel modes in one process, failing if their bytes
-# differ, and must hash to the committed results/engine_digest.sha256: a
-# change that moves an answer or a counter re-baselines it on purpose, in
-# the same commit.
+# answers and index counters on every line, over a fixed workload on both
+# backends (R*-tree and flat sweep) — builds each section under both kernel
+# modes in one process, failing if their bytes differ, and must hash to the
+# committed results/engine_digest.sha256: a change that moves an answer or a
+# counter re-baselines it on purpose, in the same commit.
 cargo test -q -p hum-core --test kernel
 cargo test -q --release -p hum-core --test kernel
 # The flat feature sweep against the per-point scan it replaced (ids, order,
@@ -41,10 +41,12 @@ if ! sha256sum < "$DIGEST_DIR/digest.txt" | cmp -s - results/engine_digest.sha25
 fi
 echo "engine_digest bit-identical across kernel modes, and to the committed hash"
 
-# The paper tables regenerate: counters and accuracy cells are deterministic
-# by design, so the six csv under results/ must equal a fresh run at the
-# default scale byte for byte (~30 s).
-PAPER_TABLES=(table2 table3 fig8 fig9 obs extras)
+# The paper tables regenerate: counters, tightness and accuracy cells are
+# deterministic by design, so the nine csv under results/ must equal a fresh
+# run at the default scale byte for byte (~65 s). Every one of them goes
+# through the normal form; Figs 6, 7 and 10 also pin the synthetic dataset
+# generators and the tightness metric.
+PAPER_TABLES=(table2 table3 fig6 fig7 fig8 fig9 fig10 obs extras)
 cargo run -q --release -p hum-bench --bin repro -- "${PAPER_TABLES[@]}" --out "$DIGEST_DIR/tables" > /dev/null
 for table in "${PAPER_TABLES[@]}"; do
     if ! cmp "$DIGEST_DIR/tables/$table.csv" "results/$table.csv"; then

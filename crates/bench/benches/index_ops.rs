@@ -3,7 +3,7 @@
 //! paper's large-database experiments).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use hum_index::{GridFile, LinearScan, Query, RStarTree, Rect, SpatialIndex};
+use hum_index::{LinearScan, Query, RStarTree, Rect, SpatialIndex};
 use std::hint::black_box;
 
 const DIMS: usize = 8;
@@ -36,13 +36,6 @@ fn bench_build(c: &mut Criterion) {
             BatchSize::LargeInput,
         )
     });
-    group.bench_function("gridfile", |b| {
-        b.iter_batched(
-            || pts.clone(),
-            |pts| built(GridFile::new(DIMS), &pts),
-            BatchSize::LargeInput,
-        )
-    });
     // Ablation: STR bulk loading vs one-at-a-time insertion.
     group.bench_function("rstar_bulk_load", |b| {
         b.iter_batched(
@@ -57,7 +50,6 @@ fn bench_build(c: &mut Criterion) {
 fn bench_queries(c: &mut Criterion) {
     let pts = points(N, 1);
     let rstar = built(RStarTree::new(DIMS), &pts);
-    let grid = built(GridFile::new(DIMS), &pts);
     let linear = built(LinearScan::new(DIMS), &pts);
     let point_q = Query::Point(points(1, 77).remove(0));
     let rect_q = {
@@ -68,8 +60,7 @@ fn bench_queries(c: &mut Criterion) {
     };
 
     let mut group = c.benchmark_group("index_query_10k");
-    let backends: Vec<(&str, &dyn SpatialIndex)> =
-        vec![("rstar", &rstar), ("gridfile", &grid), ("linear", &linear)];
+    let backends: Vec<(&str, &dyn SpatialIndex)> = vec![("rstar", &rstar), ("linear", &linear)];
     for (name, index) in backends {
         group.bench_function(BenchmarkId::new("range_point", name), |b| {
             b.iter(|| index.range_query(black_box(&point_q), 3.0))

@@ -2,8 +2,8 @@
 //! DESIGN.md calls out, reported in the same candidates/page-accesses
 //! currency as Figs 8–10:
 //!
-//! 1. **Index backend**: R\*-tree vs grid file vs linear scan under the same
-//!    transform and workload;
+//! 1. **Index backend**: R\*-tree vs linear scan under the same transform
+//!    and workload;
 //! 2. **Envelope second filter**: exact-DTW computations with and without
 //!    the full-dimension LB refilter between index and verification;
 //! 3. **Build strategy**: repeated insertion vs STR bulk loading (wall time
@@ -27,7 +27,7 @@ use hum_core::transform::paa::{KeoghPaa, NewPaa};
 use hum_core::transform::svd::SvdTransform;
 use hum_core::transform::EnvelopeTransform;
 use hum_datasets::{generate, DatasetFamily};
-use hum_index::{GridFile, LinearScan, RStarTree, SpatialIndex};
+use hum_index::{LinearScan, RStarTree, SpatialIndex};
 
 use crate::report::{cascade_table, fmt1, TextTable};
 
@@ -173,7 +173,6 @@ pub fn run(params: &Params) -> Output {
     let mut backends = Vec::new();
     let backend_list: Vec<(&str, Box<dyn SpatialIndex>)> = vec![
         ("R*-tree", Box::new(RStarTree::with_page_size(params.dims, 4096))),
-        ("grid file", Box::new(GridFile::with_params(params.dims, 8, 1024, 4096))),
         ("linear scan", Box::new(LinearScan::with_page_size(params.dims, 4096))),
     ];
     for (name, index) in backend_list {
@@ -472,7 +471,7 @@ mod tests {
         let out = run(&Params::quick());
         let failures = check(&out);
         assert!(failures.is_empty(), "{failures:?}");
-        assert_eq!(out.backends.len(), 3);
+        assert_eq!(out.backends.len(), 2);
         assert_eq!(out.transforms.len(), 5);
         assert_eq!(out.builds.len(), 2);
         assert_eq!(out.cascade.len(), 3);

@@ -6,16 +6,15 @@
 //! [`KernelMode::Scalar`], its reference — and the run fails unless the
 //! two digests are byte-identical: the kernel layer may change speed but
 //! never bits. `ci.sh` additionally compares the output's sha256 with the
-//! committed `results/engine_digest.sha256`. GridFile's internal counters
-//! depend on `HashMap` iteration order, so its lines print matches and
-//! match-bits only.
+//! committed `results/engine_digest.sha256`. Every line prints the matches,
+//! their bits and the index counters.
 
 use std::fmt::Write as _;
 
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
 use hum_core::kernel::KernelMode;
 use hum_core::transform::paa::NewPaa;
-use hum_index::{GridFile, ItemId, LinearScan, RStarTree, SpatialIndex};
+use hum_index::{ItemId, LinearScan, RStarTree, SpatialIndex};
 
 fn lcg_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
@@ -69,7 +68,6 @@ fn digest<I: SpatialIndex>(
     name: &str,
     make: impl Fn() -> I,
     mode: usize,
-    stable_counters: bool,
 ) {
     let refine = mode;
     let series = lcg_series(400, 64, 11);
@@ -84,37 +82,21 @@ fn digest<I: SpatialIndex>(
                 .query(&QueryRequest::range(radius).with_series(q.clone()).with_band(band))
                 .result;
             let mbits = match_bits(&r.matches);
-            if stable_counters {
-                let _ = writeln!(
-                    out,
-                    "{name} refine={refine} q{qi} range b{band} r{radius}: m={} bits={mbits:x} cand={} pages={} pts={}",
-                    r.matches.len(), r.stats.index.candidates, r.stats.index.node_accesses, r.stats.index.points_examined
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{name} refine={refine} q{qi} range b{band} r{radius}: m={} bits={mbits:x}",
-                    r.matches.len()
-                );
-            }
+            let _ = writeln!(
+                out,
+                "{name} refine={refine} q{qi} range b{band} r{radius}: m={} bits={mbits:x} cand={} pages={} pts={}",
+                r.matches.len(), r.stats.index.candidates, r.stats.index.node_accesses, r.stats.index.points_examined
+            );
         }
         for (band, k) in [(0usize, 1), (3, 5), (6, 17)] {
             let r =
                 engine.query(&QueryRequest::knn(k).with_series(q.clone()).with_band(band)).result;
             let mbits = match_bits(&r.matches);
-            if stable_counters {
-                let _ = writeln!(
-                    out,
-                    "{name} refine={refine} q{qi} knn b{band} k{k}: m={} bits={mbits:x} cand={} pages={} pts={}",
-                    r.matches.len(), r.stats.index.candidates, r.stats.index.node_accesses, r.stats.index.points_examined
-                );
-            } else {
-                let _ = writeln!(
-                    out,
-                    "{name} refine={refine} q{qi} knn b{band} k{k}: m={} bits={mbits:x}",
-                    r.matches.len()
-                );
-            }
+            let _ = writeln!(
+                out,
+                "{name} refine={refine} q{qi} knn b{band} k{k}: m={} bits={mbits:x} cand={} pages={} pts={}",
+                r.matches.len(), r.stats.index.candidates, r.stats.index.node_accesses, r.stats.index.points_examined
+            );
         }
     }
 }
@@ -125,9 +107,8 @@ fn full_digest(kernel: KernelMode) -> String {
     // mode 0: no cascade; 1: envelope filter only (the pre-cascade default);
     // 2: the full cascade (the default config).
     for mode in [1, 0, 2] {
-        digest(&mut out, kernel, "rstar", || RStarTree::with_page_size(8, 1024), mode, true);
-        digest(&mut out, kernel, "grid", || GridFile::with_params(8, 4, 32, 1024), mode, false);
-        digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024), mode, true);
+        digest(&mut out, kernel, "rstar", || RStarTree::with_page_size(8, 1024), mode);
+        digest(&mut out, kernel, "linear", || LinearScan::with_page_size(8, 1024), mode);
     }
     out
 }

@@ -242,62 +242,6 @@ pub fn dtw_distance(x: &[f64], y: &[f64]) -> f64 {
     dtw_distance_sq(x, y).sqrt()
 }
 
-/// One step of a warping path (paired 0-based positions in `x` and `y`).
-pub type PathStep = (usize, usize);
-
-/// Unconstrained DTW with full matrix and warping-path recovery; O(nm)
-/// space. Intended for analysis and tests rather than bulk search.
-///
-/// Returns the squared distance and the optimal path from `(0,0)` to
-/// `(n−1,m−1)`.
-pub fn dtw_with_path(x: &[f64], y: &[f64]) -> (f64, Vec<PathStep>) {
-    let (n, m) = (x.len(), y.len());
-    assert!(n > 0 && m > 0, "DTW of empty series");
-    let inf = f64::INFINITY;
-    let mut cost = vec![inf; n * m];
-    let at = |i: usize, j: usize| i * m + j;
-
-    for i in 0..n {
-        for j in 0..m {
-            let d = x[i] - y[j];
-            let base = match (i, j) {
-                (0, 0) => 0.0,
-                (0, _) => cost[at(0, j - 1)],
-                (_, 0) => cost[at(i - 1, 0)],
-                _ => cost[at(i - 1, j)].min(cost[at(i, j - 1)]).min(cost[at(i - 1, j - 1)]),
-            };
-            cost[at(i, j)] = d * d + base;
-        }
-    }
-
-    // Backtrack greedily over the three predecessors.
-    let mut path = vec![(n - 1, m - 1)];
-    let (mut i, mut j) = (n - 1, m - 1);
-    while i > 0 || j > 0 {
-        let (pi, pj) = match (i, j) {
-            (0, _) => (0, j - 1),
-            (_, 0) => (i - 1, 0),
-            _ => {
-                let diag = cost[at(i - 1, j - 1)];
-                let up = cost[at(i - 1, j)];
-                let left = cost[at(i, j - 1)];
-                if diag <= up && diag <= left {
-                    (i - 1, j - 1)
-                } else if up <= left {
-                    (i - 1, j)
-                } else {
-                    (i, j - 1)
-                }
-            }
-        };
-        path.push((pi, pj));
-        i = pi;
-        j = pj;
-    }
-    path.reverse();
-    (cost[at(n - 1, m - 1)], path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -380,32 +324,6 @@ mod tests {
         assert_eq!(dtw_distance_sq(&[0.0, 1.0], &[0.0, 0.0, 1.0]), 0.0);
         // x = [0,2], y = [1]: every element pairs with 1 → 1 + 1 = 2.
         assert_eq!(dtw_distance_sq(&[0.0, 2.0], &[1.0]), 2.0);
-    }
-
-    #[test]
-    fn path_is_monotone_continuous_and_anchored() {
-        let x: Vec<f64> = (0..12).map(|i| (i as f64 * 0.8).sin()).collect();
-        let y: Vec<f64> = (0..9).map(|i| (i as f64 * 1.1).sin()).collect();
-        let (d, path) = dtw_with_path(&x, &y);
-        assert!((d - dtw_distance_sq(&x, &y)).abs() < 1e-12);
-        assert_eq!(*path.first().unwrap(), (0, 0));
-        assert_eq!(*path.last().unwrap(), (11, 8));
-        for w in path.windows(2) {
-            let (di, dj) = (w[1].0 - w[0].0, w[1].1 - w[0].1);
-            assert!(di <= 1 && dj <= 1, "continuity");
-            assert!(di + dj >= 1, "monotonicity");
-        }
-        // Path length bounds: max(n,m) ≤ L ≤ n+m−1.
-        assert!(path.len() >= 12 && path.len() <= 20);
-    }
-
-    #[test]
-    fn path_cost_equals_distance() {
-        let x = vec![0.0, 1.0, 3.0, 1.0];
-        let y = vec![0.0, 2.0, 3.0, 0.0, 1.0];
-        let (d, path) = dtw_with_path(&x, &y);
-        let path_cost: f64 = path.iter().map(|&(i, j)| (x[i] - y[j]) * (x[i] - y[j])).sum();
-        assert!((d - path_cost).abs() < 1e-12);
     }
 
     #[test]

@@ -314,11 +314,6 @@ impl QueryBudget {
         self.deadline
     }
 
-    /// `true` when no deadline is set.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-    }
-
     /// `true` once the deadline has passed. Reads the clock only when a
     /// deadline is set.
     #[inline]
@@ -1071,7 +1066,7 @@ mod tests {
     use super::*;
     use crate::dtw::ldtw_distance;
     use crate::transform::paa::{KeoghPaa, NewPaa};
-    use hum_index::{GridFile, LinearScan, RStarTree};
+    use hum_index::{LinearScan, RStarTree};
 
     fn lcg_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
         let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
@@ -1179,7 +1174,6 @@ mod tests {
             }};
         }
         check!(RStarTree::with_page_size(8, 1024));
-        check!(GridFile::with_params(8, 4, 32, 1024));
         check!(LinearScan::with_page_size(8, 1024));
     }
 
@@ -1320,7 +1314,6 @@ mod tests {
             }};
         }
         check!(RStarTree::with_page_size(8, 1024));
-        check!(GridFile::with_params(8, 4, 32, 1024));
         check!(LinearScan::with_page_size(8, 1024));
     }
 

@@ -6,11 +6,10 @@
 //!
 //! * [`normal`] — shift- and tempo-invariant *normal forms* (§3.3): subtract
 //!   the mean, resample to a canonical length (Uniform Time Warping).
-//! * [`upsample`] — `w`-upsampling and the UTW distance (Definitions 2–3,
-//!   Lemma 1).
+//! * [`upsample`] — `w`-upsampling (Definition 3) and the resampling that
+//!   stores every series at the canonical UTW length (§4.1).
 //! * [`dtw`] — Dynamic Time Warping and its `k`-local variant LDTW
-//!   (Definitions 1, 4, 5) with a banded O(nk) dynamic program and warping-
-//!   path recovery.
+//!   (Definitions 1, 4, 5) with a banded O(nk) dynamic program.
 //! * [`envelope`] — the `k`-envelope of a series (Definition 6) via monotonic
 //!   deques, and the distance between a series and an envelope
 //!   (Definition 7), which is Keogh's LB lower bound (Lemma 2).

@@ -12,6 +12,8 @@
 //!    semitones) and *on* for the heterogeneous benchmark datasets, matching
 //!    the paper's "subtracted the mean from each time series" protocol plus
 //!    cross-dataset comparability.
+//!
+//! [`NormalForm::apply`] resamples, then centers, then optionally scales.
 
 use hum_linalg::vec_ops::{center, std_dev};
 
@@ -22,20 +24,13 @@ use crate::upsample::resample;
 pub struct NormalForm {
     /// Canonical length every series is resampled to.
     pub length: usize,
-    /// Subtract the mean (shift invariance). Nearly always `true`.
-    pub center: bool,
     /// Divide by the standard deviation after centering.
     pub scale_to_unit_variance: bool,
-    /// Centered moving-average window applied after resampling (0 or 1 =
-    /// off). One of the query transformations of Rafiei & Mendelzon that
-    /// the paper cites (§2); useful for suppressing frame-level pitch
-    /// wobble before matching.
-    pub smoothing_window: usize,
 }
 
 impl Default for NormalForm {
     fn default() -> Self {
-        NormalForm { length: 128, center: true, scale_to_unit_variance: false, smoothing_window: 0 }
+        NormalForm { length: 128, scale_to_unit_variance: false }
     }
 }
 
@@ -48,13 +43,7 @@ impl NormalForm {
     /// A normal form with centering and unit-variance scaling (used for the
     /// cross-dataset tightness experiments).
     pub fn z_normalized(length: usize) -> Self {
-        NormalForm { length, center: true, scale_to_unit_variance: true, ..NormalForm::default() }
-    }
-
-    /// This normal form with a centered moving-average smoother of the
-    /// given window.
-    pub fn with_smoothing(self, window: usize) -> Self {
-        NormalForm { smoothing_window: window, ..self }
+        NormalForm { length, scale_to_unit_variance: true }
     }
 
     /// Applies the pipeline to an arbitrary-length series.
@@ -65,12 +54,7 @@ impl NormalForm {
         assert!(!x.is_empty(), "normal form of empty series");
         assert!(self.length > 0, "canonical length must be positive");
         let mut out = resample(x, self.length);
-        if self.smoothing_window > 1 {
-            out = moving_average(&out, self.smoothing_window);
-        }
-        if self.center {
-            center(&mut out);
-        }
+        center(&mut out);
         if self.scale_to_unit_variance {
             let sd = std_dev(&out);
             if sd > 1e-12 {
@@ -81,33 +65,6 @@ impl NormalForm {
         }
         out
     }
-}
-
-/// Centered moving average with a window of `w` samples (edges use the
-/// available partial window, so the output length equals the input length).
-///
-/// Interior points average exactly `w` samples: `(w − 1) / 2` before the
-/// center and `w / 2` after it — symmetric for odd `w`, one extra trailing
-/// sample for even `w`. (A naive `[i − w/2, i + w/2]` span would silently
-/// average `w + 1` samples whenever `w` is even.)
-pub fn moving_average(x: &[f64], w: usize) -> Vec<f64> {
-    assert!(w > 0, "window must be positive");
-    let n = x.len();
-    let half_lo = (w - 1) / 2;
-    let half_hi = w / 2;
-    // Prefix sums for O(1) window means.
-    let mut prefix = Vec::with_capacity(n + 1);
-    prefix.push(0.0);
-    for &v in x {
-        prefix.push(prefix.last().expect("nonempty") + v);
-    }
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half_lo);
-            let hi = (i + half_hi).min(n - 1);
-            (prefix[hi + 1] - prefix[lo]) / (hi + 1 - lo) as f64
-        })
-        .collect()
 }
 
 /// Convenience: centered, canonical-length normal form of `x`.
@@ -177,71 +134,7 @@ mod tests {
     #[test]
     fn default_is_centering_only() {
         let d = NormalForm::default();
-        assert!(d.center && !d.scale_to_unit_variance);
+        assert!(!d.scale_to_unit_variance);
         assert_eq!(d.length, 128);
-        assert_eq!(d.smoothing_window, 0);
-    }
-
-    #[test]
-    fn moving_average_flattens_wobble_preserves_constants() {
-        let x = vec![5.0; 40];
-        assert_eq!(moving_average(&x, 5), x);
-        // Alternating wobble around a ramp gets suppressed.
-        let wobbly: Vec<f64> =
-            (0..64).map(|i| i as f64 * 0.1 + if i % 2 == 0 { 0.5 } else { -0.5 }).collect();
-        let smooth = moving_average(&wobbly, 4);
-        let wobble = |s: &[f64]| -> f64 {
-            s.windows(3).map(|w| (w[0] - 2.0 * w[1] + w[2]).abs()).sum()
-        };
-        assert!(wobble(&smooth) < 0.3 * wobble(&wobbly));
-        assert_eq!(smooth.len(), wobbly.len());
-    }
-
-    #[test]
-    fn moving_average_window_covers_exactly_w_samples() {
-        // Averaging a unit impulse recovers each position's effective
-        // sample count: out[i] = 1/count(i) where the window covers the
-        // impulse, so the impulse's own output pins the interior count and
-        // the number of covered positions pins the window span. Regression
-        // for the even-window bug where w = 4 silently averaged 5 samples.
-        let n = 32;
-        let center = n / 2;
-        for w in [2usize, 3, 4, 5, 8, 9] {
-            let mut x = vec![0.0; n];
-            x[center] = 1.0;
-            let out = moving_average(&x, w);
-            assert!(
-                (out[center] - 1.0 / w as f64).abs() < 1e-12,
-                "w={w}: interior window averaged {} samples, expected {w}",
-                (1.0 / out[center]).round()
-            );
-            let covered = out.iter().filter(|v| **v > 0.0).count();
-            assert_eq!(covered, w, "w={w}: window span must be exactly {w} positions");
-        }
-    }
-
-    #[test]
-    fn moving_average_odd_window_is_symmetric() {
-        // A symmetric window leaves a linear ramp unchanged away from the
-        // edges; the even window is deliberately half-a-sample asymmetric.
-        let ramp: Vec<f64> = (0..24).map(|i| i as f64).collect();
-        let odd = moving_average(&ramp, 5);
-        for i in 2..22 {
-            assert!((odd[i] - ramp[i]).abs() < 1e-12, "i={i}");
-        }
-        let even = moving_average(&ramp, 4);
-        for i in 2..21 {
-            assert!((even[i] - (ramp[i] + 0.5)).abs() < 1e-12, "i={i}");
-        }
-    }
-
-    #[test]
-    fn smoothing_in_the_pipeline_is_applied() {
-        let noisy: Vec<f64> =
-            (0..128).map(|i| 60.0 + if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
-        let plain = NormalForm::with_length(128).apply(&noisy);
-        let smoothed = NormalForm::with_length(128).with_smoothing(4).apply(&noisy);
-        let energy = |s: &[f64]| s.iter().map(|v| v * v).sum::<f64>();
-        assert!(energy(&smoothed) < 0.2 * energy(&plain));
     }
 }

@@ -1,8 +1,10 @@
-//! `w`-upsampling and Uniform Time Warping (paper §4.1).
+//! `w`-upsampling and the Uniform Time Warping normal form (paper §4.1).
 //!
 //! Uniform Time Warping compares two series of different lengths by
 //! stretching both to a common length — the generalization of *time scaling*
-//! that makes the similarity measure tempo-invariant.
+//! that makes the similarity measure tempo-invariant. The engine stores every
+//! series already stretched to one canonical length ([`resample`]), so UTW
+//! reduces to comparing equal-length series.
 
 /// The `w`-upsampling of a series (Definition 3): each value repeated `w`
 /// times.
@@ -13,28 +15,6 @@ pub fn upsample(x: &[f64], w: usize) -> Vec<f64> {
         out.extend(std::iter::repeat_n(v, w));
     }
     out
-}
-
-/// Squared Uniform Time Warping distance between series of lengths `n`, `m`
-/// (Definition 2): both axes are stretched to `n·m` and compared pointwise,
-/// normalized by `n·m`.
-pub fn utw_distance_sq(x: &[f64], y: &[f64]) -> f64 {
-    let (n, m) = (x.len(), y.len());
-    assert!(n > 0 && m > 0, "UTW distance of empty series");
-    let mut acc = 0.0;
-    // Per Definition 2 with 1-based indices: element i of the stretched axis
-    // reads x[ceil(i/m)] and y[ceil(i/n)]; equivalently, with 0-based t,
-    // x[t / m] and y[t / n].
-    for t in 0..n * m {
-        let d = x[t / m] - y[t / n];
-        acc += d * d;
-    }
-    acc / (n * m) as f64
-}
-
-/// Root of [`utw_distance_sq`].
-pub fn utw_distance(x: &[f64], y: &[f64]) -> f64 {
-    utw_distance_sq(x, y).sqrt()
 }
 
 /// Resamples a series to `target` points.
@@ -55,46 +35,11 @@ pub fn resample(x: &[f64], target: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hum_linalg::vec_ops::sq_euclidean;
 
     #[test]
     fn upsample_repeats_values() {
         assert_eq!(upsample(&[1.0, 2.0], 3), vec![1.0, 1.0, 1.0, 2.0, 2.0, 2.0]);
         assert_eq!(upsample(&[5.0], 1), vec![5.0]);
-    }
-
-    #[test]
-    fn utw_distance_of_identical_shapes_at_different_tempi_is_zero() {
-        // y is x at double tempo.
-        let x = vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0];
-        let y = vec![1.0, 2.0, 3.0];
-        assert!(utw_distance(&x, &y) < 1e-12);
-    }
-
-    #[test]
-    fn utw_matches_euclidean_for_equal_lengths() {
-        let x = vec![0.0, 1.0, 4.0, 2.0];
-        let y = vec![1.0, 1.0, 3.0, 0.0];
-        // Same length: D_UTW² = D²/n per Lemma 1 with m = n.
-        let expect = sq_euclidean(&x, &y) / 4.0;
-        assert!((utw_distance_sq(&x, &y) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utw_lemma1_upsampled_euclidean() {
-        // Lemma 1: D²_UTW(x,y) = D²(U_m(x), U_n(y)) / (m n).
-        let x = vec![2.0, -1.0, 0.5];
-        let y = vec![1.0, 1.0, 0.0, -2.0, 3.0];
-        let lhs = utw_distance_sq(&x, &y);
-        let rhs = sq_euclidean(&upsample(&x, y.len()), &upsample(&y, x.len())) / (15.0);
-        assert!((lhs - rhs).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utw_is_symmetric() {
-        let x = vec![0.3, 0.9, -0.2, 0.0, 1.5];
-        let y = vec![1.0, -1.0, 2.0];
-        assert!((utw_distance(&x, &y) - utw_distance(&y, &x)).abs() < 1e-12);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use hum_core::dtw::ldtw_distance;
 use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
 use hum_core::transform::paa::NewPaa;
-use hum_index::{GridFile, LinearScan, RStarTree, SpatialIndex};
+use hum_index::{LinearScan, RStarTree, SpatialIndex};
 use proptest::prelude::*;
 
 const LEN: usize = 32;
@@ -108,7 +108,6 @@ proptest! {
         for config in [off, EngineConfig::default()] {
             let variants = [
                 answers(|| RStarTree::with_page_size(4, 1024), config, &database, &query, band, radius, k),
-                answers(|| GridFile::with_params(4, 4, 32, 1024), config, &database, &query, band, radius, k),
                 answers(|| LinearScan::with_page_size(4, 1024), config, &database, &query, band, radius, k),
             ];
             for got in &variants {

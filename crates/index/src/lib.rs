@@ -2,7 +2,7 @@
 //!
 //! GEMINI-style time-series indexing (paper §3.3) reduces each series to a
 //! low-dimensional feature vector and stores the vectors in a spatial index.
-//! This crate provides three backends behind the [`SpatialIndex`] trait:
+//! This crate provides two backends behind the [`SpatialIndex`] trait:
 //!
 //! * [`linear::LinearScan`] — one branch-free sweep over a flat point array,
 //!   the index the product runs: a hum's envelope box is so wide that a tree
@@ -10,8 +10,6 @@
 //! * [`rstar::RStarTree`] — an R\*-tree (Beckmann et al., SIGMOD 1990) with
 //!   ChooseSubtree, R\* topological split and forced reinsertion: the index
 //!   the paper uses (via LibGist), kept for its page-access figures.
-//! * [`gridfile::GridFile`] — a bulk-loaded grid file with quantile linear
-//!   scales, the alternative the paper cites from StatStream.
 //!
 //! An index answers the two questions the DTW engine asks: every point within
 //! ε of the query ([`SpatialIndex::range_query`]) and every point's squared
@@ -24,14 +22,12 @@
 //! paper evaluates indexing methods with exactly these implementation-bias-free
 //! counters (Figs 9 and 10).
 
-pub mod gridfile;
 pub mod linear;
 pub mod query;
 pub mod rect;
 pub mod rstar;
 pub mod stats;
 
-pub use gridfile::GridFile;
 pub use linear::LinearScan;
 pub use query::Query;
 pub use rect::Rect;

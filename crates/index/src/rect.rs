@@ -69,19 +69,6 @@ impl Rect {
         out
     }
 
-    /// Grows this rectangle (in place) to cover a point.
-    pub fn extend_point(&mut self, p: &[f64]) {
-        debug_assert_eq!(self.dims(), p.len());
-        for (i, &v) in p.iter().enumerate() {
-            if v < self.lo[i] {
-                self.lo[i] = v;
-            }
-            if v > self.hi[i] {
-                self.hi[i] = v;
-            }
-        }
-    }
-
     /// Hypervolume (product of side lengths).
     pub fn area(&self) -> f64 {
         self.lo.iter().zip(&self.hi).map(|(l, h)| (h - l).max(0.0)).product()
@@ -105,13 +92,6 @@ impl Rect {
             area *= hi - lo;
         }
         area
-    }
-
-    /// `true` if the rectangles share any point.
-    pub fn intersects(&self, other: &Rect) -> bool {
-        debug_assert_eq!(self.dims(), other.dims());
-        self.lo.iter().zip(&other.hi).all(|(l, h)| l <= h)
-            && other.lo.iter().zip(&self.hi).all(|(l, h)| l <= h)
     }
 
     /// `true` if the point lies inside (boundary inclusive).
@@ -194,7 +174,6 @@ mod tests {
         let b = r(&[2.0, -1.0], &[3.0, 0.5]);
         let u = a.union(&b);
         assert_eq!(u, r(&[0.0, -1.0], &[3.0, 1.0]));
-        assert!(u.intersects(&a) && u.intersects(&b));
     }
 
     #[test]
@@ -213,15 +192,6 @@ mod tests {
         assert_eq!(a.overlap_area(&b), 1.0);
         assert_eq!(a.overlap_area(&c), 0.0);
         assert_eq!(a.overlap_area(&a), 4.0);
-    }
-
-    #[test]
-    fn intersects_is_symmetric_and_boundary_inclusive() {
-        let a = r(&[0.0], &[1.0]);
-        let b = r(&[1.0], &[2.0]);
-        let c = r(&[1.5], &[2.0]);
-        assert!(a.intersects(&b) && b.intersects(&a));
-        assert!(!a.intersects(&c));
     }
 
     #[test]
@@ -248,13 +218,6 @@ mod tests {
         assert_eq!(a.min_dist_rect(&a), 0.0);
         let touching = r(&[1.0, 0.0], &[2.0, 1.0]);
         assert_eq!(a.min_dist_rect(&touching), 0.0);
-    }
-
-    #[test]
-    fn extend_point_grows_box() {
-        let mut a = Rect::from_point(&[1.0, 1.0]);
-        a.extend_point(&[-1.0, 2.0]);
-        assert_eq!(a, r(&[-1.0, 1.0], &[1.0, 2.0]));
     }
 
     #[test]

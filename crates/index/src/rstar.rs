@@ -93,11 +93,6 @@ impl RStarTree {
         }
     }
 
-    /// Maximum entries per leaf node.
-    pub fn leaf_capacity(&self) -> usize {
-        self.max_leaf
-    }
-
     /// Height of the tree (1 for a tree that is a single leaf).
     pub fn height(&self) -> usize {
         self.nodes[self.root].level as usize + 1

@@ -26,17 +26,6 @@ impl QueryStats {
         self.node_accesses
     }
 
-    /// Fraction of `total_points` that survived the index-level predicate —
-    /// the candidate ratio the paper plots in Figs. 8–9. Returns 0 for an
-    /// empty database.
-    pub fn selectivity(&self, total_points: u64) -> f64 {
-        if total_points == 0 {
-            0.0
-        } else {
-            self.candidates as f64 / total_points as f64
-        }
-    }
-
     /// Merges counters from another operation (for averaging over query
     /// batches).
     pub fn absorb(&mut self, other: &QueryStats) {
@@ -44,49 +33,6 @@ impl QueryStats {
         self.leaf_accesses += other.leaf_accesses;
         self.points_examined += other.points_examined;
         self.candidates += other.candidates;
-    }
-}
-
-/// Running averages over a batch of queries, used by the experiment harness.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchStats {
-    total: QueryStats,
-    queries: u64,
-}
-
-impl BatchStats {
-    /// Adds one query's counters.
-    pub fn record(&mut self, stats: &QueryStats) {
-        self.total.absorb(stats);
-        self.queries += 1;
-    }
-
-    /// Number of recorded queries.
-    pub fn queries(&self) -> u64 {
-        self.queries
-    }
-
-    /// Mean candidate count per query.
-    pub fn mean_candidates(&self) -> f64 {
-        self.mean(self.total.candidates)
-    }
-
-    /// Mean page (node) accesses per query.
-    pub fn mean_node_accesses(&self) -> f64 {
-        self.mean(self.total.node_accesses)
-    }
-
-    /// Mean points examined per query.
-    pub fn mean_points_examined(&self) -> f64 {
-        self.mean(self.total.points_examined)
-    }
-
-    fn mean(&self, v: u64) -> f64 {
-        if self.queries == 0 {
-            0.0
-        } else {
-            v as f64 / self.queries as f64
-        }
     }
 }
 
@@ -106,28 +52,8 @@ mod tests {
     }
 
     #[test]
-    fn pages_and_selectivity_derive_from_counters() {
+    fn pages_derive_from_counters() {
         let s = QueryStats { node_accesses: 6, leaf_accesses: 4, points_examined: 50, candidates: 5 };
         assert_eq!(s.pages(), 6);
-        assert_eq!(s.selectivity(100), 0.05);
-        assert_eq!(s.selectivity(0), 0.0);
-    }
-
-    #[test]
-    fn batch_means() {
-        let mut batch = BatchStats::default();
-        batch.record(&QueryStats { node_accesses: 10, leaf_accesses: 4, points_examined: 100, candidates: 8 });
-        batch.record(&QueryStats { node_accesses: 20, leaf_accesses: 6, points_examined: 200, candidates: 2 });
-        assert_eq!(batch.queries(), 2);
-        assert_eq!(batch.mean_node_accesses(), 15.0);
-        assert_eq!(batch.mean_candidates(), 5.0);
-        assert_eq!(batch.mean_points_examined(), 150.0);
-    }
-
-    #[test]
-    fn empty_batch_is_zero() {
-        let batch = BatchStats::default();
-        assert_eq!(batch.mean_candidates(), 0.0);
-        assert_eq!(batch.mean_node_accesses(), 0.0);
     }
 }

@@ -2,7 +2,7 @@
 //! query, for arbitrary point sets; and the flat sweep must equal the
 //! per-point scan it replaced, bit for bit.
 
-use hum_index::{GridFile, ItemId, LinearScan, Query, QueryStats, RStarTree, Rect, SpatialIndex};
+use hum_index::{ItemId, LinearScan, Query, QueryStats, RStarTree, Rect, SpatialIndex};
 use proptest::prelude::*;
 
 /// `LinearScan` before the flat sweep (a `Vec` per point, `dist_to_point`, a
@@ -74,7 +74,6 @@ fn brute_range(points: &[Vec<f64>], q: &Query, eps: f64) -> Vec<ItemId> {
 fn build_all(points: &[Vec<f64>], dims: usize) -> Vec<Box<dyn SpatialIndex>> {
     let mut backends: Vec<Box<dyn SpatialIndex>> = vec![
         Box::new(RStarTree::with_page_size(dims, 512)),
-        Box::new(GridFile::with_params(dims, 4, 32, 512)),
         Box::new(LinearScan::with_page_size(dims, 512)),
     ];
     for b in &mut backends {

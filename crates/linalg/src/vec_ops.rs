@@ -76,16 +76,6 @@ pub fn center(a: &mut [f64]) {
     }
 }
 
-/// Normalizes to unit L2 norm in place. No-op for the zero vector.
-pub fn normalize_l2(a: &mut [f64]) {
-    let n = norm(a);
-    if n > 0.0 {
-        for x in a.iter_mut() {
-            *x /= n;
-        }
-    }
-}
-
 /// Minimum and maximum of a nonempty slice.
 ///
 /// # Panics
@@ -103,12 +93,6 @@ pub fn min_max(a: &[f64]) -> (f64, f64) {
         }
     }
     (lo, hi)
-}
-
-/// Linear interpolation between `a` and `b` at parameter `t ∈ [0, 1]`.
-#[inline]
-pub fn lerp(a: f64, b: f64, t: f64) -> f64 {
-    a + (b - a) * t
 }
 
 /// Pearson correlation of two equal-length slices; zero when either side is
@@ -170,16 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_l2_unit_norm_and_zero_vector() {
-        let mut a = vec![3.0, 4.0];
-        normalize_l2(&mut a);
-        assert!((norm(&a) - 1.0).abs() < 1e-12);
-        let mut z = vec![0.0, 0.0];
-        normalize_l2(&mut z);
-        assert_eq!(z, vec![0.0, 0.0]);
-    }
-
-    #[test]
     fn min_max_of_mixed_slice() {
         assert_eq!(min_max(&[3.0, -1.0, 7.0, 2.0]), (-1.0, 7.0));
     }
@@ -199,12 +173,5 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(variance(&[7.0]), 0.0);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        assert_eq!(lerp(2.0, 6.0, 0.0), 2.0);
-        assert_eq!(lerp(2.0, 6.0, 1.0), 6.0);
-        assert_eq!(lerp(2.0, 6.0, 0.5), 4.0);
     }
 }

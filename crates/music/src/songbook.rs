@@ -89,11 +89,6 @@ impl Songbook {
             })
             .collect()
     }
-
-    /// Total number of phrases.
-    pub fn phrase_count(&self) -> usize {
-        self.songs.iter().map(|s| s.phrases.len()).sum()
-    }
 }
 
 fn generate_song(index: usize, config: &SongbookConfig, rng: &mut StdRng) -> Song {
@@ -258,7 +253,7 @@ mod tests {
     #[test]
     fn phrase_lengths_respect_bounds() {
         let book = Songbook::generate(&SongbookConfig::default());
-        assert_eq!(book.phrase_count(), 1000);
+        assert_eq!(book.phrases().len(), 1000);
         for (_, _, m) in book.phrases() {
             assert!((15..=30).contains(&m.len()), "phrase of {} notes", m.len());
         }

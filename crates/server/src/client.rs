@@ -7,7 +7,7 @@
 //! stringly-typed surprises.
 
 use std::fmt;
-use std::io::{self, Read};
+use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -309,23 +309,5 @@ impl Client {
         self.stream.write_all(bytes)?;
         self.stream.flush()?;
         self.read_response()
-    }
-
-    /// Half-closes the write side (the server sees EOF), then drains and
-    /// discards whatever the server still sends. For truncation tests.
-    ///
-    /// # Errors
-    /// Any socket error from the half-close.
-    pub fn finish_writes(&mut self) -> io::Result<()> {
-        self.stream.shutdown(std::net::Shutdown::Write)?;
-        let mut sink = [0u8; 1024];
-        loop {
-            match self.stream.read(&mut sink) {
-                Ok(0) => return Ok(()),
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return Ok(()),
-            }
-        }
     }
 }

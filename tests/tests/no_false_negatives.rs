@@ -12,7 +12,7 @@ use hum_core::transform::paa::{KeoghPaa, NewPaa};
 use hum_core::transform::svd::SvdTransform;
 use hum_core::transform::EnvelopeTransform;
 use hum_datasets::{generate, DatasetFamily, ALL_FAMILIES};
-use hum_index::{GridFile, LinearScan, RStarTree, SpatialIndex};
+use hum_index::{LinearScan, RStarTree, SpatialIndex};
 use proptest::prelude::*;
 
 const LEN: usize = 64;
@@ -38,7 +38,6 @@ fn transforms(sample: &[Vec<f64>]) -> Vec<Box<dyn EnvelopeTransform>> {
 fn backends() -> Vec<Box<dyn SpatialIndex>> {
     vec![
         Box::new(RStarTree::with_page_size(DIMS, 1024)),
-        Box::new(GridFile::with_params(DIMS, 4, 32, 1024)),
         Box::new(LinearScan::with_page_size(DIMS, 1024)),
     ]
 }
