@@ -69,6 +69,13 @@ cargo run -q --release -p hum-bench --bin repro -- scale --quick --out "$DIGEST_
 # in-process one; the instrument the prefix-matching decision rests on.
 cargo run -q --release -p hum-bench --bin repro -- stream --quick --out "$DIGEST_DIR/stream"
 
+# The last three experiments at quick scale, which enforces no kernel
+# speedup, so wall-clock noise cannot fail this line. What can: a kernel
+# shape whose bits differ from its reference (`repro kernels` is the only
+# kernel timing instrument), a served request rejected, a reopened store
+# answering differently.
+cargo run -q --release -p hum-bench --bin repro -- kernels serve ingest --quick --out "$DIGEST_DIR/smoke"
+
 # The repo benchmark (BENCHMARK.json) is a workspace of its own: its unit
 # tests, then every workload at smoke scale — each checks its answers
 # against the brute-force oracle and that it prints exactly the declared

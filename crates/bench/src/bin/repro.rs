@@ -16,6 +16,7 @@
 //! --out DIR   where to write .txt/.csv/.json results (default: results)
 //! ```
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -53,7 +54,9 @@ fn main() {
     if selected.is_empty() {
         selected.extend(EXPERIMENTS.iter().map(|s| s.to_string()));
     }
-    selected.dedup();
+    // Each experiment runs once, in the order first named.
+    let mut seen = HashSet::new();
+    selected.retain(|name| seen.insert(name.clone()));
 
     println!(
         "Reproducing {} experiment(s) at {} scale; results -> {}\n",

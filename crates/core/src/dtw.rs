@@ -58,15 +58,9 @@ impl DtwWorkspace {
         DtwWorkspace::default()
     }
 
-    /// Total DP cells evaluated through this workspace since construction
-    /// (or the last [`DtwWorkspace::reset_cells`]).
+    /// Total DP cells evaluated through this workspace since construction.
     pub fn cells(&self) -> u64 {
         self.cells
-    }
-
-    /// Resets the DP-cell counter to zero.
-    pub fn reset_cells(&mut self) {
-        self.cells = 0;
     }
 }
 

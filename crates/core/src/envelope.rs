@@ -112,21 +112,13 @@ impl Envelope {
         self.distance_sq(x).sqrt()
     }
 
-    /// Early-abandoning variant of [`Envelope::distance_sq`]: identical
-    /// accumulation, but returns `f64::INFINITY` once the running sum
-    /// exceeds `threshold_sq` (checked at lane-block granularity — squared
-    /// excursions are non-negative, so the block check abandons exactly
-    /// when the full sum exceeds the threshold). The result is
-    /// `> threshold_sq` exactly when the full distance is, and equals it
-    /// whenever it is `≤ threshold_sq`.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.len()`.
-    pub fn distance_sq_bounded(&self, x: &[f64], threshold_sq: f64) -> f64 {
-        self.distance_sq_bounded_mode(x, threshold_sq, KernelMode::default())
-    }
-
-    /// [`Envelope::distance_sq_bounded`] with an explicit [`KernelMode`].
+    /// Early-abandoning variant of [`Envelope::distance_sq`] under an
+    /// explicit [`KernelMode`]: identical accumulation, but returns
+    /// `f64::INFINITY` once the running sum exceeds `threshold_sq` (checked
+    /// at lane-block granularity — squared excursions are non-negative, so
+    /// the block check abandons exactly when the full sum exceeds the
+    /// threshold). The result is `> threshold_sq` exactly when the full
+    /// distance is, and equals it whenever it is `≤ threshold_sq`.
     ///
     /// # Panics
     /// Panics if `x.len() != self.len()`.

@@ -7,15 +7,12 @@
 //!    matter).
 //! 2. **Tempo invariance** — Uniform Time Warping: resample every series to a
 //!    canonical length so that global tempo cancels.
-//! 3. Optionally, **amplitude normalization** — divide by the standard
-//!    deviation. This is *off* for music (intervals carry meaning in
-//!    semitones) and *on* for the heterogeneous benchmark datasets, matching
-//!    the paper's "subtracted the mean from each time series" protocol plus
-//!    cross-dataset comparability.
 //!
-//! [`NormalForm::apply`] resamples, then centers, then optionally scales.
+//! There is no amplitude normalization: intervals carry meaning in
+//! semitones, and the paper's protocol only "subtracted the mean from each
+//! time series". [`NormalForm::apply`] resamples, then centers.
 
-use hum_linalg::vec_ops::{center, std_dev};
+use hum_linalg::vec_ops::center;
 
 use crate::upsample::resample;
 
@@ -24,26 +21,18 @@ use crate::upsample::resample;
 pub struct NormalForm {
     /// Canonical length every series is resampled to.
     pub length: usize,
-    /// Divide by the standard deviation after centering.
-    pub scale_to_unit_variance: bool,
 }
 
 impl Default for NormalForm {
     fn default() -> Self {
-        NormalForm { length: 128, scale_to_unit_variance: false }
+        NormalForm { length: 128 }
     }
 }
 
 impl NormalForm {
-    /// A normal form with the given canonical length, centering only.
+    /// A normal form with the given canonical length.
     pub fn with_length(length: usize) -> Self {
-        NormalForm { length, ..NormalForm::default() }
-    }
-
-    /// A normal form with centering and unit-variance scaling (used for the
-    /// cross-dataset tightness experiments).
-    pub fn z_normalized(length: usize) -> Self {
-        NormalForm { length, scale_to_unit_variance: true }
+        NormalForm { length }
     }
 
     /// Applies the pipeline to an arbitrary-length series.
@@ -55,14 +44,6 @@ impl NormalForm {
         assert!(self.length > 0, "canonical length must be positive");
         let mut out = resample(x, self.length);
         center(&mut out);
-        if self.scale_to_unit_variance {
-            let sd = std_dev(&out);
-            if sd > 1e-12 {
-                for v in &mut out {
-                    *v /= sd;
-                }
-            }
-        }
         out
     }
 }
@@ -117,24 +98,8 @@ mod tests {
     }
 
     #[test]
-    fn z_normalization_gives_unit_variance() {
-        let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.21).sin() * 40.0 + 7.0).collect();
-        let nf = NormalForm::z_normalized(128).apply(&x);
-        let sd = std_dev(&nf);
-        assert!((sd - 1.0).abs() < 1e-9, "sd = {sd}");
-    }
-
-    #[test]
-    fn constant_series_survives_z_normalization() {
-        let x = vec![5.0; 40];
-        let nf = NormalForm::z_normalized(64).apply(&x);
-        assert!(nf.iter().all(|v| v.abs() < 1e-12));
-    }
-
-    #[test]
     fn default_is_centering_only() {
         let d = NormalForm::default();
-        assert!(!d.scale_to_unit_variance);
         assert_eq!(d.length, 128);
     }
 }
