@@ -17,13 +17,15 @@ cargo test -q -p hum-server
 
 # Kernel layer: the shape everyone runs (unrolled lanes, AVX2 where the CPU
 # has it) against its scalar reference — a shape may change speed but never
-# bits. The property suite runs in debug and in release (the arithmetic and
-# the `unsafe` run optimised everywhere else); then the engine digest —
-# answers and index counters on every line, over a fixed workload on both
-# backends (R*-tree and flat sweep) — builds each section under both kernel
-# modes in one process, failing if their bytes differ, and must hash to the
-# committed results/engine_digest.sha256: a change that moves an answer or a
-# counter re-baselines it on purpose, in the same commit.
+# bits. The property suite, which also compares the engine's three
+# per-candidate kernels across shapes, runs in debug and in release (the
+# arithmetic and the `unsafe` run optimised everywhere else); the kernel
+# unit tests and the `repro kernels --quick` smoke below check the same.
+# Then the engine digest — one pass over a fixed workload on both backends
+# (R*-tree and flat sweep), every line carrying the answers, the index
+# counters and the cascade funnel (lb, lbi, exact, abandoned, cells) — must
+# hash to the committed results/engine_digest.sha256: a change that moves an
+# answer or a counter re-baselines it on purpose, in the same commit.
 cargo test -q -p hum-core --test kernel
 cargo test -q --release -p hum-core --test kernel
 # The flat feature sweep against the per-point scan it replaced (ids, order,
@@ -39,7 +41,7 @@ if ! sha256sum < "$DIGEST_DIR/digest.txt" | cmp -s - results/engine_digest.sha25
     echo "  cargo run -q --release -p hum-core --example engine_digest | sha256sum > results/engine_digest.sha256" >&2
     exit 1
 fi
-echo "engine_digest bit-identical across kernel modes, and to the committed hash"
+echo "engine_digest (answers, index counters, cascade funnel) equals the committed hash"
 
 # The paper tables regenerate: counters, tightness and accuracy cells are
 # deterministic by design, so the nine csv under results/ must equal a fresh

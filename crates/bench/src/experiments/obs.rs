@@ -16,7 +16,7 @@
 use serde::Serialize;
 
 use hum_core::dtw::band_for_warping_width;
-use hum_core::engine::{DtwIndexEngine, EngineConfig, EngineStats, QueryRequest};
+use hum_core::engine::{DtwIndexEngine, EngineStats, QueryRequest};
 use hum_core::normal::NormalForm;
 use hum_core::obs::{metrics_to_text, MetricsSink, MetricsSnapshot};
 use hum_core::transform::paa::NewPaa;
@@ -128,7 +128,6 @@ pub fn run(params: &Params) -> Output {
     let mut engine = DtwIndexEngine::new(
         NewPaa::new(n, params.dims),
         RStarTree::with_page_size(params.dims, 4096),
-        EngineConfig::default(),
     )
     .with_metrics(MetricsSink::enabled());
     for (i, s) in database.iter().enumerate() {

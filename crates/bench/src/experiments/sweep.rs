@@ -9,7 +9,7 @@
 use serde::Serialize;
 
 use hum_core::dtw::band_for_warping_width;
-use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
+use hum_core::engine::{DtwIndexEngine, QueryRequest};
 use hum_core::transform::paa::{KeoghPaa, NewPaa};
 use hum_core::transform::EnvelopeTransform;
 use hum_index::{RStarTree, SpatialIndex};
@@ -81,11 +81,7 @@ fn build_engine<T: EnvelopeTransform>(
     dims: usize,
     page_bytes: usize,
 ) -> DtwIndexEngine<T, RStarTree> {
-    let mut engine = DtwIndexEngine::new(
-        transform,
-        RStarTree::with_page_size(dims, page_bytes),
-        EngineConfig::default(),
-    );
+    let mut engine = DtwIndexEngine::new(transform, RStarTree::with_page_size(dims, page_bytes));
     for (i, s) in database.iter().enumerate() {
         engine.insert(i as u64, s.clone());
     }

@@ -9,8 +9,8 @@
 //! 1. compute the query's `k`-envelope and its feature-space image (a box),
 //! 2. range-search the index: candidates are points within ε of the box —
 //!    by Theorem 1 this never drops a true match,
-//! 3. optionally re-filter candidates with the full-dimension envelope bound
-//!    (the paper's "LB used as a second filter after the indexing scheme"),
+//! 3. re-filter candidates with the full-dimension envelope bound (the
+//!    paper's "LB used as a second filter after the indexing scheme"),
 //! 4. verify survivors with the exact banded DTW.
 //!
 //! Verification runs as a threshold-aware cascade in squared-distance space
@@ -91,36 +91,6 @@ use crate::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
 use crate::kernel::KernelMode;
 use crate::obs::{Metric, MetricsSink, QueryKind, QueryTrace};
 use crate::transform::EnvelopeTransform;
-
-/// Engine tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Apply the full-dimension envelope lower bound to index candidates
-    /// before running exact DTW (cheap and prunes aggressively).
-    pub envelope_refinement: bool,
-    /// Apply Lemire's two-pass `LB_Improved` to candidates that survive the
-    /// envelope bound, before exact DTW (costs two O(n) passes, prunes the
-    /// near-misses the plain envelope bound lets through).
-    pub lb_improved_refinement: bool,
-    /// Abandon exact DTW verification as soon as a DP row proves the
-    /// distance exceeds the query radius (or the current k-NN best-so-far).
-    pub early_abandon: bool,
-    /// Which [`KernelMode`] the verification kernels run in. Bit-identical
-    /// results in every mode; the default is the unrolled shape, and
-    /// [`KernelMode::Scalar`] exists as the reference to compare it with.
-    pub kernel: KernelMode,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            envelope_refinement: true,
-            lb_improved_refinement: true,
-            early_abandon: true,
-            kernel: KernelMode::default(),
-        }
-    }
-}
 
 /// Counters for one engine query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -493,7 +463,6 @@ pub struct DtwIndexEngine<T, I> {
     transform: T,
     index: I,
     series: SeriesArena,
-    config: EngineConfig,
     metrics: MetricsSink,
 }
 
@@ -503,14 +472,14 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     ///
     /// # Panics
     /// Panics if the index dimensionality differs from the transform output.
-    pub fn new(transform: T, index: I, config: EngineConfig) -> Self {
+    pub fn new(transform: T, index: I) -> Self {
         assert_eq!(
             index.dims(),
             transform.output_dims(),
             "index dimensionality must match the transform output"
         );
         let series = SeriesArena::new(transform.input_len());
-        DtwIndexEngine { transform, index, series, config, metrics: MetricsSink::Disabled }
+        DtwIndexEngine { transform, index, series, metrics: MetricsSink::Disabled }
     }
 
     /// Builder form of [`DtwIndexEngine::set_metrics`].
@@ -692,12 +661,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         self.try_query(request).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// `true` when either envelope-based refinement stage is configured, so
-    /// candidates carry an envelope bound.
-    fn envelope_stages(&self) -> bool {
-        self.config.envelope_refinement || self.config.lb_improved_refinement
-    }
-
     /// Resolves index candidates to arena slots — one id → slot lookup per
     /// candidate for the whole query. Slots come back ascending, so the
     /// sweep walks the arena front to back.
@@ -714,9 +677,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
     /// the envelope bound over each candidate's samples, requesting the
     /// lines of the candidates a few places ahead while it works on the
     /// current one. Returns the survivors with their bounds, in `slots`
-    /// order; everything else is booked as `lb_pruned`. With both
-    /// envelope-based refinement stages off there is nothing to compute
-    /// and every slot survives.
+    /// order; everything else is booked as `lb_pruned`.
     fn envelope_sweep(
         &self,
         prepared: &PreparedQuery<'_>,
@@ -726,11 +687,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         stats: &mut EngineStats,
     ) -> Result<Vec<Pending>, Expired> {
         let arena = &self.series;
-        let pending_at = |slot: u32, lb_sq: f64| Pending { lb_sq, id: arena.id_at(slot), slot };
-        if !self.envelope_stages() {
-            return Ok(slots.into_iter().map(|slot| pending_at(slot, 0.0)).collect());
-        }
-        let mode = self.config.kernel;
+        let mode = KernelMode::default();
         let mut pending = Vec::with_capacity(slots.len());
         for (i, &slot) in slots.iter().enumerate() {
             if budget.expired() {
@@ -744,7 +701,7 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
             if lb_sq > threshold_sq {
                 stats.lb_pruned += 1;
             } else {
-                pending.push(pending_at(slot, lb_sq));
+                pending.push(Pending { lb_sq, id: arena.id_at(slot), slot });
             }
         }
         Ok(pending)
@@ -764,32 +721,29 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         stats: &mut EngineStats,
         scratch: &mut QueryScratch,
     ) -> Option<f64> {
-        let mode = self.config.kernel;
+        let mode = KernelMode::default();
         let (query, band) = (prepared.series, prepared.band);
         let series = self.series.samples(candidate.slot);
-        if self.config.lb_improved_refinement {
-            let tail = lb_improved_tail_sq_mode(
-                query,
-                &prepared.envelope,
-                series,
-                band,
-                threshold_sq - candidate.lb_sq,
-                &mut scratch.lb,
-                mode,
-            );
-            if candidate.lb_sq + tail > threshold_sq {
-                stats.lb_improved_pruned += 1;
-                return None;
-            }
+        let tail = lb_improved_tail_sq_mode(
+            query,
+            &prepared.envelope,
+            series,
+            band,
+            threshold_sq - candidate.lb_sq,
+            &mut scratch.lb,
+            mode,
+        );
+        if candidate.lb_sq + tail > threshold_sq {
+            stats.lb_improved_pruned += 1;
+            return None;
         }
         stats.exact_computations += 1;
-        let dtw_threshold = if self.config.early_abandon { threshold_sq } else { f64::INFINITY };
         let d_sq = ldtw_distance_sq_bounded_with_mode(
             &mut scratch.ws,
             query,
             series,
             band,
-            dtw_threshold,
+            threshold_sq,
             mode,
         );
         if d_sq.is_infinite() {
@@ -1092,11 +1046,8 @@ mod tests {
 
     fn build_engine(series: &[Vec<f64>]) -> DtwIndexEngine<NewPaa, RStarTree> {
         let len = series[0].len();
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(len, 8),
-            RStarTree::with_page_size(8, 1024),
-            EngineConfig::default(),
-        );
+        let mut engine =
+            DtwIndexEngine::new(NewPaa::new(len, 8), RStarTree::with_page_size(8, 1024));
         for (i, s) in series.iter().enumerate() {
             engine.insert(i as ItemId, s.clone());
         }
@@ -1162,8 +1113,7 @@ mod tests {
 
         macro_rules! check {
             ($index:expr) => {{
-                let mut engine =
-                    DtwIndexEngine::new(NewPaa::new(64, 8), $index, EngineConfig::default());
+                let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), $index);
                 for (i, s) in series.iter().enumerate() {
                     engine.insert(i as ItemId, s.clone());
                 }
@@ -1219,16 +1169,10 @@ mod tests {
         let band = 4;
         let radius = 2.0;
 
-        let mut new_engine = DtwIndexEngine::new(
-            NewPaa::new(64, 8),
-            LinearScan::with_page_size(8, 1024),
-            EngineConfig { envelope_refinement: false, ..EngineConfig::default() },
-        );
-        let mut keogh_engine = DtwIndexEngine::new(
-            KeoghPaa::new(64, 8),
-            LinearScan::with_page_size(8, 1024),
-            EngineConfig { envelope_refinement: false, ..EngineConfig::default() },
-        );
+        let mut new_engine =
+            DtwIndexEngine::new(NewPaa::new(64, 8), LinearScan::with_page_size(8, 1024));
+        let mut keogh_engine =
+            DtwIndexEngine::new(KeoghPaa::new(64, 8), LinearScan::with_page_size(8, 1024));
         for (i, s) in series.iter().enumerate() {
             new_engine.insert(i as ItemId, s.clone());
             keogh_engine.insert(i as ItemId, s.clone());
@@ -1245,37 +1189,9 @@ mod tests {
     }
 
     #[test]
-    fn envelope_refinement_only_changes_work_not_answers() {
-        let series = lcg_series(200, 64, 8);
-        let query = lcg_series(1, 64, 555).remove(0);
-        let mut with = DtwIndexEngine::new(
-            NewPaa::new(64, 8),
-            RStarTree::with_page_size(8, 1024),
-            EngineConfig { envelope_refinement: true, ..EngineConfig::default() },
-        );
-        let mut without = DtwIndexEngine::new(
-            NewPaa::new(64, 8),
-            RStarTree::with_page_size(8, 1024),
-            EngineConfig { envelope_refinement: false, ..EngineConfig::default() },
-        );
-        for (i, s) in series.iter().enumerate() {
-            with.insert(i as ItemId, s.clone());
-            without.insert(i as ItemId, s.clone());
-        }
-        let a = range_of(&with, &query, 3, 2.5);
-        let b = range_of(&without, &query, 3, 2.5);
-        assert_eq!(a.matches, b.matches);
-        assert!(a.stats.exact_computations <= b.stats.exact_computations);
-    }
-
-    #[test]
     fn knn_with_k_zero_or_empty_engine() {
         let series = lcg_series(10, 32, 2);
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         assert!(knn_of(&engine, &series[0], 2, 3).matches.is_empty());
         engine.insert(0, series[0].clone());
         assert!(knn_of(&engine, &series[0], 2, 0).matches.is_empty());
@@ -1290,8 +1206,7 @@ mod tests {
 
         macro_rules! check {
             ($index:expr) => {{
-                let mut engine =
-                    DtwIndexEngine::new(NewPaa::new(64, 8), $index, EngineConfig::default());
+                let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), $index);
                 for (i, s) in series.iter().enumerate() {
                     engine.insert(i as ItemId, s.clone());
                 }
@@ -1320,11 +1235,7 @@ mod tests {
     #[test]
     fn removed_id_can_be_reinserted() {
         let series = lcg_series(3, 32, 2);
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         engine.insert(5, series[0].clone());
         assert!(engine.remove(5));
         engine.insert(5, series[1].clone());
@@ -1339,11 +1250,7 @@ mod tests {
     fn nan_in_inserted_series_rejected() {
         let mut series = lcg_series(1, 32, 4).remove(0);
         series[7] = f64::NAN;
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         engine.insert(0, series);
     }
 
@@ -1352,11 +1259,7 @@ mod tests {
     fn infinity_in_inserted_series_rejected() {
         let mut series = lcg_series(1, 32, 4).remove(0);
         series[0] = f64::INFINITY;
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         engine.insert(0, series);
     }
 
@@ -1364,11 +1267,7 @@ mod tests {
     #[should_panic(expected = "non-finite sample")]
     fn nan_in_range_query_rejected() {
         let series = lcg_series(4, 32, 4);
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         engine.insert(0, series[0].clone());
         let mut query = series[1].clone();
         query[3] = f64::NAN;
@@ -1379,11 +1278,7 @@ mod tests {
     #[should_panic(expected = "non-finite sample")]
     fn nan_in_knn_query_rejected() {
         let series = lcg_series(4, 32, 4);
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         engine.insert(0, series[0].clone());
         let mut query = series[1].clone();
         query[30] = f64::NEG_INFINITY;
@@ -1408,11 +1303,7 @@ mod tests {
     #[should_panic(expected = "duplicate id")]
     fn duplicate_id_rejected() {
         let series = lcg_series(2, 32, 4);
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         engine.insert(7, series[0].clone());
         engine.insert(7, series[1].clone());
     }
@@ -1420,11 +1311,7 @@ mod tests {
     #[test]
     fn try_insert_reports_every_error_and_mutates_nothing() {
         let series = lcg_series(3, 32, 4);
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         assert_eq!(
             engine.try_insert(0, vec![1.0; 31]),
             Err(EngineError::LengthMismatch {
@@ -1455,11 +1342,7 @@ mod tests {
     #[test]
     fn try_query_reports_every_error_variant() {
         let series = lcg_series(2, 32, 4);
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(32, 4),
-            RStarTree::new(4),
-            EngineConfig::default(),
-        );
+        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         engine.insert(0, series[0].clone());
         let empty = QueryRequest::range(1.0);
         assert_eq!(engine.try_query(&empty), Err(EngineError::EmptyQuery));

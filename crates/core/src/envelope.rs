@@ -95,16 +95,8 @@ impl Envelope {
     /// # Panics
     /// Panics if `x.len() != self.len()`.
     pub fn distance_sq(&self, x: &[f64]) -> f64 {
-        self.distance_sq_mode(x, KernelMode::default())
-    }
-
-    /// [`Envelope::distance_sq`] with an explicit [`KernelMode`].
-    ///
-    /// # Panics
-    /// Panics if `x.len() != self.len()`.
-    pub fn distance_sq_mode(&self, x: &[f64], mode: KernelMode) -> f64 {
         assert_eq!(x.len(), self.len(), "length mismatch");
-        crate::kernel::lb::env_lb_sq(mode, &self.lower, &self.upper, x)
+        crate::kernel::lb::env_lb_sq(KernelMode::default(), &self.lower, &self.upper, x)
     }
 
     /// Root of [`Envelope::distance_sq`].

@@ -16,9 +16,9 @@
 //! DTW sweep is the reference for the index path). The floating-point *recipe* — lane
 //! counts, accumulation order, combine tree — is fixed per kernel and
 //! shared by every shape, so they are bit-identical by construction;
-//! `crates/core/tests/kernel.rs`, the in-module tests and the
-//! `engine_digest` example (which builds every section under both modes
-//! and compares bytes) hold them to it.
+//! `crates/core/tests/kernel.rs` (including the three kernels the engine
+//! runs per candidate, on every series of an engine's corpus), the
+//! in-module tests and `repro kernels` hold them to it.
 
 pub mod dtw_row;
 pub mod lb;
@@ -32,7 +32,7 @@ pub mod window;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelMode {
     /// Portable scalar loops: the reference shape, selected only
-    /// explicitly (tests, the digest's cross-check).
+    /// explicitly (the kernel tests, `repro kernels`).
     Scalar,
     /// Explicit 4/8-lane blocks, AVX2 where the CPU has it. The default.
     #[default]

@@ -43,7 +43,7 @@
 //! # Quick example
 //!
 //! ```
-//! use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
+//! use hum_core::engine::{DtwIndexEngine, QueryRequest};
 //! use hum_core::transform::paa::NewPaa;
 //! use hum_index::RStarTree;
 //!
@@ -54,7 +54,7 @@
 //!
 //! let transform = NewPaa::new(16, 4);
 //! let index = RStarTree::new(4);
-//! let mut engine = DtwIndexEngine::new(transform, index, EngineConfig::default());
+//! let mut engine = DtwIndexEngine::new(transform, index);
 //! for (id, series) in db.iter().enumerate() {
 //!     engine.insert(id as u64, series.clone());
 //! }

@@ -12,15 +12,12 @@
 //!
 //! Because the request is a pure function of the frames held, a query built
 //! after any sequence of appends is **bit-identical** — matches and
-//! counters — to one built from the same frames appended at once, at every
-//! thread count and [`KernelMode`]; `crates/core/tests/session.rs` proves it
-//! under both kernel modes. Query-as-you-hum is therefore a caller's loop
+//! counters — to one built from the same frames appended at once;
+//! `crates/core/tests/session.rs` proves it. Query-as-you-hum is therefore a caller's loop
 //! over growing prefixes, and nothing is kept between them: the canonical
 //! form resamples the whole prefix to a fixed length (tempo invariance,
 //! Uniform Time Warping), so every new frame moves *every* resample
 //! position and no per-frame state could extend the previous view.
-//!
-//! [`KernelMode`]: crate::kernel::KernelMode
 
 use crate::engine::{EngineError, QueryBudget, QueryRequest};
 use crate::normal::NormalForm;

@@ -16,7 +16,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use hum_core::dtw::ldtw_distance;
-use hum_core::engine::{DtwIndexEngine, EngineConfig, EngineError, QueryRequest};
+use hum_core::engine::{DtwIndexEngine, EngineError, QueryRequest};
 use hum_core::transform::paa::NewPaa;
 use hum_index::{ItemId, RStarTree};
 use proptest::prelude::*;
@@ -30,11 +30,7 @@ type Engine = DtwIndexEngine<NewPaa, RStarTree>;
 type Model = HashMap<ItemId, Vec<f64>>;
 
 fn engine() -> Engine {
-    DtwIndexEngine::new(
-        NewPaa::new(LEN, DIMS),
-        RStarTree::with_page_size(DIMS, 256),
-        EngineConfig::default(),
-    )
+    DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 256))
 }
 
 /// A deterministic series for `(id, version)`: re-inserting an id stores

@@ -1,11 +1,11 @@
 //! Engine-level properties of the verification cascade: every stage
 //! (envelope bound, `LB_Improved`, early-abandoning DTW) is exact with
-//! respect to its prune threshold, so turning the cascade on or off must be
-//! invisible in the answers — same ids, bit-identical distances to a
-//! brute-force `ldtw_distance` sweep — on every index backend.
+//! respect to its prune threshold, so the cascade is invisible in the
+//! answers — same ids, bit-identical distances to a brute-force
+//! `ldtw_distance` sweep — on every index backend.
 
 use hum_core::dtw::ldtw_distance;
-use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
+use hum_core::engine::{DtwIndexEngine, QueryRequest};
 use hum_core::transform::paa::NewPaa;
 use hum_index::{LinearScan, RStarTree, SpatialIndex};
 use proptest::prelude::*;
@@ -59,18 +59,16 @@ fn brute_force(
     vec![bits(&in_range), bits(&all[..k.min(all.len())])]
 }
 
-/// Bit-exact images of the range and k-NN answers under one backend +
-/// config.
+/// Bit-exact images of the range and k-NN answers on one backend.
 fn answers<I: SpatialIndex>(
-    make: impl Fn() -> I,
-    config: EngineConfig,
+    index: I,
     database: &[Vec<f64>],
     query: &[f64],
     band: usize,
     radius: f64,
     k: usize,
 ) -> Vec<Vec<(u64, u64)>> {
-    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), make(), config);
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), index);
     for (i, s) in database.iter().enumerate() {
         engine.insert(i as u64, s.clone());
     }
@@ -86,7 +84,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn cascade_and_backend_are_invisible_in_answers(
+    fn answers_equal_brute_force_on_both_backends(
         seed in any::<u64>(),
         band in 0usize..8,
         k in 1usize..8,
@@ -94,25 +92,17 @@ proptest! {
     ) {
         let database = lcg_series(N, seed);
         let query = lcg_series(1, seed ^ 0x00ab_cdef).remove(0);
-        let off = EngineConfig {
-            envelope_refinement: false,
-            lb_improved_refinement: false,
-            early_abandon: false,
-            ..EngineConfig::default()
-        };
         let reference = brute_force(&database, &query, band, radius, k);
         prop_assert!(
             reference[0].len() <= N && reference[1].len() == k.min(N),
             "reference answers malformed"
         );
-        for config in [off, EngineConfig::default()] {
-            let variants = [
-                answers(|| RStarTree::with_page_size(4, 1024), config, &database, &query, band, radius, k),
-                answers(|| LinearScan::with_page_size(4, 1024), config, &database, &query, band, radius, k),
-            ];
-            for got in &variants {
-                prop_assert_eq!(got, &reference);
-            }
+        let variants = [
+            answers(RStarTree::with_page_size(4, 1024), &database, &query, band, radius, k),
+            answers(LinearScan::with_page_size(4, 1024), &database, &query, band, radius, k),
+        ];
+        for got in &variants {
+            prop_assert_eq!(got, &reference);
         }
     }
 }

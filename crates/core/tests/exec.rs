@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use hum_core::dtw::ldtw_distance;
 use hum_core::engine::{
-    DtwIndexEngine, EngineConfig, EngineError, QueryBudget, QueryRequest, QueryScratch, RequestKind,
+    DtwIndexEngine, EngineError, QueryBudget, QueryRequest, QueryScratch, RequestKind,
 };
 use hum_core::obs::{Metric, MetricsSink};
 use hum_core::transform::paa::NewPaa;
@@ -47,7 +47,7 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<f64>> {
 
 /// An engine over `series` (ids are positions) on the `index` backend.
 fn engine<I: SpatialIndex>(series: &[Vec<f64>], index: I) -> DtwIndexEngine<NewPaa, I> {
-    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, DIMS), index, EngineConfig::default());
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, DIMS), index);
     for (i, s) in series.iter().enumerate() {
         engine.insert(i as ItemId, s.clone());
     }

@@ -1,12 +1,14 @@
 //! Property tests for the kernel layer's load-bearing contract, **mode
 //! invariance**: `KernelMode::Scalar` and `KernelMode::Unrolled` return
-//! identical bits from every kernel — so the engine's answers *and
-//! counters* do not depend on the mode — and the kernel-layer DTW matches a
-//! reference transcription of the classic branchy row loop bit for bit.
+//! identical bits from every kernel — including the three the engine runs
+//! per candidate (envelope bound, `LB_Improved` tail, banded DTW), on every
+//! stored series of an engine whose answers equal a brute-force sweep —
+//! and the kernel-layer DTW matches a reference transcription of the
+//! classic branchy row loop bit for bit.
 
 use hum_core::dtw::{ldtw_distance, ldtw_distance_sq_bounded_with_mode, DtwWorkspace};
-use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest, QueryScratch};
-use hum_core::envelope::Envelope;
+use hum_core::engine::{DtwIndexEngine, QueryRequest, QueryScratch};
+use hum_core::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
 use hum_core::kernel::lb::env_lb_sq_bounded;
 use hum_core::kernel::KernelMode;
 use hum_core::transform::paa::NewPaa;
@@ -109,10 +111,13 @@ proptest! {
         }
     }
 
-    /// Engine-level: answers AND counters are bit-identical across kernel
-    /// modes, and the range answer is a brute-force sweep's, bit for bit.
+    /// Engine-level: the range answer is a brute-force sweep's, bit for
+    /// bit, on both backends, which also agree on the k-NN answer; and the
+    /// three kernels the engine runs per candidate return the same bits in
+    /// both modes for every stored series, at the query's threshold and
+    /// unbounded.
     #[test]
-    fn engine_invariant_to_kernel_mode(
+    fn engine_matches_sweep_and_its_candidate_kernels_are_mode_invariant(
         seed in any::<u64>(),
         band in 0usize..6,
         k in 1usize..6,
@@ -142,33 +147,38 @@ proptest! {
             .collect();
         swept.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
 
-        let mut reference = None;
-        for kernel in MODES {
-            let config = EngineConfig { kernel, ..EngineConfig::default() };
-            let mut engine =
-                DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::new(4), config);
-            let mut linear = DtwIndexEngine::new(
-                NewPaa::new(LEN, 4),
-                LinearScan::with_page_size(4, 1024),
-                config,
-            );
-            for (i, s) in database.iter().enumerate() {
-                engine.insert(i as u64, s.clone());
-                linear.insert(i as u64, s.clone());
-            }
-            let mut scratch = QueryScratch::new();
-            let range = QueryRequest::range(radius).with_series(query.clone()).with_band(band);
-            let knn = QueryRequest::knn(k).with_series(query.clone()).with_band(band);
-            let outputs = (
-                engine.try_query_with(&range, &mut scratch).unwrap().result,
-                engine.try_query_with(&knn, &mut scratch).unwrap().result,
-                linear.query(&range).result,
-                linear.query(&knn).result,
-            );
-            prop_assert_eq!(&outputs.0.matches, &swept, "kernel {:?}", kernel);
-            match &reference {
-                None => reference = Some(outputs),
-                Some(want) => prop_assert_eq!(want, &outputs, "config {:?}", config),
+        let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::new(4));
+        let mut linear =
+            DtwIndexEngine::new(NewPaa::new(LEN, 4), LinearScan::with_page_size(4, 1024));
+        for (i, s) in database.iter().enumerate() {
+            engine.insert(i as u64, s.clone());
+            linear.insert(i as u64, s.clone());
+        }
+        let mut scratch = QueryScratch::new();
+        let range = QueryRequest::range(radius).with_series(query.clone()).with_band(band);
+        let knn = QueryRequest::knn(k).with_series(query.clone()).with_band(band);
+        prop_assert_eq!(&engine.try_query_with(&range, &mut scratch).unwrap().result.matches, &swept);
+        prop_assert_eq!(&linear.query(&range).result.matches, &swept);
+        prop_assert_eq!(
+            engine.try_query_with(&knn, &mut scratch).unwrap().result.matches,
+            linear.query(&knn).result.matches
+        );
+
+        let env = Envelope::compute(&query, band);
+        let (mut ws, mut lb) = (DtwWorkspace::new(), LbScratch::new());
+        for (i, s) in database.iter().enumerate() {
+            for thr in [radius * radius, f64::INFINITY] {
+                let [scalar, unrolled] = MODES.map(|mode| {
+                    let env_lb = env.distance_sq_bounded_mode(s, thr, mode);
+                    let tail =
+                        lb_improved_tail_sq_mode(&query, &env, s, band, thr - env_lb, &mut lb, mode);
+                    let dtw = ldtw_distance_sq_bounded_with_mode(&mut ws, &query, s, band, thr, mode);
+                    [env_lb.to_bits(), tail.to_bits(), dtw.to_bits()]
+                });
+                prop_assert_eq!(
+                    scalar, unrolled,
+                    "series {} at threshold {}: [env lb, LB_Improved tail, dtw]", i, thr
+                );
             }
         }
     }
@@ -182,8 +192,7 @@ fn scratch_reuse_across_mixed_queries_is_invisible() {
         .map(|s| (0..LEN).map(|t| ((t * (s + 2)) as f64 * 0.13).sin() * 3.0).collect())
         .collect();
     let query: Vec<f64> = (0..LEN).map(|t| (t as f64 * 0.21).cos() * 2.0).collect();
-    let mut engine =
-        DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::new(4), EngineConfig::default());
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::new(4));
     for (i, s) in database.iter().enumerate() {
         engine.insert(i as u64, s.clone());
     }

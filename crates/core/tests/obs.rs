@@ -10,9 +10,7 @@
 
 use std::sync::Arc;
 
-use hum_core::engine::{
-    DtwIndexEngine, EngineConfig, EngineError, EngineStats, QueryRequest,
-};
+use hum_core::engine::{DtwIndexEngine, EngineError, EngineStats, QueryRequest};
 use hum_core::obs::{
     metrics_to_text, to_json_string, trace_to_text, Metric, MetricsRegistry, MetricsSink,
 };
@@ -44,11 +42,7 @@ fn lcg_series(n: usize, seed: u64) -> Vec<Vec<f64>> {
 }
 
 fn build_engine(series: &[Vec<f64>]) -> DtwIndexEngine<NewPaa, RStarTree> {
-    let mut engine = DtwIndexEngine::new(
-        NewPaa::new(LEN, 4),
-        RStarTree::with_page_size(4, 1024),
-        EngineConfig::default(),
-    );
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::with_page_size(4, 1024));
     for (i, s) in series.iter().enumerate() {
         engine.insert(i as u64, s.clone());
     }

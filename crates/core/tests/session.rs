@@ -1,14 +1,10 @@
 //! The linchpin invariant of [`QuerySession`]: a request built after any
 //! sequence of appends is **bit-identical** — matches, counters, and trace
-//! — to a one-shot query over the same prefix, under every [`KernelMode`],
-//! for range and k-NN alike.
+//! — to a one-shot query over the same prefix, for range and k-NN alike.
 
 use std::time::Duration;
 
-use hum_core::engine::{
-    DtwIndexEngine, EngineConfig, EngineError, QueryBudget, QueryRequest, QueryScratch,
-};
-use hum_core::kernel::KernelMode;
+use hum_core::engine::{DtwIndexEngine, EngineError, QueryBudget, QueryRequest, QueryScratch};
 use hum_core::normal::NormalForm;
 use hum_core::session::QuerySession;
 use hum_core::transform::paa::NewPaa;
@@ -42,10 +38,9 @@ fn raw_hums(n: usize, seed: u64) -> Vec<Vec<f64>> {
 
 type Engine = DtwIndexEngine<NewPaa, RStarTree>;
 
-fn engine(corpus: &[Vec<f64>], normal: &NormalForm, kernel: KernelMode) -> Engine {
-    let config = EngineConfig { kernel, ..EngineConfig::default() };
+fn engine(corpus: &[Vec<f64>], normal: &NormalForm) -> Engine {
     let mut engine =
-        DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 1024), config);
+        DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 1024));
     for (i, hum) in corpus.iter().enumerate() {
         engine.try_insert(i as ItemId, normal.apply(hum)).expect("insert normal form");
     }
@@ -78,8 +73,8 @@ fn one_shot(
 
 /// The linchpin: stream a hum in uneven chunks; after every append the
 /// session's refinement equals the one-shot answer over the same prefix —
-/// whole [`QueryOutcome`]s compared (matches AND counters AND trace), over
-/// KernelMode {Scalar, Unrolled} × {k-NN, range}.
+/// whole [`QueryOutcome`]s compared (matches AND counters AND trace), for
+/// k-NN and range.
 #[test]
 fn refine_is_bit_identical_to_one_shot_over_every_prefix() {
     let corpus = raw_hums(40, 7);
@@ -89,32 +84,27 @@ fn refine_is_bit_identical_to_one_shot_over_every_prefix() {
         QueryRequest::knn(5).with_band(BAND).with_trace(true),
         QueryRequest::range(2.5).with_band(BAND).with_trace(true),
     ];
-    for kernel in [KernelMode::Scalar, KernelMode::Unrolled] {
-        let engine = engine(&corpus, &normal, kernel);
-        for template in &templates {
-            let mut session = QuerySession::new(template.clone(), normal);
-            let mut scratch = QueryScratch::new();
-            let mut consumed = 0usize;
-            // Uneven chunk sizes exercise append batching; every checkpoint
-            // must agree with the one-shot prefix query.
-            for chunk in [3usize, 1, 7, 11, 2, 19, 30].iter().cycle() {
-                if consumed >= query_hum.len() {
-                    break;
-                }
-                let end = (consumed + chunk).min(query_hum.len());
-                session.append(&query_hum[consumed..end]).expect("finite frames");
-                consumed = end;
-                let refined = refine(&session, &engine, QueryBudget::unlimited(), &mut scratch)
-                    .expect("refine");
-                let reference = one_shot(&engine, &normal, template, &query_hum[..consumed])
-                    .expect("one-shot");
-                assert_eq!(
-                    refined, reference,
-                    "refine != one-shot at prefix {consumed} ({kernel:?})"
-                );
+    let engine = engine(&corpus, &normal);
+    for template in &templates {
+        let mut session = QuerySession::new(template.clone(), normal);
+        let mut scratch = QueryScratch::new();
+        let mut consumed = 0usize;
+        // Uneven chunk sizes exercise append batching; every checkpoint
+        // must agree with the one-shot prefix query.
+        for chunk in [3usize, 1, 7, 11, 2, 19, 30].iter().cycle() {
+            if consumed >= query_hum.len() {
+                break;
             }
-            assert_eq!(consumed, query_hum.len());
+            let end = (consumed + chunk).min(query_hum.len());
+            session.append(&query_hum[consumed..end]).expect("finite frames");
+            consumed = end;
+            let refined =
+                refine(&session, &engine, QueryBudget::unlimited(), &mut scratch).expect("refine");
+            let reference =
+                one_shot(&engine, &normal, template, &query_hum[..consumed]).expect("one-shot");
+            assert_eq!(refined, reference, "refine != one-shot at prefix {consumed}");
         }
+        assert_eq!(consumed, query_hum.len());
     }
 }
 
@@ -124,7 +114,7 @@ fn refine_is_bit_identical_to_one_shot_over_every_prefix() {
 fn refine_on_empty_session_is_a_typed_error() {
     let corpus = raw_hums(10, 3);
     let normal = NormalForm::with_length(LEN);
-    let engine = engine(&corpus, &normal, KernelMode::default());
+    let engine = engine(&corpus, &normal);
     let mut session = QuerySession::new(QueryRequest::knn(3).with_band(BAND), normal);
     let mut scratch = QueryScratch::new();
     assert_eq!(
@@ -141,7 +131,7 @@ fn refine_on_empty_session_is_a_typed_error() {
 fn expired_budget_mid_refine_returns_partial_stats() {
     let corpus = raw_hums(30, 5);
     let normal = NormalForm::with_length(LEN);
-    let engine = engine(&corpus, &normal, KernelMode::default());
+    let engine = engine(&corpus, &normal);
     let mut session = QuerySession::new(QueryRequest::knn(4).with_band(BAND), normal);
     let mut scratch = QueryScratch::new();
     session.append(&corpus[7]).expect("finite frames");

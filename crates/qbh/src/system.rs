@@ -30,8 +30,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use hum_audio::{track_pitch, PitchTrackerConfig};
 use hum_core::dtw::band_for_warping_width;
 use hum_core::engine::{
-    check_finite, DtwIndexEngine, EngineConfig, EngineError, EngineStats, QueryRequest,
-    QueryScratch,
+    check_finite, DtwIndexEngine, EngineError, EngineStats, QueryRequest, QueryScratch,
 };
 use hum_core::normal::NormalForm;
 use hum_core::obs::{Metric, MetricsSink, QueryTrace};
@@ -297,7 +296,7 @@ fn booked(metrics: &MetricsSink, written: Result<u64, StorageError>) -> Result<u
 fn new_engine(config: &QbhConfig) -> QbhEngine {
     let transform = NewPaa::new(config.normal_length, config.feature_dims);
     let index = LinearScan::with_page_size(config.feature_dims, config.page_bytes);
-    DtwIndexEngine::new(transform, index, EngineConfig::default())
+    DtwIndexEngine::new(transform, index)
 }
 
 /// A built query-by-humming system.

@@ -5,7 +5,7 @@
 //! refinement).
 
 use hum_core::dtw::ldtw_distance;
-use hum_core::engine::{DtwIndexEngine, EngineConfig, QueryRequest};
+use hum_core::engine::{DtwIndexEngine, QueryRequest};
 use hum_core::transform::dft::Dft;
 use hum_core::transform::dwt::Dwt;
 use hum_core::transform::paa::{KeoghPaa, NewPaa};
@@ -72,7 +72,6 @@ proptest! {
                     // engine, so fit a fresh boxed clone from the same data.
                     clone_transform(&*transform, &database),
                     index,
-                    EngineConfig::default(),
                 );
                 for (i, s) in database.iter().enumerate() {
                     engine.insert(i as u64, s.clone());
@@ -105,11 +104,8 @@ proptest! {
             .collect();
         brute.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
 
-        let mut engine = DtwIndexEngine::new(
-            NewPaa::new(LEN, DIMS),
-            RStarTree::with_page_size(DIMS, 1024),
-            EngineConfig::default(),
-        );
+        let mut engine =
+            DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 1024));
         for (i, s) in database.iter().enumerate() {
             engine.insert(i as u64, s.clone());
         }
