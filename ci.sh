@@ -88,8 +88,9 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml --target-dir
     -- --skip replay::tests::replay_reproduces_the_real_query_on_500_melodies --exact
 bash benchmark/run.sh --smoke
 
-# Every panic!() in library code must be a documented wrapper around a
-# try_ API (tools/panic_allowlist.txt); hum-qbh and hum-server are
+# Every panic!() in library code must be documented and listed in
+# tools/panic_allowlist.txt (bad input is a typed error from a try_ API, so
+# the list holds only broken caller invariants); hum-qbh and hum-server are
 # additionally scanned for .unwrap()/.expect() since they parse untrusted
 # bytes (store files and wire frames respectively). The kernel layer is held
 # to the same standard (it additionally contains the only unsafe in the

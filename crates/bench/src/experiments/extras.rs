@@ -196,12 +196,12 @@ pub fn run(params: &Params) -> Output {
     for (name, index) in backend_list {
         let mut engine = DtwIndexEngine::new(NewPaa::new(params.length, params.dims), index);
         for (i, s) in database.iter().enumerate() {
-            engine.insert(i as u64, s.clone());
+            engine.try_insert(i as u64, s.clone()).expect("finite normal form");
         }
         let (mut cand, mut pages) = (0u64, 0u64);
         for q in &queries {
             let request = QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-            let r = engine.query(&request).result;
+            let r = engine.try_query(&request).expect("valid query").result;
             cand += r.stats.index.candidates;
             pages += r.stats.index.node_accesses;
         }
@@ -247,14 +247,14 @@ pub fn run(params: &Params) -> Output {
         let mut engine =
             DtwIndexEngine::new(transform, RStarTree::with_page_size(params.dims, 4096));
         for (i, s) in database.iter().enumerate() {
-            engine.insert(i as u64, s.clone());
+            engine.try_insert(i as u64, s.clone()).expect("finite normal form");
         }
         let total: u64 = queries
             .iter()
             .map(|q| {
                 let request =
                     QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-                engine.query(&request).result.stats.index.candidates
+                engine.try_query(&request).expect("valid query").result.stats.index.candidates
             })
             .sum();
         transforms.push(TransformRow {
@@ -271,12 +271,12 @@ pub fn run(params: &Params) -> Output {
         RStarTree::with_page_size(params.dims, 4096),
     );
     for (i, s) in database.iter().enumerate() {
-        engine.insert(i as u64, s.clone());
+        engine.try_insert(i as u64, s.clone()).expect("finite normal form");
     }
     let mut full = EngineStats::default();
     for q in &queries {
         let request = QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-        full.absorb(&engine.query(&request).result.stats);
+        full.absorb(&engine.try_query(&request).expect("valid query").result.stats);
     }
     // The DP cells of one full banded DTW, as the kernel counts them.
     let mut ws = DtwWorkspace::new();

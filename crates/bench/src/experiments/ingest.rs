@@ -14,6 +14,7 @@ use std::time::Instant;
 
 use serde::Serialize;
 
+use hum_core::engine::QueryRequest;
 use hum_music::{SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::eval::generate_hums;
@@ -111,7 +112,11 @@ pub fn run(params: &Params) -> Output {
             .into_iter()
             .map(|h| h.series)
             .collect();
-    let expected: Vec<_> = hums.iter().map(|h| monolithic.query_series(h, 10)).collect();
+    let top10 = |system: &QbhSystem, hum: &[f64]| {
+        let request = QueryRequest::knn(10).with_band(system.band());
+        system.try_query_request(hum, request).expect("valid hum query").0
+    };
+    let expected: Vec<_> = hums.iter().map(|h| top10(&monolithic, h)).collect();
 
     let mut rows = Vec::new();
     for &memtable in &params.memtable_capacities {
@@ -134,7 +139,7 @@ pub fn run(params: &Params) -> Output {
             && hums
                 .iter()
                 .zip(&expected)
-                .all(|(h, want)| reopened.query_series(h, 10).matches == want.matches);
+                .all(|(h, want)| top10(&reopened, h).matches == want.matches);
 
         rows.push(IngestRow {
             memtable,

@@ -131,7 +131,7 @@ pub fn run(params: &Params) -> Output {
     )
     .with_metrics(MetricsSink::enabled());
     for (i, s) in database.iter().enumerate() {
-        engine.insert(i as u64, s.clone());
+        engine.try_insert(i as u64, s.clone()).expect("finite normal form");
     }
 
     let widths: Vec<f64> = paper_widths().into_iter().take(params.width_steps).collect();

@@ -83,7 +83,7 @@ fn build_engine<T: EnvelopeTransform>(
 ) -> DtwIndexEngine<T, RStarTree> {
     let mut engine = DtwIndexEngine::new(transform, RStarTree::with_page_size(dims, page_bytes));
     for (i, s) in database.iter().enumerate() {
-        engine.insert(i as u64, s.clone());
+        engine.try_insert(i as u64, s.clone()).expect("finite normal form");
     }
     engine
 }
@@ -107,7 +107,7 @@ fn sweep_one<T: EnvelopeTransform, I: SpatialIndex>(
             for q in queries {
                 let request =
                     QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-                let result = engine.query(&request).result;
+                let result = engine.try_query(&request).expect("valid query").result;
                 candidates += result.stats.index.candidates;
                 pages += result.stats.index.node_accesses;
                 matches += result.stats.matches;

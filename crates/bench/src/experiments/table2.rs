@@ -57,7 +57,7 @@ pub fn run(params: &Params) -> Output {
     });
     let system = QbhSystem::build(&db, &QbhConfig::default());
     let hums = generate_hums_audio(&db, SingerProfile::good(), params.queries, params.seed);
-    let ts = evaluate_timeseries(&system, &hums);
+    let ts = evaluate_timeseries(&system, &hums, system.band()).expect("valid hum queries");
     let contour = evaluate_contour(&db, &hums, ContourAlphabet::Five);
     Output {
         melodies: db.len(),

@@ -11,7 +11,7 @@ use serde::Serialize;
 use hum_core::dtw::band_for_warping_width;
 use hum_music::{SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::eval::{evaluate_timeseries_banded, generate_hums_audio};
+use hum_qbh::eval::{evaluate_timeseries, generate_hums_audio};
 use hum_qbh::system::{QbhConfig, QbhSystem};
 
 use crate::report::TextTable;
@@ -67,7 +67,7 @@ pub fn run(params: &Params) -> Output {
         .iter()
         .map(|&w| {
             let band = band_for_warping_width(w, config.normal_length);
-            evaluate_timeseries_banded(&system, &hums, band).as_row()
+            evaluate_timeseries(&system, &hums, band).expect("valid hum queries").as_row()
         })
         .collect();
     Output { melodies: db.len(), queries: params.queries, bins }

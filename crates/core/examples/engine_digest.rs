@@ -65,17 +65,17 @@ fn digest<I: SpatialIndex>(out: &mut String, name: &str, index: I) {
     let queries = lcg_series(12, 64, 777);
     let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), index);
     for (i, s) in series.iter().enumerate() {
-        engine.insert(i as ItemId, s.clone());
+        engine.try_insert(i as ItemId, s.clone()).unwrap();
     }
     for (qi, q) in queries.iter().enumerate() {
         for (band, radius) in [(0usize, 1.2), (3, 2.0), (6, 3.5)] {
             let request = QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-            let r = engine.query(&request).result;
+            let r = engine.try_query(&request).unwrap().result;
             let _ = writeln!(out, "{name} q{qi} range b{band} r{radius}: {}", fields(&r));
         }
         for (band, k) in [(0usize, 1), (3, 5), (6, 17)] {
-            let r =
-                engine.query(&QueryRequest::knn(k).with_series(q.clone()).with_band(band)).result;
+            let request = QueryRequest::knn(k).with_series(q.clone()).with_band(band);
+            let r = engine.try_query(&request).unwrap().result;
             let _ = writeln!(out, "{name} q{qi} knn b{band} k{k}: {}", fields(&r));
         }
     }

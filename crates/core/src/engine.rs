@@ -55,8 +55,8 @@
 //! Every query goes through one request type: build a [`QueryRequest`]
 //! ([`QueryRequest::range`] / [`QueryRequest::knn`], with optional band
 //! override, per-query trace toggle and time budget) and execute it with
-//! [`DtwIndexEngine::query`] (panicking) or [`DtwIndexEngine::try_query`]
-//! (returning [`EngineError`]), both callers of
+//! [`DtwIndexEngine::try_query`], which returns an [`EngineError`] for a
+//! malformed request and is a fresh-scratch caller of
 //! [`DtwIndexEngine::try_query_with`]: validate → prepare → run → record →
 //! trace. Matches are bit-identical to a brute-force DTW sweep, and matches,
 //! counters and traces are functions of `(query, corpus)` alone: every
@@ -127,10 +127,6 @@ impl EngineStats {
 
 /// A rejected input, reported at the engine boundary before any state is
 /// touched (failed calls never mutate the engine or the index).
-///
-/// The panicking entry points (`insert`, `query`) format
-/// these with `Display`, so the legacy panic messages — "must be in normal
-/// form", "non-finite sample ...", "duplicate id ..." — are unchanged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EngineError {
     /// The query series has no samples.
@@ -171,6 +167,14 @@ pub enum EngineError {
         /// Work counters accumulated before the abort.
         stats: EngineStats,
     },
+    /// A recording's sample rate is too low to pitch-track: raised by the
+    /// audio query path above the engine, before any tracking.
+    UnsupportedSampleRate {
+        /// The recording's sample rate in Hz.
+        rate: u32,
+        /// The lowest rate the pitch tracker accepts.
+        min: u32,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -193,6 +197,9 @@ impl fmt::Display for EngineError {
                 "deadline exceeded after {} candidates examined ({} exact DTW computations)",
                 stats.index.candidates, stats.exact_computations
             ),
+            EngineError::UnsupportedSampleRate { rate, min } => {
+                write!(f, "sample rate {rate} Hz is below the {min} Hz pitch tracking needs")
+            }
         }
     }
 }
@@ -238,7 +245,7 @@ type SeedRun = Run<(Vec<(ItemId, f64)>, Vec<(ItemId, f64)>)>;
 /// cascade trace when the request asked for one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOutcome {
-    /// Matches and work counters — identical to the legacy entry points.
+    /// Matches and work counters.
     pub result: QueryResult,
     /// The cascade trajectory, present iff [`QueryRequest::with_trace`] was
     /// set. Counters only; bit-identical across runs.
@@ -311,7 +318,7 @@ pub enum RequestKind {
 }
 
 /// One similarity query, built fluently and executed with
-/// [`DtwIndexEngine::query`] / [`DtwIndexEngine::try_query`].
+/// [`DtwIndexEngine::try_query`].
 ///
 /// ```
 /// use hum_core::engine::QueryRequest;
@@ -561,15 +568,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         Ok(())
     }
 
-    /// Panicking form of [`DtwIndexEngine::try_insert`].
-    ///
-    /// # Panics
-    /// Panics if the length is wrong, the id is already present, or any
-    /// sample is NaN/infinite.
-    pub fn insert(&mut self, id: ItemId, series: Vec<f64>) {
-        self.try_insert(id, series).unwrap_or_else(|e| panic!("{e}"));
-    }
-
     /// Removes the series stored under `id` from both the store and the
     /// index. Returns `true` if it was present.
     pub fn remove(&mut self, id: ItemId) -> bool {
@@ -651,14 +649,6 @@ impl<T: EnvelopeTransform, I: SpatialIndex> DtwIndexEngine<T, I> {
         self.metrics.record_query(kind, &stats, started);
         let trace = request.trace_enabled().then_some(QueryTrace { kind, band, stats });
         Ok(QueryOutcome { result: QueryResult { matches, stats }, trace })
-    }
-
-    /// Panicking form of [`DtwIndexEngine::try_query`].
-    ///
-    /// # Panics
-    /// Panics on any [`EngineError`] the `try_` form would return.
-    pub fn query(&self, request: &QueryRequest) -> QueryOutcome {
-        self.try_query(request).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Resolves index candidates to arena slots — one id → slot lookup per
@@ -1049,7 +1039,7 @@ mod tests {
         let mut engine =
             DtwIndexEngine::new(NewPaa::new(len, 8), RStarTree::with_page_size(8, 1024));
         for (i, s) in series.iter().enumerate() {
-            engine.insert(i as ItemId, s.clone());
+            engine.try_insert(i as ItemId, s.clone()).unwrap();
         }
         engine
     }
@@ -1060,7 +1050,8 @@ mod tests {
         band: usize,
         radius: f64,
     ) -> QueryResult {
-        engine.query(&QueryRequest::range(radius).with_series(query).with_band(band)).result
+        let request = QueryRequest::range(radius).with_series(query).with_band(band);
+        engine.try_query(&request).unwrap().result
     }
 
     /// The oracle: every series' exact distance, in `(distance, id)` order.
@@ -1080,7 +1071,8 @@ mod tests {
         band: usize,
         k: usize,
     ) -> QueryResult {
-        engine.query(&QueryRequest::knn(k).with_series(query).with_band(band)).result
+        let request = QueryRequest::knn(k).with_series(query).with_band(band);
+        engine.try_query(&request).unwrap().result
     }
 
     #[test]
@@ -1115,7 +1107,7 @@ mod tests {
             ($index:expr) => {{
                 let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), $index);
                 for (i, s) in series.iter().enumerate() {
-                    engine.insert(i as ItemId, s.clone());
+                    engine.try_insert(i as ItemId, s.clone()).unwrap();
                 }
                 let mut got: Vec<ItemId> =
                     range_of(&engine, &query, band, radius).matches.iter().map(|m| m.0).collect();
@@ -1174,8 +1166,8 @@ mod tests {
         let mut keogh_engine =
             DtwIndexEngine::new(KeoghPaa::new(64, 8), LinearScan::with_page_size(8, 1024));
         for (i, s) in series.iter().enumerate() {
-            new_engine.insert(i as ItemId, s.clone());
-            keogh_engine.insert(i as ItemId, s.clone());
+            new_engine.try_insert(i as ItemId, s.clone()).unwrap();
+            keogh_engine.try_insert(i as ItemId, s.clone()).unwrap();
         }
         let new_result = range_of(&new_engine, &query, band, radius);
         let keogh_result = range_of(&keogh_engine, &query, band, radius);
@@ -1193,7 +1185,7 @@ mod tests {
         let series = lcg_series(10, 32, 2);
         let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
         assert!(knn_of(&engine, &series[0], 2, 3).matches.is_empty());
-        engine.insert(0, series[0].clone());
+        engine.try_insert(0, series[0].clone()).unwrap();
         assert!(knn_of(&engine, &series[0], 2, 0).matches.is_empty());
     }
 
@@ -1208,7 +1200,7 @@ mod tests {
             ($index:expr) => {{
                 let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), $index);
                 for (i, s) in series.iter().enumerate() {
-                    engine.insert(i as ItemId, s.clone());
+                    engine.try_insert(i as ItemId, s.clone()).unwrap();
                 }
                 for id in (0..150).step_by(4) {
                     assert!(engine.remove(id as ItemId));
@@ -1236,53 +1228,13 @@ mod tests {
     fn removed_id_can_be_reinserted() {
         let series = lcg_series(3, 32, 2);
         let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
-        engine.insert(5, series[0].clone());
+        engine.try_insert(5, series[0].clone()).unwrap();
         assert!(engine.remove(5));
-        engine.insert(5, series[1].clone());
+        engine.try_insert(5, series[1].clone()).unwrap();
         assert_eq!(engine.len(), 1);
         let top = knn_of(&engine, &series[1], 2, 1);
         assert_eq!(top.matches[0].0, 5);
         assert!(top.matches[0].1 < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite sample")]
-    fn nan_in_inserted_series_rejected() {
-        let mut series = lcg_series(1, 32, 4).remove(0);
-        series[7] = f64::NAN;
-        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
-        engine.insert(0, series);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite sample")]
-    fn infinity_in_inserted_series_rejected() {
-        let mut series = lcg_series(1, 32, 4).remove(0);
-        series[0] = f64::INFINITY;
-        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
-        engine.insert(0, series);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite sample")]
-    fn nan_in_range_query_rejected() {
-        let series = lcg_series(4, 32, 4);
-        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
-        engine.insert(0, series[0].clone());
-        let mut query = series[1].clone();
-        query[3] = f64::NAN;
-        let _ = range_of(&engine, &query, 2, 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite sample")]
-    fn nan_in_knn_query_rejected() {
-        let series = lcg_series(4, 32, 4);
-        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
-        engine.insert(0, series[0].clone());
-        let mut query = series[1].clone();
-        query[30] = f64::NEG_INFINITY;
-        let _ = knn_of(&engine, &query, 2, 1);
     }
 
     #[test]
@@ -1293,19 +1245,12 @@ mod tests {
         let mut scratch = QueryScratch::new();
         for q in &queries {
             let range = QueryRequest::range(2.0).with_series(q.clone()).with_band(3);
-            assert_eq!(engine.query(&range), engine.try_query_with(&range, &mut scratch).unwrap());
+            let fresh = engine.try_query(&range).unwrap();
+            assert_eq!(fresh, engine.try_query_with(&range, &mut scratch).unwrap());
             let knn = QueryRequest::knn(5).with_series(q.clone()).with_band(3);
-            assert_eq!(engine.query(&knn), engine.try_query_with(&knn, &mut scratch).unwrap());
+            let fresh = engine.try_query(&knn).unwrap();
+            assert_eq!(fresh, engine.try_query_with(&knn, &mut scratch).unwrap());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate id")]
-    fn duplicate_id_rejected() {
-        let series = lcg_series(2, 32, 4);
-        let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
-        engine.insert(7, series[0].clone());
-        engine.insert(7, series[1].clone());
     }
 
     #[test]
@@ -1330,6 +1275,14 @@ mod tests {
             }
             other => panic!("expected NonFiniteSample, got {other:?}"),
         }
+        let mut infinite = series[0].clone();
+        infinite[0] = f64::INFINITY;
+        match engine.try_insert(0, infinite) {
+            Err(EngineError::NonFiniteSample { index: 0, value, .. }) => {
+                assert_eq!(value, f64::INFINITY);
+            }
+            other => panic!("expected NonFiniteSample, got {other:?}"),
+        }
         assert!(engine.is_empty(), "failed inserts must not mutate");
         engine.try_insert(3, series[1].clone()).unwrap();
         assert_eq!(
@@ -1343,7 +1296,7 @@ mod tests {
     fn try_query_reports_every_error_variant() {
         let series = lcg_series(2, 32, 4);
         let mut engine = DtwIndexEngine::new(NewPaa::new(32, 4), RStarTree::new(4));
-        engine.insert(0, series[0].clone());
+        engine.try_insert(0, series[0].clone()).unwrap();
         let empty = QueryRequest::range(1.0);
         assert_eq!(engine.try_query(&empty), Err(EngineError::EmptyQuery));
         let short = QueryRequest::knn(1).with_series(vec![0.0; 16]);
@@ -1361,6 +1314,14 @@ mod tests {
             }
             other => panic!("expected NonFiniteSample, got {other:?}"),
         }
+        let mut nan = series[1].clone();
+        nan[3] = f64::NAN;
+        match engine.try_query(&QueryRequest::knn(1).with_series(nan)) {
+            Err(EngineError::NonFiniteSample { context: "query", index: 3, value }) => {
+                assert!(value.is_nan());
+            }
+            other => panic!("expected NonFiniteSample, got {other:?}"),
+        }
         let wide = QueryRequest::range(1.0).with_series(series[1].clone()).with_band(32);
         assert_eq!(
             engine.try_query(&wide),
@@ -1372,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn error_display_keeps_legacy_panic_substrings() {
+    fn error_display_names_the_offending_input() {
         let messages = [
             EngineError::LengthMismatch { context: "query", expected: 4, got: 2 }.to_string(),
             EngineError::NonFiniteSample { context: "query", index: 3, value: f64::NAN }
@@ -1392,7 +1353,7 @@ mod tests {
         let query = lcg_series(1, 64, 909).remove(0);
         for request in [QueryRequest::range(2.5), QueryRequest::knn(5)] {
             let request = request.with_series(query.clone()).with_band(3).with_trace(true);
-            let outcome = engine.query(&request);
+            let outcome = engine.try_query(&request).unwrap();
             let trace = outcome.trace.expect("trace requested");
             assert_eq!(trace.stats, outcome.result.stats, "{request:?}");
             assert_eq!(trace.band, 3);
@@ -1465,8 +1426,8 @@ mod tests {
         assert!(!budget.expired());
         for request in [QueryRequest::range(2.5), QueryRequest::knn(7)] {
             let request = request.with_series(query.clone()).with_band(3).with_trace(true);
-            let plain = engine.query(&request);
-            let budgeted = engine.query(&request.clone().with_budget(budget));
+            let plain = engine.try_query(&request).unwrap();
+            let budgeted = engine.try_query(&request.clone().with_budget(budget)).unwrap();
             assert_eq!(plain, budgeted, "{request:?}");
         }
     }

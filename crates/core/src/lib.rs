@@ -56,7 +56,7 @@
 //! let index = RStarTree::new(4);
 //! let mut engine = DtwIndexEngine::new(transform, index);
 //! for (id, series) in db.iter().enumerate() {
-//!     engine.insert(id as u64, series.clone());
+//!     engine.try_insert(id as u64, series.clone()).unwrap();
 //! }
 //!
 //! // Range query under DTW with Sakoe-Chiba half-width 2: no false negatives.

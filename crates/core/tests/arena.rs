@@ -71,9 +71,11 @@ fn assert_agrees(engine: &Engine, model: &Model, query: &[f64], when: &str) {
     let radius = truth.get(k.saturating_sub(1)).map_or(1.0, |m| m.1);
     let in_range: Vec<(ItemId, f64)> = truth.iter().copied().filter(|m| m.1 <= radius).collect();
     let knn = QueryRequest::knn(5).with_series(query).with_band(BAND);
-    assert_eq!(bits(&engine.query(&knn).result.matches), bits(&truth[..k]), "knn {when}");
+    let got = engine.try_query(&knn).unwrap().result;
+    assert_eq!(bits(&got.matches), bits(&truth[..k]), "knn {when}");
     let range = QueryRequest::range(radius).with_series(query).with_band(BAND);
-    assert_eq!(bits(&engine.query(&range).result.matches), bits(&in_range), "range {when}");
+    let got = engine.try_query(&range).unwrap().result;
+    assert_eq!(bits(&got.matches), bits(&in_range), "range {when}");
 }
 
 #[derive(Debug, Clone)]

@@ -70,13 +70,13 @@ fn answers<I: SpatialIndex>(
 ) -> Vec<Vec<(u64, u64)>> {
     let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), index);
     for (i, s) in database.iter().enumerate() {
-        engine.insert(i as u64, s.clone());
+        engine.try_insert(i as u64, s.clone()).unwrap();
     }
     let range = QueryRequest::range(radius).with_series(query).with_band(band);
     let knn = QueryRequest::knn(k).with_series(query).with_band(band);
     vec![
-        bits(&engine.query(&range).result.matches),
-        bits(&engine.query(&knn).result.matches),
+        bits(&engine.try_query(&range).unwrap().result.matches),
+        bits(&engine.try_query(&knn).unwrap().result.matches),
     ]
 }
 

@@ -49,7 +49,7 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<f64>> {
 fn engine<I: SpatialIndex>(series: &[Vec<f64>], index: I) -> DtwIndexEngine<NewPaa, I> {
     let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, DIMS), index);
     for (i, s) in series.iter().enumerate() {
-        engine.insert(i as ItemId, s.clone());
+        engine.try_insert(i as ItemId, s.clone()).unwrap();
     }
     engine
 }

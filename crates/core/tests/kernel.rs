@@ -151,17 +151,17 @@ proptest! {
         let mut linear =
             DtwIndexEngine::new(NewPaa::new(LEN, 4), LinearScan::with_page_size(4, 1024));
         for (i, s) in database.iter().enumerate() {
-            engine.insert(i as u64, s.clone());
-            linear.insert(i as u64, s.clone());
+            engine.try_insert(i as u64, s.clone()).unwrap();
+            linear.try_insert(i as u64, s.clone()).unwrap();
         }
         let mut scratch = QueryScratch::new();
         let range = QueryRequest::range(radius).with_series(query.clone()).with_band(band);
         let knn = QueryRequest::knn(k).with_series(query.clone()).with_band(band);
         prop_assert_eq!(&engine.try_query_with(&range, &mut scratch).unwrap().result.matches, &swept);
-        prop_assert_eq!(&linear.query(&range).result.matches, &swept);
+        prop_assert_eq!(&linear.try_query(&range).unwrap().result.matches, &swept);
         prop_assert_eq!(
             engine.try_query_with(&knn, &mut scratch).unwrap().result.matches,
-            linear.query(&knn).result.matches
+            linear.try_query(&knn).unwrap().result.matches
         );
 
         let env = Envelope::compute(&query, band);
@@ -194,7 +194,7 @@ fn scratch_reuse_across_mixed_queries_is_invisible() {
     let query: Vec<f64> = (0..LEN).map(|t| (t as f64 * 0.21).cos() * 2.0).collect();
     let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::new(4));
     for (i, s) in database.iter().enumerate() {
-        engine.insert(i as u64, s.clone());
+        engine.try_insert(i as u64, s.clone()).unwrap();
     }
     let mut scratch = QueryScratch::new();
     let mut first = Vec::new();
@@ -206,7 +206,7 @@ fn scratch_reuse_across_mixed_queries_is_invisible() {
     for ((band, radius), want) in [(0usize, 2.0), (5, 8.0), (2, 4.0), (7, 1.0)].iter().zip(&first)
     {
         let request = QueryRequest::range(*radius).with_series(query.clone()).with_band(*band);
-        let got = engine.query(&request).result;
+        let got = engine.try_query(&request).unwrap().result;
         assert_eq!(&got, want);
     }
 }

@@ -44,7 +44,7 @@ fn lcg_series(n: usize, seed: u64) -> Vec<Vec<f64>> {
 fn build_engine(series: &[Vec<f64>]) -> DtwIndexEngine<NewPaa, RStarTree> {
     let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::with_page_size(4, 1024));
     for (i, s) in series.iter().enumerate() {
-        engine.insert(i as u64, s.clone());
+        engine.try_insert(i as u64, s.clone()).unwrap();
     }
     engine
 }
@@ -72,7 +72,7 @@ fn disabled_sink_changes_nothing() {
     let plain = build_engine(&series);
     let recorded = build_engine(&series).with_metrics(MetricsSink::enabled());
     for request in mixed_requests(&queries, true) {
-        assert_eq!(plain.query(&request), recorded.query(&request));
+        assert_eq!(plain.try_query(&request).unwrap(), recorded.try_query(&request).unwrap());
     }
     // The recording engine really did record on the side.
     let snapshot = recorded.metrics().registry().unwrap().snapshot();
@@ -87,7 +87,7 @@ fn registry_counters_equal_summed_stats() {
     let engine = build_engine(&series).with_metrics(MetricsSink::enabled());
     let mut total = EngineStats::default();
     for request in mixed_requests(&queries, false) {
-        total.absorb(&engine.query(&request).result.stats);
+        total.absorb(&engine.try_query(&request).unwrap().result.stats);
     }
     let snapshot = engine.metrics().registry().unwrap().snapshot();
     assert_eq!(snapshot.counter(Metric::IndexNodeAccesses), total.index.node_accesses);
@@ -109,7 +109,7 @@ fn insert_and_remove_are_counted() {
     let registry = Arc::new(MetricsRegistry::new());
     let mut engine = build_engine(&series); // inserts before the sink: uncounted
     engine.set_metrics(MetricsSink::Enabled(registry.clone()));
-    engine.insert(100, series[0].clone());
+    engine.try_insert(100, series[0].clone()).unwrap();
     assert!(engine.remove(100));
     assert!(!engine.remove(100), "second removal is a no-op");
     assert_eq!(registry.get(Metric::Inserts), 1);
@@ -171,7 +171,7 @@ fn exporters_render_live_traces_and_metrics() {
     let engine = build_engine(&series).with_metrics(MetricsSink::enabled());
     let request =
         QueryRequest::range(2.0).with_series(series[7].clone()).with_band(3).with_trace(true);
-    let trace = engine.query(&request).trace.unwrap();
+    let trace = engine.try_query(&request).unwrap().trace.unwrap();
     let text = trace_to_text(&trace);
     assert!(text.contains("envelope_lb"));
     let json = to_json_string(&trace);
@@ -203,9 +203,9 @@ proptest! {
             let untraced = request.with_series(query.clone()).with_band(band);
             let traced = untraced.clone().with_trace(true);
 
-            let baseline = plain.query(&untraced);
-            prop_assert_eq!(&plain.query(&traced).result, &baseline.result);
-            let outcome = recorded.query(&traced);
+            let baseline = plain.try_query(&untraced).unwrap();
+            prop_assert_eq!(&plain.try_query(&traced).unwrap().result, &baseline.result);
+            let outcome = recorded.try_query(&traced).unwrap();
             prop_assert_eq!(&outcome.result, &baseline.result);
 
             let trace = outcome.trace.expect("trace requested");

@@ -95,26 +95,6 @@ pub fn min_max(a: &[f64]) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Pearson correlation of two equal-length slices; zero when either side is
-/// constant.
-pub fn correlation(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "correlation requires equal lengths");
-    let (ma, mb) = (mean(a), mean(b));
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va == 0.0 || vb == 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,16 +136,6 @@ mod tests {
     #[test]
     fn min_max_of_mixed_slice() {
         assert_eq!(min_max(&[3.0, -1.0, 7.0, 2.0]), (-1.0, 7.0));
-    }
-
-    #[test]
-    fn correlation_of_linear_relation() {
-        let a: Vec<f64> = (0..50).map(|i| i as f64).collect();
-        let b: Vec<f64> = a.iter().map(|x| 3.0 * x - 2.0).collect();
-        let c: Vec<f64> = a.iter().map(|x| -0.5 * x + 1.0).collect();
-        assert!((correlation(&a, &b) - 1.0).abs() < 1e-12);
-        assert!((correlation(&a, &c) + 1.0).abs() < 1e-12);
-        assert_eq!(correlation(&a, &vec![5.0; 50]), 0.0);
     }
 
     #[test]

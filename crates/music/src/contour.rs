@@ -2,18 +2,16 @@
 //!
 //! Pre-existing query-by-humming systems transcribe the hum into discrete
 //! notes, reduce the notes to a contour string over a small alphabet
-//! (U/D/S, optionally refined with u/d), and rank melodies by edit distance,
-//! sometimes after a q-gram filter. The paper's critique is twofold: contour
-//! alone under-discriminates, and — more fundamentally — "no good algorithm
-//! is known to segment such a time series of pitches into discrete notes."
+//! (U/D/S, optionally refined with u/d), and rank melodies by edit distance.
+//! The paper's critique is twofold: contour alone under-discriminates, and —
+//! more fundamentally — "no good algorithm is known to segment such a time
+//! series of pitches into discrete notes."
 //!
 //! This module implements the whole baseline: a stability-based note
 //! segmenter over the pitch series (accurate on cleanly separated notes,
 //! degraded by glides and legato — the documented failure mode), both
-//! contour alphabets, Levenshtein and banded edit distances, a positional
-//! q-gram count filter, and a ranking index.
-
-use std::collections::HashMap;
+//! contour alphabets, Levenshtein edit distance, and an exhaustive ranking
+//! index.
 
 use crate::melody::Melody;
 
@@ -166,87 +164,18 @@ pub fn edit_distance(a: &[u8], b: &[u8]) -> usize {
     prev[m]
 }
 
-/// Banded edit distance: exact when the true distance is at most `band`,
-/// otherwise returns a value `> band` (saturated). Much faster for ranking
-/// with a cutoff.
-pub fn banded_edit_distance(a: &[u8], b: &[u8], band: usize) -> usize {
-    let (n, m) = (a.len(), b.len());
-    if n.abs_diff(m) > band {
-        return band + 1;
-    }
-    if n == 0 {
-        return m;
-    }
-    let big = band + 1;
-    let mut prev = vec![big; m + 1];
-    let mut curr = vec![big; m + 1];
-    for (j, p) in prev.iter_mut().enumerate().take(band.min(m) + 1) {
-        *p = j;
-    }
-    for i in 1..=n {
-        let j_lo = i.saturating_sub(band).max(1);
-        let j_hi = (i + band).min(m);
-        curr[j_lo - 1] = if j_lo == 1 { i } else { big };
-        for j in j_lo..=j_hi {
-            let sub = prev[j - 1] + usize::from(a[i - 1] != b[j - 1]);
-            let del = if j < prev.len() { prev[j] + 1 } else { big };
-            let ins = curr[j - 1] + 1;
-            curr[j] = sub.min(del).min(ins).min(big);
-        }
-        if j_hi < m {
-            curr[j_hi + 1] = big;
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m].min(big)
-}
-
-/// q-gram profile of a string.
-pub fn qgram_profile(s: &[u8], q: usize) -> HashMap<&[u8], usize> {
-    let mut map = HashMap::new();
-    if q == 0 || s.len() < q {
-        return map;
-    }
-    for gram in s.windows(q) {
-        *map.entry(gram).or_insert(0) += 1;
-    }
-    map
-}
-
-/// The q-gram lower bound on edit distance:
-/// `ed(a, b) ≥ |profile(a) Δ profile(b)| / (2q)`.
-pub fn qgram_lower_bound(a: &[u8], b: &[u8], q: usize) -> usize {
-    if q == 0 {
-        return 0;
-    }
-    let pa = qgram_profile(a, q);
-    let pb = qgram_profile(b, q);
-    let mut diff = 0usize;
-    for (gram, &ca) in &pa {
-        let cb = pb.get(gram).copied().unwrap_or(0);
-        diff += ca.abs_diff(cb);
-    }
-    for (gram, &cb) in &pb {
-        if !pa.contains_key(gram) {
-            diff += cb;
-        }
-    }
-    diff.div_ceil(2 * q)
-}
-
 /// A contour-string retrieval index over a melody database.
 #[derive(Debug, Clone)]
 pub struct ContourIndex {
     alphabet: ContourAlphabet,
     segmenter: SegmenterConfig,
-    qgram: usize,
     entries: Vec<(u64, Vec<u8>)>,
 }
 
 impl ContourIndex {
-    /// Creates an empty index. `qgram = 0` disables the filter.
-    pub fn new(alphabet: ContourAlphabet, segmenter: SegmenterConfig, qgram: usize) -> Self {
-        ContourIndex { alphabet, segmenter, qgram, entries: Vec::new() }
+    /// Creates an empty index.
+    pub fn new(alphabet: ContourAlphabet, segmenter: SegmenterConfig) -> Self {
+        ContourIndex { alphabet, segmenter, entries: Vec::new() }
     }
 
     /// Indexes a melody (exact symbolic contour).
@@ -281,74 +210,6 @@ impl ContourIndex {
     /// Rank position (1-based) of `target` for the given hummed series.
     pub fn rank_of(&self, hummed_series: &[f64], target: u64) -> Option<usize> {
         self.rank(hummed_series).iter().position(|(id, _)| *id == target).map(|p| p + 1)
-    }
-
-    /// The `k` best melodies, using the q-gram lower bound to skip the edit
-    /// DP and the banded DP to cut it short — the "q-grams to speed up the
-    /// similarity query" technique the paper attributes to the string-based
-    /// systems. Returns the same ids/distances as `rank(...).truncate(k)`
-    /// plus a count of how many full DPs were avoided.
-    pub fn top_k(&self, hummed_series: &[f64], k: usize) -> (Vec<(u64, usize)>, usize) {
-        let query = series_contour(hummed_series, &self.segmenter, self.alphabet);
-        // Clamped preallocation: never reserve more than one slot per entry
-        // (and never overflow `k + 1`) however large the requested `k` is.
-        let mut best: Vec<(u64, usize)> = Vec::with_capacity(k.min(self.entries.len()) + 1);
-        let mut skipped = 0usize;
-        // Current k-th distance (the pruning threshold).
-        let threshold = |best: &Vec<(u64, usize)>| {
-            if best.len() < k {
-                usize::MAX
-            } else {
-                best.last().expect("nonempty").1
-            }
-        };
-        for (id, contour) in &self.entries {
-            let cutoff = threshold(&best);
-            if self.qgram > 0
-                && cutoff != usize::MAX
-                && qgram_lower_bound(&query, contour, self.qgram) > cutoff
-            {
-                skipped += 1;
-                continue;
-            }
-            let d = if cutoff == usize::MAX {
-                edit_distance(&query, contour)
-            } else {
-                let banded = banded_edit_distance(&query, contour, cutoff);
-                if banded > cutoff {
-                    continue; // provably not among the best k
-                }
-                banded
-            };
-            // Insert keeping (distance, id) order.
-            let pos = best
-                .binary_search_by(|probe| probe.1.cmp(&d).then(probe.0.cmp(id)))
-                .unwrap_or_else(|p| p);
-            best.insert(pos, (*id, d));
-            best.truncate(k);
-        }
-        (best, skipped)
-    }
-
-    /// All melodies within edit distance `max_distance` of the hummed
-    /// series, ascending. The q-gram bound prunes before any DP runs; the
-    /// banded DP bounds the rest.
-    pub fn range(&self, hummed_series: &[f64], max_distance: usize) -> Vec<(u64, usize)> {
-        let query = series_contour(hummed_series, &self.segmenter, self.alphabet);
-        let mut out: Vec<(u64, usize)> = self
-            .entries
-            .iter()
-            .filter(|(_, contour)| {
-                self.qgram == 0
-                    || qgram_lower_bound(&query, contour, self.qgram) <= max_distance
-            })
-            .filter_map(|(id, contour)| {
-                let d = banded_edit_distance(&query, contour, max_distance);
-                (d <= max_distance).then_some((*id, d))
-            })
-            .collect();
-        out.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-        out
     }
 }
 
@@ -439,34 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_matches_exact_within_band() {
-        let a = b"UUDDSUDSUU";
-        let b = b"UUDSSUDDUU";
-        let exact = edit_distance(a, b);
-        for band in exact..exact + 3 {
-            assert_eq!(banded_edit_distance(a, b, band), exact);
-        }
-        assert!(banded_edit_distance(a, b, exact - 1) > exact - 1);
-    }
-
-    #[test]
-    fn banded_saturates_for_distant_strings() {
-        assert_eq!(banded_edit_distance(b"UUUUUUUU", b"DDDDDDDD", 3), 4);
-        assert_eq!(banded_edit_distance(b"UU", b"UUUUUUUU", 2), 3); // length gap
-    }
-
-    #[test]
-    fn qgram_bound_is_a_lower_bound() {
-        let cases: Vec<(&[u8], &[u8])> =
-            vec![(b"UUDSUD", b"UUDSSD"), (b"UDUDUD", b"DUDUDU"), (b"SSSS", b"UUUU")];
-        for (a, b) in cases {
-            for q in 1..=3 {
-                assert!(qgram_lower_bound(a, b, q) <= edit_distance(a, b), "q={q}");
-            }
-        }
-    }
-
-    #[test]
     fn index_ranks_exact_contour_match_first() {
         let melodies: Vec<Melody> = (0..20)
             .map(|s| {
@@ -477,8 +310,7 @@ mod tests {
                 )
             })
             .collect();
-        let mut index =
-            ContourIndex::new(ContourAlphabet::Five, SegmenterConfig::default(), 2);
+        let mut index = ContourIndex::new(ContourAlphabet::Five, SegmenterConfig::default());
         for (i, m) in melodies.iter().enumerate() {
             index.insert(i as u64, m);
         }
@@ -494,7 +326,7 @@ mod tests {
 
     #[test]
     fn empty_index_returns_nothing() {
-        let index = ContourIndex::new(ContourAlphabet::Three, SegmenterConfig::default(), 0);
+        let index = ContourIndex::new(ContourAlphabet::Three, SegmenterConfig::default());
         assert!(index.is_empty());
         assert!(index.rank(&[60.0; 30]).is_empty());
         assert_eq!(index.rank_of(&[60.0; 30], 5), None);

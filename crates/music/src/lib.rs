@@ -18,14 +18,10 @@
 //!   slips, plus frame-level pitch wobble;
 //! * [`contour`] — the competing approach: error-prone note segmentation of
 //!   the hummed pitch series, contour alphabets (U/D/S and the finer
-//!   five-letter variant), and edit-distance ranking with an optional q-gram
-//!   filter;
-//! * [`key`] — Krumhansl-Schmuckler key finding, used to validate the
-//!   songbook generator against its own declared keys.
+//!   five-letter variant), and exhaustive edit-distance ranking.
 
 pub mod contour;
 pub mod humming;
-pub mod key;
 pub mod melody;
 pub mod songbook;
 

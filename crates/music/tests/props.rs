@@ -1,8 +1,7 @@
 //! Property-based tests for the music substrate.
 
 use hum_music::contour::{
-    banded_edit_distance, contour_from_pitches, edit_distance, qgram_lower_bound,
-    segment_notes, ContourAlphabet, SegmenterConfig,
+    contour_from_pitches, edit_distance, segment_notes, ContourAlphabet, SegmenterConfig,
 };
 use hum_music::{HummingSimulator, Melody, Note, SingerProfile};
 use proptest::prelude::*;
@@ -61,23 +60,6 @@ proptest! {
     }
 
     #[test]
-    fn banded_edit_distance_is_exact_within_band(a in arb_contour(), b in arb_contour()) {
-        let exact = edit_distance(&a, &b);
-        prop_assert_eq!(banded_edit_distance(&a, &b, exact.max(1)), exact);
-        let reported = banded_edit_distance(&a, &b, 3);
-        if exact <= 3 {
-            prop_assert_eq!(reported, exact);
-        } else {
-            prop_assert!(reported > 3);
-        }
-    }
-
-    #[test]
-    fn qgram_bound_never_exceeds_edit_distance(a in arb_contour(), b in arb_contour(), q in 1usize..4) {
-        prop_assert!(qgram_lower_bound(&a, &b, q) <= edit_distance(&a, &b));
-    }
-
-    #[test]
     fn segmentation_output_is_well_formed(
         series in proptest::collection::vec(40.0f64..90.0, 0..300),
     ) {
@@ -109,55 +91,5 @@ proptest! {
             prop_assert!(n.seconds >= 0.05);
             prop_assert!((45.0..=83.0).contains(&n.midi), "register clamp: {}", n.midi);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn contour_top_k_agrees_with_exhaustive_rank(
-        series in proptest::collection::vec(55.0f64..75.0, 30..150),
-        k in 1usize..8,
-    ) {
-        use hum_music::contour::{ContourAlphabet, ContourIndex, SegmenterConfig};
-        use hum_music::{Melody, Note};
-        let melodies: Vec<Melody> = (0..25u8)
-            .map(|s| {
-                (0..12)
-                    .map(|i| Note::new(58 + ((i * (s as usize + 2)) % 9) as u8, 1.0))
-                    .collect()
-            })
-            .collect();
-        let mut index = ContourIndex::new(ContourAlphabet::Five, SegmenterConfig::default(), 2);
-        for (i, m) in melodies.iter().enumerate() {
-            index.insert(i as u64, m);
-        }
-        let full = index.rank(&series);
-        let (top, _skipped) = index.top_k(&series, k);
-        prop_assert_eq!(&top[..], &full[..k.min(full.len())]);
-    }
-
-    #[test]
-    fn contour_range_agrees_with_rank_filtering(
-        series in proptest::collection::vec(55.0f64..75.0, 30..120),
-        max in 0usize..12,
-    ) {
-        use hum_music::contour::{ContourAlphabet, ContourIndex, SegmenterConfig};
-        use hum_music::{Melody, Note};
-        let melodies: Vec<Melody> = (0..20u8)
-            .map(|s| {
-                (0..10)
-                    .map(|i| Note::new(60 + ((i * 2 + s as usize) % 7) as u8, 1.0))
-                    .collect()
-            })
-            .collect();
-        let mut index = ContourIndex::new(ContourAlphabet::Three, SegmenterConfig::default(), 2);
-        for (i, m) in melodies.iter().enumerate() {
-            index.insert(i as u64, m);
-        }
-        let expected: Vec<(u64, usize)> =
-            index.rank(&series).into_iter().filter(|(_, d)| *d <= max).collect();
-        prop_assert_eq!(index.range(&series, max), expected);
     }
 }

@@ -206,6 +206,9 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     let dir = PathBuf::from(args.first().ok_or("generate needs a directory")?);
     let songs = flag_value(args, "--songs")?.unwrap_or(50) as usize;
     let seed = flag_value(args, "--seed")?.unwrap_or(2003);
+    if songs == 0 {
+        return Err("--songs must be at least 1".into());
+    }
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
 
     let book = Songbook::generate(&SongbookConfig { songs, seed, ..SongbookConfig::default() });
@@ -430,8 +433,15 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         hum_audio::read_wav_mono(&bytes).map_err(|e| format!("{}: {e}", wav_path.display()))?;
     eprintln!("Query: {:.1} s of audio at {rate} Hz.", samples.len() as f64 / rate as f64);
 
-    let Some(results) = system.try_query_audio(&samples, rate, top).map_err(CliError::Query)?
-    else {
+    // A rate the pitch tracker cannot work at makes the file unusable, like
+    // a malformed header.
+    let unusable = |e| match e {
+        EngineError::UnsupportedSampleRate { .. } => {
+            CliError::Usage(format!("{}: {e}", wav_path.display()))
+        }
+        e => CliError::Query(e),
+    };
+    let Some(results) = system.try_query_audio(&samples, rate, top).map_err(unusable)? else {
         eprintln!("No voiced frames found — is the recording silent?");
         return Ok(());
     };

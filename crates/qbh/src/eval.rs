@@ -8,6 +8,7 @@
 //! approach and the contour approach are evaluated on *identical* input —
 //! the comparison Table 2 makes.
 
+use hum_core::engine::{EngineError, QueryRequest};
 use hum_music::contour::{ContourAlphabet, ContourIndex, SegmenterConfig};
 use hum_music::{HummingSimulator, SingerProfile};
 
@@ -67,58 +68,24 @@ impl std::fmt::Display for RankBins {
     }
 }
 
-/// Summary retrieval metrics over a batch of queries, complementing the
-/// paper's rank bins with the standard MIR aggregates.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RetrievalMetrics {
-    /// Mean reciprocal rank (unretrieved queries contribute 0).
-    pub mrr: f64,
-    /// Fraction of queries whose target ranked first.
-    pub precision_at_1: f64,
-    /// Fraction of queries whose target ranked in the top five.
-    pub precision_at_5: f64,
-    /// Fraction of queries whose target ranked in the top ten.
-    pub precision_at_10: f64,
-}
-
-/// Computes [`RetrievalMetrics`] from per-query ranks (`None` = target not
-/// retrieved). Returns all-zeros for an empty batch.
-pub fn retrieval_metrics(ranks: &[Option<usize>]) -> RetrievalMetrics {
-    if ranks.is_empty() {
-        return RetrievalMetrics::default();
-    }
-    let n = ranks.len() as f64;
-    let mut m = RetrievalMetrics::default();
-    for rank in ranks.iter().flatten() {
-        m.mrr += 1.0 / *rank as f64;
-        if *rank == 1 {
-            m.precision_at_1 += 1.0;
-        }
-        if *rank <= 5 {
-            m.precision_at_5 += 1.0;
-        }
-        if *rank <= 10 {
-            m.precision_at_10 += 1.0;
-        }
-    }
-    m.mrr /= n;
-    m.precision_at_1 /= n;
-    m.precision_at_5 /= n;
-    m.precision_at_10 /= n;
-    m
-}
-
-/// Runs hum queries through a system and returns per-query target ranks
-/// (searching the top `depth` results; deeper targets count as `None`).
-pub fn target_ranks(system: &QbhSystem, hums: &[HumQuery], depth: usize) -> Vec<Option<usize>> {
+/// Runs hum queries through a system at DTW band `band` and returns
+/// per-query target ranks (searching the top `depth` results; deeper
+/// targets count as `None`).
+///
+/// # Errors
+/// The first [`EngineError`] a hum's k-NN request is rejected with (an empty
+/// or non-finite series, a band at least the normal length).
+pub fn target_ranks(
+    system: &QbhSystem,
+    hums: &[HumQuery],
+    band: usize,
+    depth: usize,
+) -> Result<Vec<Option<usize>>, EngineError> {
     hums.iter()
         .map(|hum| {
-            system
-                .query_series(&hum.series, depth)
-                .matches
-                .iter()
-                .position(|m| m.id == hum.target)
-                .map(|p| p + 1)
+            let request = QueryRequest::knn(depth).with_band(band);
+            let (results, _) = system.try_query_request(&hum.series, request)?;
+            Ok(results.matches.iter().position(|m| m.id == hum.target).map(|p| p + 1))
         })
         .collect()
 }
@@ -185,24 +152,22 @@ pub fn generate_hums_audio(
         .collect()
 }
 
-/// Evaluates the time-series (warping index) approach on hum queries.
-pub fn evaluate_timeseries(system: &QbhSystem, hums: &[HumQuery]) -> RankBins {
-    evaluate_timeseries_banded(system, hums, system.band())
-}
-
-/// Same, at an explicit DTW band (Table 3 varies the warping width).
-pub fn evaluate_timeseries_banded(
+/// Evaluates the time-series (warping index) approach on hum queries at
+/// DTW band `band` (Table 3 varies the warping width; Table 2 runs at
+/// [`QbhSystem::band`]).
+///
+/// # Errors
+/// As [`target_ranks`].
+pub fn evaluate_timeseries(
     system: &QbhSystem,
     hums: &[HumQuery],
     band: usize,
-) -> RankBins {
+) -> Result<RankBins, EngineError> {
     let mut bins = RankBins::default();
-    for hum in hums {
-        let results = system.query_series_banded(&hum.series, band, 10);
-        let rank = results.matches.iter().position(|m| m.id == hum.target).map(|p| p + 1);
+    for rank in target_ranks(system, hums, band, 10)? {
         bins.record(rank);
     }
-    bins
+    Ok(bins)
 }
 
 /// Evaluates the contour baseline on the same hum queries.
@@ -211,7 +176,7 @@ pub fn evaluate_contour(
     hums: &[HumQuery],
     alphabet: ContourAlphabet,
 ) -> RankBins {
-    let mut index = ContourIndex::new(alphabet, SegmenterConfig::default(), 3);
+    let mut index = ContourIndex::new(alphabet, SegmenterConfig::default());
     for entry in db.entries() {
         index.insert(entry.id(), entry.melody());
     }
@@ -268,7 +233,7 @@ mod tests {
         let db = db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
         let hums = generate_hums(&db, SingerProfile::good(), 10, 42);
-        let bins = evaluate_timeseries(&system, &hums);
+        let bins = evaluate_timeseries(&system, &hums, system.band()).unwrap();
         assert_eq!(bins.total(), 10);
         assert!(
             bins.within_top10() >= 8,
@@ -284,7 +249,7 @@ mod tests {
         let db = db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
         let hums = generate_hums_audio(&db, SingerProfile::good(), 12, 7);
-        let ts = evaluate_timeseries(&system, &hums);
+        let ts = evaluate_timeseries(&system, &hums, system.band()).unwrap();
         let contour = evaluate_contour(&db, &hums, ContourAlphabet::Five);
         assert!(
             ts.top1 >= contour.top1,
@@ -294,30 +259,6 @@ mod tests {
             ts.within_top10() >= contour.within_top10(),
             "time series {ts} vs contour {contour}"
         );
-    }
-
-    #[test]
-    fn retrieval_metrics_known_values() {
-        let ranks = vec![Some(1), Some(2), Some(10), None];
-        let m = retrieval_metrics(&ranks);
-        assert!((m.mrr - (1.0 + 0.5 + 0.1) / 4.0).abs() < 1e-12);
-        assert!((m.precision_at_1 - 0.25).abs() < 1e-12);
-        assert!((m.precision_at_5 - 0.5).abs() < 1e-12);
-        assert!((m.precision_at_10 - 0.75).abs() < 1e-12);
-        assert_eq!(retrieval_metrics(&[]), RetrievalMetrics::default());
-    }
-
-    #[test]
-    fn metrics_are_monotone_in_cutoff() {
-        let db = db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
-        let hums = generate_hums(&db, SingerProfile::good(), 8, 3);
-        let ranks = target_ranks(&system, &hums, 10);
-        let m = retrieval_metrics(&ranks);
-        assert!(m.precision_at_1 <= m.precision_at_5);
-        assert!(m.precision_at_5 <= m.precision_at_10);
-        assert!(m.mrr <= m.precision_at_10 + 1e-12);
-        assert!(m.mrr >= m.precision_at_1 - 1e-12);
     }
 
     #[test]

@@ -12,11 +12,12 @@
 //!    the container-invariant New_PAA envelope transform, and a feature
 //!    index with exact-DTW refinement ([`system`]).
 //!
-//! [`eval`] adds the paper's evaluation protocol: rank bins for retrieval
-//! tables (Tables 2 and 3) and head-to-head comparison with the contour
-//! baseline.
+//! [`eval`] adds the paper's evaluation protocol: each hum's target rank,
+//! binned for the retrieval tables (Tables 2 and 3), and the head-to-head
+//! comparison with the contour baseline.
 //!
 //! ```
+//! use hum_core::engine::QueryRequest;
 //! use hum_qbh::corpus::MelodyDatabase;
 //! use hum_qbh::system::{QbhConfig, QbhSystem};
 //! use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
@@ -28,10 +29,12 @@
 //! });
 //! let system = QbhSystem::build(&db, &QbhConfig::default());
 //!
-//! // Hum phrase 17 and look it up.
+//! // Hum phrase 17 and look up its ten nearest melodies at the configured
+//! // warping width; a malformed hum is an `EngineError`, never a panic.
 //! let mut singer = HummingSimulator::new(SingerProfile::good(), 42);
 //! let hum = singer.sing_series(db.entry(17).unwrap().melody(), 0.01);
-//! let results = system.query_series(&hum, 10);
+//! let request = QueryRequest::knn(10).with_band(system.band());
+//! let (results, _trace) = system.try_query_request(&hum, request).unwrap();
 //! assert!(results.matches.iter().any(|m| m.id == 17));
 //! ```
 

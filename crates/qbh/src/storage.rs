@@ -551,6 +551,7 @@ mod tests {
         SegmentEntry, SegmentRef,
     };
     use crate::system::{QbhSystem, StoreOptions};
+    use hum_core::engine::QueryRequest;
     use hum_core::obs::{Metric, MetricsSink};
     use hum_music::SongbookConfig;
 
@@ -897,7 +898,8 @@ mod tests {
         queries
             .iter()
             .map(|q| {
-                let matches = system.query_series(q, 4).matches;
+                let request = QueryRequest::knn(4).with_band(system.band());
+                let matches = system.try_query_request(q, request).unwrap().0.matches;
                 matches.iter().map(|m| (m.id, m.distance.to_bits())).collect()
             })
             .collect()

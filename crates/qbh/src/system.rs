@@ -18,7 +18,7 @@
 //! or from a store's segment files: a segment is a file and the id list it
 //! holds, never an index of its own.
 //!
-//! A query is asked one way: every surface — `query_series*`,
+//! A query is asked one way: every surface — [`QbhSystem::try_query_request`],
 //! [`QbhSystem::try_query_audio`], the server's workers — is a caller of
 //! [`QbhSystem::try_query_request_with`], which runs one ε-range or k-NN
 //! request through [`DtwIndexEngine::try_query_with`] on that engine.
@@ -327,8 +327,9 @@ impl QbhSystem {
     /// Builds the system over a melody database.
     ///
     /// # Panics
-    /// Panics on an empty database or when `feature_dims` does not divide
-    /// `normal_length` (New_PAA's frame count).
+    /// Panics on an empty database, when `feature_dims` does not divide
+    /// `normal_length` (New_PAA's frame count), or when the engine rejects a
+    /// melody (a duplicate id or a non-finite rendering), naming it.
     pub fn build(db: &MelodyDatabase, config: &QbhConfig) -> Self {
         assert!(!db.is_empty(), "cannot build over an empty melody database");
         let normal = NormalForm::with_length(config.normal_length);
@@ -342,7 +343,9 @@ impl QbhSystem {
         let mut engine = new_engine(config);
         let mut provenance = HashMap::with_capacity(db.len());
         for entry in db.entries() {
-            engine.insert(entry.id(), normal_of(entry));
+            if let Err(e) = engine.try_insert(entry.id(), normal_of(entry)) {
+                panic!("melody #{}: {e}", entry.id());
+            }
             provenance.insert(entry.id(), (entry.song(), entry.phrase()));
         }
         QbhSystem {
@@ -663,34 +666,15 @@ impl QbhSystem {
         Ok(true)
     }
 
-    /// Top-`k` matches for a hummed pitch series (fractional MIDI values,
-    /// silence already removed), at the configured warping width.
-    ///
-    /// # Panics
-    /// As [`QbhSystem::query_series_banded`].
-    pub fn query_series(&self, pitch_series: &[f64], k: usize) -> QbhResults {
-        self.query_series_banded(pitch_series, self.band, k)
-    }
-
-    /// Top-`k` matches at an explicit DTW band: the panicking form of
-    /// [`QbhSystem::try_query_request`] with a k-NN request.
-    ///
-    /// # Panics
-    /// Panics on any [`EngineError`] the `try_` form would return (an empty
-    /// or non-finite pitch series, a band at least the normal length).
-    pub fn query_series_banded(&self, pitch_series: &[f64], band: usize, k: usize) -> QbhResults {
-        let request = QueryRequest::knn(k).with_band(band);
-        self.try_query_request(pitch_series, request).unwrap_or_else(|e| panic!("{e}")).0
-    }
-
     /// Full pipeline from raw microphone audio: pitch-track at 10 ms frames,
     /// drop silence, and search for the top `k` at the configured warping
     /// width. `Ok(None)` means the recording has no voiced frame — silence,
     /// which is not the same as a search that matched nothing.
     ///
     /// # Errors
-    /// Anything [`QbhSystem::try_query_request`] reports for the voiced
-    /// pitch series.
+    /// [`EngineError::UnsupportedSampleRate`] when `sample_rate` is below
+    /// twice the tracker's highest pitch (2 kHz), plus anything
+    /// [`QbhSystem::try_query_request`] reports for the voiced pitch series.
     pub fn try_query_audio(
         &self,
         samples: &[f64],
@@ -698,6 +682,11 @@ impl QbhSystem {
         k: usize,
     ) -> Result<Option<QbhResults>, EngineError> {
         let tracker = PitchTrackerConfig { sample_rate, ..PitchTrackerConfig::default() };
+        // The tracker asserts its highest pitch is below Nyquist.
+        let min = (2.0 * tracker.max_hz).ceil() as u32;
+        if sample_rate < min {
+            return Err(EngineError::UnsupportedSampleRate { rate: sample_rate, min });
+        }
         let series = track_pitch(samples, &tracker).voiced_series();
         if series.is_empty() {
             return Ok(None);
@@ -1095,13 +1084,18 @@ mod tests {
         })
     }
 
+    /// Top-`k` at the configured band.
+    fn knn(system: &QbhSystem, series: &[f64], k: usize) -> QbhResults {
+        system.try_query_request(series, QueryRequest::knn(k).with_band(system.band())).unwrap().0
+    }
+
     #[test]
     fn exact_rendition_ranks_first() {
         let db = small_db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
         // "Hum" phrase 12 perfectly: its own time series.
         let series = db.entry(12).unwrap().melody().to_time_series(4);
-        let results = system.query_series(&series, 5);
+        let results = knn(&system, &series, 5);
         assert_eq!(results.matches[0].id, 12);
         assert!(results.matches[0].distance < 1e-9);
     }
@@ -1114,7 +1108,7 @@ mod tests {
         for (i, target) in [3u64, 17, 29, 41].iter().enumerate() {
             let mut singer = HummingSimulator::new(SingerProfile::good(), 100 + i as u64);
             let hum = singer.sing_series(db.entry(*target).unwrap().melody(), 0.01);
-            let results = system.query_series(&hum, 10);
+            let results = knn(&system, &hum, 10);
             if results.matches.iter().take(3).any(|m| m.id == *target) {
                 hits += 1;
             }
@@ -1127,7 +1121,7 @@ mod tests {
         let db = small_db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
         let series = db.entry(23).unwrap().melody().to_time_series(4);
-        let m = &system.query_series(&series, 1).matches[0];
+        let m = &knn(&system, &series, 1).matches[0];
         assert_eq!((m.song, m.phrase), (db.entry(23).unwrap().song(), db.entry(23).unwrap().phrase()));
     }
 
@@ -1183,6 +1177,19 @@ mod tests {
     }
 
     #[test]
+    fn a_sample_rate_below_twice_the_highest_pitch_is_a_typed_error() {
+        let db = small_db();
+        let system = QbhSystem::build(&db, &QbhConfig::default());
+        for rate in [0, 1_000, 1_999] {
+            assert_eq!(
+                system.try_query_audio(&vec![0.1; 8000], rate, 5),
+                Err(EngineError::UnsupportedSampleRate { rate, min: 2_000 })
+            );
+        }
+        assert_eq!(system.try_query_audio(&vec![0.0; 8000], 2_000, 5), Ok(None));
+    }
+
+    #[test]
     fn range_query_respects_radius() {
         let db = small_db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
@@ -1202,7 +1209,7 @@ mod tests {
     }
 
     #[test]
-    fn query_request_matches_legacy_paths_and_traces() {
+    fn query_request_traces_the_stats_it_returns() {
         let db = small_db();
         let system = QbhSystem::build(&db, &QbhConfig::default());
         let series = db.entry(12).unwrap().melody().to_time_series(4);
@@ -1212,7 +1219,6 @@ mod tests {
                 QueryRequest::knn(5).with_band(system.band()).with_trace(true),
             )
             .unwrap();
-        assert_eq!(results, system.query_series(&series, 5));
         let trace = trace.expect("trace requested");
         assert_eq!(trace.stats, results.stats);
         assert_eq!(trace.stats.matches, 5);
@@ -1239,14 +1245,14 @@ mod tests {
         system.try_insert_melody(7_000, 99, 3, &series).unwrap();
         assert_eq!(system.len(), before + 1);
 
-        let results = system.query_series(&series, 1);
+        let results = knn(&system, &series, 1);
         assert_eq!(results.matches[0].id, 7_000);
         assert_eq!((results.matches[0].song, results.matches[0].phrase), (99, 3));
 
         assert!(system.try_remove(7_000).unwrap());
         assert!(!system.try_remove(7_000).unwrap(), "second removal finds nothing");
         assert_eq!(system.len(), before);
-        assert!(system.query_series(&series, 1).matches[0].id != 7_000);
+        assert!(knn(&system, &series, 1).matches[0].id != 7_000);
     }
 
     #[test]
@@ -1309,9 +1315,6 @@ mod tests {
             );
             assert_eq!(streamed.trace, trace, "prefix of {} frames", session.len());
         }
-        // The whole hum answers exactly like the legacy surface.
-        let (results, _) = system.try_query_request(&hum, template).unwrap();
-        assert_eq!(results, system.query_series_banded(&hum, system.band(), 5));
     }
 
     #[test]
@@ -1336,7 +1339,7 @@ mod tests {
         assert!(!system.metrics().is_enabled());
         system.set_metrics(MetricsSink::enabled());
         let series = db.entry(3).unwrap().melody().to_time_series(4);
-        let results = system.query_series(&series, 4);
+        let results = knn(&system, &series, 4);
         let snapshot = system.metrics().registry().expect("enabled").snapshot();
         assert_eq!(snapshot.counter(hum_core::obs::Metric::KnnQueries), 1);
         assert_eq!(

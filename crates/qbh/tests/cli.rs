@@ -325,6 +325,41 @@ fn query_with_top_zero_is_a_usage_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--songs 0` is rejected before anything is written.
+#[test]
+fn generate_with_zero_songs_is_a_usage_error() {
+    let dir = temp_dir("zero-songs");
+    let out = qbh(&["generate", dir.to_str().unwrap(), "--songs", "0"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--songs must be at least 1"), "{err}");
+    assert!(!dir.exists(), "a rejected generate created {}", dir.display());
+}
+
+/// A WAV whose rate is below twice the tracker's highest pitch (2 kHz) is
+/// an unusable file, named with its rate, not a panic in the tracker.
+#[test]
+fn query_with_an_unusable_sample_rate_is_an_error_not_a_panic() {
+    let dir = temp_dir("low-rate");
+    let dir_s = dir.to_str().unwrap();
+    assert!(qbh(&["generate", dir_s, "--songs", "1", "--seed", "17"]).status.success());
+    let tone: Vec<f64> = (0..2_000).map(|i| 0.5 * (i as f64 * 0.9).sin()).collect();
+    for rate in [1_000u32, 0] {
+        let mut bytes = hum_audio::write_wav_mono(&tone, 1_000);
+        // The header's sample rate, written directly: the writer refuses 0.
+        bytes[24..28].copy_from_slice(&rate.to_le_bytes());
+        let wav = dir.join(format!("r{rate}.wav"));
+        std::fs::write(&wav, bytes).unwrap();
+        let out = qbh(&["query", dir_s, wav.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("r{rate}.wav")), "{err}");
+        assert!(err.contains(&format!("sample rate {rate} Hz")), "{err}");
+        assert!(out.stdout.is_empty(), "stdout polluted: {}", stdout(&out));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A voiced hum against a store with no melodies matches nothing, and says
 /// so — the recording is not silent.
 #[test]

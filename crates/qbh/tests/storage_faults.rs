@@ -13,6 +13,7 @@
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
+use hum_core::engine::QueryRequest;
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::fault::{flip_bit, FailingReader, FailingWriter, FaultMode, TempPath};
@@ -384,8 +385,9 @@ fn knn_answers(system: &QbhSystem, db: &MelodyDatabase) -> Vec<Vec<(u64, u64)>> 
             let target = (i * 5) as u64 % db.len() as u64;
             let mut singer = HummingSimulator::new(SingerProfile::good(), 900 + i as u64);
             let hum = singer.sing_series(db.entry(target).unwrap().melody(), 0.01);
-            system
-                .query_series(&hum, 8)
+            let request = QueryRequest::knn(8).with_band(system.band());
+            let (results, _) = system.try_query_request(&hum, request).unwrap();
+            results
                 .matches
                 .iter()
                 .map(|m| (m.id, m.distance.to_bits()))

@@ -21,7 +21,7 @@ use hum_qbh::fault::flip_bit;
 use hum_qbh::storage::StorageError;
 use hum_qbh::store::{self, Manifest, SegmentEntry, SegmentRef};
 use hum_qbh::system::{
-    BuiltMaintenance, MaintenancePlan, QbhConfig, QbhMatch, QbhSystem, StoreOptions,
+    BuiltMaintenance, MaintenancePlan, QbhConfig, QbhMatch, QbhResults, QbhSystem, StoreOptions,
 };
 use hum_server::{Client, Server, ServerConfig};
 use rand::rngs::StdRng;
@@ -50,6 +50,11 @@ fn temp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Top-`k` at the system's configured band.
+fn knn(system: &QbhSystem, series: &[f64], k: usize) -> QbhResults {
+    system.try_query_request(series, QueryRequest::knn(k).with_band(system.band())).unwrap().0
 }
 
 fn series_of(db: &MelodyDatabase, id: u64) -> Vec<f64> {
@@ -160,7 +165,7 @@ fn batch_and_prefix_queries_are_segment_invariant() {
     let system = build_store(&db, &dir, 11, false);
 
     for (i, q) in queries.iter().enumerate() {
-        let (got, want) = (system.query_series(q, 8), monolithic.query_series(q, 8));
+        let (got, want) = (knn(&system, q, 8), knn(&monolithic, q, 8));
         assert_bit_identical(&got.matches, &want.matches, &format!("query #{i}"));
     }
 
@@ -184,7 +189,7 @@ fn a_reloaded_store_answers_identically() {
     let dir = temp_dir("reload");
     let system = build_store(&db, &dir, 11, true);
     let segments = system.segment_count();
-    let before: Vec<_> = queries.iter().map(|q| system.query_series(q, 10)).collect();
+    let before: Vec<_> = queries.iter().map(|q| knn(&system, q, 10)).collect();
     drop(system);
 
     let metrics = MetricsSink::enabled();
@@ -204,7 +209,7 @@ fn a_reloaded_store_answers_identically() {
     assert_eq!(registry.get(Metric::StorageBytesRead), on_disk);
     assert_eq!(registry.get(Metric::StorageLoadErrors), 0);
     for (i, q) in queries.iter().enumerate() {
-        let got = reloaded.query_series(q, 10);
+        let got = knn(&reloaded, q, 10);
         assert_bit_identical(&got.matches, &before[i].matches, &format!("reload knn #{i}"));
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -225,7 +230,7 @@ fn a_segment_resident_removal_survives_reload_and_compaction() {
     let mut reloaded = QbhSystem::try_open_store(&dir).unwrap();
     assert_eq!(reloaded.len(), db.len() - 1, "removal resurrected across reload");
     assert_eq!(reloaded.store_stats().unwrap().tombstones, 1);
-    let hits = reloaded.query_series(&series_of(&db, victim), db.len());
+    let hits = knn(&reloaded, &series_of(&db, victim), db.len());
     assert!(hits.matches.iter().all(|m| m.id != victim), "tombstoned id still queryable");
 
     // Compaction rewrites the segments without the tombstoned melody and
@@ -235,7 +240,7 @@ fn a_segment_resident_removal_survives_reload_and_compaction() {
     drop(reloaded);
     let compacted = QbhSystem::try_open_store(&dir).unwrap();
     assert_eq!(compacted.len(), db.len() - 1);
-    let hits = compacted.query_series(&series_of(&db, victim), db.len());
+    let hits = knn(&compacted, &series_of(&db, victim), db.len());
     assert!(hits.matches.iter().all(|m| m.id != victim), "removal resurrected by compaction");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -254,7 +259,7 @@ fn a_memtable_resident_removal_never_resurrects() {
 
     let reloaded = QbhSystem::try_open_store(&dir).unwrap();
     assert_eq!(reloaded.len(), db.len() - 1);
-    let hits = reloaded.query_series(&series_of(&db, victim), db.len());
+    let hits = knn(&reloaded, &series_of(&db, victim), db.len());
     assert!(hits.matches.iter().all(|m| m.id != victim), "pre-flush removal resurrected");
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -277,7 +282,7 @@ fn a_tombstoned_id_stays_reserved_until_compaction() {
 
     assert!(system.compact().unwrap());
     system.try_insert_melody(victim, 0, 0, &series).expect("id free after compaction");
-    let hits = system.query_series(&series, 3);
+    let hits = knn(&system, &series, 3);
     assert!(hits.matches.iter().any(|m| m.id == victim));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -534,7 +539,7 @@ impl Model {
         let in_range =
             want.iter().take_while(|(_, d)| f64::from_bits(*d) <= RADIUS).count();
         for k in [10, self.live.len()] {
-            let got = system.query_series(hum, k);
+            let got = knn(system, hum, k);
             assert_eq!(bits(&got.matches), want[..k.min(want.len())], "{context}: {k}-NN");
         }
         let request = QueryRequest::range(RADIUS).with_band(self.band);

@@ -11,7 +11,7 @@ use hum_music::contour::{
 };
 use hum_music::{SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::eval::{evaluate_contour, evaluate_timeseries, generate_hums_audio};
+use hum_qbh::eval::{evaluate_contour, evaluate_timeseries, generate_hums_audio, target_ranks};
 use hum_qbh::system::{QbhConfig, QbhSystem};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         ("poor singers", SingerProfile::poor(), 77u64),
     ] {
         let hums = generate_hums_audio(&db, profile, 20, seed);
-        let ts = evaluate_timeseries(&system, &hums);
+        let ts = evaluate_timeseries(&system, &hums, system.band()).expect("valid hum queries");
         let contour = evaluate_contour(&db, &hums, ContourAlphabet::Five);
         println!("=== {} of {} melodies, 20 hums ===", label, db.len());
         println!("  time series : {ts}");
@@ -50,13 +50,10 @@ fn main() {
         hum_music::contour::edit_distance(&recovered, &truth),
         truth.len()
     );
+    let rank = target_ranks(&system, std::slice::from_ref(hum), system.band(), 10)
+        .expect("a tracked hum is a valid query")[0];
     println!(
         "\nThe DTW index needs no segmentation at all: it matched this hum at rank {}.",
-        system
-            .query_series(&hum.series, 10)
-            .matches
-            .iter()
-            .position(|m| m.id == hum.target)
-            .map_or_else(|| "10+".to_string(), |p| (p + 1).to_string())
+        rank.map_or_else(|| "10+".to_string(), |r| r.to_string())
     );
 }

@@ -4,6 +4,7 @@
 //! cargo run --release -p hum-qbh --example quickstart
 //! ```
 
+use hum_core::engine::QueryRequest;
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::system::{QbhConfig, QbhSystem};
@@ -34,7 +35,8 @@ fn main() {
 
     // 4. Search: envelope transform of the query -> R*-tree range/k-NN ->
     //    exact DTW refinement. No false negatives, few candidates.
-    let results = system.query_series(&hum, 5);
+    let request = QueryRequest::knn(5).with_band(system.band());
+    let (results, _trace) = system.try_query_request(&hum, request).expect("a valid query");
     println!("\nTop 5 matches (band-constrained DTW distance):");
     for (rank, m) in results.matches.iter().enumerate() {
         let marker = if m.id == target { "  <-- the hummed phrase" } else { "" };

@@ -4,9 +4,10 @@
 //! warping index (hum-core + hum-index) ← pitch series ← pitch tracker
 //! (hum-audio) ← synthesized hum audio ← perturbed notes (hum-music).
 
+use hum_core::engine::QueryRequest;
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
-use hum_qbh::system::{QbhConfig, QbhSystem};
+use hum_qbh::system::{QbhConfig, QbhResults, QbhSystem};
 
 fn small_db() -> MelodyDatabase {
     MelodyDatabase::from_songbook(&SongbookConfig {
@@ -14,6 +15,11 @@ fn small_db() -> MelodyDatabase {
         phrases_per_song: 6,
         ..SongbookConfig::default()
     })
+}
+
+/// Top-`k` at the system's configured band.
+fn knn(system: &QbhSystem, series: &[f64], k: usize) -> QbhResults {
+    system.try_query_request(series, QueryRequest::knn(k).with_band(system.band())).unwrap().0
 }
 
 #[test]
@@ -38,7 +44,7 @@ fn audio_route_and_symbolic_route_agree_on_the_target() {
     // Symbolic route.
     let mut singer = HummingSimulator::new(SingerProfile::good(), 11);
     let series = singer.sing_series(melody, 0.01);
-    let symbolic = system.query_series(&series, 10);
+    let symbolic = knn(&system, &series, 10);
 
     // Audio route: same sung notes, rendered and re-tracked.
     let mut singer = HummingSimulator::new(SingerProfile::good(), 11);
@@ -60,7 +66,7 @@ fn every_configuration_retrieves_its_own_phrases_exactly() {
         let system = QbhSystem::build(&db, &config);
         for id in [0u64, 17, 51, 71] {
             let series = db.entry(id).unwrap().melody().to_time_series(4);
-            let top = &system.query_series(&series, 1).matches[0];
+            let top = &knn(&system, &series, 1).matches[0];
             assert_eq!(top.id, id, "d={feature_dims}");
             assert!(top.distance < 1e-9);
         }
@@ -97,7 +103,7 @@ fn tempo_and_transposition_invariance_through_the_full_system() {
         .transposed(-5)
         .to_time_series(8) // double the samples per beat = half tempo
         .to_vec();
-    let results = system.query_series(&slow_low, 3);
+    let results = knn(&system, &slow_low, 3);
     assert_eq!(results.matches[0].id, target);
     assert!(results.matches[0].distance < 1e-9, "normal form should cancel both distortions");
 }

@@ -74,12 +74,12 @@ proptest! {
                     index,
                 );
                 for (i, s) in database.iter().enumerate() {
-                    engine.insert(i as u64, s.clone());
+                    engine.try_insert(i as u64, s.clone()).unwrap();
                 }
                 let request =
                     QueryRequest::range(radius).with_series(query.clone()).with_band(band);
-                let mut got: Vec<u64> =
-                    engine.query(&request).result.matches.iter().map(|m| m.0).collect();
+                let result = engine.try_query(&request).unwrap().result;
+                let mut got: Vec<u64> = result.matches.iter().map(|m| m.0).collect();
                 got.sort_unstable();
                 prop_assert_eq!(&got, &expected, "transform {} family {:?}", name, family);
             }
@@ -107,10 +107,10 @@ proptest! {
         let mut engine =
             DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 1024));
         for (i, s) in database.iter().enumerate() {
-            engine.insert(i as u64, s.clone());
+            engine.try_insert(i as u64, s.clone()).unwrap();
         }
         let request = QueryRequest::knn(k).with_series(query.clone()).with_band(band);
-        let got = engine.query(&request).result.matches;
+        let got = engine.try_query(&request).unwrap().result.matches;
         prop_assert_eq!(got.len(), k.min(database.len()));
         for (g, b) in got.iter().zip(&brute) {
             prop_assert!((g.1 - b.1).abs() < 1e-9);

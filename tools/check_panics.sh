@@ -2,10 +2,11 @@
 # Guards the public API against undocumented panics.
 #
 # Every `panic!(` in library code (the bottom-of-file `#[cfg(test)]` modules
-# are excluded) must appear verbatim in tools/panic_allowlist.txt. The
-# intended shape of the allowlist is the set of documented panicking
-# wrappers that delegate to `try_`-prefixed fallible APIs; anything else
-# should return a typed `EngineError` instead.
+# are excluded) must appear verbatim in tools/panic_allowlist.txt. Inserts
+# and queries have only `try_` forms that return a typed error, so the
+# allowlist is short: each entry is a panic its function documents (an
+# invariant the caller broke, such as a corpus that cannot be built), and a
+# new panic on bad input should return a typed `EngineError` instead.
 #
 # The `hum-qbh` and `hum-server` crates get a stricter scan: the storage
 # layer promises that untrusted snapshot bytes can never panic and the
