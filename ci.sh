@@ -21,11 +21,11 @@ cargo test -q -p hum-server
 # per-candidate kernels across shapes, runs in debug and in release (the
 # arithmetic and the `unsafe` run optimised everywhere else); the kernel
 # unit tests and the `repro kernels --quick` smoke below check the same.
-# Then the engine digest — one pass over a fixed workload on both backends
-# (R*-tree and flat sweep), every line carrying the answers, the index
-# counters and the cascade funnel (lb, lbi, exact, abandoned, cells) — must
-# hash to the committed results/engine_digest.sha256: a change that moves an
-# answer or a counter re-baselines it on purpose, in the same commit.
+# Then the engine digest — one pass over the flat sweep on a fixed workload,
+# every line carrying the answers, the index counters and the cascade funnel
+# (lb, lbi, exact, abandoned, cells) — must hash to the committed
+# results/engine_digest.sha256: a change that moves an answer or a counter
+# re-baselines it on purpose, in the same commit.
 cargo test -q -p hum-core --test kernel
 cargo test -q --release -p hum-core --test kernel
 # The flat feature sweep against the per-point scan it replaced (ids, order,
@@ -41,23 +41,30 @@ if ! sha256sum < "$DIGEST_DIR/digest.txt" | cmp -s - results/engine_digest.sha25
     echo "  cargo run -q --release -p hum-core --example engine_digest | sha256sum > results/engine_digest.sha256" >&2
     exit 1
 fi
-echo "engine_digest (answers, index counters, cascade funnel) equals the committed hash"
+echo "engine_digest (one pass over the flat sweep: answers, index counters, cascade funnel) equals the committed hash"
 
 # The paper tables regenerate: counters, tightness and accuracy cells are
 # deterministic by design, so the nine csv under results/ must equal a fresh
 # run at the default scale byte for byte (~65 s). Every one of them goes
 # through the normal form; Figs 6, 7 and 10 also pin the synthetic dataset
-# generators and the tightness metric.
+# generators and the tightness metric. The json of the seven experiments
+# without wall-clock fields must regenerate too: it carries what the csv
+# leave out, such as both methods' R*-tree page accesses and matches in
+# Figs 8-10 (obs and extras json hold timings, so only their csv compare).
 PAPER_TABLES=(table2 table3 fig6 fig7 fig8 fig9 fig10 obs extras)
+DETERMINISTIC_JSON=(table2 table3 fig6 fig7 fig8 fig9 fig10)
 cargo run -q --release -p hum-bench --bin repro -- "${PAPER_TABLES[@]}" --out "$DIGEST_DIR/tables" > /dev/null
-for table in "${PAPER_TABLES[@]}"; do
-    if ! cmp "$DIGEST_DIR/tables/$table.csv" "results/$table.csv"; then
-        echo "results/$table.csv does not regenerate; if intended, recommit with:" >&2
+PAPER_FILES=()
+for table in "${PAPER_TABLES[@]}"; do PAPER_FILES+=("$table.csv"); done
+for table in "${DETERMINISTIC_JSON[@]}"; do PAPER_FILES+=("$table.json"); done
+for file in "${PAPER_FILES[@]}"; do
+    if ! cmp "$DIGEST_DIR/tables/$file" "results/$file"; then
+        echo "results/$file does not regenerate; if intended, recommit with:" >&2
         echo "  cargo run --release -p hum-bench --bin repro -- ${PAPER_TABLES[*]}" >&2
         exit 1
     fi
 done
-echo "paper tables regenerate byte-identically"
+echo "paper tables (nine csv, seven json) regenerate byte-identically"
 
 # Scale harness smoke: the New_PAA feature-dimension sweep (d = 8, 16, 32)
 # at quick scale, including its shape check that every d returns identical

@@ -2,27 +2,28 @@
 //! DESIGN.md calls out, reported in the same candidates/page-accesses
 //! currency as Figs 8–10:
 //!
-//! 1. **Index backend**: R\*-tree vs linear scan under the same transform
-//!    and workload;
+//! 1. **Index backend**: the paper's R\*-tree (a range query over the
+//!    New_PAA features) vs the product engine's linear scan, on the same
+//!    boxes — their candidate counts must agree;
 //! 2. **Envelope second filter**: exact-DTW computations with and without
 //!    the full-dimension LB refilter between index and verification,
 //!    computed from section 5's funnel;
 //! 3. **Build strategy**: repeated insertion vs STR bulk loading (wall time
 //!    and node count);
 //! 4. **Transform pruning**: candidates for all five envelope transforms on
-//!    one workload;
+//!    one workload, each a range query over that transform's features;
 //! 5. **Verification cascade**: where candidates die (envelope bound,
 //!    `LB_Improved`, early-abandoned DTW) and the DP-cell cost of
-//!    verification. Only the full cascade runs; the "no cascade" and
-//!    "envelope only" rows are computed from its funnel (see
-//!    `without_later_stages`).
+//!    verification, from the product engine. Only the full cascade runs;
+//!    the "no cascade" and "envelope only" rows are computed from its
+//!    funnel (see `without_later_stages`).
 
 use std::time::Instant;
 
 use serde::Serialize;
 
 use hum_core::dtw::{band_for_warping_width, ldtw_distance_sq_bounded_with, DtwWorkspace};
-use hum_core::engine::{DtwIndexEngine, EngineStats, QueryRequest};
+use hum_core::engine::{EngineStats, QueryRequest};
 use hum_core::normal::NormalForm;
 use hum_core::transform::dft::Dft;
 use hum_core::transform::dwt::Dwt;
@@ -30,8 +31,9 @@ use hum_core::transform::paa::{KeoghPaa, NewPaa};
 use hum_core::transform::svd::SvdTransform;
 use hum_core::transform::EnvelopeTransform;
 use hum_datasets::{generate, DatasetFamily};
-use hum_index::{LinearScan, RStarTree, SpatialIndex};
+use hum_index::{LinearScan, QueryStats, RStarTree, SpatialIndex};
 
+use crate::experiments::sweep::{build_engine, feature_range, with_features};
 use crate::report::{cascade_table, fmt1, TextTable};
 
 /// Experiment parameters.
@@ -148,7 +150,7 @@ impl CascadeRow {
 pub struct Output {
     /// Database size.
     pub series: usize,
-    /// Backend ablation (New_PAA transform).
+    /// Backend ablation (New_PAA features).
     pub backends: Vec<BackendRow>,
     /// Exact DTW computations with the LB second filter.
     pub exact_with_filter: f64,
@@ -156,9 +158,9 @@ pub struct Output {
     pub exact_without_filter: f64,
     /// Build-strategy ablation for the R\*-tree.
     pub builds: Vec<BuildRow>,
-    /// Transform pruning ablation (R\*-tree backend).
+    /// Transform pruning ablation (feature-space range query per transform).
     pub transforms: Vec<TransformRow>,
-    /// Verification-cascade ablation (R\*-tree backend, New\_PAA).
+    /// Verification-cascade ablation (the product engine).
     pub cascade: Vec<CascadeRow>,
 }
 
@@ -181,103 +183,83 @@ fn workload(params: &Params) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
     (database, queries)
 }
 
-/// Runs all four ablations.
+/// Runs all five ablations. One product engine (New_PAA over the flat
+/// sweep) answers every query and gives the linear-scan row and the cascade
+/// funnel; the R\*-tree row and the transform rows are feature-space range
+/// queries ([`feature_range`]) over the same envelope boxes.
 pub fn run(params: &Params) -> Output {
     let (database, queries) = workload(params);
     let band = band_for_warping_width(params.warping_width, params.length);
     let radius = (params.length as f64 * params.threshold).sqrt();
-
-    // 1. Backends under New_PAA.
-    let mut backends = Vec::new();
-    let backend_list: Vec<(&str, Box<dyn SpatialIndex>)> = vec![
-        ("R*-tree", Box::new(RStarTree::with_page_size(params.dims, 4096))),
-        ("linear scan", Box::new(LinearScan::with_page_size(params.dims, 4096))),
-    ];
-    for (name, index) in backend_list {
-        let mut engine = DtwIndexEngine::new(NewPaa::new(params.length, params.dims), index);
-        for (i, s) in database.iter().enumerate() {
-            engine.try_insert(i as u64, s.clone()).expect("finite normal form");
-        }
-        let (mut cand, mut pages) = (0u64, 0u64);
-        for q in &queries {
-            let request = QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-            let r = engine.try_query(&request).expect("valid query").result;
-            cand += r.stats.index.candidates;
-            pages += r.stats.index.node_accesses;
-        }
-        let n = queries.len().max(1) as f64;
-        backends.push(BackendRow {
-            backend: name.to_string(),
-            candidates: cand as f64 / n,
-            page_accesses: pages as f64 / n,
-        });
-    }
+    let new_paa = NewPaa::new(params.length, params.dims);
+    let per_query = |total: u64| total as f64 / queries.len().max(1) as f64;
 
     // 3. Build strategies (point data only; query cost measured after).
-    let features: Vec<(u64, Vec<f64>)> = {
-        let t = NewPaa::new(params.length, params.dims);
-        database.iter().enumerate().map(|(i, s)| (i as u64, t.project(s))).collect()
-    };
-    let mut builds = Vec::new();
-    {
-        let started = Instant::now();
-        let mut tree = RStarTree::with_page_size(params.dims, 4096);
-        for (id, p) in features.clone() {
-            tree.insert(id, p);
+    let features: Vec<(u64, Vec<f64>)> =
+        database.iter().enumerate().map(|(i, s)| (i as u64, new_paa.project(s))).collect();
+    let started = Instant::now();
+    let mut inserted = RStarTree::with_page_size(params.dims, 4096);
+    for (id, p) in features.clone() {
+        inserted.insert(id, p);
+    }
+    let build = |strategy: &str, started: Instant, tree: &RStarTree| {
+        let millis = started.elapsed().as_secs_f64() * 1e3;
+        let pages: u64 = queries
+            .iter()
+            .map(|q| feature_range(tree, &new_paa, q, band, radius).1.node_accesses)
+            .sum();
+        BuildRow {
+            strategy: strategy.to_string(),
+            millis,
+            nodes: tree.node_count(),
+            page_accesses: per_query(pages),
         }
-        builds.push(build_row("insert one-by-one", started, &tree, &queries, params, band, radius, &database));
-    }
-    {
-        let started = Instant::now();
-        let tree = RStarTree::bulk_load(params.dims, 4096, features.clone());
-        builds.push(build_row("STR bulk load", started, &tree, &queries, params, band, radius, &database));
-    }
+    };
+    let mut builds = vec![build("insert one-by-one", started, &inserted)];
+    let started = Instant::now();
+    let bulk = RStarTree::bulk_load(params.dims, 4096, features);
+    builds.push(build("STR bulk load", started, &bulk));
 
-    // 4. Transform pruning on the R*-tree.
+    // 1 and 5. The product engine: the linear-scan row, and where the
+    // verification cascade's candidates die and what verification costs in
+    // DP cells. The full cascade runs; the rows without its later stages
+    // follow from its funnel. The R*-tree row is the inserted tree's range
+    // query over the same boxes.
+    let engine = build_engine(&database, params.dims);
+    let (mut full, mut tree) = (EngineStats::default(), QueryStats::default());
+    for q in &queries {
+        let request = QueryRequest::range(radius).with_series(q.clone()).with_band(band);
+        full.absorb(&engine.try_query(&request).expect("valid query").result.stats);
+        tree.absorb(&feature_range(&inserted, &new_paa, q, band, radius).1);
+    }
+    let backend = |name: &str, stats: &QueryStats| BackendRow {
+        backend: name.to_string(),
+        candidates: per_query(stats.candidates),
+        page_accesses: per_query(stats.node_accesses),
+    };
+    let backends = vec![backend("R*-tree", &tree), backend("linear scan", &full.index)];
+
+    // 4. Transform pruning: each transform's candidates from a range query
+    // over its features.
     let transform_list: Vec<Box<dyn EnvelopeTransform>> = vec![
-        Box::new(NewPaa::new(params.length, params.dims)),
+        Box::new(new_paa.clone()),
         Box::new(KeoghPaa::new(params.length, params.dims)),
         Box::new(Dft::new(params.length, params.dims)),
         Box::new(Dwt::new(params.length, params.dims)),
         Box::new(SvdTransform::fit(&database[..500.min(database.len())], params.dims)),
     ];
-    let mut transforms = Vec::new();
-    for transform in transform_list {
-        let name = transform.name().to_string();
-        let mut engine =
-            DtwIndexEngine::new(transform, RStarTree::with_page_size(params.dims, 4096));
-        for (i, s) in database.iter().enumerate() {
-            engine.try_insert(i as u64, s.clone()).expect("finite normal form");
-        }
-        let total: u64 = queries
-            .iter()
-            .map(|q| {
-                let request =
-                    QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-                engine.try_query(&request).expect("valid query").result.stats.index.candidates
-            })
-            .sum();
-        transforms.push(TransformRow {
-            transform: name,
-            candidates: total as f64 / queries.len().max(1) as f64,
-        });
-    }
+    let transforms = transform_list
+        .iter()
+        .map(|transform| {
+            let index = with_features(LinearScan::new(params.dims), &**transform, &database);
+            let total: u64 = queries
+                .iter()
+                .map(|q| feature_range(&index, &**transform, q, band, radius).1.candidates)
+                .sum();
+            TransformRow { transform: transform.name().to_string(), candidates: per_query(total) }
+        })
+        .collect();
 
-    // 5. Verification cascade (R*-tree, New_PAA): where candidates die and
-    // what verification costs in DP cells. The full cascade runs; the rows
-    // without its later stages follow from its funnel.
-    let mut engine = DtwIndexEngine::new(
-        NewPaa::new(params.length, params.dims),
-        RStarTree::with_page_size(params.dims, 4096),
-    );
-    for (i, s) in database.iter().enumerate() {
-        engine.try_insert(i as u64, s.clone()).expect("finite normal form");
-    }
-    let mut full = EngineStats::default();
-    for q in &queries {
-        let request = QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-        full.absorb(&engine.try_query(&request).expect("valid query").result.stats);
-    }
     // The DP cells of one full banded DTW, as the kernel counts them.
     let mut ws = DtwWorkspace::new();
     ldtw_distance_sq_bounded_with(&mut ws, &database[0], &database[0], band, f64::INFINITY);
@@ -285,14 +267,11 @@ pub fn run(params: &Params) -> Output {
     let envelope_only = without_later_stages(&full, full.lb_pruned, ws.cells());
 
     // 2. Envelope second filter: exact DTWs per query with and without it.
-    let per_query = |stats: &EngineStats| {
-        stats.exact_computations as f64 / queries.len().max(1) as f64
-    };
     Output {
         series: params.series,
         backends,
-        exact_with_filter: per_query(&envelope_only),
-        exact_without_filter: per_query(&no_cascade),
+        exact_with_filter: per_query(envelope_only.exact_computations),
+        exact_without_filter: per_query(no_cascade.exact_computations),
         builds,
         transforms,
         cascade: vec![
@@ -320,37 +299,6 @@ fn without_later_stages(full: &EngineStats, lb_pruned: u64, dtw_cells: u64) -> E
         dp_cells: exact_computations * dtw_cells,
         matches: full.matches,
         ..EngineStats::default()
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // internal helper mirroring the measurement context
-fn build_row(
-    strategy: &str,
-    started: Instant,
-    tree: &RStarTree,
-    queries: &[Vec<f64>],
-    params: &Params,
-    band: usize,
-    radius: f64,
-    database: &[Vec<f64>],
-) -> BuildRow {
-    let millis = started.elapsed().as_secs_f64() * 1e3;
-    // Measure index-level page accesses directly against the prebuilt tree
-    // (queries are already in normal form).
-    let transform = NewPaa::new(params.length, params.dims);
-    let mut pages = 0u64;
-    for q in queries {
-        let env = hum_core::envelope::Envelope::compute(q, band);
-        let fbox = transform.project_envelope(&env);
-        let (_, stats) = tree.range_query(&hum_index::Query::Rect(fbox), radius);
-        pages += stats.node_accesses;
-    }
-    let _ = database;
-    BuildRow {
-        strategy: strategy.to_string(),
-        millis,
-        nodes: tree.node_count(),
-        page_accesses: pages as f64 / queries.len().max(1) as f64,
     }
 }
 

@@ -1,18 +1,23 @@
 //! Shared machinery for the candidate / page-access sweeps of Figures 8–10.
 //!
-//! Builds two GEMINI engines over the *same* data and R\*-tree page size —
-//! one indexing with New_PAA, one with Keogh_PAA — and replays the same
-//! ε-range queries against both across a grid of warping widths and
-//! thresholds, recording the paper's two implementation-bias-free cost
-//! metrics: candidates retrieved and page (node) accesses.
+//! Each method (New_PAA, Keogh_PAA) indexes the *same* data in its own
+//! R\*-tree at the same page size; the same ε-range queries run against both
+//! across a grid of warping widths and thresholds, recording the paper's two
+//! implementation-bias-free cost metrics: candidates retrieved and page
+//! (node) accesses, read from the tree's range query over the query
+//! envelope's feature box ([`feature_range`]). The answers come from the
+//! product engine ([`build_engine`]); a method's matches are the engine's
+//! matches its candidate list holds, so a false negative would show as a
+//! match-count gap between the methods.
 
 use serde::Serialize;
 
 use hum_core::dtw::band_for_warping_width;
 use hum_core::engine::{DtwIndexEngine, QueryRequest};
+use hum_core::envelope::Envelope;
 use hum_core::transform::paa::{KeoghPaa, NewPaa};
 use hum_core::transform::EnvelopeTransform;
-use hum_index::{RStarTree, SpatialIndex};
+use hum_index::{ItemId, LinearScan, Query, QueryStats, RStarTree, SpatialIndex};
 
 /// The warping widths of Figures 8–10 (0.02 → 0.2, step 0.02).
 pub fn paper_widths() -> Vec<f64> {
@@ -66,63 +71,99 @@ pub fn run_sweep(
     assert!(database.iter().all(|s| s.len() == n), "ragged database");
     assert!(queries.iter().all(|s| s.len() == n), "query length mismatch");
 
-    let new_engine = build_engine(NewPaa::new(n, dims), database, dims, page_bytes);
-    let keogh_engine = build_engine(KeoghPaa::new(n, dims), database, dims, page_bytes);
-
-    vec![
-        sweep_one("New_PAA", &new_engine, queries, n, widths, thresholds),
-        sweep_one("Keogh_PAA", &keogh_engine, queries, n, widths, thresholds),
-    ]
+    let engine = build_engine(database, dims);
+    let methods: [(&str, Box<dyn EnvelopeTransform>); 2] = [
+        ("New_PAA", Box::new(NewPaa::new(n, dims))),
+        ("Keogh_PAA", Box::new(KeoghPaa::new(n, dims))),
+    ];
+    let trees: Vec<RStarTree> =
+        methods.iter().map(|(_, t)| feature_tree(&**t, database, page_bytes)).collect();
+    let mut sweeps: Vec<MethodSweep> = methods
+        .iter()
+        .map(|(name, _)| MethodSweep { method: name.to_string(), points: Vec::new() })
+        .collect();
+    let nq = queries.len().max(1) as f64;
+    for &threshold in thresholds {
+        let radius = (n as f64 * threshold).sqrt();
+        for &width in widths {
+            let band = band_for_warping_width(width, n);
+            // Per method: its tree's counters, and the engine matches it lists.
+            let mut totals = [(QueryStats::default(), 0u64); 2];
+            for q in queries {
+                let request = QueryRequest::range(radius).with_series(q.clone()).with_band(band);
+                let matches = engine.try_query(&request).expect("valid query").result.matches;
+                for (((_, transform), tree), total) in methods.iter().zip(&trees).zip(&mut totals) {
+                    let (mut listed, stats) = feature_range(tree, &**transform, q, band, radius);
+                    listed.sort_unstable();
+                    let kept = matches.iter().filter(|(id, _)| listed.binary_search(id).is_ok());
+                    total.0.absorb(&stats);
+                    total.1 += kept.count() as u64;
+                }
+            }
+            for (sweep, (stats, matches)) in sweeps.iter_mut().zip(totals) {
+                sweep.points.push(SweepPoint {
+                    warping_width: width,
+                    threshold,
+                    candidates: stats.candidates as f64 / nq,
+                    page_accesses: stats.node_accesses as f64 / nq,
+                    matches: matches as f64 / nq,
+                });
+            }
+        }
+    }
+    sweeps
 }
 
-fn build_engine<T: EnvelopeTransform>(
-    transform: T,
-    database: &[Vec<f64>],
-    dims: usize,
-    page_bytes: usize,
-) -> DtwIndexEngine<T, RStarTree> {
-    let mut engine = DtwIndexEngine::new(transform, RStarTree::with_page_size(dims, page_bytes));
+/// The product engine over `database` (ids are positions): New_PAA at
+/// `dims` features over the flat sweep.
+///
+/// # Panics
+/// Panics if the database is empty or a series is not in normal form.
+pub fn build_engine(database: &[Vec<f64>], dims: usize) -> DtwIndexEngine {
+    let transform = NewPaa::new(database[0].len(), dims);
+    let mut engine = DtwIndexEngine::new(transform, LinearScan::new(dims));
     for (i, s) in database.iter().enumerate() {
         engine.try_insert(i as u64, s.clone()).expect("finite normal form");
     }
     engine
 }
 
-fn sweep_one<T: EnvelopeTransform, I: SpatialIndex>(
-    method: &str,
-    engine: &DtwIndexEngine<T, I>,
-    queries: &[Vec<f64>],
-    n: usize,
-    widths: &[f64],
-    thresholds: &[f64],
-) -> MethodSweep {
-    let mut points = Vec::with_capacity(widths.len() * thresholds.len());
-    for &threshold in thresholds {
-        let radius = (n as f64 * threshold).sqrt();
-        for &width in widths {
-            let band = band_for_warping_width(width, n);
-            let mut candidates = 0u64;
-            let mut pages = 0u64;
-            let mut matches = 0u64;
-            for q in queries {
-                let request =
-                    QueryRequest::range(radius).with_series(q.clone()).with_band(band);
-                let result = engine.try_query(&request).expect("valid query").result;
-                candidates += result.stats.index.candidates;
-                pages += result.stats.index.node_accesses;
-                matches += result.stats.matches;
-            }
-            let nq = queries.len().max(1) as f64;
-            points.push(SweepPoint {
-                warping_width: width,
-                threshold,
-                candidates: candidates as f64 / nq,
-                page_accesses: pages as f64 / nq,
-                matches: matches as f64 / nq,
-            });
-        }
+/// The paper's R\*-tree over `transform`'s features of `database`, inserted
+/// one by one in id order (ids are positions).
+pub fn feature_tree(
+    transform: &dyn EnvelopeTransform,
+    database: &[Vec<f64>],
+    page_bytes: usize,
+) -> RStarTree {
+    let tree = RStarTree::with_page_size(transform.output_dims(), page_bytes);
+    with_features(tree, transform, database)
+}
+
+/// `index` with `transform`'s features of `database` inserted in id order.
+pub fn with_features<I: SpatialIndex>(
+    mut index: I,
+    transform: &dyn EnvelopeTransform,
+    database: &[Vec<f64>],
+) -> I {
+    for (i, s) in database.iter().enumerate() {
+        index.insert(i as u64, transform.project(s));
     }
-    MethodSweep { method: method.to_string(), points }
+    index
+}
+
+/// The index phase of an ε-range query: the query's `band`-envelope, its
+/// feature box under `transform`, and `index`'s range query at `radius`
+/// around that box. By Theorem 1 the candidates hold every series within
+/// `radius` of the query under banded DTW.
+pub fn feature_range<I: SpatialIndex + ?Sized>(
+    index: &I,
+    transform: &dyn EnvelopeTransform,
+    query: &[f64],
+    band: usize,
+    radius: f64,
+) -> (Vec<ItemId>, QueryStats) {
+    let envelope = Envelope::compute(query, band);
+    index.range_query(&Query::Rect(transform.project_envelope(&envelope)), radius)
 }
 
 /// Renders two method sweeps side by side for one metric.
@@ -227,6 +268,42 @@ mod tests {
         }
         let failures = verify_shape(&sweeps);
         assert!(failures.is_empty(), "{failures:?}");
+    }
+
+    /// The premise of the figures: the New_PAA tree admits exactly the
+    /// engine's candidates (same box, same radius, another index), and the
+    /// Keogh_PAA tree lists every match the engine returns.
+    #[test]
+    fn trees_list_the_engines_candidates_and_matches() {
+        let (db, queries) = workload(300, 5, 64);
+        let n = 64;
+        let engine = build_engine(&db, 8);
+        let keogh = KeoghPaa::new(n, 8);
+        let new_tree = feature_tree(engine.transform(), &db, 1024);
+        let keogh_tree = feature_tree(&keogh, &db, 1024);
+        for threshold in THRESHOLDS {
+            let radius = (n as f64 * threshold).sqrt();
+            for width in [0.05, 0.1, 0.2] {
+                let band = band_for_warping_width(width, n);
+                for q in &queries {
+                    let request =
+                        QueryRequest::range(radius).with_series(q.clone()).with_band(band);
+                    let result = engine.try_query(&request).unwrap().result;
+                    let (mut listed, stats) =
+                        feature_range(&new_tree, engine.transform(), q, band, radius);
+                    let (mut swept, _) =
+                        feature_range(engine.index(), engine.transform(), q, band, radius);
+                    assert_eq!(stats.candidates, result.stats.index.candidates);
+                    listed.sort_unstable();
+                    swept.sort_unstable();
+                    assert_eq!(listed, swept, "eps={threshold} delta={width}");
+                    let (keogh_listed, _) = feature_range(&keogh_tree, &keogh, q, band, radius);
+                    for (id, _) in &result.matches {
+                        assert!(keogh_listed.contains(id), "Keogh_PAA drops match {id}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Prints a bit-exact digest of engine answers and counters over a fixed
 //! pseudo-random workload, for before/after comparison of engine changes.
 //!
-//! One pass over both backends (R\*-tree and flat sweep). Every line prints
+//! One pass over the engine (New_PAA over the flat sweep). Every line prints
 //! the matches and their bits, the index counters, and the cascade funnel:
 //! envelope-pruned, `LB_Improved`-pruned, exact DTW runs started, of those
 //! abandoned, and DP cells. `ci.sh` compares the output's sha256 with the
@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 
 use hum_core::engine::{DtwIndexEngine, QueryRequest, QueryResult};
 use hum_core::transform::paa::NewPaa;
-use hum_index::{ItemId, LinearScan, RStarTree, SpatialIndex};
+use hum_index::{ItemId, LinearScan};
 
 fn lcg_series(n: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
     let mut state = seed.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
@@ -60,10 +60,11 @@ fn fields(r: &QueryResult) -> String {
     )
 }
 
-fn digest<I: SpatialIndex>(out: &mut String, name: &str, index: I) {
+fn main() {
+    let mut out = String::new();
     let series = lcg_series(400, 64, 11);
     let queries = lcg_series(12, 64, 777);
-    let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), index);
+    let mut engine = DtwIndexEngine::new(NewPaa::new(64, 8), LinearScan::with_page_size(8, 1024));
     for (i, s) in series.iter().enumerate() {
         engine.try_insert(i as ItemId, s.clone()).unwrap();
     }
@@ -71,19 +72,13 @@ fn digest<I: SpatialIndex>(out: &mut String, name: &str, index: I) {
         for (band, radius) in [(0usize, 1.2), (3, 2.0), (6, 3.5)] {
             let request = QueryRequest::range(radius).with_series(q.clone()).with_band(band);
             let r = engine.try_query(&request).unwrap().result;
-            let _ = writeln!(out, "{name} q{qi} range b{band} r{radius}: {}", fields(&r));
+            let _ = writeln!(out, "linear q{qi} range b{band} r{radius}: {}", fields(&r));
         }
         for (band, k) in [(0usize, 1), (3, 5), (6, 17)] {
             let request = QueryRequest::knn(k).with_series(q.clone()).with_band(band);
             let r = engine.try_query(&request).unwrap().result;
-            let _ = writeln!(out, "{name} q{qi} knn b{band} k{k}: {}", fields(&r));
+            let _ = writeln!(out, "linear q{qi} knn b{band} k{k}: {}", fields(&r));
         }
     }
-}
-
-fn main() {
-    let mut out = String::new();
-    digest(&mut out, "rstar", RStarTree::with_page_size(8, 1024));
-    digest(&mut out, "linear", LinearScan::with_page_size(8, 1024));
     print!("{out}");
 }

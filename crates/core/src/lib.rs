@@ -21,8 +21,8 @@
 //!   **Keogh_PAA** for comparison.
 //! * [`tightness`] — the tightness-of-lower-bound metric used throughout the
 //!   paper's evaluation (§5.2).
-//! * [`engine`] — the GEMINI query engine (§4.3): feature extraction, spatial
-//!   indexing via any [`hum_index::SpatialIndex`] backend, and the one query
+//! * [`engine`] — the GEMINI query engine (§4.3): New_PAA features in one
+//!   flat sweep ([`hum_index::LinearScan`]), and the one query
 //!   entry point — validate, prepare, ε-range or the one-sweep k-NN schedule
 //!   (seed round, radius, close round), record, trace — with exact-DTW
 //!   refinement and full access accounting, bit-identical to a brute-force
@@ -45,7 +45,7 @@
 //! ```
 //! use hum_core::engine::{DtwIndexEngine, QueryRequest};
 //! use hum_core::transform::paa::NewPaa;
-//! use hum_index::RStarTree;
+//! use hum_index::LinearScan;
 //!
 //! // Sixteen-point toy series; real workloads use length 128–256.
 //! let db: Vec<Vec<f64>> = (0..10)
@@ -53,7 +53,7 @@
 //!     .collect();
 //!
 //! let transform = NewPaa::new(16, 4);
-//! let index = RStarTree::new(4);
+//! let index = LinearScan::new(4);
 //! let mut engine = DtwIndexEngine::new(transform, index);
 //! for (id, series) in db.iter().enumerate() {
 //!     engine.try_insert(id as u64, series.clone()).unwrap();

@@ -81,28 +81,6 @@ pub fn feature_lower_bound(feature_box: &Rect, features: &[f64]) -> f64 {
     feature_box.min_dist_point(features)
 }
 
-impl<T: EnvelopeTransform + ?Sized> EnvelopeTransform for Box<T> {
-    fn input_len(&self) -> usize {
-        (**self).input_len()
-    }
-
-    fn output_dims(&self) -> usize {
-        (**self).output_dims()
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn project(&self, x: &[f64]) -> Vec<f64> {
-        (**self).project(x)
-    }
-
-    fn project_envelope(&self, env: &Envelope) -> Rect {
-        (**self).project_envelope(env)
-    }
-}
-
 /// A linear transform `X_j = Σ_i a_ij·x_i` together with its Lemma 3
 /// container-invariant extension to envelopes.
 #[derive(Debug, Clone)]

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use hum_core::dtw::ldtw_distance;
 use hum_core::engine::{DtwIndexEngine, EngineError, QueryRequest};
 use hum_core::transform::paa::NewPaa;
-use hum_index::{ItemId, RStarTree};
+use hum_index::{ItemId, LinearScan};
 use proptest::prelude::*;
 
 const LEN: usize = 16;
@@ -26,11 +26,10 @@ const DIMS: usize = 4;
 const BAND: usize = 2;
 const UNIVERSE: u64 = 24;
 
-type Engine = DtwIndexEngine<NewPaa, RStarTree>;
 type Model = HashMap<ItemId, Vec<f64>>;
 
-fn engine() -> Engine {
-    DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 256))
+fn engine() -> DtwIndexEngine {
+    DtwIndexEngine::new(NewPaa::new(LEN, DIMS), LinearScan::with_page_size(DIMS, 256))
 }
 
 /// A deterministic series for `(id, version)`: re-inserting an id stores
@@ -60,7 +59,7 @@ fn bits(matches: &[(ItemId, f64)]) -> Vec<(ItemId, u64)> {
 
 /// `len`, `get` over the whole universe, and every query path against the
 /// brute-force sweep of the model.
-fn assert_agrees(engine: &Engine, model: &Model, query: &[f64], when: &str) {
+fn assert_agrees(engine: &DtwIndexEngine, model: &Model, query: &[f64], when: &str) {
     assert_eq!(engine.len(), model.len(), "len {when}");
     assert_eq!(engine.is_empty(), model.is_empty(), "is_empty {when}");
     for id in (0..UNIVERSE).chain(model.keys().copied()) {
@@ -102,7 +101,7 @@ fn ops() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// Applies `op` to both sides, checking the call's own outcome.
-fn apply(engine: &mut Engine, model: &mut Model, op: &Op, version: u64) {
+fn apply(engine: &mut DtwIndexEngine, model: &mut Model, op: &Op, version: u64) {
     match *op {
         Op::Insert(id) => {
             let series = series_for(id, version);
@@ -140,7 +139,7 @@ proptest! {
         let mut engine = engine();
         let mut model = Model::new();
         let query = series_for(999, 0);
-        let mut snapshot: Option<(Engine, Model)> = None;
+        let mut snapshot: Option<(DtwIndexEngine, Model)> = None;
         for (step, op) in ops.iter().enumerate() {
             apply(&mut engine, &mut model, op, step as u64);
             // Cheap agreement after every operation, answers every eighth.
@@ -168,7 +167,7 @@ fn removing_the_only_the_last_and_a_middle_slot() {
     let mut engine = engine();
     let mut model = Model::new();
     let query = series_for(999, 1);
-    let step = |engine: &mut Engine, model: &mut Model, op: Op| {
+    let step = |engine: &mut DtwIndexEngine, model: &mut Model, op: Op| {
         apply(engine, model, &op, 7);
         assert_agrees(engine, model, &query, &format!("after {op:?}"));
     };

@@ -1,8 +1,7 @@
 //! One oracle for the one query path: every request kind over tie-heavy
 //! corpora must return matches **bit-identical to a brute-force
-//! `ldtw_distance` sweep**, with traces whose funnel closes, on both a tree
-//! and the flat sweep the product runs — and an expired budget must surface
-//! as one `DeadlineExceeded` with no matches.
+//! `ldtw_distance` sweep**, with traces whose funnel closes — and an expired
+//! budget must surface as one `DeadlineExceeded` with no matches.
 
 use std::time::Instant;
 
@@ -12,7 +11,7 @@ use hum_core::engine::{
 };
 use hum_core::obs::{Metric, MetricsSink};
 use hum_core::transform::paa::NewPaa;
-use hum_index::{ItemId, LinearScan, RStarTree, SpatialIndex};
+use hum_index::{ItemId, LinearScan};
 
 const LEN: usize = 64;
 const DIMS: usize = 8;
@@ -45,21 +44,13 @@ fn corpus(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// An engine over `series` (ids are positions) on the `index` backend.
-fn engine<I: SpatialIndex>(series: &[Vec<f64>], index: I) -> DtwIndexEngine<NewPaa, I> {
-    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, DIMS), index);
+/// An engine over `series` (ids are positions).
+fn engine(series: &[Vec<f64>]) -> DtwIndexEngine {
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, DIMS), LinearScan::new(DIMS));
     for (i, s) in series.iter().enumerate() {
         engine.try_insert(i as ItemId, s.clone()).unwrap();
     }
     engine
-}
-
-fn tree() -> RStarTree {
-    RStarTree::with_page_size(DIMS, 1024)
-}
-
-fn sweep() -> LinearScan {
-    LinearScan::with_page_size(DIMS, 1024)
 }
 
 /// The oracle: every series' exact banded-DTW distance, filtered by the
@@ -121,7 +112,7 @@ fn corpora() -> Vec<(&'static str, Vec<Vec<f64>>)> {
     vec![("plain", plain), ("tie group", ties), ("distance ties", distance_ties)]
 }
 
-/// Every corpus × backend {tree, flat sweep} × every request shape, each
+/// Every corpus × every request shape, each
 /// run once unbudgeted (against the oracle, and again in reused scratch)
 /// and once already expired.
 #[test]
@@ -129,17 +120,11 @@ fn every_request_matches_brute_force_and_honours_the_deadline() {
     let expired = QueryBudget::with_deadline(Instant::now());
     assert!(expired.expired());
     for (corpus_name, series) in corpora() {
-        check(&format!("{corpus_name}, tree"), &engine(&series, tree()), &series, expired);
-        check(&format!("{corpus_name}, sweep"), &engine(&series, sweep()), &series, expired);
+        check(corpus_name, &engine(&series), &series, expired);
     }
 }
 
-fn check<I: SpatialIndex>(
-    name: &str,
-    engine: &DtwIndexEngine<NewPaa, I>,
-    series: &[Vec<f64>],
-    expired: QueryBudget,
-) {
+fn check(name: &str, engine: &DtwIndexEngine, series: &[Vec<f64>], expired: QueryBudget) {
     let mut scratch = QueryScratch::new();
     for request in &requests(series) {
         let outcome = engine.try_query(request).expect("unbudgeted query completes");
@@ -178,7 +163,7 @@ fn check<I: SpatialIndex>(
 #[test]
 fn a_range_query_at_a_returned_distance_returns_that_item() {
     let series = corpus(90, 7);
-    let engine = engine(&series, sweep());
+    let engine = engine(&series);
     for qi in [3usize, 10, 41] {
         let shape = |r: QueryRequest| r.with_series(series[qi].clone()).with_band(BAND);
         let knn = engine.try_query(&shape(QueryRequest::knn(8))).expect("completes");
@@ -201,7 +186,7 @@ fn a_range_query_at_a_returned_distance_returns_that_item() {
 fn a_batch_that_fails_validation_does_no_work_and_records_nothing() {
     let series = corpus(60, 17);
     let metrics = MetricsSink::enabled();
-    let engine = engine(&series, sweep()).with_metrics(metrics.clone());
+    let engine = engine(&series).with_metrics(metrics.clone());
     let good = QueryRequest::knn(3).with_series(series[1].clone()).with_band(BAND);
     let mut poisoned = series[2].clone();
     poisoned[9] = f64::NAN;

@@ -12,7 +12,7 @@ use hum_core::envelope::{lb_improved_tail_sq_mode, Envelope, LbScratch};
 use hum_core::kernel::lb::env_lb_sq_bounded;
 use hum_core::kernel::KernelMode;
 use hum_core::transform::paa::NewPaa;
-use hum_index::{LinearScan, RStarTree};
+use hum_index::LinearScan;
 use proptest::prelude::*;
 
 const LEN: usize = 32;
@@ -111,8 +111,8 @@ proptest! {
         }
     }
 
-    /// Engine-level: the range answer is a brute-force sweep's, bit for
-    /// bit, on both backends, which also agree on the k-NN answer; and the
+    /// Engine-level: the range and k-NN answers are a brute-force sweep's,
+    /// bit for bit, in fresh and in reused scratch; and the
     /// three kernels the engine runs per candidate return the same bits in
     /// both modes for every stored series, at the query's threshold and
     /// unbounded.
@@ -139,30 +139,26 @@ proptest! {
             (0..LEN).map(|_| { acc += next(); acc }).collect()
         };
 
-        let mut swept: Vec<(u64, f64)> = database
+        let mut all: Vec<(u64, f64)> = database
             .iter()
             .enumerate()
             .map(|(i, s)| (i as u64, ldtw_distance(&query, s, band)))
-            .filter(|&(_, d)| d <= radius)
             .collect();
-        swept.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        all.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        let swept: Vec<(u64, f64)> = all.iter().copied().filter(|&(_, d)| d <= radius).collect();
 
-        let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::new(4));
-        let mut linear =
-            DtwIndexEngine::new(NewPaa::new(LEN, 4), LinearScan::with_page_size(4, 1024));
+        let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), LinearScan::new(4));
         for (i, s) in database.iter().enumerate() {
             engine.try_insert(i as u64, s.clone()).unwrap();
-            linear.try_insert(i as u64, s.clone()).unwrap();
         }
         let mut scratch = QueryScratch::new();
         let range = QueryRequest::range(radius).with_series(query.clone()).with_band(band);
         let knn = QueryRequest::knn(k).with_series(query.clone()).with_band(band);
         prop_assert_eq!(&engine.try_query_with(&range, &mut scratch).unwrap().result.matches, &swept);
-        prop_assert_eq!(&linear.try_query(&range).unwrap().result.matches, &swept);
-        prop_assert_eq!(
-            engine.try_query_with(&knn, &mut scratch).unwrap().result.matches,
-            linear.try_query(&knn).unwrap().result.matches
-        );
+        prop_assert_eq!(&engine.try_query(&range).unwrap().result.matches, &swept);
+        let top = &all[..k];
+        prop_assert_eq!(&engine.try_query_with(&knn, &mut scratch).unwrap().result.matches, top);
+        prop_assert_eq!(&engine.try_query(&knn).unwrap().result.matches, top);
 
         let env = Envelope::compute(&query, band);
         let (mut ws, mut lb) = (DtwWorkspace::new(), LbScratch::new());
@@ -192,7 +188,7 @@ fn scratch_reuse_across_mixed_queries_is_invisible() {
         .map(|s| (0..LEN).map(|t| ((t * (s + 2)) as f64 * 0.13).sin() * 3.0).collect())
         .collect();
     let query: Vec<f64> = (0..LEN).map(|t| (t as f64 * 0.21).cos() * 2.0).collect();
-    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::new(4));
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), LinearScan::new(4));
     for (i, s) in database.iter().enumerate() {
         engine.try_insert(i as u64, s.clone()).unwrap();
     }

@@ -15,7 +15,7 @@ use hum_core::obs::{
     metrics_to_text, to_json_string, trace_to_text, Metric, MetricsRegistry, MetricsSink,
 };
 use hum_core::transform::paa::NewPaa;
-use hum_index::RStarTree;
+use hum_index::LinearScan;
 use proptest::prelude::*;
 
 const LEN: usize = 32;
@@ -41,8 +41,8 @@ fn lcg_series(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn build_engine(series: &[Vec<f64>]) -> DtwIndexEngine<NewPaa, RStarTree> {
-    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), RStarTree::with_page_size(4, 1024));
+fn build_engine(series: &[Vec<f64>]) -> DtwIndexEngine {
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, 4), LinearScan::new(4));
     for (i, s) in series.iter().enumerate() {
         engine.try_insert(i as u64, s.clone()).unwrap();
     }

@@ -8,7 +8,7 @@ use hum_core::engine::{DtwIndexEngine, EngineError, QueryBudget, QueryRequest, Q
 use hum_core::normal::NormalForm;
 use hum_core::session::QuerySession;
 use hum_core::transform::paa::NewPaa;
-use hum_index::{ItemId, RStarTree};
+use hum_index::{ItemId, LinearScan};
 
 const LEN: usize = 64;
 const DIMS: usize = 8;
@@ -36,11 +36,8 @@ fn raw_hums(n: usize, seed: u64) -> Vec<Vec<f64>> {
         .collect()
 }
 
-type Engine = DtwIndexEngine<NewPaa, RStarTree>;
-
-fn engine(corpus: &[Vec<f64>], normal: &NormalForm) -> Engine {
-    let mut engine =
-        DtwIndexEngine::new(NewPaa::new(LEN, DIMS), RStarTree::with_page_size(DIMS, 1024));
+fn engine(corpus: &[Vec<f64>], normal: &NormalForm) -> DtwIndexEngine {
+    let mut engine = DtwIndexEngine::new(NewPaa::new(LEN, DIMS), LinearScan::new(DIMS));
     for (i, hum) in corpus.iter().enumerate() {
         engine.try_insert(i as ItemId, normal.apply(hum)).expect("insert normal form");
     }
@@ -51,7 +48,7 @@ fn engine(corpus: &[Vec<f64>], normal: &NormalForm) -> Engine {
 /// executed like any other query.
 fn refine(
     session: &QuerySession,
-    engine: &Engine,
+    engine: &DtwIndexEngine,
     budget: QueryBudget,
     scratch: &mut QueryScratch,
 ) -> Result<hum_core::engine::QueryOutcome, EngineError> {
@@ -61,7 +58,7 @@ fn refine(
 /// The one-shot path a non-streaming caller takes: normalize the whole
 /// prefix, build a request, query.
 fn one_shot(
-    engine: &Engine,
+    engine: &DtwIndexEngine,
     normal: &NormalForm,
     template: &QueryRequest,
     prefix: &[f64],

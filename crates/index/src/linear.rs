@@ -10,9 +10,12 @@
 //! Answers (ids, order, distance bits, [`QueryStats`]) equal a per-point
 //! scan in insertion order, for finite coordinates: a point query is the box
 //! `[q, q]` and each `d²` is summed left to right as
-//! [`crate::Rect::min_dist_point_sq`] does. The index answers range queries
-//! and the bound sweep; k-NN is the engine's (the hidden `knn` stand-in is
-//! the old per-point scan stably sorted by [`Query::dist_to_point`]).
+//! [`crate::Rect::min_dist_point_sq`] does. The sweep answers range queries
+//! ([`SpatialIndex::range_query`]) and the bound sweep
+//! ([`LinearScan::all_dist_sq`]), and keeps the engine's deletions
+//! ([`LinearScan::remove`]); k-NN is the engine's (the hidden `knn`
+//! stand-in is the old per-point scan stably sorted by
+//! [`Query::dist_to_point`]).
 
 use std::collections::BinaryHeap;
 
@@ -58,7 +61,7 @@ impl LinearScan {
 
     /// The `k` nearest points, as `(id, distance)` sorted by ascending
     /// distance, plus the sweep's stats. A stand-in: the engine's k-NN runs
-    /// on [`SpatialIndex::all_dist_sq`], and only the benchmark's stage
+    /// on [`LinearScan::all_dist_sq`], and only the benchmark's stage
     /// replay calls this. ROADMAP item 1(b) deletes it with that replay.
     ///
     /// The sweep feeding a bounded max-heap of `(distance bits, position,
@@ -87,6 +90,27 @@ impl LinearScan {
         });
         let sorted = heap.into_sorted_vec().into_iter();
         self.answer(sorted.map(|(bits, pos, _)| (self.ids[pos], f64::from_bits(bits))).collect())
+    }
+
+    /// Every stored point's *squared* distance to the query, as `(id, d²)`
+    /// in insertion order, plus the sweep's stats (every point is a
+    /// candidate): the bound array the engine's k-NN schedule ranks.
+    pub fn all_dist_sq(&self, query: &Query) -> (Vec<(ItemId, f64)>, QueryStats) {
+        let mut out = Vec::with_capacity(self.len());
+        self.sweep(query, |pos, dist_sq| out.push((self.ids[pos], dist_sq)));
+        self.answer(out)
+    }
+
+    /// Removes the point stored under `id`, keeping every other point's
+    /// insertion order so ties resolve as before. Returns `true` if
+    /// something was removed.
+    pub fn remove(&mut self, id: ItemId) -> bool {
+        let Some(pos) = self.ids.iter().position(|&found| found == id) else {
+            return false;
+        };
+        self.ids.remove(pos);
+        self.coords.drain(pos * self.dims..(pos + 1) * self.dims);
+        true
     }
 
     /// Calls `visit(position, d²)` for every stored point in insertion
@@ -123,16 +147,6 @@ impl SpatialIndex for LinearScan {
         self.coords.extend_from_slice(&point);
     }
 
-    /// Keeps every other point's insertion order, so ties resolve as before.
-    fn remove(&mut self, id: ItemId) -> bool {
-        let Some(pos) = self.ids.iter().position(|&found| found == id) else {
-            return false;
-        };
-        self.ids.remove(pos);
-        self.coords.drain(pos * self.dims..(pos + 1) * self.dims);
-        true
-    }
-
     fn range_query(&self, query: &Query, epsilon: f64) -> (Vec<ItemId>, QueryStats) {
         let mut out = Vec::new();
         self.sweep(query, |pos, dist_sq| {
@@ -140,13 +154,6 @@ impl SpatialIndex for LinearScan {
                 out.push(self.ids[pos]);
             }
         });
-        self.answer(out)
-    }
-
-    /// The sweep itself, in insertion order.
-    fn all_dist_sq(&self, query: &Query) -> (Vec<(ItemId, f64)>, QueryStats) {
-        let mut out = Vec::with_capacity(self.len());
-        self.sweep(query, |pos, dist_sq| out.push((self.ids[pos], dist_sq)));
         self.answer(out)
     }
 }

@@ -96,9 +96,6 @@ pub struct QbhResults {
     pub stats: EngineStats,
 }
 
-/// The engine of a system: New_PAA over the flat feature sweep.
-pub type QbhEngine = DtwIndexEngine<NewPaa, LinearScan>;
-
 /// One immutable on-disk segment: its file id and the full id list from
 /// the file (tombstoned ids included, so manifest counts stay consistent on
 /// rewrite). Its live melodies are held by the system's one engine.
@@ -293,7 +290,7 @@ fn booked(metrics: &MetricsSink, written: Result<u64, StorageError>) -> Result<u
 /// # Panics
 /// When `feature_dims` does not divide `normal_length`, which
 /// [`crate::storage`] rejects for every stored configuration.
-fn new_engine(config: &QbhConfig) -> QbhEngine {
+fn new_engine(config: &QbhConfig) -> DtwIndexEngine {
     let transform = NewPaa::new(config.normal_length, config.feature_dims);
     let index = LinearScan::with_page_size(config.feature_dims, config.page_bytes);
     DtwIndexEngine::new(transform, index)
@@ -312,7 +309,7 @@ fn new_engine(config: &QbhConfig) -> QbhEngine {
 /// in-memory build ([`QbhSystem::build`]) over the same corpus at every
 /// segment layout.
 pub struct QbhSystem {
-    engine: QbhEngine,
+    engine: DtwIndexEngine,
     segments: Vec<StoreSegment>,
     normal: NormalForm,
     band: usize,
@@ -493,7 +490,7 @@ impl QbhSystem {
 
     /// The engine over the whole corpus, for experiments that need raw
     /// control — in memory or store-backed alike.
-    pub fn engine(&self) -> &QbhEngine {
+    pub fn engine(&self) -> &DtwIndexEngine {
         &self.engine
     }
 
