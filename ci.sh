@@ -78,12 +78,23 @@ cargo run -q --release -p hum-bench --bin repro -- scale --quick --out "$DIGEST_
 # in-process one; the instrument the prefix-matching decision rests on.
 cargo run -q --release -p hum-bench --bin repro -- stream --quick --out "$DIGEST_DIR/stream"
 
-# The last three experiments at quick scale, which enforces no kernel
-# speedup, so wall-clock noise cannot fail this line. What can: a kernel
-# shape whose bits differ from its reference (`repro kernels` is the only
-# kernel timing instrument), a served request rejected, a reopened store
-# answering differently.
-cargo run -q --release -p hum-bench --bin repro -- kernels serve ingest --quick --out "$DIGEST_DIR/smoke"
+# Two experiments at quick scale, which enforces no kernel speedup, so
+# wall-clock noise cannot fail this line. What can: a kernel shape whose
+# bits differ from its reference (`repro kernels` is the only kernel timing
+# instrument) or a served request rejected.
+cargo run -q --release -p hum-bench --bin repro -- kernels serve --quick --out "$DIGEST_DIR/smoke"
+
+# The store's write behaviour: a paper-scale ingest (~2 s) must flush,
+# compact and write exactly what results/ingest.csv records — every column
+# but the wall-clock inserts/sec — and its reopened store must answer
+# identically to the in-memory build.
+cargo run -q --release -p hum-bench --bin repro -- ingest --out "$DIGEST_DIR/ingest" > /dev/null
+if ! cmp <(cut -d, -f1,3- "$DIGEST_DIR/ingest/ingest.csv") <(cut -d, -f1,3- results/ingest.csv); then
+    echo "results/ingest.csv does not regenerate (inserts/sec aside); if intended, recommit with:" >&2
+    echo "  cargo run --release -p hum-bench --bin repro -- ingest" >&2
+    exit 1
+fi
+echo "ingest (flushes, compactions, segments, bytes written, reopen identity) equals results/ingest.csv"
 
 # The repo benchmark (BENCHMARK.json) is a workspace of its own: its unit
 # tests, then every workload at smoke scale — each checks its answers

@@ -189,8 +189,8 @@ pub enum Timer {
     /// Time a worker waited to acquire the service lock (read for a query,
     /// write for a mutation).
     ServiceLockWait,
-    /// Wall time of one maintenance build (segment write, fsyncs, index
-    /// rebuild) — runs with no service lock held.
+    /// Wall time of one maintenance build (a segment write and its
+    /// fsyncs) — runs with no service lock held.
     MaintenanceBuild,
     /// Time one maintenance commit held the service write lock.
     MaintenanceCommit,

@@ -484,8 +484,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let default_deadline =
         flag_value(args, "--default-deadline-ms")?.map(std::time::Duration::from_millis);
     let allow_remote_shutdown = args.iter().any(|a| a == "--allow-remote-shutdown");
-    let maintenance_interval =
-        flag_value(args, "--maintenance-ms")?.map(std::time::Duration::from_millis);
+    let maintenance_ms = flag_value(args, "--maintenance-ms")?;
+    // A zero period would re-check without ever sleeping.
+    if maintenance_ms == Some(0) {
+        return Err("--maintenance-ms must be at least 1".into());
+    }
+    let maintenance_interval = maintenance_ms.map(std::time::Duration::from_millis);
 
     // One shared registry records both server counters (connections, queue
     // high water, rejections) and engine counters (queries, DP cells).

@@ -15,8 +15,8 @@
 //! ([`QbhSystem::try_create_store`] / [`QbhSystem::try_open_store`]).
 //!
 //! A system owns exactly one engine over its whole corpus, built in memory
-//! or from a store's segment files: a segment is a file and the id list it
-//! holds, never an index of its own.
+//! or from a store's segment files: a segment is a file and its manifest
+//! entry, never an index of its own.
 //!
 //! A query is asked one way: every surface — [`QbhSystem::try_query_request`],
 //! [`QbhSystem::try_query_audio`], the server's workers — is a caller of
@@ -96,22 +96,6 @@ pub struct QbhResults {
     pub stats: EngineStats,
 }
 
-/// One immutable on-disk segment: its file id and the full id list from
-/// the file (tombstoned ids included, so manifest counts stay consistent on
-/// rewrite). Its live melodies are held by the system's one engine.
-struct StoreSegment {
-    id: u64,
-    ids: Vec<u64>,
-}
-
-impl StoreSegment {
-    /// The manifest entry for this segment: the *file's* melody count
-    /// (tombstoned entries included), not the live one.
-    fn to_ref(&self) -> SegmentRef {
-        SegmentRef { id: self.id, count: self.ids.len() as u64 }
-    }
-}
-
 /// Operational knobs for a store-backed system; not part of the on-disk
 /// format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,10 +114,14 @@ impl Default for StoreOptions {
     }
 }
 
-/// Mutable bookkeeping for a store-backed system.
+/// Mutable bookkeeping for a store-backed system: the content of its
+/// manifest (segments and tombstones) plus the memtable.
 struct StoreState {
     dir: PathBuf,
     options: StoreOptions,
+    /// The manifest's live segments, ascending by id. A segment's count is
+    /// its file's, tombstoned entries included.
+    segments: Vec<SegmentRef>,
     /// Removed-but-still-on-disk melody ids; cleared by compaction.
     tombstones: BTreeSet<u64>,
     /// Next segment file id (strictly greater than every live segment).
@@ -166,110 +154,80 @@ pub struct StoreStats {
     pub bytes_written: u64,
 }
 
-/// What a [`QbhSystem::maintain`] call actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreMaintenance {
-    /// A memtable flush ran.
-    pub flushed: bool,
-    /// A compaction ran.
-    pub compacted: bool,
-}
-
-/// Which job a [`MaintenancePlan`] describes.
-enum PlannedJob {
-    Flush,
-    /// `purged` is the tombstone set the planned entries were filtered by.
-    Compaction { purged: BTreeSet<u64> },
-}
-
-/// Phase 1 of a flush or compaction: everything the job needs, copied out
-/// of the system under a shared borrow ([`QbhSystem::plan_flush`],
-/// [`QbhSystem::plan_compaction`], [`QbhSystem::plan_maintenance`]).
+/// Phase 1 of a flush or compaction, copied out of the system under a
+/// shared borrow ([`QbhSystem::plan_flush`], [`QbhSystem::plan_compaction`],
+/// [`QbhSystem::plan_maintenance`]). Both are one job: write some entries
+/// as one new segment, replace some live segments with it and purge some
+/// tombstones. A flush writes the memtable and replaces and purges
+/// nothing; a compaction writes every segment-resident live melody,
+/// replaces every live segment and purges the tombstones of its plan.
 ///
 /// Maintenance runs in three phases so that a server never writes a
 /// segment file or waits for its fsync while holding the lock its requests
 /// need: **plan** (`&QbhSystem`, copies), **build**
 /// ([`MaintenancePlan::build`] — owned data, no reference to the system)
-/// and **commit** ([`QbhSystem::commit_maintenance`], `&mut QbhSystem`,
-/// time proportional to what changed since the plan). The system may be
-/// queried, inserted into and removed from between the phases.
+/// and **commit** ([`QbhSystem::commit_maintenance`], `&mut QbhSystem`).
+/// The system may be queried, inserted into and removed from between the
+/// phases.
 pub struct MaintenancePlan {
     dir: PathBuf,
     config: QbhConfig,
     metrics: MetricsSink,
     /// The id reserved for the segment this job writes.
     segment_id: u64,
-    /// The live segment ids the job was planned over.
-    live_segments: Vec<u64>,
-    /// The melodies the new segment will hold (a flush's ascend by id).
+    /// The melodies the new segment will hold, ascending by id.
     entries: Vec<SegmentEntry>,
-    job: PlannedJob,
+    /// The live segments the job was planned over.
+    live_segments: Vec<SegmentRef>,
+    /// The live segments the new one replaces.
+    replaced: Vec<SegmentRef>,
+    /// The tombstones whose entries the job leaves out.
+    purged: BTreeSet<u64>,
 }
 
 impl MaintenancePlan {
-    /// Phase 2: everything expensive — the segment file with its fsyncs.
-    /// Touches no [`QbhSystem`] and builds no index. A failed build leaves
-    /// nothing behind; a built job that is never committed leaves an orphan
-    /// segment file that [`QbhSystem::try_open_store_with`] ignores.
+    /// Phase 2: everything expensive — the segment file with its fsyncs,
+    /// or no file when no entry is live. Touches no [`QbhSystem`] and
+    /// builds no index. A failed build leaves nothing behind; a built job
+    /// that is never committed leaves an orphan segment file that
+    /// [`QbhSystem::try_open_store_with`] ignores.
     ///
     /// # Errors
     /// Any I/O or encoding failure writing the segment.
     pub fn build(self) -> Result<BuiltMaintenance, StorageError> {
-        let MaintenancePlan { dir, config, metrics, segment_id, live_segments, mut entries, job } =
-            self;
-        let save = |entries: &[SegmentEntry]| {
-            booked(&metrics, store::save_segment(&dir, segment_id, &config, entries))
+        let written = if self.entries.is_empty() {
+            0
+        } else {
+            let saved =
+                store::save_segment(&self.dir, self.segment_id, &self.config, &self.entries);
+            booked(&self.metrics, saved)?
         };
-        let file = Some(store::segment_path(&dir, segment_id));
-        let (file, written, job) = match job {
-            PlannedJob::Flush => (file, save(&entries)?, BuiltJob::Flush { entries }),
-            PlannedJob::Compaction { purged } if entries.is_empty() => {
-                (None, 0, BuiltJob::Compaction { purged, merged: None })
-            }
-            PlannedJob::Compaction { purged } => {
-                // Segments never overlap, but flush order does not imply id
-                // order across them.
-                entries.sort_by_key(|e| e.id);
-                let ids = entries.iter().map(|e| e.id).collect();
-                let merged = Some(StoreSegment { id: segment_id, ids });
-                (file, save(&entries)?, BuiltJob::Compaction { purged, merged })
-            }
-        };
-        Ok(BuiltMaintenance { segment_id, live_segments, file, written, job })
+        Ok(BuiltMaintenance { plan: self, written })
     }
-}
-
-/// What a [`MaintenancePlan`] built.
-enum BuiltJob {
-    Flush { entries: Vec<SegmentEntry> },
-    /// `merged` is `None` when nothing was live to merge.
-    Compaction { purged: BTreeSet<u64>, merged: Option<StoreSegment> },
 }
 
 /// Phase 2's result: a segment written but named by no manifest yet.
 /// [`QbhSystem::commit_maintenance`] makes it live.
 pub struct BuiltMaintenance {
-    segment_id: u64,
-    live_segments: Vec<u64>,
-    /// The segment file the build wrote (`None`: nothing was live).
-    file: Option<PathBuf>,
-    /// Its size in bytes.
+    plan: MaintenancePlan,
+    /// The size of the segment file the build wrote (none when nothing
+    /// was live).
     written: u64,
-    job: BuiltJob,
 }
 
-/// The segments a commit replaced. Dropping this deletes their files
-/// best-effort (a leftover is an orphan that opening ignores) — which is
-/// why a server drops it after releasing its lock.
+/// What a commit released: the segments it replaced and the job's copy of
+/// the melodies it wrote. Dropping this deletes the replaced files
+/// best-effort (a leftover is an orphan that opening ignores) and frees the
+/// copy — a corpus-sized one for a compaction — which is why a server
+/// drops it after releasing its lock.
 pub struct RetiredSegments {
-    dir: PathBuf,
-    segments: Vec<StoreSegment>,
+    plan: MaintenancePlan,
 }
 
 impl Drop for RetiredSegments {
     fn drop(&mut self) {
-        for segment in &self.segments {
-            let _ = std::fs::remove_file(store::segment_path(&self.dir, segment.id));
+        for segment in &self.plan.replaced {
+            let _ = std::fs::remove_file(store::segment_path(&self.plan.dir, segment.id));
         }
     }
 }
@@ -302,15 +260,14 @@ fn new_engine(config: &QbhConfig) -> DtwIndexEngine {
 /// store-backed system ([`QbhSystem::try_create_store`] /
 /// [`QbhSystem::try_open_store`]) is a one-level LSM tree of *files*: a
 /// volatile **memtable** (the ids inserted since their last flush) over
-/// zero or more immutable **segments** (each a `StoreSegment`: a file id
-/// and its id list), with the durable lifecycle [`QbhSystem::flush`],
-/// [`QbhSystem::compact`], [`QbhSystem::maintain`]. None of it changes
+/// zero or more immutable **segments** (each a file and its manifest
+/// entry), with the durable lifecycle [`QbhSystem::flush`] and
+/// [`QbhSystem::compact`]. None of it changes
 /// what the engine holds, so matches and counters are those of an
 /// in-memory build ([`QbhSystem::build`]) over the same corpus at every
 /// segment layout.
 pub struct QbhSystem {
     engine: DtwIndexEngine,
-    segments: Vec<StoreSegment>,
     normal: NormalForm,
     band: usize,
     config: QbhConfig,
@@ -347,7 +304,6 @@ impl QbhSystem {
         }
         QbhSystem {
             engine,
-            segments: Vec::new(),
             normal,
             band: band_for_warping_width(config.warping_width, config.normal_length),
             config: *config,
@@ -422,8 +378,6 @@ impl QbhSystem {
         let config = loaded.manifest.config;
         let tombstones: BTreeSet<u64> = loaded.manifest.tombstones.iter().copied().collect();
         let mut provenance = HashMap::new();
-        let mut segments = Vec::with_capacity(loaded.segments.len());
-        let mut next_segment_id = 0u64;
         // Metrics stay detached while the engine fills: re-indexing what is
         // already stored is not a user-visible insert.
         let mut engine = new_engine(&config);
@@ -434,14 +388,12 @@ impl QbhSystem {
                     .map_err(|e| StorageError::Corrupt(format!("segment {}: {e}", seg_ref.id)))?;
                 provenance.insert(entry.id, (entry.song, entry.phrase));
             }
-            next_segment_id = seg_ref.id + 1;
-            let ids = entries.iter().map(|e| e.id).collect();
-            segments.push(StoreSegment { id: seg_ref.id, ids });
         }
         engine.set_metrics(metrics.clone());
+        let segments = loaded.manifest.segments;
+        let next_segment_id = segments.last().map_or(0, |s| s.id + 1);
         let system = QbhSystem {
             engine,
-            segments,
             normal: NormalForm::with_length(config.normal_length),
             band: band_for_warping_width(config.warping_width, config.normal_length),
             config,
@@ -449,6 +401,7 @@ impl QbhSystem {
             store: Some(StoreState {
                 dir: dir.to_path_buf(),
                 options,
+                segments,
                 tombstones,
                 next_segment_id: AtomicU64::new(next_segment_id),
                 memtable_ids: BTreeSet::new(),
@@ -602,15 +555,16 @@ impl QbhSystem {
     }
 
     /// Ingests a whole melody database into a store-backed system: every
-    /// entry is rendered and inserted under its own id and provenance with
-    /// a [`QbhSystem::maintain`] tick after each (so the memtable flushes
-    /// and segments compact as they fill), then the tail is flushed — on
-    /// return the entire database is durable.
+    /// entry is rendered and inserted under its own id and provenance, and
+    /// after each, every job [`QbhSystem::plan_maintenance`] plans is
+    /// built and committed, as a server's maintenance thread does (so the
+    /// memtable flushes and segments compact as they fill); then the tail
+    /// is flushed — on return the entire database is durable.
     ///
     /// # Errors
     /// [`StorageError::Unrepresentable`] naming the melody an insert
     /// rejected (duplicate id, empty or non-finite rendering), plus
-    /// anything [`QbhSystem::maintain`] and [`QbhSystem::flush`] report;
+    /// anything the maintenance phases and [`QbhSystem::flush`] report;
     /// melodies ingested before the failure stay in the store.
     pub fn try_ingest(&mut self, db: &MelodyDatabase) -> Result<(), StorageError> {
         for entry in db.entries() {
@@ -618,7 +572,9 @@ impl QbhSystem {
             self.try_insert_melody(entry.id(), entry.song(), entry.phrase(), &series).map_err(
                 |e| StorageError::Unrepresentable(format!("melody #{}: {e}", entry.id())),
             )?;
-            self.maintain()?;
+            while let Some(plan) = self.plan_maintenance()? {
+                self.commit_maintenance(plan.build()?)?;
+            }
         }
         self.flush()?;
         Ok(())
@@ -647,9 +603,7 @@ impl QbhSystem {
             // Durable first: manifest with the new tombstone, then memory.
             let mut tombstones = state.tombstones.clone();
             tombstones.insert(id);
-            let dir = state.dir.clone();
-            let refs = self.segments.iter().map(StoreSegment::to_ref).collect();
-            let written = self.save_manifest_of(&dir, refs, &tombstones)?;
+            let written = self.save_manifest_of(state, &state.segments, &tombstones)?;
             if let Some(state) = self.store.as_mut() {
                 state.bytes_written += written;
                 state.tombstones = tombstones;
@@ -705,13 +659,13 @@ impl QbhSystem {
 
     /// Live immutable segments (always 0 for in-memory builds).
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.store.as_ref().map_or(0, |s| s.segments.len())
     }
 
     /// Store counters, or `None` for an in-memory build.
     pub fn store_stats(&self) -> Option<StoreStats> {
         self.store.as_ref().map(|state| StoreStats {
-            segments: self.segments.len(),
+            segments: state.segments.len(),
             memtable_len: state.memtable_ids.len(),
             tombstones: state.tombstones.len(),
             flushes: state.flushes,
@@ -721,7 +675,7 @@ impl QbhSystem {
     }
 
     /// `true` when the memtable has reached [`StoreOptions::memtable_capacity`]
-    /// and the next [`QbhSystem::maintain`] will flush it.
+    /// and [`QbhSystem::plan_maintenance`] will plan a flush.
     pub fn needs_flush(&self) -> bool {
         self.store
             .as_ref()
@@ -730,16 +684,17 @@ impl QbhSystem {
 
     /// `true` when the segment count has reached [`StoreOptions::compact_at`],
     /// or at least a quarter of the segment-resident melodies are
-    /// tombstoned, so the next [`QbhSystem::maintain`] will compact.
+    /// tombstoned, so [`QbhSystem::plan_maintenance`] will plan a
+    /// compaction once no flush is due.
     pub fn needs_compaction(&self) -> bool {
         let Some(state) = self.store.as_ref() else {
             return false;
         };
-        if self.segments.len() >= state.options.compact_at.max(2) {
+        if state.segments.len() >= state.options.compact_at.max(2) {
             return true;
         }
-        let on_disk: usize = self.segments.iter().map(|s| s.ids.len()).sum();
-        !state.tombstones.is_empty() && state.tombstones.len() * 4 >= on_disk
+        let on_disk: u64 = state.segments.iter().map(|s| s.count).sum();
+        !state.tombstones.is_empty() && state.tombstones.len() as u64 * 4 >= on_disk
     }
 
     /// The store bookkeeping, or the typed refusal `what` gets on an
@@ -752,32 +707,36 @@ impl QbhSystem {
         })
     }
 
-    /// A plan over `entries`, with the next segment id reserved for it.
+    /// A plan writing the melodies `ids` (ascending) as the segment with
+    /// the next reserved id, replacing `replaced` and purging `purged`.
     fn new_plan(
         &self,
         state: &StoreState,
-        entries: Vec<SegmentEntry>,
-        job: PlannedJob,
-    ) -> MaintenancePlan {
-        MaintenancePlan {
+        ids: impl IntoIterator<Item = u64>,
+        replaced: Vec<SegmentRef>,
+        purged: BTreeSet<u64>,
+    ) -> Result<MaintenancePlan, StorageError> {
+        let entries = ids.into_iter().map(|id| self.entry_of(id)).collect::<Result<_, _>>()?;
+        Ok(MaintenancePlan {
             dir: state.dir.clone(),
             config: self.config,
             metrics: self.metrics().clone(),
             // Relaxed: a unique-id counter that publishes nothing else.
             segment_id: state.next_segment_id.fetch_add(1, Ordering::Relaxed),
-            live_segments: self.segments.iter().map(|s| s.id).collect(),
             entries,
-            job,
-        }
+            live_segments: state.segments.clone(),
+            replaced,
+            purged,
+        })
     }
 
-    /// The stored form of melody `id`, which `unit` lists.
-    fn entry_of(&self, id: u64, unit: &str) -> Result<SegmentEntry, StorageError> {
+    /// The stored form of live melody `id`.
+    fn entry_of(&self, id: u64) -> Result<SegmentEntry, StorageError> {
         let series = self
             .engine
             .get(id)
             .map(<[f64]>::to_vec)
-            .ok_or_else(|| StorageError::Corrupt(format!("{unit} lost melody {id}")))?;
+            .ok_or_else(|| StorageError::Corrupt(format!("the engine lost melody {id}")))?;
         let (song, phrase) = self.provenance.get(&id).copied().unwrap_or((0, 0));
         Ok(SegmentEntry { id, song, phrase, series })
     }
@@ -792,34 +751,28 @@ impl QbhSystem {
         if state.memtable_ids.is_empty() {
             return Ok(None);
         }
-        let entries = state
-            .memtable_ids
-            .iter()
-            .map(|&id| self.entry_of(id, "the memtable"))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Some(self.new_plan(state, entries, PlannedJob::Flush)))
+        let ids = state.memtable_ids.iter().copied();
+        self.new_plan(state, ids, Vec::new(), BTreeSet::new()).map(Some)
     }
 
     /// Phase 1 of a compaction (see [`MaintenancePlan`]): copies the live
-    /// melodies of every segment out, with the tombstone set they were
-    /// filtered by. `Ok(None)` when there is nothing to do (zero or one
-    /// segment and no tombstones).
+    /// melodies of every segment out, with the tombstone set they leave
+    /// out. `Ok(None)` when there is nothing to do (zero or one segment and
+    /// no tombstones).
     ///
     /// # Errors
     /// [`StorageError::Unrepresentable`] for an in-memory build.
     pub fn plan_compaction(&self) -> Result<Option<MaintenancePlan>, StorageError> {
         let state = self.store_state("compact")?;
-        if self.segments.len() <= 1 && state.tombstones.is_empty() {
+        if state.segments.len() <= 1 && state.tombstones.is_empty() {
             return Ok(None);
         }
-        let mut entries = Vec::new();
-        for seg in &self.segments {
-            for &id in seg.ids.iter().filter(|id| !state.tombstones.contains(id)) {
-                entries.push(self.entry_of(id, "a segment")?);
-            }
-        }
-        let purged = state.tombstones.clone();
-        Ok(Some(self.new_plan(state, entries, PlannedJob::Compaction { purged })))
+        // Every live melody the memtable does not hold is segment-resident.
+        let mut ids: Vec<u64> =
+            self.provenance.keys().copied().filter(|id| !state.memtable_ids.contains(id)).collect();
+        ids.sort_unstable();
+        let (replaced, purged) = (state.segments.clone(), state.tombstones.clone());
+        self.new_plan(state, ids, replaced, purged).map(Some)
     }
 
     /// Phase 1 of whatever maintenance is due: a flush if
@@ -840,172 +793,132 @@ impl QbhSystem {
     }
 
     /// Phase 3 of a flush or compaction: makes a built job the live view,
-    /// in time proportional to what changed since its plan, with
-    /// [`store::save_manifest`] as the commit point. Everything that
+    /// with [`store::save_manifest`] as the commit point. Everything that
     /// happened between plan and commit stays as it was acknowledged:
     ///
-    /// * **flush** — the flushed melodies leave the memtable; melodies
-    ///   inserted since the plan stay in it; a flushed melody removed since
-    ///   the plan is on disk now, so it is committed tombstoned;
-    /// * **compaction** — melodies removed since the plan stay tombstoned
-    ///   in the manifest; tombstones the merge already honoured are
-    ///   dropped; the memtable is untouched.
+    /// * tombstones the job did not purge stay in the manifest;
+    /// * a written melody removed since the plan is on disk now, so it is
+    ///   committed tombstoned;
+    /// * the written melodies leave the memtable, and melodies inserted
+    ///   since the plan stay in it.
     ///
-    /// Neither touches the engine: it already holds exactly the live
+    /// It never touches the engine: that already holds exactly the live
     /// melodies.
     ///
-    /// Returns the segments the commit replaced; dropping them deletes
-    /// their files (do it outside any lock the caller holds).
+    /// Returns what the commit released; dropping it deletes the replaced
+    /// segments' files and frees the job's entries (do it outside any lock
+    /// the caller holds).
     ///
     /// # Errors
     /// [`StorageError::StalePlan`] when the live segments are not the ones
     /// the job was planned over (another flush or compaction committed in
-    /// between) or a planned memtable id now names a different melody, plus
-    /// any I/O or encoding failure writing the manifest. On error the
-    /// pre-job view stays live, the on-disk state stays openable, and the
-    /// job's own segment file is removed best-effort.
+    /// between) or a written melody's id now names a different melody in
+    /// the memtable, plus any I/O or encoding failure writing the manifest.
+    /// On error the pre-job view stays live, the on-disk state stays
+    /// openable, and the job's own segment file is removed best-effort.
     pub fn commit_maintenance(
         &mut self,
         built: BuiltMaintenance,
     ) -> Result<RetiredSegments, StorageError> {
-        let file = built.file.clone();
-        let committed = self.apply_built(built);
-        if let (Err(_), Some(file)) = (&committed, file) {
-            let _ = std::fs::remove_file(file);
+        let committed = self.commit(&built);
+        let plan = built.plan;
+        if committed.is_err() && !plan.entries.is_empty() {
+            let _ = std::fs::remove_file(store::segment_path(&plan.dir, plan.segment_id));
         }
-        committed
+        committed.map(|()| RetiredSegments { plan })
     }
 
-    fn apply_built(&mut self, built: BuiltMaintenance) -> Result<RetiredSegments, StorageError> {
-        let BuiltMaintenance { segment_id, live_segments, written, job, .. } = built;
-        let dir = self.store_state("commit")?.dir.clone();
-        if !self.segments.iter().map(|s| s.id).eq(live_segments.iter().copied()) {
+    fn commit(&mut self, built: &BuiltMaintenance) -> Result<(), StorageError> {
+        let plan = &built.plan;
+        let state = self.store_state("commit")?;
+        if state.segments != plan.live_segments {
             return Err(StorageError::StalePlan(format!(
-                "segment {segment_id} was planned over segments {live_segments:?}, which are no \
-                 longer the live ones"
+                "segment {} was planned over segments {:?}, which are no longer the live ones",
+                plan.segment_id,
+                plan.live_segments.iter().map(|s| s.id).collect::<Vec<_>>()
             )));
         }
-        let (retired, manifest_bytes) = match job {
-            BuiltJob::Flush { entries } => {
-                (Vec::new(), self.commit_flush(&dir, segment_id, entries)?)
+        let mut tombstones: BTreeSet<u64> =
+            state.tombstones.difference(&plan.purged).copied().collect();
+        for entry in &plan.entries {
+            let held = self.engine.get(entry.id);
+            if held.is_none() {
+                tombstones.insert(entry.id);
+            } else if state.memtable_ids.contains(&entry.id)
+                && (held != Some(entry.series.as_slice())
+                    || self.provenance.get(&entry.id) != Some(&(entry.song, entry.phrase)))
+            {
+                // A later melody reusing the id, not the one written.
+                return Err(StorageError::StalePlan(format!(
+                    "melody {} was replaced in the memtable since segment {} was planned",
+                    entry.id, plan.segment_id
+                )));
             }
-            BuiltJob::Compaction { purged, merged } => {
-                self.commit_compaction(&dir, &purged, merged)?
-            }
-        };
-        if let Some(state) = self.store.as_mut() {
-            state.bytes_written += written + manifest_bytes;
         }
+        let mut segments: Vec<SegmentRef> =
+            state.segments.iter().filter(|s| !plan.replaced.contains(s)).copied().collect();
+        if !plan.entries.is_empty() {
+            // The id was reserved after every live segment's, so it sorts
+            // last, as the manifest codec requires.
+            segments.push(SegmentRef { id: plan.segment_id, count: plan.entries.len() as u64 });
+        }
+        let written = built.written + self.save_manifest_of(state, &segments, &tombstones)?;
+
+        // Durably committed; whatever else the memtable holds arrived since
+        // the plan and stays in it.
         self.metrics().add(Metric::StorageSaves, 1);
-        self.metrics().add(Metric::StorageBytesWritten, written + manifest_bytes);
-        Ok(RetiredSegments { dir, segments: retired })
+        self.metrics().add(Metric::StorageBytesWritten, written);
+        if let Some(state) = self.store.as_mut() {
+            let written_ids = &plan.entries;
+            state.memtable_ids.retain(|id| written_ids.binary_search_by_key(id, |e| e.id).is_err());
+            state.segments = segments;
+            state.tombstones = tombstones;
+            state.bytes_written += written;
+            if plan.replaced.is_empty() {
+                state.flushes += 1;
+            } else {
+                state.compactions += 1;
+            }
+        }
+        Ok(())
     }
 
-    /// The manifest naming `segments` and `tombstones`, written durably:
-    /// the commit point of every flush, compaction and stored-melody
-    /// removal. Returns its size.
+    /// The manifest naming `segments` and `tombstones`, written durably
+    /// into the store's directory: the commit point of every flush,
+    /// compaction and stored-melody removal. Returns its size.
     fn save_manifest_of(
         &self,
-        dir: &Path,
-        segments: Vec<SegmentRef>,
+        state: &StoreState,
+        segments: &[SegmentRef],
         tombstones: &BTreeSet<u64>,
     ) -> Result<u64, StorageError> {
         let manifest = Manifest {
             config: self.config,
-            segments,
+            segments: segments.to_vec(),
             tombstones: tombstones.iter().copied().collect(),
         };
-        booked(self.metrics(), store::save_manifest(dir, &manifest))
-    }
-
-    fn commit_flush(
-        &mut self,
-        dir: &Path,
-        segment_id: u64,
-        entries: Vec<SegmentEntry>,
-    ) -> Result<u64, StorageError> {
-        let state = self.store_state("commit")?;
-        // A planned melody no longer in the memtable was removed since: it
-        // is on disk now, so it is committed tombstoned. One still there
-        // must be the melody that was written, not a later one reusing the
-        // id.
-        let mut tombstones = state.tombstones.clone();
-        for entry in &entries {
-            if !state.memtable_ids.contains(&entry.id) {
-                tombstones.insert(entry.id);
-            } else if self.engine.get(entry.id) != Some(entry.series.as_slice())
-                || self.provenance.get(&entry.id) != Some(&(entry.song, entry.phrase))
-            {
-                return Err(StorageError::StalePlan(format!(
-                    "melody {} was replaced in the memtable since segment {segment_id} was planned",
-                    entry.id
-                )));
-            }
-        }
-        // The id was reserved after every live segment's, so it sorts last,
-        // as the manifest codec requires.
-        let mut refs: Vec<SegmentRef> = self.segments.iter().map(StoreSegment::to_ref).collect();
-        refs.push(SegmentRef { id: segment_id, count: entries.len() as u64 });
-        let manifest_bytes = self.save_manifest_of(dir, refs, &tombstones)?;
-
-        // Durably committed; whatever else the memtable holds arrived since
-        // the plan and stays in it.
-        let ids: Vec<u64> = entries.iter().map(|e| e.id).collect();
-        if let Some(state) = self.store.as_mut() {
-            state.memtable_ids.retain(|id| ids.binary_search(id).is_err());
-            state.tombstones = tombstones;
-            state.flushes += 1;
-        }
-        self.segments.push(StoreSegment { id: segment_id, ids });
-        Ok(manifest_bytes)
-    }
-
-    fn commit_compaction(
-        &mut self,
-        dir: &Path,
-        purged: &BTreeSet<u64>,
-        merged: Option<StoreSegment>,
-    ) -> Result<(Vec<StoreSegment>, u64), StorageError> {
-        let state = self.store_state("commit")?;
-        // Tombstones the merge honoured are gone with their entries; one
-        // added since names a melody the merged segment still holds, so it
-        // stays in the manifest.
-        let tombstones: BTreeSet<u64> = state.tombstones.difference(purged).copied().collect();
-        // A full merge: the merged segment, if anything was live, is the
-        // whole list, so it trivially sits where its id sorts.
-        let mut segments: Vec<StoreSegment> = merged.into_iter().collect();
-        let refs = segments.iter().map(StoreSegment::to_ref).collect();
-        let manifest_bytes = self.save_manifest_of(dir, refs, &tombstones)?;
-
-        std::mem::swap(&mut self.segments, &mut segments);
-        if let Some(state) = self.store.as_mut() {
-            state.tombstones = tombstones;
-            state.compactions += 1;
-        }
-        Ok((segments, manifest_bytes))
+        booked(self.metrics(), store::save_manifest(&state.dir, &manifest))
     }
 
     /// Flushes the memtable: writes its melodies as a new immutable
     /// segment file and commits the segment into the manifest; the engine
     /// already holds them, so nothing is re-indexed and queries are
-    /// undisturbed. This is the durability boundary for inserts: the flush writes only the new
-    /// melodies plus a small manifest, never the whole corpus. Returns
-    /// `Ok(false)` when the memtable was empty (nothing written).
+    /// undisturbed. This is the durability boundary for inserts: the flush
+    /// writes only the new melodies plus a small manifest, never the whole
+    /// corpus. Returns `Ok(false)` when the memtable was empty.
     ///
     /// It is [`QbhSystem::plan_flush`], [`MaintenancePlan::build`] and
     /// [`QbhSystem::commit_maintenance`] run back to back — the one
     /// implementation a server runs with its lock released in the middle.
-    ///
-    /// Crash safety: the segment file lands (atomic rename) before the
-    /// manifest that names it; a crash between the two leaves an orphan
-    /// segment file that [`QbhSystem::try_open_store_with`] ignores.
+    /// The segment file lands (atomic rename) before the manifest that
+    /// names it, so a crash between the two leaves an orphan segment file
+    /// that [`QbhSystem::try_open_store_with`] ignores.
     ///
     /// # Errors
     /// [`StorageError::Unrepresentable`] for an in-memory build, plus any
     /// I/O or encoding failure — the memtable is left intact on error.
     pub fn flush(&mut self) -> Result<bool, StorageError> {
-        let plan = self.plan_flush()?;
-        self.run_planned(plan)
+        self.run_planned(self.plan_flush()?)
     }
 
     /// Compacts every segment into (at most) one: gathers the live
@@ -1022,8 +935,7 @@ impl QbhSystem {
     /// I/O or encoding failure — the pre-compaction view stays live and
     /// on-disk state stays openable on error.
     pub fn compact(&mut self) -> Result<bool, StorageError> {
-        let plan = self.plan_compaction()?;
-        self.run_planned(plan)
+        self.run_planned(self.plan_compaction()?)
     }
 
     /// Builds and commits `plan` on the spot; `Ok(false)` for no plan.
@@ -1033,19 +945,6 @@ impl QbhSystem {
         };
         self.commit_maintenance(plan.build()?)?;
         Ok(true)
-    }
-
-    /// One maintenance tick: flush if [`QbhSystem::needs_flush`], then
-    /// compact if [`QbhSystem::needs_compaction`]. A no-op (and never an
-    /// error) for in-memory builds, so serving layers can call it
-    /// unconditionally.
-    ///
-    /// # Errors
-    /// As [`QbhSystem::flush`] and [`QbhSystem::compact`].
-    pub fn maintain(&mut self) -> Result<StoreMaintenance, StorageError> {
-        let flushed = self.needs_flush() && self.flush()?;
-        let compacted = self.needs_compaction() && self.compact()?;
-        Ok(StoreMaintenance { flushed, compacted })
     }
 
     fn annotate(&self, result: hum_core::engine::QueryResult) -> QbhResults {

@@ -97,22 +97,24 @@ fn unknown_command_fails_with_usage() {
 
 /// A flag a command does not read is a usage error naming it, before
 /// anything is read or written — never silently ignored. Stores always
-/// index with New_PAA, so `--transform` is such a flag.
+/// index with New_PAA, so `--transform` is such a flag. So is a zero
+/// maintenance period, which would re-check without ever sleeping.
 #[test]
 fn unknown_and_misspelt_flags_are_usage_errors() {
     let dir = temp_dir("unknown-flags");
     let store = dir.join("store");
     let (dir_s, store_s) = (dir.to_str().unwrap(), store.to_str().unwrap());
-    for (args, flag) in [
-        (vec!["index", dir_s, store_s, "--transform", "dft"], "--transform"),
-        (vec!["index", dir_s, store_s, "--shard", "4"], "--shard"),
-        (vec!["index", dir_s, store_s, "--shards", "2"], "--shards"),
-        (vec!["serve", store_s, "--worker", "2"], "--worker"),
+    for (args, message) in [
+        (vec!["index", dir_s, store_s, "--transform", "dft"], "unknown flag --transform"),
+        (vec!["index", dir_s, store_s, "--shard", "4"], "unknown flag --shard"),
+        (vec!["index", dir_s, store_s, "--shards", "2"], "unknown flag --shards"),
+        (vec!["serve", store_s, "--worker", "2"], "unknown flag --worker"),
+        (vec!["serve", store_s, "--maintenance-ms", "0"], "--maintenance-ms must be at least 1"),
     ] {
         let out = qbh(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains(&format!("unknown flag {flag}")), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: {err}");
         assert!(err.contains("usage"), "{err}");
         assert!(!dir.exists(), "{args:?} touched the disk");
     }

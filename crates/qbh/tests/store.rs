@@ -287,6 +287,67 @@ fn a_tombstoned_id_stays_reserved_until_compaction() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Both compaction triggers at their edges: the segment count reaching
+/// `compact_at`, and tombstones reaching a quarter of the on-disk entries
+/// (tombstoned entries included). Memtable melodies count toward neither.
+#[test]
+fn needs_compaction_trips_at_compact_at_segments_or_a_quarter_tombstoned() {
+    let db = database();
+    let dir = temp_dir("compaction-triggers");
+    let options = StoreOptions { memtable_capacity: db.len(), compact_at: 3 };
+    let mut system = QbhSystem::try_create_store(&dir, &QbhConfig::default(), options).unwrap();
+    let entries = db.entries();
+    let insert = |system: &mut QbhSystem, range: std::ops::Range<usize>| {
+        for entry in &entries[range] {
+            let series = series_of(&db, entry.id());
+            system.try_insert_melody(entry.id(), entry.song(), entry.phrase(), &series).unwrap();
+        }
+    };
+    let remove = |system: &mut QbhSystem, range: std::ops::Range<usize>| {
+        for entry in &entries[range] {
+            assert!(system.try_remove(entry.id()).unwrap());
+        }
+    };
+    let tombstones = |system: &QbhSystem| system.store_stats().unwrap().tombstones;
+
+    // Two segments of 20 on disk, 10 melodies in the memtable.
+    for range in [0..20, 20..40] {
+        insert(&mut system, range);
+        assert!(system.flush().unwrap());
+    }
+    insert(&mut system, 40..50);
+    assert_eq!(system.segment_count(), 2);
+    assert!(!system.needs_compaction(), "2 segments under compact_at 3, no tombstones");
+
+    remove(&mut system, 40..45);
+    assert_eq!(tombstones(&system), 0, "a memtable removal writes no tombstone");
+    remove(&mut system, 0..9);
+    assert_eq!(tombstones(&system), 9);
+    assert!(!system.needs_compaction(), "9 tombstones of 40 on-disk entries");
+    remove(&mut system, 9..10);
+    assert!(system.needs_compaction(), "10 tombstones of 40 on-disk entries");
+
+    // The reopened store counts the same (its memtable is gone).
+    drop(system);
+    let mut system =
+        QbhSystem::try_open_store_with(&dir, options, &MetricsSink::Disabled).unwrap();
+    assert_eq!((system.segment_count(), tombstones(&system)), (2, 10));
+    assert!(system.needs_compaction());
+    assert!(system.compact().unwrap());
+    assert_eq!((system.segment_count(), tombstones(&system)), (1, 0));
+    assert!(!system.needs_compaction());
+
+    // The segment-count trigger: the merged segment plus two flushes.
+    insert(&mut system, 40..45);
+    assert!(system.flush().unwrap());
+    assert!(!system.needs_compaction(), "2 segments under compact_at 3");
+    insert(&mut system, 45..50);
+    assert!(system.flush().unwrap());
+    assert_eq!(system.segment_count(), 3);
+    assert!(system.needs_compaction(), "3 segments at compact_at 3");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A store whose manifest or segments lie must fail with a typed
 /// [`StorageError`] — never a panic, and never a silently wrong load.
 #[test]
@@ -467,7 +528,7 @@ fn the_maintenance_thread_compacts_a_store_backed_server() {
 
     // The lock-wait and maintenance timers saw all of it; a commit (a
     // manifest write and a swap) costs far less than the build it installs
-    // (a segment write, its fsyncs and, for a compaction, an index build).
+    // (a segment write and its fsyncs).
     let lock_wait = registry.timer(Timer::ServiceLockWait).snapshot();
     let build = registry.timer(Timer::MaintenanceBuild).snapshot();
     let commit = registry.timer(Timer::MaintenanceCommit).snapshot();

@@ -127,7 +127,8 @@ pub struct ServerConfig {
     /// the timer only picks up work nothing announced (a store opened with
     /// a compaction already due). `None` (the default) wakes on
     /// notification and shutdown only. In-memory services plan nothing, so
-    /// for them the thread sleeps either way.
+    /// for them the thread sleeps either way. A zero period is refused: it
+    /// would re-check without ever sleeping.
     pub maintenance_interval: Option<Duration>,
 }
 
@@ -246,12 +247,20 @@ impl<S: QbhService> Server<S> {
     /// listener and worker pool.
     ///
     /// # Errors
-    /// Any socket error from bind/configure.
+    /// [`io::ErrorKind::InvalidInput`] for a zero
+    /// [`ServerConfig::maintenance_interval`], and any socket error from
+    /// bind/configure.
     pub fn start<A: ToSocketAddrs>(
         service: S,
         addr: A,
         config: ServerConfig,
     ) -> io::Result<Server<S>> {
+        if config.maintenance_interval == Some(Duration::ZERO) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "maintenance_interval must be longer than zero",
+            ));
+        }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         // An unspecified bind address (0.0.0.0, ::) is reached over loopback.
@@ -655,8 +664,9 @@ fn run_maintenance<S: QbhService>(shared: &Shared<S>) -> Result<(), ServiceError
             shared.metrics.observe_since(Timer::MaintenanceCommit, started);
             retired
         };
-        // Lock released: dropping what the commit replaced (old indexes,
-        // superseded files) costs no request anything.
+        // Lock released: dropping what the commit released (the superseded
+        // segment files, the job's copy of its data) costs no request
+        // anything.
         drop(retired?);
     }
 }

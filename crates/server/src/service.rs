@@ -80,8 +80,8 @@ pub struct ServiceOutcome {
 /// # Maintenance
 ///
 /// Durable services flush and compact in three phases, so nothing that
-/// writes a file, waits for an fsync or builds an index holds the lock a
-/// request needs:
+/// writes a segment file or waits for its fsync holds the lock a request
+/// needs:
 ///
 /// 1. [`QbhService::plan`] (`&self`, read lock) decides whether anything is
 ///    due and copies out what the job needs;
@@ -157,14 +157,14 @@ pub trait QbhService: Send + Sync + 'static {
     /// untouched and the build leaves nothing behind.
     fn build(plan: Self::Plan) -> Result<Self::Built, ServiceError>;
 
-    /// Phase 3, under the write lock, in time proportional to what changed
-    /// since the plan (not to the corpus): makes the built job the live
-    /// view. A melody inserted or removed between plan and commit stays
-    /// inserted or removed, in memory and on disk.
+    /// Phase 3, under the write lock, without redoing the build's work:
+    /// makes the built job the live view. A melody inserted or removed
+    /// between plan and commit stays inserted or removed, in memory and on
+    /// disk.
     ///
-    /// Returns whatever the commit replaced (index structures, the names of
-    /// superseded files) as an opaque owner; dropping it reclaims them, and
-    /// the caller does so *after* releasing the write lock.
+    /// Returns whatever the commit released (the superseded segment files,
+    /// the job's copy of its data) as an opaque owner; dropping it reclaims
+    /// them, and the caller does so *after* releasing the write lock.
     ///
     /// # Errors
     /// [`ServiceError::Storage`] when the plan is stale (the service was

@@ -305,6 +305,22 @@ fn shutdown_request_over_the_wire_wakes_the_waiter() {
     server.shutdown().expect("service handed back");
 }
 
+/// A zero maintenance period would re-check without ever sleeping, so it
+/// is refused before anything binds or spawns.
+#[test]
+fn a_zero_maintenance_interval_is_refused() {
+    let (service, _gate, _started) = GateService::new();
+    let config =
+        ServerConfig { maintenance_interval: Some(Duration::ZERO), ..ServerConfig::default() };
+    match Server::start(service, "127.0.0.1:0", config) {
+        Err(e) => {
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+            assert!(e.to_string().contains("maintenance_interval"), "{e}");
+        }
+        Ok(_) => panic!("a zero maintenance interval was accepted"),
+    }
+}
+
 #[test]
 fn wire_shutdown_is_rejected_unless_enabled() {
     let (service, _gate, _started) = GateService::new();
