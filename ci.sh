@@ -96,6 +96,20 @@ if ! cmp <(cut -d, -f1,3- "$DIGEST_DIR/ingest/ingest.csv") <(cut -d, -f1,3- resu
 fi
 echo "ingest (flushes, compactions, segments, bytes written, reopen identity) equals results/ingest.csv"
 
+# The bytes the store writes: a fixed corpus indexed through 7 flushes and
+# 2 compactions into 3 segments (~0.1 s) must leave a manifest and segment
+# files whose hashes, hashed together, equal results/store_digest.sha256.
+# The ingest pin above checks sizes and counts; this one checks content.
+QBH=target/release/qbh
+"$QBH" generate "$DIGEST_DIR/store-corpus" --songs 20 --seed 7 > /dev/null
+"$QBH" index "$DIGEST_DIR/store-corpus" "$DIGEST_DIR/store" --memtable 64 --compact-at 3 > /dev/null
+if ! (cd "$DIGEST_DIR/store" && sha256sum MANIFEST seg-*.humseg) | sha256sum | cmp -s - results/store_digest.sha256; then
+    echo "the store's bytes differ from results/store_digest.sha256; if intended, regenerate with:" >&2
+    echo "  T=\$(mktemp -d); $QBH generate \$T/corpus --songs 20 --seed 7 && $QBH index \$T/corpus \$T/store --memtable 64 --compact-at 3 && (cd \$T/store && sha256sum MANIFEST seg-*.humseg) | sha256sum > results/store_digest.sha256" >&2
+    exit 1
+fi
+echo "store digest (manifest and segment bytes of a fixed ingest) equals the committed hash"
+
 # The repo benchmark (BENCHMARK.json) is a workspace of its own: its unit
 # tests, then every workload at smoke scale — each checks its answers
 # against the brute-force oracle and that it prints exactly the declared

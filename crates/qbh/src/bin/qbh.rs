@@ -201,14 +201,21 @@ fn flag_value(args: &[String], flag: &str) -> Result<Option<u64>, String> {
     }
 }
 
+/// The value of `flag`, or `default` when it is absent; a value below
+/// `min` is a usage error naming the flag, never silently raised.
+fn sized_flag(args: &[String], flag: &str, default: u64, min: u64) -> Result<usize, String> {
+    let value = flag_value(args, flag)?.unwrap_or(default);
+    if value < min {
+        return Err(format!("{flag} must be at least {min}"));
+    }
+    usize::try_from(value).map_err(|e| format!("{flag}: {e}"))
+}
+
 fn cmd_generate(args: &[String]) -> Result<(), CliError> {
     check_args(args, 1, &["--songs", "--seed"], &[])?;
     let dir = PathBuf::from(args.first().ok_or("generate needs a directory")?);
-    let songs = flag_value(args, "--songs")?.unwrap_or(50) as usize;
+    let songs = sized_flag(args, "--songs", 50, 1)?;
     let seed = flag_value(args, "--seed")?.unwrap_or(2003);
-    if songs == 0 {
-        return Err("--songs must be at least 1".into());
-    }
     std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
 
     let book = Songbook::generate(&SongbookConfig { songs, seed, ..SongbookConfig::default() });
@@ -289,6 +296,7 @@ fn cmd_hum(args: &[String]) -> Result<(), CliError> {
     let name = args.get(1).ok_or("hum needs a melody file name")?;
     let out = PathBuf::from(args.get(2).ok_or("hum needs an output .wav path")?);
     let seed = flag_value(args, "--seed")?.unwrap_or(42);
+    let chunk = sized_flag(args, "--chunk-frames", 16, 1)?;
     let profile = match args.iter().position(|a| a == "--singer") {
         None => SingerProfile::good(),
         Some(i) => match args.get(i + 1).map(String::as_str) {
@@ -318,7 +326,6 @@ fn cmd_hum(args: &[String]) -> Result<(), CliError> {
 
     if let Some(addr) = string_flag(args, "--stream")? {
         let top = flag_value(args, "--top")?.unwrap_or(5) as usize;
-        let chunk = flag_value(args, "--chunk-frames")?.unwrap_or(16).max(1) as usize;
         stream_hum(&audio, 8_000, &addr, top, chunk)?;
     }
     Ok(())
@@ -361,15 +368,11 @@ fn stream_hum(
 }
 
 /// Parses the shared store tuning flags (`--memtable`, `--compact-at`).
-fn store_options(args: &[String]) -> Result<StoreOptions, CliError> {
+fn store_options(args: &[String]) -> Result<StoreOptions, String> {
     let defaults = StoreOptions::default();
     Ok(StoreOptions {
-        memtable_capacity: flag_value(args, "--memtable")?
-            .map(|n| n.max(1) as usize)
-            .unwrap_or(defaults.memtable_capacity),
-        compact_at: flag_value(args, "--compact-at")?
-            .map(|n| n.max(2) as usize)
-            .unwrap_or(defaults.compact_at),
+        memtable_capacity: sized_flag(args, "--memtable", defaults.memtable_capacity as u64, 1)?,
+        compact_at: sized_flag(args, "--compact-at", defaults.compact_at as u64, 2)?,
     })
 }
 
@@ -377,12 +380,12 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
     check_args(args, 2, &["--memtable", "--compact-at"], &[])?;
     let dir = PathBuf::from(args.first().ok_or("index needs a directory")?);
     let out = PathBuf::from(args.get(1).ok_or("index needs a store directory")?);
+    let options = store_options(args)?;
     let corpus = load_corpus(&dir)?;
     let db = hum_qbh::corpus::MelodyDatabase::from_melodies(
         corpus.values().cloned().collect::<Vec<_>>(),
     );
-    let mut system =
-        QbhSystem::try_create_store(&out, &QbhConfig::default(), store_options(args)?)?;
+    let mut system = QbhSystem::try_create_store(&out, &QbhConfig::default(), options)?;
     system.try_ingest(&db)?;
     let stats = system.store_stats().unwrap_or_default();
     println!(
@@ -402,10 +405,7 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
     check_args(args, 2, &["--top"], &[])?;
     let source = PathBuf::from(args.first().ok_or("query needs a MIDI or store directory")?);
     let wav_path = PathBuf::from(args.get(1).ok_or("query needs a .wav file")?);
-    let top = flag_value(args, "--top")?.unwrap_or(5) as usize;
-    if top == 0 {
-        return Err("--top must be at least 1".into());
-    }
+    let top = sized_flag(args, "--top", 5, 1)?;
 
     // A store is told from a MIDI directory by the manifest it holds. File
     // names exist only for a MIDI directory (whose ids are positions in the
@@ -479,8 +479,8 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     check_args(args, 1, &values, &["--allow-remote-shutdown"])?;
     let path = PathBuf::from(args.first().ok_or("serve needs a store directory")?);
     let addr = string_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7700".to_string());
-    let workers = flag_value(args, "--workers")?.unwrap_or(4).max(1) as usize;
-    let queue_depth = flag_value(args, "--queue-depth")?.unwrap_or(64).max(1) as usize;
+    let workers = sized_flag(args, "--workers", 4, 1)?;
+    let queue_depth = sized_flag(args, "--queue-depth", 64, 1)?;
     let default_deadline =
         flag_value(args, "--default-deadline-ms")?.map(std::time::Duration::from_millis);
     let allow_remote_shutdown = args.iter().any(|a| a == "--allow-remote-shutdown");
@@ -490,11 +490,12 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         return Err("--maintenance-ms must be at least 1".into());
     }
     let maintenance_interval = maintenance_ms.map(std::time::Duration::from_millis);
+    let options = store_options(args)?;
 
     // One shared registry records both server counters (connections, queue
     // high water, rejections) and engine counters (queries, DP cells).
     let metrics = MetricsSink::enabled();
-    let system = QbhSystem::try_open_store_with(&path, store_options(args)?, &metrics)?;
+    let system = QbhSystem::try_open_store_with(&path, options, &metrics)?;
     let stats = system.store_stats().unwrap_or_default();
     eprintln!(
         "Opened store {} ({} melodies, {} segments, {} tombstones).",

@@ -1,8 +1,10 @@
 //! The framing every on-disk format in this crate shares.
 //!
 //! A corpus reaches and leaves disk in exactly one form: the segmented
-//! store of [`crate::store`] (immutable segment files plus one manifest).
-//! This module holds what both of its file formats are built from:
+//! store (immutable segment files plus one manifest). [`crate::store`]
+//! holds its two file formats and the one type that keeps a store — its
+//! state, open, removal and maintenance — and [`crate::system`] delegates
+//! to it. This module holds what both file formats are built from:
 //!
 //! * [`StorageError`] — the typed failure every reader and writer returns;
 //! * the checksummed framing (`SectionWriter` / `SectionReader`): a
@@ -546,9 +548,8 @@ mod tests {
     use crate::corpus::MelodyDatabase;
     use crate::fault::TempPath;
     use crate::store::{
-        init_store, load_manifest, load_segment, manifest_path, read_manifest, read_segment,
-        save_manifest, save_segment, segment_path, write_manifest, write_segment, Manifest,
-        SegmentEntry, SegmentRef,
+        manifest_path, read_manifest, read_segment, save_manifest, save_segment, segment_path,
+        write_manifest, write_segment, Manifest, SegmentEntry, SegmentRef, Store,
     };
     use crate::system::{QbhSystem, StoreOptions};
     use hum_core::engine::QueryRequest;
@@ -587,6 +588,11 @@ mod tests {
         let mut bytes = Vec::new();
         write_segment(&mut bytes, config, entries).unwrap();
         bytes
+    }
+
+    /// The manifest file in `dir`, read back.
+    fn load_manifest(dir: &Path) -> Result<Manifest, StorageError> {
+        read_manifest(&mut std::fs::read(manifest_path(dir))?.as_slice())
     }
 
     fn manifest_image(manifest: &Manifest) -> Vec<u8> {
@@ -679,10 +685,9 @@ mod tests {
         std::fs::create_dir_all(dir.path()).unwrap();
         save_segment(dir.path(), 4, &config, &entries).unwrap();
         save_manifest(dir.path(), &manifest).unwrap();
-        let (back_config, back) =
-            load_segment(&segment_path(dir.path(), 4)).unwrap();
-        assert_eq!((back_config, back), (config, entries));
-        assert_eq!(load_manifest(&manifest_path(dir.path())).unwrap(), manifest);
+        let segment = std::fs::read(segment_path(dir.path(), 4)).unwrap();
+        assert_eq!(read_segment(&mut segment.as_slice()).unwrap(), (config, entries));
+        assert_eq!(load_manifest(dir.path()).unwrap(), manifest);
     }
 
     #[test]
@@ -697,7 +702,7 @@ mod tests {
         let bad = Manifest { tombstones: vec![9, 2], ..manifest.clone() };
         let err = save_manifest(dir.path(), &bad).unwrap_err();
         assert!(matches!(err, StorageError::Unrepresentable(_)), "{err}");
-        assert_eq!(load_manifest(&manifest_path(dir.path())).unwrap(), manifest);
+        assert_eq!(load_manifest(dir.path()).unwrap(), manifest);
         let files = std::fs::read_dir(dir.path()).unwrap().count();
         assert_eq!(files, 1, "temp files must be cleaned up after a failed save");
     }
@@ -858,8 +863,8 @@ mod tests {
             phrases_per_song: 3,
             ..SongbookConfig::default()
         });
-        init_store(dir, &QbhConfig::default()).unwrap();
         let options = StoreOptions { memtable_capacity: 6, ..StoreOptions::default() };
+        Store::create(dir, &QbhConfig::default(), options).unwrap();
         let mut system = QbhSystem::try_open_store_with(dir, options, metrics).unwrap();
         system.try_ingest(&db).unwrap();
         (db, system)
@@ -929,7 +934,7 @@ mod tests {
             let manifest = manifest_path(dir.path());
             match &rewrite {
                 Some((field_at, field)) => {
-                    let segments = load_manifest(&manifest).unwrap().segments;
+                    let segments = load_manifest(dir.path()).unwrap().segments;
                     let files = segments.iter().map(|s| segment_path(dir.path(), s.id));
                     for file in files.chain([manifest]) {
                         let mut bytes = std::fs::read(&file).unwrap();

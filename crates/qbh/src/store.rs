@@ -1,4 +1,18 @@
-//! The one on-disk form of an indexed corpus: the LSM-style store.
+//! The one on-disk form of an indexed corpus — the LSM-style store — and
+//! `Store`, the one type that keeps it.
+//!
+//! Which module holds what:
+//!
+//! * [`crate::storage`] — the framing both file formats share (section and
+//!   footer CRCs, bounded reads, the config section, atomic writes) and
+//!   [`StorageError`];
+//! * this module — the two file formats, and `Store`: a store's state (the
+//!   manifest's content plus the memtable), create, open, durable removal,
+//!   the maintenance triggers and the plan / build / commit of
+//!   [`MaintenancePlan`];
+//! * [`crate::system`] — the engine, provenance and queries. A store-backed
+//!   [`QbhSystem`] holds a `Store` and hands it the engine lookups a plan
+//!   or a commit needs.
 //!
 //! A store directory holds:
 //!
@@ -13,10 +27,6 @@
 //!   A segment file not named by the manifest does not exist as far as the
 //!   store is concerned (it is a crash leftover and is ignored), so every
 //!   multi-file state change reduces to one atomic manifest rename.
-//!
-//! Both formats are built from the framing in [`crate::storage`]:
-//! per-section CRC32s plus a whole-file footer CRC, bounded reads, and
-//! typed [`StorageError`]s — untrusted bytes can never panic this module.
 //!
 //! # File formats
 //!
@@ -36,8 +46,9 @@
 //! ```
 //!
 //! Entry ids within a segment, segment ids within the manifest, and
-//! tombstone ids are all strictly ascending — duplicates are structural
-//! corruption, caught at read time.
+//! tombstone ids are all strictly ascending: a writer refuses anything else
+//! as [`StorageError::Unrepresentable`], a reader as
+//! [`StorageError::Corrupt`].
 //!
 //! The config body's transform and index tags and the manifest's plan
 //! section are reserved bytes that writers fill with fixed values: every
@@ -46,18 +57,28 @@
 //! [`crate::storage`]), so a store from any earlier writer opens and
 //! answers the same.
 //!
-//! # Load-time validation
+//! # Opening
 //!
-//! [`open_store`] cross-validates the manifest against the segments it
-//! names: out-of-order or duplicate segment ids, a missing segment file, a
-//! segment whose config or entry count disagrees with the manifest, melody
-//! ids overlapping across segments, and tombstones that reference no
-//! stored melody are all typed [`StorageError::Corrupt`] — never a panic,
-//! never a silent skip.
+//! Open reads the manifest, then one segment at a time: it reads the file,
+//! cross-checks it and moves its live entries into the engine before it
+//! reads the next. A manifest-named segment file that is missing, a segment
+//! whose config or entry count disagrees with the manifest, a melody id in
+//! two segments and a tombstone that names no stored melody are all typed
+//! [`StorageError::Corrupt`] — never a panic, never a silent skip — and a
+//! failed open leaves no system behind.
+//!
+//! # Maintenance
+//!
+//! Flush and compaction are one job in three phases: see
+//! [`MaintenancePlan`].
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use hum_core::engine::DtwIndexEngine;
+use hum_core::obs::{Metric, MetricsSink};
 
 use crate::storage::{
     as_u32, atomic_write, read_config_section, skip_plan_section, validate_config,
@@ -65,6 +86,8 @@ use crate::storage::{
     MAX_MELODIES, PREALLOC_CAP,
 };
 use crate::system::QbhConfig;
+#[cfg(doc)]
+use crate::system::QbhSystem;
 
 /// Segment file magic (8 bytes).
 const MAGIC_SEG: &[u8; 8] = b"HUMSEG01";
@@ -114,19 +137,32 @@ pub struct Manifest {
     pub tombstones: Vec<u64>,
 }
 
-/// The file name of segment `id` inside a store directory.
-pub fn segment_file_name(id: u64) -> String {
-    format!("seg-{id:08}.humseg")
-}
-
 /// The path of segment `id` inside `dir`.
 pub fn segment_path(dir: &Path, id: u64) -> PathBuf {
-    dir.join(segment_file_name(id))
+    dir.join(format!("seg-{id:08}.humseg"))
 }
 
 /// The manifest path inside `dir`.
 pub fn manifest_path(dir: &Path) -> PathBuf {
     dir.join(MANIFEST_FILE)
+}
+
+// ---------------------------------------------------------------------------
+// The ordering rule of every id list a store file holds.
+
+/// `what` ids must be strictly ascending: the first one out of order is
+/// refused as `error` — [`StorageError::Unrepresentable`] when writing,
+/// [`StorageError::Corrupt`] when reading.
+fn ascending(
+    ids: impl IntoIterator<Item = u64>,
+    what: &str,
+    error: fn(String) -> StorageError,
+) -> Result<(), StorageError> {
+    let mut previous = None;
+    match ids.into_iter().find(|&id| previous.replace(id).is_some_and(|p| p >= id)) {
+        Some(id) => Err(error(format!("{what} ids are not strictly ascending (id {id})"))),
+        None => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -150,21 +186,14 @@ pub fn write_segment<W: Write>(
             entries.len()
         )));
     }
+    ascending(entries.iter().map(|e| e.id), "segment entry", StorageError::Unrepresentable)?;
     let mut dst = SectionWriter::new(out);
     dst.put(MAGIC_SEG)?;
     write_config_section(&mut dst, config)?;
 
     dst.begin_section();
     dst.put(&(entries.len() as u64).to_le_bytes())?;
-    let mut previous: Option<u64> = None;
     for entry in entries {
-        if previous.is_some_and(|p| p >= entry.id) {
-            return Err(StorageError::Unrepresentable(format!(
-                "segment entry ids must be strictly ascending (id {})",
-                entry.id
-            )));
-        }
-        previous = Some(entry.id);
         if entry.series.len() != config.normal_length {
             return Err(StorageError::Unrepresentable(format!(
                 "melody {} has {} samples, expected normal length {}",
@@ -216,15 +245,8 @@ pub fn read_segment<R: Read>(
         return Err(StorageError::Corrupt(format!("implausible melody count {count}")));
     }
     let mut entries = Vec::with_capacity((count as usize).min(PREALLOC_CAP));
-    let mut previous: Option<u64> = None;
     for _ in 0..count {
         let id = src.u64()?;
-        if previous.is_some_and(|p| p >= id) {
-            return Err(StorageError::Corrupt(format!(
-                "segment entry ids are not strictly ascending (id {id})"
-            )));
-        }
-        previous = Some(id);
         let song = src.u32()? as usize;
         let phrase = src.u32()? as usize;
         let mut series = Vec::with_capacity(config.normal_length);
@@ -239,6 +261,7 @@ pub fn read_segment<R: Read>(
         }
         entries.push(SegmentEntry { id, song, phrase, series });
     }
+    ascending(entries.iter().map(|e| e.id), "segment entry", StorageError::Corrupt)?;
     src.verify_section("entries")?;
     src.verify_footer()?;
     Ok((config, entries))
@@ -260,21 +283,16 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
             manifest.segments.len()
         )));
     }
+    let unrepresentable = StorageError::Unrepresentable;
+    ascending(manifest.segments.iter().map(|s| s.id), "manifest segment", unrepresentable)?;
+    ascending(manifest.tombstones.iter().copied(), "tombstone", unrepresentable)?;
     let mut dst = SectionWriter::new(out);
     dst.put(MAGIC_MAN)?;
     write_config_section(&mut dst, &manifest.config)?;
 
     dst.begin_section();
     dst.put(&(manifest.segments.len() as u64).to_le_bytes())?;
-    let mut previous: Option<u64> = None;
     for segment in &manifest.segments {
-        if previous.is_some_and(|p| p >= segment.id) {
-            return Err(StorageError::Unrepresentable(format!(
-                "manifest segment ids must be strictly ascending (id {})",
-                segment.id
-            )));
-        }
-        previous = Some(segment.id);
         dst.put(&segment.id.to_le_bytes())?;
         dst.put(&segment.count.to_le_bytes())?;
     }
@@ -282,14 +300,7 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
 
     dst.begin_section();
     dst.put(&(manifest.tombstones.len() as u64).to_le_bytes())?;
-    let mut previous: Option<u64> = None;
     for &id in &manifest.tombstones {
-        if previous.is_some_and(|p| p >= id) {
-            return Err(StorageError::Unrepresentable(format!(
-                "tombstone ids must be strictly ascending (id {id})"
-            )));
-        }
-        previous = Some(id);
         dst.put(&id.to_le_bytes())?;
     }
     dst.finish_section()?;
@@ -321,16 +332,9 @@ pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
         )));
     }
     let mut segments = Vec::with_capacity((segment_count as usize).min(PREALLOC_CAP));
-    let mut previous: Option<u64> = None;
     let mut total_melodies: u64 = 0;
     for _ in 0..segment_count {
         let id = src.u64()?;
-        if previous.is_some_and(|p| p >= id) {
-            return Err(StorageError::Corrupt(format!(
-                "manifest segment ids are not strictly ascending (id {id})"
-            )));
-        }
-        previous = Some(id);
         let count = src.u64()?;
         total_melodies = total_melodies.saturating_add(count);
         if total_melodies > MAX_MELODIES {
@@ -340,6 +344,7 @@ pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
         }
         segments.push(SegmentRef { id, count });
     }
+    ascending(segments.iter().map(|s| s.id), "manifest segment", StorageError::Corrupt)?;
     src.verify_section("segments")?;
 
     src.begin_section();
@@ -350,17 +355,10 @@ pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
         )));
     }
     let mut tombstones = Vec::with_capacity((tombstone_count as usize).min(PREALLOC_CAP));
-    let mut previous: Option<u64> = None;
     for _ in 0..tombstone_count {
-        let id = src.u64()?;
-        if previous.is_some_and(|p| p >= id) {
-            return Err(StorageError::Corrupt(format!(
-                "tombstone ids are not strictly ascending (id {id})"
-            )));
-        }
-        previous = Some(id);
-        tombstones.push(id);
+        tombstones.push(src.u64()?);
     }
+    ascending(tombstones.iter().copied(), "tombstone", StorageError::Corrupt)?;
     src.verify_section("tombstones")?;
     skip_plan_section(&mut src)?;
     src.verify_footer()?;
@@ -381,14 +379,6 @@ pub fn save_segment(
     entries: &[SegmentEntry],
 ) -> Result<u64, StorageError> {
     atomic_write(&segment_path(dir, id), |out| write_segment(out, config, entries))
-}
-
-/// Loads and validates one segment file.
-///
-/// # Errors
-/// As [`read_segment`].
-pub fn load_segment(path: &Path) -> Result<(QbhConfig, Vec<SegmentEntry>), StorageError> {
-    load_counted(path, read_segment).map(|(segment, _)| segment)
 }
 
 /// Decodes one whole store file through `read`, also returning the file's
@@ -413,119 +403,511 @@ pub fn save_manifest(dir: &Path, manifest: &Manifest) -> Result<u64, StorageErro
     atomic_write(&manifest_path(dir), |out| write_manifest(out, manifest))
 }
 
-/// Loads and validates the manifest file itself (not the segments it
-/// names — [`open_store`] does the cross-file validation).
-///
-/// # Errors
-/// As [`read_manifest`].
-pub fn load_manifest(path: &Path) -> Result<Manifest, StorageError> {
-    load_counted(path, read_manifest).map(|(manifest, _)| manifest)
-}
-
-/// Creates a new empty store: the directory (if missing) and an initial
-/// manifest with no segments and no tombstones.
-///
-/// # Errors
-/// [`StorageError::Io`] with [`io::ErrorKind::AlreadyExists`] when `dir`
-/// already holds a manifest (an existing store is opened, never silently
-/// re-initialized), plus any validation or I/O error.
-pub fn init_store(dir: &Path, config: &QbhConfig) -> Result<(), StorageError> {
-    validate_config(config).map_err(StorageError::Unrepresentable)?;
-    std::fs::create_dir_all(dir)?;
-    let manifest_file = manifest_path(dir);
-    if manifest_file.exists() {
-        return Err(StorageError::Io(io::Error::new(
-            io::ErrorKind::AlreadyExists,
-            format!("store at {} already has a manifest", dir.display()),
-        )));
+/// Books a failed durable write as `storage.save_errors` before handing
+/// the result on (successes are booked by the flush or compaction they
+/// complete).
+fn booked(metrics: &MetricsSink, written: Result<u64, StorageError>) -> Result<u64, StorageError> {
+    if written.is_err() {
+        metrics.add(Metric::StorageSaveErrors, 1);
     }
-    let manifest = Manifest { config: *config, segments: Vec::new(), tombstones: Vec::new() };
-    save_manifest(dir, &manifest)?;
-    Ok(())
+    written
 }
 
-/// Everything [`open_store`] read and cross-validated: the manifest plus
-/// each live segment's entries, in manifest (ascending id) order.
-#[derive(Debug)]
-pub struct LoadedStore {
-    /// The validated manifest.
-    pub manifest: Manifest,
-    /// Per-segment entries, parallel to `manifest.segments`. Tombstoned
-    /// entries are *included* (the caller skips them when building
-    /// engines); their ids are in `manifest.tombstones`.
-    pub segments: Vec<Vec<SegmentEntry>>,
-    /// Bytes read from disk: the manifest plus every segment it names.
-    pub bytes_read: u64,
+// ---------------------------------------------------------------------------
+// The store.
+
+/// Operational knobs for a store-backed system; not part of the on-disk
+/// format. Checked when a store is created or opened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreOptions {
+    /// Memtable melody count at which [`QbhSystem::needs_flush`] trips
+    /// (flushes are otherwise explicit; the memtable may exceed this
+    /// between maintenance ticks). At least 1.
+    pub memtable_capacity: usize,
+    /// Segment count at which [`QbhSystem::needs_compaction`] trips. At
+    /// least 2: a compaction of one segment merges nothing.
+    pub compact_at: usize,
 }
 
-/// Opens a store directory: loads the manifest, loads every segment it
-/// names, and cross-validates the whole set. Orphan files in the directory
-/// (crash leftovers from interrupted flushes or compactions) are ignored.
-///
-/// # Errors
-/// [`StorageError::Corrupt`] for: a manifest-named segment file that is
-/// missing; a segment whose config or entry count disagrees with the
-/// manifest; melody ids overlapping across segments; tombstones that
-/// reference no stored melody. Plus every per-file error of
-/// [`load_manifest`] / [`load_segment`].
-pub fn open_store(dir: &Path) -> Result<LoadedStore, StorageError> {
-    let (manifest, mut bytes_read) = load_counted(&manifest_path(dir), read_manifest)?;
-    let mut segments = Vec::with_capacity(manifest.segments.len());
-    let mut seen_ids: BTreeSet<u64> = BTreeSet::new();
-    for segment_ref in &manifest.segments {
-        let path = segment_path(dir, segment_ref.id);
-        let (config, entries) = match load_counted(&path, read_segment) {
-            Ok((segment, len)) => {
-                bytes_read += len;
-                segment
+impl Default for StoreOptions {
+    fn default() -> Self {
+        StoreOptions { memtable_capacity: 1024, compact_at: 4 }
+    }
+}
+
+impl StoreOptions {
+    /// [`StorageError::Unrepresentable`] for a zero memtable capacity or a
+    /// `compact_at` below 2.
+    fn check(self) -> Result<(), StorageError> {
+        if self.memtable_capacity == 0 || self.compact_at < 2 {
+            let want = "memtable_capacity must be at least 1 and compact_at at least 2";
+            return Err(StorageError::Unrepresentable(format!("{want}, got {self:?}")));
+        }
+        Ok(())
+    }
+}
+
+/// A snapshot of store-backed storage counters, for operators and the
+/// ingest benchmark.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Immutable segments currently live.
+    pub segments: usize,
+    /// Melodies in the memtable (not yet durable).
+    pub memtable_len: usize,
+    /// Removed ids awaiting compaction.
+    pub tombstones: usize,
+    /// Flushes performed by this instance.
+    pub flushes: u64,
+    /// Compactions performed by this instance.
+    pub compactions: u64,
+    /// Bytes written to segment and manifest files by this instance.
+    pub bytes_written: u64,
+}
+
+/// The live melodies a plan copies and a commit checks, by id: the
+/// engine's series and the system's provenance.
+#[derive(Clone, Copy)]
+pub(crate) struct Live<'a> {
+    pub(crate) engine: &'a DtwIndexEngine,
+    pub(crate) provenance: &'a HashMap<u64, (usize, usize)>,
+}
+
+/// A store's state: its manifest's content (live segments and tombstones)
+/// plus the memtable, the ids inserted since their last flush. The engine
+/// holds every live melody; the store knows only where each one is durable.
+pub(crate) struct Store {
+    dir: PathBuf,
+    config: QbhConfig,
+    options: StoreOptions,
+    /// The manifest's live segments, ascending by id. A segment's count is
+    /// its file's, tombstoned entries included.
+    segments: Vec<SegmentRef>,
+    /// Removed-but-still-on-disk melody ids; cleared by compaction.
+    tombstones: BTreeSet<u64>,
+    /// Next segment file id (strictly greater than every live segment).
+    /// Atomic because a plan reserves its id under a shared borrow: two
+    /// plans never share a file name, so a stale job's file is always its
+    /// own.
+    next_segment_id: AtomicU64,
+    /// The memtable: ids inserted since their last flush, held by the
+    /// engine but by no segment file (not yet durable).
+    memtable: BTreeSet<u64>,
+    /// Flushes, compactions and bytes written by this instance.
+    counters: StoreStats,
+}
+
+impl Store {
+    /// Creates an empty store at `dir`: the directory (if missing) and a
+    /// durable manifest with no segments and no tombstones. Nothing is
+    /// created when `config` or `options` is refused.
+    ///
+    /// # Errors
+    /// [`StorageError::Unrepresentable`] for a configuration the format
+    /// rejects or refused options, an `AlreadyExists` I/O error when `dir`
+    /// already holds a manifest (an existing store is opened, never
+    /// silently re-initialized), and any I/O failure.
+    pub(crate) fn create(
+        dir: &Path,
+        config: &QbhConfig,
+        options: StoreOptions,
+    ) -> Result<(), StorageError> {
+        options.check()?;
+        validate_config(config).map_err(StorageError::Unrepresentable)?;
+        std::fs::create_dir_all(dir)?;
+        if manifest_path(dir).exists() {
+            return Err(StorageError::Io(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                format!("store at {} already has a manifest", dir.display()),
+            )));
+        }
+        let manifest = Manifest { config: *config, segments: Vec::new(), tombstones: Vec::new() };
+        save_manifest(dir, &manifest).map(drop)
+    }
+
+    /// Opens the store at `dir` with an empty memtable (see the module
+    /// docs): `start` makes the holder of the live melodies from the
+    /// stored configuration, and `add` moves every live entry of every
+    /// segment into it, one segment at a time. Records one
+    /// `storage.loads` plus the bytes read (the manifest and every
+    /// segment) into `metrics`, or one `storage.load_errors`.
+    ///
+    /// # Errors
+    /// [`StorageError::Unrepresentable`] for refused options, before
+    /// anything is read; every per-file error of [`read_manifest`] and
+    /// [`read_segment`]; and [`StorageError::Corrupt`] for each cross-file
+    /// check of the module docs, or naming the segment of an entry `add`
+    /// rejects.
+    pub(crate) fn open<T>(
+        dir: &Path,
+        options: StoreOptions,
+        metrics: &MetricsSink,
+        start: impl FnOnce(&QbhConfig) -> T,
+        add: impl FnMut(&mut T, SegmentEntry) -> Result<(), String>,
+    ) -> Result<(Store, T), StorageError> {
+        let opened = Self::read(dir, options, start, add);
+        let outcome = if opened.is_ok() { Metric::StorageLoads } else { Metric::StorageLoadErrors };
+        metrics.add(outcome, 1);
+        if let Ok((.., bytes_read)) = &opened {
+            metrics.add(Metric::StorageBytesRead, *bytes_read);
+        }
+        opened.map(|(store, live, _)| (store, live))
+    }
+
+    /// The open itself, returning the bytes read as well.
+    fn read<T>(
+        dir: &Path,
+        options: StoreOptions,
+        start: impl FnOnce(&QbhConfig) -> T,
+        mut add: impl FnMut(&mut T, SegmentEntry) -> Result<(), String>,
+    ) -> Result<(Store, T, u64), StorageError> {
+        options.check()?;
+        let (manifest, mut bytes_read) = load_counted(&manifest_path(dir), read_manifest)?;
+        let tombstones: BTreeSet<u64> = manifest.tombstones.iter().copied().collect();
+        let mut live = start(&manifest.config);
+        let mut stored: BTreeSet<u64> = BTreeSet::new();
+        for segment in &manifest.segments {
+            // Every check names the segment it failed on.
+            let corrupt = |what| StorageError::Corrupt(format!("segment {}: {what}", segment.id));
+            let path = segment_path(dir, segment.id);
+            let ((config, entries), len) = match load_counted(&path, read_segment) {
+                Err(StorageError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+                    return Err(corrupt(format!("{} is missing", path.display())));
+                }
+                read => read?,
+            };
+            bytes_read += len;
+            if config != manifest.config {
+                return Err(corrupt("its config disagrees with the manifest".into()));
             }
-            Err(StorageError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(StorageError::Corrupt(format!(
-                    "manifest names segment {} but {} is missing",
-                    segment_ref.id,
-                    path.display()
-                )));
+            if entries.len() as u64 != segment.count {
+                let (held, named) = (entries.len(), segment.count);
+                return Err(corrupt(format!("holds {held} melodies, the manifest says {named}")));
             }
-            Err(other) => return Err(other),
+            for entry in entries {
+                if !stored.insert(entry.id) {
+                    return Err(corrupt(format!("melody {} is in another segment too", entry.id)));
+                }
+                if !tombstones.contains(&entry.id) {
+                    add(&mut live, entry).map_err(corrupt)?;
+                }
+            }
+        }
+        if let Some(dangling) = tombstones.difference(&stored).next() {
+            return Err(StorageError::Corrupt(format!(
+                "dangling tombstone: id {dangling} is stored in no segment"
+            )));
+        }
+        let store = Store {
+            dir: dir.to_path_buf(),
+            config: manifest.config,
+            options,
+            next_segment_id: AtomicU64::new(manifest.segments.last().map_or(0, |s| s.id + 1)),
+            segments: manifest.segments,
+            tombstones,
+            memtable: BTreeSet::new(),
+            counters: StoreStats::default(),
         };
-        if config != manifest.config {
-            return Err(StorageError::Corrupt(format!(
-                "segment {} config disagrees with the manifest",
-                segment_ref.id
+        Ok((store, live, bytes_read))
+    }
+
+    /// `true` when `id` is tombstoned: a removed id stays reserved until a
+    /// compaction drops its entry, since re-using it earlier would make the
+    /// on-disk segments overlap.
+    pub(crate) fn reserves(&self, id: u64) -> bool {
+        self.tombstones.contains(&id)
+    }
+
+    /// Records a live insert of `id` in the memtable.
+    pub(crate) fn inserted(&mut self, id: u64) {
+        self.memtable.insert(id);
+    }
+
+    /// Records the removal of live melody `id`. A segment-resident one is
+    /// tombstoned in a durable manifest first, so a crash never resurrects
+    /// it; a memtable one was never durable and only leaves the memtable.
+    ///
+    /// # Errors
+    /// Any I/O or encoding failure writing the manifest; nothing changes.
+    pub(crate) fn remove(&mut self, id: u64, metrics: &MetricsSink) -> Result<(), StorageError> {
+        if !self.memtable.remove(&id) {
+            let mut tombstones = self.tombstones.clone();
+            tombstones.insert(id);
+            let written = self.save_manifest(&self.segments, &tombstones, metrics)?;
+            self.counters.bytes_written += written;
+            self.tombstones = tombstones;
+        }
+        Ok(())
+    }
+
+    /// The store's counters.
+    pub(crate) fn stats(&self) -> StoreStats {
+        StoreStats {
+            segments: self.segments.len(),
+            memtable_len: self.memtable.len(),
+            tombstones: self.tombstones.len(),
+            ..self.counters
+        }
+    }
+
+    /// `true` when the memtable holds at least `memtable_capacity` melodies.
+    pub(crate) fn needs_flush(&self) -> bool {
+        self.memtable.len() >= self.options.memtable_capacity
+    }
+
+    /// `true` when the segment count has reached `compact_at`, or at least
+    /// a quarter of the segment-resident entries are tombstoned.
+    pub(crate) fn needs_compaction(&self) -> bool {
+        if self.segments.len() >= self.options.compact_at {
+            return true;
+        }
+        let on_disk: u64 = self.segments.iter().map(|s| s.count).sum();
+        !self.tombstones.is_empty() && self.tombstones.len() as u64 * 4 >= on_disk
+    }
+
+    /// Phase 1 of whatever maintenance is due: a flush if the memtable is
+    /// full, else a compaction if one is needed, else `None`.
+    pub(crate) fn plan_due(&self, live: Live<'_>) -> Result<Option<MaintenancePlan>, StorageError> {
+        if self.needs_flush() {
+            self.plan_flush(live)
+        } else if self.needs_compaction() {
+            self.plan_compaction(live)
+        } else {
+            Ok(None)
+        }
+    }
+
+    /// Phase 1 of a flush: the memtable's melodies, copied out. `None`
+    /// when the memtable is empty.
+    pub(crate) fn plan_flush(
+        &self,
+        live: Live<'_>,
+    ) -> Result<Option<MaintenancePlan>, StorageError> {
+        if self.memtable.is_empty() {
+            return Ok(None);
+        }
+        self.plan(live, self.memtable.iter().copied(), Vec::new(), BTreeSet::new()).map(Some)
+    }
+
+    /// Phase 1 of a compaction: every segment-resident live melody, copied
+    /// out, replacing every segment and purging every tombstone. `None`
+    /// when there is nothing to do (zero or one segment, no tombstones).
+    pub(crate) fn plan_compaction(
+        &self,
+        live: Live<'_>,
+    ) -> Result<Option<MaintenancePlan>, StorageError> {
+        if self.segments.len() <= 1 && self.tombstones.is_empty() {
+            return Ok(None);
+        }
+        // Every live melody the memtable does not hold is segment-resident.
+        let mut ids: Vec<u64> =
+            live.provenance.keys().copied().filter(|id| !self.memtable.contains(id)).collect();
+        ids.sort_unstable();
+        let (replaced, purged) = (self.segments.clone(), self.tombstones.clone());
+        self.plan(live, ids, replaced, purged).map(Some)
+    }
+
+    /// A plan writing the melodies `ids` (ascending) as the segment with
+    /// the next reserved id, replacing `replaced` and purging `purged`.
+    fn plan(
+        &self,
+        live: Live<'_>,
+        ids: impl IntoIterator<Item = u64>,
+        replaced: Vec<SegmentRef>,
+        purged: BTreeSet<u64>,
+    ) -> Result<MaintenancePlan, StorageError> {
+        let entry = |id| -> Result<SegmentEntry, StorageError> {
+            let lost = || StorageError::Corrupt(format!("the engine lost melody {id}"));
+            let series = live.engine.get(id).map(<[f64]>::to_vec).ok_or_else(lost)?;
+            let (song, phrase) = live.provenance.get(&id).copied().unwrap_or((0, 0));
+            Ok(SegmentEntry { id, song, phrase, series })
+        };
+        let entries = ids.into_iter().map(entry).collect::<Result<_, _>>()?;
+        Ok(MaintenancePlan {
+            dir: self.dir.clone(),
+            config: self.config,
+            metrics: live.engine.metrics().clone(),
+            // Relaxed: a unique-id counter that publishes nothing else.
+            segment_id: self.next_segment_id.fetch_add(1, Ordering::Relaxed),
+            entries,
+            live_segments: self.segments.clone(),
+            replaced,
+            purged,
+        })
+    }
+
+    /// Phase 3: makes a built job the live view by the commit rule of
+    /// [`MaintenancePlan`]. On error the job's own file is removed.
+    pub(crate) fn commit(
+        &mut self,
+        built: BuiltMaintenance,
+        live: Live<'_>,
+    ) -> Result<RetiredSegments, StorageError> {
+        let committed = self.reconcile(&built, live);
+        let plan = built.plan;
+        if committed.is_err() && !plan.entries.is_empty() {
+            let _ = std::fs::remove_file(segment_path(&plan.dir, plan.segment_id));
+        }
+        committed.map(|()| RetiredSegments { plan })
+    }
+
+    fn reconcile(&mut self, built: &BuiltMaintenance, live: Live<'_>) -> Result<(), StorageError> {
+        let plan = &built.plan;
+        if self.segments != plan.live_segments {
+            return Err(StorageError::StalePlan(format!(
+                "segment {} was planned over segments {:?}, which are no longer the live ones",
+                plan.segment_id,
+                plan.live_segments.iter().map(|s| s.id).collect::<Vec<_>>()
             )));
         }
-        if entries.len() as u64 != segment_ref.count {
-            return Err(StorageError::Corrupt(format!(
-                "segment {} holds {} melodies, manifest says {}",
-                segment_ref.id,
-                entries.len(),
-                segment_ref.count
-            )));
-        }
-        for entry in &entries {
-            if !seen_ids.insert(entry.id) {
-                return Err(StorageError::Corrupt(format!(
-                    "melody id {} appears in more than one segment",
-                    entry.id
+        let mut tombstones: BTreeSet<u64> =
+            self.tombstones.difference(&plan.purged).copied().collect();
+        for entry in &plan.entries {
+            let held = live.engine.get(entry.id);
+            if held.is_none() {
+                tombstones.insert(entry.id);
+            } else if self.memtable.contains(&entry.id)
+                && (held != Some(entry.series.as_slice())
+                    || live.provenance.get(&entry.id) != Some(&(entry.song, entry.phrase)))
+            {
+                // A later melody reusing the id, not the one written.
+                return Err(StorageError::StalePlan(format!(
+                    "melody {} was replaced in the memtable since segment {} was planned",
+                    entry.id, plan.segment_id
                 )));
             }
         }
-        segments.push(entries);
+        let mut segments: Vec<SegmentRef> =
+            self.segments.iter().filter(|s| !plan.replaced.contains(s)).copied().collect();
+        if !plan.entries.is_empty() {
+            // The id was reserved after every live segment's, so it sorts
+            // last, as the manifest codec requires.
+            segments.push(SegmentRef { id: plan.segment_id, count: plan.entries.len() as u64 });
+        }
+        let metrics = live.engine.metrics();
+        let written = built.written + self.save_manifest(&segments, &tombstones, metrics)?;
+
+        // Durably committed; whatever else the memtable holds arrived since
+        // the plan and stays in it.
+        metrics.add(Metric::StorageSaves, 1);
+        metrics.add(Metric::StorageBytesWritten, written);
+        let written_ids = &plan.entries;
+        self.memtable.retain(|id| written_ids.binary_search_by_key(id, |e| e.id).is_err());
+        self.segments = segments;
+        self.tombstones = tombstones;
+        self.counters.bytes_written += written;
+        if plan.replaced.is_empty() {
+            self.counters.flushes += 1;
+        } else {
+            self.counters.compactions += 1;
+        }
+        Ok(())
     }
-    for &tombstone in &manifest.tombstones {
-        if !seen_ids.contains(&tombstone) {
-            return Err(StorageError::Corrupt(format!(
-                "dangling tombstone: id {tombstone} is stored in no segment"
-            )));
+
+    /// The manifest naming `segments` and `tombstones`, written durably:
+    /// the commit point of every flush, compaction and stored-melody
+    /// removal. Returns its size.
+    fn save_manifest(
+        &self,
+        segments: &[SegmentRef],
+        tombstones: &BTreeSet<u64>,
+        metrics: &MetricsSink,
+    ) -> Result<u64, StorageError> {
+        let manifest = Manifest {
+            config: self.config,
+            segments: segments.to_vec(),
+            tombstones: tombstones.iter().copied().collect(),
+        };
+        booked(metrics, save_manifest(&self.dir, &manifest))
+    }
+}
+
+/// Phase 1 of a flush or compaction, copied out of the system under a
+/// shared borrow ([`QbhSystem::plan_flush`], [`QbhSystem::plan_compaction`],
+/// [`QbhSystem::plan_maintenance`]). Both are one job: write some entries
+/// as one new segment, replace some live segments with it and purge some
+/// tombstones. A flush writes the memtable and replaces and purges
+/// nothing; a compaction writes every segment-resident live melody,
+/// replaces every live segment and purges the tombstones of its plan.
+///
+/// Maintenance runs in three phases so that a server never writes a
+/// segment file or waits for its fsync while holding the lock its requests
+/// need: **plan** (`&QbhSystem`, copies), **build**
+/// ([`MaintenancePlan::build`] — owned data, no reference to the system)
+/// and **commit** ([`QbhSystem::commit_maintenance`], `&mut QbhSystem`).
+/// The system may be queried, inserted into and removed from between the
+/// phases, and the commit keeps all of it as it was acknowledged. It
+/// refuses the plan as [`StorageError::StalePlan`] when the live segments
+/// are not the planned ones or a written id still in the memtable names
+/// another melody (series, song or phrase). Otherwise the tombstones the
+/// job did not purge stay, a written melody removed since the plan is
+/// committed tombstoned, and the written melodies leave the memtable while
+/// later inserts stay in it.
+pub struct MaintenancePlan {
+    dir: PathBuf,
+    config: QbhConfig,
+    metrics: MetricsSink,
+    /// The id reserved for the segment this job writes.
+    segment_id: u64,
+    /// The melodies the new segment will hold, ascending by id.
+    entries: Vec<SegmentEntry>,
+    /// The live segments the job was planned over.
+    live_segments: Vec<SegmentRef>,
+    /// The live segments the new one replaces.
+    replaced: Vec<SegmentRef>,
+    /// The tombstones whose entries the job leaves out.
+    purged: BTreeSet<u64>,
+}
+
+impl MaintenancePlan {
+    /// Phase 2: everything expensive — the segment file with its fsyncs,
+    /// or no file when no entry is live. Touches no [`QbhSystem`] and
+    /// builds no index. A failed build leaves nothing behind; a built job
+    /// that is never committed leaves an orphan segment file that opening
+    /// the store ignores.
+    ///
+    /// # Errors
+    /// Any I/O or encoding failure writing the segment.
+    pub fn build(self) -> Result<BuiltMaintenance, StorageError> {
+        let written = if self.entries.is_empty() {
+            0
+        } else {
+            let saved = save_segment(&self.dir, self.segment_id, &self.config, &self.entries);
+            booked(&self.metrics, saved)?
+        };
+        Ok(BuiltMaintenance { plan: self, written })
+    }
+}
+
+/// Phase 2's result: a segment written but named by no manifest yet.
+/// [`QbhSystem::commit_maintenance`] makes it live.
+pub struct BuiltMaintenance {
+    plan: MaintenancePlan,
+    /// The size of the segment file the build wrote (none when nothing
+    /// was live).
+    written: u64,
+}
+
+/// What a commit released: the segments it replaced and the job's copy of
+/// the melodies it wrote. Dropping this deletes the replaced files
+/// best-effort (a leftover is an orphan that opening ignores) and frees the
+/// copy — a corpus-sized one for a compaction — which is why a server
+/// drops it after releasing its lock.
+pub struct RetiredSegments {
+    plan: MaintenancePlan,
+}
+
+impl Drop for RetiredSegments {
+    fn drop(&mut self) {
+        for segment in &self.plan.replaced {
+            let _ = std::fs::remove_file(segment_path(&self.plan.dir, segment.id));
         }
     }
-    Ok(LoadedStore { manifest, segments, bytes_read })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::QbhConfig;
 
     fn sample_entries(config: &QbhConfig, count: usize) -> Vec<SegmentEntry> {
         (0..count)

@@ -5,27 +5,23 @@
 //! ingestion through the pitch tracker (§3.1), and provenance-aware results
 //! (which song, which phrase).
 //!
-//! Every engine of the system indexes with the paper's New_PAA envelope
-//! transform, the tightest reduced lower bound at realistic warping widths
-//! (§5.2, Figs 6–7). The other transforms live in [`hum_core::transform`]
-//! for the paper's figures.
-//!
-//! A system lives in memory ([`QbhSystem::build`]) or over the one
-//! persistent form, the segmented store of [`crate::store`]
-//! ([`QbhSystem::try_create_store`] / [`QbhSystem::try_open_store`]).
-//!
-//! A system owns exactly one engine over its whole corpus, built in memory
-//! or from a store's segment files: a segment is a file and its manifest
-//! entry, never an index of its own.
+//! A system owns exactly one engine over its whole corpus, indexed with the
+//! paper's New_PAA envelope transform, the tightest reduced lower bound at
+//! realistic warping widths (§5.2, Figs 6–7; the other transforms live in
+//! [`hum_core::transform`] for the paper's figures). It is built in memory
+//! ([`QbhSystem::build`]) or from the segment files of the store
+//! ([`QbhSystem::try_create_store`] / [`QbhSystem::try_open_store`]). This
+//! module holds the engine, the provenance and the queries; the store's
+//! state and lifecycle live in [`crate::store`], and the system's store
+//! methods delegate to it.
 //!
 //! A query is asked one way: every surface — [`QbhSystem::try_query_request`],
 //! [`QbhSystem::try_query_audio`], the server's workers — is a caller of
 //! [`QbhSystem::try_query_request_with`], which runs one ε-range or k-NN
 //! request through [`DtwIndexEngine::try_query_with`] on that engine.
 
-use std::collections::{BTreeSet, HashMap};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::path::Path;
 
 use hum_audio::{track_pitch, PitchTrackerConfig};
 use hum_core::dtw::band_for_warping_width;
@@ -33,14 +29,17 @@ use hum_core::engine::{
     check_finite, DtwIndexEngine, EngineError, EngineStats, QueryRequest, QueryScratch,
 };
 use hum_core::normal::NormalForm;
-use hum_core::obs::{Metric, MetricsSink, QueryTrace};
+use hum_core::obs::{MetricsSink, QueryTrace};
 use hum_core::session::QuerySession;
 use hum_core::transform::paa::NewPaa;
 use hum_index::LinearScan;
 
-use crate::corpus::{MelodyDatabase, MelodyEntry};
+use crate::corpus::MelodyDatabase;
 use crate::storage::StorageError;
-use crate::store::{self, Manifest, SegmentEntry, SegmentRef};
+pub use crate::store::{
+    BuiltMaintenance, MaintenancePlan, RetiredSegments, StoreOptions, StoreStats,
+};
+use crate::store::{Live, SegmentEntry, Store};
 
 /// System configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,176 +95,17 @@ pub struct QbhResults {
     pub stats: EngineStats,
 }
 
-/// Operational knobs for a store-backed system; not part of the on-disk
-/// format.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreOptions {
-    /// Memtable melody count at which [`QbhSystem::needs_flush`] trips
-    /// (flushes are otherwise explicit; the memtable may exceed this
-    /// between maintenance ticks).
-    pub memtable_capacity: usize,
-    /// Segment count at which [`QbhSystem::needs_compaction`] trips.
-    pub compact_at: usize,
+/// The typed refusal a store operation `what` gets on an in-memory build.
+fn in_memory(what: &str) -> StorageError {
+    StorageError::Unrepresentable(format!(
+        "{what} requires a store-backed system (see QbhSystem::try_create_store)"
+    ))
 }
 
-impl Default for StoreOptions {
-    fn default() -> Self {
-        StoreOptions { memtable_capacity: 1024, compact_at: 4 }
-    }
-}
-
-/// Mutable bookkeeping for a store-backed system: the content of its
-/// manifest (segments and tombstones) plus the memtable.
-struct StoreState {
-    dir: PathBuf,
-    options: StoreOptions,
-    /// The manifest's live segments, ascending by id. A segment's count is
-    /// its file's, tombstoned entries included.
-    segments: Vec<SegmentRef>,
-    /// Removed-but-still-on-disk melody ids; cleared by compaction.
-    tombstones: BTreeSet<u64>,
-    /// Next segment file id (strictly greater than every live segment).
-    /// Atomic because a plan reserves its id under the read lock: two plans
-    /// never share a file name, so a stale job's file is always its own.
-    next_segment_id: AtomicU64,
-    /// The memtable: ids inserted since their last flush, held by the
-    /// engine but by no segment file (not yet durable).
-    memtable_ids: BTreeSet<u64>,
-    flushes: u64,
-    compactions: u64,
-    bytes_written: u64,
-}
-
-/// A snapshot of store-backed storage counters, for operators and the
-/// ingest benchmark.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Immutable segments currently live.
-    pub segments: usize,
-    /// Melodies in the memtable (not yet durable).
-    pub memtable_len: usize,
-    /// Removed ids awaiting compaction.
-    pub tombstones: usize,
-    /// Flushes performed by this instance.
-    pub flushes: u64,
-    /// Compactions performed by this instance.
-    pub compactions: u64,
-    /// Bytes written to segment and manifest files by this instance.
-    pub bytes_written: u64,
-}
-
-/// Phase 1 of a flush or compaction, copied out of the system under a
-/// shared borrow ([`QbhSystem::plan_flush`], [`QbhSystem::plan_compaction`],
-/// [`QbhSystem::plan_maintenance`]). Both are one job: write some entries
-/// as one new segment, replace some live segments with it and purge some
-/// tombstones. A flush writes the memtable and replaces and purges
-/// nothing; a compaction writes every segment-resident live melody,
-/// replaces every live segment and purges the tombstones of its plan.
-///
-/// Maintenance runs in three phases so that a server never writes a
-/// segment file or waits for its fsync while holding the lock its requests
-/// need: **plan** (`&QbhSystem`, copies), **build**
-/// ([`MaintenancePlan::build`] — owned data, no reference to the system)
-/// and **commit** ([`QbhSystem::commit_maintenance`], `&mut QbhSystem`).
-/// The system may be queried, inserted into and removed from between the
-/// phases.
-pub struct MaintenancePlan {
-    dir: PathBuf,
-    config: QbhConfig,
-    metrics: MetricsSink,
-    /// The id reserved for the segment this job writes.
-    segment_id: u64,
-    /// The melodies the new segment will hold, ascending by id.
-    entries: Vec<SegmentEntry>,
-    /// The live segments the job was planned over.
-    live_segments: Vec<SegmentRef>,
-    /// The live segments the new one replaces.
-    replaced: Vec<SegmentRef>,
-    /// The tombstones whose entries the job leaves out.
-    purged: BTreeSet<u64>,
-}
-
-impl MaintenancePlan {
-    /// Phase 2: everything expensive — the segment file with its fsyncs,
-    /// or no file when no entry is live. Touches no [`QbhSystem`] and
-    /// builds no index. A failed build leaves nothing behind; a built job
-    /// that is never committed leaves an orphan segment file that
-    /// [`QbhSystem::try_open_store_with`] ignores.
-    ///
-    /// # Errors
-    /// Any I/O or encoding failure writing the segment.
-    pub fn build(self) -> Result<BuiltMaintenance, StorageError> {
-        let written = if self.entries.is_empty() {
-            0
-        } else {
-            let saved =
-                store::save_segment(&self.dir, self.segment_id, &self.config, &self.entries);
-            booked(&self.metrics, saved)?
-        };
-        Ok(BuiltMaintenance { plan: self, written })
-    }
-}
-
-/// Phase 2's result: a segment written but named by no manifest yet.
-/// [`QbhSystem::commit_maintenance`] makes it live.
-pub struct BuiltMaintenance {
-    plan: MaintenancePlan,
-    /// The size of the segment file the build wrote (none when nothing
-    /// was live).
-    written: u64,
-}
-
-/// What a commit released: the segments it replaced and the job's copy of
-/// the melodies it wrote. Dropping this deletes the replaced files
-/// best-effort (a leftover is an orphan that opening ignores) and frees the
-/// copy — a corpus-sized one for a compaction — which is why a server
-/// drops it after releasing its lock.
-pub struct RetiredSegments {
-    plan: MaintenancePlan,
-}
-
-impl Drop for RetiredSegments {
-    fn drop(&mut self) {
-        for segment in &self.plan.replaced {
-            let _ = std::fs::remove_file(store::segment_path(&self.plan.dir, segment.id));
-        }
-    }
-}
-
-/// Books a failed durable write as `storage.save_errors` before handing
-/// the result on (successes are booked by the flush or compaction they
-/// complete).
-fn booked(metrics: &MetricsSink, written: Result<u64, StorageError>) -> Result<u64, StorageError> {
-    if written.is_err() {
-        metrics.add(Metric::StorageSaveErrors, 1);
-    }
-    written
-}
-
-/// An empty engine under `config`: New_PAA over a flat feature index that
-/// fills by appending.
-///
-/// # Panics
-/// When `feature_dims` does not divide `normal_length`, which
-/// [`crate::storage`] rejects for every stored configuration.
-fn new_engine(config: &QbhConfig) -> DtwIndexEngine {
-    let transform = NewPaa::new(config.normal_length, config.feature_dims);
-    let index = LinearScan::with_page_size(config.feature_dims, config.page_bytes);
-    DtwIndexEngine::new(transform, index)
-}
-
-/// A built query-by-humming system.
-///
-/// The system owns one engine over its whole corpus. Storage-wise a
-/// store-backed system ([`QbhSystem::try_create_store`] /
-/// [`QbhSystem::try_open_store`]) is a one-level LSM tree of *files*: a
-/// volatile **memtable** (the ids inserted since their last flush) over
-/// zero or more immutable **segments** (each a file and its manifest
-/// entry), with the durable lifecycle [`QbhSystem::flush`] and
-/// [`QbhSystem::compact`]. None of it changes
-/// what the engine holds, so matches and counters are those of an
-/// in-memory build ([`QbhSystem::build`]) over the same corpus at every
-/// segment layout.
+/// A built query-by-humming system: one engine over its whole corpus and,
+/// when store-backed, the store ([`crate::store`]) that keeps it durable.
+/// The store never changes what the engine holds, so matches and counters
+/// equal an in-memory build's at every segment layout.
 pub struct QbhSystem {
     engine: DtwIndexEngine,
     normal: NormalForm,
@@ -274,10 +114,32 @@ pub struct QbhSystem {
     // Keyed by melody id (not a Vec indexed by id): live inserts may use
     // arbitrary ids, and removals leave holes.
     provenance: HashMap<u64, (usize, usize)>,
-    store: Option<StoreState>,
+    store: Option<Store>,
 }
 
 impl QbhSystem {
+    /// An empty in-memory system: New_PAA over a flat feature index.
+    /// Panics on a configuration no store can hold.
+    fn empty(config: &QbhConfig) -> Self {
+        let transform = NewPaa::new(config.normal_length, config.feature_dims);
+        let index = LinearScan::with_page_size(config.feature_dims, config.page_bytes);
+        QbhSystem {
+            engine: DtwIndexEngine::new(transform, index),
+            normal: NormalForm::with_length(config.normal_length),
+            band: band_for_warping_width(config.warping_width, config.normal_length),
+            config: *config,
+            provenance: HashMap::new(),
+            store: None,
+        }
+    }
+
+    /// Indexes one melody's normal form under its id, with its provenance.
+    fn add(&mut self, melody: SegmentEntry) -> Result<(), EngineError> {
+        self.engine.try_insert(melody.id, melody.series)?;
+        self.provenance.insert(melody.id, (melody.song, melody.phrase));
+        Ok(())
+    }
+
     /// Builds the system over a melody database.
     ///
     /// # Panics
@@ -286,131 +148,67 @@ impl QbhSystem {
     /// melody (a duplicate id or a non-finite rendering), naming it.
     pub fn build(db: &MelodyDatabase, config: &QbhConfig) -> Self {
         assert!(!db.is_empty(), "cannot build over an empty melody database");
-        let normal = NormalForm::with_length(config.normal_length);
+        let mut system = Self::empty(config);
+        system.provenance.reserve(db.len());
         // Normal forms are rendered where they are consumed and never held
         // all at once: the engine copies each into its arena, so a corpus-
         // sized buffer of them would only be freed again, piecemeal, under
         // the arena as it grows.
-        let samples_per_beat = config.samples_per_beat;
-        let normal_of =
-            |e: &MelodyEntry| normal.apply(&e.melody().to_time_series(samples_per_beat));
-        let mut engine = new_engine(config);
-        let mut provenance = HashMap::with_capacity(db.len());
+        let (normal, samples_per_beat) = (system.normal, config.samples_per_beat);
         for entry in db.entries() {
-            if let Err(e) = engine.try_insert(entry.id(), normal_of(entry)) {
+            let series = normal.apply(&entry.melody().to_time_series(samples_per_beat));
+            let (id, song, phrase) = (entry.id(), entry.song(), entry.phrase());
+            if let Err(e) = system.add(SegmentEntry { id, song, phrase, series }) {
                 panic!("melody #{}: {e}", entry.id());
             }
-            provenance.insert(entry.id(), (entry.song(), entry.phrase()));
         }
-        QbhSystem {
-            engine,
-            normal,
-            band: band_for_warping_width(config.warping_width, config.normal_length),
-            config: *config,
-            provenance,
-            store: None,
-        }
+        system
     }
 
-    /// Creates a fresh store-backed system at `dir`: an empty engine over
-    /// zero segments, with an empty `MANIFEST` written durably so a crash
-    /// right after creation reopens cleanly.
+    /// Creates a store-backed system at `dir` with an empty, durable manifest.
     ///
     /// # Errors
-    /// [`StorageError::Unrepresentable`] for a configuration the store
-    /// format rejects, an `AlreadyExists` I/O error when `dir` already
+    /// [`StorageError::Unrepresentable`] for a configuration or options
+    /// the store refuses (nothing is created), `AlreadyExists` when `dir`
     /// holds a manifest, and any I/O failure.
     pub fn try_create_store(
         dir: &Path,
         config: &QbhConfig,
         options: StoreOptions,
     ) -> Result<Self, StorageError> {
-        store::init_store(dir, config)?;
+        Store::create(dir, config, options)?;
         Self::try_open_store_with(dir, options, &MetricsSink::Disabled)
     }
 
-    /// Opens an existing store at `dir` with default [`StoreOptions`] and
+    /// [`QbhSystem::try_open_store_with`] with default [`StoreOptions`] and
     /// metrics disabled.
     ///
     /// # Errors
-    /// See [`QbhSystem::try_open_store_with`].
+    /// As [`QbhSystem::try_open_store_with`].
     pub fn try_open_store(dir: &Path) -> Result<Self, StorageError> {
         Self::try_open_store_with(dir, StoreOptions::default(), &MetricsSink::Disabled)
     }
 
-    /// Opens an existing store at `dir`: validates and loads the manifest
-    /// and every segment it names (see [`crate::store::open_store`] for the
-    /// corruption taxonomy), inserts every live entry of every segment into
-    /// the one engine — skipping tombstoned melodies, so a removal never
-    /// resurrects across a reload — and starts an empty memtable.
+    /// Opens an existing store at `dir` (see [`crate::store`]): every live
+    /// entry moves into the one engine, and the memtable starts empty. The
+    /// open is booked into `metrics` as `storage.loads` and
+    /// `storage.bytes_read`, or as `storage.load_errors`.
     ///
     /// # Errors
-    /// Any [`StorageError`] from [`crate::store::open_store`], and
-    /// [`StorageError::Corrupt`] naming the segment of an entry the engine
-    /// rejects.
-    ///
-    /// The outcome is recorded into `metrics`: one `storage.loads` plus the
-    /// manifest and segment bytes as `storage.bytes_read` on success, one
-    /// `storage.load_errors` on any failure.
+    /// [`StorageError::Unrepresentable`] for refused [`StoreOptions`],
+    /// before anything is read, and every [`StorageError`] of the store.
     pub fn try_open_store_with(
         dir: &Path,
         options: StoreOptions,
         metrics: &MetricsSink,
     ) -> Result<Self, StorageError> {
-        let opened = Self::open_store_units(dir, options, metrics);
-        match &opened {
-            Ok((_, bytes_read)) => {
-                metrics.add(Metric::StorageLoads, 1);
-                metrics.add(Metric::StorageBytesRead, *bytes_read);
-            }
-            Err(_) => metrics.add(Metric::StorageLoadErrors, 1),
-        }
-        opened.map(|(system, _)| system)
-    }
-
-    /// The open itself: the system plus the bytes read from disk.
-    fn open_store_units(
-        dir: &Path,
-        options: StoreOptions,
-        metrics: &MetricsSink,
-    ) -> Result<(Self, u64), StorageError> {
-        let loaded = store::open_store(dir)?;
-        let config = loaded.manifest.config;
-        let tombstones: BTreeSet<u64> = loaded.manifest.tombstones.iter().copied().collect();
-        let mut provenance = HashMap::new();
         // Metrics stay detached while the engine fills: re-indexing what is
         // already stored is not a user-visible insert.
-        let mut engine = new_engine(&config);
-        for (seg_ref, entries) in loaded.manifest.segments.iter().zip(&loaded.segments) {
-            for entry in entries.iter().filter(|e| !tombstones.contains(&e.id)) {
-                engine
-                    .try_insert(entry.id, entry.series.clone())
-                    .map_err(|e| StorageError::Corrupt(format!("segment {}: {e}", seg_ref.id)))?;
-                provenance.insert(entry.id, (entry.song, entry.phrase));
-            }
-        }
-        engine.set_metrics(metrics.clone());
-        let segments = loaded.manifest.segments;
-        let next_segment_id = segments.last().map_or(0, |s| s.id + 1);
-        let system = QbhSystem {
-            engine,
-            normal: NormalForm::with_length(config.normal_length),
-            band: band_for_warping_width(config.warping_width, config.normal_length),
-            config,
-            provenance,
-            store: Some(StoreState {
-                dir: dir.to_path_buf(),
-                options,
-                segments,
-                tombstones,
-                next_segment_id: AtomicU64::new(next_segment_id),
-                memtable_ids: BTreeSet::new(),
-                flushes: 0,
-                compactions: 0,
-                bytes_written: 0,
-            }),
-        };
-        Ok((system, loaded.bytes_read))
+        let add = |system: &mut Self, entry| system.add(entry).map_err(|e| e.to_string());
+        let (store, mut system) = Store::open(dir, options, metrics, Self::empty, add)?;
+        system.engine.set_metrics(metrics.clone());
+        system.store = Some(store);
+        Ok(system)
     }
 
     /// Number of indexed melodies, across the memtable and every segment.
@@ -418,8 +216,7 @@ impl QbhSystem {
         self.engine.len()
     }
 
-    /// `true` if nothing is indexed (never after a successful build; an
-    /// empty store-backed system is legal).
+    /// `true` if nothing is indexed (legal only for a store-backed system).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -441,15 +238,13 @@ impl QbhSystem {
         1
     }
 
-    /// The engine over the whole corpus, for experiments that need raw
-    /// control — in memory or store-backed alike.
+    /// The engine over the whole corpus, for experiments that need raw control.
     pub fn engine(&self) -> &DtwIndexEngine {
         &self.engine
     }
 
-    /// Points the system at a metrics sink; pass [`MetricsSink::enabled`]
-    /// to start recording every query, insert and removal of the engine,
-    /// and every storage event, into a shared registry.
+    /// Points the system at a metrics sink; [`MetricsSink::enabled`] records
+    /// every query, insert, removal and storage event into a registry.
     pub fn set_metrics(&mut self, sink: MetricsSink) {
         self.engine.set_metrics(sink);
     }
@@ -460,26 +255,21 @@ impl QbhSystem {
     }
 
     /// Opens the frames → request builder every query goes through: the
-    /// request template's kind, band, trace and budget settings apply to the
-    /// request it builds (any series already on the template is ignored —
-    /// frames arrive through [`QuerySession::append`]), normalized with
-    /// this system's normal form. Use [`QbhSystem::band`] for the
-    /// configured warping width.
+    /// template's kind, band, trace and budget apply to the request it
+    /// builds from the frames [`QuerySession::append`] receives, normalized
+    /// with this system's normal form.
     pub fn open_session(&self, template: QueryRequest) -> QuerySession {
         QuerySession::new(template, self.normal)
     }
 
-    /// Executes a [`QueryRequest`] on a hummed pitch series: the series is
-    /// normalized and attached to the request (any series already on the
-    /// request is replaced), so callers only choose kind, band, trace and
-    /// budget. Use [`QbhSystem::band`] for the configured warping
-    /// width. Returns annotated results plus the cascade trace when the
-    /// request asked for one.
+    /// Executes a [`QueryRequest`] on a hummed pitch series, which replaces
+    /// any series on the request once normalized: callers choose kind,
+    /// band ([`QbhSystem::band`] is the configured one), trace and budget.
+    /// Returns annotated results plus the trace when the request asked.
     ///
-    /// There is exactly one path from raw frames to the engine — validate,
+    /// It is the one path from raw frames to the engine — validate,
     /// normalize, attach ([`QuerySession`]), then
-    /// [`DtwIndexEngine::try_query_with`] — and every other query method of
-    /// the system is a caller of it.
+    /// [`DtwIndexEngine::try_query_with`].
     ///
     /// # Errors
     /// [`EngineError::EmptyQuery`] on an empty pitch series,
@@ -494,9 +284,8 @@ impl QbhSystem {
         self.try_query_request_with(pitch_series, request, &mut scratch)
     }
 
-    /// [`QbhSystem::try_query_request`] computing in caller-provided
-    /// scratch — the server's worker pool reuses one scratch per worker.
-    /// Results and counters are identical to the fresh-scratch form.
+    /// [`QbhSystem::try_query_request`] in caller-provided scratch (the
+    /// server's workers reuse one each), with identical results.
     ///
     /// # Errors
     /// Same as [`QbhSystem::try_query_request`].
@@ -516,21 +305,15 @@ impl QbhSystem {
         Ok((self.annotate(outcome.result), outcome.trace))
     }
 
-    /// Live insert: renders a raw (hummed-scale) pitch series to normal
-    /// form, indexes it under `id` (in store mode, as a memtable melody),
-    /// and records its provenance. The melody is queryable as soon as this returns; on
-    /// error nothing changes. In store mode the melody becomes *durable*
-    /// at the next [`QbhSystem::flush`] (the memtable is volatile; there
-    /// is no write-ahead log).
+    /// Live insert of a raw (hummed-scale) pitch series under `id`,
+    /// queryable on return; on error nothing changes. In store mode it is
+    /// a memtable melody, durable at the next flush (there is no log).
     ///
     /// # Errors
     /// [`EngineError::EmptyQuery`] on an empty series,
     /// [`EngineError::NonFiniteSample`] on NaN/infinite samples (checked on
     /// the *raw* series, before resampling can smear the poison), and
-    /// [`EngineError::DuplicateId`] when `id` is already indexed — or
-    /// tombstoned: a removed id stays reserved until
-    /// compaction drops it from its segment file, since re-using it earlier
-    /// would make the on-disk segments overlap.
+    /// [`EngineError::DuplicateId`] when `id` is indexed or tombstoned.
     pub fn try_insert_melody(
         &mut self,
         id: u64,
@@ -543,29 +326,23 @@ impl QbhSystem {
         }
         check_finite(pitch_series, "inserted pitch series")?;
         // The engine's own check does not cover tombstoned ids.
-        if self.store.as_ref().is_some_and(|s| s.tombstones.contains(&id)) {
+        if self.store.as_ref().is_some_and(|s| s.reserves(id)) {
             return Err(EngineError::DuplicateId(id));
         }
-        self.engine.try_insert(id, self.normal.apply(pitch_series))?;
-        self.provenance.insert(id, (song, phrase));
-        if let Some(state) = self.store.as_mut() {
-            state.memtable_ids.insert(id);
+        self.add(SegmentEntry { id, song, phrase, series: self.normal.apply(pitch_series) })?;
+        if let Some(store) = self.store.as_mut() {
+            store.inserted(id);
         }
         Ok(())
     }
 
-    /// Ingests a whole melody database into a store-backed system: every
-    /// entry is rendered and inserted under its own id and provenance, and
-    /// after each, every job [`QbhSystem::plan_maintenance`] plans is
-    /// built and committed, as a server's maintenance thread does (so the
-    /// memtable flushes and segments compact as they fill); then the tail
-    /// is flushed — on return the entire database is durable.
+    /// Ingests a whole melody database into a store-backed system: inserts
+    /// every entry, running the server's maintenance loop after each, then
+    /// flushes the tail — on return all of it is durable.
     ///
     /// # Errors
-    /// [`StorageError::Unrepresentable`] naming the melody an insert
-    /// rejected (duplicate id, empty or non-finite rendering), plus
-    /// anything the maintenance phases and [`QbhSystem::flush`] report;
-    /// melodies ingested before the failure stay in the store.
+    /// [`StorageError::Unrepresentable`] naming a melody an insert
+    /// rejected, plus anything maintenance reports.
     pub fn try_ingest(&mut self, db: &MelodyDatabase) -> Result<(), StorageError> {
         for entry in db.entries() {
             let series = entry.melody().to_time_series(self.config.samples_per_beat);
@@ -580,37 +357,19 @@ impl QbhSystem {
         Ok(())
     }
 
-    /// Live removal: drops the melody stored under `id` from the engine.
-    /// Returns `Ok(true)` if it was present.
-    ///
-    /// In store mode, removing a *segment-resident* melody writes a
-    /// tombstone into the manifest durably **before** the in-memory
-    /// removal, so a crash-and-reload can never resurrect it; the
-    /// tombstoned entry physically disappears at the next compaction.
-    /// Memtable-resident melodies were never durable, so their removal is
-    /// purely in-memory, as is every removal from an in-memory build
-    /// (which never returns an error).
+    /// Live removal of the melody under `id`; `Ok(true)` if it was present.
+    /// A segment-resident melody is tombstoned in a durable manifest
+    /// first, so a crash never resurrects it; every other removal is in
+    /// memory only and never fails.
     ///
     /// # Errors
-    /// Any I/O or encoding failure writing the updated manifest; the
-    /// system is unchanged (the melody stays queryable) on error.
+    /// Any failure writing the manifest; then nothing changes.
     pub fn try_remove(&mut self, id: u64) -> Result<bool, StorageError> {
         if self.engine.get(id).is_none() {
             return Ok(false);
         }
-        // Every stored id the memtable does not hold is segment-resident.
-        if let Some(state) = self.store.as_ref().filter(|s| !s.memtable_ids.contains(&id)) {
-            // Durable first: manifest with the new tombstone, then memory.
-            let mut tombstones = state.tombstones.clone();
-            tombstones.insert(id);
-            let written = self.save_manifest_of(state, &state.segments, &tombstones)?;
-            if let Some(state) = self.store.as_mut() {
-                state.bytes_written += written;
-                state.tombstones = tombstones;
-            }
-        }
-        if let Some(state) = self.store.as_mut() {
-            state.memtable_ids.remove(&id);
+        if let Some(store) = self.store.as_mut() {
+            store.remove(id, self.engine.metrics())?;
         }
         self.engine.remove(id);
         self.provenance.remove(&id);
@@ -618,9 +377,8 @@ impl QbhSystem {
     }
 
     /// Full pipeline from raw microphone audio: pitch-track at 10 ms frames,
-    /// drop silence, and search for the top `k` at the configured warping
-    /// width. `Ok(None)` means the recording has no voiced frame — silence,
-    /// which is not the same as a search that matched nothing.
+    /// drop silence, and search for the top `k` at the configured band.
+    /// `Ok(None)` means silence: no voiced frame, not an empty answer.
     ///
     /// # Errors
     /// [`EngineError::UnsupportedSampleRate`] when `sample_rate` is below
@@ -651,268 +409,86 @@ impl QbhSystem {
         self.store.is_some()
     }
 
-    /// Melodies currently resident only in the memtable: every melody of
-    /// an in-memory build, none of which is durable.
+    /// Melodies resident only in the memtable (all, in memory).
     pub fn memtable_len(&self) -> usize {
-        self.store.as_ref().map_or(self.engine.len(), |s| s.memtable_ids.len())
+        self.store_stats().map_or(self.engine.len(), |s| s.memtable_len)
     }
 
     /// Live immutable segments (always 0 for in-memory builds).
     pub fn segment_count(&self) -> usize {
-        self.store.as_ref().map_or(0, |s| s.segments.len())
+        self.store_stats().map_or(0, |s| s.segments)
     }
 
     /// Store counters, or `None` for an in-memory build.
     pub fn store_stats(&self) -> Option<StoreStats> {
-        self.store.as_ref().map(|state| StoreStats {
-            segments: state.segments.len(),
-            memtable_len: state.memtable_ids.len(),
-            tombstones: state.tombstones.len(),
-            flushes: state.flushes,
-            compactions: state.compactions,
-            bytes_written: state.bytes_written,
-        })
+        self.store.as_ref().map(Store::stats)
     }
 
-    /// `true` when the memtable has reached [`StoreOptions::memtable_capacity`]
-    /// and [`QbhSystem::plan_maintenance`] will plan a flush.
+    /// `true` when the memtable has reached [`StoreOptions::memtable_capacity`].
     pub fn needs_flush(&self) -> bool {
-        self.store
-            .as_ref()
-            .is_some_and(|s| s.memtable_ids.len() >= s.options.memtable_capacity.max(1))
+        self.store.as_ref().is_some_and(Store::needs_flush)
     }
 
-    /// `true` when the segment count has reached [`StoreOptions::compact_at`],
-    /// or at least a quarter of the segment-resident melodies are
-    /// tombstoned, so [`QbhSystem::plan_maintenance`] will plan a
-    /// compaction once no flush is due.
+    /// `true` at [`StoreOptions::compact_at`] segments or a quarter tombstoned.
     pub fn needs_compaction(&self) -> bool {
-        let Some(state) = self.store.as_ref() else {
-            return false;
-        };
-        if state.segments.len() >= state.options.compact_at.max(2) {
-            return true;
-        }
-        let on_disk: u64 = state.segments.iter().map(|s| s.count).sum();
-        !state.tombstones.is_empty() && state.tombstones.len() as u64 * 4 >= on_disk
+        self.store.as_ref().is_some_and(Store::needs_compaction)
     }
 
-    /// The store bookkeeping, or the typed refusal `what` gets on an
-    /// in-memory build.
-    fn store_state(&self, what: &str) -> Result<&StoreState, StorageError> {
-        self.store.as_ref().ok_or_else(|| {
-            StorageError::Unrepresentable(format!(
-                "{what} requires a store-backed system (see QbhSystem::try_create_store)"
-            ))
-        })
+    /// The store and the live melodies its plans copy.
+    fn planning(&self, what: &str) -> Result<(&Store, Live<'_>), StorageError> {
+        let store = self.store.as_ref().ok_or_else(|| in_memory(what))?;
+        Ok((store, Live { engine: &self.engine, provenance: &self.provenance }))
     }
 
-    /// A plan writing the melodies `ids` (ascending) as the segment with
-    /// the next reserved id, replacing `replaced` and purging `purged`.
-    fn new_plan(
-        &self,
-        state: &StoreState,
-        ids: impl IntoIterator<Item = u64>,
-        replaced: Vec<SegmentRef>,
-        purged: BTreeSet<u64>,
-    ) -> Result<MaintenancePlan, StorageError> {
-        let entries = ids.into_iter().map(|id| self.entry_of(id)).collect::<Result<_, _>>()?;
-        Ok(MaintenancePlan {
-            dir: state.dir.clone(),
-            config: self.config,
-            metrics: self.metrics().clone(),
-            // Relaxed: a unique-id counter that publishes nothing else.
-            segment_id: state.next_segment_id.fetch_add(1, Ordering::Relaxed),
-            entries,
-            live_segments: state.segments.clone(),
-            replaced,
-            purged,
-        })
-    }
-
-    /// The stored form of live melody `id`.
-    fn entry_of(&self, id: u64) -> Result<SegmentEntry, StorageError> {
-        let series = self
-            .engine
-            .get(id)
-            .map(<[f64]>::to_vec)
-            .ok_or_else(|| StorageError::Corrupt(format!("the engine lost melody {id}")))?;
-        let (song, phrase) = self.provenance.get(&id).copied().unwrap_or((0, 0));
-        Ok(SegmentEntry { id, song, phrase, series })
-    }
-
-    /// Phase 1 of a flush (see [`MaintenancePlan`]): copies the memtable's
-    /// melodies out. `Ok(None)` when the memtable is empty.
+    /// Phase 1 of a flush ([`MaintenancePlan`]); `Ok(None)` for an empty
+    /// memtable.
     ///
     /// # Errors
     /// [`StorageError::Unrepresentable`] for an in-memory build.
     pub fn plan_flush(&self) -> Result<Option<MaintenancePlan>, StorageError> {
-        let state = self.store_state("flush")?;
-        if state.memtable_ids.is_empty() {
-            return Ok(None);
-        }
-        let ids = state.memtable_ids.iter().copied();
-        self.new_plan(state, ids, Vec::new(), BTreeSet::new()).map(Some)
+        let (store, live) = self.planning("flush")?;
+        store.plan_flush(live)
     }
 
-    /// Phase 1 of a compaction (see [`MaintenancePlan`]): copies the live
-    /// melodies of every segment out, with the tombstone set they leave
-    /// out. `Ok(None)` when there is nothing to do (zero or one segment and
-    /// no tombstones).
+    /// Phase 1 of a compaction ([`MaintenancePlan`]); `Ok(None)` for zero
+    /// or one segment and no tombstones.
     ///
     /// # Errors
     /// [`StorageError::Unrepresentable`] for an in-memory build.
     pub fn plan_compaction(&self) -> Result<Option<MaintenancePlan>, StorageError> {
-        let state = self.store_state("compact")?;
-        if state.segments.len() <= 1 && state.tombstones.is_empty() {
-            return Ok(None);
-        }
-        // Every live melody the memtable does not hold is segment-resident.
-        let mut ids: Vec<u64> =
-            self.provenance.keys().copied().filter(|id| !state.memtable_ids.contains(id)).collect();
-        ids.sort_unstable();
-        let (replaced, purged) = (state.segments.clone(), state.tombstones.clone());
-        self.new_plan(state, ids, replaced, purged).map(Some)
+        let (store, live) = self.planning("compact")?;
+        store.plan_compaction(live)
     }
 
-    /// Phase 1 of whatever maintenance is due: a flush if
-    /// [`QbhSystem::needs_flush`], else a compaction if
-    /// [`QbhSystem::needs_compaction`], else `Ok(None)` — always `Ok(None)`
-    /// for in-memory builds, so serving layers can call it unconditionally.
+    /// Phase 1 of whatever maintenance is due: a flush if one is needed,
+    /// else a compaction if one is, else `Ok(None)` (always, in memory).
     ///
     /// # Errors
     /// As [`QbhSystem::plan_flush`] and [`QbhSystem::plan_compaction`].
     pub fn plan_maintenance(&self) -> Result<Option<MaintenancePlan>, StorageError> {
-        if self.needs_flush() {
-            self.plan_flush()
-        } else if self.needs_compaction() {
-            self.plan_compaction()
-        } else {
-            Ok(None)
-        }
+        let live = Live { engine: &self.engine, provenance: &self.provenance };
+        self.store.as_ref().map_or(Ok(None), |store| store.plan_due(live))
     }
 
-    /// Phase 3 of a flush or compaction: makes a built job the live view,
-    /// with [`store::save_manifest`] as the commit point. Everything that
-    /// happened between plan and commit stays as it was acknowledged:
-    ///
-    /// * tombstones the job did not purge stay in the manifest;
-    /// * a written melody removed since the plan is on disk now, so it is
-    ///   committed tombstoned;
-    /// * the written melodies leave the memtable, and melodies inserted
-    ///   since the plan stay in it.
-    ///
-    /// It never touches the engine: that already holds exactly the live
-    /// melodies.
-    ///
-    /// Returns what the commit released; dropping it deletes the replaced
-    /// segments' files and frees the job's entries (do it outside any lock
-    /// the caller holds).
+    /// Phase 3 of a flush or compaction: makes a built job the live view
+    /// by the commit rule of [`MaintenancePlan`], never touching the
+    /// engine. Drop what it returns outside any lock the caller holds.
     ///
     /// # Errors
-    /// [`StorageError::StalePlan`] when the live segments are not the ones
-    /// the job was planned over (another flush or compaction committed in
-    /// between) or a written melody's id now names a different melody in
-    /// the memtable, plus any I/O or encoding failure writing the manifest.
-    /// On error the pre-job view stays live, the on-disk state stays
-    /// openable, and the job's own segment file is removed best-effort.
+    /// [`StorageError::StalePlan`] for a plan the store has moved past,
+    /// and any failure writing the manifest. On error the pre-job view
+    /// stays live and openable, and the job's own file is removed.
     pub fn commit_maintenance(
         &mut self,
         built: BuiltMaintenance,
     ) -> Result<RetiredSegments, StorageError> {
-        let committed = self.commit(&built);
-        let plan = built.plan;
-        if committed.is_err() && !plan.entries.is_empty() {
-            let _ = std::fs::remove_file(store::segment_path(&plan.dir, plan.segment_id));
-        }
-        committed.map(|()| RetiredSegments { plan })
+        let store = self.store.as_mut().ok_or_else(|| in_memory("commit"))?;
+        store.commit(built, Live { engine: &self.engine, provenance: &self.provenance })
     }
 
-    fn commit(&mut self, built: &BuiltMaintenance) -> Result<(), StorageError> {
-        let plan = &built.plan;
-        let state = self.store_state("commit")?;
-        if state.segments != plan.live_segments {
-            return Err(StorageError::StalePlan(format!(
-                "segment {} was planned over segments {:?}, which are no longer the live ones",
-                plan.segment_id,
-                plan.live_segments.iter().map(|s| s.id).collect::<Vec<_>>()
-            )));
-        }
-        let mut tombstones: BTreeSet<u64> =
-            state.tombstones.difference(&plan.purged).copied().collect();
-        for entry in &plan.entries {
-            let held = self.engine.get(entry.id);
-            if held.is_none() {
-                tombstones.insert(entry.id);
-            } else if state.memtable_ids.contains(&entry.id)
-                && (held != Some(entry.series.as_slice())
-                    || self.provenance.get(&entry.id) != Some(&(entry.song, entry.phrase)))
-            {
-                // A later melody reusing the id, not the one written.
-                return Err(StorageError::StalePlan(format!(
-                    "melody {} was replaced in the memtable since segment {} was planned",
-                    entry.id, plan.segment_id
-                )));
-            }
-        }
-        let mut segments: Vec<SegmentRef> =
-            state.segments.iter().filter(|s| !plan.replaced.contains(s)).copied().collect();
-        if !plan.entries.is_empty() {
-            // The id was reserved after every live segment's, so it sorts
-            // last, as the manifest codec requires.
-            segments.push(SegmentRef { id: plan.segment_id, count: plan.entries.len() as u64 });
-        }
-        let written = built.written + self.save_manifest_of(state, &segments, &tombstones)?;
-
-        // Durably committed; whatever else the memtable holds arrived since
-        // the plan and stays in it.
-        self.metrics().add(Metric::StorageSaves, 1);
-        self.metrics().add(Metric::StorageBytesWritten, written);
-        if let Some(state) = self.store.as_mut() {
-            let written_ids = &plan.entries;
-            state.memtable_ids.retain(|id| written_ids.binary_search_by_key(id, |e| e.id).is_err());
-            state.segments = segments;
-            state.tombstones = tombstones;
-            state.bytes_written += written;
-            if plan.replaced.is_empty() {
-                state.flushes += 1;
-            } else {
-                state.compactions += 1;
-            }
-        }
-        Ok(())
-    }
-
-    /// The manifest naming `segments` and `tombstones`, written durably
-    /// into the store's directory: the commit point of every flush,
-    /// compaction and stored-melody removal. Returns its size.
-    fn save_manifest_of(
-        &self,
-        state: &StoreState,
-        segments: &[SegmentRef],
-        tombstones: &BTreeSet<u64>,
-    ) -> Result<u64, StorageError> {
-        let manifest = Manifest {
-            config: self.config,
-            segments: segments.to_vec(),
-            tombstones: tombstones.iter().copied().collect(),
-        };
-        booked(self.metrics(), store::save_manifest(&state.dir, &manifest))
-    }
-
-    /// Flushes the memtable: writes its melodies as a new immutable
-    /// segment file and commits the segment into the manifest; the engine
-    /// already holds them, so nothing is re-indexed and queries are
-    /// undisturbed. This is the durability boundary for inserts: the flush
-    /// writes only the new melodies plus a small manifest, never the whole
-    /// corpus. Returns `Ok(false)` when the memtable was empty.
-    ///
-    /// It is [`QbhSystem::plan_flush`], [`MaintenancePlan::build`] and
-    /// [`QbhSystem::commit_maintenance`] run back to back — the one
-    /// implementation a server runs with its lock released in the middle.
-    /// The segment file lands (atomic rename) before the manifest that
-    /// names it, so a crash between the two leaves an orphan segment file
-    /// that [`QbhSystem::try_open_store_with`] ignores.
+    /// Flushes the memtable into a new segment — the durability boundary
+    /// for inserts — by the three maintenance phases back to back.
+    /// `Ok(false)` when the memtable was empty.
     ///
     /// # Errors
     /// [`StorageError::Unrepresentable`] for an in-memory build, plus any
@@ -921,30 +497,19 @@ impl QbhSystem {
         self.run_planned(self.plan_flush()?)
     }
 
-    /// Compacts every segment into (at most) one: gathers the live
-    /// melodies across all segments, writes them as a single new segment,
-    /// and commits a manifest with the tombstone list cleared — removals
-    /// become physical here. The memtable is untouched. Old segment files
-    /// are deleted best-effort after the swap (a leftover is an ignored
-    /// orphan). Returns `Ok(false)` when there was nothing to do (zero or
-    /// one segment and no tombstones). Like [`QbhSystem::flush`], the three
-    /// maintenance phases run back to back.
+    /// Compacts every segment into at most one, purging the tombstones, by
+    /// the three maintenance phases back to back; `Ok(false)` for no job.
     ///
     /// # Errors
-    /// [`StorageError::Unrepresentable`] for an in-memory build, plus any
-    /// I/O or encoding failure — the pre-compaction view stays live and
-    /// on-disk state stays openable on error.
+    /// As [`QbhSystem::flush`]; the pre-compaction view stays live.
     pub fn compact(&mut self) -> Result<bool, StorageError> {
         self.run_planned(self.plan_compaction()?)
     }
 
     /// Builds and commits `plan` on the spot; `Ok(false)` for no plan.
     fn run_planned(&mut self, plan: Option<MaintenancePlan>) -> Result<bool, StorageError> {
-        let Some(plan) = plan else {
-            return Ok(false);
-        };
-        self.commit_maintenance(plan.build()?)?;
-        Ok(true)
+        let retired = plan.map(|plan| self.commit_maintenance(plan.build()?)).transpose()?;
+        Ok(retired.is_some())
     }
 
     fn annotate(&self, result: hum_core::engine::QueryResult) -> QbhResults {
@@ -970,14 +535,18 @@ mod tests {
     use super::*;
     use hum_audio::{HumSynthesizer, SynthConfig};
     use hum_core::engine::QueryBudget;
+    use hum_core::obs::Metric;
     use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 
-    fn small_db() -> MelodyDatabase {
-        MelodyDatabase::from_songbook(&SongbookConfig {
+    /// A small songbook database and the in-memory system built over it.
+    fn small_system() -> (MelodyDatabase, QbhSystem) {
+        let db = MelodyDatabase::from_songbook(&SongbookConfig {
             songs: 10,
             phrases_per_song: 5,
             ..SongbookConfig::default()
-        })
+        });
+        let system = QbhSystem::build(&db, &QbhConfig::default());
+        (db, system)
     }
 
     /// Top-`k` at the configured band.
@@ -987,8 +556,7 @@ mod tests {
 
     #[test]
     fn exact_rendition_ranks_first() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, system) = small_system();
         // "Hum" phrase 12 perfectly: its own time series.
         let series = db.entry(12).unwrap().melody().to_time_series(4);
         let results = knn(&system, &series, 5);
@@ -998,8 +566,7 @@ mod tests {
 
     #[test]
     fn good_singer_hum_ranks_target_highly() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, system) = small_system();
         let mut hits = 0;
         for (i, target) in [3u64, 17, 29, 41].iter().enumerate() {
             let mut singer = HummingSimulator::new(SingerProfile::good(), 100 + i as u64);
@@ -1014,8 +581,7 @@ mod tests {
 
     #[test]
     fn provenance_is_reported() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, system) = small_system();
         let series = db.entry(23).unwrap().melody().to_time_series(4);
         let m = &knn(&system, &series, 1).matches[0];
         assert_eq!((m.song, m.phrase), (db.entry(23).unwrap().song(), db.entry(23).unwrap().phrase()));
@@ -1023,8 +589,7 @@ mod tests {
 
     #[test]
     fn audio_pipeline_end_to_end() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, system) = small_system();
         let target = 31u64;
         let mut singer = HummingSimulator::new(SingerProfile::good(), 5);
         let sung = singer.sing_notes(db.entry(target).unwrap().melody());
@@ -1043,8 +608,7 @@ mod tests {
 
     #[test]
     fn a_malformed_hum_runs_nothing_and_records_nothing() {
-        let db = small_db();
-        let mut system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, mut system) = small_system();
         system.set_metrics(MetricsSink::enabled());
         let mut hum = db.entry(7).unwrap().melody().to_time_series(4);
         let request = QueryRequest::knn(5).with_band(system.band());
@@ -1067,15 +631,13 @@ mod tests {
 
     #[test]
     fn silent_audio_returns_empty() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (_, system) = small_system();
         assert_eq!(system.try_query_audio(&vec![0.0; 8000], 8_000, 5), Ok(None));
     }
 
     #[test]
     fn a_sample_rate_below_twice_the_highest_pitch_is_a_typed_error() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (_, system) = small_system();
         for rate in [0, 1_000, 1_999] {
             assert_eq!(
                 system.try_query_audio(&vec![0.1; 8000], rate, 5),
@@ -1087,8 +649,7 @@ mod tests {
 
     #[test]
     fn range_query_respects_radius() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, system) = small_system();
         let series = db.entry(2).unwrap().melody().to_time_series(4);
         let range = |radius: f64| {
             let request = QueryRequest::range(radius).with_band(system.band());
@@ -1106,8 +667,7 @@ mod tests {
 
     #[test]
     fn query_request_traces_the_stats_it_returns() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, system) = small_system();
         let series = db.entry(12).unwrap().melody().to_time_series(4);
         let (results, trace) = system
             .try_query_request(
@@ -1122,8 +682,7 @@ mod tests {
 
     #[test]
     fn empty_pitch_series_is_a_typed_error() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (_, system) = small_system();
         assert_eq!(
             system.try_query_request(&[], QueryRequest::knn(3)).unwrap_err(),
             EngineError::EmptyQuery
@@ -1132,8 +691,7 @@ mod tests {
 
     #[test]
     fn live_insert_is_immediately_queryable_and_removal_unfindable() {
-        let db = small_db();
-        let mut system = QbhSystem::build(&db, &QbhConfig::default());
+        let (_, mut system) = small_system();
         let before = system.len();
 
         // A distinctive melody far from the songbook's register.
@@ -1153,8 +711,7 @@ mod tests {
 
     #[test]
     fn live_insert_rejects_duplicate_ids_and_bad_samples() {
-        let db = small_db();
-        let mut system = QbhSystem::build(&db, &QbhConfig::default());
+        let (_, mut system) = small_system();
         let series: Vec<f64> = (0..32).map(|i| 60.0 + i as f64 * 0.1).collect();
 
         // Id 12 came from the database build.
@@ -1182,8 +739,7 @@ mod tests {
     /// and trace. The benchmark's stage replay builds its requests this way.
     #[test]
     fn streaming_session_matches_one_shot_at_every_checkpoint() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, system) = small_system();
         let mut singer = HummingSimulator::new(SingerProfile::good(), 77);
         let hum = singer.sing_series(db.entry(19).unwrap().melody(), 0.01);
 
@@ -1215,8 +771,7 @@ mod tests {
 
     #[test]
     fn scratch_reusing_query_matches_the_fresh_scratch_form() {
-        let db = small_db();
-        let system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, system) = small_system();
         let mut scratch = QueryScratch::new();
         for id in [3u64, 17, 29] {
             let series = db.entry(id).unwrap().melody().to_time_series(4);
@@ -1230,8 +785,7 @@ mod tests {
 
     #[test]
     fn metrics_sink_records_system_queries() {
-        let db = small_db();
-        let mut system = QbhSystem::build(&db, &QbhConfig::default());
+        let (db, mut system) = small_system();
         assert!(!system.metrics().is_enabled());
         system.set_metrics(MetricsSink::enabled());
         let series = db.entry(3).unwrap().melody().to_time_series(4);

@@ -110,6 +110,17 @@ fn unknown_and_misspelt_flags_are_usage_errors() {
         (vec!["index", dir_s, store_s, "--shards", "2"], "unknown flag --shards"),
         (vec!["serve", store_s, "--worker", "2"], "unknown flag --worker"),
         (vec!["serve", store_s, "--maintenance-ms", "0"], "--maintenance-ms must be at least 1"),
+        (vec!["serve", store_s, "--workers", "0"], "--workers must be at least 1"),
+        (vec!["serve", store_s, "--queue-depth", "0"], "--queue-depth must be at least 1"),
+        (vec!["serve", store_s, "--memtable", "0"], "--memtable must be at least 1"),
+        (vec!["serve", store_s, "--compact-at", "1"], "--compact-at must be at least 2"),
+        (vec!["index", dir_s, store_s, "--memtable", "0"], "--memtable must be at least 1"),
+        (vec!["index", dir_s, store_s, "--compact-at", "0"], "--compact-at must be at least 2"),
+        (vec!["index", dir_s, store_s, "--compact-at", "1"], "--compact-at must be at least 2"),
+        (
+            vec!["hum", dir_s, "a.mid", store_s, "--chunk-frames", "0"],
+            "--chunk-frames must be at least 1",
+        ),
     ] {
         let out = qbh(&args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");

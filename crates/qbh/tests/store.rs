@@ -345,6 +345,22 @@ fn needs_compaction_trips_at_compact_at_segments_or_a_quarter_tombstoned() {
     assert!(system.flush().unwrap());
     assert_eq!(system.segment_count(), 3);
     assert!(system.needs_compaction(), "3 segments at compact_at 3");
+
+    // Options no trigger can work with are refused typed, at create and at
+    // open, before either touches the disk.
+    let files = |dir: &Path| -> BTreeMap<PathBuf, Vec<u8>> {
+        let paths = std::fs::read_dir(dir).unwrap().map(|e| e.unwrap().path());
+        paths.map(|path| (path.clone(), std::fs::read(path).unwrap())).collect()
+    };
+    let (before, never) = (files(&dir), dir.with_extension("never"));
+    for (memtable_capacity, compact_at) in [(0, 3), (50, 0), (50, 1)] {
+        let refused = StoreOptions { memtable_capacity, compact_at };
+        let created = QbhSystem::try_create_store(&never, &QbhConfig::default(), refused).err();
+        assert!(matches!(created, Some(StorageError::Unrepresentable(_))), "{created:?}");
+        let opened = QbhSystem::try_open_store_with(&dir, refused, &MetricsSink::Disabled).err();
+        assert!(matches!(opened, Some(StorageError::Unrepresentable(_))), "{opened:?}");
+        assert!(!never.exists() && files(&dir) == before, "{refused:?} touched the disk");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -737,13 +753,21 @@ fn a_stale_plan_is_refused_typed_and_the_store_stays_intact() {
     model.insert(9_000, &extra_series(4));
     refused(&mut system, plan.build().unwrap(), "flush of a replaced melody");
 
+    // The same series under another song and phrase is another melody too.
+    let plan = system.plan_flush().unwrap().unwrap();
+    assert!(system.try_remove(9_000).unwrap());
+    system.try_insert_melody(9_000, 2, 5, &extra_series(4)).unwrap();
+    refused(&mut system, plan.build().unwrap(), "flush of a re-attributed melody");
+
     // Every refusal left the live view and the directory as they were, and
     // planning again succeeds.
-    model.check_all(&system, &queries, "after three refusals");
+    model.check_all(&system, &queries, "after four refusals");
     assert!(system.flush().unwrap());
     drop(system);
     let reopened = QbhSystem::try_open_store(&dir).unwrap();
     model.check_all(&reopened, &queries, "reopened");
+    let hit = &knn(&reopened, &extra_series(4), 1).matches[0];
+    assert_eq!((hit.id, hit.song, hit.phrase), (9_000, 2, 5), "the later provenance is stored");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

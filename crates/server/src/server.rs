@@ -104,10 +104,10 @@ const LISTENER_WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing admitted requests.
+    /// Worker threads executing admitted requests; at least 1.
     pub workers: usize,
-    /// Admission queue capacity; pushes beyond it are rejected with a
-    /// typed `overloaded` response.
+    /// Admission queue capacity, at least 1; pushes beyond it are rejected
+    /// with a typed `overloaded` response.
     pub queue_depth: usize,
     /// Deadline applied to queries that do not carry their own
     /// `deadline_ms` (`None` = unlimited).
@@ -247,19 +247,22 @@ impl<S: QbhService> Server<S> {
     /// listener and worker pool.
     ///
     /// # Errors
-    /// [`io::ErrorKind::InvalidInput`] for a zero
-    /// [`ServerConfig::maintenance_interval`], and any socket error from
-    /// bind/configure.
+    /// [`io::ErrorKind::InvalidInput`] for zero
+    /// [`ServerConfig::workers`], [`ServerConfig::queue_depth`] or
+    /// [`ServerConfig::maintenance_interval`], before anything binds or
+    /// spawns, and any socket error from bind/configure.
     pub fn start<A: ToSocketAddrs>(
         service: S,
         addr: A,
         config: ServerConfig,
     ) -> io::Result<Server<S>> {
-        if config.maintenance_interval == Some(Duration::ZERO) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "maintenance_interval must be longer than zero",
-            ));
+        let zero = [
+            ("workers", config.workers == 0),
+            ("queue_depth", config.queue_depth == 0),
+            ("maintenance_interval", config.maintenance_interval == Some(Duration::ZERO)),
+        ];
+        if let Some((field, _)) = zero.into_iter().find(|&(_, zero)| zero) {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, format!("{field} is zero")));
         }
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -284,7 +287,7 @@ impl<S: QbhService> Server<S> {
             allow_remote_shutdown: config.allow_remote_shutdown,
         });
 
-        let workers = (0..config.workers.max(1))
+        let workers = (0..config.workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared))

@@ -321,6 +321,19 @@ fn a_zero_maintenance_interval_is_refused() {
     }
 }
 
+/// Zero workers would admit requests nobody answers, and a zero-depth
+/// queue would reject every one: both are refused, not raised to 1.
+#[test]
+fn zero_workers_or_queue_depth_is_refused() {
+    for (workers, queue_depth, field) in [(0, 64, "workers"), (4, 0, "queue_depth")] {
+        let (service, _gate, _started) = GateService::new();
+        let config = ServerConfig { workers, queue_depth, ..ServerConfig::default() };
+        let e = Server::start(service, "127.0.0.1:0", config).err().expect("refused");
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput, "{e}");
+        assert!(e.to_string().contains(field), "{e}");
+    }
+}
+
 #[test]
 fn wire_shutdown_is_rejected_unless_enabled() {
     let (service, _gate, _started) = GateService::new();
