@@ -7,9 +7,11 @@ cargo build --release
 cargo test -q
 
 # Storage durability: exhaustive fault-injection, truncation, and bit-flip
-# matrices over the segment and manifest formats, plus the compaction
-# crash-state enumeration. Every fault must surface as a typed StorageError
-# — never a panic, never silently wrong data.
+# matrices over the segment and manifest formats (the one generation,
+# HUMSEG02 / HUMMAN02), the compaction crash-state enumeration, and replaced
+# segment files deleted, flipped or truncated under a compaction's build.
+# Every fault must surface as a typed StorageError — never a panic, never
+# silently wrong data.
 cargo test -q -p hum-qbh --test storage_faults
 
 # Serving transport against a mock service.
@@ -86,8 +88,9 @@ cargo run -q --release -p hum-bench --bin repro -- kernels serve --quick --out "
 
 # The store's write behaviour: a paper-scale ingest (~2 s) must flush,
 # compact and write exactly what results/ingest.csv records — every column
-# but the wall-clock inserts/sec — and its reopened store must answer
-# identically to the in-memory build.
+# but the wall-clock inserts/sec, the byte columns in the HUMSEG02 /
+# HUMMAN02 format — and its reopened store must answer identically to the
+# in-memory build.
 cargo run -q --release -p hum-bench --bin repro -- ingest --out "$DIGEST_DIR/ingest" > /dev/null
 if ! cmp <(cut -d, -f1,3- "$DIGEST_DIR/ingest/ingest.csv") <(cut -d, -f1,3- results/ingest.csv); then
     echo "results/ingest.csv does not regenerate (inserts/sec aside); if intended, recommit with:" >&2
@@ -99,7 +102,9 @@ echo "ingest (flushes, compactions, segments, bytes written, reopen identity) eq
 # The bytes the store writes: a fixed corpus indexed through 7 flushes and
 # 2 compactions into 3 segments (~0.1 s) must leave a manifest and segment
 # files whose hashes, hashed together, equal results/store_digest.sha256.
-# The ingest pin above checks sizes and counts; this one checks content.
+# The ingest pin above checks sizes and counts; this one checks content:
+# the format generation (HUMSEG02 / HUMMAN02), and that a compaction, which
+# merges the files it replaces, writes the entries the flushes wrote.
 QBH=target/release/qbh
 "$QBH" generate "$DIGEST_DIR/store-corpus" --songs 20 --seed 7 > /dev/null
 "$QBH" index "$DIGEST_DIR/store-corpus" "$DIGEST_DIR/store" --memtable 64 --compact-at 3 > /dev/null

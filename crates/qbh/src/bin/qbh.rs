@@ -24,9 +24,13 @@
 //!                                             become durable at each flush
 //! ```
 //!
-//! Results go to stdout; progress and diagnostics go to stderr, so scripted
-//! consumers can pipe stdout without filtering. A flag a command does not
-//! read, or a stray argument, is a usage error (exit code 2) naming it.
+//! Results go to stdout, all through one writer; progress and diagnostics
+//! go to stderr, so scripted consumers can pipe stdout without filtering.
+//! A consumer that closes the pipe early (`qbh info <dir> | head -1`) ends
+//! the process quietly with the exit code the command had earned. A flag a
+//! command does not read, or a stray argument, is a usage error (exit code
+//! 2) naming it, and so is a store of an older format generation, whose
+//! remedy is to run `qbh index` again.
 //!
 //! Stores index with the paper's New_PAA envelope transform at 8
 //! dimensions; there is no transform to choose, and an opened store is one
@@ -38,6 +42,7 @@
 //! written/parsed by `hum-audio`.
 
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -49,10 +54,33 @@ use hum_server::{Server, ServerConfig};
 use hum_qbh::storage::StorageError;
 use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions};
 
+/// Prints one line of results to stdout (see [`emit`]).
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout: the one writer every result goes through. A
+/// broken pipe means the reader has taken all it wanted, so the process
+/// ends quietly with the success the command had earned so far; any other
+/// failure to write a result is reported and exits 1.
+fn emit(line: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    match writeln!(stdout, "{line}").and_then(|()| stdout.flush()) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: cannot write results to stdout: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
 /// CLI failure modes, each with its own exit code so scripts can tell a
-/// misused invocation (2) from a corrupt or unwritable store (3), a
-/// serving failure such as an unbindable address (4) or a query the engine
-/// rejected (1).
+/// misused invocation or a store to index again (2) from a corrupt or
+/// unwritable store (3), a serving failure such as an unbindable address
+/// (4) or a query the engine rejected (1).
 enum CliError {
     /// Bad arguments or an unreadable corpus directory.
     Usage(String),
@@ -69,6 +97,7 @@ impl CliError {
     fn exit_code(&self) -> u8 {
         match self {
             CliError::Usage(_) => 2,
+            CliError::Storage(e) if e.is_older_generation() => 2,
             CliError::Storage(_) => 3,
             CliError::Server(_) => 4,
             CliError::Query(_) => 1,
@@ -116,7 +145,7 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("--help") | Some("-h") | None => {
             // Requested help is a result: print it to stdout.
-            println!("{}", usage_text());
+            out!("{}", usage_text());
             Ok(())
         }
         Some(other) => Err(CliError::Usage(format!("unknown command: {other}"))),
@@ -126,7 +155,7 @@ fn main() -> ExitCode {
         Err(error) => {
             eprintln!("error: {error}");
             if matches!(error, CliError::Usage(_)) {
-                usage();
+                eprintln!("{}", usage_text());
             }
             ExitCode::from(error.exit_code())
         }
@@ -143,10 +172,6 @@ fn usage_text() -> &'static str {
 [--default-deadline-ms MS]\n          \
 [--memtable N] [--compact-at N] [--maintenance-ms MS]\n          \
 [--allow-remote-shutdown]"
-}
-
-fn usage() {
-    eprintln!("{}", usage_text());
 }
 
 /// Checks a command's arguments against what it reads: `positional`
@@ -190,15 +215,8 @@ fn string_flag(args: &[String], flag: &str) -> Result<Option<String>, String> {
 }
 
 fn flag_value(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    match args.iter().position(|a| a == flag) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or_else(|| format!("{flag} needs a value"))?
-            .parse()
-            .map(Some)
-            .map_err(|e| format!("{flag}: {e}")),
-    }
+    let value = string_flag(args, flag)?;
+    value.map(|v| v.parse().map_err(|e| format!("{flag}: {e}"))).transpose()
 }
 
 /// The value of `flag`, or `default` when it is absent; a value below
@@ -227,7 +245,7 @@ fn cmd_generate(args: &[String]) -> Result<(), CliError> {
             .map_err(|e| format!("cannot write {name}: {e}"))?;
         written += 1;
     }
-    println!("Wrote {written} melodies ({songs} songs) to {}.", dir.display());
+    out!("Wrote {written} melodies ({songs} songs) to {}.", dir.display());
     Ok(())
 }
 
@@ -278,14 +296,14 @@ fn cmd_info(args: &[String]) -> Result<(), CliError> {
     let corpus = load_corpus(&dir)?;
     let notes: usize = corpus.values().map(Melody::len).sum();
     let beats: f64 = corpus.values().map(Melody::total_beats).sum();
-    println!("{}: {} melodies, {} notes, {:.0} beats total.", dir.display(), corpus.len(), notes, beats);
+    out!("{}: {} melodies, {} notes, {:.0} beats total.", dir.display(), corpus.len(), notes, beats);
     let (lo, hi) = corpus
         .values()
         .filter_map(Melody::pitch_range)
         .fold((u8::MAX, u8::MIN), |(lo, hi), (l, h)| (lo.min(l), hi.max(h)));
-    println!("Pitch range: MIDI {lo}..{hi}. Example files:");
+    out!("Pitch range: MIDI {lo}..{hi}. Example files:");
     for name in corpus.keys().take(3) {
-        println!("  {name}");
+        out!("  {name}");
     }
     Ok(())
 }
@@ -317,7 +335,7 @@ fn cmd_hum(args: &[String]) -> Result<(), CliError> {
             .render(&notes);
     std::fs::write(&out, hum_audio::write_wav_mono(&audio, 8_000))
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
-    println!(
+    out!(
         "Hummed {name} ({} notes, {:.1} s) to {}.",
         melody.len(),
         audio.len() as f64 / 8_000.0,
@@ -362,7 +380,7 @@ fn stream_hum(
         let reply = client.knn(&frames[..end], top, &options).map_err(wire)?;
         let line: Vec<String> =
             reply.matches.iter().map(|m| format!("#{} ({:.3})", m.id, m.distance)).collect();
-        println!("[{end:>4} frames] top-{top}: {}", line.join("  "));
+        out!("[{end:>4} frames] top-{top}: {}", line.join("  "));
     }
     Ok(())
 }
@@ -388,7 +406,7 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
     let mut system = QbhSystem::try_create_store(&out, &QbhConfig::default(), options)?;
     system.try_ingest(&db)?;
     let stats = system.store_stats().unwrap_or_default();
-    println!(
+    out!(
         "Ingested {} melodies into {} ({} segments, {} flushes, {} compactions, {} bytes).",
         system.len(),
         out.display(),
@@ -397,7 +415,7 @@ fn cmd_index(args: &[String]) -> Result<(), CliError> {
         stats.compactions,
         stats.bytes_written
     );
-    println!("Note: melody names are not stored; query hits report melody ids.");
+    out!("Note: melody names are not stored; query hits report melody ids.");
     Ok(())
 }
 
@@ -446,16 +464,16 @@ fn cmd_query(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     };
     if results.matches.is_empty() {
-        println!("\nNo matches: {} holds no melodies.", source.display());
+        out!("\nNo matches: {} holds no melodies.", source.display());
     } else {
-        println!("\nTop matches:");
+        out!("\nTop matches:");
     }
     for (rank, m) in results.matches.iter().enumerate() {
         let label = usize::try_from(m.id)
             .ok()
             .and_then(|i| names.get(i).cloned())
             .unwrap_or_else(|| format!("melody #{}", m.id));
-        println!("  {}. {label}  (DTW distance {:.3})", rank + 1, m.distance);
+        out!("  {}. {label}  (DTW distance {:.3})", rank + 1, m.distance);
     }
     eprintln!(
         "\n({} candidates from the index, {} exact DTW computations, {} page accesses.)",
@@ -517,7 +535,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         .map_err(|e| CliError::Server(format!("cannot listen on {addr}: {e}")))?;
     // The one stdout line, so scripts can read the bound address (the
     // port is ephemeral when --addr ends in :0).
-    println!("listening on {}", server.local_addr());
+    out!("listening on {}", server.local_addr());
     eprintln!(
         "{workers} workers, queue depth {queue_depth}, default deadline {}",
         match default_deadline {

@@ -3,26 +3,25 @@
 //!
 //! Which module holds what:
 //!
-//! * [`crate::storage`] — the framing both file formats share (section and
-//!   footer CRCs, bounded reads, the config section, atomic writes) and
-//!   [`StorageError`];
+//! * [`crate::storage`] — the framing both file formats share (magic,
+//!   section and footer CRCs, bounded reads, the config section, atomic
+//!   writes) and [`StorageError`];
 //! * this module — the two file formats, and `Store`: a store's state (the
 //!   manifest's content plus the memtable), create, open, durable removal,
 //!   the maintenance triggers and the plan / build / commit of
 //!   [`MaintenancePlan`];
 //! * [`crate::system`] — the engine, provenance and queries. A store-backed
-//!   [`QbhSystem`] holds a `Store` and hands it the engine lookups a plan
+//!   [`QbhSystem`] holds a `Store` and hands it the engine lookups a flush
 //!   or a commit needs.
 //!
 //! A store directory holds:
 //!
-//! * **Segment files** (`seg-<id>.humseg`, format `HUMSEG01`) — immutable,
-//!   checksummed batches of *normal-form* melodies flushed from the
-//!   memtable. Segments persist the normalized series, not notes: live
-//!   inserts arrive as pitch series with no note representation, and
-//!   storing the exact `f64` bits is what keeps a reloaded store
-//!   bit-identical to the memtable it was flushed from.
-//! * **One manifest** (`MANIFEST`, format `HUMMAN01`) — the authoritative,
+//! * **Segment files** (`seg-<id>.humseg`, format `HUMSEG02`) — immutable,
+//!   checksummed batches of *normal-form* melodies. Segments persist the
+//!   normalized series, not notes: live inserts arrive as pitch series with
+//!   no note representation, and storing the exact `f64` bits is what keeps
+//!   a reloaded store bit-identical to the memtable it was flushed from.
+//! * **One manifest** (`MANIFEST`, format `HUMMAN02`) — the authoritative,
 //!   atomically-replaced list of live segments and tombstoned melody ids.
 //!   A segment file not named by the manifest does not exist as far as the
 //!   store is concerned (it is a crash leftover and is ignored), so every
@@ -30,32 +29,29 @@
 //!
 //! # File formats
 //!
+//! One generation, with nothing reserved:
+//!
 //! ```text
-//! HUMSEG01:                              HUMMAN01:
-//! [ magic "HUMSEG01"          8 bytes ]  [ magic "HUMMAN01"          8 bytes ]
-//! [ config body              30 bytes ]  [ config body              30 bytes ]
+//! HUMSEG02:                              HUMMAN02:
+//! [ magic "HUMSEG02"          8 bytes ]  [ magic "HUMMAN02"          8 bytes ]
+//! [ config body              20 bytes ]  [ config body              20 bytes ]
 //! [ CRC32(config)             4 bytes ]  [ CRC32(config)             4 bytes ]
 //! [ entries: count u64,               ]  [ segments: count u64,              ]
 //! [   id u64, song u32, phrase u32,   ]  [   (id u64, melodies u64)…         ]
 //! [   series normal_length × f64 …    ]  [ CRC32(segments)           4 bytes ]
 //! [ CRC32(entries)            4 bytes ]  [ tombstones: count u64, id u64…    ]
 //! [ CRC32(file)               4 bytes ]  [ CRC32(tombstones)         4 bytes ]
-//!                                        [ plan: present u8 (reserved, 0)    ]
-//!                                        [ CRC32(plan)               4 bytes ]
 //!                                        [ CRC32(file)               4 bytes ]
 //! ```
 //!
-//! Entry ids within a segment, segment ids within the manifest, and
-//! tombstone ids are all strictly ascending: a writer refuses anything else
-//! as [`StorageError::Unrepresentable`], a reader as
-//! [`StorageError::Corrupt`].
-//!
-//! The config body's transform and index tags and the manifest's plan
-//! section are reserved bytes that writers fill with fixed values: every
-//! store indexes its normal forms with New_PAA over the flat feature sweep,
-//! rebuilt at open. Readers still accept what older writers put there (see
-//! [`crate::storage`]), so a store from any earlier writer opens and
-//! answers the same.
+//! The config body is what describes the stored data: `normal_length`,
+//! `feature_dims`, `samples_per_beat` and `warping_width`. Entry ids within
+//! a segment, segment ids within the manifest, and tombstone ids are all
+//! strictly ascending: a writer refuses anything else as
+//! [`StorageError::Unrepresentable`], a reader as [`StorageError::Corrupt`].
+//! Readers accept only this generation: a file of the older one (`HUMSEG01`,
+//! `HUMMAN01`) is a [`StorageError::Corrupt`] that names its magic and says
+//! to re-ingest the corpus with `qbh index`.
 //!
 //! # Opening
 //!
@@ -70,30 +66,32 @@
 //! # Maintenance
 //!
 //! Flush and compaction are one job in three phases: see
-//! [`MaintenancePlan`].
+//! [`MaintenancePlan`]. A flush copies the memtable out of the engine; a
+//! compaction merges the segment files it replaces, read through the same
+//! per-segment check an open runs, and takes nothing from the engine.
 
 use std::collections::{BTreeSet, HashMap};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use hum_core::engine::DtwIndexEngine;
 use hum_core::obs::{Metric, MetricsSink};
 
 use crate::storage::{
-    as_u32, atomic_write, read_config_section, skip_plan_section, validate_config,
-    write_config_section, write_plan_section, SectionReader, SectionWriter, StorageError,
-    MAX_MELODIES, PREALLOC_CAP,
+    as_u32, atomic_write, read_config_section, read_magic, validate_config, write_config_section,
+    SectionReader, SectionWriter, StorageError, MAX_MELODIES, PREALLOC_CAP,
 };
 use crate::system::QbhConfig;
 #[cfg(doc)]
 use crate::system::QbhSystem;
 
 /// Segment file magic (8 bytes).
-const MAGIC_SEG: &[u8; 8] = b"HUMSEG01";
+const MAGIC_SEG: &[u8; 8] = b"HUMSEG02";
 
 /// Manifest file magic (8 bytes).
-const MAGIC_MAN: &[u8; 8] = b"HUMMAN01";
+const MAGIC_MAN: &[u8; 8] = b"HUMMAN02";
 
 /// The manifest's file name inside a store directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -193,6 +191,8 @@ pub fn write_segment<W: Write>(
 
     dst.begin_section();
     dst.put(&(entries.len() as u64).to_le_bytes())?;
+    // One series' bytes, framed in one piece.
+    let mut row = Vec::with_capacity(config.normal_length * 8);
     for entry in entries {
         if entry.series.len() != config.normal_length {
             return Err(StorageError::Unrepresentable(format!(
@@ -202,18 +202,18 @@ pub fn write_segment<W: Write>(
                 config.normal_length
             )));
         }
+        if entry.series.iter().any(|sample| !sample.is_finite()) {
+            return Err(StorageError::Unrepresentable(format!(
+                "melody {} holds a non-finite sample",
+                entry.id
+            )));
+        }
         dst.put(&entry.id.to_le_bytes())?;
         dst.put(&as_u32(entry.song, "song index")?.to_le_bytes())?;
         dst.put(&as_u32(entry.phrase, "phrase index")?.to_le_bytes())?;
-        for &sample in &entry.series {
-            if !sample.is_finite() {
-                return Err(StorageError::Unrepresentable(format!(
-                    "melody {} holds a non-finite sample",
-                    entry.id
-                )));
-            }
-            dst.put(&sample.to_le_bytes())?;
-        }
+        row.clear();
+        row.extend(entry.series.iter().flat_map(|sample| sample.to_le_bytes()));
+        dst.put(&row)?;
     }
     dst.finish_section()?;
     dst.finish_file()?;
@@ -225,18 +225,15 @@ pub fn write_segment<W: Write>(
 ///
 /// # Errors
 /// [`StorageError::BadMagic`] for foreign bytes, [`StorageError::Checksum`]
-/// for corrupted sections, [`StorageError::Corrupt`] for structural
-/// violations (ids out of order, non-finite samples, implausible counts),
-/// and [`StorageError::Io`] for truncation or read failures.
+/// for corrupted sections, [`StorageError::Corrupt`] for an older format
+/// generation and for structural violations (ids out of order, non-finite
+/// samples, implausible counts), and [`StorageError::Io`] for truncation or
+/// read failures.
 pub fn read_segment<R: Read>(
     input: &mut R,
 ) -> Result<(QbhConfig, Vec<SegmentEntry>), StorageError> {
     let mut src = SectionReader::new(input);
-    let mut magic = [0u8; 8];
-    src.take(&mut magic)?;
-    if &magic != MAGIC_SEG {
-        return Err(StorageError::BadMagic);
-    }
+    read_magic(&mut src, MAGIC_SEG)?;
     let config = read_config_section(&mut src)?;
 
     src.begin_section();
@@ -245,19 +242,16 @@ pub fn read_segment<R: Read>(
         return Err(StorageError::Corrupt(format!("implausible melody count {count}")));
     }
     let mut entries = Vec::with_capacity((count as usize).min(PREALLOC_CAP));
+    let mut row = vec![0u8; config.normal_length * 8];
     for _ in 0..count {
         let id = src.u64()?;
         let song = src.u32()? as usize;
         let phrase = src.u32()? as usize;
-        let mut series = Vec::with_capacity(config.normal_length);
-        for _ in 0..config.normal_length {
-            let sample = src.f64()?;
-            if !sample.is_finite() {
-                return Err(StorageError::Corrupt(format!(
-                    "melody {id} holds a non-finite sample"
-                )));
-            }
-            series.push(sample);
+        src.take(&mut row)?;
+        let sample = |b: &[u8]| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
+        let series: Vec<f64> = row.chunks_exact(8).map(sample).collect();
+        if series.iter().any(|sample| !sample.is_finite()) {
+            return Err(StorageError::Corrupt(format!("melody {id} holds a non-finite sample")));
         }
         entries.push(SegmentEntry { id, song, phrase, series });
     }
@@ -304,7 +298,6 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
         dst.put(&id.to_le_bytes())?;
     }
     dst.finish_section()?;
-    write_plan_section(&mut dst)?;
     dst.finish_file()?;
     Ok(dst.bytes())
 }
@@ -317,11 +310,7 @@ pub fn write_manifest<W: Write>(out: &mut W, manifest: &Manifest) -> Result<u64,
 /// tombstones.
 pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
     let mut src = SectionReader::new(input);
-    let mut magic = [0u8; 8];
-    src.take(&mut magic)?;
-    if &magic != MAGIC_MAN {
-        return Err(StorageError::BadMagic);
-    }
+    read_magic(&mut src, MAGIC_MAN)?;
     let config = read_config_section(&mut src)?;
 
     src.begin_section();
@@ -360,7 +349,6 @@ pub fn read_manifest<R: Read>(input: &mut R) -> Result<Manifest, StorageError> {
     }
     ascending(tombstones.iter().copied(), "tombstone", StorageError::Corrupt)?;
     src.verify_section("tombstones")?;
-    skip_plan_section(&mut src)?;
     src.verify_footer()?;
     Ok(Manifest { config, segments, tombstones })
 }
@@ -391,6 +379,37 @@ fn load_counted<T>(
     let file = std::fs::File::open(path)?;
     let len = file.metadata()?.len();
     Ok((read(&mut io::BufReader::new(file))?, len))
+}
+
+/// Reads live segment `segment` of the store at `dir` and checks it against
+/// the manifest's record of it: the one per-segment check of an open and of
+/// a compaction's build. Returns its entries and the file's length.
+///
+/// # Errors
+/// Every error of [`read_segment`], and [`StorageError::Corrupt`] naming
+/// the segment when its file is missing or disagrees with the manifest's
+/// config or entry count.
+fn load_segment(
+    dir: &Path,
+    config: &QbhConfig,
+    segment: SegmentRef,
+) -> Result<(Vec<SegmentEntry>, u64), StorageError> {
+    let corrupt = |what| StorageError::Corrupt(format!("segment {}: {what}", segment.id));
+    let path = segment_path(dir, segment.id);
+    let ((found, entries), len) = match load_counted(&path, read_segment) {
+        Err(StorageError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
+            return Err(corrupt(format!("{} is missing", path.display())));
+        }
+        read => read?,
+    };
+    if found != *config {
+        return Err(corrupt("its config disagrees with the manifest".into()));
+    }
+    if entries.len() as u64 != segment.count {
+        let (held, named) = (entries.len(), segment.count);
+        return Err(corrupt(format!("holds {held} melodies, the manifest says {named}")));
+    }
+    Ok((entries, len))
 }
 
 /// Atomically replaces the manifest in `dir`. This is the store's commit
@@ -465,12 +484,38 @@ pub struct StoreStats {
     pub bytes_written: u64,
 }
 
-/// The live melodies a plan copies and a commit checks, by id: the
+/// The live melodies a flush copies and a commit checks, by id: the
 /// engine's series and the system's provenance.
 #[derive(Clone, Copy)]
 pub(crate) struct Live<'a> {
     pub(crate) engine: &'a DtwIndexEngine,
     pub(crate) provenance: &'a HashMap<u64, (usize, usize)>,
+}
+
+/// A live segment, held by the store and by the compaction plans that
+/// replace it. A commit retires the segments it replaced, and a retired
+/// segment's file is deleted when its last holder lets go of it
+/// (best-effort: a leftover is an orphan that opening ignores). So a
+/// compaction overtaken by another still reads the files it was planned
+/// over, and its commit refuses it as stale.
+struct LiveSegment {
+    at: SegmentRef,
+    path: PathBuf,
+    retired: AtomicBool,
+}
+
+impl LiveSegment {
+    fn new(dir: &Path, at: SegmentRef) -> Arc<Self> {
+        Arc::new(LiveSegment { at, path: segment_path(dir, at.id), retired: AtomicBool::new(false) })
+    }
+}
+
+impl Drop for LiveSegment {
+    fn drop(&mut self) {
+        if *self.retired.get_mut() {
+            let _ = std::fs::remove_file(&self.path);
+        }
+    }
 }
 
 /// A store's state: its manifest's content (live segments and tombstones)
@@ -482,7 +527,7 @@ pub(crate) struct Store {
     options: StoreOptions,
     /// The manifest's live segments, ascending by id. A segment's count is
     /// its file's, tombstoned entries included.
-    segments: Vec<SegmentRef>,
+    segments: Vec<Arc<LiveSegment>>,
     /// Removed-but-still-on-disk melody ids; cleared by compaction.
     tombstones: BTreeSet<u64>,
     /// Next segment file id (strictly greater than every live segment).
@@ -566,24 +611,11 @@ impl Store {
         let tombstones: BTreeSet<u64> = manifest.tombstones.iter().copied().collect();
         let mut live = start(&manifest.config);
         let mut stored: BTreeSet<u64> = BTreeSet::new();
-        for segment in &manifest.segments {
+        for &segment in &manifest.segments {
             // Every check names the segment it failed on.
             let corrupt = |what| StorageError::Corrupt(format!("segment {}: {what}", segment.id));
-            let path = segment_path(dir, segment.id);
-            let ((config, entries), len) = match load_counted(&path, read_segment) {
-                Err(StorageError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
-                    return Err(corrupt(format!("{} is missing", path.display())));
-                }
-                read => read?,
-            };
+            let (entries, len) = load_segment(dir, &manifest.config, segment)?;
             bytes_read += len;
-            if config != manifest.config {
-                return Err(corrupt("its config disagrees with the manifest".into()));
-            }
-            if entries.len() as u64 != segment.count {
-                let (held, named) = (entries.len(), segment.count);
-                return Err(corrupt(format!("holds {held} melodies, the manifest says {named}")));
-            }
             for entry in entries {
                 if !stored.insert(entry.id) {
                     return Err(corrupt(format!("melody {} is in another segment too", entry.id)));
@@ -603,7 +635,7 @@ impl Store {
             config: manifest.config,
             options,
             next_segment_id: AtomicU64::new(manifest.segments.last().map_or(0, |s| s.id + 1)),
-            segments: manifest.segments,
+            segments: manifest.segments.iter().map(|&at| LiveSegment::new(dir, at)).collect(),
             tombstones,
             memtable: BTreeSet::new(),
             counters: StoreStats::default(),
@@ -661,20 +693,8 @@ impl Store {
         if self.segments.len() >= self.options.compact_at {
             return true;
         }
-        let on_disk: u64 = self.segments.iter().map(|s| s.count).sum();
+        let on_disk: u64 = self.segments.iter().map(|s| s.at.count).sum();
         !self.tombstones.is_empty() && self.tombstones.len() as u64 * 4 >= on_disk
-    }
-
-    /// Phase 1 of whatever maintenance is due: a flush if the memtable is
-    /// full, else a compaction if one is needed, else `None`.
-    pub(crate) fn plan_due(&self, live: Live<'_>) -> Result<Option<MaintenancePlan>, StorageError> {
-        if self.needs_flush() {
-            self.plan_flush(live)
-        } else if self.needs_compaction() {
-            self.plan_compaction(live)
-        } else {
-            Ok(None)
-        }
     }
 
     /// Phase 1 of a flush: the memtable's melodies, copied out. `None`
@@ -686,54 +706,49 @@ impl Store {
         if self.memtable.is_empty() {
             return Ok(None);
         }
-        self.plan(live, self.memtable.iter().copied(), Vec::new(), BTreeSet::new()).map(Some)
-    }
-
-    /// Phase 1 of a compaction: every segment-resident live melody, copied
-    /// out, replacing every segment and purging every tombstone. `None`
-    /// when there is nothing to do (zero or one segment, no tombstones).
-    pub(crate) fn plan_compaction(
-        &self,
-        live: Live<'_>,
-    ) -> Result<Option<MaintenancePlan>, StorageError> {
-        if self.segments.len() <= 1 && self.tombstones.is_empty() {
-            return Ok(None);
-        }
-        // Every live melody the memtable does not hold is segment-resident.
-        let mut ids: Vec<u64> =
-            live.provenance.keys().copied().filter(|id| !self.memtable.contains(id)).collect();
-        ids.sort_unstable();
-        let (replaced, purged) = (self.segments.clone(), self.tombstones.clone());
-        self.plan(live, ids, replaced, purged).map(Some)
-    }
-
-    /// A plan writing the melodies `ids` (ascending) as the segment with
-    /// the next reserved id, replacing `replaced` and purging `purged`.
-    fn plan(
-        &self,
-        live: Live<'_>,
-        ids: impl IntoIterator<Item = u64>,
-        replaced: Vec<SegmentRef>,
-        purged: BTreeSet<u64>,
-    ) -> Result<MaintenancePlan, StorageError> {
-        let entry = |id| -> Result<SegmentEntry, StorageError> {
+        let entry = |&id: &u64| -> Result<SegmentEntry, StorageError> {
             let lost = || StorageError::Corrupt(format!("the engine lost melody {id}"));
             let series = live.engine.get(id).map(<[f64]>::to_vec).ok_or_else(lost)?;
             let (song, phrase) = live.provenance.get(&id).copied().unwrap_or((0, 0));
             Ok(SegmentEntry { id, song, phrase, series })
         };
-        let entries = ids.into_iter().map(entry).collect::<Result<_, _>>()?;
-        Ok(MaintenancePlan {
+        let entries = self.memtable.iter().map(entry).collect::<Result<_, _>>()?;
+        Ok(Some(self.plan(live.engine.metrics(), entries, Vec::new(), BTreeSet::new())))
+    }
+
+    /// Phase 1 of a compaction: every live segment to replace and every
+    /// tombstone to purge, copied out of the manifest's content; the build
+    /// reads the melodies from the files. `None` when there is nothing to
+    /// do (zero or one segment, no tombstones).
+    pub(crate) fn plan_compaction(&self, metrics: &MetricsSink) -> Option<MaintenancePlan> {
+        if self.segments.len() <= 1 && self.tombstones.is_empty() {
+            return None;
+        }
+        let (replaced, purged) = (self.segments.clone(), self.tombstones.clone());
+        Some(self.plan(metrics, Vec::new(), replaced, purged))
+    }
+
+    /// A plan writing `entries` (a flush's) or the live entries of
+    /// `replaced` (a compaction's) as the segment with the next reserved
+    /// id, replacing `replaced` and purging `purged`.
+    fn plan(
+        &self,
+        metrics: &MetricsSink,
+        entries: Vec<SegmentEntry>,
+        replaced: Vec<Arc<LiveSegment>>,
+        purged: BTreeSet<u64>,
+    ) -> MaintenancePlan {
+        MaintenancePlan {
             dir: self.dir.clone(),
             config: self.config,
-            metrics: live.engine.metrics().clone(),
+            metrics: metrics.clone(),
             // Relaxed: a unique-id counter that publishes nothing else.
             segment_id: self.next_segment_id.fetch_add(1, Ordering::Relaxed),
             entries,
-            live_segments: self.segments.clone(),
+            live_segments: self.segments.iter().map(|s| s.at).collect(),
             replaced,
             purged,
-        })
+        }
     }
 
     /// Phase 3: makes a built job the live view by the commit rule of
@@ -744,16 +759,16 @@ impl Store {
         live: Live<'_>,
     ) -> Result<RetiredSegments, StorageError> {
         let committed = self.reconcile(&built, live);
-        let plan = built.plan;
-        if committed.is_err() && !plan.entries.is_empty() {
+        let BuiltMaintenance { plan, count, .. } = built;
+        if committed.is_err() && count > 0 {
             let _ = std::fs::remove_file(segment_path(&plan.dir, plan.segment_id));
         }
-        committed.map(|()| RetiredSegments { plan })
+        committed.map(|()| RetiredSegments { _plan: plan })
     }
 
     fn reconcile(&mut self, built: &BuiltMaintenance, live: Live<'_>) -> Result<(), StorageError> {
         let plan = &built.plan;
-        if self.segments != plan.live_segments {
+        if !self.segments.iter().map(|s| s.at).eq(plan.live_segments.iter().copied()) {
             return Err(StorageError::StalePlan(format!(
                 "segment {} was planned over segments {:?}, which are no longer the live ones",
                 plan.segment_id,
@@ -762,6 +777,8 @@ impl Store {
         }
         let mut tombstones: BTreeSet<u64> =
             self.tombstones.difference(&plan.purged).copied().collect();
+        // A compaction writes no memtable melody, and every one of its
+        // melodies removed since the plan is already tombstoned.
         for entry in &plan.entries {
             let held = live.engine.get(entry.id);
             if held.is_none() {
@@ -777,12 +794,13 @@ impl Store {
                 )));
             }
         }
-        let mut segments: Vec<SegmentRef> =
-            self.segments.iter().filter(|s| !plan.replaced.contains(s)).copied().collect();
-        if !plan.entries.is_empty() {
+        let replaced = |s: &&Arc<LiveSegment>| plan.replaced.iter().any(|r| r.at == s.at);
+        let mut segments: Vec<_> = self.segments.iter().filter(|s| !replaced(s)).cloned().collect();
+        if built.count > 0 {
             // The id was reserved after every live segment's, so it sorts
             // last, as the manifest codec requires.
-            segments.push(SegmentRef { id: plan.segment_id, count: plan.entries.len() as u64 });
+            let at = SegmentRef { id: plan.segment_id, count: built.count };
+            segments.push(LiveSegment::new(&plan.dir, at));
         }
         let metrics = live.engine.metrics();
         let written = built.written + self.save_manifest(&segments, &tombstones, metrics)?;
@@ -793,6 +811,9 @@ impl Store {
         metrics.add(Metric::StorageBytesWritten, written);
         let written_ids = &plan.entries;
         self.memtable.retain(|id| written_ids.binary_search_by_key(id, |e| e.id).is_err());
+        for segment in &plan.replaced {
+            segment.retired.store(true, Ordering::Relaxed);
+        }
         self.segments = segments;
         self.tombstones = tombstones;
         self.counters.bytes_written += written;
@@ -809,30 +830,32 @@ impl Store {
     /// removal. Returns its size.
     fn save_manifest(
         &self,
-        segments: &[SegmentRef],
+        segments: &[Arc<LiveSegment>],
         tombstones: &BTreeSet<u64>,
         metrics: &MetricsSink,
     ) -> Result<u64, StorageError> {
         let manifest = Manifest {
             config: self.config,
-            segments: segments.to_vec(),
+            segments: segments.iter().map(|s| s.at).collect(),
             tombstones: tombstones.iter().copied().collect(),
         };
         booked(metrics, save_manifest(&self.dir, &manifest))
     }
 }
 
-/// Phase 1 of a flush or compaction, copied out of the system under a
-/// shared borrow ([`QbhSystem::plan_flush`], [`QbhSystem::plan_compaction`],
+/// Phase 1 of a flush or compaction, taken from the system under a shared
+/// borrow ([`QbhSystem::plan_flush`], [`QbhSystem::plan_compaction`],
 /// [`QbhSystem::plan_maintenance`]). Both are one job: write some entries
 /// as one new segment, replace some live segments with it and purge some
-/// tombstones. A flush writes the memtable and replaces and purges
-/// nothing; a compaction writes every segment-resident live melody,
-/// replaces every live segment and purges the tombstones of its plan.
+/// tombstones. A flush copies the memtable's melodies out of the engine
+/// and replaces and purges nothing. A compaction holds only the segments
+/// it replaces (every live one) and the tombstones it purges: its build
+/// reads each replaced file through the check an open runs, drops the
+/// purged ids and merges the rest by id.
 ///
-/// Maintenance runs in three phases so that a server never writes a
-/// segment file or waits for its fsync while holding the lock its requests
-/// need: **plan** (`&QbhSystem`, copies), **build**
+/// Maintenance runs in three phases so that a server never reads or
+/// writes a segment file or waits for its fsync while holding the lock its
+/// requests need: **plan** (`&QbhSystem`), **build**
 /// ([`MaintenancePlan::build`] — owned data, no reference to the system)
 /// and **commit** ([`QbhSystem::commit_maintenance`], `&mut QbhSystem`).
 /// The system may be queried, inserted into and removed from between the
@@ -849,33 +872,59 @@ pub struct MaintenancePlan {
     metrics: MetricsSink,
     /// The id reserved for the segment this job writes.
     segment_id: u64,
-    /// The melodies the new segment will hold, ascending by id.
+    /// A flush's melodies, ascending by id (empty for a compaction).
     entries: Vec<SegmentEntry>,
     /// The live segments the job was planned over.
     live_segments: Vec<SegmentRef>,
     /// The live segments the new one replaces.
-    replaced: Vec<SegmentRef>,
+    replaced: Vec<Arc<LiveSegment>>,
     /// The tombstones whose entries the job leaves out.
     purged: BTreeSet<u64>,
 }
 
 impl MaintenancePlan {
-    /// Phase 2: everything expensive — the segment file with its fsyncs,
-    /// or no file when no entry is live. Touches no [`QbhSystem`] and
-    /// builds no index. A failed build leaves nothing behind; a built job
-    /// that is never committed leaves an orphan segment file that opening
-    /// the store ignores.
+    /// Phase 2: everything expensive — a compaction's reads of the files it
+    /// replaces, and the segment file with its fsyncs, or no file when no
+    /// entry is live. Touches no [`QbhSystem`] and builds no index. A
+    /// failed build leaves nothing behind; a built job that is never
+    /// committed leaves an orphan segment file that opening the store
+    /// ignores.
     ///
     /// # Errors
-    /// Any I/O or encoding failure writing the segment.
+    /// Every error of reading a replaced segment (a missing file or one
+    /// that disagrees with the manifest is [`StorageError::Corrupt`] naming
+    /// it), and any I/O or encoding failure writing the segment.
     pub fn build(self) -> Result<BuiltMaintenance, StorageError> {
-        let written = if self.entries.is_empty() {
+        let merged;
+        let entries = if self.replaced.is_empty() {
+            &self.entries
+        } else {
+            merged = self.merge_replaced()?;
+            &merged
+        };
+        let count = entries.len() as u64;
+        let written = if entries.is_empty() {
             0
         } else {
-            let saved = save_segment(&self.dir, self.segment_id, &self.config, &self.entries);
+            let saved = save_segment(&self.dir, self.segment_id, &self.config, entries);
             booked(&self.metrics, saved)?
         };
-        Ok(BuiltMaintenance { plan: self, written })
+        Ok(BuiltMaintenance { plan: self, written, count })
+    }
+
+    /// A compaction's melodies: the entries of every replaced file but the
+    /// purged ones, ascending by id.
+    fn merge_replaced(&self) -> Result<Vec<SegmentEntry>, StorageError> {
+        let mut entries = Vec::new();
+        for segment in &self.replaced {
+            let (read, _) = load_segment(&self.dir, &self.config, segment.at)?;
+            entries.extend(read.into_iter().filter(|e| !self.purged.contains(&e.id)));
+        }
+        // One ascending run per file, which the stable sort merges; an id
+        // in two files is refused as at open.
+        entries.sort_by_key(|e| e.id);
+        ascending(entries.iter().map(|e| e.id), "replaced segments' entry", StorageError::Corrupt)?;
+        Ok(entries)
     }
 }
 
@@ -886,23 +935,18 @@ pub struct BuiltMaintenance {
     /// The size of the segment file the build wrote (none when nothing
     /// was live).
     written: u64,
+    /// The melodies that file holds.
+    count: u64,
 }
 
-/// What a commit released: the segments it replaced and the job's copy of
-/// the melodies it wrote. Dropping this deletes the replaced files
-/// best-effort (a leftover is an orphan that opening ignores) and frees the
-/// copy — a corpus-sized one for a compaction — which is why a server
+/// What a commit released: the job's plan, with the segments it replaced
+/// and a flush's copy of the memtable. Dropping this deletes the replaced
+/// files that no other plan still reads (best-effort: a leftover is an
+/// orphan that opening ignores) and frees the copy, which is why a server
 /// drops it after releasing its lock.
 pub struct RetiredSegments {
-    plan: MaintenancePlan,
-}
-
-impl Drop for RetiredSegments {
-    fn drop(&mut self) {
-        for segment in &self.plan.replaced {
-            let _ = std::fs::remove_file(segment_path(&self.plan.dir, segment.id));
-        }
-    }
+    /// Held only for what dropping it releases.
+    _plan: MaintenancePlan,
 }
 
 #[cfg(test)]

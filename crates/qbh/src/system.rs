@@ -55,9 +55,12 @@ pub struct QbhConfig {
     /// Default warping width δ = (2k+1)/n for queries.
     pub warping_width: f64,
     /// Page size in bytes: only the unit the flat index
-    /// ([`hum_index::LinearScan`]) counts `index.pages_per_query` in. It
-    /// leaves the configuration and the manifest once the feature plane
-    /// moves into the series arena.
+    /// ([`hum_index::LinearScan`]) counts `index.pages_per_query` in. A
+    /// store does not record it: its files hold the four fields above, an
+    /// opened store indexes at the default 4096, and creating or writing a
+    /// store at any other page size is
+    /// [`StorageError::Unrepresentable`]. It leaves the configuration once
+    /// the feature plane moves into the series arena.
     pub page_bytes: usize,
 }
 
@@ -434,10 +437,9 @@ impl QbhSystem {
         self.store.as_ref().is_some_and(Store::needs_compaction)
     }
 
-    /// The store and the live melodies its plans copy.
-    fn planning(&self, what: &str) -> Result<(&Store, Live<'_>), StorageError> {
-        let store = self.store.as_ref().ok_or_else(|| in_memory(what))?;
-        Ok((store, Live { engine: &self.engine, provenance: &self.provenance }))
+    /// The live melodies a flush copies and a commit checks.
+    fn live(&self) -> Live<'_> {
+        Live { engine: &self.engine, provenance: &self.provenance }
     }
 
     /// Phase 1 of a flush ([`MaintenancePlan`]); `Ok(None)` for an empty
@@ -446,18 +448,18 @@ impl QbhSystem {
     /// # Errors
     /// [`StorageError::Unrepresentable`] for an in-memory build.
     pub fn plan_flush(&self) -> Result<Option<MaintenancePlan>, StorageError> {
-        let (store, live) = self.planning("flush")?;
-        store.plan_flush(live)
+        self.store.as_ref().ok_or_else(|| in_memory("flush"))?.plan_flush(self.live())
     }
 
-    /// Phase 1 of a compaction ([`MaintenancePlan`]); `Ok(None)` for zero
-    /// or one segment and no tombstones.
+    /// Phase 1 of a compaction ([`MaintenancePlan`]): a copy of the
+    /// manifest's content, nothing of the engine. `Ok(None)` for zero or
+    /// one segment and no tombstones.
     ///
     /// # Errors
     /// [`StorageError::Unrepresentable`] for an in-memory build.
     pub fn plan_compaction(&self) -> Result<Option<MaintenancePlan>, StorageError> {
-        let (store, live) = self.planning("compact")?;
-        store.plan_compaction(live)
+        let store = self.store.as_ref().ok_or_else(|| in_memory("compact"))?;
+        Ok(store.plan_compaction(self.engine.metrics()))
     }
 
     /// Phase 1 of whatever maintenance is due: a flush if one is needed,
@@ -466,8 +468,11 @@ impl QbhSystem {
     /// # Errors
     /// As [`QbhSystem::plan_flush`] and [`QbhSystem::plan_compaction`].
     pub fn plan_maintenance(&self) -> Result<Option<MaintenancePlan>, StorageError> {
-        let live = Live { engine: &self.engine, provenance: &self.provenance };
-        self.store.as_ref().map_or(Ok(None), |store| store.plan_due(live))
+        match &self.store {
+            Some(store) if store.needs_flush() => store.plan_flush(self.live()),
+            Some(store) if store.needs_compaction() => Ok(store.plan_compaction(self.metrics())),
+            _ => Ok(None),
+        }
     }
 
     /// Phase 3 of a flush or compaction: makes a built job the live view
@@ -482,8 +487,8 @@ impl QbhSystem {
         &mut self,
         built: BuiltMaintenance,
     ) -> Result<RetiredSegments, StorageError> {
-        let store = self.store.as_mut().ok_or_else(|| in_memory("commit"))?;
-        store.commit(built, Live { engine: &self.engine, provenance: &self.provenance })
+        let live = Live { engine: &self.engine, provenance: &self.provenance };
+        self.store.as_mut().ok_or_else(|| in_memory("commit"))?.commit(built, live)
     }
 
     /// Flushes the memtable into a new segment — the durability boundary

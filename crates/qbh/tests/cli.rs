@@ -393,6 +393,54 @@ fn voiced_query_on_an_empty_store_reports_no_matches_not_silence() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A consumer that stops reading early (`qbh info <dir> | head -0`) ends the
+/// command quietly with the exit code it earned: the work is done, and
+/// nothing panics.
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let dir = temp_dir("closed-stdout");
+    let (corpus, store) = (dir.join("corpus"), dir.join("store"));
+    let (corpus, store) = (corpus.to_str().unwrap(), store.to_str().unwrap());
+    let runs: [(&[&str], i32); 4] = [
+        (&["generate", corpus, "--songs", "2", "--seed", "3"], 0),
+        (&["info", corpus], 0),
+        (&["index", corpus, store, "--memtable", "8"], 0),
+        (&["info", corpus, "--bogus"], 2),
+    ];
+    for (args, code) in runs {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let bin = env!("CARGO_BIN_EXE_qbh");
+        let out = Command::new(bin).args(args).stdout(writer).output().expect("binary runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+        assert!(code != 0 || err.is_empty(), "{args:?} wrote to stderr: {err}");
+    }
+    assert_eq!(count_mid_files(&dir.join("corpus")), 40, "generate wrote its corpus");
+    assert!(dir.join("store/MANIFEST").is_file(), "index wrote its store");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store of the older format generation is not damaged, only unreadable:
+/// `query` says to index the corpus again and exits 2, like a usage error.
+#[test]
+fn query_on_an_older_generation_store_says_to_run_qbh_index() {
+    let dir = temp_dir("older-store");
+    let wav = corpus_and_hum(&dir);
+    let store = dir.join("store");
+    assert!(qbh(&["index", dir.to_str().unwrap(), store.to_str().unwrap()]).status.success());
+    // Readers check the magic first: the older generation's is all it takes.
+    let mut manifest = std::fs::read(store.join("MANIFEST")).unwrap();
+    manifest[..8].copy_from_slice(b"HUMMAN01");
+    std::fs::write(store.join("MANIFEST"), manifest).unwrap();
+    let out = qbh(&["query", store.to_str().unwrap(), wav.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("HUMMAN01") && err.contains("`qbh index`"), "{err}");
+    assert!(out.stdout.is_empty(), "stdout polluted: {}", stdout(&out));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn count_mid_files(dir: &Path) -> usize {
     std::fs::read_dir(dir)
         .unwrap()

@@ -17,7 +17,7 @@ use hum_core::engine::QueryRequest;
 use hum_music::{HummingSimulator, SingerProfile, SongbookConfig};
 use hum_qbh::corpus::MelodyDatabase;
 use hum_qbh::fault::{flip_bit, FailingReader, FailingWriter, FaultMode, TempPath};
-use hum_qbh::storage::StorageError;
+use hum_qbh::storage::{crc32, StorageError};
 use hum_qbh::store::{self as segstore, Manifest, SegmentEntry, SegmentRef};
 use hum_qbh::system::{QbhConfig, QbhSystem, StoreOptions};
 use proptest::prelude::*;
@@ -97,7 +97,7 @@ impl Format {
 
 /// A manifest and a segment over a short normal form, so the O(bytes ×
 /// bits) sweeps stay fast while every section kind (config, entries,
-/// segments, tombstones, the reserved plan byte) is present.
+/// segments, tombstones) is present.
 fn sample() -> Sample {
     let config = QbhConfig { normal_length: 16, feature_dims: 4, ..QbhConfig::default() };
     sample_with(config, 3, 1)
@@ -273,7 +273,7 @@ fn save_never_adopts_or_clobbers_a_foreign_temp_file() {
             target.file_name().unwrap().to_string_lossy(),
             std::process::id().wrapping_add(1)
         ));
-        let garbage: &[u8] = b"HUMSEG01 torn garbage from a crashed writer";
+        let garbage: &[u8] = b"HUMSEG02 torn garbage from a crashed writer";
         std::fs::write(&tmp, garbage).unwrap();
 
         format.save(dir.path(), &sample).expect("save next to stale temp");
@@ -369,6 +369,22 @@ fn crash_temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A songbook corpus of `songs` songs, three phrases each.
+fn songbook(songs: usize) -> MelodyDatabase {
+    let config = SongbookConfig { songs, phrases_per_song: 3, ..SongbookConfig::default() };
+    MelodyDatabase::from_songbook(&config)
+}
+
+/// `db` ingested into a new store at `dir`, six melodies a segment, with its
+/// fifth melody removed: a compaction has both merging and purging to do.
+fn store_to_compact(dir: &Path, db: &MelodyDatabase) -> QbhSystem {
+    let options = StoreOptions { memtable_capacity: 6, compact_at: usize::MAX };
+    let mut system = QbhSystem::try_create_store(dir, &QbhConfig::default(), options).unwrap();
+    system.try_ingest(db).unwrap();
+    assert!(system.try_remove(db.entries()[4].id()).unwrap());
+    system
+}
+
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {
@@ -398,21 +414,11 @@ fn knn_answers(system: &QbhSystem, db: &MelodyDatabase) -> Vec<Vec<(u64, u64)>> 
 
 #[test]
 fn every_compaction_crash_state_opens_and_answers_identically() {
-    let db = MelodyDatabase::from_songbook(&SongbookConfig {
-        songs: 6,
-        phrases_per_song: 3,
-        ..SongbookConfig::default()
-    });
-    let config = QbhConfig::default();
+    let db = songbook(6);
 
-    // Pre-compaction: three segments plus a tombstone, so compaction has
-    // both merging and purging to do.
+    // Pre-compaction: three segments plus a tombstone.
     let base = crash_temp_dir("compaction-base");
-    let options = StoreOptions { memtable_capacity: 6, compact_at: usize::MAX };
-    let mut system = QbhSystem::try_create_store(&base, &config, options).unwrap();
-    system.try_ingest(&db).unwrap();
-    let victim = db.entries()[4].id();
-    assert!(system.try_remove(victim).unwrap());
+    let system = store_to_compact(&base, &db);
     let expected_len = system.len();
     let reference = knn_answers(&system, &db);
     drop(system);
@@ -488,6 +494,80 @@ fn every_compaction_crash_state_opens_and_answers_identically() {
     let _ = std::fs::remove_dir_all(&done);
 }
 
+/// A compaction's build reads the files it replaces: one deleted, flipped
+/// or truncated between the plan and the build fails the build typed,
+/// before it writes anything, and the pre-compaction view stays live. With
+/// the file back, the store reopens as before and compacts.
+#[test]
+fn a_replaced_segment_damaged_between_plan_and_build_fails_the_build_typed() {
+    let db = songbook(6);
+    let files = |dir: &Path| std::fs::read_dir(dir).unwrap().count();
+    for damage in ["deleted", "bit-flipped", "truncated"] {
+        let dir = crash_temp_dir(&format!("build-reads-{damage}"));
+        let system = store_to_compact(&dir, &db);
+        let before = (system.len(), knn_answers(&system, &db), files(&dir));
+        let plan = system.plan_compaction().unwrap().expect("segments to merge");
+        // Segment 0, the first flush's, is one of the replaced files.
+        let path = segstore::segment_path(&dir, 0);
+        let pristine = std::fs::read(&path).unwrap();
+        let mut flipped = pristine.clone();
+        flip_bit(&mut flipped, pristine.len() / 2, 3);
+        match damage {
+            "deleted" => std::fs::remove_file(&path).unwrap(),
+            "bit-flipped" => std::fs::write(&path, flipped).unwrap(),
+            _ => std::fs::write(&path, &pristine[..pristine.len() / 2]).unwrap(),
+        }
+        let err = plan.build().err().unwrap_or_else(|| panic!("{damage}: the build succeeded"));
+        let typed = match &err {
+            StorageError::Corrupt(msg) => damage == "deleted" && msg.starts_with("segment 0:"),
+            StorageError::Checksum(_) => damage == "bit-flipped",
+            StorageError::Io(_) => damage == "truncated",
+            _ => false,
+        };
+        assert!(typed, "{damage}: {err:?}");
+        std::fs::write(&path, &pristine).unwrap();
+        let after = (system.len(), knn_answers(&system, &db), files(&dir));
+        assert_eq!(after, before, "{damage}: a file was left behind or the view moved");
+        drop(system);
+        let mut reopened = QbhSystem::try_open_store(&dir).unwrap();
+        assert_eq!((reopened.len(), knn_answers(&reopened, &db)), (before.0, before.1.clone()));
+        assert!(reopened.compact().unwrap(), "{damage}: the next compaction runs");
+        assert_eq!(knn_answers(&reopened, &db), before.1, "{damage}: compacted answers diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Each file of a real store, rewritten as the older generation (`HUMMAN01`,
+/// `HUMSEG01`, footer resealed), fails the open with a typed `Corrupt` that
+/// names the magic and says to re-ingest.
+#[test]
+fn a_store_of_the_older_generation_fails_to_open_typed_and_says_to_reindex() {
+    let db = songbook(2);
+    let dir = crash_temp_dir("older-generation");
+    let options = StoreOptions::default();
+    let mut system = QbhSystem::try_create_store(&dir, &QbhConfig::default(), options).unwrap();
+    system.try_ingest(&db).unwrap();
+    drop(system);
+    let older = [("HUMMAN01", segstore::manifest_path(&dir)), ("HUMSEG01", segstore::segment_path(&dir, 0))];
+    for (magic, file) in older {
+        let original = std::fs::read(&file).unwrap();
+        let mut image = original.clone();
+        image[..8].copy_from_slice(magic.as_bytes());
+        let footer_at = image.len() - 4;
+        let footer = crc32(&image[..footer_at]).to_le_bytes();
+        image[footer_at..].copy_from_slice(&footer);
+        std::fs::write(&file, image).unwrap();
+        let Err(err) = QbhSystem::try_open_store(&dir) else { panic!("{magic} opened") };
+        let says = |msg: &String| msg.contains(magic) && msg.contains("`qbh index`");
+        assert!(matches!(&err, StorageError::Corrupt(msg) if says(msg)), "{err:?}");
+        assert!(err.is_older_generation(), "{err}");
+        std::fs::write(&file, original).unwrap();
+    }
+    assert!(!StorageError::Corrupt("segment 0: it is missing".into()).is_older_generation());
+    assert_eq!(QbhSystem::try_open_store(&dir).unwrap().len(), db.len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The ack contract at a crash: an insert is acknowledged once it is in
 /// the memtable and durable once a flush that covers it has *committed*, so
 /// a crash loses exactly the `store_stats().memtable_len` melodies reported
@@ -495,11 +575,7 @@ fn every_compaction_crash_state_opens_and_answers_identically() {
 /// committed.
 #[test]
 fn every_flush_crash_state_opens_as_the_committed_view() {
-    let db = MelodyDatabase::from_songbook(&SongbookConfig {
-        songs: 6,
-        phrases_per_song: 3,
-        ..SongbookConfig::default()
-    });
+    let db = songbook(6);
     let config = QbhConfig::default();
     let dir = crash_temp_dir("flush-states");
     let options = StoreOptions { memtable_capacity: 6, compact_at: usize::MAX };
@@ -561,37 +637,22 @@ fn segment_and_manifest_codecs_fail_typed_under_faults() {
         segments: vec![SegmentRef { id: 0, count: 2 }, SegmentRef { id: 1, count: 1 }],
         tombstones: vec![7],
     };
+    let sample = Sample { config, entries, manifest };
 
-    let mut segment_image = Vec::new();
-    segstore::write_segment(&mut segment_image, &config, &entries).expect("serialize");
-    let mut manifest_image = Vec::new();
-    segstore::write_manifest(&mut manifest_image, &manifest).expect("serialize");
-
-    for (name, image) in [("segment", &segment_image), ("manifest", &manifest_image)] {
+    for format in FORMATS {
+        let image = format.image(&sample);
         for budget in (0..image.len() as u64).step_by(5) {
             let mut w = FailingWriter::new(Vec::new(), budget, FaultMode::Cutoff);
-            let err = if *name == *"segment" {
-                segstore::write_segment(&mut w, &config, &entries).expect_err("short write")
-            } else {
-                segstore::write_manifest(&mut w, &manifest).expect_err("short write")
-            };
-            assert!(matches!(err, StorageError::Io(_)), "{name} budget {budget}: {err:?}");
-            assert!(w.into_inner().len() as u64 <= budget, "{name}: wrote past the budget");
+            let err = format.write(&mut w, &sample).expect_err("short write");
+            assert!(matches!(err, StorageError::Io(_)), "{format:?} budget {budget}: {err:?}");
+            assert!(w.into_inner().len() as u64 <= budget, "{format:?}: wrote past the budget");
         }
 
         for index in (0..image.len()).step_by(3) {
             for bit in 0..8u8 {
                 let mut corrupted = image.clone();
                 flip_bit(&mut corrupted, index, bit);
-                let err = if *name == *"segment" {
-                    segstore::read_segment(&mut corrupted.as_slice())
-                        .map(|_| ())
-                        .expect_err("flipped segment bit")
-                } else {
-                    segstore::read_manifest(&mut corrupted.as_slice())
-                        .map(|_| ())
-                        .expect_err("flipped manifest bit")
-                };
+                let err = format.read(&mut corrupted.as_slice()).expect_err("flipped bit");
                 assert!(
                     matches!(
                         err,
@@ -600,7 +661,7 @@ fn segment_and_manifest_codecs_fail_typed_under_faults() {
                             | StorageError::Checksum(_)
                             | StorageError::Io(_)
                     ),
-                    "{name} byte {index} bit {bit}: got {err:?}"
+                    "{format:?} byte {index} bit {bit}: got {err:?}"
                 );
             }
         }

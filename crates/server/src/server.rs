@@ -31,8 +31,10 @@
 //!   A mutation never flushes: one that leaves
 //!   [`QbhService::needs_maintenance`] true wakes the maintenance thread.
 //! * The **maintenance thread** runs one job at a time in three phases
-//!   (see [`QbhService`]): `plan` copies the job's input out under the read
-//!   lock, `build` writes and fsyncs the new segment with *no* lock held,
+//!   (see [`QbhService`]): `plan` takes the job's input under the read lock
+//!   (a flush copies the memtable; a compaction only names the segment
+//!   files it replaces), `build` reads those files and writes and fsyncs
+//!   the new segment with *no* lock held,
 //!   and `commit` takes the write lock only to commit the manifest and its
 //!   bookkeeping — time proportional to what changed since the plan. A query
 //!   racing a commit therefore waits for at most that swap, and sees either
@@ -668,7 +670,7 @@ fn run_maintenance<S: QbhService>(shared: &Shared<S>) -> Result<(), ServiceError
             retired
         };
         // Lock released: dropping what the commit released (the superseded
-        // segment files, the job's copy of its data) costs no request
+        // segment files, a flush's copy of the memtable) costs no request
         // anything.
         drop(retired?);
     }

@@ -17,7 +17,10 @@
 # it holds the workspace's only `unsafe`, so any hidden unwrap there is a
 # debugging hazard out of proportion to its size. The request builder
 # (crates/core/src/session.rs) is strict too: it buffers caller-controlled
-# frames, the same trust level as wire bytes.
+# frames, the same trust level as wire bytes. In the `qbh` binary
+# (crates/qbh/src/bin/) the strict scan also flags `print!(` / `println!(`:
+# they panic when stdout is a closed pipe, so results go through the CLI's
+# one writer, which ends quietly instead.
 #
 # Run with `--update` after a deliberate change to a documented panic.
 set -euo pipefail
@@ -29,18 +32,21 @@ scan() {
   find crates -path '*/src/*' -name '*.rs' -print0 | sort -z |
     while IFS= read -r -d '' f; do
       strict=0
+      prints=0
       case "$f" in
+        crates/qbh/src/bin/*) strict=1 prints=1 ;;
         crates/qbh/src/*|crates/server/src/*|crates/core/src/kernel/*) strict=1 ;;
         crates/core/src/session.rs) strict=1 ;;
       esac
-      awk -v file="$f" -v strict="$strict" '
+      awk -v file="$f" -v strict="$strict" -v prints="$prints" '
         /^#\[cfg\(test\)\]/ { exit }  # test module starts: stop scanning
         {
           line = $0
           gsub(/^[ \t]+|[ \t]+$/, "", line)
           if (line ~ /^\/\//) next    # comments and doc examples
           if (line ~ /panic!\(/ ||
-              (strict && line ~ /\.unwrap\(\)|\.expect\(|unreachable!\(/)) {
+              (strict && line ~ /\.unwrap\(\)|\.expect\(|unreachable!\(/) ||
+              (prints && line ~ /(^|[^a-z_])print(ln)?!\(/)) {
             print file ": " line
           }
         }
